@@ -41,7 +41,7 @@ HOT_PATH_DIRS = ("sim", "net", "daos", "hw", "storage", "core")
 
 #: Attribute names the codebase uses for optional observer hooks; the
 #: idiom is ``hook = self._x`` / ``if hook is not None: hook.f(...)``.
-HOOK_ATTRS = frozenset({"_trace_hook", "_wait_tracer", "_tracer", "_stats"})
+HOOK_ATTRS = frozenset({"_wait_tracer", "_stats", "_faults"})
 
 #: ``module.attr`` call targets that read the host clock or entropy.
 _SIM001_CALLS = frozenset({

@@ -10,12 +10,11 @@ dependency of this project).  It provides:
   containers used to model CPUs, device queues and links.
 * :mod:`repro.sim.queues` — serializers and bandwidth pipes used by the
   hardware models.
-* :mod:`repro.sim.monitor` — lightweight instrumentation (counters,
-  time-weighted gauges, latency recorders).
+* :mod:`repro.sim.monitor` — lightweight instrumentation (time-weighted
+  gauges, rate meters, latency recorders).
 * :mod:`repro.sim.spans` — request-scoped distributed tracing (spans,
   latency breakdowns, critical paths).
 * :mod:`repro.sim.hist` — bounded-memory log-bucketed latency histograms.
-* :mod:`repro.sim.export` — Prometheus-text and JSON metric exporters.
 * :mod:`repro.sim.timeseries` — the continuous telemetry bus (probes,
   bounded downsampling ring buffers, Little's-law self-check).
 * :mod:`repro.sim.chrometrace` — Chrome trace-event / Perfetto export.
@@ -41,7 +40,7 @@ from repro.sim.core import (
     Timeout,
 )
 from repro.sim.hist import LogHistogram
-from repro.sim.monitor import Counter, Gauge, LatencyRecorder, Monitor, RateMeter
+from repro.sim.monitor import Gauge, LatencyRecorder, RateMeter
 from repro.sim.queues import BandwidthPipe, FifoServer
 from repro.sim.resources import Container, PriorityResource, Resource, Store
 from repro.sim.rng import RngStreams, seed_from_key
@@ -55,7 +54,6 @@ from repro.sim.spans import (
 from repro.sim.doctor import Diagnosis, SloRule, diagnose, parse_slo
 from repro.sim.flame import fold_spans, fold_waits, render_collapsed
 from repro.sim.timeseries import Probe, Sampler, StationStats, TimeSeries
-from repro.sim.trace import Tracer, TraceRecord
 from repro.sim.waits import WaitRecord, WaitTracer
 
 __all__ = [
@@ -63,7 +61,6 @@ __all__ = [
     "AnyOf",
     "BandwidthPipe",
     "Container",
-    "Counter",
     "Diagnosis",
     "Environment",
     "Event",
@@ -73,7 +70,6 @@ __all__ = [
     "LatencyBreakdown",
     "LatencyRecorder",
     "LogHistogram",
-    "Monitor",
     "PriorityResource",
     "Probe",
     "Process",
@@ -91,8 +87,6 @@ __all__ = [
     "TimeSeries",
     "Timeout",
     "Trace",
-    "TraceRecord",
-    "Tracer",
     "WaitRecord",
     "WaitTracer",
     "critical_path",

@@ -1,11 +1,11 @@
 """Core discrete-event simulation primitives.
 
 The kernel follows the classic event-list design: a binary heap keyed by
-``(time, priority, sequence)`` holds scheduled events; :meth:`Environment.step`
-pops one event, advances the clock and runs its callbacks.  Processes are
-plain Python generators that ``yield`` events; the kernel resumes a process
-when the yielded event is processed, sending the event's value back into the
-generator (or throwing its exception).
+``(time, priority, sequence)`` holds scheduled events; :meth:`Environment.run`
+pops one event at a time, advances the clock and runs its callbacks.
+Processes are plain Python generators that ``yield`` events; the kernel
+resumes a process when the yielded event is processed, sending the event's
+value back into the generator (or throwing its exception).
 
 The implementation is deliberately small and allocation-conscious — the
 hardware models in :mod:`repro.hw` push hundreds of thousands of events per
@@ -15,17 +15,16 @@ the dispatch path).
 
 Hot-loop design notes (see DESIGN.md §9 for the event-cost budget):
 
-* :meth:`Environment.run` fuses the pop/dispatch body inline rather than
-  calling :meth:`Environment.step` per event, eliminating one Python frame
-  and one ``try/except`` per event.  :meth:`step` remains for single-step
-  debugging and keeps identical semantics.
+* :meth:`Environment.run` is the only dispatch loop: one inline
+  pop/dispatch body, bounded by a horizon and an optional sentinel event,
+  with no Python frame per event.
 * Processed :class:`Timeout` objects that provably have no remaining
   references (checked with ``sys.getrefcount``) are parked on a bounded
   free-list and recycled by :meth:`Environment.timeout`, cutting the
   dominant allocation of the simulation (one Timeout per service
   reservation).  An event that *anything* still references — a condition,
-  a tracer, user code — is never recycled, so the optimisation is
-  invisible to correctness.
+  user code — is never recycled, so the optimisation is invisible to
+  correctness.
 * :attr:`Environment.events_processed` counts every dispatched event so
   telemetry and the perf harness (:mod:`repro.bench.perfbench`) can report
   events-per-IO, the simulator's native cost metric.
@@ -68,6 +67,10 @@ NORMAL = 1
 _FREELIST_MAX = 128
 
 _TIE_MASK = (1 << 64) - 1
+
+
+def _keep_scheduled(event: "Event") -> None:
+    """No-op waiter: an event with a callback is dispatched via the heap."""
 
 
 def tie_scramble(seed: int) -> Callable[[int], int]:
@@ -183,13 +186,7 @@ class Event:
         heap operation and one dispatch cheaper.  Used by the resource
         layer for requests/puts/gets that are satisfiable immediately
         (see DESIGN.md §9).
-
-        When a kernel :class:`~repro.sim.trace.Tracer` is subscribed, the
-        fast path is disabled and the event is scheduled normally so the
-        observed event stream stays complete.
         """
-        if self.env._trace_hook is not None:
-            return self.succeed(value)
         self._ok = True
         self._value = value
         self.callbacks = None
@@ -200,7 +197,7 @@ class Event:
 
         Any process waiting on the event will have ``exception`` thrown into
         it.  If nobody waits, the exception surfaces from
-        :meth:`Environment.step` unless :meth:`defused` was set.
+        :meth:`Environment.run` unless :meth:`defused` was set.
         """
         if self._value is not PENDING:
             raise SimulationError(f"{self!r} has already been triggered")
@@ -348,21 +345,20 @@ class Process(Event):
                 env._active = None
                 self._ok = True
                 self._value = stop.value
-                if self.callbacks or env._trace_hook is not None:
+                if self.callbacks:
                     env.schedule(self, 0.0, URGENT)
                 else:
-                    # Nobody is waiting on this process (and no tracer is
-                    # attached): mark it processed inline instead of
-                    # scheduling a no-op event.  A later ``yield proc``
-                    # takes the already-processed fast path with the same
-                    # value at the same simulated time.
+                    # Nobody is waiting on this process: mark it processed
+                    # inline instead of scheduling a no-op event.  A later
+                    # ``yield proc`` takes the already-processed fast path
+                    # with the same value at the same simulated time.
                     self.callbacks = None
                 return
             except StopProcess:
                 env._active = None
                 self._ok = True
                 self._value = None
-                if self.callbacks or env._trace_hook is not None:
+                if self.callbacks:
                     env.schedule(self, 0.0, URGENT)
                 else:
                     self.callbacks = None
@@ -488,8 +484,7 @@ class Environment:
         env.run(until=100.0)
     """
 
-    __slots__ = ("_now", "_queue", "_eid", "_active", "_trace_hook",
-                 "_trace_subscribers", "_trace_snapshot",
+    __slots__ = ("_now", "_queue", "_eid", "_active",
                  "_events_processed", "_tfree", "_timeouts_recycled",
                  "_wait_tracer", "_tie_scramble", "_faults")
 
@@ -499,21 +494,13 @@ class Environment:
         #: Tie-break scrambler (race-sanitizer mode) or None.  When set,
         #: every heap push keys same-time, same-priority events by a
         #: seeded permutation of the sequence number instead of FIFO —
-        #: the same zero-cost-when-off idiom as ``_trace_hook``.
+        #: the same zero-cost-when-off idiom as ``_wait_tracer``.
         self._tie_scramble: Optional[Callable[[int], int]] = (
             None if tie_seed is None else tie_scramble(tie_seed))
         self._queue: list = []
         self._eid = 0
         self._active: Optional[Process] = None
-        #: Post-step dispatch target.  ``None`` when nobody listens (the hot
-        #: loop pays a single ``is not None`` test), the lone subscriber when
-        #: exactly one is attached, or :meth:`_dispatch_trace` for fan-out.
-        self._trace_hook: Optional[Callable[[Event], None]] = None
-        self._trace_subscribers: list = []
-        #: Immutable snapshot of the subscriber list, refreshed on
-        #: add/remove so fan-out dispatch never allocates per event.
-        self._trace_snapshot: tuple = ()
-        #: Total events dispatched by this environment (step + run loops).
+        #: Total events dispatched by this environment.
         self._events_processed = 0
         #: Free-list of recyclable Timeout objects (bounded).
         self._tfree: list = []
@@ -521,50 +508,12 @@ class Environment:
         self._timeouts_recycled = 0
         #: Wait-cause tracer (:class:`repro.sim.waits.WaitTracer`) or None.
         #: Hot paths pay one ``is not None`` test when no tracer is
-        #: installed, mirroring ``_trace_hook`` and station ``_stats``.
+        #: installed, mirroring station ``_stats``.
         self._wait_tracer = None
         #: Fault injector (:class:`repro.faults.plan.FaultInjector`) or
         #: None.  Injection points and recovery loops pay one ``is not
         #: None`` test when chaos is off — same contract as the tracer.
         self._faults = None
-
-    # -- trace subscription -------------------------------------------------
-    def add_trace_subscriber(self, fn: Callable[[Event], None]) -> None:
-        """Register ``fn(event)`` to run after every processed event.
-
-        Multiple subscribers may coexist (e.g. an event :class:`Tracer` and a
-        span collector); they are invoked in registration order.
-        """
-        self._trace_subscribers.append(fn)
-        self._refresh_trace_hook()
-
-    def remove_trace_subscriber(self, fn: Callable[[Event], None]) -> None:
-        """Unregister a subscriber added with :meth:`add_trace_subscriber`."""
-        try:
-            self._trace_subscribers.remove(fn)
-        except ValueError:
-            pass
-        self._refresh_trace_hook()
-
-    def _refresh_trace_hook(self) -> None:
-        subs = self._trace_subscribers
-        # Snapshot once here instead of building a tuple per processed
-        # event in the fan-out path; add/remove invalidate the snapshot.
-        self._trace_snapshot = tuple(subs)
-        if not subs:
-            self._trace_hook = None
-        elif len(subs) == 1:
-            # Single subscriber: dispatch directly, no fan-out frame.
-            self._trace_hook = subs[0]
-        else:
-            self._trace_hook = self._dispatch_trace
-
-    def _dispatch_trace(self, event: Event) -> None:
-        # The snapshot is immutable: a subscriber that unsubscribes mid-
-        # dispatch still sees the current event (same semantics as the old
-        # per-event tuple() copy), and the next event uses the new snapshot.
-        for fn in self._trace_snapshot:
-            fn(event)
 
     # -- clock ------------------------------------------------------------
     @property
@@ -579,7 +528,7 @@ class Environment:
 
     @property
     def events_processed(self) -> int:
-        """Total events dispatched so far (consistent at step/run boundaries).
+        """Total events dispatched so far (consistent at run boundaries).
 
         Telemetry divides this by completed IOs to report *events/IO*, the
         simulator's native cost metric (see DESIGN.md §9).
@@ -684,35 +633,6 @@ class Environment:
                  (self._now + delay, priority,
                   self._eid if ts is None else ts(self._eid), event))
 
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none."""
-        return self._queue[0][0] if self._queue else float("inf")
-
-    def step(self) -> None:
-        """Process exactly one event.
-
-        Kept for single-stepping and debugging; :meth:`run` inlines this
-        body (minus the empty-queue probe) to avoid a frame per event.
-        """
-        try:
-            when, _prio, _eid, event = heappop(self._queue)
-        except IndexError:
-            raise SimulationError("no scheduled events") from None
-        self._now = when
-        self._events_processed += 1
-        callbacks = event.callbacks
-        event.callbacks = None
-        for callback in callbacks:
-            callback(event)
-        if self._trace_hook is not None:
-            self._trace_hook(event)
-        if not event._ok and not event._defused:
-            exc = event._value
-            raise exc if isinstance(exc, BaseException) else SimulationError(repr(exc))
-        if (type(event) is Timeout and len(self._tfree) < _FREELIST_MAX
-                and getrefcount(event) == 2):
-            self._tfree.append(event)
-
     def run(self, until: Optional[float | Event] = None) -> Any:
         """Run the simulation.
 
@@ -720,13 +640,14 @@ class Environment:
         * ``until`` is a number — run all events scheduled up to and
           including that time, then set the clock to it.
         * ``until`` is an :class:`Event` — run until that event is processed
-          and return its value (raising if it failed).
+          and return its value (raising if it failed, and raising
+          :class:`SimulationError` if the event list drains first).
 
-        All three modes run a *fused* dispatch loop: heap pop, callback
-        fan-out, trace hook and Timeout recycling happen inline with the
-        loop-invariant lookups (queue, free-list, ``heappop``) hoisted into
-        locals.  Semantics are identical to calling :meth:`step` in a loop;
-        only the per-event interpreter overhead differs.
+        Every mode runs the same fused dispatch loop, bounded by a horizon
+        (``inf`` unless ``until`` is a number) and stopped early by the
+        sentinel event, if any.  Heap pop, callback fan-out and Timeout
+        recycling happen inline with the loop-invariant lookups (queue,
+        free-list, ``heappop``) hoisted into locals.
 
         The cyclic garbage collector is paused for the duration of the
         loop (and restored on exit, including on error): a simulation turn
@@ -736,6 +657,22 @@ class Environment:
         (process → generator → frame) are rare and small; they are
         reclaimed by the next enabled collection after the run returns.
         """
+        sentinel: Optional[Event] = None
+        horizon = float("inf")
+        if isinstance(until, Event):
+            sentinel = until
+            if sentinel.callbacks is None:  # already processed
+                if not sentinel._ok:
+                    raise sentinel._value
+                return sentinel._value
+            # A waiter keeps the sentinel on the heap: a process nobody
+            # else awaits would otherwise end inline, never dispatched.
+            sentinel.callbacks.append(_keep_scheduled)
+        elif until is not None:
+            horizon = float(until)
+            if horizon < self._now:
+                raise ValueError(
+                    f"until={horizon} lies in the past (now={self._now})")
         queue = self._queue
         tfree = self._tfree
         pop = heappop
@@ -744,67 +681,6 @@ class Environment:
         if gc_was_enabled:
             gc_disable()
         try:
-            if until is None:
-                while queue:
-                    when, _prio, _eid, event = pop(queue)
-                    self._now = when
-                    n += 1
-                    callbacks = event.callbacks
-                    event.callbacks = None
-                    for callback in callbacks:
-                        callback(event)
-                    trace_hook = self._trace_hook
-                    if trace_hook is not None:
-                        trace_hook(event)
-                    if not event._ok and not event._defused:
-                        exc = event._value
-                        raise exc if isinstance(exc, BaseException) \
-                            else SimulationError(repr(exc))
-                    if (type(event) is Timeout and len(tfree) < _FREELIST_MAX
-                            and getrefcount(event) == 2):
-                        tfree.append(event)
-                return None
-
-            if isinstance(until, Event):
-                sentinel = until
-                if sentinel.callbacks is None:  # already processed
-                    if not sentinel._ok:
-                        raise sentinel._value
-                    return sentinel._value
-                flag = [False]
-                sentinel.callbacks.append(lambda ev: flag.__setitem__(0, True))
-                fired = flag.__getitem__
-                while not fired(0):
-                    if not queue:
-                        raise SimulationError(
-                            "event list empty but the awaited event never fired"
-                        )
-                    when, _prio, _eid, event = pop(queue)
-                    self._now = when
-                    n += 1
-                    callbacks = event.callbacks
-                    event.callbacks = None
-                    for callback in callbacks:
-                        callback(event)
-                    trace_hook = self._trace_hook
-                    if trace_hook is not None:
-                        trace_hook(event)
-                    if not event._ok and not event._defused:
-                        exc = event._value
-                        raise exc if isinstance(exc, BaseException) \
-                            else SimulationError(repr(exc))
-                    if (type(event) is Timeout and len(tfree) < _FREELIST_MAX
-                            and getrefcount(event) == 2):
-                        tfree.append(event)
-                if not sentinel._ok:
-                    sentinel._defused = True
-                    raise sentinel._value
-                return sentinel._value
-
-            horizon = float(until)
-            if horizon < self._now:
-                raise ValueError(
-                    f"until={horizon} lies in the past (now={self._now})")
             while queue and queue[0][0] <= horizon:
                 when, _prio, _eid, event = pop(queue)
                 self._now = when
@@ -813,17 +689,23 @@ class Environment:
                 event.callbacks = None
                 for callback in callbacks:
                     callback(event)
-                trace_hook = self._trace_hook
-                if trace_hook is not None:
-                    trace_hook(event)
                 if not event._ok and not event._defused:
                     exc = event._value
                     raise exc if isinstance(exc, BaseException) \
                         else SimulationError(repr(exc))
+                if event is sentinel:
+                    if not event._ok:
+                        event._defused = True
+                        raise event._value
+                    return event._value
                 if (type(event) is Timeout and len(tfree) < _FREELIST_MAX
                         and getrefcount(event) == 2):
                     tfree.append(event)
-            self._now = horizon
+            if sentinel is not None:
+                raise SimulationError(
+                    "event list empty but the awaited event never fired")
+            if until is not None:
+                self._now = horizon
             return None
         finally:
             self._events_processed += n

@@ -14,24 +14,7 @@ import numpy as np
 
 from repro.sim.core import Environment
 
-__all__ = ["Counter", "Gauge", "RateMeter", "LatencyRecorder", "Monitor"]
-
-
-class Counter:
-    """A monotonically increasing event/byte counter."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0
-
-    def add(self, amount: int = 1) -> None:
-        """Increment by ``amount``."""
-        self.value += amount
-
-    def __repr__(self) -> str:
-        return f"Counter({self.name}={self.value})"
+__all__ = ["Gauge", "RateMeter", "LatencyRecorder"]
 
 
 class Gauge:
@@ -268,49 +251,3 @@ class LatencyRecorder:
             "p999": float(p999),
             "max": float(arr.max()),
         }
-
-
-class Monitor:
-    """A named registry of instruments for one simulation run."""
-
-    def __init__(self, env: Environment) -> None:
-        self.env = env
-        self.counters: Dict[str, Counter] = {}
-        self.gauges: Dict[str, Gauge] = {}
-        self.rates: Dict[str, RateMeter] = {}
-        self.latencies: Dict[str, LatencyRecorder] = {}
-
-    def counter(self, name: str) -> Counter:
-        """Get or create the counter ``name``."""
-        c = self.counters.get(name)
-        if c is None:
-            c = self.counters[name] = Counter(name)
-        return c
-
-    def gauge(self, name: str, initial: float = 0.0) -> Gauge:
-        """Get or create the gauge ``name``."""
-        g = self.gauges.get(name)
-        if g is None:
-            g = self.gauges[name] = Gauge(self.env, name, initial)
-        return g
-
-    def rate(self, name: str) -> RateMeter:
-        """Get or create the rate meter ``name``."""
-        r = self.rates.get(name)
-        if r is None:
-            r = self.rates[name] = RateMeter(self.env, name)
-        return r
-
-    def latency(self, name: str, enabled: bool = True) -> LatencyRecorder:
-        """Get or create the latency recorder ``name``."""
-        rec = self.latencies.get(name)
-        if rec is None:
-            rec = self.latencies[name] = LatencyRecorder(name, enabled)
-        return rec
-
-    def reset_rates(self) -> None:
-        """Restart every rate meter's window (end of warm-up)."""
-        for r in self.rates.values():
-            r.reset()
-        for rec in self.latencies.values():
-            rec.clear()

@@ -26,7 +26,7 @@ On top of the raw spans sit three analyses:
   time is the Arm RX path").
 * :func:`critical_path` — the chain of spans that determined one request's
   end-to-end latency.
-* ``to_dict`` hooks feeding the exporters in :mod:`repro.sim.export`.
+* ``to_dict`` hooks feeding the CLI's JSON artifacts.
 """
 
 from __future__ import annotations

@@ -3,11 +3,11 @@
 
 class Pipe:
     def __init__(self):
-        self._trace_hook = None
+        self._faults = None
         self._wait_tracer = None
 
     def push(self, item):
-        self._trace_hook.on_push(item)  # SIM003: unguarded hook call
+        self._faults.on_push(item)  # SIM003: unguarded hook call
         return item
 
     def block(self, name, now):

@@ -79,8 +79,8 @@ def test_src_repro_is_clean_under_committed_baseline():
     # direct attribute guard
     """
     def f(self):
-        if self._trace_hook is not None:
-            self._trace_hook(1, 2)
+        if self._faults is not None:
+            self._faults.active("qp")
     """,
     # truthiness guard
     """
@@ -91,29 +91,29 @@ def test_src_repro_is_clean_under_committed_baseline():
     # early-return guard
     """
     def f(self):
-        if self._tracer is None:
+        if self._faults is None:
             return None
-        return self._tracer.begin()
+        return self._faults.active("qp")
     """,
     # assert guard
     """
     def f(self):
-        assert self._tracer is not None
-        return self._tracer.begin()
+        assert self._faults is not None
+        return self._faults.active("qp")
     """,
     # inverted guard: hook use in the else branch
     """
     def f(self):
-        if self._tracer is None:
+        if self._faults is None:
             return 0
         else:
-            return self._tracer.begin()
+            return self._faults.active("qp")
     """,
     # compound condition: `hook is not None and ...`
     """
     def f(self, x):
-        if self._tracer is not None and x > 0:
-            self._tracer.begin()
+        if self._faults is not None and x > 0:
+            self._faults.active("qp")
     """,
 ])
 def test_sim003_accepts_guard_idioms(body):
@@ -130,8 +130,8 @@ def test_sim003_rejects_unguarded_and_wrong_branch():
     # Guard inverted the wrong way: use in the None branch.
     active, _ = _lint_snippet("""
     def f(self):
-        if self._tracer is None:
-            self._tracer.begin()
+        if self._faults is None:
+            self._faults.active("qp")
     """)
     assert [f.rule for f in active] == ["SIM003"]
 

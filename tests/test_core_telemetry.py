@@ -1,5 +1,7 @@
 """Unit tests for the telemetry snapshot."""
 
+import json
+
 import pytest
 
 from repro.core import Ros2Config, Ros2System
@@ -82,6 +84,24 @@ def test_host_mode_snapshot_has_two_nodes():
     system = run_workload(client="host")
     report = snapshot(system)
     assert {n.name for n in report.nodes} == {"host", "storage"}
+
+
+def test_system_report_to_dict_and_json():
+    env = Environment()
+    system = Ros2System(env, Ros2Config(transport="tcp", client="host"))
+
+    def setup(env):
+        yield from system.start()
+
+    p = env.process(setup(env))
+    env.run(until=p)
+    report = snapshot(system)
+    d = report.to_dict()
+    assert d["now"] == env.now
+    assert {n["name"] for n in d["nodes"]}  # at least one node
+    assert d["busiest_component"] == report.busiest_component()
+    doc = json.loads(report.to_json())
+    assert doc == json.loads(json.dumps(d, sort_keys=True))
 
 
 def _node(name, cpu=0.0, tcp=0.0, locks=None):

@@ -340,17 +340,64 @@ def test_all_of_empty_fires_immediately():
     assert got == [(0, {})]
 
 
-def test_step_with_empty_queue_raises():
-    env = Environment()
-    with pytest.raises(SimulationError):
-        env.step()
+def _unawaited_process_end_is_dispatched(env):
+    def proc(env):
+        yield env.timeout(1)
+        yield env.timeout(1)
+        return "done"
+
+    assert env.run(until=env.process(proc(env))) == "done"
+    # Initialize + two timeouts + the end event: the sentinel counts as a
+    # waiter, so the process end is scheduled rather than inlined.
+    assert (env.now, env.events_processed) == (2, 4)
 
 
-def test_peek_reports_next_event_time():
-    env = Environment()
-    assert env.peek() == float("inf")
-    env.timeout(7)
-    assert env.peek() == 7
+def _drained_heap_before_sentinel_raises(env):
+    ev = env.event()
+    env.timeout(1)
+    with pytest.raises(SimulationError, match="never fired"):
+        env.run(until=ev)
+    assert (env.now, env.events_processed) == (1, 1)
+
+
+def _failed_sentinel_raises_its_exception(env):
+    def bad(env):
+        yield env.timeout(1)
+        raise ValueError("sentinel failed")
+
+    with pytest.raises(ValueError, match="sentinel failed"):
+        env.run(until=env.process(bad(env)))
+
+
+def _defused_failed_sentinel_still_raises(env):
+    ev = env.event()
+
+    def waiter(env):
+        try:
+            yield ev
+        except ValueError:
+            pass  # defuses ev
+
+    env.process(waiter(env))
+    ev.fail(ValueError("sentinel failed"))
+    with pytest.raises(ValueError, match="sentinel failed"):
+        env.run(until=ev)
+
+
+def _horizon_on_empty_heap_moves_clock(env):
+    env.run(until=5.0)
+    assert (env.now, env.events_processed) == (5.0, 0)
+
+
+@pytest.mark.parametrize("case", [
+    _unawaited_process_end_is_dispatched,
+    _drained_heap_before_sentinel_raises,
+    _failed_sentinel_raises_its_exception,
+    _defused_failed_sentinel_still_raises,
+    _horizon_on_empty_heap_moves_clock,
+], ids=lambda case: case.__name__.strip("_"))
+def test_run_contract(case):
+    case(Environment())
 
 
 def test_many_processes_complete():

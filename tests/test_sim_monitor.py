@@ -2,23 +2,12 @@
 
 import pytest
 
-from repro.sim import Environment, LatencyRecorder, Monitor
-
-
-def test_counter_add():
-    env = Environment()
-    mon = Monitor(env)
-    c = mon.counter("ios")
-    c.add()
-    c.add(5)
-    assert c.value == 6
-    assert mon.counter("ios") is c  # registry caches
+from repro.sim import Environment, Gauge, LatencyRecorder, RateMeter
 
 
 def test_gauge_time_weighted_mean():
     env = Environment()
-    mon = Monitor(env)
-    g = mon.gauge("depth")
+    g = Gauge(env, "depth")
 
     def proc(env):
         g.set(10)
@@ -35,8 +24,7 @@ def test_gauge_time_weighted_mean():
 
 def test_gauge_add_delta():
     env = Environment()
-    mon = Monitor(env)
-    g = mon.gauge("q", initial=2)
+    g = Gauge(env, "q", initial=2)
     g.add(3)
     assert g.level == 5
     g.add(-5)
@@ -45,8 +33,7 @@ def test_gauge_add_delta():
 
 def test_rate_meter_reports_rates():
     env = Environment()
-    mon = Monitor(env)
-    r = mon.rate("io")
+    r = RateMeter(env, "io")
 
     def proc(env):
         for _ in range(10):
@@ -62,8 +49,7 @@ def test_rate_meter_reports_rates():
 
 def test_rate_meter_reset_starts_new_window():
     env = Environment()
-    mon = Monitor(env)
-    r = mon.rate("io")
+    r = RateMeter(env, "io")
 
     def proc(env):
         r.record()
@@ -81,16 +67,13 @@ def test_rate_meter_reset_starts_new_window():
 
 def test_rate_meter_zero_window():
     env = Environment()
-    mon = Monitor(env)
-    r = mon.rate("io")
+    r = RateMeter(env, "io")
     assert r.ops_per_sec() == 0.0
     assert r.bytes_per_sec() == 0.0
 
 
 def test_latency_recorder_summary():
-    env = Environment()
-    mon = Monitor(env)
-    rec = mon.latency("lat")
+    rec = LatencyRecorder("lat")
     for v in [1.0, 2.0, 3.0, 4.0]:
         rec.record(v)
     s = rec.summary()
@@ -101,35 +84,21 @@ def test_latency_recorder_summary():
 
 
 def test_latency_recorder_empty_summary():
-    env = Environment()
-    rec = Monitor(env).latency("lat")
+    rec = LatencyRecorder("lat")
     s = rec.summary()
     assert s["count"] == 0
     assert s["mean"] == 0.0
 
 
 def test_latency_recorder_disabled():
-    env = Environment()
-    rec = Monitor(env).latency("lat", enabled=False)
+    rec = LatencyRecorder("lat", enabled=False)
     rec.record(1.0)
-    assert len(rec) == 0
-
-
-def test_monitor_reset_rates_clears_latencies_too():
-    env = Environment()
-    mon = Monitor(env)
-    r = mon.rate("io")
-    rec = mon.latency("lat")
-    r.record()
-    rec.record(0.5)
-    mon.reset_rates()
-    assert r.ops == 0
     assert len(rec) == 0
 
 
 def test_gauge_max_watermark_and_reset():
     env = Environment()
-    g = Monitor(env).gauge("stage")
+    g = Gauge(env, "stage")
 
     def proc(env):
         g.set(7)
@@ -147,7 +116,7 @@ def test_gauge_max_watermark_and_reset():
 
 def test_gauge_mean_zero_elapsed_window_is_current_level():
     env = Environment()
-    g = Monitor(env).gauge("q", initial=3)
+    g = Gauge(env, "q", initial=3)
     # No simulated time has passed: the mean of a point window is the level.
     assert g.mean() == 3.0
     g.set(9)
@@ -156,12 +125,11 @@ def test_gauge_mean_zero_elapsed_window_is_current_level():
 
 def test_gauge_created_late_integrates_from_creation():
     env = Environment()
-    mon = Monitor(env)
     holder = {}
 
     def proc(env):
         yield env.timeout(5)       # gauge does not exist yet
-        holder["g"] = g = mon.gauge("late")
+        holder["g"] = g = Gauge(env, "late")
         g.set(10)
         yield env.timeout(1)
         g.set(0)

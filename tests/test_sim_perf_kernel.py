@@ -13,8 +13,6 @@ Pins the perf-critical invariants added by the kernel optimisation pass:
 * :class:`Resource` keeps FIFO grant order through swap-remove releases;
   :class:`PriorityResource` keeps ``(priority, arrival)`` order through
   heap tombstones (lazy deletion).
-* Trace subscription snapshotting keeps fan-out semantics stable when a
-  subscriber unsubscribes mid-dispatch.
 """
 
 import random
@@ -286,53 +284,3 @@ def test_priority_resource_order_matches_sorted_reference():
     env.process(run(env))
     env.run()
     assert len(granted) == 20
-
-
-# ---------------------------------------------------------------------------
-# Trace snapshot fan-out
-# ---------------------------------------------------------------------------
-
-def test_trace_snapshot_stable_when_subscriber_unsubscribes_mid_dispatch():
-    env = Environment()
-    seen_a, seen_b = [], []
-
-    def sub_a(event):
-        seen_a.append(env.events_processed)
-        # Unsubscribing mid-dispatch must not starve sub_b of the
-        # *current* event (snapshot semantics), only future ones of a.
-        if len(seen_a) == 2:
-            env.remove_trace_subscriber(sub_a)
-
-    def sub_b(event):
-        seen_b.append(env.events_processed)
-
-    env.add_trace_subscriber(sub_a)
-    env.add_trace_subscriber(sub_b)
-
-    def ticker(env):
-        for _ in range(5):
-            yield env.timeout(1.0)
-
-    env.process(ticker(env))
-    env.run()
-    assert len(seen_a) == 2          # stopped after unsubscribing
-    # Initialize + 5 timeouts + the process-end event (scheduled, not
-    # inlined, because a tracer is attached): none lost.
-    assert len(seen_b) == 7
-
-
-def test_trace_subscriber_observes_every_event():
-    # With a tracer attached the born-processed/inline fast paths must
-    # still report every dispatched event exactly once.
-    env = Environment()
-    count = [0]
-    env.add_trace_subscriber(lambda e: count.__setitem__(0, count[0] + 1))
-
-    def ticker(env):
-        for _ in range(10):
-            yield env.timeout(1.0)
-
-    env.process(ticker(env))
-    env.run()
-    # Initialize + 10 timeouts + process end (not inlined under tracing).
-    assert count[0] == env.events_processed == 12

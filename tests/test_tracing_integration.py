@@ -8,14 +8,12 @@ attached and assert the properties the breakdown analysis relies on:
 * the per-stage self times sum to the end-to-end latency within tolerance
   (sequential request shapes → coverage ~100%);
 * the RDMA rendezvous path and the DPU-offloaded TCP path both emit their
-  characteristic stages;
-* two event-trace subscribers can coexist on one environment.
+  characteristic stages.
 """
 
 import pytest
 
 from repro.bench.runner import run_fig5_traced
-from repro.sim import Environment
 from repro.sim.spans import LatencyBreakdown, critical_path
 
 
@@ -108,44 +106,3 @@ class TestDpuOffloadPropagation:
         for root in col.roots():
             assert root.nbytes == 4096
             assert root.name == "fio.randread"
-
-
-class TestConcurrentTracers:
-    def test_two_subscribers_both_receive_events(self):
-        env = Environment()
-        seen_a, seen_b = [], []
-        env.add_trace_subscriber(seen_a.append)
-        env.add_trace_subscriber(seen_b.append)
-
-        def proc(env):
-            yield env.timeout(1.0)
-            yield env.timeout(1.0)
-
-        env.process(proc(env))
-        env.run()
-        assert len(seen_a) == len(seen_b) > 0
-
-    def test_removing_one_keeps_the_other(self):
-        env = Environment()
-        seen_a, seen_b = [], []
-        env.add_trace_subscriber(seen_a.append)
-        env.add_trace_subscriber(seen_b.append)
-        env.remove_trace_subscriber(seen_a.append)
-
-        def proc(env):
-            yield env.timeout(1.0)
-
-        env.process(proc(env))
-        env.run()
-        assert seen_a == []
-        assert len(seen_b) > 0
-
-    def test_remove_unknown_subscriber_is_noop(self):
-        env = Environment()
-        env.remove_trace_subscriber(lambda e: None)
-
-        def proc(env):
-            yield env.timeout(1.0)
-
-        env.process(proc(env))
-        env.run()
