@@ -59,6 +59,8 @@ __all__ = [
     "cell_key",
     "cell_label",
     "load_spec",
+    "run_cell",
+    "cell_record",
     "execute_cell",
     "find_cached",
     "run_campaign",
@@ -176,9 +178,10 @@ def expand_spec(spec: dict) -> List[dict]:
 def normalize_cell(cell: dict) -> dict:
     """Fill experiment defaults; return the cell's ledger config identity.
 
-    The fig5 shape reproduces exactly what ``doctor --ledger`` records,
-    so a campaign cell and a hand-recorded run share one ``config_hash``
-    (and therefore one cache slot).
+    The one place a fig5/chaos config is built: ``doctor --ledger`` and
+    ``chaos --ledger`` normalize their flags through here too, so a
+    campaign cell and a hand-recorded run share one ``config_hash`` (and
+    therefore one cache slot and one run ID).
     """
     experiment = cell.get("experiment", "fig5")
     if experiment == "fig5" and cell.get("faults") is not None:
@@ -188,7 +191,11 @@ def normalize_cell(cell: dict) -> dict:
     if experiment not in _EXPERIMENTS:
         raise ValueError(f"unknown experiment {experiment!r}; "
                          f"expected one of {_EXPERIMENTS}")
-    from repro.bench.runner import default_iodepth
+    from repro.bench.runner import (
+        default_iodepth,
+        default_numjobs,
+        default_runtime,
+    )
 
     bs = _parse_size(cell.get("bs", MIB if experiment == "fig3" else 4096))
     config: dict
@@ -196,10 +203,10 @@ def normalize_cell(cell: dict) -> dict:
         quick = bool(cell.get("quick", True))
         numjobs = cell.get("numjobs")
         if numjobs is None:
-            numjobs = 8 if bs >= MIB else 16
+            numjobs = default_numjobs(bs)
         runtime = cell.get("runtime")
         if runtime is None:
-            runtime = 0.02 if quick else (0.15 if bs >= MIB else 0.03)
+            runtime = 0.02 if quick else default_runtime(bs)
         config = {
             "experiment": experiment,
             "transport": cell.get("transport", "tcp"),
@@ -297,6 +304,53 @@ def cell_label(config: dict) -> str:
 # Single-cell execution (runs in workers and in-process alike)
 # ---------------------------------------------------------------------------
 
+def run_cell(config: dict):
+    """Simulate a normalized ``fig5`` or ``chaos`` cell, fully instrumented.
+
+    The one mapping from a cell config to a runner call, shared by the
+    executor and the ``doctor``/``chaos`` subcommands.  Returns the
+    :class:`~repro.bench.runner.DoctoredRun` (fig5) or
+    :class:`~repro.bench.runner.ChaosRun` (chaos).
+    """
+    from repro.bench import runner
+
+    cell = (config["transport"], config["client"], config["rw"],
+            config["bs"], config["numjobs"])
+    knobs = dict(n_ssds=config["ssds"], iodepth=config["iodepth"],
+                 runtime=config["runtime"],
+                 sample_every=config["sample_every"],
+                 seed=config.get("seed"), n_targets=config.get("targets"))
+    if config["experiment"] == "chaos":
+        from repro.faults.plan import FaultPlan
+
+        plan = FaultPlan.from_config(config["faults"])
+        return runner.run_fig5_chaos(*cell, plan, **knobs)
+    return runner.run_fig5_doctored(*cell, observe_sampler=not config["quick"],
+                                    **knobs)
+
+
+def cell_record(config: dict, run) -> dict:
+    """Reduce a :func:`run_cell` outcome to the cell's *unstamped* record."""
+    label = cell_label(config)
+    if config["experiment"] != "chaos":
+        return lg.make_run_record(run.result, run.collector, run.tracer,
+                                  config=config, label=label, kind="doctor")
+    from repro.bench.chaos import (
+        DEFAULT_MIN_GOODPUT,
+        DEFAULT_P999_MAX,
+        chaos_sections,
+    )
+
+    doctored = run.run
+    sections = chaos_sections(
+        doctored.result, run.stats, run.plan, tracer=doctored.tracer,
+        min_goodput=config.get("min_goodput", DEFAULT_MIN_GOODPUT),
+        p999_max=config.get("p999_max", DEFAULT_P999_MAX))
+    return lg.make_run_record(
+        doctored.result, doctored.collector, doctored.tracer, config=config,
+        label=label, kind="chaos", extra_sections={"chaos": sections})
+
+
 def execute_cell(config: dict) -> dict:
     """Simulate one cell and reduce it to an *unstamped* ledger record.
 
@@ -305,46 +359,8 @@ def execute_cell(config: dict) -> dict:
     worker ran them or when they finished.
     """
     experiment = config["experiment"]
-    if experiment == "chaos":
-        from repro.bench.chaos import (
-            DEFAULT_MIN_GOODPUT,
-            DEFAULT_P999_MAX,
-            chaos_sections,
-        )
-        from repro.bench.runner import run_fig5_chaos
-        from repro.faults.plan import FaultPlan
-
-        plan = FaultPlan.from_config(config["faults"])
-        chaos = run_fig5_chaos(
-            config["transport"], config["client"], config["rw"],
-            config["bs"], config["numjobs"], plan, n_ssds=config["ssds"],
-            iodepth=config["iodepth"], runtime=config["runtime"],
-            sample_every=config["sample_every"],
-            seed=config.get("seed"), n_targets=config.get("targets"),
-        )
-        run = chaos.run
-        sections = chaos_sections(
-            run.result, chaos.stats, plan, tracer=run.tracer,
-            min_goodput=config.get("min_goodput", DEFAULT_MIN_GOODPUT),
-            p999_max=config.get("p999_max", DEFAULT_P999_MAX))
-        return lg.make_run_record(
-            run.result, run.collector, run.tracer, config=config,
-            label=cell_label(config), kind="chaos",
-            extra_sections={"chaos": sections})
-    if experiment == "fig5":
-        from repro.bench.runner import run_fig5_doctored
-
-        run = run_fig5_doctored(
-            config["transport"], config["client"], config["rw"],
-            config["bs"], config["numjobs"], n_ssds=config["ssds"],
-            iodepth=config["iodepth"], runtime=config["runtime"],
-            sample_every=config["sample_every"],
-            observe_sampler=not config["quick"],
-            seed=config.get("seed"), n_targets=config.get("targets"),
-        )
-        return lg.make_run_record(
-            run.result, run.collector, run.tracer, config=config,
-            label=cell_label(config), kind="doctor")
+    if experiment in ("fig5", "chaos"):
+        return cell_record(config, run_cell(config))
     if experiment == "fig3":
         from repro.bench.runner import run_fig3_cell
 

@@ -6,12 +6,9 @@ writing code::
     python -m repro.bench.cli fig3 --rw read --bs 1m --jobs 4 --ssds 4
     python -m repro.bench.cli fig4 --provider ucx+rc --bs 4k --client-cores 4 --server-cores 4
     python -m repro.bench.cli fig5 --transport rdma --client dpu --rw randread --bs 4k --jobs 16
-    python -m repro.bench.cli fig5 --transport tcp --client dpu --rw randread --bs 4k \
-        --perfetto out.json --json-out results.json
     python -m repro.bench.cli trace --transport tcp --client dpu --rw randread --bs 4k
     python -m repro.bench.cli doctor --transport tcp --client dpu --rw randread --bs 4k \
-        --slo 'p99<=2ms' --flame flame.txt --json-out doctor.json
-    python -m repro.bench.cli compare results.json --baseline benchmarks/baselines/fig5_ci.json
+        --slo 'p99<=2ms' --flame flame.txt --json-out doctor.json --perfetto trace.json
     python -m repro.bench.cli doctor --quick --ledger            # record a run
     python -m repro.bench.cli runs                               # list the ledger
     python -m repro.bench.cli compare-runs fig5-tcp-dpu-randread-4096 \
@@ -44,25 +41,26 @@ snapshot, ``--json`` (trace) emits everything machine-readable instead.
 the utilization and Little's laws, ranks resources by their share of
 sampled request time, and prints a one-line bottleneck verdict; ``--slo
 'p99<=500us'`` gates exit status for CI, ``--flame``/``--wait-flame``
-write collapsed-stack flamegraphs (speedscope / flamegraph.pl), and its
-``--json-out`` emits the ``repro-doctor-v1`` document.
+write collapsed-stack flamegraphs (speedscope / flamegraph.pl), its
+``--json-out`` emits the ``repro-doctor-v1`` document, and
+``--perfetto PATH`` writes a Chrome trace-event file — sampled request
+spans as duration events, per-resource wait counters and (without
+``--quick``) every telemetry series as counter tracks — loadable in
+Perfetto / ``chrome://tracing``.
 
-``--ledger`` (fig5/doctor/perf) appends the run to the **run ledger**
+``--ledger`` (doctor/chaos/perf) appends the run to the **run ledger**
 (``benchmarks/ledger/``, one ``repro-run-v1`` JSON per run, content-
-derived stable IDs); ``runs`` lists/inspects it.  ``compare-runs`` and
-``doctor --against`` invoke the **differential doctor**: the end-to-end
-latency delta between two runs is decomposed into per-resource wait and
-service contributions (``repro-diff-v1``), with red/blue differential
-flamegraphs (``--diff-flame``/``--diff-wait-flame``) and a two-run
-Perfetto counter overlay (``--overlay``).
+derived stable IDs; doctor and chaos runs record under the same cell
+identity a campaign would); ``runs`` lists/inspects it.
+``compare-runs`` and ``doctor --against`` invoke the **differential
+doctor**: the end-to-end latency delta between two runs is decomposed
+into per-resource wait and service contributions (``repro-diff-v1``),
+with red/blue differential flamegraphs (``--diff-flame``/
+``--diff-wait-flame``) and a two-run Perfetto counter overlay
+(``--overlay``).
 
-``--perfetto PATH`` (fig5/trace) attaches the continuous telemetry
-sampler and writes a Chrome trace-event file — sampled request spans as
-duration events, every telemetry series as a counter track — loadable in
-Perfetto / ``chrome://tracing``.  ``fig5 --json-out PATH`` writes a
-compact metrics document; ``compare`` diffs such a document against a
-committed baseline (see :mod:`repro.bench.baseline`) and exits non-zero
-on regression, which is how CI gates headline numbers.
+Every artefact path is checked before anything is simulated: a path
+into a directory that does not exist exits 2.
 """
 
 from __future__ import annotations
@@ -73,15 +71,15 @@ import sys
 from typing import Optional
 
 from repro.bench.runner import (
-    default_iodepth,
+    _build_fig5,
+    default_numjobs,
+    default_runtime,
     run_fig3_cell,
     run_fig4_cell,
-    run_fig5_cell,
-    run_fig5_observed,
-    run_fig5_traced,
+    run_ros2_fio,
 )
 from repro.net.fabric import list_providers
-from repro.workload.fio import FioJobSpec, FioResult
+from repro.workload.fio import FioResult
 
 __all__ = ["main", "parse_size"]
 
@@ -106,7 +104,7 @@ def _report(result: FioResult) -> str:
 
 
 def _add_ledger_args(parser: argparse.ArgumentParser) -> None:
-    """Run-ledger options shared by fig5 / doctor / perf."""
+    """Run-ledger options shared by doctor / chaos / perf."""
     parser.add_argument("--ledger", action="store_true",
                         help="append this run as a repro-run-v1 record to "
                              "the run ledger")
@@ -146,6 +144,18 @@ def _ledger_dir(args) -> str:
     return getattr(args, "ledger_dir", None) or lg.DEFAULT_LEDGER_DIR
 
 
+def _out_paths_ok(args, *opts: str) -> bool:
+    """Check that every given output flag points into an existing
+    directory, so a mistyped path fails before a simulation runs."""
+    for opt in opts:
+        path = getattr(args, opt)
+        if path and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            print(f"error: --{opt.replace('_', '-')} {path}: directory "
+                  "does not exist", file=sys.stderr)
+            return False
+    return True
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro.bench.cli",
@@ -181,14 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
     p5.add_argument("--runtime", type=float, default=None)
     p5.add_argument("--telemetry", action="store_true",
                     help="print the system utilization snapshot after the run")
-    p5.add_argument("--perfetto", metavar="PATH", default=None,
-                    help="attach continuous telemetry + request tracing and "
-                         "write a Chrome trace-event file (Perfetto)")
-    p5.add_argument("--json-out", metavar="PATH", default=None,
-                    help="write a compact metrics JSON for 'cli compare'")
-    p5.add_argument("--sample", type=int, default=20,
-                    help="trace 1 in N requests when instrumented (default 20)")
-    _add_ledger_args(p5)
 
     pt = sub.add_parser(
         "trace",
@@ -209,9 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="print the system utilization snapshot too")
     pt.add_argument("--json", action="store_true",
                     help="emit the run, breakdown and telemetry as JSON")
-    pt.add_argument("--perfetto", metavar="PATH", default=None,
-                    help="also attach continuous telemetry and write a "
-                         "Chrome trace-event file (Perfetto)")
 
     pd = sub.add_parser(
         "doctor",
@@ -396,20 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="write a Chrome trace overlaying both runs' "
                           "wait counter tracks")
 
-    pc = sub.add_parser(
-        "compare",
-        help="diff a results JSON against a committed baseline (CI gate)",
-    )
-    pc.add_argument("current", help="current results JSON (fig5 --json-out)")
-    pc.add_argument("--baseline", required=True,
-                    help="committed repro-baseline-v1 JSON")
-    pc.add_argument("--write-baseline", action="store_true",
-                    help="snapshot CURRENT into --baseline instead of comparing")
-    pc.add_argument("--threshold", type=float, default=0.10,
-                    help="default relative threshold when writing (default 0.10)")
-    pc.add_argument("--show-ok", action="store_true",
-                    help="show all compared metrics, not just the movers")
-
     pl = sub.add_parser(
         "lint",
         help="simlint: determinism lint (SIM001-SIM006) over a file set",
@@ -499,65 +484,6 @@ def _cmd_sanitize(args) -> int:
     return 0 if doc["ok"] else 1
 
 
-def _write_perfetto(path: str, collector, sampler, label: str) -> None:
-    """Write the Chrome trace-event file and report what it contains."""
-    from repro.sim.chrometrace import write_chrome_trace
-
-    spans = collector.spans if collector is not None else ()
-    doc = write_chrome_trace(path, spans=spans, sampler=sampler, label=label)
-    other = doc.get("otherData", {})
-    print(f"wrote Perfetto trace {path}: {other.get('n_spans', 0)} spans, "
-          f"{other.get('n_counter_tracks', 0)} counter tracks "
-          f"({len(doc['traceEvents'])} events)")
-
-
-def _fig5_metrics_doc(run, label: str) -> dict:
-    """The compact metrics document ``compare`` gates on.
-
-    Headline FIO numbers plus the self-check and attribution summaries —
-    deliberately *not* the raw series (thousands of points would make
-    baselines unreviewable diffs).
-    """
-    return {
-        "format": "repro-fig5-v1",
-        "label": label,
-        "spec": {"rw": run.spec.rw, "bs": run.spec.bs,
-                 "numjobs": run.spec.numjobs, "iodepth": run.spec.iodepth,
-                 "runtime": run.spec.runtime},
-        "result": run.result.to_dict(),
-        "busiest_by_phase": run.timeline.busiest_by_phase(),
-        "littles_law": run.timeline.littles_law(),
-    }
-
-
-def _run_compare(args) -> int:
-    import json
-
-    from repro.bench import baseline as bl
-
-    current = bl.load_json(args.current)
-    if args.write_baseline:
-        doc = bl.make_baseline(current, label=str(current.get("label", "")),
-                               default_threshold=args.threshold)
-        with open(args.baseline, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote baseline {args.baseline} "
-              f"({len(doc['metrics'])} metrics, "
-              f"default threshold {args.threshold * 100:.0f}%)")
-        return 0
-    base = bl.load_json(args.baseline)
-    deltas = bl.compare_to_baseline(current, base)
-    title = f"Baseline comparison — {base.get('label') or args.baseline}"
-    print(bl.render_deltas(deltas, title=title, show_ok=args.show_ok))
-    bad = bl.regressions(deltas)
-    if bad:
-        print(f"\nFAIL: {len(bad)} metric(s) regressed or missing",
-              file=sys.stderr)
-        return 1
-    return 0
-
-
 def _run_perf(args) -> int:
     from repro.bench import perfbench as pb
 
@@ -599,25 +525,18 @@ def _run_perf(args) -> int:
 
 
 def _run_trace(args) -> int:
+    from repro.bench.runner import run_fig5_doctored
     from repro.sim.spans import LatencyBreakdown, critical_path
 
-    numjobs = args.jobs
-    if numjobs is None:
-        numjobs = 8 if args.bs >= 1024**2 else 16
+    numjobs = default_numjobs(args.bs) if args.jobs is None else args.jobs
     label = (f"trace {args.transport}/{args.client} {args.rw} bs={args.bs} "
              f"jobs={numjobs} ssds={args.ssds}")
-    if args.perfetto:
-        run = run_fig5_observed(
-            args.transport, args.client, args.rw, args.bs, numjobs,
-            n_ssds=args.ssds, runtime=args.runtime, sample_every=args.sample,
-        )
-        result, collector, system = run.result, run.collector, run.system
-        _write_perfetto(args.perfetto, collector, run.sampler, label)
-    else:
-        result, collector, system = run_fig5_traced(
-            args.transport, args.client, args.rw, args.bs, numjobs,
-            n_ssds=args.ssds, runtime=args.runtime, sample_every=args.sample,
-        )
+    run = run_fig5_doctored(
+        args.transport, args.client, args.rw, args.bs, numjobs,
+        n_ssds=args.ssds, runtime=args.runtime, sample_every=args.sample,
+        observe_sampler=False,
+    )
+    result, collector, system = run.result, run.collector, run.system
     breakdown = LatencyBreakdown(collector.spans)
 
     if args.json:
@@ -660,22 +579,13 @@ def _run_trace(args) -> int:
     return 0
 
 
-def _fig5_run_config(transport: str, client: str, spec, n_ssds: int,
-                     sample_every: int, quick: bool = False) -> dict:
-    """The identity a fig5-shaped ledger record is slugged and hashed on."""
-    return {
-        "experiment": "fig5",
-        "transport": transport,
-        "client": client,
-        "rw": spec.rw,
-        "bs": spec.bs,
-        "numjobs": spec.numjobs,
-        "iodepth": spec.iodepth,
-        "runtime": spec.runtime,
-        "ssds": n_ssds,
-        "sample_every": sample_every,
-        "quick": quick,
-    }
+def _stamped(record: dict, args) -> dict:
+    """Stamp a cell record's volatile fields for a CLI recording."""
+    from repro.bench.campaign import code_fingerprint
+
+    record.update(git_sha=_git_sha(args), created=_now_iso(),
+                  code_fingerprint=code_fingerprint())
+    return record
 
 
 def _write_diff_outputs(base: dict, current: dict, dd, json_out=None,
@@ -712,7 +622,7 @@ def _write_diff_outputs(base: dict, current: dict, dd, json_out=None,
 
 
 def _run_doctor(args) -> int:
-    from repro.bench.runner import run_fig5_doctored
+    from repro.bench import campaign as cp
     from repro.sim.doctor import diagnose, parse_slo
 
     # Validate SLO strings *before* burning a simulation run on them.
@@ -722,43 +632,39 @@ def _run_doctor(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    # Same fail-fast rule for the differential baseline: resolve the
-    # ledger reference (and catch dangling diff flags) up front.  A
-    # ``cell:`` reference goes through the campaign executor —
-    # cache-first, simulated and recorded only when missing.
-    base_record = None
-    if args.against:
-        from repro.bench.campaign import resolve_run_or_cell
-
-        try:
-            base_record = resolve_run_or_cell(
-                args.against, _ledger_dir(args),
-                git_sha=_git_sha(args), created=_now_iso())
-        except (ValueError, OSError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    else:
+    if not args.against:
         for opt in ("diff_out", "diff_flame", "diff_wait_flame", "overlay"):
             if getattr(args, opt):
                 flag = "--" + opt.replace("_", "-")
                 print(f"error: {flag} requires --against",
                       file=sys.stderr)
                 return 2
+    if not _out_paths_ok(args, "json_out", "flame", "wait_flame", "perfetto",
+                         "diff_out", "diff_flame", "diff_wait_flame",
+                         "overlay"):
+        return 2
 
-    numjobs = args.jobs
-    if numjobs is None:
-        numjobs = 8 if args.bs >= 1024**2 else 16
-    runtime = args.runtime
-    if runtime is None and args.quick:
-        runtime = 0.02
-    label = (f"doctor {args.transport}/{args.client} {args.rw} bs={args.bs} "
-             f"jobs={numjobs} ssds={args.ssds}")
-    run = run_fig5_doctored(
-        args.transport, args.client, args.rw, args.bs, numjobs,
-        n_ssds=args.ssds, runtime=runtime, sample_every=args.sample,
-        observe_sampler=not args.quick,
-    )
+    # Same fail-fast rule for the differential baseline: resolve the
+    # ledger reference up front.  A ``cell:`` reference goes through the
+    # campaign executor — cache-first, simulated and recorded only when
+    # missing.
+    base_record = None
+    if args.against:
+        try:
+            base_record = cp.resolve_run_or_cell(
+                args.against, _ledger_dir(args),
+                git_sha=_git_sha(args), created=_now_iso())
+        except (ValueError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+
+    config = cp.normalize_cell({
+        "experiment": "fig5", "transport": args.transport,
+        "client": args.client, "rw": args.rw, "bs": args.bs,
+        "numjobs": args.jobs, "runtime": args.runtime, "ssds": args.ssds,
+        "sample_every": args.sample, "quick": args.quick})
+    label = cp.cell_label(config)
+    run = cp.run_cell(config)
     littles = run.sampler.littles_law() if run.sampler is not None else None
     diag = diagnose(run.result, run.collector, run.tracer,
                     stations=run.stations, littles_rows=littles,
@@ -806,14 +712,8 @@ def _run_doctor(args) -> int:
 
     if args.ledger or base_record is not None:
         from repro.bench import ledger as lg
-        from repro.bench.campaign import code_fingerprint
 
-        config = _fig5_run_config(args.transport, args.client, run.spec,
-                                  args.ssds, args.sample, quick=args.quick)
-        record = lg.make_run_record(
-            run.result, run.collector, run.tracer, config=config,
-            label=label, kind="doctor", git_sha=_git_sha(args),
-            created=_now_iso(), code_fingerprint=code_fingerprint())
+        record = _stamped(cp.cell_record(config, run), args)
         if args.ledger:
             path = lg.save_run(record, _ledger_dir(args))
             print(f"ledger: recorded {record['run_id']} -> {path}")
@@ -834,17 +734,14 @@ def _run_doctor(args) -> int:
 
 
 def _run_chaos(args) -> int:
+    from repro.bench import campaign as cp
     from repro.bench import chaos as ch
-    from repro.bench.runner import run_fig5_chaos
     from repro.faults.plan import FaultPlan, parse_fault_spec
     from repro.faults.retry import RetryPolicy
 
-    numjobs = args.jobs
-    if numjobs is None:
-        numjobs = 8 if args.bs >= 1024**2 else 16
-    runtime = args.runtime
-    if runtime is None:
-        runtime = 0.15 if args.bs >= 1024**2 else 0.03
+    if not _out_paths_ok(args, "json_out", "wait_flame"):
+        return 2
+    runtime = default_runtime(args.bs) if args.runtime is None else args.runtime
     if args.fault:
         try:
             events = tuple(parse_fault_spec(s) for s in args.fault)
@@ -855,23 +752,21 @@ def _run_chaos(args) -> int:
                          seed_key=args.seed_key)
     else:
         plan = ch.default_qp_break_plan(args.client, runtime)
-    label = (f"chaos {args.transport}/{args.client} {args.rw} bs={args.bs} "
-             f"jobs={numjobs} ssds={args.ssds}")
-
-    run = run_fig5_chaos(
-        args.transport, args.client, args.rw, args.bs, numjobs, plan,
-        n_ssds=args.ssds, runtime=runtime, sample_every=args.sample,
-    )
-    config = _fig5_run_config(args.transport, args.client, run.run.spec,
-                              args.ssds, args.sample)
-    config["experiment"] = "chaos"
-    config["faults"] = plan.to_config()
+    # Not ``quick``: chaos runs the full default window (the identity
+    # ``chaos --ledger`` has always recorded), never with the sampler.
+    config = cp.normalize_cell({
+        "experiment": "chaos", "transport": args.transport,
+        "client": args.client, "rw": args.rw, "bs": args.bs,
+        "numjobs": args.jobs, "runtime": runtime, "ssds": args.ssds,
+        "sample_every": args.sample, "quick": False,
+        "faults": plan.to_config(), "min_goodput": args.min_goodput,
+        "p999_max": args.p999_max})
+    label = cp.cell_label(config)
+    run = cp.run_cell(config)
     doc = ch.make_chaos_report(
         run, config, label=label,
-        min_goodput=(args.min_goodput if args.min_goodput is not None
-                     else ch.DEFAULT_MIN_GOODPUT),
-        p999_max=(args.p999_max if args.p999_max is not None
-                  else ch.DEFAULT_P999_MAX))
+        min_goodput=config.get("min_goodput", ch.DEFAULT_MIN_GOODPUT),
+        p999_max=config.get("p999_max", ch.DEFAULT_P999_MAX))
 
     print(f"{label}: {_report(run.run.result)}")
     print(ch.render_chaos(doc))
@@ -891,17 +786,8 @@ def _run_chaos(args) -> int:
               f"({len(folded)} stacks)")
     if args.ledger:
         from repro.bench import ledger as lg
-        from repro.bench.campaign import code_fingerprint
 
-        sections = {k: doc[k] for k in
-                    ("faults", "recovery", "conservation", "availability",
-                     "checks", "ok", "fault_blame") if k in doc}
-        record = lg.make_run_record(
-            run.run.result, run.run.collector, run.run.tracer,
-            config=config, label=label, kind="chaos",
-            git_sha=_git_sha(args), created=_now_iso(),
-            code_fingerprint=code_fingerprint(),
-            extra_sections={"chaos": sections})
+        record = _stamped(cp.cell_record(config, run), args)
         path = lg.save_run(record, _ledger_dir(args))
         print(f"ledger: recorded {record['run_id']} -> {path}")
     return 0 if doc["ok"] else 1
@@ -920,6 +806,8 @@ def _run_campaign(args) -> int:
         return 2
     if args.jobs < 1:
         print("error: --jobs must be >= 1", file=sys.stderr)
+        return 2
+    if not _out_paths_ok(args, "json_out"):
         return 2
 
     progress = None
@@ -1027,6 +915,9 @@ def _run_compare_runs(args) -> int:
     from repro.bench.campaign import resolve_run_or_cell
     from repro.sim.diffdoctor import diff_runs
 
+    if not _out_paths_ok(args, "json_out", "diff_flame", "diff_wait_flame",
+                         "overlay"):
+        return 2
     ldir = _ledger_dir(args)
     try:
         base = resolve_run_or_cell(args.base, ldir,
@@ -1060,9 +951,6 @@ def main(argv: Optional[list] = None) -> int:
 
     if args.experiment == "sanitize":
         return _cmd_sanitize(args)
-
-    if args.experiment == "compare":
-        return _run_compare(args)
 
     if args.experiment == "campaign":
         return _run_campaign(args)
@@ -1098,89 +986,15 @@ def main(argv: Optional[list] = None) -> int:
     else:
         label = (f"fig5 {args.transport}/{args.client} {args.rw} bs={args.bs} "
                  f"jobs={args.jobs} ssds={args.ssds}")
-        if args.ledger:
-            # Ledger records need wait blame + flame stacks, so this path
-            # runs the doctored pipeline (tracer installed from t = 0).
-            if args.perfetto or args.json_out or args.telemetry:
-                print("error: fig5 --ledger runs the doctored pipeline; "
-                      "combine ledger recording with --perfetto via "
-                      "'doctor --ledger' instead", file=sys.stderr)
-                return 2
-            from repro.bench import ledger as lg
-            from repro.bench.campaign import code_fingerprint, find_cached
-            from repro.bench.runner import run_fig5_doctored
-
-            fingerprint = code_fingerprint()
-            probe_spec = FioJobSpec(
-                rw=args.rw, bs=args.bs, numjobs=args.jobs,
-                iodepth=default_iodepth(args.bs),
-                runtime=args.runtime if args.runtime is not None
-                else (0.15 if args.bs >= 1024**2 else 0.03))
-            config = _fig5_run_config(args.transport, args.client,
-                                      probe_spec, args.ssds, args.sample)
-            cached = find_cached(config, fingerprint, _ledger_dir(args))
-            if cached is not None:
-                # Content-addressed hit: same config, same code — the
-                # committed record already IS this run's outcome.
-                print(f"{label}: cached (run {cached['run_id']}, "
-                      f"fingerprint {fingerprint})")
-                return 0
-            run = run_fig5_doctored(args.transport, args.client, args.rw,
-                                    args.bs, args.jobs, n_ssds=args.ssds,
-                                    runtime=args.runtime,
-                                    sample_every=args.sample,
-                                    observe_sampler=False)
-            print(f"{label}: {_report(run.result)}")
-            config = _fig5_run_config(args.transport, args.client, run.spec,
-                                      args.ssds, args.sample)
-            record = lg.make_run_record(run.result, run.collector,
-                                        run.tracer, config=config,
-                                        label=label, kind="fig5",
-                                        git_sha=_git_sha(args),
-                                        created=_now_iso(),
-                                        code_fingerprint=fingerprint)
-            path = lg.save_run(record, _ledger_dir(args))
-            print(f"ledger: recorded {record['run_id']} -> {path}")
-            return 0
-        if args.perfetto or args.json_out:
-            # Full observability stack: continuous telemetry + tracing.
-            run = run_fig5_observed(args.transport, args.client, args.rw,
-                                    args.bs, args.jobs, n_ssds=args.ssds,
-                                    runtime=args.runtime,
-                                    sample_every=args.sample)
-            print(f"{label}: {_report(run.result)}")
-            if args.perfetto:
-                _write_perfetto(args.perfetto, run.collector, run.sampler,
-                                label)
-            if args.json_out:
-                import json
-
-                with open(args.json_out, "w") as fh:
-                    json.dump(_fig5_metrics_doc(run, label), fh,
-                              indent=2, sort_keys=True)
-                    fh.write("\n")
-                print(f"wrote metrics {args.json_out}")
-            if args.telemetry:
-                print("\n" + run.timeline.report.render())
-                print("\n" + run.timeline.render())
-            return 0
-        if args.telemetry:
-            # Keep the system around so we can snapshot its utilization.
-            from repro.bench.runner import _build_fig5, run_ros2_fio
-            from repro.core.telemetry import snapshot
-
-            system, spec = _build_fig5(args.transport, args.client, args.rw,
-                                       args.bs, args.jobs, n_ssds=args.ssds,
-                                       runtime=args.runtime)
-            result = run_ros2_fio(system, spec)
-        else:
-            system = None
-            result = run_fig5_cell(args.transport, args.client, args.rw,
+        system, spec = _build_fig5(args.transport, args.client, args.rw,
                                    args.bs, args.jobs, n_ssds=args.ssds,
                                    runtime=args.runtime)
+        result = run_ros2_fio(system, spec)
 
     print(f"{label}: {_report(result)}")
-    if args.experiment == "fig5" and args.telemetry and system is not None:
+    if args.experiment == "fig5" and args.telemetry:
+        from repro.core.telemetry import snapshot
+
         print("\n" + snapshot(system).render())
     return 0
 

@@ -2,17 +2,18 @@
 
 Every headline claim in the paper is a *comparison* — DPU vs host, RDMA
 vs TCP — so a single run's verdict is only half the story.  The ledger
-makes runs first-class artefacts: each ``fig5``/``doctor``/``perf``
-invocation can append one ``repro-run-v1`` JSON record to a ledger
-directory (``benchmarks/ledger/`` for the committed campaign), and the
-differential doctor (:mod:`repro.sim.diffdoctor`) consumes any two
-records to explain *why* B beats A.
+makes runs first-class artefacts: every campaign cell and each
+``doctor``/``chaos``/``perf`` invocation can append one ``repro-run-v1``
+JSON record to a ledger directory (``benchmarks/ledger/`` for the
+committed campaign), and the differential doctor
+(:mod:`repro.sim.diffdoctor`) consumes any two records to explain *why*
+B beats A.
 
 A record carries everything delta attribution needs, already reduced:
 
 * the run ``config`` (experiment knobs) and its hash;
-* the full numeric ``metrics`` flatten (same flattener as the baseline
-  gate, so ledger records and baselines speak one metric namespace);
+* the full numeric ``metrics`` flatten (:func:`flatten_numeric`: dotted
+  paths such as ``result.latency.p99``);
 * per-resource ``wait_aggregates`` (every operation since tracer
   install) and sampled-span ``blame`` split into wait/service/latency;
 * collapsed flame stacks for both span self-time and wait blame
@@ -37,14 +38,13 @@ from math import fsum
 import os
 from typing import Dict, List, Optional
 
-from repro.bench.baseline import flatten_numeric
-
 __all__ = [
     "FORMAT",
     "DEFAULT_LEDGER_DIR",
     "canonical_json",
     "config_hash",
     "config_slug",
+    "flatten_numeric",
     "strip_volatile",
     "make_run_record",
     "make_perf_record",
@@ -107,6 +107,27 @@ def config_slug(config: dict) -> str:
     if not parts:
         parts = [str(config.get("kind", "run"))]
     return "-".join(p.replace("/", "_").replace(" ", "_") for p in parts)
+
+
+def flatten_numeric(doc: object, prefix: str = "") -> Dict[str, float]:
+    """All numeric leaves of a JSON-ish document as ``dotted.path -> value``."""
+    out: Dict[str, float] = {}
+    if isinstance(doc, bool):  # bool is an int subclass; skip
+        return out
+    if isinstance(doc, (int, float)):
+        out[prefix or "value"] = float(doc)
+        return out
+    if isinstance(doc, dict):
+        for k in sorted(doc):
+            sub = f"{prefix}.{k}" if prefix else str(k)
+            out.update(flatten_numeric(doc[k], sub))
+        return out
+    if isinstance(doc, list):
+        for i, item in enumerate(doc):
+            sub = f"{prefix}[{i}]"
+            out.update(flatten_numeric(item, sub))
+        return out
+    return out
 
 
 def _finish_record(record: dict) -> dict:

@@ -9,6 +9,9 @@ testbed.
 * :func:`run_fig4_cell` — remote SPDK NVMe-oF, TCP vs RDMA, pinned core
   counts on both ends (Fig. 4).
 * :func:`run_fig5_cell` — end-to-end ROS2/DFS, host vs DPU client (Fig. 5).
+* :func:`run_fig5_doctored` — the one instrumented Fig. 5 runner (spans,
+  wait tracer, optional sampler); :func:`run_fig5_chaos` is the same run
+  under a fault plan, drained to an empty heap.
 * :func:`run_ros2_fio` — the generic ROS2 runner the Fig. 5 cells and the
   ablation benches share (system bootstrap, file creation, pre-fill for
   reads, FIO drive).
@@ -31,16 +34,15 @@ __all__ = [
     "run_fig3_cell",
     "run_fig4_cell",
     "run_fig5_cell",
-    "run_fig5_traced",
-    "run_fig5_observed",
     "run_fig5_doctored",
     "run_fig5_chaos",
     "doctor_stations",
-    "ObservedRun",
     "DoctoredRun",
     "ChaosRun",
     "run_ros2_fio",
     "default_iodepth",
+    "default_numjobs",
+    "default_runtime",
 ]
 
 
@@ -48,6 +50,21 @@ def default_iodepth(bs: int) -> int:
     """The queue depths the paper's FIO configurations imply: deep queues
     for small blocks (IOPS tests), shallow for streaming."""
     return 16 if bs < 64 * 1024 else 8
+
+
+def default_numjobs(bs: int) -> int:
+    """Fig. 5's FIO job counts: 8 jobs for >= 1 MiB blocks, 16 below."""
+    return 8 if bs >= MIB else 16
+
+
+def default_runtime(bs: int) -> float:
+    """Fig. 5's measured window in simulated seconds.
+
+    Large-block runs need a longer window: under the DPU's deep RX
+    queues, per-I/O latency reaches milliseconds and a too-short window
+    under-reports steady-state throughput.
+    """
+    return 0.15 if bs >= MIB else 0.03
 
 
 def _seed_kwargs(seed: Optional[int]) -> dict:
@@ -275,7 +292,7 @@ def _build_fig5(
         n_targets=n_targets, data_mode=False,
     ))
     if runtime is None:
-        runtime = 0.15 if bs >= MIB else 0.03
+        runtime = default_runtime(bs)
     size = 64 * MIB if bs >= MIB else 48 * MIB
     spec = FioJobSpec(
         rw=rw, bs=bs, numjobs=numjobs,
@@ -295,112 +312,16 @@ def run_fig5_cell(
     n_ssds: int = 1,
     iodepth: Optional[int] = None,
     runtime: Optional[float] = None,
-    collector: Optional[SpanCollector] = None,
     seed: Optional[int] = None,
     n_targets: Optional[int] = None,
 ) -> FioResult:
-    """One point of Fig. 5: FIO/DFS end-to-end on the assembled ROS2 stack.
-
-    Large-block runs need a longer measured window: under the DPU's deep
-    RX queues, per-I/O latency reaches milliseconds and a too-short window
-    under-reports steady-state throughput.
-    """
+    """One point of Fig. 5: FIO/DFS end-to-end on the assembled ROS2 stack,
+    with nothing observing it (:func:`run_fig5_doctored` is the
+    instrumented twin)."""
     system, spec = _build_fig5(provider, client, rw, bs, numjobs,
                                n_ssds=n_ssds, iodepth=iodepth, runtime=runtime,
                                seed=seed, n_targets=n_targets)
-    return run_ros2_fio(system, spec, collector=collector)
-
-
-def run_fig5_traced(
-    provider: str,
-    client: str,
-    rw: str,
-    bs: int,
-    numjobs: int,
-    n_ssds: int = 1,
-    iodepth: Optional[int] = None,
-    runtime: Optional[float] = None,
-    sample_every: int = 1,
-    seed: Optional[int] = None,
-) -> Tuple[FioResult, SpanCollector, Ros2System]:
-    """A Fig. 5 cell with request tracing attached.
-
-    Returns ``(result, collector, system)`` so the caller can render the
-    per-stage latency breakdown, extract critical paths, and snapshot the
-    system telemetry of the very run that produced the numbers.
-    """
-    system, spec = _build_fig5(provider, client, rw, bs, numjobs,
-                               n_ssds=n_ssds, iodepth=iodepth, runtime=runtime,
-                               seed=seed)
-    collector = SpanCollector(system.env, sample_every=sample_every)
-    result = run_ros2_fio(system, spec, collector=collector)
-    return result, collector, system
-
-
-@dataclass
-class ObservedRun:
-    """Everything a fully-instrumented Fig. 5 cell produces.
-
-    ``timeline`` is the :class:`~repro.core.telemetry.SystemTimeline`
-    (snapshot + sampled series + phase attribution); ``collector`` holds
-    the sampled request spans; both feed the Perfetto exporter.
-    """
-
-    result: FioResult
-    collector: Optional[SpanCollector]
-    sampler: Sampler
-    timeline: "object"  # SystemTimeline (avoid a bench->core type cycle here)
-    system: Ros2System
-    spec: FioJobSpec
-
-
-def run_fig5_observed(
-    provider: str,
-    client: str,
-    rw: str,
-    bs: int,
-    numjobs: int,
-    n_ssds: int = 1,
-    iodepth: Optional[int] = None,
-    runtime: Optional[float] = None,
-    sample_every: Optional[int] = 20,
-    sample_interval: Optional[float] = None,
-    drain: Optional[float] = None,
-    seed: Optional[int] = None,
-) -> ObservedRun:
-    """A Fig. 5 cell with the full observability stack attached.
-
-    Continuous telemetry (the standard probe set) samples from *t = 0*,
-    so the timeline covers setup/prefill (warmup), the measured window
-    (steady state), and — after the FIO stop flag — a ``drain`` window in
-    which in-flight operations complete and queues empty.  Request spans
-    are sampled 1-in-``sample_every`` (``None`` disables tracing).
-
-    ``sample_interval`` defaults to 1/400 of the measured FIO window, a
-    resolution at which the Little's-law self-check holds within a few
-    percent while the bounded series still cover multi-second runs.
-    """
-    from repro.core.telemetry import SystemTimeline, observe, snapshot
-
-    system, spec = _build_fig5(provider, client, rw, bs, numjobs,
-                               n_ssds=n_ssds, iodepth=iodepth, runtime=runtime,
-                               seed=seed)
-    if sample_interval is None:
-        sample_interval = (spec.ramp_time + spec.runtime) / 400.0
-    sampler = observe(system, interval=sample_interval)
-    collector = (SpanCollector(system.env, sample_every=sample_every)
-                 if sample_every else None)
-    result = run_ros2_fio(system, spec, collector=collector)
-    t_end = system.env.now
-    if drain is None:
-        drain = spec.runtime * 0.25
-    if drain > 0:
-        system.env.run(until=t_end + drain)
-    sampler.stop()
-    timeline = SystemTimeline(snapshot(system), sampler)
-    timeline.set_phases(warmup_end=t_end - spec.runtime, steady_end=t_end)
-    return ObservedRun(result=result, collector=collector, sampler=sampler,
-                       timeline=timeline, system=system, spec=spec)
+    return run_ros2_fio(system, spec)
 
 
 def doctor_stations(system: Ros2System) -> list:
@@ -486,13 +407,17 @@ def run_fig5_doctored(
     tie_seed: Optional[int] = None,
     fault_plan=None,
 ) -> DoctoredRun:
-    """A Fig. 5 cell instrumented for the bottleneck doctor.
+    """A Fig. 5 cell with every instrument attached — the run behind
+    ``trace``, ``doctor``, ``chaos`` and every campaign Fig. 5 cell.
 
     Installs a :class:`~repro.sim.waits.WaitTracer` before anything runs
     (so tracer aggregates and station busy counters see identical
-    windows), records per-operation latency for the SLO gates, and
-    optionally attaches the standard sampler so Little's law can be
-    checked too (``observe_sampler=False`` skips it for quick CI runs).
+    windows), samples request spans 1-in-``sample_every``, records
+    per-operation latency for the SLO gates, and optionally attaches the
+    standard sampler from *t = 0* so Little's law can be checked and the
+    series cover setup/prefill as well as the measured window
+    (``observe_sampler=False`` skips it for quick CI runs).  None of it
+    changes the simulated outcome.
     """
     import dataclasses
 

@@ -11,10 +11,8 @@ On top of the point-in-time :class:`SystemReport`, :func:`observe`
 attaches a :class:`~repro.sim.timeseries.Sampler` with the standard probe
 set (CPU pools, Arm TCP-RX cores, lock sections, NVMe queue depth and
 busy fraction, NIC occupancy and byte rates, engine xstreams, data-plane
-staging and byte rates, in-flight RPCs), and :class:`SystemTimeline`
-packages the final snapshot with the sampled curves and windowed
-busiest-component attribution (warmup vs. steady state vs. drain) — the
-view in which the paper's temporal phenomena, like the DPU Arm-RX
+staging and byte rates, in-flight RPCs) — the utilization-over-time
+curves in which the paper's temporal phenomena, like the DPU Arm-RX
 bottleneck of Fig. 5, actually show up.
 """
 
@@ -23,7 +21,7 @@ from __future__ import annotations
 import json
 from math import fsum
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.bench.report import Table
 from repro.sim.timeseries import GAUGE, RATE, UTILIZATION, Sampler, StationStats
@@ -33,8 +31,6 @@ __all__ = [
     "snapshot",
     "install_probes",
     "observe",
-    "PhaseWindow",
-    "SystemTimeline",
 ]
 
 GIB = 2**30
@@ -213,7 +209,7 @@ def snapshot(system) -> SystemReport:
 
 
 # ---------------------------------------------------------------------------
-# Continuous telemetry: the standard probe set + the timeline view
+# Continuous telemetry: the standard probe set
 # ---------------------------------------------------------------------------
 
 def install_probes(system, sampler: Sampler) -> Sampler:
@@ -313,103 +309,3 @@ def observe(system, interval: float = 1e-4, capacity: int = 512) -> Sampler:
     sampler = Sampler(system.env, interval=interval, capacity=capacity)
     install_probes(system, sampler)
     return sampler.start()
-
-
-@dataclass(slots=True)
-class PhaseWindow:
-    """One named slice of the run's timeline."""
-
-    name: str
-    t0: float
-    t1: float
-
-    @property
-    def duration(self) -> float:
-        return self.t1 - self.t0
-
-
-class SystemTimeline:
-    """A :class:`SystemReport` grown over time.
-
-    Bundles the end-of-run snapshot with the sampled series and a phase
-    decomposition (by default warmup → steady state → drain), answering
-    the questions a single snapshot cannot: *when* did the bottleneck
-    move, which component capped each phase, did queues drain.
-    """
-
-    def __init__(self, report: SystemReport, sampler: Sampler,
-                 phases: Optional[List[PhaseWindow]] = None) -> None:
-        self.report = report
-        self.sampler = sampler
-        self.phases: List[PhaseWindow] = phases or []
-
-    def set_phases(self, warmup_end: float, steady_end: float,
-                   t_end: Optional[float] = None) -> "SystemTimeline":
-        """Standard three-phase decomposition of a bench run.
-
-        ``[start, warmup_end]`` is warmup (setup, prefill, FIO ramp),
-        ``[warmup_end, steady_end]`` the measured steady state, and
-        ``[steady_end, t_end]`` the drain of in-flight operations.
-        """
-        t0 = self.sampler.t_start
-        if t0 != t0:  # NaN — sampler never started
-            t0 = 0.0
-        end = self.sampler.env.now if t_end is None else t_end
-        self.phases = [PhaseWindow("warmup", t0, warmup_end),
-                       PhaseWindow("steady", warmup_end, steady_end)]
-        if end > steady_end:
-            self.phases.append(PhaseWindow("drain", steady_end, end))
-        return self
-
-    def busiest_by_phase(self) -> Dict[str, Dict[str, float]]:
-        """Per-phase busiest component (utilization series only)."""
-        out: Dict[str, Dict[str, float]] = {}
-        for ph in self.phases:
-            name, util = self.sampler.busiest(ph.t0, ph.t1)
-            out[ph.name] = {"component": name, "utilization": util,
-                            "t0": ph.t0, "t1": ph.t1}
-        return out
-
-    def littles_law(self, tolerance: float = 0.05,
-                    min_arrivals: int = 50) -> Dict[str, dict]:
-        """Delegate to :meth:`~repro.sim.timeseries.Sampler.littles_law`."""
-        return self.sampler.littles_law(tolerance=tolerance,
-                                        min_arrivals=min_arrivals)
-
-    def series(self, name: str):
-        """One sampled series by probe name."""
-        return self.sampler.series[name]
-
-    def to_dict(self) -> dict:
-        return {
-            "report": self.report.to_dict(),
-            "phases": [asdict(p) for p in self.phases],
-            "busiest_by_phase": self.busiest_by_phase(),
-            "littles_law": self.littles_law(),
-            "sampler": self.sampler.to_dict(),
-        }
-
-    def render(self) -> str:
-        """Printable phase-attribution + Little's-law tables."""
-        phases = Table("Timeline — busiest component per phase",
-                       ["window [s]", "component", "mean util"],
-                       row_header="phase")
-        for ph in self.phases:
-            name, util = self.sampler.busiest(ph.t0, ph.t1)
-            phases.add_row(ph.name, [
-                f"{ph.t0:.4f}..{ph.t1:.4f}",
-                name,
-                f"{util * 100:.0f}%",
-            ])
-        law = Table("Little's law self-check (L = λW per station)",
-                    ["L sampled", "λ [1/s]", "W [us]", "λW", "rel err"],
-                    row_header="station")
-        for name, row in self.littles_law().items():
-            law.add_row(name + ("" if row["checked"] else " (unchecked)"), [
-                f"{row['L_sampled']:.3f}",
-                f"{row['lambda']:.0f}",
-                f"{row['W'] * 1e6:.2f}",
-                f"{row['lambda_W']:.3f}",
-                f"{row['rel_err'] * 100:.1f}%",
-            ])
-        return phases.render() + "\n\n" + law.render()

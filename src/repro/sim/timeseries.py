@@ -442,25 +442,6 @@ class Sampler:
             }
         return out
 
-    def busiest(self, t0: Optional[float] = None,
-                t1: Optional[float] = None) -> Tuple[str, float]:
-        """Most-utilized component over ``[t0, t1]``.
-
-        Considers only :data:`UTILIZATION` series; ties break towards the
-        lexicographically smallest name; all-idle windows return
-        ``("idle", 0.0)``.
-        """
-        best_name = "idle"
-        best_util = 0.0
-        for name in sorted(self.series):
-            s = self.series[name]
-            if s.kind != UTILIZATION:
-                continue
-            u = s.time_weighted_mean(t0, t1)
-            if u > best_util:
-                best_name, best_util = name, u
-        return best_name, best_util
-
     def to_dict(self) -> dict:
         return {
             "interval": self.interval,

@@ -11,6 +11,8 @@ LEDGER_DIR = os.path.join(os.path.dirname(__file__), os.pardir,
                           "benchmarks", "ledger")
 TCP_4K = "fig5-tcp-dpu-randread-4096"
 RDMA_4K = "fig5-rdma-dpu-randread-4096"
+CI_SPEC = os.path.join(os.path.dirname(LEDGER_DIR), "campaigns",
+                       "fig5_ci.json")
 
 
 @pytest.fixture
@@ -104,11 +106,57 @@ class TestDoctorFailFast:
                      "--diff-flame", "/tmp/nope.txt"]) == 2
         assert "--diff-flame requires --against" in capsys.readouterr().err
 
-    def test_fig5_ledger_rejects_perfetto_combo(self, capsys, tmp_path):
-        assert main(["fig5", "--ledger",
-                     "--ledger-dir", str(tmp_path),
-                     "--perfetto", str(tmp_path / "t.json")]) == 2
-        assert "doctor --ledger" in capsys.readouterr().err
+
+class TestArtifactPathsFailFast:
+    """An output path into a missing directory exits 2 before any sim."""
+
+    @pytest.mark.parametrize("argv", [
+        ["doctor", "--quick", "--json-out"],
+        ["doctor", "--quick", "--flame"],
+        ["doctor", "--quick", "--wait-flame"],
+        ["doctor", "--quick", "--perfetto"],
+        ["doctor", "--quick", "--against", TCP_4K, "--ledger-dir",
+         LEDGER_DIR, "--diff-out"],
+        ["doctor", "--quick", "--against", TCP_4K, "--ledger-dir",
+         LEDGER_DIR, "--overlay"],
+        ["chaos", "--json-out"],
+        ["chaos", "--wait-flame"],
+        ["compare-runs", TCP_4K, RDMA_4K, "--ledger-dir", LEDGER_DIR,
+         "--diff-flame"],
+        ["campaign", CI_SPEC, "--dry-run", "--ledger-dir", LEDGER_DIR,
+         "--json-out"],
+    ])
+    def test_missing_directory_exits_2(self, no_sim, capsys, tmp_path, argv):
+        bad = str(tmp_path / "no-such-dir" / "out")
+        assert main(argv + [bad]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --") and bad in err
+        assert not (tmp_path / "no-such-dir").exists()
+
+
+def test_doctor_ledger_shares_the_campaign_identity(capsys, tmp_path):
+    """``doctor --quick --ledger`` on the TCP 4 KiB cell re-records the
+    committed campaign record: same config, label and run ID."""
+    from repro.bench import ledger as lg
+
+    assert main(["doctor", "--quick", "--ledger",
+                 "--ledger-dir", str(tmp_path)]) == 0
+    name = f"{TCP_4K}-j16-888cf0e3f3.json"
+    assert os.listdir(tmp_path) == [name]
+    with open(tmp_path / name) as fh:
+        produced = json.load(fh)
+    with open(os.path.join(LEDGER_DIR, name)) as fh:
+        committed = json.load(fh)
+    assert lg.strip_volatile(produced) == lg.strip_volatile(committed)
+
+
+def test_trace_json_names_the_arm_rx_stage(capsys):
+    assert main(["trace", "--json", "--runtime", "0.005"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["format"] == "repro-trace-v1"
+    stages = doc["breakdown"]["stages"]
+    top = max(stages, key=lambda s: stages[s]["self_sec_total"])
+    assert top == "dpu.arm_rx"
 
 
 class TestRunsSubcommand:
@@ -160,10 +208,6 @@ class TestCompareRunsSubcommand:
         assert main(["compare-runs", TCP_4K, "bogus",
                      "--ledger-dir", LEDGER_DIR]) == 2
         assert "no run matching" in capsys.readouterr().err
-
-
-CI_SPEC = os.path.join(os.path.dirname(LEDGER_DIR), "campaigns",
-                       "fig5_ci.json")
 
 
 class TestCampaignSubcommand:

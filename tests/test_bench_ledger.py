@@ -15,6 +15,18 @@ LEDGER_DIR = os.path.join(os.path.dirname(__file__), os.pardir,
                           "benchmarks", "ledger")
 
 
+def test_flatten_numeric_walks_nested_docs():
+    doc = {"a": 1, "b": {"c": 2.5, "d": [3, {"e": 4}]},
+           "s": "text", "flag": True, "none": None}
+    flat = lg.flatten_numeric(doc)
+    assert flat == {"a": 1.0, "b.c": 2.5, "b.d[0]": 3.0, "b.d[1].e": 4.0}
+
+
+def test_flatten_numeric_scalar_root():
+    assert lg.flatten_numeric(7) == {"value": 7.0}
+    assert lg.flatten_numeric(True) == {}
+
+
 @pytest.fixture(scope="module")
 def tiny_run():
     """The same deterministic miniature Fig. 5 cell the flame golden uses."""

@@ -244,17 +244,24 @@ class TestDoctorCli:
     def test_doctor_quick_writes_artifacts(self, tmp_path, capsys):
         from repro.bench.cli import main
 
+        from repro.sim.chrometrace import validate_chrome_trace
+
         jout = tmp_path / "doctor.json"
         flame = tmp_path / "flame.txt"
+        trace = tmp_path / "trace.json"
         code = main(["doctor", "--quick", "--runtime", "0.004", "--jobs", "4",
                      "--slo", "p99<=1s", "--json-out", str(jout),
                      "--flame", str(flame), "--wait-flame",
-                     str(tmp_path / "wait.txt")])
+                     str(tmp_path / "wait.txt"), "--perfetto", str(trace)])
         assert code == 0
         doc = json.loads(jout.read_text())
         assert doc["format"] == "repro-doctor-v1"
         assert doc["slo"]["rules"][0]["ok"]
         assert flame.read_text().strip()
+        chrome = json.loads(trace.read_text())
+        assert validate_chrome_trace(chrome) == []
+        assert chrome["otherData"]["n_spans"] > 0
+        assert chrome["otherData"]["n_counter_tracks"] > 0
         out = capsys.readouterr().out
         assert "verdict: bottleneck:" in out
         # The latency breakdown gains the per-resource blame column.

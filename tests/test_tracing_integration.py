@@ -1,7 +1,8 @@
 """Stack-wide tracing integration: spans survive RPC hops end to end.
 
-These tests run real (short) Fig. 5 workloads with a :class:`SpanCollector`
-attached and assert the properties the breakdown analysis relies on:
+These tests run real (short) Fig. 5 workloads through the instrumented
+runner (:func:`~repro.bench.runner.run_fig5_doctored`) and assert the
+properties the breakdown analysis relies on:
 
 * trace ids survive the client → server RPC hop (server-side spans carry
   the same trace id as the FIO root that issued the request);
@@ -13,27 +14,29 @@ attached and assert the properties the breakdown analysis relies on:
 
 import pytest
 
-from repro.bench.runner import run_fig5_traced
+from repro.bench.runner import run_fig5_doctored
 from repro.sim.spans import LatencyBreakdown, critical_path
 
 
 @pytest.fixture(scope="module")
 def rdma_rendezvous_run():
     """64 KiB reads over verbs: every transfer takes the rendezvous path."""
-    return run_fig5_traced("rdma", "host", "read", 64 * 1024, 2,
-                           runtime=0.01, sample_every=10)
+    return run_fig5_doctored("rdma", "host", "read", 64 * 1024, 2,
+                             runtime=0.01, sample_every=10,
+                             observe_sampler=False).collector
 
 
 @pytest.fixture(scope="module")
 def dpu_tcp_run():
     """4 KiB randread through the DPU client: the paper's Fig. 5c bottom."""
-    return run_fig5_traced("tcp", "dpu", "randread", 4096, 16,
-                           runtime=0.005, sample_every=50)
+    return run_fig5_doctored("tcp", "dpu", "randread", 4096, 16,
+                             runtime=0.005, sample_every=50,
+                             observe_sampler=False).collector
 
 
 class TestRdmaRendezvousPropagation:
     def test_trace_ids_survive_rpc_hop(self, rdma_rendezvous_run):
-        _, col, _ = rdma_rendezvous_run
+        col = rdma_rendezvous_run
         complete = 0
         for tid, spans in col.by_trace().items():
             assert all(s.trace_id == tid for s in spans)
@@ -47,7 +50,7 @@ class TestRdmaRendezvousPropagation:
         assert complete > 5
 
     def test_rendezvous_stages_present(self, rdma_rendezvous_run):
-        _, col, _ = rdma_rendezvous_run
+        col = rdma_rendezvous_run
         stages = {s.stage for s in col.spans}
         # 64 KiB > eager threshold: the server-side RDMA read shows up.
         assert "storage.rdma.rendezvous" in stages
@@ -55,13 +58,13 @@ class TestRdmaRendezvousPropagation:
         assert "media.nvme" in stages
 
     def test_stages_sum_to_end_to_end(self, rdma_rendezvous_run):
-        _, col, _ = rdma_rendezvous_run
+        col = rdma_rendezvous_run
         bd = LatencyBreakdown(col.spans)
         assert bd.n_traces > 10
         assert bd.coverage() >= 0.95
 
     def test_critical_path_spans_both_nodes(self, rdma_rendezvous_run):
-        _, col, _ = rdma_rendezvous_run
+        col = rdma_rendezvous_run
         grouped = col.by_trace()
         # A fully captured trace: root present and all spans closed.
         spans = next(v for v in grouped.values()
@@ -74,7 +77,7 @@ class TestRdmaRendezvousPropagation:
 
 class TestDpuOffloadPropagation:
     def test_trace_ids_survive_rpc_hop(self, dpu_tcp_run):
-        _, col, _ = dpu_tcp_run
+        col = dpu_tcp_run
         complete = 0
         for tid, spans in col.by_trace().items():
             assert all(s.trace_id == tid for s in spans)
@@ -87,7 +90,7 @@ class TestDpuOffloadPropagation:
         assert complete > 5
 
     def test_arm_rx_stage_dominates(self, dpu_tcp_run):
-        _, col, _ = dpu_tcp_run
+        col = dpu_tcp_run
         bd = LatencyBreakdown(col.spans)
         assert bd.coverage() >= 0.95
         # The paper's claim (Fig. 5c bottom / §4.4): the Arm TCP stack is
@@ -97,12 +100,12 @@ class TestDpuOffloadPropagation:
         assert shares["dpu.arm_rx"] > 0.5
 
     def test_sampling_honoured(self, dpu_tcp_run):
-        _, col, _ = dpu_tcp_run
+        col = dpu_tcp_run
         assert col.requests_seen > col.traces_started
         assert col.traces_started <= col.requests_seen // 50 + 1
 
     def test_root_nbytes_recorded(self, dpu_tcp_run):
-        _, col, _ = dpu_tcp_run
+        col = dpu_tcp_run
         for root in col.roots():
             assert root.nbytes == 4096
             assert root.name == "fio.randread"
