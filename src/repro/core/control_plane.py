@@ -18,9 +18,9 @@ import itertools
 from typing import Any, Callable, Dict, Generator, Optional, Tuple
 
 from repro.hw.platform import ComputeNode
-from repro.net.message import Message
+from repro.net.message import Message, reply_listener, request_listener
 from repro.net.tcp import TcpConnection, TcpStack
-from repro.sim.core import Environment, Event, Process
+from repro.sim.core import Environment, Event
 
 __all__ = ["StatusCode", "GrpcError", "GrpcServer", "GrpcChannel"]
 
@@ -78,19 +78,11 @@ class GrpcServer:
         """Registered (service, method) pairs."""
         return sorted(self._methods)
 
-    def serve(self, conn: TcpConnection) -> Process:
-        """Service unary calls arriving on ``conn``."""
-        return self.env.process(self._loop(conn), name="grpc-server")
-
-    def _loop(self, conn: TcpConnection):
-        name = self.node.name
-        while True:
-            msg = yield conn.recv(name)
-            if msg.kind == "grpc.shutdown":
-                return
-            if msg.kind != "grpc.req":
-                continue
-            self.env.process(self._dispatch(conn, msg), name="grpc-call")
+    def serve(self, conn: TcpConnection) -> None:
+        """Service unary calls arriving on ``conn`` until ``grpc.shutdown``."""
+        conn.listen(self.node.name, request_listener(
+            self.env, "grpc.req", "grpc.shutdown",
+            lambda msg: self._dispatch(conn, msg), "grpc-call"))
 
     def _dispatch(self, conn: TcpConnection, msg: Message):
         body = msg.payload
@@ -147,7 +139,7 @@ class GrpcChannel:
             self._server_stack = server_stack or TcpStack(server_node)
             self.conn = self._client_stack.connect(self._server_stack)
         self._pending: Dict[int, Event] = {}
-        self._demux: Optional[Process] = None
+        self._started = False
         #: Metadata attached to every call (bearer token etc.).
         self.default_metadata: Dict[str, Any] = {}
 
@@ -160,18 +152,11 @@ class GrpcChannel:
         return self
 
     def start(self) -> "GrpcChannel":
-        """Spawn the response demultiplexer (no-op for loopback channels)."""
-        if not self.local and self._demux is None:
-            self._demux = self.env.process(self._demux_loop(), name="grpc-demux")
+        """Listen for responses (no-op for loopback channels)."""
+        if not self.local and not self._started:
+            self.conn.listen(self.node.name, reply_listener(self._pending))
+            self._started = True
         return self
-
-    def _demux_loop(self):
-        name = self.node.name
-        while True:
-            msg = yield self.conn.recv(name)
-            waiter = self._pending.pop(msg.tag, None)
-            if waiter is not None:
-                waiter.succeed(msg)
 
     def unary(
         self,
@@ -183,7 +168,7 @@ class GrpcChannel:
         """One unary call; returns the response or raises GrpcError."""
         if self.local:
             return (yield from self._unary_local(service, method, request, metadata))
-        if self._demux is None:
+        if not self._started:
             raise RuntimeError("channel not started; call start() first")
         tag = next(GrpcChannel._tags)
         done = self.env.event()
@@ -232,7 +217,7 @@ class GrpcChannel:
         return response
 
     def shutdown_server(self) -> Generator[Event, None, None]:
-        """Stop the server loop on this connection (no-op for loopback)."""
+        """Stop the server from serving this connection (no-op for loopback)."""
         if self.local:
             return
         yield from self.conn.send(Message(

@@ -37,7 +37,7 @@ from repro.daos.vos import VersionedObjectStore
 from repro.hw.platform import StorageNode
 from repro.hw.specs import US
 from repro.net.fabric import FabricChannel, RemoteRegion
-from repro.sim.core import Environment, Event, Process
+from repro.sim.core import Environment
 from repro.storage.block import BlockDevice
 from repro.storage.context import JobThread
 from repro.storage.pmdk import PmemPool
@@ -150,9 +150,9 @@ class DaosEngine:
         p.containers[cid] = _Container(cid)
         return cid
 
-    def serve(self, channel: FabricChannel) -> Process:
+    def serve(self, channel: FabricChannel) -> None:
         """Service DAOS RPCs arriving on ``channel``."""
-        return self.rpc.serve(channel)
+        self.rpc.serve(channel)
 
     # -- placement ----------------------------------------------------------------
     def target_for(self, oid: ObjectId, dkey: bytes) -> _Target:

@@ -6,7 +6,7 @@ request.  This module reproduces that shape:
 
 * :class:`RpcServer` — registers generator handlers per opcode, services
   one or more channels, replies with results or propagated errors.
-* :class:`RpcClient` — tagged calls with a completion demultiplexer.
+* :class:`RpcClient` — tagged calls whose replies wake them by tag.
 
 Handlers receive ``(args, src, channel)`` so they can drive one-sided bulk
 transfers against descriptors the client put in ``args`` — exactly how a
@@ -22,9 +22,9 @@ from repro.daos.types import DaosError
 from repro.faults.errors import FaultInjectedError
 from repro.hw.platform import ComputeNode
 from repro.net.fabric import FabricChannel
-from repro.net.message import Message
+from repro.net.message import Message, reply_listener, request_listener
 from repro.net.rdma import RdmaError
-from repro.sim.core import Environment, Event, Process
+from repro.sim.core import Environment, Event
 
 __all__ = ["RpcError", "RpcTimeout", "RpcServer", "RpcClient", "RPC_REQUEST_BYTES"]
 
@@ -80,7 +80,6 @@ class RpcServer:
         self.node = node
         self.env: Environment = node.env
         self._handlers: Dict[str, Callable] = {}
-        self._loops: list = []
         self.requests_served = 0
         #: In-flight request count (dispatched, reply not yet sent).
         self.inflight = 0
@@ -106,21 +105,14 @@ class RpcServer:
         """Registered opcode names."""
         return sorted(self._handlers)
 
-    def serve(self, channel: FabricChannel) -> Process:
-        """Start servicing requests arriving on ``channel``."""
-        proc = self.env.process(self._serve_loop(channel), name="rpc-server")
-        self._loops.append(proc)
-        return proc
+    def serve(self, channel: FabricChannel) -> None:
+        """Service requests arriving on ``channel`` until ``rpc.shutdown``.
 
-    def _serve_loop(self, channel: FabricChannel):
-        name = self.node.name
-        while True:
-            msg = yield channel.recv(name)
-            if msg.kind == "rpc.shutdown":
-                return
-            if msg.kind != "rpc.req":
-                continue  # stray message; CaRT drops unknown traffic
-            self.env.process(self._dispatch(channel, msg), name="rpc-handler")
+        Stray kinds are dropped, as CaRT drops unknown traffic.
+        """
+        channel.listen(self.node.name, request_listener(
+            self.env, "rpc.req", "rpc.shutdown",
+            lambda msg: self._dispatch(channel, msg), "rpc-handler"))
 
     def _dispatch(self, channel: FabricChannel, msg: Message):
         # One generator frame per request: the accounting wrapper and the
@@ -204,7 +196,7 @@ class RpcServer:
 
 
 class RpcClient:
-    """Tagged RPC calls over one channel, with a demux loop."""
+    """Tagged RPC calls over one channel; replies wake calls by tag."""
 
     _tags = itertools.count(1)
 
@@ -214,21 +206,14 @@ class RpcClient:
         self.channel = channel
         self.server_name = channel.peer_of(node.name)
         self._pending: Dict[int, Event] = {}
-        self._demux: Optional[Process] = None
+        self._started = False
 
     def start(self) -> "RpcClient":
-        """Spawn the reply demultiplexer; call once before any call."""
-        if self._demux is None:
-            self._demux = self.env.process(self._demux_loop(), name="rpc-demux")
+        """Listen for replies on the channel; call once before any call."""
+        if not self._started:
+            self.channel.listen(self.node.name, reply_listener(self._pending))
+            self._started = True
         return self
-
-    def _demux_loop(self):
-        name = self.node.name
-        while True:
-            msg = yield self.channel.recv(name)
-            waiter = self._pending.pop(msg.tag, None)
-            if waiter is not None:
-                waiter.succeed(msg)
 
     def call(
         self,
@@ -244,10 +229,10 @@ class RpcClient:
         request capsule's metadata — the analog of CaRT's hlc/trace fields
         — so the server and both transport legs can attach child spans.
         ``deadline`` bounds the wait for the reply; on expiry the call
-        raises :class:`RpcTimeout` and a late reply is dropped by the
-        demux (its tag is no longer pending).
+        raises :class:`RpcTimeout` and a late reply is dropped (its tag
+        is no longer pending).
         """
-        if self._demux is None:
+        if not self._started:
             raise RuntimeError("RpcClient not started; call start() first")
         tag = next(RpcClient._tags)
         done = self.env.event()
@@ -297,7 +282,7 @@ class RpcClient:
         return body.get("result")
 
     def shutdown_server(self) -> Generator[Event, None, None]:
-        """Stop the server loop on this channel."""
+        """Stop the server from handling requests on this channel."""
         yield from self.channel.send(Message(
             src=self.node.name, dst=self.server_name, kind="rpc.shutdown", nbytes=16
         ))

@@ -58,6 +58,10 @@ class CpuPool:
         """The actual duration this pool needs for ``x86_cost`` of work."""
         return x86_cost * self.factor
 
+    def execute_then(self, x86_cost: float, *delays: float) -> Timeout:
+        """:meth:`execute`, then the caller's ``delays``, as one event."""
+        return self._pool.execute_then(x86_cost * self.factor, *delays)
+
     @property
     def busy_time(self) -> float:
         """Cumulative core-seconds consumed."""

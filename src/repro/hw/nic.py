@@ -88,8 +88,6 @@ class Switch:
             if pre_delay:
                 yield env.timeout(pre_delay)
             return  # loopback never touches the wire
-        sport = self.port(src)
-        dport = self.port(dst)
         propagation = self.spec.propagation
         if pre_delay:
             yield env.timeout_until((env.now + pre_delay) + propagation)
@@ -98,8 +96,13 @@ class Switch:
             # the timeout(0) event entirely — same simulated time, one
             # fewer heap operation per crossing.
             yield env.timeout(propagation)
-        yield from sport.tx.transfer(wire_bytes)
-        yield from dport.rx.transfer(wire_bytes)
+        yield from self.cross(src, dst, wire_bytes)
+
+    def cross(self, src: str, dst: str, wire_bytes: int
+              ) -> Generator[Event, None, None]:
+        """The port crossings alone, for callers that slept the propagation."""
+        yield from self.port(src).tx.transfer(wire_bytes)
+        yield from self.port(dst).rx.transfer(wire_bytes)
 
 
 class DuplexLink:

@@ -5,8 +5,8 @@ DAOS configures one fabric provider per engine — ``ofi+tcp;ofi_rxm``,
 — and clients must match.  This module gives every upper layer (Mercury
 RPC, NVMe-oF, the ROS2 data plane) one interface regardless of provider:
 
-* :meth:`FabricChannel.send` / :meth:`FabricChannel.recv` — two-sided
-  messaging (RPC traffic).
+* :meth:`FabricChannel.send` / :meth:`FabricChannel.listen` — two-sided
+  messaging (RPC traffic), handed to the peer's listener on arrival.
 * :meth:`FabricChannel.register` — expose a memory window for one-sided
   access; returns a serializable :class:`RemoteRegion` descriptor
   (address, rkey, length) the control plane can convey.
@@ -20,11 +20,11 @@ RPC, NVMe-oF, the ROS2 data plane) one interface regardless of provider:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Generator, Optional, Tuple
+from typing import Any, Callable, Dict, Generator, Optional, Tuple
 
 from repro.hw.platform import ComputeNode
 from repro.hw.specs import RDMA_COSTS, TCP_COSTS, TransportCosts
-from repro.net.message import Message
+from repro.net.message import Listeners, Message
 from repro.net.rdma import (
     AccessFlags,
     MemoryRegion,
@@ -35,7 +35,6 @@ from repro.net.rdma import (
 )
 from repro.net.tcp import TcpConnection, TcpStack
 from repro.sim.core import Environment, Event
-from repro.sim.resources import Store
 
 __all__ = [
     "PROVIDERS",
@@ -138,12 +137,12 @@ class FabricChannel:
 
     # Interface -------------------------------------------------------------
     def send(self, msg: Message) -> Generator[Event, None, None]:
-        """Deliver ``msg`` to the peer's inbox (two-sided)."""
+        """Deliver ``msg`` to the peer's listener (two-sided)."""
         raise NotImplementedError
 
-    def recv(self, name: str):
-        """Event yielding the next message for endpoint ``name``."""
-        raise NotImplementedError
+    def listen(self, name: str, deliver: Callable[[Message], None]) -> None:
+        """Call ``deliver(msg)`` for each message at its arrival at ``name``."""
+        self._listeners.listen(name, deliver)
 
     def register(
         self,
@@ -191,6 +190,7 @@ class TcpChannel(FabricChannel):
     ) -> None:
         super().__init__(provider, a, b)
         self._conn: TcpConnection = stacks[a.name].connect(stacks[b.name])
+        self._listeners = self._conn.listeners
         self._regions: Dict[int, Tuple[str, Optional[Any], int, Optional[float], bool]] = {}
         self._next_key = 0x7000
         self._next_addr = 0x20_0000_0000
@@ -209,9 +209,6 @@ class TcpChannel(FabricChannel):
         # ``yield from`` the result either way, but this removes one
         # frame from every resumption of the hottest path in the model.
         return self._conn.send(msg)
-
-    def recv(self, name: str):
-        return self._conn.recv(name)
 
     def register(self, name, length, buffer=None, valid_until=None):
         if name not in self.nodes:
@@ -255,11 +252,9 @@ class TcpChannel(FabricChannel):
         req = Message(src=initiator, dst=target, kind="_rxm_read_req", nbytes=32,
                       meta=dict(meta))
         yield from self._conn.send(req)
-        yield self._conn.recv_internal(target)
         data = Message(src=target, dst=initiator, kind="_rxm_read_data",
                        nbytes=nbytes, meta=dict(meta))
         yield from self._conn.send(data)
-        yield self._conn.recv_internal(initiator)
         buffer = entry[1]
         if buffer is not None:
             return bytes(memoryview(buffer)[offset:offset + nbytes])
@@ -276,7 +271,6 @@ class TcpChannel(FabricChannel):
         data = Message(src=initiator, dst=target, kind="_rxm_write", nbytes=size,
                        meta=dict(meta))
         yield from self._conn.send(data)
-        yield self._conn.recv_internal(target)
         buffer = entry[1]
         if buffer is not None and payload is not None:
             memoryview(buffer)[offset:offset + size] = bytes(payload)
@@ -304,10 +298,7 @@ class RdmaChannel(FabricChannel):
             b.name: devices[b.name].create_qp(self.pds[b.name]),
         }
         self.qps[a.name].connect(self.qps[b.name])
-        self._inbox: Dict[str, Store] = {
-            a.name: Store(self.env, name=f"{a.name}.fabric_inbox"),
-            b.name: Store(self.env, name=f"{b.name}.fabric_inbox"),
-        }
+        self._listeners = Listeners(self.nodes)
         self._mrs: Dict[int, MemoryRegion] = {}
         fx = self.env._faults
         if fx is not None:
@@ -350,17 +341,12 @@ class RdmaChannel(FabricChannel):
         return True
 
     def send(self, msg: Message) -> Generator[Event, None, None]:
+        # The channel owns both ends: no RECV WR, RQ match or CQ entries
+        # (nobody would poll them), just the SEND's timing, then delivery.
         qp = self.qps[msg.src]
-        peer = self.qps[self.peer_of(msg.src)]
-        peer.post_recv(wr_id=msg.tag)
-        yield from qp.post_send(payload=msg.payload, nbytes=msg.nbytes, wr_id=msg.tag,
-                                trace=msg.meta.get("trace") if msg.meta else None)
-        # Drain the receiver-side completion and hand the message up.
-        yield peer.recv_cq.poll()
-        yield self._inbox[peer.device.node.name].put(msg)
-
-    def recv(self, name: str):
-        return self._inbox[name].get()
+        yield from qp.transmit(msg.nbytes,
+                               msg.meta.get("trace") if msg.meta else None)
+        self._listeners.deliver(qp.remote.device.node.name, msg)
 
     def register(self, name, length, buffer=None, valid_until=None):
         if name not in self.nodes:

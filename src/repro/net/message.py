@@ -9,13 +9,20 @@ transport.  Payloads may be:
 * *virtual* payloads (``payload=None`` with an explicit ``nbytes``) — used
   by the performance benches, where only sizes matter and copying megabytes
   per simulated I/O would waste host memory bandwidth for nothing.
+
+:class:`Listeners` is the delivery side every transport shares: each
+endpoint's service registers one function that receives its messages
+(:func:`request_listener` for servers, :func:`reply_listener` for clients).
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any, Callable, Dict, Iterable, Optional
 
-__all__ = ["Message", "payload_nbytes", "HEADER_BYTES"]
+from repro.sim.core import NORMAL
+
+__all__ = ["Message", "Listeners", "request_listener", "reply_listener",
+           "payload_nbytes", "HEADER_BYTES"]
 
 #: Fixed per-message framing overhead we account on the wire (transport
 #: header + protocol framing); protocol goodput efficiency is applied on
@@ -111,3 +118,63 @@ class Message:
             nbytes=nbytes,
             meta=dict(self.meta),
         )
+
+
+Deliver = Callable[[Message], None]
+
+
+class Listeners:
+    """Each endpoint's delivery function on one transport.
+
+    The transport calls :meth:`deliver` when a message arrives and the
+    service handles it right there (no mailbox, no extra kernel event).
+    An endpoint has at most one listener, and a message needs one.
+    """
+
+    __slots__ = ("_fns",)
+
+    def __init__(self, names: Iterable[str]) -> None:
+        self._fns: Dict[str, Optional[Deliver]] = dict.fromkeys(names)
+
+    def listen(self, name: str, deliver: Deliver) -> None:
+        if name not in self._fns:
+            raise KeyError(f"{name!r} is not an endpoint of this transport")
+        if self._fns[name] is not None:
+            raise RuntimeError(f"endpoint {name!r} already has a listener")
+        self._fns[name] = deliver
+
+    def deliver(self, name: str, msg: Message) -> None:
+        fn = self._fns[name]
+        if fn is None:
+            raise RuntimeError(
+                f"no listener on endpoint {name!r} for a {msg.kind!r} message")
+        fn(msg)
+
+
+def request_listener(env: Any, request: str, shutdown: str,
+                     handle: Callable[[Message], Any], name: str) -> Deliver:
+    """A server's delivery function: each ``request`` starts ``handle(msg)``
+    as a process, after the events already due at its arrival instant (as a
+    request taken from a queue would; on a busy core that order decides who
+    runs).  Other kinds, and all after a ``shutdown``, are dropped."""
+    live = True
+
+    def deliver(msg: Message) -> None:
+        nonlocal live
+        if live and msg.kind == request:
+            env.process(handle(msg), name=name, priority=NORMAL)
+        elif msg.kind == shutdown:
+            live = False
+
+    return deliver
+
+
+def reply_listener(pending: Dict[int, Any]) -> Deliver:
+    """A client's delivery function: succeed the event pending on the tag
+    (a reply whose call gave up at its deadline finds none: dropped)."""
+    def deliver(msg: Message) -> None:
+        waiter = pending.pop(msg.tag, None)
+        if waiter is not None:
+            waiter.succeed(msg)
+
+    return deliver

@@ -311,43 +311,61 @@ class QueuePair:
     ) -> Generator[Event, None, Completion]:
         """Two-sided SEND; matches a posted RECV at the peer.
 
-        Returns the initiator-side completion.  The receiver's completion
-        (with the payload) lands in its ``recv_cq``.
+        Returns the initiator-side completion (also pushed to ``send_cq``).
+        The receiver's completion (with the payload) lands in its ``recv_cq``.
+        """
+        size = nbytes if nbytes is not None else _payload_size(payload)
+        wr_id_recv, mr = yield from self.transmit(size, trace=trace,
+                                                  match_recv=True)
+        if mr is not None and isinstance(payload, (bytes, bytearray, memoryview)):
+            mr.write_bytes(mr.addr, payload)
+        self.remote.recv_cq.push(
+            Completion(wr_id_recv, "recv", "ok", size, payload))
+        comp = Completion(wr_id, "send", "ok", size)
+        self.send_cq.push(comp)
+        return comp
+
+    def transmit(
+        self, nbytes: int, trace: Any = None, match_recv: bool = False,
+    ) -> Generator[Event, None, Any]:
+        """One SEND without verbs bookkeeping (fabric channels use it bare).
+
+        Post CPU, wire, in-flight error check, receiver poll CPU.  With
+        ``match_recv`` the message first takes the receiver's oldest posted
+        RECV (waiting, like RNR retries) and returns its ``(wr_id, mr)``.
+        An untraced eager message between switched nodes reserves the post
+        CPU and sleeps stack latency plus propagation as one event, at the
+        bit-identical instant; traced ones keep their ``rdma.post`` span
+        and ``(sleep)`` record, and so their two events.
         """
         remote = self._require_remote()
-        costs = self.device.costs
-        env = self.env
-        size = nbytes if nbytes is not None else _payload_size(payload)
-
-        span = trace.child("rdma.post", node=self.device.node.name, nbytes=size) if trace is not None else None
-        yield self.device.node.cpu.execute(costs.tx_cpu_per_op)
-        if span is not None:
-            span.finish()
-        yield from self._wire(remote, size, trace=trace, stage="rdma.eager")
+        dev, rdev = self.device, remote.device
+        costs, node = dev.costs, dev.node
+        switch = node.switch
+        threshold = costs.rendezvous_threshold
+        if (trace is None and node is not rdev.node
+                and (threshold is None or nbytes <= threshold)):
+            yield node.cpu.execute_then(costs.tx_cpu_per_op,
+                                        costs.rtt_overhead / 2.0,
+                                        switch.spec.propagation)
+            yield from switch.cross(node.name, rdev.node.name,
+                                    dev.wire_bytes(nbytes))
+        else:
+            yield from self._post(remote, nbytes, trace, "rdma.eager")
         if self.error is not None or remote.error is not None:
             # The QP broke while the message was on the wire.
             raise RdmaError(
                 f"QP {self.qp_num} failed in flight: "
                 f"{self.error or remote.error}"
             )
-
-        # Receiver must have a posted RECV (flow control is the upper
-        # layer's job; we block until one is available, like an RC QP
-        # with RNR retries).
-        span = trace.child("rdma.recv", node=remote.device.node.name, nbytes=size) if trace is not None else None
-        wr_id_recv, mr = yield remote._recv_queue.get()
-        if mr is not None and isinstance(payload, (bytes, bytearray, memoryview)):
-            mr.write_bytes(mr.addr, payload)
-        yield remote.device.node.cpu.execute(costs.rx_cpu_per_op)
+        span = trace.child("rdma.recv", node=rdev.node.name, nbytes=nbytes) if trace is not None else None
+        wr = (yield remote._recv_queue.get()) if match_recv else None
+        yield rdev.node.cpu.execute(costs.rx_cpu_per_op)
         if span is not None:
             span.finish()
-        remote.recv_cq.push(Completion(wr_id_recv, "recv", "ok", size, payload))
-
-        comp = Completion(wr_id, "send", "ok", size)
-        self.send_cq.push(comp)
-        self.device.sent.record(size)
-        remote.device.received.record(size)
-        return comp
+        dev.sent.record(nbytes)
+        rdev.received.record(nbytes)
+        return wr
 
     # -- one-sided -------------------------------------------------------------
     def rdma_write(
@@ -359,21 +377,19 @@ class QueuePair:
         wr_id: int = 0,
         trace: Any = None,
     ) -> Generator[Event, None, Completion]:
-        """One-sided WRITE into the peer's memory.  Zero remote CPU."""
+        """One-sided WRITE into the peer's memory.  Zero remote CPU.
+
+        Posted unsignaled, as UCX and libfabric post bulk transfers: the
+        completion is returned, not pushed to ``send_cq``.
+        """
         remote = self._require_remote()
         size = nbytes if nbytes is not None else _payload_size(payload)
         mr = self._validate(remote, remote_addr, size, AccessFlags.REMOTE_WRITE, rkey)
-
-        span = trace.child("rdma.post", node=self.device.node.name, nbytes=size) if trace is not None else None
-        yield self.device.node.cpu.execute(self.device.costs.tx_cpu_per_op)
-        if span is not None:
-            span.finish()
-        yield from self._wire(remote, size, trace=trace, stage="rdma.dma")
+        yield from self._post(remote, size, trace, "rdma.dma")
 
         if payload is not None:
             mr.write_bytes(remote_addr, payload)
         comp = Completion(wr_id, "write", "ok", size)
-        self.send_cq.push(comp)
         self.device.sent.record(size)
         remote.device.received.record(size)
         return comp
@@ -389,22 +405,17 @@ class QueuePair:
         """One-sided READ from the peer's memory.  Zero remote CPU.
 
         The completion's ``payload`` carries the bytes for backed regions.
+        Posted unsignaled, like :meth:`rdma_write`.
         """
         remote = self._require_remote()
         mr = self._validate(remote, remote_addr, nbytes, AccessFlags.REMOTE_READ, rkey)
-
-        span = trace.child("rdma.post", node=self.device.node.name, nbytes=nbytes) if trace is not None else None
-        yield self.device.node.cpu.execute(self.device.costs.tx_cpu_per_op)
-        if span is not None:
-            span.finish()
         # Request travels out (small), data travels back (nbytes).
-        yield from self._wire(remote, 0, trace=trace, stage="rdma.dma")
+        yield from self._post(remote, 0, trace, "rdma.dma")
         yield from remote.device.qp_wire(self.device, nbytes, rendezvous_exempt=True,
                                          trace=trace, stage="rdma.dma")
 
         data = mr.read_bytes(remote_addr, nbytes)
         comp = Completion(wr_id, "read", "ok", nbytes, data)
-        self.send_cq.push(comp)
         remote.device.sent.record(nbytes)
         self.device.received.record(nbytes)
         return comp
@@ -442,11 +453,16 @@ class QueuePair:
             raise AccessViolation(f"MR lacks {needed.name} permission")
         return mr
 
-    def _wire(
-        self, remote: "QueuePair", size: int,
-        trace: Any = None, stage: str = "net.wire",
+    def _post(
+        self, remote: "QueuePair", size: int, trace: Any, stage: str,
     ) -> Generator[Event, None, None]:
-        yield from self.device.qp_wire(remote.device, size, trace=trace, stage=stage)
+        """Post CPU on the initiator, then the wire to ``remote``."""
+        dev = self.device
+        span = trace.child("rdma.post", node=dev.node.name, nbytes=size) if trace is not None else None
+        yield dev.node.cpu.execute(dev.costs.tx_cpu_per_op)
+        if span is not None:
+            span.finish()
+        yield from dev.qp_wire(remote.device, size, trace=trace, stage=stage)
 
 
 class RdmaDevice:
@@ -511,10 +527,14 @@ class RdmaDevice:
                 yield env.timeout_until((env.now + pre) + rtt)
                 pre = 0.0
         span = trace.child(stage, nbytes=size) if trace is not None else None
-        wire = int((size + HEADER_BYTES) / costs.goodput_efficiency)
-        yield from self.node.switch.transmit(src_name, dst_name, wire, pre_delay=pre)
+        yield from self.node.switch.transmit(src_name, dst_name,
+                                             self.wire_bytes(size), pre_delay=pre)
         if span is not None:
             span.finish()
+
+    def wire_bytes(self, size: int) -> int:
+        """Bytes on the wire for a ``size``-byte payload (header, goodput)."""
+        return int((size + HEADER_BYTES) / self.costs.goodput_efficiency)
 
 
 def _payload_size(payload: Any) -> int:

@@ -20,20 +20,19 @@ receiver, serial   ``stack_serial_per_op`` in the receiver's stack section
 =================  =========================================================
 
 The *functional* layer is a connection with in-order reliable delivery of
-:class:`~repro.net.message.Message` objects into the receiver's inbox.
+:class:`~repro.net.message.Message` objects to the receiver's listener.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Generator
+from typing import Callable, Dict, Generator
 
 from repro.hw.platform import ComputeNode
 from repro.hw.specs import TCP_COSTS, TransportCosts
-from repro.net.message import Message
+from repro.net.message import Listeners, Message
 from repro.sim.core import Environment, Event
 from repro.sim.monitor import RateMeter
 from repro.sim.queues import FifoServer
-from repro.sim.resources import Store
 
 __all__ = ["TcpConnection", "TcpStack"]
 
@@ -59,22 +58,12 @@ class TcpConnection:
             a.node.name: FifoServer(env, name=f"{a.node.name}.tcp_stream"),
             b.node.name: FifoServer(env, name=f"{b.node.name}.tcp_stream"),
         }
-        #: Per-endpoint inbox of delivered messages.
-        self.inbox: Dict[str, Store] = {
-            a.node.name: Store(env, name=f"{a.node.name}.tcp_inbox"),
-            b.node.name: Store(env, name=f"{b.node.name}.tcp_inbox"),
-        }
-        #: Separate inbox for provider-internal messages (kinds starting
-        #: with "_"), so RMA emulation never races application receives.
-        self.internal: Dict[str, Store] = {
-            a.node.name: Store(env, name=f"{a.node.name}.tcp_internal"),
-            b.node.name: Store(env, name=f"{b.node.name}.tcp_internal"),
-        }
+        self.listeners = Listeners(self._stacks)
         self.closed = False
         #: Injected-reset window end: sends raise :class:`ConnectionError`
         #: while ``env.now < fail_until``.  The connection object (and its
-        #: inboxes, with any parked receivers) survives the reset — only
-        #: the stream is interrupted, as with a kernel RST + reconnect.
+        #: listeners) survives the reset — only the stream is
+        #: interrupted, as with a kernel RST + reconnect.
         self.fail_until = 0.0
         self._env = env
         #: Per-direction hot-path capsule: every object :meth:`send` needs
@@ -106,6 +95,10 @@ class TcpConnection:
             if n != name:
                 return n
         raise KeyError(name)
+
+    def listen(self, name: str, deliver: Callable[[Message], None]) -> None:
+        """Call ``deliver(msg)`` for each message at its arrival at ``name``."""
+        self.listeners.listen(name, deliver)
 
     def send(self, msg: Message) -> Generator[Event, None, None]:
         """Send ``msg`` from ``msg.src``; completes when it is delivered.
@@ -196,16 +189,10 @@ class TcpConnection:
 
         src.sent.record(size)
         dst.received.record(size)
-        box = self.internal if msg.kind.startswith("_") else self.inbox
-        yield box[dst_name].put(msg)
-
-    def recv(self, name: str):
-        """Event yielding the next message delivered to endpoint ``name``."""
-        return self.inbox[name].get()
-
-    def recv_internal(self, name: str):
-        """Event yielding the next provider-internal message for ``name``."""
-        return self.internal[name].get()
+        # Provider-internal messages (kinds starting with "_", the RxM
+        # emulation) end here: their sender is the one waiting for them.
+        if not msg.kind.startswith("_"):
+            self.listeners.deliver(dst_name, msg)
 
     def reset(self, duration: float) -> None:
         """Injected reset: sends fail for ``duration`` sim-seconds."""

@@ -241,11 +241,12 @@ class Timeout(Event):
 
 
 class Initialize(Event):
-    """Urgent event used to start a freshly created :class:`Process`."""
+    """Event that starts a freshly created :class:`Process` (urgent by default)."""
 
     __slots__ = ()
 
-    def __init__(self, env: "Environment", process: "Process") -> None:
+    def __init__(self, env: "Environment", process: "Process",
+                 priority: int = URGENT) -> None:
         super().__init__(env)
         self._ok = True
         self._value = None
@@ -253,7 +254,7 @@ class Initialize(Event):
         env._eid += 1
         ts = env._tie_scramble
         heappush(env._queue,
-                 (env._now, URGENT,
+                 (env._now, priority,
                   env._eid if ts is None else ts(env._eid), self))
 
 
@@ -301,6 +302,7 @@ class Process(Event):
         env: "Environment",
         generator: Generator[Event, Any, Any],
         name: Optional[str] = None,
+        priority: int = URGENT,
     ) -> None:
         if not hasattr(generator, "send") or not hasattr(generator, "throw"):
             raise TypeError(f"{generator!r} is not a generator")
@@ -313,7 +315,7 @@ class Process(Event):
         #: fresh bound method per suspension is a measurable allocation in
         #: long runs.
         self._rcb = self._resume
-        Initialize(env, self)
+        Initialize(env, self, priority)
 
     @property
     def is_alive(self) -> bool:
@@ -612,9 +614,11 @@ class Environment:
                   self._eid if ts is None else ts(self._eid), t))
         return t
 
-    def process(self, generator: Generator[Event, Any, Any], name: Optional[str] = None) -> Process:
-        """Start ``generator`` as a new process."""
-        return Process(self, generator, name=name)
+    def process(self, generator: Generator[Event, Any, Any],
+                name: Optional[str] = None, priority: int = URGENT) -> Process:
+        """Start ``generator`` as a new process: before the other events due
+        now, or after them (FIFO) with ``priority=NORMAL``."""
+        return Process(self, generator, name=name, priority=priority)
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """Wait for every event in ``events``."""

@@ -205,6 +205,38 @@ class PooledServer:
             wt.reserve(self.name, start - now, duration)
         return env.timeout(done - now)
 
+    def execute_then(self, duration: float, *delays: float) -> Timeout:
+        """:meth:`execute`, then sleep each of ``delays``: one kernel event.
+
+        Bit-exactness as in :meth:`FifoServer.serve_then`: the wake-up
+        repeats the float chain ``now + (done - now)``, then ``+ d`` per
+        delay, and is scheduled with ``timeout_until``.  The delays are the
+        caller's own sleeps (a transport's stack latency and propagation),
+        not the pool's, so the wait tracer sees only wait and service, as
+        it does for separate sleeps outside any span.
+        """
+        if duration < 0:
+            raise ValueError(f"negative service duration {duration}")
+        if min(delays, default=0.0) < 0:
+            raise ValueError(f"negative delay in {delays}")
+        env = self.env
+        now = env._now
+        free = heapq.heappop(self._free)
+        start = free if free > now else now
+        done = start + duration
+        heapq.heappush(self._free, done)
+        self.busy_time += duration
+        self.ops += 1
+        if self._stats is not None:
+            self._stats.record(now, done)
+        wt = env._wait_tracer
+        if wt is not None:
+            wt.reserve(self.name, start - now, duration)
+        when = now + (done - now)
+        for d in delays:
+            when += d
+        return env.timeout_until(when)
+
     def backlog(self) -> float:
         """Seconds until the earliest server frees up (0 if any is idle)."""
         return max(0.0, self._free[0] - self.env.now)

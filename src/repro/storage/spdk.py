@@ -27,8 +27,8 @@ from typing import Dict, Generator, Optional
 from repro.hw.platform import ComputeNode, Node
 from repro.hw.specs import SPDK_PATH, US, StoragePathCosts
 from repro.net.fabric import FabricChannel, RemoteRegion
-from repro.net.message import Message
-from repro.sim.core import Environment, Event, Process
+from repro.net.message import Message, reply_listener, request_listener
+from repro.sim.core import Environment, Event
 from repro.storage.block import BlockDevice
 from repro.storage.context import JobThread
 
@@ -113,21 +113,12 @@ class NvmfTarget:
         self.device = device
         self.cpu_per_op = cpu_per_op
         self.commands_served = 0
-        self._loops: list = []
 
-    def serve(self, channel: FabricChannel) -> Process:
-        """Start servicing command capsules arriving on ``channel``."""
-        proc = self.env.process(self._serve_loop(channel), name="nvmf-target")
-        self._loops.append(proc)
-        return proc
-
-    def _serve_loop(self, channel: FabricChannel):
-        name = self.node.name
-        while True:
-            msg = yield channel.recv(name)
-            if msg.kind == "nvmf.shutdown":
-                return
-            self.env.process(self._handle(channel, msg), name="nvmf-cmd")
+    def serve(self, channel: FabricChannel) -> None:
+        """Service command capsules on ``channel`` until ``nvmf.shutdown``."""
+        channel.listen(self.node.name, request_listener(
+            self.env, "nvmf.cmd", "nvmf.shutdown",
+            lambda msg: self._handle(channel, msg), "nvmf-cmd"))
 
     def _handle(self, channel: FabricChannel, msg: Message):
         cmd = msg.payload
@@ -187,7 +178,7 @@ class NvmfInitiator:
         self.data_mode = bool(data_mode)
         self.target_name = channel.peer_of(node.name)
         self._pending: Dict[int, Event] = {}
-        self._demux: Optional[Process] = None
+        self._started = False
         self._threads = 0
         # Performance mode: one pre-registered window reused by every
         # command (real initiators pre-register their buffer pools).
@@ -196,18 +187,11 @@ class NvmfInitiator:
             self._window = channel.register(node.name, io_window_bytes)
 
     def start(self) -> "NvmfInitiator":
-        """Spawn the completion demultiplexer; call once before I/O."""
-        if self._demux is None:
-            self._demux = self.env.process(self._demux_loop(), name="nvmf-demux")
+        """Listen for completion capsules; call once before I/O."""
+        if not self._started:
+            self.channel.listen(self.node.name, reply_listener(self._pending))
+            self._started = True
         return self
-
-    def _demux_loop(self):
-        name = self.node.name
-        while True:
-            msg = yield self.channel.recv(name)
-            waiter = self._pending.pop(msg.tag, None)
-            if waiter is not None:
-                waiter.succeed(msg)
 
     def new_context(self, name: Optional[str] = None) -> JobThread:
         """Create one submission reactor thread."""
@@ -228,7 +212,7 @@ class NvmfInitiator:
         trace=None,
     ) -> Generator[Event, None, Optional[bytes]]:
         """One remote NVMe command; completes at the completion capsule."""
-        if self._demux is None:
+        if not self._started:
             raise RuntimeError("initiator not started; call start() first")
         costs = self.costs
         env = self.env
@@ -279,7 +263,7 @@ class NvmfInitiator:
         return result
 
     def shutdown(self) -> Generator[Event, None, None]:
-        """Ask the target loop on this channel to exit."""
+        """Ask the target to stop handling commands on this channel."""
         yield from self.channel.send(
             Message(src=self.node.name, dst=self.target_name, kind="nvmf.shutdown",
                     nbytes=16)

@@ -46,12 +46,34 @@ def test_shuffle_preserves_ledger_byte_identity(tie_seed):
     assert a == b
 
 
+#: Extreme order statistics.  In a RUNTIME window (~1600 requests) they
+#: are the one or two slowest requests, often ramp stragglers that a tie
+#: permutation moves across the window start.
+EXTREMES = (".max", ".p999")
+
+
 def test_shuffled_metrics_stay_in_envelope(rdma_reference):
-    var = build_record("rdma", runtime=RUNTIME, tie_seed=7)
-    assert compare_metrics(rdma_reference, var) == []
-    # The shuffle is not a no-op: the full record may legitimately
-    # differ (per-request attribution tracks the realized schedule).
-    assert var["config"] == rdma_reference["config"]
+    # Every metric but the extremes, on several tie seeds.  About one tie
+    # seed in six moves an extreme past the 1% tail tolerance in this
+    # window, and which ones do depends on event numbering alone: offset
+    # every event id by a constant (FIFO order unchanged) and seed 7
+    # passes at some offsets and fails at others.
+    for tie_seed in range(1, 8):
+        var = build_record("rdma", runtime=RUNTIME, tie_seed=tie_seed)
+        drift = [row for row in compare_metrics(rdma_reference, var)
+                 if not row["metric"].endswith(EXTREMES)]
+        assert drift == [], (tie_seed, drift)
+        # The shuffle is not a no-op: the full record may legitimately
+        # differ (per-request attribution tracks the realized schedule).
+        assert var["config"] == rdma_reference["config"]
+
+
+def test_shuffled_extremes_stay_in_envelope():
+    # The extremes, at the window the ``sanitize`` gate runs
+    # (``build_record``'s default), where they rest on ~8000 requests.
+    ref = build_record("rdma", tie_seed=None)
+    var = build_record("rdma", tie_seed=7)
+    assert compare_metrics(ref, var) == []
 
 
 def test_fifo_rerun_is_byte_identical(rdma_reference):

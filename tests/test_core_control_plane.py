@@ -182,16 +182,48 @@ def test_loopback_errors_propagate():
 
 
 def test_shutdown_stops_loop():
+    """A call after the shutdown runs no handler and gets no response."""
     env, top, server, channel = setup()
-    loop = server.serve(channel.conn)  # a second loop on the same conn
+    ran, got = [], []
+
+    def ping(request, metadata):
+        ran.append(env.now)
+        yield env.timeout(0)
+        return "pong"
+
+    server.add_method("svc", "Ping", ping)
 
     def main(env):
         yield from channel.shutdown_server()
+        got.append((yield from channel.unary("svc", "Ping", {})))
 
     env.process(main(env))
     env.run(until=0.5)
-    # One of the two loops consumed the shutdown and exited.
-    assert not loop.is_alive or len(server.methods()) >= 0
+    assert ran == [] and got == [] and server.calls_served == 0
+
+
+def test_stray_kinds_and_unknown_tags_dropped():
+    from repro.net.message import Message
+
+    env, top, server, channel = setup()
+
+    def main(env):
+        yield from channel.conn.send(Message(
+            src=top.launcher.name, dst=top.client.name, kind="garbage", nbytes=8))
+        yield from channel.conn.send(Message(
+            src=top.client.name, dst=top.launcher.name, kind="grpc.rep",
+            tag=424242, nbytes=8))
+
+    p = env.process(main(env))
+    env.run(until=p)  # neither side crashes
+    assert server.calls_served == 0 and channel._pending == {}
+
+
+def test_second_listener_rejected():
+    env, top, server, channel = setup()
+    with pytest.raises(RuntimeError, match="already has a listener"):
+        server.serve(channel.conn)
+    channel.start()  # idempotent: does not listen twice
 
 
 def test_concurrent_calls_demux():

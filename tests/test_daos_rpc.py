@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.daos.rpc import RpcClient, RpcError, RpcServer
+from repro.daos.rpc import RpcClient, RpcError, RpcServer, RpcTimeout
 from repro.daos.types import DaosError
 from repro.hw import make_paper_testbed
 from repro.net import Fabric
@@ -112,16 +112,60 @@ def test_concurrent_calls_demuxed_correctly():
 
 
 def test_shutdown_stops_server():
+    """A request after the shutdown runs no handler and gets no reply."""
     env, top, ch, server, client = setup()
-    server.register("noop", lambda a, s, c: iter(()))
-    loop = server.serve(ch)
+    ran = []
+
+    def noop(args, src, channel):
+        ran.append(env.now)
+        yield env.timeout(0)
+
+    server.register("noop", noop)
+    server.serve(ch)
 
     def main(env):
         yield from client.shutdown_server()
+        yield from client.call("noop", {}, deadline=0.01)
 
-    env.process(main(env))
-    env.run(until=1.0)
-    assert not loop.is_alive
+    p = env.process(main(env))
+    with pytest.raises(RpcTimeout):
+        env.run(until=p)
+    assert ran == [] and server.requests_served == 0
+
+
+def test_reply_after_deadline_dropped():
+    env, top, ch, server, client = setup()
+
+    def slow(args, src, channel):
+        yield env.timeout(args["delay"])
+        return args["delay"]
+
+    server.register("slow", slow)
+    server.serve(ch)
+    got = []
+
+    def main(env):
+        try:
+            yield from client.call("slow", {"delay": 0.05}, deadline=0.01)
+        except RpcTimeout:
+            got.append("timeout")
+        yield env.timeout(0.1)  # the late reply arrives meanwhile
+        got.append((yield from client.call("slow", {"delay": 0.0})))
+
+    p = env.process(main(env))
+    env.run(until=p)
+    assert got == ["timeout", 0.0]
+    assert server.requests_served == 2
+    assert client._pending == {}
+
+
+def test_second_listener_rejected():
+    env, top, ch, server, client = setup()
+    server.serve(ch)
+    with pytest.raises(RuntimeError, match="already has a listener"):
+        RpcServer(top.server).serve(ch)
+    with pytest.raises(RuntimeError, match="already has a listener"):
+        RpcClient(top.client, ch).start()
 
 
 def test_stray_message_ignored():

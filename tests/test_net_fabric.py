@@ -52,22 +52,71 @@ def test_provider_mismatch_rejected():
 # Channel behaviour, parametrized over families
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("provider", ["ucx+tcp", "ucx+rc", "ofi+verbs;ofi_rxm"])
+PROVIDERS = ["ucx+tcp", "ucx+rc", "ofi+verbs;ofi_rxm"]
+
+
+@pytest.mark.parametrize("provider", PROVIDERS)
 def test_send_recv_roundtrip(provider):
     env, top, ch = setup(provider)
     got = []
+    done = []
+    ch.listen("storage", lambda msg: got.append((msg.kind, msg.tag, env.now)))
 
     def client(env):
         yield from ch.send(Message(src="host", dst="storage", kind="req", tag=9, nbytes=256))
-
-    def server(env):
-        msg = yield ch.recv("storage")
-        got.append((msg.kind, msg.tag))
+        done.append(env.now)
 
     env.process(client(env))
-    env.process(server(env))
     env.run()
-    assert got == [("req", 9)]
+    # Delivered once, at the instant the send completes.
+    assert got == [("req", 9, done[0])]
+
+
+@pytest.mark.parametrize("provider", PROVIDERS)
+def test_send_without_listener_raises(provider):
+    env, top, ch = setup(provider)
+    ch.listen("host", lambda msg: None)  # the sender's end does not count
+
+    def client(env):
+        yield from ch.send(Message(src="host", dst="storage", kind="req", nbytes=64))
+
+    env.process(client(env))
+    with pytest.raises(RuntimeError, match="no listener on endpoint 'storage'"):
+        env.run()
+
+
+@pytest.mark.parametrize("provider", PROVIDERS)
+def test_second_listener_rejected(provider):
+    env, top, ch = setup(provider)
+    ch.listen("storage", lambda msg: None)
+    with pytest.raises(RuntimeError, match="already has a listener"):
+        ch.listen("storage", lambda msg: None)
+    with pytest.raises(KeyError):
+        ch.listen("nowhere", lambda msg: None)
+
+
+def test_rdma_cell_leaves_no_completions_behind(monkeypatch):
+    """Neither messages nor bulk transfers leak CQ entries nobody polls."""
+    from repro.bench.runner import _build_fig5, run_ros2_fio
+    from repro.net.fabric import Fabric as FabricCls
+
+    channels = []
+    make = FabricCls._make_channel
+
+    def recording(self, *args):
+        channels.append(make(self, *args))
+        return channels[-1]
+
+    monkeypatch.setattr(FabricCls, "_make_channel", recording)
+    system, spec = _build_fig5("rdma", "dpu", "write", MIB, 2, n_ssds=1,
+                               runtime=0.004)
+    result = run_ros2_fio(system, spec)
+    system.env.run()
+    assert result.total_ios > 0
+    qps = [qp for ch in channels for qp in ch.qps.values()]
+    assert qps
+    assert [(len(qp.send_cq), len(qp.recv_cq)) for qp in qps] == \
+        [(0, 0)] * len(qps)
 
 
 @pytest.mark.parametrize("provider", ["ucx+tcp", "ucx+rc"])

@@ -160,6 +160,52 @@ def test_send_completion_lands_in_send_cq():
     assert len(qc.send_cq) == 1
 
 
+def test_one_sided_ops_leave_send_cq_empty():
+    """Bulk READ/WRITE post unsignaled: the caller gets the completion."""
+    env, top, dev_c, dev_s = make_pair()
+    qc, qs = connect_qps(dev_c, dev_s)
+    mr = qs.pd.register_mr(4096, AccessFlags.remote_rw())
+    comps = []
+
+    def proc(env):
+        comps.append((yield from qc.rdma_write(mr.addr, mr.rkey, nbytes=64)))
+        comps.append((yield from qc.rdma_read(mr.addr, mr.rkey, 64)))
+
+    env.process(proc(env))
+    env.run()
+    assert [c.opcode for c in comps] == ["write", "read"]
+    assert len(qc.send_cq) == 0 and len(qs.recv_cq) == 0
+
+
+@pytest.mark.parametrize("propagation", [None, 0.0])
+def test_untraced_send_merges_post_and_wire_into_one_event(propagation):
+    """Same arrival instant as the traced (chained) path, one event fewer."""
+    from dataclasses import replace
+
+    from repro.hw.specs import PAPER_LINK
+    from repro.sim.spans import SpanCollector
+
+    link = PAPER_LINK if propagation is None else replace(
+        PAPER_LINK, propagation=propagation)
+    seen = {}
+    for traced in (False, True):
+        env = Environment()
+        top = make_paper_testbed(env, link=link)
+        dev_c, dev_s = RdmaDevice(top.client), RdmaDevice(top.server)
+        qc, qs = connect_qps(dev_c, dev_s)
+        trace = SpanCollector(env).trace("io").root if traced else None
+
+        def sender(env):
+            yield env.timeout(1e-3 / 3)  # a clock value with rounding
+            yield from qc.transmit(4 * KIB, trace=trace)
+
+        env.process(sender(env))
+        env.run()
+        seen[traced] = (env.now, env.events_processed)
+    assert seen[False][0] == seen[True][0]
+    assert seen[False][1] == seen[True][1] - 1
+
+
 # ---------------------------------------------------------------------------
 # One-sided READ/WRITE with enforcement
 # ---------------------------------------------------------------------------
@@ -342,6 +388,7 @@ def test_rdma_faster_than_tcp_for_small_messages():
     qc, qs = connect_qps(dev_c, dev_s)
     a, b = TcpStack(top.client), TcpStack(top.server)
     conn = a.connect(b)
+    conn.listen("storage", lambda msg: None)
     t = {}
 
     def rdma_small(env):

@@ -70,6 +70,31 @@ def test_same_time_events_fifo():
     assert order == list("abcd")
 
 
+@pytest.mark.parametrize("priority, expected", [(0, "sab"), (1, "abs")])
+def test_process_start_priority(priority, expected):
+    """URGENT (0, default) starts ahead of events already due; NORMAL after."""
+    env = Environment()
+    order = []
+
+    def waiter(env, tag):
+        yield env.timeout(1.0)
+        order.append(tag)
+
+    def started(env):
+        order.append("s")
+        yield env.timeout(0)
+
+    def starter(env):
+        yield env.timeout(1.0)
+        env.process(started(env), priority=priority)
+
+    env.process(starter(env))
+    for tag in "ab":
+        env.process(waiter(env, tag))
+    env.run()
+    assert "".join(order) == expected
+
+
 def test_process_return_value():
     env = Environment()
 

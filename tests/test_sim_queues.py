@@ -127,6 +127,59 @@ def test_pooled_server_single_equivalent_to_fifo():
     assert done == [1.5, 3.0, 4.5]
 
 
+def test_execute_then_fires_at_the_chained_instant_with_one_event():
+    """One event, at exactly the float the reservation + sleeps reach."""
+    delays = (1.1e-6, 3.7e-7)
+    fired = {}
+    for chained in (True, False):
+        env = Environment()
+        pool = PooledServer(env, 2)
+
+        def client(env):
+            yield env.timeout(1e-3 / 3)  # a clock value with rounding
+            if chained:
+                yield pool.execute(4.1e-6)
+                for d in delays:
+                    yield env.timeout(d)
+            else:
+                yield pool.execute_then(4.1e-6, *delays)
+
+        env.process(client(env))
+        env.run()
+        fired[chained] = (env.now, env.events_processed)
+    assert fired[False][0] == fired[True][0]
+    assert fired[False][1] == fired[True][1] - len(delays)
+
+
+def test_execute_then_rejects_a_negative_delay_before_reserving():
+    env = Environment()
+    pool = PooledServer(env, 1)
+    with pytest.raises(ValueError):
+        pool.execute_then(1.0, 0.5, -1e-9)
+    assert (pool.ops, pool.busy_time, pool.backlog()) == (0, 0.0, 0.0)
+
+
+def test_execute_then_reports_only_wait_and_service():
+    from repro.sim.spans import SpanCollector
+    from repro.sim.waits import WaitTracer
+
+    env = Environment()
+    pool = PooledServer(env, 1, name="cores")
+    tracer = WaitTracer(env).install()
+    col = SpanCollector(env)
+
+    def op(env):
+        tr = col.trace("io")
+        yield pool.execute_then(2e-3, 5e-4)
+        tr.finish()
+
+    env.process(op(env))
+    env.run()
+    (rec,) = tracer.records
+    assert (rec.wait, rec.service, rec.latency) == (0.0, 2e-3, 0.0)
+    assert env.now == pytest.approx(2.5e-3)
+
+
 def test_pooled_server_work_conserving():
     env = Environment()
     pool = PooledServer(env, n=4)

@@ -101,15 +101,44 @@ def test_unknown_op_fails_target():
 
 
 def test_shutdown_stops_target_loop():
+    """A command after the shutdown is not executed and never completes."""
     env, top, target, init = make_remote("ucx+rc")
+    ctx = init.new_context()
+    done = []
 
     def proc(env):
         yield from init.shutdown()
+        yield from init.submit(ctx, 0, 4096, False)
+        done.append(env.now)
 
     env.process(proc(env))
     env.run(until=1.0)
-    loop = target._loops[0]
-    assert not loop.is_alive
+    assert done == [] and target.commands_served == 0
+
+
+@pytest.mark.parametrize("provider", ["ucx+tcp", "ucx+rc"])
+def test_stray_kinds_and_unknown_cids_dropped(provider):
+    from repro.net.message import Message
+
+    env, top, target, init = make_remote(provider)
+
+    def proc(env):
+        yield from init.channel.send(Message(
+            src="host", dst="storage", kind="garbage", nbytes=8))
+        yield from init.channel.send(Message(
+            src="storage", dst="host", kind="nvmf.cpl", tag=424242, nbytes=8))
+
+    p = env.process(proc(env))
+    env.run(until=p)  # neither side crashes
+    assert target.commands_served == 0 and init._pending == {}
+
+
+def test_second_listener_rejected():
+    env, top, target, init = make_remote("ucx+rc")
+    with pytest.raises(RuntimeError, match="already has a listener"):
+        target.serve(init.channel)
+    with pytest.raises(RuntimeError, match="already has a listener"):
+        NvmfInitiator(top.client, init.channel).start()
 
 
 # ---------------------------------------------------------------------------
