@@ -27,7 +27,7 @@ different strength:
 
 * **hash axis: byte identity.**  Changing ``PYTHONHASHSEED`` does not
   change the schedule, so the full stripped record — attribution
-  sections included — must be byte-identical.  Any diff is a real
+  sections and the event ``cost`` included — must be byte-identical.  Any diff is a real
   hash-order dependence.
 * **tie axis: metric envelope.**  A tie permutation produces a
   *different but equally valid* execution: requests swap queue slots,

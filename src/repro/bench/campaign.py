@@ -624,13 +624,33 @@ def run_campaign(
 # Verification against a committed ledger (the CI determinism gate)
 # ---------------------------------------------------------------------------
 
+def _what_moved(produced: dict, committed: dict) -> str:
+    """Name the top-level sections two records disagree on.
+
+    A moved ``cost`` also reports the measured events/IO, committed →
+    produced, so a change in the simulator's event count reads as such.
+    """
+    a, b = lg.strip_volatile(committed), lg.strip_volatile(produced)
+    moved = sorted(k for k in set(a) | set(b) if a.get(k) != b.get(k))
+    parts = []
+    for key in moved:
+        old, new = a.get(key), b.get(key)
+        if key == "cost" and old and new:
+            parts.append(f"cost: measured {old['events_per_io']:.3f} → "
+                         f"{new['events_per_io']:.3f} events/IO")
+        else:
+            parts.append(key)
+    return ", ".join(parts)
+
+
 def check_campaign(result: CampaignResult, against_dir: str) -> List[str]:
     """Compare the campaign's records against a committed ledger directory.
 
-    Returns failure strings (empty = every cell reproduced).  Volatile
-    fields are ignored — the comparison is on run IDs (content-derived)
-    and the stripped record content, which is exactly the "parallel runs
-    are byte-identical to the committed serial campaign" claim.
+    Returns failure strings (empty = every cell reproduced), each naming
+    the record sections that moved.  Volatile fields are ignored — the
+    comparison is on run IDs (content-derived) and the stripped record
+    content, ``cost`` included, which is exactly the "parallel runs are
+    byte-identical to the committed serial campaign" claim.
     """
     failures = []
     for outcome in result.outcomes:
@@ -640,6 +660,7 @@ def check_campaign(result: CampaignResult, against_dir: str) -> List[str]:
         if outcome.run_id is None:  # pragma: no cover - dry runs
             failures.append(f"{outcome.key}: no record produced")
             continue
+        produced = lg.load_run(outcome.run_id, result.ledger_dir)
         committed_path = os.path.join(against_dir, f"{outcome.run_id}.json")
         if not os.path.isfile(committed_path):
             hint = ""
@@ -647,21 +668,19 @@ def check_campaign(result: CampaignResult, against_dir: str) -> List[str]:
             for record in lg.list_runs(against_dir):
                 if record.get("config_hash") == want_hash:
                     hint = (f" (committed ledger has {record['run_id']} for "
-                            f"this config — content differs)")
+                            f"this config — content differs in "
+                            f"{_what_moved(produced, record)})")
                     break
             failures.append(f"{outcome.key}: {outcome.run_id}.json not in "
                             f"{against_dir}{hint}")
             continue
         with open(committed_path) as fh:
             committed = json.load(fh)
-        produced = lg.load_run(outcome.run_id, result.ledger_dir) \
-            if outcome.path else None
-        if produced is None:  # pragma: no cover
-            failures.append(f"{outcome.key}: record file missing")
-            continue
-        if lg.strip_volatile(produced) != lg.strip_volatile(committed):
+        moved = _what_moved(produced, committed)
+        if moved:
             failures.append(f"{outcome.key}: content differs from committed "
-                            f"{outcome.run_id}.json despite equal run ID")
+                            f"{outcome.run_id}.json despite equal run ID "
+                            f"in {moved}")
     return failures
 
 

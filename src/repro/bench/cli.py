@@ -48,7 +48,7 @@ spans as duration events, per-resource wait counters and (without
 ``--quick``) every telemetry series as counter tracks — loadable in
 Perfetto / ``chrome://tracing``.
 
-``--ledger`` (doctor/chaos/perf) appends the run to the **run ledger**
+``--ledger`` (doctor/chaos) appends the run to the **run ledger**
 (``benchmarks/ledger/``, one ``repro-run-v1`` JSON per run, content-
 derived stable IDs; doctor and chaos runs record under the same cell
 identity a campaign would); ``runs`` lists/inspects it.
@@ -104,7 +104,7 @@ def _report(result: FioResult) -> str:
 
 
 def _add_ledger_args(parser: argparse.ArgumentParser) -> None:
-    """Run-ledger options shared by doctor / chaos / perf."""
+    """Run-ledger options shared by doctor / chaos."""
     parser.add_argument("--ledger", action="store_true",
                         help="append this run as a repro-run-v1 record to "
                              "the run ledger")
@@ -302,29 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "show recovery backoff blame)")
     _add_ledger_args(pch)
 
-    pp = sub.add_parser(
-        "perf",
-        help="wall-clock perf harness: kernel events/s, pipe coalescing, "
-             "fig5 cell timings (BENCH_perf.json)",
-    )
-    pp.add_argument("--quick", action="store_true",
-                    help="CI smoke subset (~seconds)")
-    pp.add_argument("--repeat", type=int, default=3,
-                    help="timed repetitions per sample; min is reported")
-    pp.add_argument("--warmup", type=int, default=1,
-                    help="discarded warmup runs per sample")
-    pp.add_argument("--out", metavar="PATH", default=None,
-                    help="write the repro-perfbench-v1 JSON document")
-    pp.add_argument("--check", metavar="BASELINE", default=None,
-                    help="gate against a committed perfbench baseline; "
-                         "exit non-zero on regression")
-    pp.add_argument("--write-baseline", metavar="PATH", default=None,
-                    help="snapshot this run as the perfbench baseline")
-    pp.add_argument("--max-regression", type=float, default=0.30,
-                    help="allowed relative drop on rate metrics when "
-                         "gating (default 0.30)")
-    _add_ledger_args(pp)
-
     pr = sub.add_parser(
         "runs",
         help="list or inspect ledger runs (benchmarks/ledger/)",
@@ -482,46 +459,6 @@ def _cmd_sanitize(args) -> int:
             fh.write("\n")
     print(render_sanitize(doc))
     return 0 if doc["ok"] else 1
-
-
-def _run_perf(args) -> int:
-    from repro.bench import perfbench as pb
-
-    doc = pb.run_perfbench(quick=args.quick, repeat=args.repeat,
-                           warmup=args.warmup)
-    print(pb.render_summary(doc))
-    if args.ledger:
-        from repro.bench import ledger as lg
-
-        from repro.bench.campaign import code_fingerprint
-
-        record = lg.make_perf_record(doc, git_sha=_git_sha(args),
-                                     created=_now_iso(),
-                                     code_fingerprint=code_fingerprint())
-        path = lg.save_run(record, _ledger_dir(args))
-        print(f"ledger: recorded {record['run_id']} -> {path}")
-    if args.out:
-        pb.save_doc(doc, args.out)
-        print(f"wrote {args.out}")
-    if args.write_baseline:
-        pb.save_doc(doc, args.write_baseline)
-        print(f"wrote perfbench baseline {args.write_baseline}")
-    if args.check:
-        import json as _json
-
-        with open(args.check) as fh:
-            baseline = _json.load(fh)
-        failures = pb.check_against_baseline(
-            doc, baseline, max_regression=args.max_regression)
-        if failures:
-            print(f"\nFAIL: {len(failures)} perf metric(s) regressed "
-                  f"vs {args.check}", file=sys.stderr)
-            for f in failures:
-                print(f"  {f}", file=sys.stderr)
-            return 1
-        print(f"\nperf gate OK vs {args.check} "
-              f"(max rate regression {args.max_regression * 100:.0f}%)")
-    return 0
 
 
 def _run_trace(args) -> int:
@@ -960,9 +897,6 @@ def main(argv: Optional[list] = None) -> int:
 
     if args.experiment == "compare-runs":
         return _run_compare_runs(args)
-
-    if args.experiment == "perf":
-        return _run_perf(args)
 
     if args.experiment == "trace":
         return _run_trace(args)

@@ -3,7 +3,7 @@
 Every headline claim in the paper is a *comparison* — DPU vs host, RDMA
 vs TCP — so a single run's verdict is only half the story.  The ledger
 makes runs first-class artefacts: every campaign cell and each
-``doctor``/``chaos``/``perf`` invocation can append one ``repro-run-v1``
+``doctor``/``chaos`` invocation can append one ``repro-run-v1``
 JSON record to a ledger directory (``benchmarks/ledger/`` for the
 committed campaign), and the differential doctor
 (:mod:`repro.sim.diffdoctor`) consumes any two records to explain *why*
@@ -19,14 +19,17 @@ A record carries everything delta attribution needs, already reduced:
 * collapsed flame stacks for both span self-time and wait blame
   (integer nanoseconds — byte-stable);
 * optionally the per-resource cumulative-wait series points, so two
-  runs' counter tracks can be overlaid in one Perfetto trace.
+  runs' counter tracks can be overlaid in one Perfetto trace;
+* the simulator's own ``cost``: kernel events dispatched per phase
+  (setup with prefill, ramp, measured window, drain) and events per IO
+  over the measured window (:func:`cost_section`).
 
 Run IDs are **content-derived**: a human slug from the config plus the
 first hex digits of the record's canonical-JSON hash (volatile fields —
-timestamps, git SHA — excluded).  The simulator is deterministic, so
-re-recording an unchanged cell reproduces the identical ID and file,
-and any code change that moves an outcome shows up as a new ID.  The
-git SHA is *passed in* by the caller (the CLI reads it from the
+timestamps, git SHA — and ``cost`` excluded).  The simulator is
+deterministic, so re-recording an unchanged cell reproduces the
+identical ID and file, and any code change that moves an outcome shows
+up as a new ID.  The git SHA is *passed in* by the caller (the CLI reads it from the
 environment or ``git rev-parse``); nothing in here shells out.
 """
 
@@ -46,8 +49,8 @@ __all__ = [
     "config_slug",
     "flatten_numeric",
     "strip_volatile",
+    "cost_section",
     "make_run_record",
-    "make_perf_record",
     "make_cell_record",
     "save_run",
     "load_run",
@@ -70,6 +73,12 @@ DEFAULT_LEDGER_DIR = "benchmarks/ledger"
 #: the ID would orphan every stable run-ID prefix on each comment edit.
 _VOLATILE_FIELDS = ("run_id", "created", "git_sha", "code_fingerprint")
 
+#: Deterministic fields the run ID does not hash: the ID names the
+#: *simulated* outcome, while ``cost`` is what it took the simulator to
+#: produce it.  ``strip_volatile`` keeps them, so the campaign gate and
+#: the sanitizer's hash axis still pin them exactly.
+_UNHASHED_FIELDS = ("cost",)
+
 
 def canonical_json(obj: object) -> str:
     """Deterministic JSON: sorted keys, no whitespace variance."""
@@ -82,13 +91,15 @@ def config_hash(config: dict) -> str:
 
 
 def content_hash(record: dict) -> str:
-    """Hash of the record's non-volatile content (defines the run ID)."""
-    return hashlib.sha256(
-        canonical_json(strip_volatile(record)).encode()).hexdigest()[:10]
+    """Hash of the record's simulated outcome (defines the run ID)."""
+    body = {k: v for k, v in strip_volatile(record).items()
+            if k not in _UNHASHED_FIELDS}
+    return hashlib.sha256(canonical_json(body).encode()).hexdigest()[:10]
 
 
 def strip_volatile(record: dict) -> dict:
-    """The record's identity-bearing content (what the run ID hashes).
+    """The record's deterministic content (the run ID hashes it less
+    ``cost``).
 
     The campaign determinism gate compares records through this view, so
     re-recordings that differ only in wall time / checkout / source
@@ -156,6 +167,27 @@ def _pack_points(ts, cap: int) -> List[list]:
     return [[round(t, 12), round(dt, 12), round(v, 12)] for t, dt, v in pts]
 
 
+def cost_section(result, events_total: int) -> dict:
+    """Kernel events dispatched per phase of a run, and per measured IO.
+
+    ``result.phase_events`` holds the dispatch counter at the start of
+    FIO, at the opening and at the close of the measured window;
+    ``events_total`` is the counter when the record is made, so
+    ``drain`` covers whatever ran after the window (a chaos cell's drain
+    to an empty heap).  The four phases sum to ``events_total``.
+    """
+    start, opened, closed = result.phase_events
+    measured = closed - opened
+    return {
+        "setup": start,
+        "ramp": opened - start,
+        "measured": measured,
+        "drain": events_total - closed,
+        "events_per_io": (measured / result.total_ios
+                          if result.total_ios else 0.0),
+    }
+
+
 def make_run_record(
     result,
     collector,
@@ -175,7 +207,9 @@ def make_run_record(
     ``result`` is the :class:`~repro.workload.fio.FioResult`;
     ``collector``/``tracer`` are the span collector and wait tracer that
     observed the run (both required — the ledger exists to feed delta
-    attribution, which needs blame and flame data).
+    attribution, which needs blame and flame data).  The ``cost`` section
+    reads the dispatch counter of the tracer's environment, so build the
+    record once the run is over.
 
     ``extra_sections`` merges additional top-level sections into the
     record (e.g. the chaos harness's recovery/availability verdicts);
@@ -196,6 +230,7 @@ def make_run_record(
         "config": dict(config),
         "config_hash": config_hash(config),
         "metrics": flatten_numeric({"result": result.to_dict()}),
+        "cost": cost_section(result, tracer.env.events_processed),
         "traces": {
             "count": len(roots),
             "total_root_time": total_root,
@@ -224,34 +259,6 @@ def make_run_record(
                 raise ValueError(f"extra section {key!r} collides with a "
                                  f"standard record field")
             record[key] = value
-    return _finish_record(record)
-
-
-def make_perf_record(
-    doc: dict,
-    label: str = "",
-    git_sha: Optional[str] = None,
-    created: Optional[str] = None,
-    code_fingerprint: Optional[str] = None,
-) -> dict:
-    """A ledger record for a wall-clock perfbench document.
-
-    Perf records carry no spans or blame — they extend the same run
-    history with the machine-speed trajectory (``BENCH_perf.json``).
-    """
-    config = {"kind": "perfbench", "quick": bool(doc.get("quick", False))}
-    record = {
-        "format": FORMAT,
-        "kind": "perf",
-        "label": label or doc.get("label", "perfbench"),
-        "created": created,
-        "git_sha": git_sha,
-        "code_fingerprint": code_fingerprint,
-        "config": config,
-        "config_hash": config_hash(config),
-        "metrics": flatten_numeric(
-            {k: v for k, v in doc.items() if k not in ("format", "label")}),
-    }
     return _finish_record(record)
 
 

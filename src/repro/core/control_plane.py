@@ -74,10 +74,6 @@ class GrpcServer:
         """Add ``fn(service, method, metadata)`` raising GrpcError to reject."""
         self._interceptors.append(fn)
 
-    def methods(self) -> list:
-        """Registered (service, method) pairs."""
-        return sorted(self._methods)
-
     def serve(self, conn: TcpConnection) -> None:
         """Service unary calls arriving on ``conn`` until ``grpc.shutdown``."""
         conn.listen(self.node.name, request_listener(

@@ -276,7 +276,3 @@ class VersionedObject:
     def list_dkeys(self, epoch: int) -> List[bytes]:
         """Visible dkeys at ``epoch`` (sorted, like a dkey enumeration)."""
         return sorted(d for d in self._dkeys if self.dkey_visible(epoch, d))
-
-    def akeys_of(self, dkey: bytes) -> List[bytes]:
-        """Raw akey names recorded under ``dkey`` (no epoch filtering)."""
-        return sorted(self._dkeys.get(bytes(dkey), {}))

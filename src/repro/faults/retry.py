@@ -107,11 +107,6 @@ def is_retryable(exc: BaseException, idempotent: bool = True) -> bool:
     return False
 
 
-def classify(exc: BaseException, idempotent: bool = True) -> str:
-    """Human-readable verdict used by chaos reports and tests."""
-    return "retryable" if is_retryable(exc, idempotent) else "fatal"
-
-
 def remaining_budget(policy: RetryPolicy, started: float, now: float) -> Optional[float]:
     """Seconds left of the whole-operation deadline (None = unbounded)."""
     if policy.deadline <= 0:

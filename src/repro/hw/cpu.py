@@ -54,10 +54,6 @@ class CpuPool:
         """Run ``x86_cost`` seconds of baseline work on the earliest-free core."""
         return self._pool.execute(x86_cost * self.factor)
 
-    def scaled(self, x86_cost: float) -> float:
-        """The actual duration this pool needs for ``x86_cost`` of work."""
-        return x86_cost * self.factor
-
     def execute_then(self, x86_cost: float, *delays: float) -> Timeout:
         """:meth:`execute`, then the caller's ``delays``, as one event."""
         return self._pool.execute_then(x86_cost * self.factor, *delays)

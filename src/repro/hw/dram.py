@@ -60,11 +60,6 @@ class DramPool:
         self.occupancy = Gauge(env, f"{name}.occupancy")
 
     @property
-    def free_bytes(self) -> float:
-        """Bytes currently unallocated."""
-        return self._free.level
-
-    @property
     def used_bytes(self) -> float:
         """Bytes currently allocated."""
         return self.capacity_bytes - self._free.level

@@ -81,12 +81,6 @@ class NvmeSpec:
     read_latency: float = 78 * US  # NAND access latency floor
     write_latency: float = 18 * US  # write-cache absorbed
 
-    def service_time(self, nbytes: int, is_write: bool) -> float:
-        """Serialized device time for one operation of ``nbytes``."""
-        if is_write:
-            return max(nbytes / self.write_bw, 1.0 / self.write_iops_cap)
-        return max(nbytes / self.read_bw, 1.0 / self.read_iops_cap)
-
     def access_latency(self, is_write: bool) -> float:
         """Parallel completion latency for one operation."""
         return self.write_latency if is_write else self.read_latency

@@ -421,10 +421,6 @@ class Fabric:
         """The node's TCP stack (must have a tcp endpoint)."""
         return self._tcp_stacks[name]
 
-    def rdma_device(self, name: str) -> RdmaDevice:
-        """The node's RDMA device (must have an rdma endpoint)."""
-        return self._rdma_devices[name]
-
     def _make_channel(
         self, provider: ProviderInfo, a: ComputeNode, b: ComputeNode
     ) -> FabricChannel:

@@ -218,12 +218,8 @@ class TcpStack:
         self.costs = costs
         self.sent = RateMeter(self.env, f"{node.name}.tcp.tx")
         self.received = RateMeter(self.env, f"{node.name}.tcp.rx")
-        self.connections: list = []
 
     def connect(self, remote: "TcpStack") -> TcpConnection:
         """Open a connection to ``remote`` (handshake cost is negligible
         next to the paper's multi-second measurement windows)."""
-        conn = TcpConnection(self, remote)
-        self.connections.append(conn)
-        remote.connections.append(conn)
-        return conn
+        return TcpConnection(self, remote)

@@ -26,8 +26,9 @@ Hot-loop design notes (see DESIGN.md §9 for the event-cost budget):
   user code — is never recycled, so the optimisation is invisible to
   correctness.
 * :attr:`Environment.events_processed` counts every dispatched event so
-  telemetry and the perf harness (:mod:`repro.bench.perfbench`) can report
-  events-per-IO, the simulator's native cost metric.
+  telemetry and the run ledger's ``cost`` section
+  (:func:`repro.bench.ledger.cost_section`) can report events-per-IO, the
+  simulator's native cost metric.
 """
 
 from __future__ import annotations
@@ -506,7 +507,7 @@ class Environment:
         self._events_processed = 0
         #: Free-list of recyclable Timeout objects (bounded).
         self._tfree: list = []
-        #: How many Timeout allocations the free-list saved (for perfbench).
+        #: How many Timeout allocations the free-list saved (telemetry).
         self._timeouts_recycled = 0
         #: Wait-cause tracer (:class:`repro.sim.waits.WaitTracer`) or None.
         #: Hot paths pay one ``is not None`` test when no tracer is

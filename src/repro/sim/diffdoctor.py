@@ -221,12 +221,13 @@ def diff_runs(
 
     sum_attributed = fsum(r["delta"] for r in contributors)
     abs_err = abs(sum_attributed - observed_delta)
-    # The error scale must reflect what was summed: when the observed
-    # delta is ~0 but the cancelling per-resource deltas are large, the
-    # identity's float roundoff is proportional to their magnitude, not
-    # to the near-zero delta — without this, two equal runs over big
-    # blame totals can "fail" on ~1e-14 of cancellation noise.
-    magnitude = fsum(abs(r["delta"]) for r in contributors)
+    # The error scale must reflect what was summed: each delta is a
+    # difference of per-record totals, and the unattributed remainder is
+    # the mean minus every blamed total, so the identity's float roundoff
+    # is proportional to those totals, not to the near-zero delta —
+    # without this, two equal runs over big blame totals (even the same
+    # blame listed in another order) can "fail" on ~1e-14 of noise.
+    magnitude = fsum(abs(r["base"]) + abs(r["current"]) for r in contributors)
     rel_err = abs_err / max(scale, 1e-9 * magnitude)
     checks = {
         "attribution": {

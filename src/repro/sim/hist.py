@@ -83,11 +83,6 @@ class LogHistogram:
 
     # -- bucket geometry ---------------------------------------------------
 
-    def _bucket_lower(self, index: int) -> float:
-        if index <= 0:
-            return 0.0
-        return self.min_value * self.base ** (index - 1)
-
     def _bucket_upper(self, index: int) -> float:
         if index <= 0:
             return self.min_value

@@ -106,10 +106,6 @@ class RateMeter:
         self.bytes = 0
         self._t0 = env.now
 
-    @property
-    def window_start(self) -> float:
-        return self._t0
-
     def record(self, nbytes: int = 0) -> None:
         """Record one completed operation of ``nbytes``."""
         self.ops += 1

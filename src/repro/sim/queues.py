@@ -79,11 +79,6 @@ class FifoServer:
         self._stats = stats
 
     @property
-    def free_at(self) -> float:
-        """Earliest time the server becomes idle."""
-        return self._free_at
-
-    @property
     def backlog(self) -> float:
         """Seconds of already-reserved work ahead of a new arrival."""
         return max(0.0, self._free_at - self.env.now)
@@ -180,11 +175,6 @@ class PooledServer:
     def attach_stats(self, stats) -> None:
         """Attach a :class:`~repro.sim.timeseries.StationStats` recorder."""
         self._stats = stats
-
-    @property
-    def earliest_free(self) -> float:
-        """Time the least-loaded server becomes idle."""
-        return self._free[0]
 
     def execute(self, duration: float) -> Timeout:
         """Reserve ``duration`` seconds on the earliest-free server."""

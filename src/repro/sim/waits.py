@@ -228,11 +228,6 @@ class WaitTracer:
                 del self._stacks[key]
             return
 
-    def active_span(self) -> Optional["Span"]:
-        """Innermost open span of the currently-running process."""
-        stack = self._stacks.get(self.env._active)
-        return stack[-1] if stack else None
-
     # -- hooks (called from kernel/primitives; tracer installed) ------------
 
     def reserve(self, name: Optional[str], wait: float, service: float,

@@ -21,7 +21,7 @@ which :class:`~repro.storage.iouring.IoUringEngine`,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from repro.sim.core import Environment
 from repro.sim.monitor import LatencyRecorder, RateMeter
@@ -80,6 +80,11 @@ class FioResult:
     #: Operations that failed with an error inside the measured window
     #: (nonzero only under fault injection).
     errors: int = 0
+    #: ``env.events_processed`` when the run began, when the measured
+    #: window opened and when it closed — the simulator's own cost, kept
+    #: out of :meth:`to_dict` and equality so results stay comparable.
+    phase_events: Tuple[int, int, int] = field(default=(0, 0, 0),
+                                               compare=False, repr=False)
 
     @property
     def bandwidth_gib(self) -> float:
@@ -236,11 +241,14 @@ def run_fio(
             env.process(lane(env, ctx, pattern, job_lats[j]), name=f"fio.j{j}")
 
     # Let the ramp pass, reset the window, then measure.
+    events_start = env.events_processed
     env.run(until=measure_from)
+    events_open = env.events_processed
     meter.reset()
     for rec in job_lats:
         rec.clear()
     env.run(until=t_end + until_extra)
+    events_close = env.events_processed
     stop[0] = True
     # Drain: in-flight operations complete but no new ones are issued.
     elapsed = meter.elapsed()
@@ -255,4 +263,5 @@ def run_fio(
         bandwidth=meter.bytes_per_sec(),
         latency=lat.summary() if spec.record_latency else {},
         errors=errors[0],
+        phase_events=(events_start, events_open, events_close),
     )

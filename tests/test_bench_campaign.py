@@ -286,6 +286,8 @@ class TestCheckCampaign:
         failures = cp.check_campaign(result, str(against))
         assert len(failures) == 2
         assert all("content differs" in f for f in failures)
+        assert all(f.endswith("despite equal run ID in metrics")
+                   for f in failures)
 
     def test_missing_record_hints_at_config_match(self, serial_run, tmp_path):
         result, ledger = serial_run
@@ -301,6 +303,30 @@ class TestCheckCampaign:
         failures = cp.check_campaign(result, str(against))
         assert len(failures) == 2
         assert all("content differs" in f for f in failures)
+        assert all(f.endswith("content differs in metrics)") for f in failures)
+
+    @pytest.mark.parametrize("run_id", sorted(
+        name[:-5] for name in os.listdir(LEDGER_DIR) if name.endswith(".json")))
+    def test_one_event_per_io_fails_naming_cost(self, run_id, tmp_path):
+        """One extra kernel event per measured IO, with the simulated
+        outcome (and so the run ID) unchanged, fails the gate."""
+        record = lg.load_run(run_id, LEDGER_DIR)
+        cost = record["cost"]
+        total_ios = int(record["metrics"]["result.total_ios"])
+        old = cost["events_per_io"]
+        cost["measured"] += total_ios
+        cost["events_per_io"] = cost["measured"] / total_ios
+        assert run_id.endswith(lg.content_hash(record))
+        path = lg.save_run(record, str(tmp_path))
+        result = cp.CampaignResult(
+            name="tampered", jobs=1, ledger_dir=str(tmp_path),
+            fingerprint="", outcomes=[cp.CellOutcome(
+                key=cp.cell_key(record["config"]), config=record["config"],
+                status="ran", run_id=run_id, path=path)])
+        (failure,) = cp.check_campaign(result, LEDGER_DIR)
+        assert failure.endswith(
+            f"despite equal run ID in cost: measured {old:.3f} → "
+            f"{old + 1:.3f} events/IO")
 
 
 # ---------------------------------------------------------------------------

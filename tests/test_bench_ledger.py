@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bench import ledger as lg
+from repro.bench.campaign import cell_record, normalize_cell, run_cell
 from repro.bench.runner import run_fig5_doctored
 
 LEDGER_DIR = os.path.join(os.path.dirname(__file__), os.pardir,
@@ -54,7 +55,7 @@ class TestRecordShape:
     def test_format_and_sections(self, tiny_record):
         r = tiny_record
         assert r["format"] == lg.FORMAT == "repro-run-v1"
-        for key in ("config", "config_hash", "metrics", "traces",
+        for key in ("config", "config_hash", "metrics", "cost", "traces",
                     "wait_aggregates", "blame", "flame", "wait_series"):
             assert key in r, key
         assert r["traces"]["count"] > 0
@@ -194,6 +195,66 @@ class TestCommittedCampaign:
     def test_records_verify_against_their_own_content(self):
         for r in lg.list_runs(LEDGER_DIR):
             assert r["run_id"].endswith(lg.content_hash(r)), r["run_id"]
+
+    def test_records_carry_their_event_cost(self):
+        for r in lg.list_runs(LEDGER_DIR):
+            cost = r["cost"]
+            assert cost["events_per_io"] == \
+                cost["measured"] / r["metrics"]["result.total_ios"]
+            assert (cost["drain"] > 0) == (r["kind"] == "chaos"), r["run_id"]
+
+
+#: Two tiny cells, each with the run ID its record had before records
+#: carried ``cost``.  The ID hashes everything but ``cost``, so an equal
+#: ID means ``metrics`` and every other section are unchanged.
+COST_CELLS = {
+    "fig5-tcp-dpu-randread-4096-j2-23204826de": {
+        "transport": "tcp", "numjobs": 2, "runtime": 0.004,
+        "sample_every": 4},
+    "chaos-rdma-dpu-randread-4096-j4-7e234ec67d": {
+        "transport": "rdma", "numjobs": 4, "runtime": 0.01,
+        "faults": {"events": [{"kind": "qp_break", "target": "dpu.qp",
+                               "at": 0.005, "duration": 0.001}]}},
+}
+
+
+@pytest.fixture(scope="module", params=sorted(COST_CELLS))
+def cost_cell(request):
+    """(run ID before ``cost``, doctored run, record) for one tiny cell."""
+    config = normalize_cell(COST_CELLS[request.param])
+    run = run_cell(config)
+    record = cell_record(config, run)
+    return request.param, getattr(run, "run", run), record
+
+
+class TestCost:
+    def test_phases_sum_to_dispatched_events(self, cost_cell):
+        _, run, record = cost_cell
+        cost = record["cost"]
+        phases = [cost[p] for p in ("setup", "ramp", "measured", "drain")]
+        assert sum(phases) == run.system.env.events_processed
+        assert min(phases[:3]) > 0
+        # Only the chaos cell runs on after the window: its drain.
+        assert (cost["drain"] > 0) == (record["kind"] == "chaos")
+
+    def test_events_per_io_covers_the_measured_window(self, cost_cell):
+        _, run, record = cost_cell
+        cost = record["cost"]
+        assert cost["events_per_io"] == cost["measured"] / run.result.total_ios
+
+    def test_run_id_and_metrics_unchanged(self, cost_cell):
+        old_id, run, record = cost_cell
+        assert record["run_id"] == old_id
+        assert "phase_events" not in run.result.to_dict()
+        assert record["metrics"] == \
+            lg.flatten_numeric({"result": run.result.to_dict()})
+
+    def test_cost_is_compared_but_not_hashed(self, cost_cell):
+        _, _, record = cost_cell
+        moved = copy.deepcopy(record)
+        moved["cost"]["measured"] += 1
+        assert lg.content_hash(moved) == lg.content_hash(record)
+        assert lg.strip_volatile(moved) != lg.strip_volatile(record)
 
 
 @given(config=st.dictionaries(
