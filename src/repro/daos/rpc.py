@@ -81,8 +81,6 @@ class RpcServer:
         self.env: Environment = node.env
         self._handlers: Dict[str, Callable] = {}
         self.requests_served = 0
-        #: In-flight request count (dispatched, reply not yet sent).
-        self.inflight = 0
         #: Optional telemetry station (attached only while sampling).
         self.stats = None
 
@@ -118,7 +116,6 @@ class RpcServer:
         # One generator frame per request: the accounting wrapper and the
         # handler body used to be separate generators, which added a
         # delegation frame to every resumption of every handler.
-        self.inflight += 1
         st = self.stats
         if st is not None:
             st.arrive()
@@ -174,7 +171,6 @@ class RpcServer:
                 nbytes=RPC_REPLY_BYTES + wire_extra,
             ))
         finally:
-            self.inflight -= 1
             if st is not None:
                 st.depart(self.env.now - t0)
 

@@ -72,10 +72,6 @@ class CpuPool:
         """Mean per-core busy fraction."""
         return self._pool.utilization(elapsed)
 
-    def backlog(self) -> float:
-        """Seconds until a core frees up (0 when any core is idle)."""
-        return self._pool.backlog()
-
     def attach_stats(self, stats) -> None:
         """Attach a telemetry station (in-flight work items, Little's law)."""
         self._pool.attach_stats(stats)

@@ -18,15 +18,16 @@ servers that need only **one** event per operation:
   small message never waits behind more than the in-flight chunks of large
   transfers.  Models NIC links and PCIe lanes.
 
-  The pipe is *event-lean*: while a transfer is alone on the pipe its whole
-  remaining payload is reserved analytically in one step (one event instead
-  of one per chunk — exactly equivalent, since no interleaving partner
-  exists), and the pipe falls back to chunked reservation only while two or
-  more transfers overlap.  A transfer that arrives mid-coalesce *revokes*
-  the untransmitted tail of the resident reservation at the next chunk
-  boundary, so the documented fairness bound — a new arrival waits at most
-  the in-flight chunk(s), never a whole large transfer — is preserved.
-  See DESIGN.md §9 for the exactness argument.
+  The pipe is *event-lean*: a transfer of more than one chunk is placed
+  by an exact analytic scheduler instead of spending one event per chunk.
+  Its pending chunk requests sit in a deque in request order; each is
+  reserved with the chunk loop's own float operations, ahead of ``now``
+  as far as the next transfer finish (within a bounded look-ahead), and
+  those early slots are logged so that an arrival (a request the log did
+  not foresee) rolls them back.
+  One timer per pipe wakes each finishing transfer.  A pending request
+  due at the arrival's instant goes first.  See DESIGN.md §9 for the
+  exactness argument.
 
 All of them track cumulative busy time so utilization can be reported.
 """
@@ -34,12 +35,19 @@ All of them track cumulative busy time so utilization can be reported.
 from __future__ import annotations
 
 import heapq
-from math import ceil
+from collections import deque
+from math import inf, nextafter
 from typing import Generator, Optional
 
-from repro.sim.core import Environment, Event, Process, Timeout
+from repro.sim.core import Environment, Event, Timeout
 
 __all__ = ["FifoServer", "PooledServer", "BandwidthPipe"]
+
+#: Slot runs a pipe reserves ahead of the clock while it looks for the
+#: next finish.  Past this it arms its timer at the next unreserved
+#: request instead, which bounds what one arrival can roll back when many
+#: transfers share the pipe.
+_LOOKAHEAD = 16
 
 
 class FifoServer:
@@ -77,11 +85,6 @@ class FifoServer:
         and the Little's-law self-check.
         """
         self._stats = stats
-
-    @property
-    def backlog(self) -> float:
-        """Seconds of already-reserved work ahead of a new arrival."""
-        return max(0.0, self._free_at - self.env.now)
 
     def serve(self, duration: float) -> Timeout:
         """Reserve ``duration`` seconds of service; event fires at completion."""
@@ -227,14 +230,26 @@ class PooledServer:
             when += d
         return env.timeout_until(when)
 
-    def backlog(self) -> float:
-        """Seconds until the earliest server frees up (0 if any is idle)."""
-        return max(0.0, self._free[0] - self.env.now)
-
     def utilization(self, elapsed: Optional[float] = None) -> float:
         """Mean per-server busy fraction over ``elapsed`` (default since 0)."""
         span = self.env.now if elapsed is None else elapsed
         return 0.0 if span <= 0 else min(1.0, self.busy_time / (span * self.n))
+
+
+class _Transfer(Event):
+    """A scheduled transfer, and the event its process waits on.
+
+    ``left`` counts the bytes not yet reserved; ``at`` is the instant of
+    the next chunk request or, once the last chunk is reserved, of the
+    finish.
+    """
+
+    __slots__ = ("left", "at")
+
+    def __init__(self, env: Environment, left: int, at: float) -> None:
+        super().__init__(env)
+        self.left = left
+        self.at = at
 
 
 class BandwidthPipe:
@@ -246,27 +261,21 @@ class BandwidthPipe:
     granularity (approximating per-packet fair sharing).  A fixed
     ``latency`` is added once per transfer.
 
-    **Coalescing fast path** (``coalesce=True``, the default): while a
-    transfer is the *only* one in the pipe's data phase, its entire
-    remaining payload is reserved in one analytic step and the transfer
-    sleeps on a single event — the completion time, busy-time and op
-    accounting are accumulated chunk-by-chunk in plain floats, so the
-    outcome is bit-identical to serving every chunk through the event
-    loop.  If a second transfer arrives mid-coalesce, the resident
-    reservation is *revoked* at the next chunk boundary: the server gets
-    the untransmitted tail back, the owner is re-woken at its in-flight
-    chunk's completion, and both transfers continue in classic chunked
-    mode.  Thus uncontended transfers cost one event regardless of size,
-    while overlapping transfers keep the documented fairness bound (a new
-    arrival waits for at most the chunk in flight).
+    With ``coalesce=True`` (the default) a transfer of more than one chunk
+    costs one kernel event however many transfers share the pipe: the
+    scheduler (``_advance``/``_sync``/``_on_timer``) computes the slots the
+    chunk loop would reserve and wakes the transfer at its last chunk's
+    completion.  ``coalesce=False``, a wait tracer or a station recorder
+    selects the chunk-per-event loop, which is the reference the
+    scheduler is tested against and lets observers see every chunk.
 
     Use from a process as ``yield from pipe.transfer(nbytes)``.
     """
 
     __slots__ = ("env", "bandwidth", "latency", "chunk_bytes", "_server",
-                 "bytes_moved", "coalesce", "_inflight", "_co_gate",
-                 "_co_start", "_co_done", "_co_busy0", "_co_bytes",
-                 "_co_unsent", "coalesced_ops", "revoked_ops")
+                 "bytes_moved", "coalesce", "_requests", "_finishing",
+                 "_undo", "_timer", "_timer_at", "_timer_cb",
+                 "coalesced_ops", "revoked_ops")
 
     def __init__(
         self,
@@ -292,26 +301,22 @@ class BandwidthPipe:
         self._server = FifoServer(env, name=name)
         #: Total payload bytes moved (for reports).
         self.bytes_moved = 0
-        #: Enable the single-event fast path for uncontended transfers.
-        #: ``coalesce=False`` forces the classic chunk-per-event behaviour
-        #: (the reference the equivalence tests compare against).
+        #: Schedule multi-chunk transfers analytically.  ``coalesce=False``
+        #: forces the chunk-per-event reference.
         self.coalesce = bool(coalesce)
-        #: Transfers currently in the data phase (past the latency stage).
-        self._inflight = 0
-        # Active coalesced reservation (None when nobody is coalescing):
-        # the gate event the owner sleeps on, the transmission start time,
-        # the reserved completion time, the server busy_time before the
-        # reservation, and the reserved byte count.
-        self._co_gate: Optional[Timeout] = None
-        self._co_start = 0.0
-        self._co_done = 0.0
-        self._co_busy0 = 0.0
-        self._co_bytes = 0
-        #: Set by a revocation: bytes the owner must re-send chunked.
-        self._co_unsent = 0
-        #: Count of coalesced reservations (perf accounting).
+        # Scheduler state: transfers with a pending chunk request, in
+        # request order; transfers whose last chunk is reserved, in finish
+        # order; the undo log of slots reserved ahead of the clock (see
+        # ``_advance``); the armed timer and its instant.
+        self._requests: deque = deque()
+        self._finishing: deque = deque()
+        self._undo: deque = deque()
+        self._timer: Optional[Timeout] = None
+        self._timer_at = 0.0
+        self._timer_cb = self._on_timer
+        #: Transfers completed analytically (perf accounting).
         self.coalesced_ops = 0
-        #: Count of revocations (contention arriving mid-coalesce).
+        #: Rollbacks of slots reserved ahead of an arrival.
         self.revoked_ops = 0
 
     @property
@@ -322,15 +327,18 @@ class BandwidthPipe:
     @property
     def busy_time(self) -> float:
         """Cumulative seconds the pipe spent transmitting."""
+        self._sync()
         return self._server.busy_time
 
     @property
-    def inflight(self) -> int:
-        """Transfers currently in the data phase."""
-        return self._inflight
+    def ops(self) -> int:
+        """Chunks reserved so far."""
+        self._sync()
+        return self._server.ops
 
     def utilization(self, elapsed: Optional[float] = None) -> float:
         """Fraction of time the pipe was transmitting."""
+        self._sync()
         return self._server.utilization(elapsed)
 
     def transfer(self, nbytes: int) -> Generator[Event, None, None]:
@@ -342,182 +350,231 @@ class BandwidthPipe:
         if nbytes < 0:
             raise ValueError(f"negative transfer size {nbytes}")
         self.bytes_moved += nbytes
+        env = self.env
         if self.latency:
-            wt = self.env._wait_tracer
+            wt = env._wait_tracer
             if wt is not None:
                 # Pure propagation, blamed on the pipe (not a generic sleep).
                 wt.reserve(self._server.name, 0.0, 0.0, self.latency)
-            yield self.env.timeout(self.latency)
+            yield env.timeout(self.latency)
         if nbytes == 0:
             return
-        self._inflight += 1
-        if self._inflight == 2 and self._co_gate is not None:
-            # Contention arrived while someone coalesced: claw back the
-            # untransmitted tail so we only wait for the chunk in flight.
-            self._revoke()
-        try:
-            remaining = nbytes
-            srv = self._server
-            bw = self.bandwidth
-            chunk = self.chunk_bytes
-            # Loop-invariant coalescing eligibility (only ``_inflight``
-            # changes mid-transfer; a telemetry recorder or wait tracer is
-            # attached between runs, never mid-transfer).  With a wait
-            # tracer installed we stay chunked so every reservation is
-            # observed individually — the chunked path is exactly
-            # equivalent by construction (DESIGN.md §9).
-            can_coalesce = (self.coalesce and srv._stats is None
-                            and self.env._wait_tracer is None)
-            while remaining > 0:
-                if can_coalesce and self._inflight == 1:
-                    # Alone on the pipe: one analytic reservation, one event.
-                    # (With a telemetry recorder attached we stay chunked so
-                    # per-chunk station records are preserved exactly;
-                    # samplers only probe pipes via busy_time in practice.)
-                    gate = self._reserve_remaining(remaining)
-                    try:
-                        yield gate
-                    except BaseException:
-                        # Interrupted/killed mid-coalesce: hand back the
-                        # untransmitted tail so the pipe is not left
-                        # spuriously busy (chunked mode loses at most the
-                        # chunk in flight; so do we).
-                        if self._co_gate is gate:
-                            self._abort_coalesced()
-                        raise
-                    if self._co_gate is gate:
-                        # Ran to completion un-revoked.
-                        self._co_gate = None
-                        remaining = 0
-                    else:
-                        # Revoked: continue with the clawed-back tail.
-                        remaining = self._co_unsent
-                        self._co_unsent = 0
-                else:
-                    take = chunk if remaining > chunk else remaining
-                    yield srv.serve(take / bw)
-                    remaining -= take
-        finally:
-            self._inflight -= 1
-
-    # -- coalescing internals ------------------------------------------------
-    def _reserve_remaining(self, nbytes: int) -> Timeout:
-        """Reserve ``nbytes`` on the server analytically; return the gate.
-
-        Completion time, busy time and op count are accumulated with the
-        same per-chunk float additions the chunked path performs, so the
-        reservation is bit-identical to serving each chunk individually.
-        """
-        env = self.env
         srv = self._server
-        now = env._now
-        free = srv._free_at
-        start = free if free > now else now
+        chunk = self.chunk_bytes
+        # Observers are attached between runs, never mid-transfer.
+        if self.coalesce and srv._stats is None and env._wait_tracer is None:
+            if nbytes > chunk:
+                if self._requests or self._finishing:
+                    self._sync()
+                xfer = _Transfer(env, nbytes, env._now)
+                self._requests.appendleft(xfer)
+                self._arm()
+                try:
+                    yield xfer
+                except BaseException:
+                    self._abort(xfer)
+                    raise
+                return
+            # One chunk: the chunk loop's one reservation, made inline.
+            self.coalesced_ops += 1
+            if self._requests or self._finishing:
+                self._sync()
+            now = env._now
+            free = srv._free_at
+            duration = nbytes / self.bandwidth
+            done = (free if free > now else now) + duration
+            srv._free_at = done
+            srv.busy_time += duration
+            srv.ops += 1
+            yield env.timeout(done - now)
+            return
+        bw = self.bandwidth
+        remaining = nbytes
+        while remaining > 0:
+            take = chunk if remaining > chunk else remaining
+            if self._requests or self._finishing:
+                self._sync()
+            yield srv.serve(take / bw)
+            remaining -= take
+
+    # -- scheduler -----------------------------------------------------------
+    def _advance(self, now: float, until: float) -> None:
+        """Reserve pending chunk requests in request order.
+
+        Every request due by ``now`` is reserved.  Requests due later, but
+        before ``until``, are reserved too, until some transfer has its
+        last chunk reserved.  Each slot repeats the chunk loop's float
+        operations: ``start = max(free_at, r)``, ``done = start +
+        take/bw``, and the next request at ``r + (done - r)``, the instant
+        the chunk's timeout would fire.  A transfer alone in the queue
+        takes its slots in one run, and a run with a slot requested after
+        ``now`` is logged for undo as ``(last request, first request,
+        transfer, bytes left, free_at, busy_time, slots)``.
+        """
+        requests = self._requests
+        if not requests:
+            return
+        finishing = self._finishing
+        pop = requests.popleft
+        push = requests.append
+        log = self._undo.append
+        srv = self._server
         bw = self.bandwidth
         chunk = self.chunk_bytes
-        full, tail = divmod(nbytes, chunk)
-        chunk_time = chunk / bw
-        busy0 = srv.busy_time
-        done = start
-        busy = busy0
-        for _ in range(full):
-            done += chunk_time
-            busy += chunk_time
-        if tail:
-            tail_time = tail / bw
-            done += tail_time
-            busy += tail_time
-        srv._free_at = done
+        full = chunk / bw
+        free = srv._free_at
+        busy = srv.busy_time
+        ops = srv.ops
+        ahead = 0
+        while requests:
+            xfer = pop()
+            r = xfer.at
+            if r > now and (finishing or r >= until or ahead == _LOOKAHEAD):
+                requests.appendleft(xfer)
+                break
+            r0, free0, busy0 = r, free, busy
+            left = left0 = xfer.left
+            slot_r = r
+            duration = full if left > chunk else left / bw
+            free = (free if free > r else r) + duration
+            busy += duration
+            left = left - chunk if left > chunk else 0
+            r = r + (free - r)
+            if left and not requests and r == free:
+                # Alone, and the next request falls on the end of this
+                # slot.  Then every later one does too, exactly: a slot
+                # never outlasts the instant it was requested at, so
+                # ``done - r`` is exact (Sterbenz) and ``r + (done - r)``
+                # is ``done``.  The run goes on while its next request
+                # passes the test above.
+                stop = (now if finishing or until <= now
+                        else nextafter(until, -inf))
+                while r <= stop:
+                    slot_r = r
+                    if left > chunk:
+                        free += full
+                        busy += full
+                        left -= chunk
+                        r = free
+                    else:
+                        duration = left / bw
+                        free += duration
+                        busy += duration
+                        left = 0
+                        r = free
+                        break
+            n = (left0 - left + chunk - 1) // chunk
+            ops += n
+            xfer.left = left
+            xfer.at = r
+            if slot_r > now:
+                log((slot_r, r0, xfer, left0, free0, busy0, n))
+                ahead += 1
+            if left:
+                push(xfer)
+            else:
+                finishing.append(xfer)
+        srv._free_at = free
         srv.busy_time = busy
-        srv.ops += full + (1 if tail else 0)
-        if srv._stats is not None:  # pragma: no cover - guarded by caller
-            srv._stats.record(now, done)
-        wt = env._wait_tracer
-        if wt is not None:  # pragma: no cover - guarded by caller
-            wt.reserve(srv.name, start - now, done - start)
-        gate = env.timeout(done - now)
-        self._co_gate = gate
-        self._co_start = start
-        self._co_done = done
-        self._co_busy0 = busy0
-        self._co_bytes = nbytes
-        self._co_unsent = 0
-        self.coalesced_ops += 1
-        return gate
+        srv.ops = ops
 
-    def _rollback_tail(self) -> int:
-        """Give the server back every chunk not yet in flight.
+    def _sync(self) -> None:
+        """Make the server hold what the chunk loop holds at ``now``.
 
-        Under chunked reservation the owner would, at this instant, have
-        completed ``floor(elapsed / chunk_time)`` chunks and hold one more
-        in flight; everything beyond that is returned.  Returns the number
-        of unsent bytes (0 if only the tail remained — nothing to revoke).
+        Slots requested after ``now`` are rolled back, latest first, and
+        requests due by ``now`` are reserved.  A request due exactly at
+        ``now`` counts as made before whatever calls this.
         """
-        srv = self._server
         now = self.env._now
-        start = self._co_start
-        nbytes = self._co_bytes
-        chunk = self.chunk_bytes
-        chunk_time = chunk / self.bandwidth
-        elapsed = now - start
-        committed = 1 if elapsed < 0 else int(elapsed / chunk_time) + 1
-        total_chunks = ceil(nbytes / chunk)
-        if committed >= total_chunks:
-            return 0  # the final chunk/tail is already in flight
-        # Rebuild the state a chunked run would have after ``committed``
-        # chunks: same additions, same order — exact, not approximate.
-        new_done = start
-        busy = self._co_busy0
-        for _ in range(committed):
-            new_done += chunk_time
-            busy += chunk_time
-        srv._free_at = new_done
-        srv.busy_time = busy
-        srv.ops -= total_chunks - committed
-        return nbytes - committed * chunk
+        undo = self._undo
+        if undo and undo[-1][0] > now:
+            self.revoked_ops += 1
+            srv = self._server
+            requests = self._requests
+            finishing = self._finishing
+            chunk = self.chunk_bytes
+            full = chunk / self.bandwidth
+            while undo and undo[-1][0] > now:
+                _last, r, xfer, left, free, busy, n = undo.pop()
+                if xfer.left:
+                    requests.pop()
+                else:
+                    finishing.pop()
+                # Keep the run's slots requested by now; none is its last.
+                while r <= now:
+                    free = (free if free > r else r) + full
+                    busy += full
+                    left -= chunk
+                    r = r + (free - r)
+                    n -= 1
+                xfer.left = left
+                xfer.at = r
+                requests.appendleft(xfer)
+                srv._free_at = free
+                srv.busy_time = busy
+                srv.ops -= n
+        undo.clear()
+        requests = self._requests
+        if requests and requests[0].at <= now:
+            self._advance(now, now)
 
-    def _revoke(self) -> None:
-        """A second transfer arrived mid-coalesce: truncate and re-wake."""
-        gate = self._co_gate
-        unsent = self._rollback_tail()
-        if unsent == 0:
-            return  # reservation is effectively all in flight; leave it
-        env = self.env
-        self._co_unsent = unsent
-        self._co_gate = None
-        self.revoked_ops += 1
-        # Re-wake the owner at its in-flight chunk's completion instead of
-        # the original (now rolled-back) completion time.  The old gate
-        # stays in the event heap and fires inert (callbacks emptied); the
-        # waiter — including its Process._target bookkeeping, so interrupts
-        # keep working — moves to a fresh gate.
-        wt = env._wait_tracer
-        if wt is not None:
-            # Tracer installed mid-coalesce: the re-wake is bookkeeping for
-            # an already-recorded reservation, not a new wait.
-            wt._claimed = True
-        new_gate = env.timeout(self._server._free_at - env.now)
-        callbacks = gate.callbacks
-        gate.callbacks = []
-        if callbacks:
-            new_gate.callbacks.extend(callbacks)
-            for cb in callbacks:
-                owner = getattr(cb, "__self__", None)
-                if isinstance(owner, Process) and owner._target is gate:
-                    owner._target = new_gate
+    def _arm(self) -> None:
+        """Keep the timer armed no later than the next transfer finish.
 
-    def _abort_coalesced(self) -> None:
-        """The coalescing owner died mid-wait: return the unsent tail."""
-        gate = self._co_gate
-        self._co_gate = None
-        self._rollback_tail()
-        if gate is not None and gate.callbacks is not None:
-            gate.callbacks = []  # fires inert
+        An armed timer bounds the look-ahead: a finish after it is found
+        when it fires.  An arrival cannot finish before a transfer whose
+        last chunk is already reserved, so then nothing is looked at.
+        When the look-ahead stops short of a finish, the next unreserved
+        request is the earliest instant one can come from.
+        """
+        finishing = self._finishing
+        timer_at = self._timer_at if self._timer is not None else inf
+        if not finishing:
+            self._advance(self.env._now, timer_at)
+        if finishing:
+            at = finishing[0].at
+        elif self._requests:
+            at = self._requests[0].at
+        else:
+            return
+        if at < timer_at:
+            timer_at = at
+            timer = self.env.timeout_until(timer_at)
+            timer.callbacks.append(self._timer_cb)
+            self._timer = timer
+            self._timer_at = timer_at
 
-    def transfer_time_estimate(self, nbytes: int) -> float:
-        """Uncontended time to move ``nbytes`` (latency + serialization)."""
-        return self.latency + nbytes / self.bandwidth
+    def _on_timer(self, timer: Event) -> None:
+        """Wake every transfer finishing now, then re-arm."""
+        if timer is not self._timer:
+            return  # superseded by an earlier timer
+        self._timer = None
+        now = self.env._now
+        undo = self._undo
+        while undo and undo[0][0] <= now:
+            undo.popleft()
+        if self._requests:
+            self._advance(now, now)
+        finishing = self._finishing
+        while finishing and finishing[0].at <= now:
+            xfer = finishing.popleft()
+            self.coalesced_ops += 1
+            xfer._value = None
+            callbacks = xfer.callbacks
+            xfer.callbacks = None
+            for callback in callbacks:
+                callback(xfer)
+        if self._requests or finishing:
+            self._arm()
 
-    def n_chunks(self, nbytes: int) -> int:
-        """Number of chunks a transfer of ``nbytes`` is split into."""
-        return max(1, ceil(nbytes / self.chunk_bytes)) if nbytes else 0
+    def _abort(self, xfer: _Transfer) -> None:
+        """The owner died mid-transfer: give back its unreserved chunks.
+
+        The chunk in flight stays reserved, as it would in the chunk loop.
+        """
+        self._sync()
+        if xfer.left:
+            self._requests.remove(xfer)
+        else:
+            self._finishing.remove(xfer)
+        self._arm()

@@ -31,9 +31,9 @@ Design rules (shared with spans and station stats):
 * **Pure observation** — the tracer never schedules events or perturbs
   wake-up order; a traced run is bit-identical to an untraced one.  (The
   only interaction is that :class:`~repro.sim.queues.BandwidthPipe`
-  disables its coalescing fast path while a tracer is installed so that
-  per-chunk reservations are observed individually — the pipe's chunked
-  path is exactly equivalent by construction, see DESIGN.md §9.)
+  moves every chunk as its own event while a tracer is installed so that
+  per-chunk reservations are observed individually — its analytic
+  scheduler gives the same result, see DESIGN.md §9.)
 * **Bounded memory** — the flat record list stops growing at
   ``max_records`` (the drop count is reported), per-resource aggregate
   scalars are O(#resources), and the per-resource cumulative-wait

@@ -7,9 +7,13 @@ collector attached is an ``is not None`` test (no Span objects are ever
 created).
 """
 
+import pytest
+
 import repro.sim.spans as spans_mod
 from repro.bench.runner import run_fig5_cell, run_fig5_doctored
 from repro.sim import SpanCollector
+
+MIB = 1 << 20
 
 
 def _cell():
@@ -45,6 +49,20 @@ class TestTracedRunsAreBitIdentical:
         assert run.collector.traces_started == 1
         assert run.collector.requests_seen > 10
         assert _outcome(run.result) == _outcome(base)
+
+
+@pytest.mark.parametrize("provider", ["rdma", "tcp"])
+@pytest.mark.parametrize("rw", ["read", "write"])
+@pytest.mark.parametrize("ssds", [1, 4])
+def test_observed_1mib_cell_matches_plain(provider, rw, ssds):
+    """The observed run moves every pipe chunk as its own event; the plain
+    run schedules multi-chunk transfers analytically.  Same outcome."""
+    base = run_fig5_cell(provider, "dpu", rw, MIB, 8, n_ssds=ssds,
+                         runtime=0.01)
+    run = run_fig5_doctored(provider, "dpu", rw, MIB, 8, n_ssds=ssds,
+                            runtime=0.01, observe_sampler=False)
+    assert base.total_ios > 0
+    assert _outcome(run.result) == _outcome(base)
 
 
 class TestZeroCostWhenOff:

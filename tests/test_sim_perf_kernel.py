@@ -2,11 +2,12 @@
 
 Pins the perf-critical invariants added by the kernel optimisation pass:
 
-* :class:`BandwidthPipe` coalescing is *bit-identical* to the classic
-  chunk-per-event reference — uncontended and under randomized
-  contention (revocation restores exact chunk semantics) — while
-  spending a small, size-independent number of kernel events on
-  uncontended transfers.
+* :class:`BandwidthPipe`'s analytic scheduler is *bit-identical* to the
+  classic chunk-per-event reference (``coalesce=False``) — uncontended,
+  under randomized contention (arrivals roll back the slots reserved
+  ahead of them), for reads mid-run and for owners cut mid-transfer —
+  while spending a small, size-independent number of kernel events on
+  each transfer.
 * ``Environment.events_processed`` / ``timeouts_recycled`` count what
   they claim; ``timeout_until`` fires at the exact float requested even
   when the Timeout object is recycled.
@@ -127,6 +128,219 @@ def test_chunk_burst_fairness_bound_when_overlapping():
     small_done = a["done"][1]
     worst = arrival + latency + chunk_time + small / bandwidth
     assert small_done <= worst + 1e-12, (small_done, worst)
+
+
+# ---------------------------------------------------------------------------
+# BandwidthPipe scheduler properties (each against the chunk-per-event
+# reference, coalesce=False)
+# ---------------------------------------------------------------------------
+
+CHUNK = 64 * 1024
+
+
+def _mixed_size(rng):
+    """Sub-chunk, exact chunk multiples, off-by-one and multi-MiB sizes."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return rng.randrange(1, CHUNK + 1)
+    if kind == 1:
+        return CHUNK * rng.randrange(1, 40)
+    if kind == 2:
+        return CHUNK * rng.randrange(1, 20) + rng.choice((-1, 1))
+    return rng.randrange(1 << 20, 6 << 20)
+
+
+def _run_and_read(jobs, coalesce, samples=(), cuts=None, latency=2e-6):
+    """Run ``[(start, nbytes), ...]``; read the pipe at each of ``samples``.
+
+    ``cuts`` maps a job index to ``(instant, how)``: ``"interrupt"``
+    interrupts the owner, ``"close"`` makes it close the transfer
+    generator it drives by hand.  Returns every observable outcome.
+    """
+    from repro.sim.core import Interrupt
+
+    cuts = cuts or {}
+    env = Environment()
+    pipe = BandwidthPipe(env, bandwidth=10e9, latency=latency,
+                         chunk_bytes=CHUNK, coalesce=coalesce)
+    done, cut_at, reads = {}, {}, []
+
+    def mover(env, i, start, nbytes):
+        yield env.timeout(start)
+        try:
+            yield from pipe.transfer(nbytes)
+            done[i] = env.now
+        except Interrupt:
+            cut_at[i] = env.now
+
+    def closer(env, i, start, nbytes, deadline):
+        # Drives the transfer by hand and abandons it at ``deadline``.
+        yield env.timeout(start)
+        gen = pipe.transfer(nbytes)
+        alarm = env.timeout(deadline - start)
+        try:
+            step = next(gen)
+            while True:
+                yield env.any_of([step, alarm])
+                if step.processed:
+                    step = gen.send(None)
+                else:
+                    gen.close()
+                    cut_at[i] = env.now
+                    return
+        except StopIteration:
+            done[i] = env.now
+
+    def interrupter(env, proc, at):
+        yield env.timeout(at)
+        if proc.is_alive:
+            proc.interrupt("cut")
+
+    def reader(env):
+        for t in samples:
+            yield env.timeout(t - env.now)
+            reads.append((env.now, pipe.busy_time, pipe.ops,
+                          pipe.utilization()))
+
+    for i, (start, nbytes) in enumerate(jobs):
+        at, how = cuts.get(i, (None, None))
+        if how == "close":
+            env.process(closer(env, i, start, nbytes, at))
+            continue
+        proc = env.process(mover(env, i, start, nbytes))
+        if how == "interrupt":
+            env.process(interrupter(env, proc, at))
+    if samples:
+        env.process(reader(env))
+    env.run()
+    outcome = {"done": done, "cut_at": cut_at, "reads": reads,
+               "bytes_moved": pipe.bytes_moved, "busy_time": pipe.busy_time,
+               "ops": pipe.ops, "utilization": pipe.utilization(env.now)}
+    return outcome, pipe
+
+
+def test_scheduler_matches_reference_on_random_contended_schedules():
+    rollbacks = 0
+    for seed in range(40):
+        rng = random.Random(seed)
+        n = rng.randrange(2, 24)
+        spread = rng.choice((1e-5, 2e-4, 2e-3))
+        jobs = [(rng.uniform(0.0, spread), _mixed_size(rng))
+                for _ in range(n)]
+        got, pipe = _run_and_read(jobs, coalesce=True)
+        want, _ = _run_and_read(jobs, coalesce=False)
+        assert got == want, f"seed {seed}"
+        rollbacks += pipe.revoked_ops
+    assert rollbacks > 0
+
+
+def test_scheduler_reads_match_reference_mid_run():
+    # busy_time, ops and utilization() read what the chunk loop holds at
+    # that instant, never the slots the scheduler reserved ahead of it.
+    for seed in range(20):
+        rng = random.Random(100 + seed)
+        jobs = [(rng.uniform(0.0, 5e-4), _mixed_size(rng))
+                for _ in range(rng.randrange(1, 16))]
+        samples = sorted(rng.uniform(0.0, 3e-3) for _ in range(30))
+        got, pipe = _run_and_read(jobs, coalesce=True, samples=samples)
+        want, _ = _run_and_read(jobs, coalesce=False, samples=samples)
+        assert got["reads"] == want["reads"], f"seed {seed}"
+        assert got == want, f"seed {seed}"
+        assert pipe.coalesced_ops > 0
+
+
+def test_scheduler_owners_cut_mid_transfer_match_reference():
+    # An interrupted or closed owner keeps the chunk in flight and gives
+    # back the rest, as the chunk loop simply stops asking.
+    cut_any = 0
+    for seed in range(30):
+        rng = random.Random(200 + seed)
+        jobs = [(rng.uniform(0.0, 2e-4), _mixed_size(rng))
+                for _ in range(rng.randrange(2, 14))]
+        cuts = {i: (start + rng.uniform(0.0, 1e-3),
+                    rng.choice(("interrupt", "close")))
+                for i, (start, _n) in enumerate(jobs) if rng.random() < 0.4}
+        samples = sorted(rng.uniform(0.0, 3e-3) for _ in range(10))
+        got, _ = _run_and_read(jobs, True, samples=samples, cuts=cuts)
+        want, _ = _run_and_read(jobs, False, samples=samples, cuts=cuts)
+        assert got == want, f"seed {seed}"
+        cut_any += len(got["cut_at"])
+    assert cut_any > 0
+
+
+def test_scheduler_pending_request_goes_first_at_a_chunk_boundary():
+    # A's second chunk is requested at the very instant B arrives.  The
+    # request made by A's finishing chunk goes first, as it does in the
+    # reference when A's chunk event was scheduled before B's arrival.
+    chunk_time = 2.0 ** -10
+    for b_bytes in (512, 3 * 1024):
+        runs = {}
+        for coalesce in (True, False):
+            env = Environment()
+            pipe = BandwidthPipe(env, bandwidth=2.0 ** 20, chunk_bytes=1024,
+                                 coalesce=coalesce)
+            done = {}
+
+            def mover(env, tag, start, nbytes):
+                if start:
+                    yield env.timeout(start)
+                yield from pipe.transfer(nbytes)
+                done[tag] = env.now
+
+            env.process(mover(env, "a", 0.0, 3 * 1024))
+            env.process(mover(env, "b", chunk_time, b_bytes))
+            env.run()
+            runs[coalesce] = (done, pipe.busy_time, pipe.ops)
+        assert runs[True] == runs[False]
+        done = runs[True][0]
+        # In chunk times: A holds [0, 1) and [1, 2), B's first slot
+        # starts at 2 and A's last one follows it.
+        if b_bytes == 512:
+            assert done == {"a": 3.5 * chunk_time, "b": 2.5 * chunk_time}
+        else:
+            assert done == {"a": 4 * chunk_time, "b": 6 * chunk_time}
+
+
+def test_scheduler_compares_chunk_boundaries_exactly():
+    # B arrives exactly when A's ninth chunk is requested: eight chunk
+    # times after A started, summed one by one, as the chunk loop sums
+    # them.  Dividing the elapsed time by the chunk time gives
+    # 7.999999999998484 here, so a scheduler that counted chunks by
+    # division would hand A's ninth chunk to B.  (Numbers from a Fig. 5
+    # prefill on the 100 Gbps link.)
+    bandwidth, chunk = 12.5e9, 64 * 1024
+    chunk_time = chunk / bandwidth
+    start = 0.061301140258052146
+    boundary = start
+    for _ in range(8):
+        boundary += chunk_time
+    assert (boundary - start) / chunk_time < 8
+    runs = {}
+    for coalesce in (True, False):
+        env = Environment()
+        pipe = BandwidthPipe(env, bandwidth=bandwidth, chunk_bytes=chunk,
+                             coalesce=coalesce)
+        done = {}
+
+        def a(env):
+            yield env.timeout_until(start)
+            yield from pipe.transfer(10 * chunk)
+            done["a"] = env.now
+
+        def b(env):
+            # Scheduled after A's eighth chunk, so the chunk loop also
+            # serves A's request first.
+            yield env.timeout_until(start + 7.5 * chunk_time)
+            yield env.timeout_until(boundary)
+            yield from pipe.transfer(305)
+            done["b"] = env.now
+
+        env.process(a(env))
+        env.process(b(env))
+        env.run()
+        runs[coalesce] = (done, pipe.busy_time, pipe.ops)
+    assert runs[True] == runs[False]
+    assert runs[True][0]["b"] > boundary + chunk_time
 
 
 # ---------------------------------------------------------------------------

@@ -84,14 +84,6 @@ def test_fifo_server_utilization():
     assert srv.ops == 1
 
 
-def test_fifo_server_backlog():
-    env = Environment()
-    srv = FifoServer(env)
-    srv.serve(3.0)
-    srv.serve(2.0)
-    assert srv.backlog == pytest.approx(5.0)
-
-
 # ---------------------------------------------------------------------------
 # PooledServer
 # ---------------------------------------------------------------------------
@@ -156,7 +148,7 @@ def test_execute_then_rejects_a_negative_delay_before_reserving():
     pool = PooledServer(env, 1)
     with pytest.raises(ValueError):
         pool.execute_then(1.0, 0.5, -1e-9)
-    assert (pool.ops, pool.busy_time, pool.backlog()) == (0, 0.0, 0.0)
+    assert (pool.ops, pool.busy_time, pool._free) == (0, 0.0, [0.0])
 
 
 def test_execute_then_reports_only_wait_and_service():
@@ -341,11 +333,3 @@ def test_pipe_throughput_capped_at_bandwidth():
     # bytes_moved counts at transfer start; reserved chunk time may lag by at
     # most the 8 in-flight transfers.
     assert abs(pipe.bytes_moved - pipe.busy_time * bw) <= 8 * 10_000
-
-
-def test_pipe_estimate_and_chunks():
-    env = Environment()
-    pipe = BandwidthPipe(env, bandwidth=2e6, latency=0.001, chunk_bytes=1000)
-    assert pipe.transfer_time_estimate(2000) == pytest.approx(0.001 + 0.001)
-    assert pipe.n_chunks(2500) == 3
-    assert pipe.n_chunks(0) == 0
