@@ -125,7 +125,7 @@ class DaosClient:
             return result
         policy = fx.plan.policy
         self._io_seq += 1
-        key = f"{fx.plan.seed_key}:{self.node.name}:io{self._io_seq}"
+        seq = self._io_seq
         started = env.now
         attempt = 0
         while True:
@@ -153,7 +153,10 @@ class DaosClient:
                 if budget is not None and budget <= 0.0:
                     raise
                 fx.stats.retries += 1
-                delay = backoff_delay(policy, attempt, key)
+                # The jitter key names the op; only a backoff needs it.
+                delay = backoff_delay(
+                    policy, attempt,
+                    f"{fx.plan.seed_key}:{self.node.name}:io{seq}")
                 if budget is not None and delay > budget:
                     delay = budget
                 wt = env._wait_tracer

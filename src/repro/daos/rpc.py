@@ -6,7 +6,8 @@ request.  This module reproduces that shape:
 
 * :class:`RpcServer` — registers generator handlers per opcode, services
   one or more channels, replies with results or propagated errors.
-* :class:`RpcClient` — tagged calls whose replies wake them by tag.
+* :class:`RpcClient` — tagged calls whose replies wake them by tag, and
+  whose deadlines share one timer per client.
 
 Handlers receive ``(args, src, channel)`` so they can drive one-sided bulk
 transfers against descriptors the client put in ``args`` — exactly how a
@@ -16,6 +17,8 @@ DAOS engine pulls write payloads and pushes read payloads.
 from __future__ import annotations
 
 import itertools
+from heapq import heappop, heappush
+from math import inf
 from typing import Any, Callable, Dict, Generator, Optional
 
 from repro.daos.types import DaosError
@@ -24,7 +27,7 @@ from repro.hw.platform import ComputeNode
 from repro.net.fabric import FabricChannel
 from repro.net.message import Message, reply_listener, request_listener
 from repro.net.rdma import RdmaError
-from repro.sim.core import Environment, Event
+from repro.sim.core import PENDING, Environment, Event, Timeout
 
 __all__ = ["RpcError", "RpcTimeout", "RpcServer", "RpcClient", "RPC_REQUEST_BYTES"]
 
@@ -192,7 +195,16 @@ class RpcServer:
 
 
 class RpcClient:
-    """Tagged RPC calls over one channel; replies wake calls by tag."""
+    """Tagged RPC calls over one channel; replies wake calls by tag.
+
+    Deadlines cost no kernel event per call.  A call with a deadline
+    pushes ``(expiry, tag, done)`` onto the client's deadline heap and
+    waits on ``done`` alone; one timer, armed at the earliest expiry
+    whose call is still unanswered, expires every call due when it
+    fires.  Answered entries are skipped lazily as they reach the top.
+    A reply that reaches the client at exactly its call's expiry loses,
+    as it did when each call raced its own Timeout through an AnyOf.
+    """
 
     _tags = itertools.count(1)
 
@@ -203,6 +215,12 @@ class RpcClient:
         self.server_name = channel.peer_of(node.name)
         self._pending: Dict[int, Event] = {}
         self._started = False
+        #: ``(expiry, tag, done)`` per call with a deadline, plus answered
+        #: entries not yet skipped.
+        self._deadlines: list = []
+        self._timer: Optional[Timeout] = None
+        self._timer_at = inf
+        self._expire_cb = self._expire
 
     def start(self) -> "RpcClient":
         """Listen for replies on the channel; call once before any call."""
@@ -226,7 +244,8 @@ class RpcClient:
         — so the server and both transport legs can attach child spans.
         ``deadline`` bounds the wait for the reply; on expiry the call
         raises :class:`RpcTimeout` and a late reply is dropped (its tag
-        is no longer pending).
+        is no longer pending).  A reply arriving at the expiry instant
+        itself is late.
         """
         if not self._started:
             raise RuntimeError("RpcClient not started; call start() first")
@@ -254,19 +273,25 @@ class RpcClient:
         if deadline is None:
             reply = yield done
         else:
-            fired = yield self.env.any_of((done, self.env.timeout(deadline)))
-            if done not in fired:
-                self._pending.pop(tag, None)
+            env = self.env
+            # The instant ``env.timeout(deadline)`` would fire at.
+            expiry = env._now + deadline
+            heappush(self._deadlines, (expiry, tag, done))
+            if expiry < self._timer_at:
+                self._arm(expiry)
+            reply = yield done
+            # ``None`` is the timer's verdict; a reply resumes the call at
+            # the instant it arrived, and one due at the expiry is late.
+            if reply is None or env._now >= expiry:
                 if span is not None:
                     span.finish()
-                fx = self.env._faults
+                fx = env._faults
                 if fx is not None:
                     fx.stats.timeouts += 1
                 raise RpcTimeout(
                     f"no reply within {deadline:g}s",
-                    op=opcode, target=self.server_name, sim_time=self.env.now,
+                    op=opcode, target=self.server_name, sim_time=env._now,
                 )
-            reply = fired[done]
         if span is not None:
             span.finish()
         body = reply.payload
@@ -276,6 +301,32 @@ class RpcClient:
                 op=opcode, target=self.server_name, sim_time=self.env.now,
             )
         return body.get("result")
+
+    def _arm(self, when: float) -> None:
+        """Move the deadline timer to ``when``; a superseded one is ignored."""
+        self._timer = self.env.call_at(when, self._expire_cb)
+        self._timer_at = when
+
+    def _expire(self, timer: Event) -> None:
+        """Expire every unanswered call due now, then re-arm."""
+        if timer is not self._timer:
+            return  # superseded by an earlier deadline
+        self._timer = None
+        self._timer_at = inf
+        now = self.env._now
+        heap = self._deadlines
+        pending = self._pending
+        while heap and heap[0][0] <= now:
+            _expiry, tag, done = heappop(heap)
+            # A reply already delivered at this instant stays queued; the
+            # call sees it arrived at its expiry and times out itself.
+            if done._value is PENDING:
+                pending.pop(tag, None)
+                done.succeed(None)
+        while heap and heap[0][2]._value is not PENDING:
+            heappop(heap)
+        if heap:
+            self._arm(heap[0][0])
 
     def shutdown_server(self) -> Generator[Event, None, None]:
         """Stop the server from handling requests on this channel."""

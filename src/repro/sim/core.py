@@ -615,6 +615,40 @@ class Environment:
                   self._eid if ts is None else ts(self._eid), t))
         return t
 
+    def call_at(self, when: float, callback: Callable[[Event], None]) -> Timeout:
+        """Run ``callback(event)`` at *absolute* simulated time ``when``.
+
+        The one way to arm a model-internal timer that no process sleeps
+        on (a pipe's next transfer finish, an RPC client's next deadline).
+        It is scheduled exactly like ``timeout_until(when)`` but is never
+        reported to the wait tracer: booking it as a ``(sleep)`` would
+        charge the span of whichever process happened to arm it.  The
+        owner tells a superseded timer from its live one by identity.
+        """
+        now = self._now
+        if when < now:
+            raise ValueError(f"call_at({when}) lies in the past (now={now})")
+        # The body of ``timeout_until`` minus the tracer hook, inlined
+        # like the kernel's other push sites.
+        tfree = self._tfree
+        if tfree:
+            t = tfree.pop()
+            self._timeouts_recycled += 1
+        else:
+            t = Timeout.__new__(Timeout)
+            t.env = self
+            t._defused = False
+            t._ok = True
+        t.callbacks = [callback]
+        t._value = None
+        t.delay = when - now
+        self._eid += 1
+        ts = self._tie_scramble
+        heappush(self._queue,
+                 (when, NORMAL,
+                  self._eid if ts is None else ts(self._eid), t))
+        return t
+
     def process(self, generator: Generator[Event, Any, Any],
                 name: Optional[str] = None, priority: int = URGENT) -> Process:
         """Start ``generator`` as a new process: before the other events due

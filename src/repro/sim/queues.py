@@ -25,9 +25,9 @@ servers that need only **one** event per operation:
   as far as the next transfer finish (within a bounded look-ahead), and
   those early slots are logged so that an arrival (a request the log did
   not foresee) rolls them back.
-  One timer per pipe wakes each finishing transfer.  A pending request
-  due at the arrival's instant goes first.  See DESIGN.md §9 for the
-  exactness argument.
+  One timer per pipe (``Environment.call_at``) wakes each finishing
+  transfer.  A pending request due at the arrival's instant goes first.
+  See DESIGN.md §9 for the exactness argument.
 
 All of them track cumulative busy time so utilization can be reported.
 """
@@ -538,11 +538,8 @@ class BandwidthPipe:
         else:
             return
         if at < timer_at:
-            timer_at = at
-            timer = self.env.timeout_until(timer_at)
-            timer.callbacks.append(self._timer_cb)
-            self._timer = timer
-            self._timer_at = timer_at
+            self._timer = self.env.call_at(at, self._timer_cb)
+            self._timer_at = at
 
     def _on_timer(self, timer: Event) -> None:
         """Wake every transfer finishing now, then re-arm."""

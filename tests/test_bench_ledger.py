@@ -206,12 +206,16 @@ class TestCommittedCampaign:
 
 #: Two tiny cells, each with the run ID its record had before records
 #: carried ``cost``.  The ID hashes everything but ``cost``, so an equal
-#: ID means ``metrics`` and every other section are unchanged.
+#: ID means ``metrics`` and every other section are unchanged.  The chaos
+#: cell's ID moved once since: its RPC deadlines used to be Timeouts the
+#: wait tracer booked as ``(sleep)`` on the sampled spans, so the hashed
+#: ``blame``/``wait_aggregates`` held seconds nobody slept.  The deadline
+#: timer is now not a sleep; ``metrics`` did not move.
 COST_CELLS = {
     "fig5-tcp-dpu-randread-4096-j2-23204826de": {
         "transport": "tcp", "numjobs": 2, "runtime": 0.004,
         "sample_every": 4},
-    "chaos-rdma-dpu-randread-4096-j4-7e234ec67d": {
+    "chaos-rdma-dpu-randread-4096-j4-dea393186e": {
         "transport": "rdma", "numjobs": 4, "runtime": 0.01,
         "faults": {"events": [{"kind": "qp_break", "target": "dpu.qp",
                                "at": 0.005, "duration": 0.001}]}},

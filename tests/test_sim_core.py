@@ -70,6 +70,23 @@ def test_same_time_events_fifo():
     assert order == list("abcd")
 
 
+def test_call_at_runs_at_the_exact_instant_in_fifo_order():
+    env = Environment()
+    order = []
+    when = 0.1 + 1e-7 + 3e-13  # not representable as now+delay rounding
+
+    def sleeper(env):
+        yield env.timeout_until(when)
+        order.append(("sleep", env.now))
+
+    env.call_at(when, lambda event: order.append(("timer", env.now)))
+    env.process(sleeper(env))
+    env.run()
+    assert order == [("timer", when), ("sleep", when)]
+    with pytest.raises(ValueError, match="in the past"):
+        env.call_at(0.1, lambda event: None)
+
+
 @pytest.mark.parametrize("priority, expected", [(0, "sab"), (1, "abs")])
 def test_process_start_priority(priority, expected):
     """URGENT (0, default) starts ahead of events already due; NORMAL after."""

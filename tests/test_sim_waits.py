@@ -169,6 +169,27 @@ class TestSleep:
         assert total == pytest.approx(col.spans[0].duration)
 
 
+    def test_model_timer_is_not_a_sleep(self):
+        """``call_at`` arms a timer nobody sleeps on: never a sleep, even
+        when the process arming it has an open span."""
+        env = Environment()
+        col = SpanCollector(env)
+        tracer = WaitTracer(env).install()
+        fired = []
+
+        def op(env):
+            tr = col.trace("op")
+            env.call_at(env.now + 5e-3, fired.append)
+            yield env.timeout(1e-3)
+            tr.finish()
+
+        env.process(op(env))
+        env.run()
+        assert [r.latency for r in tracer.records] == [pytest.approx(1e-3)]
+        assert tracer.aggregates[SLEEP_RESOURCE].count == 1
+        assert len(fired) == 1 and env.now == pytest.approx(5e-3)
+
+
 # ---------------------------------------------------------------------------
 # Block events (Resource / Store)
 # ---------------------------------------------------------------------------
@@ -465,3 +486,45 @@ class TestSpanAttribution:
         env.run()
         owners = {r.span.stage for r in tracer.records}
         assert owners == {"op0", "op1"}
+
+
+# ---------------------------------------------------------------------------
+# Sleep records on whole cells
+# ---------------------------------------------------------------------------
+
+def sleeps_longer_than_their_span(tracer):
+    """SLEEP records on finished spans that outlast the span itself.
+
+    A process sleeps inside the span it booked the sleep on, so a longer
+    one is a timer the process never waited for.  A span still open when
+    the run ends has no duration yet and is exempt.
+    """
+    return [r for r in tracer.records
+            if r.kind == SLEEP and r.span.t_end is not None
+            and r.latency > r.span.duration]
+
+
+class TestCellSleeps:
+    def test_chaos_cell_books_no_deadline_as_a_sleep(self):
+        from repro.bench.chaos import default_qp_break_plan
+        from repro.bench.runner import run_fig5_chaos
+        from repro.sim.doctor import blame_ranking
+
+        run = run_fig5_chaos("rdma", "dpu", "randread", 4096, 4,
+                             default_qp_break_plan("dpu", 0.01),
+                             runtime=0.01)
+        assert run.stats.timeouts > 0  # deadlines did fire
+        tracer = run.run.tracer
+        assert any(r.kind == SLEEP for r in tracer.records)
+        assert sleeps_longer_than_their_span(tracer) == []
+        total = sum(s.duration for s in run.run.collector.roots())
+        assert blame_ranking(tracer, total)[0]["resource"] != SLEEP_RESOURCE
+
+    def test_fig5_tcp_cell_sleeps_fit_their_spans(self):
+        from repro.bench.runner import run_fig5_doctored
+
+        run = run_fig5_doctored("tcp", "dpu", "randread", 4096, 4,
+                                runtime=0.01, observe_sampler=False)
+        sleeps = [r for r in run.tracer.records if r.kind == SLEEP]
+        assert sleeps
+        assert sleeps_longer_than_their_span(run.tracer) == []
