@@ -37,14 +37,9 @@ class NvmeDevice:
         self.reads = RateMeter(env, f"nvme{index}.reads")
         self.writes = RateMeter(env, f"nvme{index}.writes")
 
-    def submit(
-        self,
-        nbytes: int,
-        is_write: bool,
-        bw_efficiency: float = 1.0,
-        trace=None,
-    ) -> Generator[Event, None, None]:
-        """Perform one device I/O; completes after queue + service + latency.
+    def service_time(self, nbytes: int, is_write: bool,
+                     bw_efficiency: float = 1.0) -> float:
+        """Seconds of device occupancy for one I/O of ``nbytes``.
 
         ``bw_efficiency`` < 1 models a software path (e.g. the kernel block
         layer) that cannot stream the device at its raw rate; it inflates
@@ -56,9 +51,23 @@ class NvmeDevice:
             raise ValueError(f"bw_efficiency must be in (0, 1], got {bw_efficiency}")
         spec = self.spec
         if is_write:
-            service = max(nbytes / (spec.write_bw * bw_efficiency), 1.0 / spec.write_iops_cap)
-        else:
-            service = max(nbytes / (spec.read_bw * bw_efficiency), 1.0 / spec.read_iops_cap)
+            return max(nbytes / (spec.write_bw * bw_efficiency), 1.0 / spec.write_iops_cap)
+        return max(nbytes / (spec.read_bw * bw_efficiency), 1.0 / spec.read_iops_cap)
+
+    def submit(
+        self,
+        nbytes: int,
+        is_write: bool,
+        bw_efficiency: float = 1.0,
+        trace=None,
+    ) -> Generator[Event, None, None]:
+        """Perform one device I/O; completes after queue + service + latency.
+
+        The service time is :meth:`service_time`, stretched while an
+        ``nvme_latency_spike`` fault is active.
+        """
+        service = self.service_time(nbytes, is_write, bw_efficiency)
+        spec = self.spec
         fx = self.env._faults
         if fx is not None:
             name = self._server.name
@@ -161,18 +170,60 @@ class NvmeArray:
         bw_efficiency: float = 1.0,
         trace=None,
     ) -> Generator[Event, None, None]:
-        """One logical I/O; pieces on different devices proceed in parallel."""
+        """One logical I/O; pieces on different devices proceed in parallel.
+
+        A split I/O with no ``trace`` and no fault plan is joined inline:
+        the caller reserves every piece itself, in piece order, with the
+        float operations of :meth:`FifoServer.serve_then
+        <repro.sim.queues.FifoServer.serve_then>`, and sleeps once, until
+        the last piece's wake instant.  That is one kernel event where a
+        process per piece and their join cost ``3n + 1`` (DESIGN.md §9).
+        A traced or faulted I/O keeps a process per piece.
+        """
         pieces = self.split(offset, nbytes)
         if len(pieces) == 1:
             dev, size = pieces[0]
             yield from dev.submit(size, is_write, bw_efficiency, trace=trace)
             return
         env = self.env
-        procs = [
-            env.process(dev.submit(size, is_write, bw_efficiency, trace=trace))
-            for dev, size in pieces
-        ]
-        yield env.all_of(procs)
+        if trace is not None or env._faults is not None or not pieces:
+            procs = [
+                env.process(dev.submit(size, is_write, bw_efficiency, trace=trace))
+                for dev, size in pieces
+            ]
+            yield env.all_of(procs)
+            return
+        now = env._now
+        booked = []
+        wake = now
+        last = 0
+        for i, (dev, size) in enumerate(pieces):
+            service = dev.service_time(size, is_write, bw_efficiency)
+            latency = dev.spec.access_latency(is_write)
+            srv = dev._server
+            free = srv._free_at
+            start = free if free > now else now
+            done = start + service
+            srv._free_at = done
+            srv.busy_time += service
+            srv.ops += 1
+            if srv._stats is not None:
+                srv._stats.record(now, done)
+            at = (now + (done - now)) + latency
+            if at > wake:
+                wake, last = at, i
+            booked.append((srv.name, start - now, service, latency))
+        wt = env._wait_tracer
+        if wt is not None:
+            # Every piece reaches the aggregates; the caller's open span
+            # gets the record of the piece it waited for, the last to
+            # finish (the first of them on a tie), so the span's records
+            # still sum to its duration.
+            for i, (name, wait, service, latency) in enumerate(booked):
+                wt.reserve(name, wait, service, latency, record=i == last)
+        yield env.timeout_until(wake)
+        for dev, size in pieces:
+            (dev.writes if is_write else dev.reads).record(size)
 
     def total_bytes_read(self) -> int:
         """Aggregate bytes read across devices."""

@@ -333,10 +333,9 @@ class QueuePair:
         Post CPU, wire, in-flight error check, receiver poll CPU.  With
         ``match_recv`` the message first takes the receiver's oldest posted
         RECV (waiting, like RNR retries) and returns its ``(wr_id, mr)``.
-        An untraced eager message between switched nodes reserves the post
-        CPU and sleeps stack latency plus propagation as one event, at the
-        bit-identical instant; traced ones keep their ``rdma.post`` span
-        and ``(sleep)`` record, and so their two events.
+        An untraced eager message between switched nodes takes
+        :meth:`_post`'s one-event post inline: it is the hottest post of
+        every small-I/O cell, and a delegated generator costs host time.
         """
         remote = self._require_remote()
         dev, rdev = self.device, remote.device
@@ -410,9 +409,28 @@ class QueuePair:
         remote = self._require_remote()
         mr = self._validate(remote, remote_addr, nbytes, AccessFlags.REMOTE_READ, rkey)
         # Request travels out (small), data travels back (nbytes).
-        yield from self._post(remote, 0, trace, "rdma.dma")
-        yield from remote.device.qp_wire(self.device, nbytes, rendezvous_exempt=True,
-                                         trace=trace, stage="rdma.dma")
+        dev, rdev = self.device, remote.device
+        node, rnode = dev.node, rdev.node
+        if trace is None and node is not rnode:
+            # Three events take the request to the target: its post (CPU,
+            # stack latency, propagation), its TX crossing, and its RX
+            # crossing merged with the stack latency and propagation the
+            # target sleeps before sending the data back.
+            costs = dev.costs
+            switch = node.switch
+            request = dev.wire_bytes(0)
+            yield node.cpu.execute_then(costs.tx_cpu_per_op,
+                                        costs.rtt_overhead / 2.0,
+                                        switch.spec.propagation)
+            yield from switch.port(node.name).tx.transfer(request)
+            rswitch = rnode.switch
+            yield switch.port(rnode.name).rx.transfer_and_sleep(
+                request, rdev.costs.rtt_overhead / 2.0, rswitch.spec.propagation)
+            yield from rswitch.cross(rnode.name, node.name, rdev.wire_bytes(nbytes))
+        else:
+            yield from self._post(remote, 0, trace, "rdma.dma")
+            yield from rdev.qp_wire(dev, nbytes, rendezvous_exempt=True,
+                                    trace=trace, stage="rdma.dma")
 
         data = mr.read_bytes(remote_addr, nbytes)
         comp = Completion(wr_id, "read", "ok", nbytes, data)
@@ -456,8 +474,29 @@ class QueuePair:
     def _post(
         self, remote: "QueuePair", size: int, trace: Any, stage: str,
     ) -> Generator[Event, None, None]:
-        """Post CPU on the initiator, then the wire to ``remote``."""
+        """Post CPU on the initiator, then the wire to ``remote``.
+
+        An untraced post between switched nodes reserves the CPU and sleeps
+        the stack latency, the rendezvous round-trip (above the threshold)
+        and the propagation as one event, at the bit-identical instant the
+        chained sleeps of :meth:`RdmaDevice.qp_wire` reach.  Traced posts
+        keep their ``rdma.post`` span and ``(sleep)`` records, and so their
+        separate events.
+        """
         dev = self.device
+        node, rnode = dev.node, remote.device.node
+        if trace is None and node is not rnode:
+            costs = dev.costs
+            switch = node.switch
+            propagation = switch.spec.propagation
+            delays = (costs.rtt_overhead / 2.0, propagation)
+            threshold = costs.rendezvous_threshold
+            if threshold is not None and size > threshold:
+                rtt = 2 * (propagation + costs.rtt_overhead / 2.0)
+                delays = (delays[0], rtt, propagation)
+            yield node.cpu.execute_then(costs.tx_cpu_per_op, *delays)
+            yield from switch.cross(node.name, rnode.name, dev.wire_bytes(size))
+            return
         span = trace.child("rdma.post", node=dev.node.name, nbytes=size) if trace is not None else None
         yield dev.node.cpu.execute(dev.costs.tx_cpu_per_op)
         if span is not None:

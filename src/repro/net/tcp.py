@@ -146,22 +146,32 @@ class TcpConnection:
             if span is not None:
                 span.finish()
         # Single-stream per-connection processing (sequential per direction).
-        if costs.per_conn_byte_cost and size:
-            span = trace.child("tcp.stream", node=msg.src, nbytes=size) if trace is not None else None
-            yield stream.serve(costs.per_conn_byte_cost * size)
+        wire = int(msg.frame_bytes / costs.goodput_efficiency)
+        if (costs.per_conn_byte_cost and size and trace is None
+                and msg.src != dst_name):
+            # The stream reservation, the stack latency (rtt/2) and the
+            # propagation as one event, at the chained sleeps' instant.
+            yield stream.serve_and_sleep(costs.per_conn_byte_cost * size,
+                                         costs.rtt_overhead / 2.0,
+                                         switch.spec.propagation)
+            yield from switch.cross(msg.src, dst_name, wire)
+        else:
+            if costs.per_conn_byte_cost and size:
+                span = trace.child("tcp.stream", node=msg.src, nbytes=size) if trace is not None else None
+                yield stream.serve(costs.per_conn_byte_cost * size)
+                if span is not None:
+                    span.finish()
+
+            # --- wire --------------------------------------------------
+            # Fixed stack latency (rtt/2) is merged into the switch
+            # crossing's propagation event — one kernel event,
+            # bit-identical fire time.
+            span = trace.child("net.wire", nbytes=size) if trace is not None else None
+            yield from switch.transmit(
+                msg.src, dst_name, wire, pre_delay=costs.rtt_overhead / 2.0
+            )
             if span is not None:
                 span.finish()
-
-        # --- wire ------------------------------------------------------
-        # Fixed stack latency (rtt/2) is merged into the switch crossing's
-        # propagation event — one kernel event, bit-identical fire time.
-        span = trace.child("net.wire", nbytes=size) if trace is not None else None
-        wire = int(msg.frame_bytes / costs.goodput_efficiency)
-        yield from switch.transmit(
-            msg.src, dst_name, wire, pre_delay=costs.rtt_overhead / 2.0
-        )
-        if span is not None:
-            span.finish()
 
         # --- receiver ---------------------------------------------------
         if costs.rx_cpu_per_byte and size:

@@ -112,16 +112,37 @@ class FifoServer:
         ``yield env.timeout(extra_delay)`` but with a single kernel event.
         The reservation bookkeeping (``_free_at``, ``busy_time``, station
         stats) is identical to :meth:`serve`; only the caller's wake-up is
-        deferred.  Bit-exactness: ``serve`` would fire at
-        ``now + (done - now)`` and the chained timeout at that instant
-        plus ``extra_delay`` — the absolute fire time below repeats those
-        float operations verbatim and is scheduled via ``timeout_until``,
-        which never re-rounds through a relative delay.
+        deferred.  The wait tracer books ``extra_delay`` as the server's
+        own latency (a device's access latency).
+        """
+        if extra_delay < 0:
+            raise ValueError(f"negative extra delay {extra_delay}")
+        return self._serve_until(duration, extra_delay, extra_delay)
+
+    def serve_and_sleep(self, duration: float, *delays: float) -> Timeout:
+        """:meth:`serve`, then sleep each of ``delays``: one kernel event.
+
+        The form of :meth:`PooledServer.execute_then` for one server.  The
+        delays are the caller's own sleeps (a transport's stack latency and
+        propagation), so the wait tracer sees only wait and service, as it
+        does for separate sleeps outside any span.
+        """
+        if min(delays, default=0.0) < 0:
+            raise ValueError(f"negative delay in {delays}")
+        return self._serve_until(duration, 0.0, *delays)
+
+    def _serve_until(self, duration: float, latency: float,
+                     *delays: float) -> Timeout:
+        """Reserve ``duration``; wake ``delays`` after the service ends.
+
+        Bit-exactness: :meth:`serve` would fire at ``now + (done - now)``
+        and each chained timeout ``d`` later; the absolute fire time below
+        repeats those float operations verbatim and is scheduled via
+        ``timeout_until``, which never re-rounds through a relative delay.
+        ``latency`` is what the wait tracer books after the service.
         """
         if duration < 0:
             raise ValueError(f"negative service duration {duration}")
-        if extra_delay < 0:
-            raise ValueError(f"negative extra delay {extra_delay}")
         env = self.env
         now = env._now
         free = self._free_at
@@ -134,8 +155,11 @@ class FifoServer:
             self._stats.record(now, done)
         wt = env._wait_tracer
         if wt is not None:
-            wt.reserve(self.name, start - now, duration, extra_delay)
-        return env.timeout_until((now + (done - now)) + extra_delay)
+            wt.reserve(self.name, start - now, duration, latency)
+        when = now + (done - now)
+        for d in delays:
+            when += d
+        return env.timeout_until(when)
 
     def serve_units(self, units: float) -> Timeout:
         """Serve ``units`` of work at the configured ``rate``."""
@@ -396,6 +420,25 @@ class BandwidthPipe:
                 self._sync()
             yield srv.serve(take / bw)
             remaining -= take
+
+    def transfer_and_sleep(self, nbytes: int, *delays: float) -> Timeout:
+        """A one-chunk transfer, then the caller's ``delays``: one event.
+
+        For a pipe without latency and ``0 < nbytes <= chunk_bytes``.  The
+        chunk takes the one slot :meth:`transfer` would reserve, observed
+        or not, and the wake-up is :meth:`FifoServer.serve_and_sleep`'s
+        chained instant.
+        """
+        if self.latency or not 0 < nbytes <= self.chunk_bytes:
+            raise ValueError(
+                f"not a one-chunk transfer on a zero-latency pipe: {nbytes} bytes")
+        self.bytes_moved += nbytes
+        srv = self._server
+        if self.coalesce and srv._stats is None and self.env._wait_tracer is None:
+            self.coalesced_ops += 1
+        if self._requests or self._finishing:
+            self._sync()
+        return srv.serve_and_sleep(nbytes / self.bandwidth, *delays)
 
     # -- scheduler -----------------------------------------------------------
     def _advance(self, now: float, until: float) -> None:

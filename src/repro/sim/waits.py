@@ -231,11 +231,12 @@ class WaitTracer:
     # -- hooks (called from kernel/primitives; tracer installed) ------------
 
     def reserve(self, name: Optional[str], wait: float, service: float,
-                latency: float = 0.0) -> None:
+                latency: float = 0.0, record: bool = True) -> None:
         """A reservation server computed its analytic wait/service split.
 
         Claims the primitive's immediately-following wake-up timeout so it
-        is not double-counted as a sleep.
+        is not double-counted as a sleep.  ``record=False`` books the
+        aggregates only, never a span record.
         """
         self._claimed = True
         if name is None:
@@ -250,6 +251,8 @@ class WaitTracer:
         now = self.env._now
         if wait > 0.0:
             self._bump_series(name, now, agg.wait + agg.block)
+        if not record:
+            return
         stack = self._stacks.get(self.env._active)
         if stack:
             self._append(WaitRecord(stack[-1], name, RESERVE,

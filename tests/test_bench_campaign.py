@@ -87,13 +87,13 @@ class TestExpandSpec:
         # versa — the CI gates regenerate exactly these.
         campaigns = os.path.join(os.path.dirname(LEDGER_DIR), "campaigns")
         keys = set()
-        for name, n_cells in (("fig5_ci.json", 4), ("chaos_ci.json", 3)):
+        for name, n_cells in (("fig5_ci.json", 5), ("chaos_ci.json", 3)):
             spec = cp.load_spec(os.path.join(campaigns, name))
             cells = {cp.cell_key(c) for c in cp.expand_spec(spec)}
             assert len(cells) == n_cells
             keys |= cells
         committed = lg.list_runs(LEDGER_DIR)
-        assert len(keys) == len(committed) == 7
+        assert len(keys) == len(committed) == 8
         for record in committed:
             assert cp.cell_key(record["config"]) in keys
 

@@ -215,9 +215,10 @@ class TestCampaignSubcommand:
         assert main(["campaign", CI_SPEC, "--dry-run",
                      "--ledger-dir", LEDGER_DIR]) == 0
         out = capsys.readouterr().out
-        assert "4 cells" in out
+        assert "5 cells" in out
         assert "fig5-tcp-dpu-randread-4096-j16" in out
         assert "fig5-rdma-dpu-read-1048576-j8" in out
+        assert "fig5-rdma-dpu-write-1048576-j8" in out
 
     def test_dry_run_writes_json_report(self, no_sim, capsys, tmp_path):
         report = tmp_path / "report.json"
@@ -226,9 +227,9 @@ class TestCampaignSubcommand:
                      "--json-out", str(report)]) == 0
         doc = json.loads(report.read_text())
         assert doc["format"] == "repro-campaign-v1"
-        assert doc["n_cells"] == 4
+        assert doc["n_cells"] == 5
         assert {c["status"] for c in doc["cells"]} <= {"cached", "would-run"}
-        assert "[4/4]" in capsys.readouterr().out
+        assert "[5/5]" in capsys.readouterr().out
 
     def test_missing_spec_exits_2(self, no_sim, capsys):
         assert main(["campaign", "does-not-exist.json"]) == 2

@@ -192,6 +192,17 @@ class TestCommittedCampaign:
         assert {("tcp", 4096), ("rdma", 4096),
                 ("tcp", 1024**2), ("rdma", 1024**2)} <= cells
 
+    def test_the_write_path_is_gated(self):
+        """A striped 1 MiB write is in the campaign, and every Fig. 5
+        record blames the NVMe time its sampled requests spent."""
+        fig5 = [r for r in lg.list_runs(LEDGER_DIR)
+                if r["config"].get("experiment") == "fig5"]
+        assert len(fig5) == 5
+        assert any(r["config"]["rw"] == "write" and r["config"]["ssds"] == 4
+                   for r in fig5)
+        for r in fig5:
+            assert any(k.startswith("nvme.ssd") for k in r["blame"]), r["run_id"]
+
     def test_records_verify_against_their_own_content(self):
         for r in lg.list_runs(LEDGER_DIR):
             assert r["run_id"].endswith(lg.content_hash(r)), r["run_id"]

@@ -1,6 +1,8 @@
 """Unit tests for the NVMe device and array models."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.hw.nvme import NvmeArray, NvmeDevice
 from repro.hw.specs import GIB, KIB, MIB, NVME_SSD
@@ -196,3 +198,134 @@ def test_array_capacity():
     assert arr.capacity_bytes == 4 * NVME_SSD.capacity_bytes
     # The paper's server exposes ~6.4 TB across 4 drives.
     assert arr.capacity_bytes == pytest.approx(6.4e12, rel=0.01)
+
+
+# ---------------------------------------------------------------------------
+# The inline join of a split I/O
+# ---------------------------------------------------------------------------
+
+def reference_submit(arr, offset, nbytes, is_write):
+    """The process-per-piece join that ``NvmeArray.submit`` replaces."""
+    pieces = arr.split(offset, nbytes)
+    if len(pieces) == 1:
+        dev, size = pieces[0]
+        yield from dev.submit(size, is_write)
+        return
+    env = arr.env
+    yield env.all_of([env.process(dev.submit(size, is_write))
+                      for dev, size in pieces])
+
+
+def _run_submitters(ios, n_devices, inline, traced):
+    from repro.sim.waits import WaitTracer
+
+    env = Environment()
+    arr = NvmeArray(env, NVME_SSD, n_devices=n_devices, stripe_bytes=64 * KIB)
+    tracer = WaitTracer(env).install() if traced else None
+    woke = {}
+
+    def submitter(env, i, t0, offset, nbytes, is_write):
+        yield env.timeout(t0)
+        if inline:
+            yield from arr.submit(offset, nbytes, is_write)
+        else:
+            yield from reference_submit(arr, offset, nbytes, is_write)
+        woke[i] = env.now
+
+    for i, io in enumerate(ios):
+        env.process(submitter(env, i, *io))
+    env.run()
+    devices = [(d._server.busy_time, d._server.ops, d._server._free_at,
+                d.reads.ops, d.reads.bytes, d.writes.ops, d.writes.bytes)
+               for d in arr.devices]
+    aggregates = None
+    if tracer is not None:
+        aggregates = {k: v.to_dict() for k, v in tracer.aggregates.items()}
+    return woke, devices, aggregates
+
+
+_io = st.tuples(
+    st.sampled_from([0.0, 1e-4, 1e-3 / 3]),            # start instant
+    st.integers(0, 40).map(lambda k: k * 16 * KIB - 4 * KIB * (k % 3)),
+    st.integers(1, 40).map(lambda k: k * 12 * KIB),    # straddles 64 KiB stripes
+    st.booleans(),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ios=st.lists(_io, min_size=1, max_size=8),
+       n_devices=st.integers(1, 4), traced=st.booleans())
+def test_inline_join_matches_a_process_per_piece(ios, n_devices, traced):
+    """Wake instants, device state, meters and tracer aggregates are
+    bit-identical to the reference join, for one I/O per submitter at
+    equal and distinct instants (later I/Os would start at a join's wake
+    instant, whose same-instant order the inline join does not keep)."""
+    ios = [(t0, max(off, 0), n, w) for t0, off, n, w in ios]
+    assert (_run_submitters(ios, n_devices, True, traced)
+            == _run_submitters(ios, n_devices, False, traced))
+
+
+def test_a_two_piece_io_costs_one_event():
+    counts = {}
+    for nbytes in (0, 8 * KIB):
+        env = Environment()
+        arr = NvmeArray(env, NVME_SSD, n_devices=2, stripe_bytes=MIB)
+
+        def io(env):
+            if nbytes:
+                yield from arr.submit(MIB - 4 * KIB, nbytes, is_write=True)
+
+        env.process(io(env))
+        env.run()
+        counts[nbytes] = env.events_processed
+    assert counts[8 * KIB] - counts[0] == 1
+
+
+@pytest.mark.parametrize("second", [4 * KIB, 64 * KIB])
+def test_split_io_span_gets_the_record_of_the_piece_it_waited_for(second):
+    """One RESERVE record, for the last piece to finish (the first one on
+    a tie); the span's records sum to its duration."""
+    from repro.sim.spans import SpanCollector
+    from repro.sim.waits import WaitTracer
+
+    env = Environment()
+    arr = NvmeArray(env, NVME_SSD, n_devices=2, stripe_bytes=MIB)
+    tracer = WaitTracer(env).install()
+    col = SpanCollector(env)
+    spans = []
+
+    def io(env):
+        yield env.timeout(1e-3 / 3)
+        span = col.trace("io").root.child("media.nvme")
+        yield from arr.submit(MIB - 4 * KIB, 4 * KIB + second, is_write=False)
+        spans.append(span.finish())
+
+    env.process(io(env))
+    env.run()
+    (span,) = spans
+    (rec,) = tracer.records_for_span(span.span_id)
+    assert rec.resource == ("nvme.ssd0" if second == 4 * KIB else "nvme.ssd1")
+    assert rec.total == pytest.approx(span.duration, rel=1e-12)
+    assert tracer.aggregates["nvme.ssd0"].count == 1
+    assert tracer.aggregates["nvme.ssd1"].count == 1
+
+
+def test_traced_and_faulted_split_ios_keep_a_process_per_piece():
+    from repro.faults.plan import FaultPlan
+    from repro.sim.spans import SpanCollector
+
+    for mode in ("trace", "faults"):
+        env = Environment()
+        if mode == "faults":
+            FaultPlan([]).install(env)
+        arr = NvmeArray(env, NVME_SSD, n_devices=2, stripe_bytes=MIB)
+        trace = SpanCollector(env).trace("io").root if mode == "trace" else None
+
+        def io(env):
+            yield from arr.submit(MIB - 4 * KIB, 8 * KIB, is_write=False,
+                                  trace=trace)
+
+        env.process(io(env))
+        env.run()
+        # Init, then 2 piece starts, 2 device wake-ups, 2 piece ends, 1 join.
+        assert env.events_processed == 8, mode

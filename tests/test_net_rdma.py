@@ -206,6 +206,75 @@ def test_untraced_send_merges_post_and_wire_into_one_event(propagation):
     assert seen[False][1] == seen[True][1] - 1
 
 
+def _one_op(op, traced, propagation=None, loopback=False):
+    """Run one verb from a rounded clock value: (finish instant, events)."""
+    from dataclasses import replace
+
+    from repro.hw.specs import PAPER_LINK
+    from repro.sim.spans import SpanCollector
+
+    link = PAPER_LINK if propagation is None else replace(
+        PAPER_LINK, propagation=propagation)
+    env = Environment()
+    top = make_paper_testbed(env, link=link)
+    dev_c = RdmaDevice(top.client)
+    dev_s = RdmaDevice(top.client if loopback else top.server)
+    qc, qs = connect_qps(dev_c, dev_s)
+    mr = qs.pd.register_mr(4 * MIB, AccessFlags.remote_rw())
+    trace = SpanCollector(env).trace("io").root if traced else None
+    kind, nbytes = op
+
+    def initiator(env):
+        yield env.timeout(1e-3 / 3)
+        if kind == "write":
+            yield from qc.rdma_write(mr.addr, mr.rkey, nbytes=nbytes, trace=trace)
+        elif kind == "read":
+            yield from qc.rdma_read(mr.addr, mr.rkey, nbytes, trace=trace)
+        else:
+            yield from qc.transmit(nbytes, trace=trace)
+
+    env.process(initiator(env))
+    env.run()
+    return env.now, env.events_processed
+
+
+#: verb -> events the untraced post saves over the chained (traced) path:
+#: the post's stack latency, rendezvous round-trip and propagation ride on
+#: its CPU reservation; a READ request's RX crossing carries the reply's
+#: stack latency and propagation.
+_MERGED_HOPS = {
+    ("write", 4 * KIB): 1,
+    ("write", MIB): 3,          # above the rendezvous threshold
+    ("send", 32 * KIB): 3,
+    ("read", 4 * KIB): 2,
+    ("read", MIB): 2,
+}
+
+
+@pytest.mark.parametrize("op", list(_MERGED_HOPS), ids=str)
+@pytest.mark.parametrize("propagation", [None, 0.0])
+def test_untraced_verbs_merge_fixed_delays_at_the_chained_instant(op, propagation):
+    untraced = _one_op(op, False, propagation)
+    traced = _one_op(op, True, propagation)
+    assert untraced[0] == traced[0]
+    saved = _MERGED_HOPS[op]
+    if propagation == 0.0 and op[0] != "read" and saved == 3:
+        saved = 2  # no propagation sleep to merge after the rendezvous
+    assert untraced[1] == traced[1] - saved
+
+
+@pytest.mark.parametrize("op", list(_MERGED_HOPS), ids=str)
+def test_loopback_verbs_keep_their_separate_events(op):
+    """Nothing merges on a loopback pair but the rendezvous round-trip
+    with the stack latency before it, which traced posts keep apart."""
+    untraced = _one_op(op, False, loopback=True)
+    traced = _one_op(op, True, loopback=True)
+    assert untraced[0] == traced[0]
+    kind, nbytes = op
+    rendezvous = kind != "read" and nbytes > RDMA_COSTS.rendezvous_threshold
+    assert untraced[1] == traced[1] - rendezvous
+
+
 # ---------------------------------------------------------------------------
 # One-sided READ/WRITE with enforcement
 # ---------------------------------------------------------------------------

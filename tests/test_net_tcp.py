@@ -193,3 +193,37 @@ def test_meters_count_bytes():
     env.run()
     assert a.sent.bytes == 1000
     assert b.received.bytes == 1000
+
+
+@pytest.mark.parametrize("propagation", [None, 0.0])
+def test_untraced_message_merges_stream_and_wire_latency(propagation):
+    """The stream reservation, stack latency and propagation are one event
+    for an untraced message, delivered at the traced (chained) instant."""
+    from dataclasses import replace
+
+    from repro.hw.specs import PAPER_LINK
+    from repro.sim.spans import SpanCollector
+
+    link = PAPER_LINK if propagation is None else replace(
+        PAPER_LINK, propagation=propagation)
+    seen = {}
+    for traced in (False, True):
+        env = Environment()
+        top = make_paper_testbed(env, link=link)
+        conn = connect(TcpStack(top.client), TcpStack(top.server))
+        meta = {"trace": SpanCollector(env).trace("io").root} if traced else {}
+        arrived = []
+
+        def sender(env):
+            yield env.timeout(1e-3 / 3)  # a clock value with rounding
+            for nbytes in (4 * KIB, 3 * MIB):
+                yield from conn.send(Message(src=top.client.name,
+                                             dst=top.server.name, kind="io",
+                                             nbytes=nbytes, meta=meta))
+                arrived.append(env.now)
+
+        env.process(sender(env))
+        env.run()
+        seen[traced] = (arrived, env.events_processed)
+    assert seen[False][0] == seen[True][0]
+    assert seen[False][1] == seen[True][1] - 2

@@ -268,6 +268,76 @@ def test_scheduler_owners_cut_mid_transfer_match_reference():
     assert cut_any > 0
 
 
+def _run_with_hops(jobs, coalesce, merged):
+    """``[(start, nbytes, delays), ...]`` through one pipe: one-chunk jobs
+    with ``delays`` then sleep them, merged into the crossing or not."""
+    env = Environment()
+    pipe = BandwidthPipe(env, bandwidth=10e9, chunk_bytes=CHUNK,
+                         coalesce=coalesce)
+    done = {}
+
+    def mover(env, i, start, nbytes, delays):
+        yield env.timeout(start)
+        if delays and merged:
+            yield pipe.transfer_and_sleep(nbytes, *delays)
+        else:
+            yield from pipe.transfer(nbytes)
+            for d in delays:
+                yield env.timeout(d)
+        done[i] = env.now
+
+    for i, job in enumerate(jobs):
+        env.process(mover(env, i, *job))
+    env.run()
+    return {"done": done, "bytes_moved": pipe.bytes_moved,
+            "busy_time": pipe.busy_time, "ops": pipe.ops,
+            "free_at": pipe._server._free_at}, pipe, env.events_processed
+
+
+def test_one_chunk_transfer_and_sleep_matches_the_chained_hop():
+    # One-chunk crossings merged with the sleeps after them, among
+    # multi-chunk transfers the scheduler places ahead of the clock: each
+    # wakes at the chained instant and the pipe holds the same slots,
+    # one event per delay cheaper.
+    merged = 0
+    for seed in range(40):
+        rng = random.Random(300 + seed)
+        jobs = []
+        for _ in range(rng.randrange(2, 16)):
+            start = rng.uniform(0.0, rng.choice((1e-5, 2e-4)))
+            if rng.random() < 0.5:
+                jobs.append((start, _mixed_size(rng), ()))
+            else:
+                delays = tuple(rng.choice((0.0, 1.3e-6, 2.5e-7))
+                               for _ in range(rng.randrange(1, 3)))
+                jobs.append((start, rng.randrange(1, CHUNK + 1), delays))
+        hops = sum(1 for _s, _n, d in jobs if d)
+        want, _, chained_events = _run_with_hops(jobs, False, False)
+        for coalesce in (True, False):
+            got, pipe, events = _run_with_hops(jobs, coalesce, True)
+            assert got == want, f"seed {seed} coalesce={coalesce}"
+            if not coalesce:
+                assert events == chained_events - sum(
+                    len(d) for _s, _n, d in jobs)
+            else:
+                assert pipe.coalesced_ops >= hops
+        merged += hops
+    assert merged > 40
+
+
+def test_transfer_and_sleep_refuses_more_than_one_chunk_or_a_latency():
+    env = Environment()
+    for pipe, nbytes in ((BandwidthPipe(env, 1e9, chunk_bytes=CHUNK), CHUNK + 1),
+                         (BandwidthPipe(env, 1e9, chunk_bytes=CHUNK), 0),
+                         (BandwidthPipe(env, 1e9, latency=1e-6), 100)):
+        try:
+            pipe.transfer_and_sleep(nbytes, 1e-6)
+        except ValueError:
+            assert pipe.bytes_moved == 0 and pipe.ops == 0
+        else:
+            raise AssertionError(f"accepted {nbytes} bytes")
+
+
 def test_scheduler_pending_request_goes_first_at_a_chunk_boundary():
     # A's second chunk is requested at the very instant B arrives.  The
     # request made by A's finishing chunk goes first, as it does in the

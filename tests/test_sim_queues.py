@@ -172,6 +172,64 @@ def test_execute_then_reports_only_wait_and_service():
     assert env.now == pytest.approx(2.5e-3)
 
 
+@pytest.mark.parametrize("delays", [(1.1e-6, 3.7e-7), (2.9e-7, 0.0), ()])
+def test_serve_and_sleep_fires_at_the_chained_instant_with_one_event(delays):
+    """Queued clients wake at the chained instants, one event each."""
+    fired = {}
+    for chained in (True, False):
+        env = Environment()
+        srv = FifoServer(env)
+        woke = []
+
+        def client(env):
+            yield env.timeout(1e-3 / 3)  # a clock value with rounding
+            if chained:
+                yield srv.serve(4.1e-6)
+                for d in delays:
+                    yield env.timeout(d)
+            else:
+                yield srv.serve_and_sleep(4.1e-6, *delays)
+            woke.append(env.now)
+
+        for _ in range(3):
+            env.process(client(env))
+        env.run()
+        fired[chained] = (woke, env.events_processed, srv.busy_time, srv._free_at)
+    assert fired[False][0] == fired[True][0]
+    assert fired[False][1] == fired[True][1] - 3 * len(delays)
+    assert fired[False][2:] == fired[True][2:]
+
+
+def test_serve_and_sleep_rejects_a_negative_delay_before_reserving():
+    env = Environment()
+    srv = FifoServer(env)
+    with pytest.raises(ValueError):
+        srv.serve_and_sleep(1.0, 0.5, -1e-9)
+    assert (srv.ops, srv.busy_time, srv._free_at) == (0, 0.0, 0.0)
+
+
+def test_serve_and_sleep_reports_only_wait_and_service():
+    """Unlike ``serve_then``, whose delay is the server's own latency."""
+    from repro.sim.spans import SpanCollector
+    from repro.sim.waits import WaitTracer
+
+    env = Environment()
+    srv = FifoServer(env, name="stream")
+    tracer = WaitTracer(env).install()
+    col = SpanCollector(env)
+
+    def op(env):
+        tr = col.trace("io")
+        yield srv.serve_and_sleep(2e-3, 5e-4)
+        yield srv.serve_then(2e-3, 5e-4)
+        tr.finish()
+
+    env.process(op(env))
+    env.run()
+    assert [(r.wait, r.service, r.latency) for r in tracer.records] == [
+        (0.0, 2e-3, 0.0), (0.0, 2e-3, 5e-4)]
+
+
 def test_pooled_server_work_conserving():
     env = Environment()
     pool = PooledServer(env, n=4)

@@ -109,3 +109,20 @@ class TestDpuOffloadPropagation:
         for root in col.roots():
             assert root.nbytes == 4096
             assert root.name == "fio.randread"
+
+
+def test_split_nvme_ios_are_attributed_to_their_media_span():
+    """On a doctored 1 MiB RDMA read cell most reads straddle a stripe and
+    split in two; every finished ``media.nvme`` span still decomposes into
+    its wait records (the piece it waited for)."""
+    from repro.hw.specs import MIB
+
+    run = run_fig5_doctored("rdma", "dpu", "read", MIB, 8, runtime=0.05,
+                            observe_sampler=False)
+    booked = {}
+    for rec in run.tracer.records:
+        booked[rec.span.span_id] = booked.get(rec.span.span_id, 0.0) + rec.total
+    spans = [s for s in run.collector.spans if s.name == "media.nvme"]
+    assert len(spans) >= 10
+    for s in spans:
+        assert booked.get(s.span_id, 0.0) == pytest.approx(s.duration, rel=1e-9)
