@@ -176,7 +176,8 @@ def expand_spec(spec: dict) -> List[dict]:
 
 
 def normalize_cell(cell: dict) -> dict:
-    """Fill experiment defaults; return the cell's ledger config identity.
+    """Fill experiment defaults, reject bad knobs (``ValueError``) and
+    return the cell's ledger config identity.
 
     The one place a fig5/chaos config is built: ``doctor --ledger`` and
     ``chaos --ledger`` normalize their flags through here too, so a
@@ -256,6 +257,7 @@ def normalize_cell(cell: dict) -> dict:
             "iodepth": int(cell.get("iodepth", 32)),
             "runtime": float(cell.get("runtime", 0.02)),
         }
+    _check_cell(config)
     seed = cell.get("seed")
     if seed == "auto":
         from repro.sim.rng import seed_from_key
@@ -266,6 +268,30 @@ def normalize_cell(cell: dict) -> dict:
     elif seed is not None:
         config["seed"] = int(seed)
     return config
+
+
+def _check_cell(config: dict) -> None:
+    """Raise ``ValueError`` on a knob no runner accepts, so a bad cell is
+    rejected before anything is simulated.  Never rewrites a value: the
+    config (and so the run ID) of a valid cell is what the caller wrote."""
+    from repro.net.fabric import resolve_provider
+    from repro.workload.fio import WORKLOADS
+
+    for key in ("transport", "provider"):
+        if key in config:
+            resolve_provider(config[key])
+    if config.get("client", "host") not in ("host", "dpu"):
+        raise ValueError(f"unknown client {config['client']!r}; "
+                         "expected 'host' or 'dpu'")
+    if config["rw"] not in WORKLOADS:
+        raise ValueError(f"unknown rw {config['rw']!r}; "
+                         f"expected one of {WORKLOADS}")
+    if not 1 <= config.get("ssds", 1) <= 4:
+        raise ValueError(f"ssds must be 1-4, got {config['ssds']}")
+    for key in ("bs", "numjobs", "iodepth", "runtime", "sample_every",
+                "targets"):
+        if key in config and not config[key] > 0:
+            raise ValueError(f"{key} must be > 0, got {config[key]}")
 
 
 def cell_key(config: dict) -> str:

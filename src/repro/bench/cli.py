@@ -6,7 +6,6 @@ writing code::
     python -m repro.bench.cli fig3 --rw read --bs 1m --jobs 4 --ssds 4
     python -m repro.bench.cli fig4 --provider ucx+rc --bs 4k --client-cores 4 --server-cores 4
     python -m repro.bench.cli fig5 --transport rdma --client dpu --rw randread --bs 4k --jobs 16
-    python -m repro.bench.cli trace --transport tcp --client dpu --rw randread --bs 4k
     python -m repro.bench.cli doctor --transport tcp --client dpu --rw randread --bs 4k \
         --slo 'p99<=2ms' --flame flame.txt --json-out doctor.json --perfetto trace.json
     python -m repro.bench.cli doctor --quick --ledger            # record a run
@@ -32,17 +31,17 @@ merged sorted by cell key, so ``--jobs N`` is byte-identical to serial;
 ``cell:k=v,...`` references resolved through the same executor.
 
 Sizes accept ``4k``/``1m`` suffixes.  Output is one line per run in the
-paper's units (GiB/s for >=64 KiB blocks, K IOPS otherwise).  ``trace``
-additionally prints the per-stage latency breakdown and one request's
-critical path; ``--telemetry`` (fig5/trace) appends the system utilization
-snapshot, ``--json`` (trace) emits everything machine-readable instead.
+paper's units (GiB/s for >=64 KiB blocks, K IOPS otherwise).
+``--telemetry`` (fig5) appends the system utilization snapshot.
 
 ``doctor`` runs a cell with wait-cause attribution attached, cross-checks
 the utilization and Little's laws, ranks resources by their share of
-sampled request time, and prints a one-line bottleneck verdict; ``--slo
+sampled request time, prints a one-line bottleneck verdict and the
+per-stage latency breakdown with each stage's wait causes; ``--slo
 'p99<=500us'`` gates exit status for CI, ``--flame``/``--wait-flame``
 write collapsed-stack flamegraphs (speedscope / flamegraph.pl), its
-``--json-out`` emits the ``repro-doctor-v1`` document, and
+``--json-out`` emits the ``repro-doctor-v1`` document (with the
+``breakdown`` and utilization ``telemetry`` sections), and
 ``--perfetto PATH`` writes a Chrome trace-event file — sampled request
 spans as duration events, per-resource wait counters and (without
 ``--quick``) every telemetry series as counter tracks — loadable in
@@ -60,28 +59,32 @@ with red/blue differential flamegraphs (``--diff-flame``/
 (``--overlay``).
 
 Every artefact path is checked before anything is simulated: a path
-into a directory that does not exist exits 2.
+into a directory that does not exist exits 2.  So is every cell knob
+(see :func:`repro.bench.campaign.normalize_cell`).
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 from typing import Optional
 
 from repro.bench.runner import (
     _build_fig5,
-    default_numjobs,
     default_runtime,
     run_fig3_cell,
     run_fig4_cell,
     run_ros2_fio,
 )
-from repro.net.fabric import list_providers
-from repro.workload.fio import FioResult
+from repro.hw.specs import MIB
+from repro.net.fabric import _ALIASES, list_providers
+from repro.workload.fio import WORKLOADS, FioResult
 
 __all__ = ["main", "parse_size"]
+
+_DIFF_OUTPUTS = ("diff_flame", "diff_wait_flame", "overlay")
 
 
 def parse_size(text: str) -> int:
@@ -103,22 +106,72 @@ def _report(result: FioResult) -> str:
     return f"{result.kiops:.1f} K IOPS ({result.total_ios} IOs)"
 
 
-def _add_ledger_args(parser: argparse.ArgumentParser) -> None:
-    """Run-ledger options shared by doctor / chaos."""
-    parser.add_argument("--ledger", action="store_true",
-                        help="append this run as a repro-run-v1 record to "
-                             "the run ledger")
+def _fail(exc) -> int:
+    """Report a bad argument; exit status 2 means nothing was simulated."""
+    print(f"error: {exc}", file=sys.stderr)
+    return 2
+
+
+def _write_json(path: str, doc) -> None:
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def _add_cell_args(parser: argparse.ArgumentParser, transport: str,
+                   client: str, rw: str, bs: int, jobs: Optional[int],
+                   sample: Optional[int] = None, transports=None) -> None:
+    """The Fig. 5 cell options shared by fig5 / doctor / chaos; ``sample``
+    (the tracing rate) only for the observed subcommands."""
+    parser.add_argument("--transport", default=transport, choices=transports)
+    parser.add_argument("--client", default=client, choices=["host", "dpu"])
+    parser.add_argument("--rw", default=rw, choices=WORKLOADS)
+    parser.add_argument("--bs", type=parse_size, default=bs)
+    parser.add_argument("--jobs", type=int, default=jobs,
+                        help=None if jobs else "FIO numjobs (default: 8 for "
+                                               ">=1 MiB blocks, 16 below)")
+    parser.add_argument("--ssds", type=int, default=1, choices=[1, 2, 3, 4])
+    parser.add_argument("--runtime", type=float, default=None)
+    if sample is not None:
+        parser.add_argument("--sample", type=int, default=sample,
+                            help=f"trace 1 in N operations (default {sample})")
+
+
+def _add_diff_args(parser: argparse.ArgumentParser, json_flag: str,
+                   note: str = "") -> None:
+    """The differential artefacts of doctor --against / compare-runs."""
+    parser.add_argument(json_flag, metavar="PATH", default=None,
+                        help="write the repro-diff-v1 JSON verdict" + note)
+    parser.add_argument("--diff-flame", metavar="PATH", default=None,
+                        help="write the red/blue differential folded stacks "
+                             "of span self time" + note)
+    parser.add_argument("--diff-wait-flame", metavar="PATH", default=None,
+                        help="write the red/blue differential folded stacks "
+                             "of wait blame" + note)
+    parser.add_argument("--overlay", metavar="PATH", default=None,
+                        help="write a Chrome trace overlaying both runs' "
+                             "wait counter tracks" + note)
+
+
+def _add_ledger_args(parser: argparse.ArgumentParser, record: bool = True,
+                     stamp: bool = True) -> None:
+    """Run-ledger options: ``--ledger`` (doctor / chaos), ``--ledger-dir``
+    (every ledger reader), ``--git-sha`` (every ledger writer)."""
+    if record:
+        parser.add_argument("--ledger", action="store_true",
+                            help="append this run as a repro-run-v1 record "
+                                 "to the run ledger")
     parser.add_argument("--ledger-dir", metavar="DIR", default=None,
                         help="ledger directory (default benchmarks/ledger)")
-    parser.add_argument("--git-sha", metavar="SHA", default=None,
-                        help="git SHA to stamp on the ledger record "
-                             "(default: $REPRO_GIT_SHA, then git rev-parse)")
+    if stamp:
+        parser.add_argument("--git-sha", metavar="SHA", default=None,
+                            help="git SHA to stamp on ledger records "
+                                 "(default: $REPRO_GIT_SHA, then git "
+                                 "rev-parse)")
 
 
 def _git_sha(args) -> Optional[str]:
     """The SHA stamped on ledger records — passed in, never sim-computed."""
-    import os
-
     sha = getattr(args, "git_sha", None) or os.environ.get("REPRO_GIT_SHA")
     if sha:
         return sha
@@ -132,10 +185,12 @@ def _git_sha(args) -> Optional[str]:
     return out.stdout.strip() or None if out.returncode == 0 else None
 
 
-def _now_iso() -> str:
+def _stamps(args) -> dict:
+    """The volatile ``git_sha`` and ``created`` stamps of a recording."""
     from datetime import datetime, timezone
 
-    return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    return {"git_sha": _git_sha(args),
+            "created": datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")}
 
 
 def _ledger_dir(args) -> str:
@@ -164,70 +219,32 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="experiment", required=True)
 
     p3 = sub.add_parser("fig3", help="local FIO / io_uring baseline")
-    p3.add_argument("--rw", default="read",
-                    choices=["read", "write", "randread", "randwrite"])
-    p3.add_argument("--bs", type=parse_size, default=1024**2)
+    p3.add_argument("--rw", default="read", choices=WORKLOADS)
+    p3.add_argument("--bs", type=parse_size, default=MIB)
     p3.add_argument("--jobs", type=int, default=1)
     p3.add_argument("--ssds", type=int, default=1, choices=[1, 2, 3, 4])
     p3.add_argument("--runtime", type=float, default=0.03)
 
     p4 = sub.add_parser("fig4", help="remote SPDK NVMe-oF")
     p4.add_argument("--provider", default="ucx+rc", choices=list(list_providers()))
-    p4.add_argument("--rw", default="randread",
-                    choices=["read", "write", "randread", "randwrite"])
+    p4.add_argument("--rw", default="randread", choices=WORKLOADS)
     p4.add_argument("--bs", type=parse_size, default=4096)
     p4.add_argument("--client-cores", type=int, default=4)
     p4.add_argument("--server-cores", type=int, default=4)
     p4.add_argument("--runtime", type=float, default=0.02)
 
     p5 = sub.add_parser("fig5", help="end-to-end DFS over ROS2")
-    p5.add_argument("--transport", default="rdma")
-    p5.add_argument("--client", default="host", choices=["host", "dpu"])
-    p5.add_argument("--rw", default="read",
-                    choices=["read", "write", "randread", "randwrite"])
-    p5.add_argument("--bs", type=parse_size, default=1024**2)
-    p5.add_argument("--jobs", type=int, default=8)
-    p5.add_argument("--ssds", type=int, default=1, choices=[1, 2, 3, 4])
-    p5.add_argument("--runtime", type=float, default=None)
+    _add_cell_args(p5, "rdma", "host", "read", MIB, 8,
+                   transports=[*_ALIASES, *list_providers()])
     p5.add_argument("--telemetry", action="store_true",
                     help="print the system utilization snapshot after the run")
 
-    pt = sub.add_parser(
-        "trace",
-        help="end-to-end DFS run with request tracing: per-stage breakdown",
-    )
-    pt.add_argument("--transport", default="tcp")
-    pt.add_argument("--client", default="dpu", choices=["host", "dpu"])
-    pt.add_argument("--rw", default="randread",
-                    choices=["read", "write", "randread", "randwrite"])
-    pt.add_argument("--bs", type=parse_size, default=4096)
-    pt.add_argument("--jobs", type=int, default=None,
-                    help="FIO numjobs (default: 8 for >=1 MiB blocks, 16 below)")
-    pt.add_argument("--ssds", type=int, default=1, choices=[1, 2, 3, 4])
-    pt.add_argument("--runtime", type=float, default=None)
-    pt.add_argument("--sample", type=int, default=20,
-                    help="trace 1 in N operations (default 20)")
-    pt.add_argument("--telemetry", action="store_true",
-                    help="print the system utilization snapshot too")
-    pt.add_argument("--json", action="store_true",
-                    help="emit the run, breakdown and telemetry as JSON")
-
     pd = sub.add_parser(
         "doctor",
-        help="wait-cause diagnosis: blame ranking, law cross-checks, "
-             "bottleneck verdict, SLO gates",
+        help="wait-cause diagnosis: blame ranking, per-stage latency "
+             "breakdown, law cross-checks, bottleneck verdict, SLO gates",
     )
-    pd.add_argument("--transport", default="tcp")
-    pd.add_argument("--client", default="dpu", choices=["host", "dpu"])
-    pd.add_argument("--rw", default="randread",
-                    choices=["read", "write", "randread", "randwrite"])
-    pd.add_argument("--bs", type=parse_size, default=4096)
-    pd.add_argument("--jobs", type=int, default=None,
-                    help="FIO numjobs (default: 8 for >=1 MiB blocks, 16 below)")
-    pd.add_argument("--ssds", type=int, default=1, choices=[1, 2, 3, 4])
-    pd.add_argument("--runtime", type=float, default=None)
-    pd.add_argument("--sample", type=int, default=20,
-                    help="trace 1 in N operations (default 20)")
+    _add_cell_args(pd, "tcp", "dpu", "randread", 4096, None, sample=20)
     pd.add_argument("--quick", action="store_true",
                     help="CI subset: short window, no continuous sampler "
                          "(skips the Little's-law check)")
@@ -235,7 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="SLO gate, e.g. 'p99<=500us' or 'iops>=100000'; "
                          "repeatable; any violation exits non-zero")
     pd.add_argument("--json-out", metavar="PATH", default=None,
-                    help="write the repro-doctor-v1 JSON document")
+                    help="write the repro-doctor-v1 JSON document, with "
+                         "the latency breakdown and utilization snapshot")
     pd.add_argument("--flame", metavar="PATH", default=None,
                     help="write a sim-time collapsed-stack flamegraph "
                          "(speedscope / flamegraph.pl)")
@@ -252,36 +270,14 @@ def build_parser() -> argparse.ArgumentParser:
                          "path, or a 'cell:k=v,...' spec executed "
                          "through the campaign executor, cache-first) "
                          "and attribute the delta per resource")
-    pd.add_argument("--diff-out", metavar="PATH", default=None,
-                    help="write the repro-diff-v1 JSON verdict "
-                         "(requires --against)")
-    pd.add_argument("--diff-flame", metavar="PATH", default=None,
-                    help="write the red/blue differential folded stacks of "
-                         "span self time (requires --against)")
-    pd.add_argument("--diff-wait-flame", metavar="PATH", default=None,
-                    help="write the red/blue differential folded stacks of "
-                         "wait blame (requires --against)")
-    pd.add_argument("--overlay", metavar="PATH", default=None,
-                    help="write a Chrome trace overlaying both runs' wait "
-                         "counter tracks (requires --against)")
+    _add_diff_args(pd, "--diff-out", note=" (requires --against)")
 
     pch = sub.add_parser(
         "chaos",
         help="fault-injected run: deterministic fault plan, retry/recovery "
              "telemetry, availability verdict (repro-chaos-v1)",
     )
-    pch.add_argument("--transport", default="rdma")
-    pch.add_argument("--client", default="dpu", choices=["host", "dpu"])
-    pch.add_argument("--rw", default="randread",
-                     choices=["read", "write", "randread", "randwrite"])
-    pch.add_argument("--bs", type=parse_size, default=4096)
-    pch.add_argument("--jobs", type=int, default=None,
-                     help="FIO numjobs (default: 8 for >=1 MiB blocks, "
-                          "16 below)")
-    pch.add_argument("--ssds", type=int, default=1, choices=[1, 2, 3, 4])
-    pch.add_argument("--runtime", type=float, default=None)
-    pch.add_argument("--sample", type=int, default=20,
-                     help="trace 1 in N operations (default 20)")
+    _add_cell_args(pch, "rdma", "dpu", "randread", 4096, None, sample=20)
     pch.add_argument("--fault", action="append", default=[], metavar="SPEC",
                      help="fault event KIND:TARGET:AT[:DURATION[:FACTOR]] "
                           "(times relative to the measured window); "
@@ -309,8 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("ref", nargs="?", default=None,
                     help="run ID, unique ID prefix, or file path to "
                          "inspect; omit to list all runs")
-    pr.add_argument("--ledger-dir", metavar="DIR", default=None,
-                    help="ledger directory (default benchmarks/ledger)")
+    _add_ledger_args(pr, record=False, stamp=False)
     pr.add_argument("--format", choices=["table", "json"], default=None,
                     help="listing format (default table)")
     pr.add_argument("--json", action="store_true",
@@ -342,12 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="after running, fail unless every record "
                           "matches the committed ledger DIR (volatile "
                           "fields ignored) — the CI determinism gate")
-    pca.add_argument("--ledger-dir", metavar="DIR", default=None,
-                     help="ledger directory records are read from and "
-                          "written to (default benchmarks/ledger)")
-    pca.add_argument("--git-sha", metavar="SHA", default=None,
-                     help="git SHA to stamp on new records "
-                          "(default: $REPRO_GIT_SHA, then git rev-parse)")
+    _add_ledger_args(pca, record=False)
 
     pcr = sub.add_parser(
         "compare-runs",
@@ -358,19 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
                                   "or 'cell:k=v,...' (executed on demand)")
     pcr.add_argument("current", help="current run: ID, unique prefix, path, "
                                      "or 'cell:k=v,...' (executed on demand)")
-    pcr.add_argument("--ledger-dir", metavar="DIR", default=None,
-                    help="ledger directory (default benchmarks/ledger)")
-    pcr.add_argument("--json-out", metavar="PATH", default=None,
-                     help="write the repro-diff-v1 JSON verdict")
-    pcr.add_argument("--diff-flame", metavar="PATH", default=None,
-                     help="write the red/blue differential folded stacks "
-                          "of span self time")
-    pcr.add_argument("--diff-wait-flame", metavar="PATH", default=None,
-                     help="write the red/blue differential folded stacks "
-                          "of wait blame")
-    pcr.add_argument("--overlay", metavar="PATH", default=None,
-                     help="write a Chrome trace overlaying both runs' "
-                          "wait counter tracks")
+    _add_ledger_args(pcr, record=False, stamp=False)
+    _add_diff_args(pcr, "--json-out")
 
     pl = sub.add_parser(
         "lint",
@@ -411,8 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_lint(args) -> int:
-    import json as _json
-
     from repro.analysis import Baseline, lint_paths
     from repro.analysis.baseline import DEFAULT_BASELINE_PATH
     from repro.analysis.lint import render_report
@@ -428,11 +405,8 @@ def _cmd_lint(args) -> int:
         print(f"wrote {len(report.findings)} entries to {baseline_path} — "
               "edit the justifications before committing")
         return 0
-    doc = report.to_doc(list(args.paths))
     if args.json_out:
-        with open(args.json_out, "w") as fh:
-            _json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(args.json_out, report.to_doc(list(args.paths)))
     print(render_report(report))
     if baseline is not None:
         stale = baseline.stale_entries()
@@ -443,8 +417,6 @@ def _cmd_lint(args) -> int:
 
 
 def _cmd_sanitize(args) -> int:
-    import json as _json
-
     from repro.analysis import render_sanitize, run_sanitizer
 
     transports = (("rdma", "tcp") if args.transport == "both"
@@ -454,131 +426,86 @@ def _cmd_sanitize(args) -> int:
     doc = run_sanitizer(transports=transports, runtime=args.runtime,
                         seeds=seeds, hash_seeds=hash_seeds)
     if args.json_out:
-        with open(args.json_out, "w") as fh:
-            _json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(args.json_out, doc)
     print(render_sanitize(doc))
     return 0 if doc["ok"] else 1
 
 
-def _run_trace(args) -> int:
-    from repro.bench.runner import run_fig5_doctored
-    from repro.sim.spans import LatencyBreakdown, critical_path
+def _cell_config(args, experiment: str, **extra) -> dict:
+    """The ledger config of a doctor / chaos cell: its flags through
+    :func:`~repro.bench.campaign.normalize_cell`, which rejects a bad
+    knob with ``ValueError`` before anything is simulated."""
+    from repro.bench.campaign import normalize_cell
 
-    numjobs = default_numjobs(args.bs) if args.jobs is None else args.jobs
-    label = (f"trace {args.transport}/{args.client} {args.rw} bs={args.bs} "
-             f"jobs={numjobs} ssds={args.ssds}")
-    run = run_fig5_doctored(
-        args.transport, args.client, args.rw, args.bs, numjobs,
-        n_ssds=args.ssds, runtime=args.runtime, sample_every=args.sample,
-        observe_sampler=False,
-    )
-    result, collector, system = run.result, run.collector, run.system
-    breakdown = LatencyBreakdown(collector.spans)
-
-    if args.json:
-        import json
-
-        from repro.core.telemetry import snapshot
-
-        doc = {
-            "format": "repro-trace-v1",
-            "label": label,
-            "result": result.to_dict(),
-            "breakdown": breakdown.to_dict(),
-            "traces_sampled": collector.traces_started,
-            "requests_seen": collector.requests_seen,
-        }
-        if args.telemetry:
-            doc["telemetry"] = snapshot(system).to_dict()
-        print(json.dumps(doc, indent=2, sort_keys=True))
-        return 0
-
-    print(f"{label}: {_report(result)}")
-    print(f"sampled {collector.traces_started} of {collector.requests_seen} "
-          f"requests (1 in {args.sample})\n")
-    print(breakdown.table(f"Latency breakdown — {args.transport}/{args.client} "
-                          f"{args.rw} bs={args.bs}"))
-    by_trace = collector.by_trace()
-    if by_trace:
-        # Show the critical path of the slowest sampled request.
-        def root_dur(spans):
-            roots = [s for s in spans if s.parent_id is None]
-            return roots[0].duration if roots else 0.0
-        tid = max(by_trace, key=lambda t: root_dur(by_trace[t]))
-        print(f"\nCritical path (slowest sampled request, trace {tid}):")
-        for s in critical_path(by_trace[tid]):
-            print(f"  {s.stage:32s} {s.duration * 1e6:10.3f} us")
-    if args.telemetry:
-        from repro.core.telemetry import snapshot
-
-        print("\n" + snapshot(system).render())
-    return 0
+    return normalize_cell({
+        "experiment": experiment, "transport": args.transport,
+        "client": args.client, "rw": args.rw, "bs": args.bs,
+        "numjobs": args.jobs, "runtime": args.runtime, "ssds": args.ssds,
+        "sample_every": args.sample, **extra})
 
 
-def _stamped(record: dict, args) -> dict:
-    """Stamp a cell record's volatile fields for a CLI recording."""
-    from repro.bench.campaign import code_fingerprint
+def _record(config: dict, run, args) -> dict:
+    """Stamp a cell's ledger record for a CLI recording, and append it to
+    the ledger when ``--ledger`` asks."""
+    from repro.bench import ledger as lg
+    from repro.bench.campaign import cell_record, code_fingerprint
 
-    record.update(git_sha=_git_sha(args), created=_now_iso(),
-                  code_fingerprint=code_fingerprint())
+    record = cell_record(config, run)
+    record.update(**_stamps(args), code_fingerprint=code_fingerprint())
+    if args.ledger:
+        path = lg.save_run(record, _ledger_dir(args))
+        print(f"ledger: recorded {record['run_id']} -> {path}")
     return record
 
 
-def _write_diff_outputs(base: dict, current: dict, dd, json_out=None,
-                        diff_flame=None, diff_wait_flame=None,
-                        overlay=None) -> None:
+def _write_diff_outputs(base: dict, current: dict, dd, args,
+                        json_out: Optional[str]) -> None:
     """The differential artefacts shared by doctor --against / compare-runs."""
     if json_out:
-        import json
-
-        with open(json_out, "w") as fh:
-            json.dump(dd.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(json_out, dd.to_dict())
         print(f"wrote diff verdict {json_out}")
-    if diff_flame or diff_wait_flame:
+    if args.diff_flame or args.diff_wait_flame:
         from repro.sim.diffdoctor import diff_flames
         from repro.sim.flame import write_diff_collapsed
 
         flames = diff_flames(base, current)
-        if diff_flame:
-            write_diff_collapsed(diff_flame, flames["spans"])
-            print(f"wrote differential flamegraph {diff_flame} "
+        if args.diff_flame:
+            write_diff_collapsed(args.diff_flame, flames["spans"])
+            print(f"wrote differential flamegraph {args.diff_flame} "
                   f"({len(flames['spans'])} changed stacks)")
-        if diff_wait_flame:
-            write_diff_collapsed(diff_wait_flame, flames["waits"])
-            print(f"wrote differential wait flamegraph {diff_wait_flame} "
+        if args.diff_wait_flame:
+            write_diff_collapsed(args.diff_wait_flame, flames["waits"])
+            print(f"wrote differential wait flamegraph {args.diff_wait_flame} "
                   f"({len(flames['waits'])} changed stacks)")
-    if overlay:
+    if args.overlay:
         from repro.sim.diffdoctor import write_overlay_trace
 
-        doc = write_overlay_trace(overlay, base, current, label=dd.label)
+        doc = write_overlay_trace(args.overlay, base, current, label=dd.label)
         other = doc.get("otherData", {})
-        print(f"wrote overlay trace {overlay}: "
+        print(f"wrote overlay trace {args.overlay}: "
               f"{other.get('n_counter_tracks', 0)} counter tracks")
 
 
 def _run_doctor(args) -> int:
     from repro.bench import campaign as cp
     from repro.sim.doctor import diagnose, parse_slo
+    from repro.sim.spans import LatencyBreakdown
 
-    # Validate SLO strings *before* burning a simulation run on them.
+    # Validate SLO strings and the cell *before* burning a simulation
+    # run on them.
     try:
         for slo in args.slo:
             parse_slo(slo)
+        config = _cell_config(args, "fig5", quick=args.quick)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(exc)
     if not args.against:
-        for opt in ("diff_out", "diff_flame", "diff_wait_flame", "overlay"):
+        for opt in ("diff_out", *_DIFF_OUTPUTS):
             if getattr(args, opt):
                 flag = "--" + opt.replace("_", "-")
-                print(f"error: {flag} requires --against",
-                      file=sys.stderr)
-                return 2
+                return _fail(f"{flag} requires --against")
     if not _out_paths_ok(args, "json_out", "flame", "wait_flame", "perfetto",
-                         "diff_out", "diff_flame", "diff_wait_flame",
-                         "overlay"):
+                         "diff_out", *_DIFF_OUTPUTS):
         return 2
 
     # Same fail-fast rule for the differential baseline: resolve the
@@ -589,23 +516,18 @@ def _run_doctor(args) -> int:
     if args.against:
         try:
             base_record = cp.resolve_run_or_cell(
-                args.against, _ledger_dir(args),
-                git_sha=_git_sha(args), created=_now_iso())
+                args.against, _ledger_dir(args), **_stamps(args))
         except (ValueError, OSError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+            return _fail(exc)
 
-    config = cp.normalize_cell({
-        "experiment": "fig5", "transport": args.transport,
-        "client": args.client, "rw": args.rw, "bs": args.bs,
-        "numjobs": args.jobs, "runtime": args.runtime, "ssds": args.ssds,
-        "sample_every": args.sample, "quick": args.quick})
     label = cp.cell_label(config)
     run = cp.run_cell(config)
     littles = run.sampler.littles_law() if run.sampler is not None else None
     diag = diagnose(run.result, run.collector, run.tracer,
                     stations=run.stations, littles_rows=littles,
                     slos=args.slo, label=label)
+    breakdown = LatencyBreakdown(run.collector.spans,
+                                 stage_waits=run.tracer.stage_waits())
 
     if args.flame or args.wait_flame:
         from repro.sim.flame import fold_spans, fold_waits, write_collapsed
@@ -630,30 +552,20 @@ def _run_doctor(args) -> int:
               f"{other.get('n_spans', 0)} spans, "
               f"{other.get('n_counter_tracks', 0)} counter tracks")
     if args.json_out:
-        import json
+        from repro.core.telemetry import snapshot
 
-        with open(args.json_out, "w") as fh:
-            json.dump(diag.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(args.json_out, dict(
+            diag.to_dict(), breakdown=breakdown.to_dict(),
+            telemetry=snapshot(run.system).to_dict()))
         print(f"wrote doctor verdict {args.json_out}")
 
     print(f"{label}: {_report(run.result)}")
     print(diag.render())
-
-    from repro.sim.spans import LatencyBreakdown
-
-    breakdown = LatencyBreakdown(run.collector.spans,
-                                 stage_waits=run.tracer.stage_waits())
     print()
     print(breakdown.table("Latency breakdown (sampled requests)"))
 
     if args.ledger or base_record is not None:
-        from repro.bench import ledger as lg
-
-        record = _stamped(cp.cell_record(config, run), args)
-        if args.ledger:
-            path = lg.save_run(record, _ledger_dir(args))
-            print(f"ledger: recorded {record['run_id']} -> {path}")
+        record = _record(config, run, args)
         if base_record is not None:
             from repro.sim.diffdoctor import diff_runs
 
@@ -661,11 +573,7 @@ def _run_doctor(args) -> int:
                            label=f"{label} vs {base_record['run_id']}")
             print()
             print(dd.render())
-            _write_diff_outputs(base_record, record, dd,
-                                json_out=args.diff_out,
-                                diff_flame=args.diff_flame,
-                                diff_wait_flame=args.diff_wait_flame,
-                                overlay=args.overlay)
+            _write_diff_outputs(base_record, record, dd, args, args.diff_out)
             return max(diag.exit_code, dd.exit_code)
     return diag.exit_code
 
@@ -679,25 +587,21 @@ def _run_chaos(args) -> int:
     if not _out_paths_ok(args, "json_out", "wait_flame"):
         return 2
     runtime = default_runtime(args.bs) if args.runtime is None else args.runtime
-    if args.fault:
-        try:
+    try:
+        if args.fault:
             events = tuple(parse_fault_spec(s) for s in args.fault)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        plan = FaultPlan(events=events, policy=RetryPolicy(),
-                         seed_key=args.seed_key)
-    else:
-        plan = ch.default_qp_break_plan(args.client, runtime)
-    # Not ``quick``: chaos runs the full default window (the identity
-    # ``chaos --ledger`` has always recorded), never with the sampler.
-    config = cp.normalize_cell({
-        "experiment": "chaos", "transport": args.transport,
-        "client": args.client, "rw": args.rw, "bs": args.bs,
-        "numjobs": args.jobs, "runtime": runtime, "ssds": args.ssds,
-        "sample_every": args.sample, "quick": False,
-        "faults": plan.to_config(), "min_goodput": args.min_goodput,
-        "p999_max": args.p999_max})
+            plan = FaultPlan(events=events, policy=RetryPolicy(),
+                             seed_key=args.seed_key)
+        else:
+            plan = ch.default_qp_break_plan(args.client, runtime)
+        # Not ``quick``: chaos runs the full default window (the identity
+        # ``chaos --ledger`` has always recorded), never with the sampler.
+        config = _cell_config(args, "chaos", runtime=runtime, quick=False,
+                              faults=plan.to_config(),
+                              min_goodput=args.min_goodput,
+                              p999_max=args.p999_max)
+    except ValueError as exc:
+        return _fail(exc)
     label = cp.cell_label(config)
     run = cp.run_cell(config)
     doc = ch.make_chaos_report(
@@ -708,11 +612,7 @@ def _run_chaos(args) -> int:
     print(f"{label}: {_report(run.run.result)}")
     print(ch.render_chaos(doc))
     if args.json_out:
-        import json
-
-        with open(args.json_out, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(args.json_out, doc)
         print(f"wrote chaos verdict {args.json_out}")
     if args.wait_flame:
         from repro.sim.flame import fold_waits, write_collapsed
@@ -722,28 +622,20 @@ def _run_chaos(args) -> int:
         print(f"wrote wait flamegraph {args.wait_flame} "
               f"({len(folded)} stacks)")
     if args.ledger:
-        from repro.bench import ledger as lg
-
-        record = _stamped(cp.cell_record(config, run), args)
-        path = lg.save_run(record, _ledger_dir(args))
-        print(f"ledger: recorded {record['run_id']} -> {path}")
+        _record(config, run, args)
     return 0 if doc["ok"] else 1
 
 
 def _run_campaign(args) -> int:
-    import json
-
     from repro.bench import campaign as cp
 
     try:
         spec = cp.load_spec(args.spec)
         cells = cp.expand_spec(spec)
     except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(exc)
     if args.jobs < 1:
-        print("error: --jobs must be >= 1", file=sys.stderr)
-        return 2
+        return _fail("--jobs must be >= 1")
     if not _out_paths_ok(args, "json_out"):
         return 2
 
@@ -760,12 +652,10 @@ def _run_campaign(args) -> int:
     result = cp.run_campaign(
         spec, jobs=args.jobs, ledger_dir=_ledger_dir(args),
         cache=not args.no_cache, force=args.force, dry_run=args.dry_run,
-        git_sha=_git_sha(args), created=_now_iso(), progress=progress)
+        progress=progress, **_stamps(args))
     print(cp.render_campaign(result))
     if args.json_out:
-        with open(args.json_out, "w") as fh:
-            json.dump(result.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(args.json_out, result.to_dict())
         print(f"wrote campaign report {args.json_out}")
     rc = result.exit_code
     for err in result.errors:
@@ -787,8 +677,6 @@ def _run_campaign(args) -> int:
 
 
 def _run_runs(args) -> int:
-    import json
-
     from repro.bench import ledger as lg
     from repro.bench.report import Table
 
@@ -798,8 +686,7 @@ def _run_runs(args) -> int:
         try:
             record = lg.load_run(args.ref, ldir)
         except (ValueError, OSError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+            return _fail(exc)
         if as_json:
             print(json.dumps(record, indent=2, sort_keys=True))
             return 0
@@ -852,61 +739,28 @@ def _run_compare_runs(args) -> int:
     from repro.bench.campaign import resolve_run_or_cell
     from repro.sim.diffdoctor import diff_runs
 
-    if not _out_paths_ok(args, "json_out", "diff_flame", "diff_wait_flame",
-                         "overlay"):
+    if not _out_paths_ok(args, "json_out", *_DIFF_OUTPUTS):
         return 2
-    ldir = _ledger_dir(args)
+    ldir, stamps = _ledger_dir(args), _stamps(args)
     try:
-        base = resolve_run_or_cell(args.base, ldir,
-                                   git_sha=_git_sha(args),
-                                   created=_now_iso())
-        current = resolve_run_or_cell(args.current, ldir,
-                                      git_sha=_git_sha(args),
-                                      created=_now_iso())
+        base = resolve_run_or_cell(args.base, ldir, **stamps)
+        current = resolve_run_or_cell(args.current, ldir, **stamps)
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(exc)
     dd = diff_runs(base, current)
     print(dd.render())
-    _write_diff_outputs(base, current, dd, json_out=args.json_out,
-                        diff_flame=args.diff_flame,
-                        diff_wait_flame=args.diff_wait_flame,
-                        overlay=args.overlay)
+    _write_diff_outputs(base, current, dd, args, args.json_out)
     return dd.exit_code
 
 
-def main(argv: Optional[list] = None) -> int:
-    args = build_parser().parse_args(argv)
+def _run_providers(args) -> int:
+    for name in list_providers():
+        print(name)
+    return 0
 
-    if args.experiment == "providers":
-        for name in list_providers():
-            print(name)
-        return 0
 
-    if args.experiment == "lint":
-        return _cmd_lint(args)
-
-    if args.experiment == "sanitize":
-        return _cmd_sanitize(args)
-
-    if args.experiment == "campaign":
-        return _run_campaign(args)
-
-    if args.experiment == "runs":
-        return _run_runs(args)
-
-    if args.experiment == "compare-runs":
-        return _run_compare_runs(args)
-
-    if args.experiment == "trace":
-        return _run_trace(args)
-
-    if args.experiment == "doctor":
-        return _run_doctor(args)
-
-    if args.experiment == "chaos":
-        return _run_chaos(args)
-
+def _run_figure(args) -> int:
+    """fig3 / fig4 / fig5: one plain, unobserved cell and its result line."""
     if args.experiment == "fig3":
         result = run_fig3_cell(args.rw, args.bs, args.jobs, n_ssds=args.ssds,
                                runtime=args.runtime)
@@ -931,6 +785,19 @@ def main(argv: Optional[list] = None) -> int:
 
         print("\n" + snapshot(system).render())
     return 0
+
+
+_COMMANDS = {
+    "providers": _run_providers, "lint": _cmd_lint,
+    "sanitize": _cmd_sanitize, "campaign": _run_campaign, "runs": _run_runs,
+    "compare-runs": _run_compare_runs, "doctor": _run_doctor,
+    "chaos": _run_chaos,
+}
+
+
+def main(argv: Optional[list] = None) -> int:
+    args = build_parser().parse_args(argv)
+    return _COMMANDS.get(args.experiment, _run_figure)(args)
 
 
 if __name__ == "__main__":

@@ -83,34 +83,9 @@ class SystemReport:
     degraded_reads: int = 0
     fault_downtime: float = 0.0
 
-    def busiest_component(self) -> str:
-        """Name of the most utilized station (a bottleneck hint).
-
-        Deterministic: on equal utilization the lexicographically smallest
-        name wins, and an all-idle report (every utilization zero) returns
-        ``"idle"`` rather than an arbitrary max.
-        """
-        candidates = []
-        for n in self.nodes:
-            candidates.append((n.cpu_utilization, f"{n.name}.cpu"))
-            candidates.append((n.tcp_rx_utilization, f"{n.name}.tcp_rx"))
-            for lock, u in n.lock_utilization.items():
-                candidates.append((u, f"{n.name}.lock.{lock}"))
-        for d in self.devices:
-            candidates.append((d.utilization, f"nvme{d.index}"))
-        candidates.append((self.xstream_utilization, "engine.xstreams"))
-        if not candidates:
-            return "idle"
-        best_util = max(u for u, _name in candidates)
-        if best_util <= 0.0:
-            return "idle"
-        return min(name for u, name in candidates if u == best_util)
-
     def to_dict(self) -> dict:
         """The whole snapshot as plain dicts/lists (JSON-serialisable)."""
-        d = asdict(self)
-        d["busiest_component"] = self.busiest_component()
-        return d
+        return asdict(self)
 
     def to_json(self, indent: int = 2) -> str:
         """The snapshot as a JSON document (machine-readable telemetry)."""
@@ -145,8 +120,7 @@ class SystemReport:
             f"{self.data_plane_write_bytes / GIB:.2f} GiB written | "
             f"staging peak: {self.staged_peak_bytes / GIB:.3f} GiB\n"
             f"kernel: {self.sim_events_processed} events dispatched, "
-            f"{self.sim_timeouts_recycled} timeouts recycled\n"
-            f"bottleneck hint: {self.busiest_component()}"
+            f"{self.sim_timeouts_recycled} timeouts recycled"
         )
         if (self.retries or self.reconnects or self.degraded_reads
                 or self.fault_downtime):

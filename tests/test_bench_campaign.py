@@ -33,6 +33,21 @@ def read_ledger_bytes(ledger_dir):
             if name.endswith(".json")}
 
 
+def crash_on_tcp(monkeypatch):
+    """Make every TCP cell's simulation raise, as a simulator bug would
+    (bad knobs never get that far: ``normalize_cell`` rejects them)."""
+    import repro.bench.runner as runner
+
+    real = runner.run_fig5_doctored
+
+    def run(transport, *args, **kw):
+        if transport == "tcp":
+            raise ValueError("injected simulator crash")
+        return real(transport, *args, **kw)
+
+    monkeypatch.setattr(runner, "run_fig5_doctored", run)
+
+
 @pytest.fixture(scope="module")
 def serial_run(tmp_path_factory):
     """One serial execution of SPEC, shared by the comparison tests."""
@@ -242,12 +257,14 @@ class TestRunCampaign:
         assert result.counts() == {"would-run": 2}
         assert not os.path.exists(ledger)
 
-    def test_worker_crash_isolated_to_its_cell(self, tmp_path):
+    def test_worker_crash_isolated_to_its_cell(self, tmp_path, monkeypatch):
+        # The forked pool workers inherit the patched runner.
+        crash_on_tcp(monkeypatch)
         spec = {
             "format": cp.FORMAT,
             "name": "bad",
             "defaults": {"bs": "4k", "runtime": 0.02, "quick": True},
-            "cells": [{"transport": "tcp", "numjobs": 0},
+            "cells": [{"transport": "tcp", "numjobs": 1},
                       {"transport": "rdma", "numjobs": 1}],
         }
         ledger = str(tmp_path / "ledger")
@@ -256,7 +273,7 @@ class TestRunCampaign:
         assert result.exit_code == 1
         (bad,) = result.errors
         assert "ValueError" in bad.error
-        assert "positive" in bad.error
+        assert "injected simulator crash" in bad.error
         assert bad.traceback
         (good,) = [o for o in result.outcomes if o.status == "ran"]
         assert lg.load_run(good.run_id, ledger)["config"]["transport"] == "rdma"
@@ -361,9 +378,10 @@ class TestCellRefs:
         monkeypatch.setattr(cp, "execute_cell", boom)
         assert cp.resolve_run_or_cell(ref, ledger, **STAMP) == first
 
-    def test_failing_cell_ref_raises(self, tmp_path):
+    def test_failing_cell_ref_raises(self, tmp_path, monkeypatch):
+        crash_on_tcp(monkeypatch)
         with pytest.raises(ValueError, match="failed"):
-            cp.resolve_run_or_cell("cell:transport=tcp,numjobs=0",
+            cp.resolve_run_or_cell("cell:transport=tcp,numjobs=1",
                                    str(tmp_path), **STAMP)
 
 

@@ -24,6 +24,7 @@ def no_sim(monkeypatch):
         raise AssertionError("simulation ran despite fail-fast error")
 
     monkeypatch.setattr(runner, "run_fig5_doctored", boom)
+    monkeypatch.setattr(runner, "run_fig5_chaos", boom)
 
 
 def test_parse_size_suffixes():
@@ -150,13 +151,92 @@ def test_doctor_ledger_shares_the_campaign_identity(capsys, tmp_path):
     assert lg.strip_volatile(produced) == lg.strip_volatile(committed)
 
 
-def test_trace_json_names_the_arm_rx_stage(capsys):
-    assert main(["trace", "--json", "--runtime", "0.005"]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["format"] == "repro-trace-v1"
+def test_chaos_ledger_keeps_its_run_id(capsys, tmp_path):
+    """``chaos --ledger`` records the default QP-break cell under the same
+    run ID the command has always produced."""
+    assert main(["chaos", "--ledger", "--runtime", "0.01",
+                 "--ledger-dir", str(tmp_path)]) == 0
+    assert os.listdir(tmp_path) == [
+        "chaos-rdma-dpu-randread-4096-j16-303eb0f701.json"]
+
+
+def test_doctor_json_breakdown_names_the_arm_rx_stage(capsys, tmp_path):
+    out = tmp_path / "doctor.json"
+    assert main(["doctor", "--quick", "--runtime", "0.005",
+                 "--json-out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["format"] == "repro-doctor-v1"
     stages = doc["breakdown"]["stages"]
     top = max(stages, key=lambda s: stages[s]["self_sec_total"])
     assert top == "dpu.arm_rx"
+    assert "waits" in stages[top]
+    assert {"dpu", "storage"} <= {n["name"] for n in doc["telemetry"]["nodes"]}
+
+
+def test_trace_subcommand_is_gone():
+    with pytest.raises(SystemExit):
+        main(["trace"])
+
+
+@pytest.mark.parametrize("argv,defaults", [
+    (["fig5"], dict(transport="rdma", client="host", rw="read", bs=1024**2,
+                    jobs=8, ssds=1, runtime=None)),
+    (["doctor"], dict(transport="tcp", client="dpu", rw="randread", bs=4096,
+                      jobs=None, ssds=1, runtime=None, sample=20)),
+    (["chaos"], dict(transport="rdma", client="dpu", rw="randread", bs=4096,
+                     jobs=None, ssds=1, runtime=None, sample=20)),
+    (["compare-runs", "a", "b"], dict(ledger_dir=None, json_out=None,
+                                      diff_flame=None, diff_wait_flame=None,
+                                      overlay=None)),
+])
+def test_subcommand_defaults(argv, defaults):
+    args = vars(build_parser().parse_args(argv))
+    assert {k: args.get(k, "<absent>") for k in defaults} == defaults
+    if argv == ["fig5"]:
+        assert "sample" not in args  # fig5 stays the unobserved runner
+
+
+class TestBadCellFailsFast:
+    """A knob no runner accepts exits 2 before anything is simulated."""
+
+    @pytest.mark.parametrize("argv", [
+        ["doctor", "--quick", "--transport", "foo"],
+        ["doctor", "--quick", "--sample", "0"],
+        ["doctor", "--quick", "--runtime", "-1"],
+        ["doctor", "--quick", "--jobs", "0"],
+        ["chaos", "--transport", "bogus"],
+        ["chaos", "--jobs", "0"],
+        ["doctor", "--quick", "--against", "cell:rw=trim",
+         "--ledger-dir", LEDGER_DIR],
+        ["compare-runs", "cell:ssds=9", TCP_4K, "--ledger-dir", LEDGER_DIR],
+        {"rw": "trim", "client": "gpu", "ssds": 9},
+        {"transport": "bogus"},
+        {"client": "gpu"},
+        {"ssds": 0},
+        {"iodepth": 0},
+        {"runtime": -1},
+        {"sample_every": 0},
+        {"bs": 0},
+        {"targets": 0},
+    ])
+    def test_exits_2(self, no_sim, capsys, tmp_path, argv):
+        if isinstance(argv, dict):  # a campaign spec with one bad cell
+            spec = tmp_path / "spec.json"
+            spec.write_text(json.dumps({"format": "repro-campaign-v1",
+                                        "cells": [argv]}))
+            argv = ["campaign", str(spec), "--dry-run",
+                    "--ledger-dir", str(tmp_path)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        # A cell: reference's worker would turn no_sim's raise into exit 2.
+        assert err.startswith("error: ") and "simulation ran" not in err
+
+    def test_fig5_transport_choices(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["fig5", "--transport", "foo"])
+        for name in ("tcp", "rdma", "ucx+tcp", "ofi+tcp;ofi_rxm"):
+            args = build_parser().parse_args(["fig5", "--transport", name])
+            assert args.transport == name
 
 
 class TestRunsSubcommand:

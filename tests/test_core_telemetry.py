@@ -64,20 +64,11 @@ def test_tenant_stats_in_report():
     assert report.tenant_stats["telemetry"]["bytes"] == 32 * MIB
 
 
-def test_busiest_component_is_plausible():
-    system = run_workload()
-    report = snapshot(system)
-    hint = report.busiest_component()
-    # In this short RDMA run the media should dominate.
-    assert hint.startswith("nvme") or "xstream" in hint or ".cpu" in hint
-
-
 def test_render_produces_tables():
     system = run_workload(transport="tcp")
     text = snapshot(system).render()
     assert "Nodes @" in text
     assert "NVMe devices" in text
-    assert "bottleneck hint:" in text
 
 
 def test_host_mode_snapshot_has_two_nodes():
@@ -99,34 +90,8 @@ def test_system_report_to_dict_and_json():
     d = report.to_dict()
     assert d["now"] == env.now
     assert {n["name"] for n in d["nodes"]}  # at least one node
-    assert d["busiest_component"] == report.busiest_component()
     doc = json.loads(report.to_json())
     assert doc == json.loads(json.dumps(d, sort_keys=True))
-
-
-def _node(name, cpu=0.0, tcp=0.0, locks=None):
-    from repro.core.telemetry import NodeReport
-
-    return NodeReport(name=name, cpu_utilization=cpu, tcp_rx_utilization=tcp,
-                      lock_utilization=locks or {}, dram_used_bytes=0.0,
-                      port_tx_bytes=0, port_rx_bytes=0)
-
-
-def test_busiest_component_tie_breaks_deterministically():
-    from repro.core.telemetry import DeviceReport
-
-    report = SystemReport(now=1.0,
-                          nodes=[_node("zeta", cpu=0.5), _node("alpha", cpu=0.5)],
-                          devices=[DeviceReport(index=0, utilization=0.5,
-                                                read_bytes=0, write_bytes=0)])
-    # Three-way tie at 0.5: lexicographically smallest name wins, always.
-    assert report.busiest_component() == "alpha.cpu"
-
-
-def test_busiest_component_idle_when_nothing_ran():
-    report = SystemReport(now=0.0, nodes=[_node("a"), _node("b")])
-    assert report.busiest_component() == "idle"
-    assert SystemReport(now=0.0).busiest_component() == "idle"
 
 
 def test_observe_on_real_system():
