@@ -581,7 +581,7 @@ def _run_doctor(args) -> int:
 def _run_chaos(args) -> int:
     from repro.bench import campaign as cp
     from repro.bench import chaos as ch
-    from repro.faults.plan import FaultPlan, parse_fault_spec
+    from repro.faults.plan import FaultPlan, FaultTargetError, parse_fault_spec
     from repro.faults.retry import RetryPolicy
 
     if not _out_paths_ok(args, "json_out", "wait_flame"):
@@ -603,7 +603,10 @@ def _run_chaos(args) -> int:
     except ValueError as exc:
         return _fail(exc)
     label = cp.cell_label(config)
-    run = cp.run_cell(config)
+    try:
+        run = cp.run_cell(config)
+    except FaultTargetError as exc:
+        return _fail(exc)
     doc = ch.make_chaos_report(
         run, config, label=label,
         min_goodput=config.get("min_goodput", ch.DEFAULT_MIN_GOODPUT),

@@ -234,6 +234,9 @@ def run_ros2_fio(
             s = yield from system.open_session(token)
             fh = yield from s.open(path)
             ports.append((s.data_port(), fh))
+        fx = env._faults
+        if fx is not None:
+            fx.check_targets()  # every session's channel exists now
         if prefill:
             # Lay the file out in whole chunks so reads hit real extents,
             # 32 writers wide (setup time, excluded from measurement).
@@ -280,9 +283,10 @@ def _build_fig5(
     instead of FIFO (see :func:`repro.sim.core.tie_scramble`).
 
     ``fault_plan`` (a :class:`~repro.faults.plan.FaultPlan`) is installed
-    *before* the system is built so every channel, engine and node
-    self-registers with the injector; :func:`~repro.workload.fio.run_fio`
-    arms it when the measured window opens.
+    on the fresh environment; :func:`run_ros2_fio` checks its targets
+    against the component registry before prefill, and
+    :func:`~repro.workload.fio.run_fio` arms it when the measured window
+    opens.
     """
     env = Environment(tie_seed=tie_seed)
     if fault_plan is not None:
@@ -327,47 +331,19 @@ def run_fig5_cell(
 def doctor_stations(system: Ros2System) -> list:
     """Independently-counted station occupancies for the utilization law.
 
-    Walks the same servers :func:`repro.core.telemetry.install_probes`
-    probes and reads each one's own ``busy_time`` counter.  Stations that
-    share a blame name (the BF3 Arm RX core pool and the ``tcp_stack``
-    serialized section both report as ``dpu.arm_rx``) are summed into one
-    record — matching how the wait tracer aggregates them — so the
+    Every registry station's own ``busy_time``, summed per blame bucket
+    (the BF3 Arm RX pool and ``tcp_stack`` section both book as
+    ``dpu.arm_rx``) as the wait tracer aggregates them, so the
     cross-check compares like with like.
     """
     from repro.sim.doctor import Station
+    from repro.sim.registry import STATION_KINDS
 
     acc: dict = {}
-
-    def add(name, busy, capacity=1):
-        if name is None:
-            return
-        rec = acc.get(name)
-        if rec is None:
-            acc[name] = [float(busy), int(capacity)]
-        else:
-            rec[0] += float(busy)
-            rec[1] += int(capacity)
-
-    seen = set()
-    for node in [system.client_node, system.server_node, system.launcher_node]:
-        if node.name in seen:
-            continue
-        seen.add(node.name)
-        add(node.cpu.name, node.cpu.busy_time, node.cpu.n_cores)
-        rx = node.tcp_rx_cpu
-        add(rx.name, rx.busy_time, rx.n_cores)
-        node.lock("tcp_stack")
-        for sec in node._locks.values():
-            add(sec._server.name, sec.busy_time, 1)
-        port = getattr(node, "port", None)
-        if port is not None:
-            add(port.tx.name, port.tx.busy_time, 1)
-            add(port.rx.name, port.rx.busy_time, 1)
-    for dev in system.server_node.nvme.devices:
-        add(f"nvme.ssd{dev.index}", dev.busy_time, 1)
-    for target in system.engine.targets:
-        xs = target.xstream
-        add(xs.name, xs.busy_time, 1)
+    for c in system.env.components.of_kind(*STATION_KINDS):
+        rec = acc.setdefault(c.bucket, [0.0, 0])
+        rec[0] += c.obj.busy_time
+        rec[1] += c.capacity
     return [Station(name=n, busy_time=b, capacity=c)
             for n, (b, c) in sorted(acc.items())]
 
@@ -379,7 +355,7 @@ class DoctoredRun:
     ``tracer`` holds the wait-cause records (installed at *t = 0*, before
     prefill, so its per-resource service aggregates cover the exact same
     window as each station's ``busy_time`` counter); ``stations`` is the
-    :func:`doctor_stations` walk taken after the run.
+    :func:`doctor_stations` view taken after the run.
     """
 
     result: FioResult

@@ -1,19 +1,13 @@
 """System-wide telemetry: snapshots *and* continuous time series.
 
-Operating a storage system means knowing where the time went.  This
-module walks an assembled :class:`~repro.core.ros2.Ros2System` and
-produces a structured report — per-node CPU and lock utilizations, NIC
-port throughput, NVMe device busy fractions, engine xstream load, data
-plane counters, tenancy stats — the same numbers the benches used when
-diagnosing bottlenecks, packaged as a public API (and a printable table).
-
-On top of the point-in-time :class:`SystemReport`, :func:`observe`
-attaches a :class:`~repro.sim.timeseries.Sampler` with the standard probe
-set (CPU pools, Arm TCP-RX cores, lock sections, NVMe queue depth and
-busy fraction, NIC occupancy and byte rates, engine xstreams, data-plane
-staging and byte rates, in-flight RPCs) — the utilization-over-time
-curves in which the paper's temporal phenomena, like the DPU Arm-RX
-bottleneck of Fig. 5, actually show up.
+Both are views over the environment's component registry
+(:mod:`repro.sim.registry`).  :func:`snapshot` is a structured report —
+per-node CPU and lock utilizations, NIC port throughput, NVMe device
+busy fractions, engine xstream load, data plane counters, tenancy stats
+— with a printable table.  :func:`observe` attaches a
+:class:`~repro.sim.timeseries.Sampler` with the standard probe set, the
+utilization-over-time curves in which the paper's temporal phenomena,
+like the DPU Arm-RX bottleneck of Fig. 5, show up.
 """
 
 from __future__ import annotations
@@ -53,7 +47,7 @@ class NodeReport:
 class DeviceReport:
     """One NVMe device's load."""
 
-    index: int
+    name: str
     utilization: float
     read_bytes: int
     write_bytes: int
@@ -109,7 +103,7 @@ class SystemReport:
         devs = Table("NVMe devices", ["busy", "read GiB", "written GiB"],
                      row_header="device")
         for d in self.devices:
-            devs.add_row(f"nvme{d.index}", [
+            devs.add_row(d.name, [
                 f"{d.utilization * 100:.0f}%",
                 f"{d.read_bytes / GIB:.2f}",
                 f"{d.write_bytes / GIB:.2f}",
@@ -136,35 +130,38 @@ class SystemReport:
 def snapshot(system) -> SystemReport:
     """Collect a :class:`SystemReport` from a running Ros2System."""
     env = system.env
+    reg = env.components
     report = SystemReport(
         now=env.now,
         sim_events_processed=env.events_processed,
         sim_timeouts_recycled=env.timeouts_recycled,
     )
-    seen = set()
-    for node in [system.client_node, system.server_node, system.launcher_node]:
-        if node.name in seen:
-            continue
-        seen.add(node.name)
+    for c in reg.of_kind("node"):
+        node = c.obj
         report.nodes.append(NodeReport(
-            name=node.name,
+            name=c.name,
             cpu_utilization=node.cpu.utilization(),
             tcp_rx_utilization=node.tcp_rx_cpu.utilization(),
             lock_utilization={
-                name: sec.utilization() for name, sec in node._locks.items()
+                sec.name: sec.obj.utilization()
+                for sec in reg.of_kind("section") if sec.node == c.name
             },
             dram_used_bytes=node.dram.used_bytes,
             port_tx_bytes=node.port.bytes_sent(),
             port_rx_bytes=node.port.bytes_received(),
         ))
-    for dev in system.server_node.nvme.devices:
+    for c in reg.of_kind("nvme"):
+        dev = c.obj
         report.devices.append(DeviceReport(
-            index=dev.index,
+            name=c.name,
             utilization=dev.utilization(),
             read_bytes=dev.reads.bytes,
             write_bytes=dev.writes.bytes,
         ))
-    report.xstream_utilization = system.engine.xstream_utilization()
+    xs = [c.obj for c in reg.of_kind("xstream")]
+    if env.now > 0 and xs:
+        report.xstream_utilization = (fsum(x.busy_time for x in xs)
+                                      / (env.now * len(xs)))
     report.degraded_reads = system.engine.degraded_reads
     fx = env._faults
     if fx is not None:
@@ -189,74 +186,38 @@ def snapshot(system) -> SystemReport:
 def install_probes(system, sampler: Sampler) -> Sampler:
     """Register the standard probe set for an assembled Ros2System.
 
-    One call wires every station :func:`snapshot` reports — plus the
-    queueing stations behind the Little's-law self-check — into
-    ``sampler``:
-
-    * per node: CPU-pool busy fraction, the restricted TCP-RX core set
-      (the DPU's Arm RX path), every serialized section existing at
-      attach time (``tcp_stack`` is pre-created so the hot one is never
-      missed), NIC TX/RX occupancy and byte rates;
-    * per NVMe device: busy fraction and queue depth (a
-      :class:`~repro.sim.timeseries.StationStats` attached to the command
-      queue, also checked against ``L = λW``);
-    * engine: mean xstream busy fraction and the in-flight RPC station;
-    * data plane: staged bytes and read/write byte rates;
-    * client: the submission CPU-pool station.
+    Every registry component, also one that joins later (a TCP stack
+    section is built with its first connection), gets probes named
+    after it: ``<name>.busy`` for CPU pools, sections, port pipes and
+    NVMe devices; ``<name>.bytes`` for pipes; an in-flight station (the
+    Little's-law check) per NVMe device.  The engine adds
+    ``engine.xstreams.busy`` and the ``engine.rpc`` station; the client
+    node its data-plane probes and ``<node>.cpu`` station.
     """
-    seen = set()
-    for node in [system.client_node, system.server_node, system.launcher_node]:
-        if node.name in seen:
-            continue
-        seen.add(node.name)
-        name = node.name
-        cpu = node.cpu
-        sampler.add_probe(f"{name}.cpu.busy",
-                          lambda c=cpu: c.busy_time / c.n_cores,
-                          kind=UTILIZATION, node=name)
-        rx = node.tcp_rx_cpu
-        sampler.add_probe(f"{name}.tcp_rx.busy",
-                          lambda r=rx: r.busy_time / r.n_cores,
-                          kind=UTILIZATION, node=name)
-        node.lock("tcp_stack")  # ensure the hottest section exists
-        for lname, sec in node._locks.items():
-            sampler.add_probe(f"{name}.lock.{lname}.busy",
-                              lambda s=sec: s.busy_time,
-                              kind=UTILIZATION, node=name)
-        port = getattr(node, "port", None)
-        if port is not None:
-            sampler.add_probe(f"{name}.nic.tx.busy",
-                              lambda p=port: p.tx.busy_time,
-                              kind=UTILIZATION, node=name)
-            sampler.add_probe(f"{name}.nic.rx.busy",
-                              lambda p=port: p.rx.busy_time,
-                              kind=UTILIZATION, node=name)
-            sampler.add_probe(f"{name}.nic.tx.bytes",
-                              lambda p=port: float(p.bytes_sent()),
-                              kind=RATE, unit="B/s", node=name)
-            sampler.add_probe(f"{name}.nic.rx.bytes",
-                              lambda p=port: float(p.bytes_received()),
-                              kind=RATE, unit="B/s", node=name)
+    def probe(c) -> None:
+        obj, cap, node = c.obj, c.capacity, c.node
+        if c.kind in ("cpu", "section", "pipe", "nvme"):
+            sampler.add_probe(f"{c.name}.busy", lambda: obj.busy_time / cap,
+                              kind=UTILIZATION, node=node)
+        if c.kind == "pipe":
+            sampler.add_probe(f"{c.name}.bytes",
+                              lambda: float(obj.bytes_moved),
+                              kind=RATE, unit="B/s", node=node)
+        elif c.kind == "nvme":
+            stats = StationStats(c.name)
+            obj.attach_stats(stats)
+            sampler.add_station(c.name, stats, node=node)
+        elif c.kind == "engine":
+            sampler.add_probe(
+                "engine.xstreams.busy",
+                lambda: fsum(t.xstream.busy_time for t in obj.targets) / obj.n_targets,
+                kind=UTILIZATION, node=node,
+            )
+            rpc_stats = StationStats("engine.rpc")
+            obj.rpc.attach_stats(rpc_stats)
+            sampler.add_station("engine.rpc", rpc_stats, node=node)
 
-    server = system.server_node
-    for dev in server.nvme.devices:
-        dname = f"nvme{dev.index}"
-        sampler.add_probe(f"{dname}.busy", lambda d=dev: d.busy_time,
-                          kind=UTILIZATION, node=server.name)
-        stats = StationStats(dname)
-        dev.attach_stats(stats)
-        sampler.add_station(dname, stats, node=server.name)
-
-    engine = system.engine
-    sampler.add_probe(
-        "engine.xstreams.busy",
-        lambda e=engine: fsum(t.xstream.busy_time for t in e.targets) / e.n_targets,
-        kind=UTILIZATION, node=server.name,
-    )
-    rpc_stats = StationStats("engine.rpc")
-    engine.rpc.attach_stats(rpc_stats)
-    sampler.add_station("engine.rpc", rpc_stats, node=server.name)
-
+    system.env.components.subscribe(probe)
     dp = system.service.data_plane
     cname = system.client_node.name
     sampler.add_probe(f"{cname}.dp.staged", lambda d=dp: d.staged.level,

@@ -17,7 +17,6 @@ spends zero CPU per byte.
 from __future__ import annotations
 
 import zlib
-from math import fsum
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -132,9 +131,11 @@ class DaosEngine:
         self.degraded_reads = 0
         self.rpc = RpcServer(node)
         self._register_handlers()
-        fx = self.env._faults
-        if fx is not None:
-            fx.register_engine(self)
+        reg = self.env.components
+        reg.add("engine", "engine", self, node=node.name)
+        for t in self.targets:  # a target answers to its engine
+            reg.add(f"engine.target{t.index}", "target", self, node=node.name)
+            reg.add(t.xstream.name, "xstream", t.xstream, node=node.name)
 
     # -- administration (local API, also callable via RPC) ---------------------
     def create_pool(self) -> PoolId:
@@ -695,11 +696,3 @@ class DaosEngine:
                 raise DaosError(f"both data targets of {oid} are down")
             return live[:1]
         return [self.target_for(oid, b"")]
-
-    # -- introspection ---------------------------------------------------------------
-    def xstream_utilization(self) -> float:
-        """Mean busy fraction across target xstreams."""
-        now = self.env.now
-        if now <= 0:
-            return 0.0
-        return fsum(t.xstream.busy_time for t in self.targets) / (now * self.n_targets)

@@ -4,33 +4,37 @@ A :class:`FaultPlan` is data: a sorted schedule of :class:`FaultEvent`
 entries plus the :class:`~repro.faults.retry.RetryPolicy` the client
 should recover with.  ``plan.install(env)`` attaches a
 :class:`FaultInjector` to the environment's ``_faults`` hook slot;
-components self-register at construction time (channels, engines,
-nodes) when the slot is non-``None`` and otherwise pay a single ``is
-not None`` test — the same zero-cost-when-off contract the wait tracer
-and trace hooks follow.
+injection points pay a single ``is not None`` test when it is empty —
+the same zero-cost-when-off contract the wait tracer and trace hooks
+follow.  The injector finds its targets in the environment's component
+registry (:mod:`repro.sim.registry`).
 
 Fault *times* are relative to the workload's measured-window start:
 the harness calls :meth:`FaultInjector.arm` with the absolute base
 time once setup is done, which freezes every fault window and spawns
 one driver process that fires the events in schedule order.
 
-Targets reuse the WaitTracer resource naming scheme:
+A target is a registry name, the WaitTracer resource name:
 
 ========================  =============================================
 kind                      target
 ========================  =============================================
 ``qp_break``              ``{node}.qp``        (e.g. ``dpu.qp``)
-``tcp_reset``             ``{node}.tcp``       (e.g. ``host.tcp``)
+``tcp_reset``             ``{node}.tcp``       (e.g. ``storage.tcp``)
 ``nvme_media_error``      ``nvme.ssd{i}``
 ``nvme_latency_spike``    ``nvme.ssd{i}``
 ``engine_crash``          ``engine.target{i}``
 ``arm_stall``             ``{node}.{lock}``    (e.g. ``dpu.daos_progress``)
 ========================  =============================================
+
+Targets are validated before prefill: :meth:`FaultInjector.check_targets`
+raises :class:`FaultTargetError` (a ``ValueError``) for a target no
+component of that kind answers to.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, Dict, Generator, List, Optional, Tuple
 
 from repro.faults.retry import RetryPolicy
@@ -45,6 +49,7 @@ __all__ = [
     "FaultInjector",
     "FaultPlan",
     "FaultStats",
+    "FaultTargetError",
     "parse_fault_spec",
 ]
 
@@ -61,6 +66,15 @@ FAULT_KINDS = (
 #: Kinds whose effect is *pulled* (a window check at the injection
 #: point) rather than *pushed* (an applier mutating component state).
 _PULL_KINDS = frozenset({"nvme_media_error", "nvme_latency_spike"})
+
+#: The registry component kind each fault kind targets.
+_TARGET_KINDS = dict(qp_break="qp", tcp_reset="tcp", nvme_media_error="nvme",
+                     nvme_latency_spike="nvme", engine_crash="target",
+                     arm_stall="section")
+
+
+class FaultTargetError(ValueError):
+    """A fault event names a target no component of its kind answers to."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -111,60 +125,36 @@ class FaultEvent:
         )
 
 
+@dataclass(slots=True)
 class FaultStats:
     """Recovery/injection counters, surfaced in ``SystemReport``."""
 
-    __slots__ = (
-        "injected",
-        "retries",
-        "reconnects",
-        "timeouts",
-        "replies_dropped",
-        "submitted",
-        "completed",
-        "failed",
-        "degraded_reads",
-        "fault_downtime",
-    )
-
-    def __init__(self) -> None:
-        #: Fired fault events, by kind.
-        self.injected: Dict[str, int] = {}
-        #: Client-side retry attempts after a retryable failure.
-        self.retries = 0
-        #: Successful QP/TCP reconnects.
-        self.reconnects = 0
-        #: Per-op deadline expiries.
-        self.timeouts = 0
-        #: RPC replies the server dropped because the transport was down.
-        self.replies_dropped = 0
-        #: Workload operations submitted / completed / failed-with-error
-        #: (conservation: submitted == completed + failed after drain).
-        self.submitted = 0
-        self.completed = 0
-        self.failed = 0
-        #: Fetches served from a non-primary replica or an EC rebuild
-        #: (copied from the engine after the drain by the chaos runner).
-        self.degraded_reads = 0
-        #: Union of fault windows in seconds (set when the plan is armed).
-        self.fault_downtime = 0.0
+    #: Fired fault events, by kind.
+    injected: Dict[str, int] = field(default_factory=dict)
+    #: Client-side retry attempts after a retryable failure.
+    retries: int = 0
+    #: Successful QP/TCP reconnects.
+    reconnects: int = 0
+    #: Per-op deadline expiries.
+    timeouts: int = 0
+    #: RPC replies the server dropped because the transport was down.
+    replies_dropped: int = 0
+    #: Workload operations submitted / completed / failed-with-error
+    #: (conservation: submitted == completed + failed after drain).
+    submitted: int = 0
+    completed: int = 0
+    failed: int = 0
+    #: Fetches served from a non-primary replica or an EC rebuild
+    #: (copied from the engine after the drain by the chaos runner).
+    degraded_reads: int = 0
+    #: Union of fault windows in seconds (set when the plan is armed).
+    fault_downtime: float = 0.0
 
     def count_injected(self, kind: str) -> None:
         self.injected[kind] = self.injected.get(kind, 0) + 1
 
     def to_dict(self) -> dict:
-        return {
-            "injected": dict(sorted(self.injected.items())),
-            "retries": self.retries,
-            "reconnects": self.reconnects,
-            "timeouts": self.timeouts,
-            "replies_dropped": self.replies_dropped,
-            "submitted": self.submitted,
-            "completed": self.completed,
-            "failed": self.failed,
-            "degraded_reads": self.degraded_reads,
-            "fault_downtime": self.fault_downtime,
-        }
+        return {**asdict(self), "injected": dict(sorted(self.injected.items()))}
 
 
 @dataclass(frozen=True, slots=True)
@@ -214,42 +204,40 @@ class FaultPlan:
 
 
 class FaultInjector:
-    """Runtime half of a :class:`FaultPlan`: registry, windows, driver.
+    """Runtime half of a :class:`FaultPlan`: target check, windows, driver.
 
-    Components register themselves during construction (guarded by the
-    ``env._faults is not None`` test); the harness calls :meth:`arm`
-    once the measured window's start time is known.  Pull-style kinds
-    (NVMe) are window queries via :meth:`active`; push-style kinds are
-    applied by the driver process at their trigger times.
+    The harness calls :meth:`check_targets` before prefill and :meth:`arm`
+    when the measured window opens.  Pull-style kinds (NVMe) are window
+    queries via :meth:`active`; the driver applies push-style kinds to
+    the registry components their targets name.
     """
 
-    __slots__ = ("env", "plan", "stats", "_channels", "_engines", "_nodes",
-                 "_windows", "_armed_at")
+    __slots__ = ("env", "plan", "stats", "_windows", "_armed_at")
 
     def __init__(self, env: "Environment", plan: FaultPlan) -> None:
         self.env = env
         self.plan = plan
         self.stats = FaultStats()
-        #: Transport channels by fault target name (``{node}.qp`` /
-        #: ``{node}.tcp``); several sessions may share a target.
-        self._channels: Dict[str, List[object]] = {}
-        self._engines: List[object] = []
-        self._nodes: Dict[str, object] = {}
         #: ``(kind, target) -> [(start, end, event), ...]`` absolute
         #: windows, frozen by :meth:`arm`.
         self._windows: Dict[Tuple[str, str], List[Tuple[float, float, FaultEvent]]] = {}
         self._armed_at: Optional[float] = None
 
-    # -- component registry (called from __init__ when hooks are on) -----------
-    def register_channel(self, target: str, channel: object) -> None:
-        """A transport channel answering to fault target ``target``."""
-        self._channels.setdefault(target, []).append(channel)
+    def _targets(self, ev: FaultEvent) -> List[object]:
+        """The components ``ev`` acts on."""
+        kind = _TARGET_KINDS[ev.kind]
+        return [c.obj for c in self.env.components.get(ev.target)
+                if c.kind == kind]
 
-    def register_engine(self, engine: object) -> None:
-        self._engines.append(engine)
-
-    def register_node(self, node: object) -> None:
-        self._nodes[getattr(node, "name")] = node
+    def check_targets(self) -> None:
+        """Reject any event whose target no registered component answers to."""
+        reg = self.env.components
+        for ev in self.plan.events:
+            if not self._targets(ev):
+                valid = reg.names(_TARGET_KINDS[ev.kind])
+                raise FaultTargetError(
+                    f"unknown {ev.kind} target {ev.target!r}; valid: "
+                    f"{', '.join(valid) if valid else '(none in this system)'}")
 
     # -- schedule ---------------------------------------------------------------
     @property
@@ -317,45 +305,35 @@ class FaultInjector:
         self.stats.count_injected(ev.kind)
         if ev.kind in _PULL_KINDS:
             return  # effect is a window query at the device
+        targets = self._targets(ev)
         if ev.kind == "qp_break":
-            for ch in self._channels.get(ev.target, ()):
+            for ch in targets:
                 ch.break_qps(f"injected qp_break on {ev.target}")  # type: ignore[attr-defined]
         elif ev.kind == "tcp_reset":
-            for ch in self._channels.get(ev.target, ()):
+            for ch in targets:
                 ch.reset(ev.duration)  # type: ignore[attr-defined]
         elif ev.kind == "engine_crash":
-            self._apply_engine_crash(ev)
+            index = int(ev.target.rsplit("target", 1)[1])
+            for engine in targets:
+                engine.fail_target(index)  # type: ignore[attr-defined]
+                if ev.duration > 0:
+                    self.env.process(self._restart_target(engine, index, ev.duration),
+                                     name=f"faults.restart.{ev.target}")
         elif ev.kind == "arm_stall":
-            self._apply_arm_stall(ev)
-
-    def _apply_engine_crash(self, ev: FaultEvent) -> None:
-        index = int(ev.target.rsplit("target", 1)[1])
-        for engine in self._engines:
-            engine.fail_target(index)  # type: ignore[attr-defined]
-            if ev.duration > 0:
-                self.env.process(self._restart_target(engine, index, ev.duration),
-                                 name=f"faults.restart.{ev.target}")
+            for section in targets:
+                self.env.process(self._stall(section, ev.duration),
+                                 name=f"faults.stall.{ev.target}")
 
     def _restart_target(self, engine: object, index: int,
                         duration: float) -> Generator["Event", None, None]:
         yield self.env.timeout(duration)
         yield from engine.rebuild_target(index)  # type: ignore[attr-defined]
 
-    def _apply_arm_stall(self, ev: FaultEvent) -> None:
-        node_name, _, lock_name = ev.target.partition(".")
-        node = self._nodes.get(node_name)
-        if node is None or not lock_name:
-            raise ValueError(f"arm_stall target {ev.target!r} matches no "
-                             f"registered node lock")
-        self.env.process(self._stall(node, lock_name, ev.duration),
-                         name=f"faults.stall.{ev.target}")
-
-    def _stall(self, node: object, lock_name: str,
+    def _stall(self, section: object,
                duration: float) -> Generator["Event", None, None]:
         # Occupy the serialized section's server for exactly ``duration``
         # (``enter()`` would scale by the node's lock factor).
-        section = node.lock(lock_name)  # type: ignore[attr-defined]
-        yield section._server.serve(duration)
+        yield section._server.serve(duration)  # type: ignore[attr-defined]
 
 
 def _union_length(spans: List[Tuple[float, float]]) -> float:

@@ -34,6 +34,8 @@ class Port:
             env, spec.rate_bytes, latency=0.0, chunk_bytes=spec.chunk_bytes,
             name=f"net.{name}.rx",
         )
+        for pipe in (self.tx, self.rx):
+            env.components.add(pipe.name, "pipe", pipe, node=name)
 
     def bytes_sent(self) -> int:
         """Payload bytes that left through this port."""

@@ -27,15 +27,17 @@ __all__ = ["NvmeDevice", "NvmeArray"]
 class NvmeDevice:
     """One NVMe SSD as a calibrated queueing station."""
 
-    __slots__ = ("env", "spec", "index", "_server", "reads", "writes")
+    __slots__ = ("env", "spec", "index", "name", "_server", "reads", "writes")
 
     def __init__(self, env: Environment, spec: NvmeSpec, index: int = 0) -> None:
         self.env = env
         self.spec = spec
         self.index = index
-        self._server = FifoServer(env, name=f"nvme.ssd{index}")
-        self.reads = RateMeter(env, f"nvme{index}.reads")
-        self.writes = RateMeter(env, f"nvme{index}.writes")
+        #: The device's one name: station, fault target, meters, spans.
+        self.name = f"nvme.ssd{index}"
+        self._server = FifoServer(env, name=self.name)
+        self.reads = RateMeter(env, f"{self.name}.reads")
+        self.writes = RateMeter(env, f"{self.name}.writes")
 
     def service_time(self, nbytes: int, is_write: bool,
                      bw_efficiency: float = 1.0) -> float:
@@ -70,7 +72,7 @@ class NvmeDevice:
         spec = self.spec
         fx = self.env._faults
         if fx is not None:
-            name = self._server.name
+            name = self.name
             if fx.active("nvme_media_error", name) is not None:
                 from repro.faults.errors import NvmeMediaError
 
@@ -83,7 +85,7 @@ class NvmeDevice:
                 service *= spike.factor
         span = None
         if trace is not None:
-            span = trace.child("nvme", node=f"nvme{self.index}", nbytes=nbytes)
+            span = trace.child("nvme", node=self.name, nbytes=nbytes)
         # Queue+service plus the parallel NAND access latency are two
         # back-to-back pure sleeps for this process; ``serve_then``
         # reserves the device exactly like ``serve`` but wakes us once,

@@ -49,9 +49,8 @@ class Node:
         #: Cores that TCP receive processing is confined to (softirq/NAPI).
         #: The pool factor is the platform's *total* per-byte RX penalty
         #: (it already subsumes the cycle factor for this specialized path).
-        #: On the BlueField the pool is blamed as ``<node>.arm_rx`` — the
-        #: same bucket as the serialized Arm stack section — so the doctor
-        #: sees the paper's "Arm RX path" as one resource (§4.4, Fig. 5).
+        #: On the BlueField it is ``<node>.arm_rx``, the paper's Arm RX
+        #: path (§4.4, Fig. 5), a bucket the stack section shares.
         self.tcp_rx_cpu = CpuPool(
             env,
             spec,
@@ -61,9 +60,10 @@ class Node:
         )
         self.dram = DramPool(env, spec.dram_bytes, name=f"{name}.dram")
         self._locks: Dict[str, SerializedSection] = {}
-        fx = env._faults
-        if fx is not None:
-            fx.register_node(self)
+        reg = env.components
+        reg.add(name, "node", self, node=name)
+        for pool in (self.cpu, self.tcp_rx_cpu):
+            reg.add(pool.name, "cpu", pool, node=name, capacity=pool.n_cores)
 
     def lock(self, name: str) -> SerializedSection:
         """Get or create the named host-wide serialized section."""
@@ -80,6 +80,8 @@ class Node:
                 self.env, f"{self.name}.{name}", self.spec.lock_factor,
                 wait_name=wait_name,
             )
+            self.env.components.add(sec.name, "section", sec, node=self.name,
+                                    bucket=wait_name)
         return sec
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -112,6 +114,8 @@ class StorageNode(ComputeNode):
     ) -> None:
         super().__init__(env, name, spec, switch)
         self.nvme = NvmeArray(env, nvme_spec, n_ssds)
+        for dev in self.nvme.devices:
+            env.components.add(dev.name, "nvme", dev, node=name)
         #: Storage-class-memory capacity (PMDK tier for metadata/small IO).
         self.scm_bytes = int(scm_bytes)
 

@@ -194,10 +194,8 @@ class TcpChannel(FabricChannel):
         self._regions: Dict[int, Tuple[str, Optional[Any], int, Optional[float], bool]] = {}
         self._next_key = 0x7000
         self._next_addr = 0x20_0000_0000
-        fx = self.env._faults
-        if fx is not None:
-            for name in self.nodes:
-                fx.register_channel(f"{name}.tcp", self)
+        for name in self.nodes:
+            self.env.components.add(f"{name}.tcp", "tcp", self, node=name)
 
     def reset(self, duration: float) -> None:
         """Injected TCP reset: sends fail until the window passes."""
@@ -300,10 +298,8 @@ class RdmaChannel(FabricChannel):
         self.qps[a.name].connect(self.qps[b.name])
         self._listeners = Listeners(self.nodes)
         self._mrs: Dict[int, MemoryRegion] = {}
-        fx = self.env._faults
-        if fx is not None:
-            for name in self.nodes:
-                fx.register_channel(f"{name}.qp", self)
+        for name in self.nodes:
+            self.env.components.add(f"{name}.qp", "qp", self, node=name)
 
     # -- fault handling ------------------------------------------------------
     def break_qps(self, reason: str) -> None:
@@ -416,10 +412,6 @@ class Fabric:
             if node.name not in self._rdma_devices:
                 self._rdma_devices[node.name] = RdmaDevice(node, info.costs)
         return FabricEndpoint(self, node, info)
-
-    def tcp_stack(self, name: str) -> TcpStack:
-        """The node's TCP stack (must have a tcp endpoint)."""
-        return self._tcp_stacks[name]
 
     def _make_channel(
         self, provider: ProviderInfo, a: ComputeNode, b: ComputeNode

@@ -78,13 +78,13 @@ class TcpConnection:
                 peer,                               # 1: destination stack
                 stack.costs,                        # 2: transport costs
                 snode.cpu,                          # 3: sender cores
-                snode.lock("tcp_stack"),            # 4: sender stack section
+                stack.section,                      # 4: sender stack section
                 self._stream[name],                 # 5: per-conn stream
                 snode.switch,                       # 6
                 dnode.name,                         # 7
                 dnode.tcp_rx_cpu,                   # 8: restricted RX cores
                 dnode.cpu,                          # 9: receiver cores
-                dnode.lock("tcp_stack"),            # 10: receiver section
+                peer.section,                       # 10: receiver section
                 "bluefield" in snode.spec.name,     # 11
                 "bluefield" in dnode.spec.name,     # 12
             )
@@ -226,6 +226,8 @@ class TcpStack:
         self.node = node
         self.env: Environment = node.env
         self.costs = costs
+        #: The node-wide serialized stack section (socket/qdisc locks).
+        self.section = node.lock("tcp_stack")
         self.sent = RateMeter(self.env, f"{node.name}.tcp.tx")
         self.received = RateMeter(self.env, f"{node.name}.tcp.rx")
 

@@ -38,6 +38,8 @@ from heapq import heappop, heappush
 from sys import getrefcount
 from typing import Any, Callable, Generator, Iterable, Optional
 
+from repro.sim.registry import Registry
+
 __all__ = [
     "PENDING",
     "URGENT",
@@ -489,7 +491,7 @@ class Environment:
 
     __slots__ = ("_now", "_queue", "_eid", "_active",
                  "_events_processed", "_tfree", "_timeouts_recycled",
-                 "_wait_tracer", "_tie_scramble", "_faults")
+                 "_wait_tracer", "_tie_scramble", "_faults", "components")
 
     def __init__(self, initial_time: float = 0.0,
                  tie_seed: Optional[int] = None) -> None:
@@ -517,6 +519,8 @@ class Environment:
         #: None.  Injection points and recovery loops pay one ``is not
         #: None`` test when chaos is off — same contract as the tracer.
         self._faults = None
+        #: Every component built in this environment (sim/registry.py).
+        self.components = Registry()
 
     # -- clock ------------------------------------------------------------
     @property

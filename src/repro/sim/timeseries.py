@@ -329,10 +329,12 @@ class Sampler:
 
     def add_probe(self, name: str, fn: Callable[[], float], kind: str = GAUGE,
                   unit: str = "", node: Optional[str] = None) -> Probe:
-        """Register a signal; returns the :class:`Probe` handle."""
+        """Register a signal (primed at once if sampling already runs)."""
         if name in self.series:
             raise ValueError(f"duplicate probe name {name!r}")
         probe = Probe(name, fn, kind=kind, unit=unit, node=node)
+        if self._proc is not None and kind != GAUGE:
+            probe._prev = float(fn())
         self._probes.append(probe)
         unit = unit or ({UTILIZATION: "busy", RATE: "/s"}.get(kind, ""))
         self.series[name] = TimeSeries(name, capacity=self.capacity,

@@ -40,10 +40,10 @@ def test_sampled_series_cover_the_required_signals(observed):
     names = set(observed.sampler.series)
     # CPU, NVMe queue depth, NIC, Arm-core/TCP-RX load, in-flight RPCs.
     assert any(".cpu.busy" in n for n in names)
-    assert any(n.startswith("nvme") and n.endswith(".in_flight")
+    assert any(n.startswith("nvme.ssd") and n.endswith(".in_flight")
                for n in names)
-    assert any(".nic." in n for n in names)
-    assert any("tcp_rx" in n for n in names)
+    assert "net.dpu.tx.busy" in names and "net.dpu.rx.bytes" in names
+    assert {"dpu.arm_rx.busy", "dpu.tcp_stack.busy"} <= names
     assert "engine.rpc.in_flight" in names
     # Downsampling kept every series within its bound.
     for s in observed.sampler.series.values():

@@ -7,6 +7,7 @@ from repro.faults.plan import (
     FAULT_KINDS,
     FaultEvent,
     FaultPlan,
+    FaultTargetError,
     parse_fault_spec,
 )
 from repro.faults.retry import (
@@ -147,6 +148,41 @@ def test_driver_counts_injected_events():
     env.run(until=0.01)
     assert fx.stats.injected == {"nvme_media_error": 2,
                                  "nvme_latency_spike": 1}
+
+
+# ---------------------------------------------------------------------------
+# Target validation against the component registry
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("spec, valid", [
+    ("nvme_latency_spike:nvme0:0:0.004:8", "nvme.ssd0"),
+    ("qp_break:client.qp:0.01:0.002", "dpu.qp, storage.qp"),
+    ("engine_crash:engine.target99:0.01", "engine.target7"),
+    ("arm_stall:dpu.nolock:0.01:0.001", "dpu.daos_progress"),
+])
+def test_unknown_target_is_rejected_before_prefill(spec, valid):
+    from repro.bench.runner import _build_fig5, run_ros2_fio
+
+    plan = FaultPlan(events=(parse_fault_spec(spec),))
+    system, spec_ = _build_fig5("rdma", "dpu", "randread", 4096, 4,
+                                runtime=0.004, fault_plan=plan)
+    with pytest.raises(FaultTargetError, match=valid) as info:
+        run_ros2_fio(system, spec_)
+    assert str(info.value).startswith(
+        f"unknown {plan.events[0].kind} target {plan.events[0].target!r}")
+    # Raised once the sessions are open, before the prefill writes.
+    assert system.service.data_plane.writes.bytes == 0
+    assert system.env._faults.armed_at is None
+
+
+def test_chaos_cli_exits_2_on_an_unknown_target(capsys):
+    from repro.bench.cli import main
+
+    assert main(["chaos", "--fault",
+                 "nvme_latency_spike:nvme0:0:0.004:8"]) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: unknown nvme_latency_spike target 'nvme0'; "
+                   "valid: nvme.ssd0\n")
 
 
 # ---------------------------------------------------------------------------

@@ -181,6 +181,27 @@ def test_sampler_gauge_and_cumulative_kinds():
     assert all(v == pytest.approx(0.5) for v in s.series["util"].values())
 
 
+def test_probe_added_while_sampling_counts_from_its_join():
+    """A cumulative probe joining a running sampler is primed at once:
+    its first window holds what happened after it joined, not its total."""
+    env = Environment()
+    s = Sampler(env, interval=1.0, capacity=64)
+    s.start()
+    state = {"busy": 7.0}  # already accumulated before the probe joined
+
+    def driver(env):
+        yield env.timeout(0.5)
+        s.add_probe("late", lambda: state["busy"], kind=UTILIZATION)
+        state["busy"] += 0.25  # busy within [0.5, 1.0)
+        yield env.timeout(1.0)
+        state["busy"] += 0.5
+
+    env.process(driver(env))
+    env.run(until=2.5)
+    s.stop()
+    assert s.series["late"].values() == [0.25, 0.5]
+
+
 def test_sampler_never_started_costs_nothing():
     """A constructed-but-unstarted sampler schedules no events at all."""
     env = Environment()
