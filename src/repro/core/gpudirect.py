@@ -18,9 +18,9 @@ from __future__ import annotations
 from typing import Generator, Optional
 
 from repro.core.offload import Ros2ClientService
+from repro.hw.cpu import SerializedSection
 from repro.hw.gpu import GpuDevice
 from repro.sim.core import Event
-from repro.storage.context import JobThread
 
 __all__ = ["GpuDirectPath", "StagedGpuPath"]
 
@@ -46,7 +46,7 @@ class GpuDirectPath:
         return region
 
     def read(
-        self, ctx: JobThread, fh: int, offset: int, nbytes: int
+        self, ctx: SerializedSection, fh: int, offset: int, nbytes: int
     ) -> Generator[Event, None, None]:
         """One read whose payload lands in GPU HBM (no DRAM staging).
 
@@ -71,7 +71,7 @@ class StagedGpuPath:
         self.gpu = gpu
 
     def read(
-        self, ctx: JobThread, fh: int, offset: int, nbytes: int
+        self, ctx: SerializedSection, fh: int, offset: int, nbytes: int
     ) -> Generator[Event, None, None]:
         """One read staged in client DRAM, then copied over PCIe into HBM."""
         data = yield from self.service.io_read(

@@ -19,11 +19,11 @@ from typing import Generator, Optional
 
 import numpy as np
 
+from repro.hw.cpu import SerializedSection
 from repro.hw.platform import Node
 from repro.hw.specs import GIB
 from repro.sim.core import Environment, Event
 from repro.sim.queues import FifoServer
-from repro.storage.context import JobThread
 
 __all__ = ["ChaCha20", "InlineCrypto"]
 
@@ -150,7 +150,7 @@ class InlineCrypto:
 
     def crypt(
         self,
-        ctx: JobThread,
+        ctx: SerializedSection,
         stream_offset: int,
         data: Optional[bytes] = None,
         nbytes: Optional[int] = None,
@@ -167,7 +167,7 @@ class InlineCrypto:
         if self.accelerated:
             yield self._engine.serve_units(nbytes)
         else:
-            yield ctx.run(nbytes / SW_CRYPTO_BYTES_PER_SEC)
+            yield ctx.enter(nbytes / SW_CRYPTO_BYTES_PER_SEC)
         self.bytes_processed += nbytes
         if data is None:
             return None

@@ -26,8 +26,8 @@ from repro.core.tenant import AuthError, Tenant, TenantManager
 from repro.daos.client import ContainerHandle, DaosClient
 from repro.daos.dfs import DfsFile, DfsNamespace
 from repro.daos.types import DaosError
+from repro.hw.cpu import SerializedSection
 from repro.sim.core import Environment, Event
-from repro.storage.context import JobThread
 
 __all__ = ["Ros2ClientService", "Ros2Session", "Ros2DataPort"]
 
@@ -44,7 +44,7 @@ class _SessionState:
     daos: DaosClient
     cont: ContainerHandle
     ns: DfsNamespace
-    svc_ctx: JobThread
+    svc_ctx: SerializedSection
     crypto: Optional[InlineCrypto] = None
     files: Dict[int, DfsFile] = field(default_factory=dict)
 
@@ -235,7 +235,7 @@ class Ros2ClientService:
 
     def io_write(
         self,
-        ctx: JobThread,
+        ctx: SerializedSection,
         session_id: int,
         fh: int,
         offset: int,
@@ -274,7 +274,7 @@ class Ros2ClientService:
 
     def io_read(
         self,
-        ctx: JobThread,
+        ctx: SerializedSection,
         session_id: int,
         fh: int,
         offset: int,
@@ -319,11 +319,11 @@ class Ros2DataPort:
         self.session_id = session_id
         self._threads = 0
 
-    def new_context(self, name: Optional[str] = None) -> JobThread:
+    def new_context(self, name: Optional[str] = None) -> SerializedSection:
         """One workload job thread on the client node."""
         self._threads += 1
         node = self.service.node
-        return JobThread(
+        return SerializedSection(
             node.env,
             name or f"{node.name}.ros2.job{self._threads}",
             factor=node.spec.cycle_factor,

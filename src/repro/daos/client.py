@@ -27,12 +27,12 @@ from repro.daos.rpc import RPC_REQUEST_BYTES, RpcClient
 from repro.daos.types import ContainerId, DaosError, ObjectClass, ObjectId, PoolId
 from repro.faults.errors import FaultInjectedError
 from repro.faults.retry import backoff_delay, is_retryable, remaining_budget
+from repro.hw.cpu import SerializedSection
 from repro.net.rdma import RdmaError
 from repro.hw.platform import ComputeNode
 from repro.hw.specs import DAOS_PATH, StoragePathCosts
 from repro.net.fabric import FabricChannel, RemoteRegion
 from repro.sim.core import Environment, Event
-from repro.storage.context import JobThread
 
 __all__ = ["DaosClient", "PoolHandle", "ContainerHandle", "ObjectHandle", "Transaction"]
 
@@ -62,19 +62,19 @@ class DaosClient:
             self._window = channel.register(node.name, bulk_window_bytes)
 
     # -- contexts -----------------------------------------------------------------
-    def new_context(self, name: Optional[str] = None) -> JobThread:
+    def new_context(self, name: Optional[str] = None) -> SerializedSection:
         """One application job thread issuing I/O through this client."""
         self._threads += 1
-        return JobThread(
+        return SerializedSection(
             self.env,
             name or f"{self.node.name}.daos.job{self._threads}",
             factor=self.node.spec.cycle_factor,
         )
 
     # -- cost plumbing -------------------------------------------------------------
-    def _pre(self, ctx: JobThread, trace=None):
+    def _pre(self, ctx: SerializedSection, trace=None):
         span = trace.child("client_submit", node=self.node.name) if trace is not None else None
-        yield ctx.run(self.costs.submit_cpu_per_op)
+        yield ctx.enter(self.costs.submit_cpu_per_op)
         if span is not None:
             span.finish()
         if self.costs.serial_per_op:
@@ -83,14 +83,14 @@ class DaosClient:
             if span is not None:
                 span.finish()
 
-    def _post(self, ctx: JobThread, trace=None):
+    def _post(self, ctx: SerializedSection, trace=None):
         span = trace.child("client_complete", node=self.node.name) if trace is not None else None
-        yield ctx.run(self.costs.complete_cpu_per_op)
+        yield ctx.enter(self.costs.complete_cpu_per_op)
         if span is not None:
             span.finish()
 
     def call(
-        self, ctx: JobThread, opcode: str, args: Dict[str, Any]
+        self, ctx: SerializedSection, opcode: str, args: Dict[str, Any]
     ) -> Generator[Event, None, Any]:
         """One costed RPC from ``ctx`` (control-plane-ish operations)."""
         yield from self._pre(ctx)
@@ -174,7 +174,7 @@ class DaosClient:
 
     # -- handles ---------------------------------------------------------------------
     def connect_pool(
-        self, ctx: JobThread, pool: PoolId
+        self, ctx: SerializedSection, pool: PoolId
     ) -> Generator[Event, None, "PoolHandle"]:
         """Connect to a pool; returns its handle."""
         result = yield from self.call(ctx, "pool_connect", {"pool": pool})
@@ -190,7 +190,7 @@ class PoolHandle:
     n_targets: int
 
     def create_container(
-        self, ctx: JobThread
+        self, ctx: SerializedSection
     ) -> Generator[Event, None, "ContainerHandle"]:
         """Create and open a fresh container."""
         result = yield from self.client.call(ctx, "cont_create", {"pool": self.pool})
@@ -198,7 +198,7 @@ class PoolHandle:
         return handle
 
     def open_container(
-        self, ctx: JobThread, cont: ContainerId
+        self, ctx: SerializedSection, cont: ContainerId
     ) -> Generator[Event, None, "ContainerHandle"]:
         """Open an existing container."""
         result = yield from self.client.call(
@@ -219,7 +219,7 @@ class ContainerHandle:
         self.open_epoch = epoch
 
     def alloc_oid(
-        self, ctx: JobThread, oclass: ObjectClass = ObjectClass.S1, count: int = 1
+        self, ctx: SerializedSection, oclass: ObjectClass = ObjectClass.S1, count: int = 1
     ) -> Generator[Event, None, List[ObjectId]]:
         """Allocate ``count`` fresh object ids of ``oclass``."""
         result = yield from self.client.call(
@@ -232,7 +232,7 @@ class ContainerHandle:
         """Open an object handle (local operation)."""
         return ObjectHandle(self, oid)
 
-    def query_epoch(self, ctx: JobThread) -> Generator[Event, None, int]:
+    def query_epoch(self, ctx: SerializedSection) -> Generator[Event, None, int]:
         """Highest committed epoch (snapshot point)."""
         result = yield from self.client.call(
             ctx, "cont_query", {"pool": self.pool, "cont": self.cont}
@@ -258,7 +258,7 @@ class ObjectHandle:
     # -- array I/O -------------------------------------------------------------
     def update(
         self,
-        ctx: JobThread,
+        ctx: SerializedSection,
         dkey: bytes,
         akey: bytes,
         offset: int,
@@ -306,7 +306,7 @@ class ObjectHandle:
 
     def fetch(
         self,
-        ctx: JobThread,
+        ctx: SerializedSection,
         dkey: bytes,
         akey: bytes,
         offset: int,
@@ -342,7 +342,7 @@ class ObjectHandle:
         return result.get("data")
 
     def punch(
-        self, ctx: JobThread, dkey: bytes, akey: bytes, offset: int, nbytes: int
+        self, ctx: SerializedSection, dkey: bytes, akey: bytes, offset: int, nbytes: int
     ) -> Generator[Event, None, int]:
         """Punch a hole in an array akey."""
         args = self._base_args()
@@ -350,7 +350,7 @@ class ObjectHandle:
         result = yield from self.client.call(ctx, "obj_punch", args)
         return result["epoch"]
 
-    def punch_dkey(self, ctx: JobThread, dkey: bytes) -> Generator[Event, None, int]:
+    def punch_dkey(self, ctx: SerializedSection, dkey: bytes) -> Generator[Event, None, int]:
         """Remove a whole dkey."""
         args = self._base_args()
         args["dkey"] = bytes(dkey)
@@ -359,7 +359,7 @@ class ObjectHandle:
 
     # -- KV I/O ---------------------------------------------------------------
     def kv_put(
-        self, ctx: JobThread, dkey: bytes, akey: bytes, value: Any
+        self, ctx: SerializedSection, dkey: bytes, akey: bytes, value: Any
     ) -> Generator[Event, None, int]:
         """Store a single value."""
         args = self._base_args()
@@ -368,7 +368,7 @@ class ObjectHandle:
         return result["epoch"]
 
     def kv_get(
-        self, ctx: JobThread, dkey: bytes, akey: bytes, epoch: Optional[int] = None
+        self, ctx: SerializedSection, dkey: bytes, akey: bytes, epoch: Optional[int] = None
     ) -> Generator[Event, None, Any]:
         """Read a single value at ``epoch``."""
         args = self._base_args()
@@ -380,7 +380,7 @@ class ObjectHandle:
 
     # -- enumeration --------------------------------------------------------------
     def list_dkeys(
-        self, ctx: JobThread, epoch: Optional[int] = None
+        self, ctx: SerializedSection, epoch: Optional[int] = None
     ) -> Generator[Event, None, List[bytes]]:
         """Visible dkeys across every shard."""
         args = self._base_args()
@@ -390,7 +390,7 @@ class ObjectHandle:
         return result["dkeys"]
 
     def dkey_sizes(
-        self, ctx: JobThread, akey: bytes, epoch: Optional[int] = None
+        self, ctx: SerializedSection, akey: bytes, epoch: Optional[int] = None
     ) -> Generator[Event, None, Dict[bytes, int]]:
         """Per-dkey array sizes (DFS file-size query)."""
         args = self._base_args()
@@ -454,7 +454,7 @@ class Transaction:
         self.aborted = True
         self.ops.clear()
 
-    def commit(self, ctx: JobThread) -> Generator[Event, None, int]:
+    def commit(self, ctx: SerializedSection) -> Generator[Event, None, int]:
         """Apply every staged op atomically; returns the commit epoch."""
         self._check_open()
         result = yield from self.cont.client.call(ctx, "tx_commit", {

@@ -24,9 +24,9 @@ from typing import Generator, Optional, Tuple
 
 from repro.daos.dfs import DfsFile
 from repro.daos.types import ObjectId
+from repro.hw.cpu import SerializedSection
 from repro.hw.specs import US
 from repro.sim.core import Environment, Event
-from repro.storage.context import JobThread
 
 __all__ = ["ClientCache", "CachedDfsFile"]
 
@@ -138,7 +138,7 @@ class CachedDfsFile:
         return self.file.chunk_size
 
     def read(
-        self, ctx: JobThread, offset: int, nbytes: int
+        self, ctx: SerializedSection, offset: int, nbytes: int
     ) -> Generator[Event, None, Optional[bytes]]:
         """Chunk-aligned reads hit the cache; others read through."""
         chunk = self.file.chunk_size
@@ -147,7 +147,7 @@ class CachedDfsFile:
         if aligned:
             entry = self.cache.lookup(self.file.oid, idx)
             if entry is not None:
-                yield ctx.run(HIT_CPU)
+                yield ctx.enter(HIT_CPU)
                 return entry[1]
         data = yield from self.file.read(ctx, offset, nbytes)
         if aligned:
@@ -156,7 +156,7 @@ class CachedDfsFile:
 
     def write(
         self,
-        ctx: JobThread,
+        ctx: SerializedSection,
         offset: int,
         nbytes: Optional[int] = None,
         data: Optional[bytes] = None,
@@ -171,6 +171,6 @@ class CachedDfsFile:
             self.cache.invalidate(self.file.oid, idx)
         yield from self.file.write(ctx, offset, nbytes=nbytes, data=data)
 
-    def size(self, ctx: JobThread):
+    def size(self, ctx: SerializedSection):
         """Delegate size queries (metadata is not cached here)."""
         return self.file.size(ctx)

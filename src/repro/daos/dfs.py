@@ -24,8 +24,8 @@ from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from repro.daos.client import ContainerHandle, DaosClient, ObjectHandle
 from repro.daos.types import DaosError, NoSuchObject, ObjectClass, ObjectId
+from repro.hw.cpu import SerializedSection
 from repro.sim.core import Event
-from repro.storage.context import JobThread
 
 __all__ = ["DfsNamespace", "DfsFile", "CHUNK_SIZE"]
 
@@ -75,7 +75,7 @@ class DfsFile:
 
     def write(
         self,
-        ctx: JobThread,
+        ctx: SerializedSection,
         offset: int,
         nbytes: Optional[int] = None,
         data: Optional[bytes] = None,
@@ -109,7 +109,7 @@ class DfsFile:
 
     def read(
         self,
-        ctx: JobThread,
+        ctx: SerializedSection,
         offset: int,
         nbytes: int,
         epoch: Optional[int] = None,
@@ -138,13 +138,13 @@ class DfsFile:
         return b"".join(parts)
 
     def punch(
-        self, ctx: JobThread, offset: int, nbytes: int
+        self, ctx: SerializedSection, offset: int, nbytes: int
     ) -> Generator[Event, None, None]:
         """Deallocate a byte range (reads back as zeros)."""
         for idx, in_off, take in self._split(offset, nbytes):
             yield from self._obj.punch(ctx, _chunk_dkey(idx), _DATA_AKEY, in_off, take)
 
-    def size(self, ctx: JobThread) -> Generator[Event, None, int]:
+    def size(self, ctx: SerializedSection) -> Generator[Event, None, int]:
         """POSIX file size: end of the highest-offset visible extent."""
         sizes = yield from self._obj.dkey_sizes(ctx, _DATA_AKEY)
         best = 0
@@ -165,7 +165,7 @@ class DfsNamespace:
         self.root_oid: Optional[ObjectId] = None
 
     # -- mount/format --------------------------------------------------------
-    def format(self, ctx: JobThread) -> Generator[Event, None, "DfsNamespace"]:
+    def format(self, ctx: SerializedSection) -> Generator[Event, None, "DfsNamespace"]:
         """Initialize the superblock and root directory (mkfs)."""
         oids = yield from self.cont.alloc_oid(ctx, ObjectClass.S1, 1)
         root = oids[0]
@@ -179,7 +179,7 @@ class DfsNamespace:
         self.root_oid = root
         return self
 
-    def mount(self, ctx: JobThread) -> Generator[Event, None, "DfsNamespace"]:
+    def mount(self, ctx: SerializedSection) -> Generator[Event, None, "DfsNamespace"]:
         """Load the superblock of an already-formatted container."""
         sb = self.cont.obj(_SB_OID)
         try:
@@ -205,7 +205,7 @@ class DfsNamespace:
         return self.root_oid
 
     def _lookup_entry(
-        self, ctx: JobThread, dir_oid: ObjectId, name: str
+        self, ctx: SerializedSection, dir_oid: ObjectId, name: str
     ) -> Generator[Event, None, Dict[str, Any]]:
         obj = self.cont.obj(dir_oid)
         try:
@@ -215,7 +215,7 @@ class DfsNamespace:
         return entry
 
     def _resolve_dir(
-        self, ctx: JobThread, components: List[str]
+        self, ctx: SerializedSection, components: List[str]
     ) -> Generator[Event, None, ObjectId]:
         """Walk ``components`` (all must be directories); returns the oid."""
         oid = self._require_mounted()
@@ -227,7 +227,7 @@ class DfsNamespace:
         return oid
 
     def _resolve_parent(
-        self, ctx: JobThread, path: str
+        self, ctx: SerializedSection, path: str
     ) -> Generator[Event, None, Tuple[ObjectId, str]]:
         comps = self._components(path)
         if not comps:
@@ -236,7 +236,7 @@ class DfsNamespace:
         return parent, comps[-1]
 
     def _entry_exists(
-        self, ctx: JobThread, dir_oid: ObjectId, name: str
+        self, ctx: SerializedSection, dir_oid: ObjectId, name: str
     ) -> Generator[Event, None, bool]:
         try:
             yield from self._lookup_entry(ctx, dir_oid, name)
@@ -245,7 +245,7 @@ class DfsNamespace:
         return True
 
     # -- namespace operations -------------------------------------------------------
-    def mkdir(self, ctx: JobThread, path: str) -> Generator[Event, None, None]:
+    def mkdir(self, ctx: SerializedSection, path: str) -> Generator[Event, None, None]:
         """Create a directory (parents must exist)."""
         parent, name = yield from self._resolve_parent(ctx, path)
         if (yield from self._entry_exists(ctx, parent, name)):
@@ -258,7 +258,7 @@ class DfsNamespace:
 
     def create(
         self,
-        ctx: JobThread,
+        ctx: SerializedSection,
         path: str,
         chunk_size: Optional[int] = None,
         oclass: ObjectClass = ObjectClass.SX,
@@ -282,7 +282,7 @@ class DfsNamespace:
         yield from tx.commit(ctx)
         return DfsFile(self, path, oids[0], chunk)
 
-    def open(self, ctx: JobThread, path: str) -> Generator[Event, None, DfsFile]:
+    def open(self, ctx: SerializedSection, path: str) -> Generator[Event, None, DfsFile]:
         """Open an existing regular file."""
         parent, name = yield from self._resolve_parent(ctx, path)
         entry = yield from self._lookup_entry(ctx, parent, name)
@@ -290,7 +290,7 @@ class DfsNamespace:
             raise IsADirectoryError(path)
         return DfsFile(self, path, entry["oid"], entry["chunk_size"])
 
-    def unlink(self, ctx: JobThread, path: str) -> Generator[Event, None, None]:
+    def unlink(self, ctx: SerializedSection, path: str) -> Generator[Event, None, None]:
         """Remove a file or (empty) directory entry."""
         parent, name = yield from self._resolve_parent(ctx, path)
         entry = yield from self._lookup_entry(ctx, parent, name)
@@ -303,7 +303,7 @@ class DfsNamespace:
         yield from tx.commit(ctx)
 
     def rename(
-        self, ctx: JobThread, old: str, new: str
+        self, ctx: SerializedSection, old: str, new: str
     ) -> Generator[Event, None, None]:
         """Atomically move an entry (one transaction: insert + remove)."""
         old_parent, old_name = yield from self._resolve_parent(ctx, old)
@@ -316,7 +316,7 @@ class DfsNamespace:
         tx.punch_dkey(old_parent, old_name.encode())
         yield from tx.commit(ctx)
 
-    def readdir(self, ctx: JobThread, path: str) -> Generator[Event, None, List[str]]:
+    def readdir(self, ctx: SerializedSection, path: str) -> Generator[Event, None, List[str]]:
         """List entry names in a directory."""
         comps = self._components(path) if path != "/" else []
         dir_oid = yield from self._resolve_dir(ctx, comps)
@@ -324,7 +324,7 @@ class DfsNamespace:
         dkeys = yield from obj.list_dkeys(ctx)
         return sorted(d.decode() for d in dkeys)
 
-    def stat(self, ctx: JobThread, path: str) -> Generator[Event, None, Dict[str, Any]]:
+    def stat(self, ctx: SerializedSection, path: str) -> Generator[Event, None, Dict[str, Any]]:
         """POSIX-ish stat: type, mode, oid, chunk_size, size."""
         parent, name = yield from self._resolve_parent(ctx, path)
         entry = yield from self._lookup_entry(ctx, parent, name)
@@ -336,7 +336,7 @@ class DfsNamespace:
             info["size"] = 0
         return info
 
-    def exists(self, ctx: JobThread, path: str) -> Generator[Event, None, bool]:
+    def exists(self, ctx: SerializedSection, path: str) -> Generator[Event, None, bool]:
         """Whether ``path`` resolves."""
         try:
             parent, name = yield from self._resolve_parent(ctx, path)

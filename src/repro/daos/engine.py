@@ -33,12 +33,12 @@ from repro.daos.types import (
     new_pool_id,
 )
 from repro.daos.vos import VersionedObjectStore
+from repro.hw.cpu import SerializedSection
 from repro.hw.platform import StorageNode
 from repro.hw.specs import US
 from repro.net.fabric import FabricChannel, RemoteRegion
 from repro.sim.core import Environment
 from repro.storage.block import BlockDevice
-from repro.storage.context import JobThread
 from repro.storage.pmdk import PmemPool
 
 __all__ = ["DaosEngine", "TARGETS_PER_SSD", "INLINE_THRESHOLD"]
@@ -80,7 +80,7 @@ class _Pool:
 class _Target:
     index: int
     vos: VersionedObjectStore
-    xstream: JobThread
+    xstream: SerializedSection
     #: Failure-injection flag: a down target serves nothing until rebuilt.
     down: bool = False
 
@@ -112,10 +112,10 @@ class DaosEngine:
                 self.env, i, scm, self.block,
                 nvme_region_start=i * region, nvme_region_bytes=region,
             )
-            self.targets.append(_Target(i, vos, JobThread(
+            self.targets.append(_Target(i, vos, SerializedSection(
                 self.env, f"{node.name}.xs{i}", factor=node.spec.cycle_factor
             )))
-        self._sys_xstream = JobThread(
+        self._sys_xstream = SerializedSection(
             self.env, f"{node.name}.xs_sys", factor=node.spec.cycle_factor
         )
         self.pools: Dict[PoolId, _Pool] = {}
@@ -259,7 +259,7 @@ class DaosEngine:
                                     dkey, akey
                                 ).punch(ext.epoch, ext.start, ext.nbytes)
                                 continue
-                            yield peer.xstream.run(ENGINE_CPU_PER_OP)
+                            yield peer.xstream.enter(ENGINE_CPU_PER_OP)
                             # Read from the survivor, write to the rebuilt.
                             yield from peer.vos.fetch(
                                 cont, oid, dkey, akey, ext.epoch,
@@ -312,14 +312,14 @@ class DaosEngine:
                             done_keys.add(key)
                             parts = []
                             for s in survivors:
-                                yield s.xstream.run(ENGINE_CPU_PER_OP)
+                                yield s.xstream.enter(ENGINE_CPU_PER_OP)
                                 part = yield from s.vos.fetch(
                                     cont, oid, dkey, akey, ext.epoch,
                                     ext.start, ext.nbytes, verify=False,
                                 )
                                 parts.append(part)
                             lost = erasure.xor_bytes(parts[0], parts[1])
-                            yield target.xstream.run(
+                            yield target.xstream.enter(
                                 ENGINE_CPU_PER_BYTE * 2 * ext.nbytes
                             )
                             yield from target.vos.update(
@@ -366,21 +366,21 @@ class DaosEngine:
     # -- control handlers -------------------------------------------------------
     def _h_pool_connect(self, args, src, channel):
         pool = self._pool(args["pool"])
-        yield self._sys_xstream.run(ENGINE_CPU_PER_OP)
+        yield self._sys_xstream.enter(ENGINE_CPU_PER_OP)
         return {"n_targets": self.n_targets, "pool": pool.pool_id}
 
     def _h_cont_create(self, args, src, channel):
-        yield self._sys_xstream.run(ENGINE_CPU_PER_OP)
+        yield self._sys_xstream.enter(ENGINE_CPU_PER_OP)
         return {"cont": self.create_container(args["pool"])}
 
     def _h_cont_open(self, args, src, channel):
         cont = self._cont(args["pool"], args["cont"])
-        yield self._sys_xstream.run(ENGINE_CPU_PER_OP)
+        yield self._sys_xstream.enter(ENGINE_CPU_PER_OP)
         return {"epoch": cont.epoch}
 
     def _h_cont_query(self, args, src, channel):
         cont = self._cont(args["pool"], args["cont"])
-        yield self._sys_xstream.run(ENGINE_CPU_PER_OP)
+        yield self._sys_xstream.enter(ENGINE_CPU_PER_OP)
         return {"epoch": cont.epoch}
 
     def _h_oid_alloc(self, args, src, channel):
@@ -390,7 +390,7 @@ class DaosEngine:
             raise DaosError(f"oid_alloc count must be positive, got {count}")
         base = self._oid_seq
         self._oid_seq += count
-        yield self._sys_xstream.run(ENGINE_CPU_PER_OP)
+        yield self._sys_xstream.enter(ENGINE_CPU_PER_OP)
         return {"base": base, "count": count}
 
     # -- data handlers ------------------------------------------------------------
@@ -419,7 +419,7 @@ class DaosEngine:
 
         replicas = self.live_replicas(oid, dkey)
         span = trace.child("engine.xstream", node=self.node.name, nbytes=nbytes) if trace is not None else None
-        yield replicas[0].xstream.run(
+        yield replicas[0].xstream.enter(
             ENGINE_CPU_PER_OP + ENGINE_CPU_PER_BYTE * nbytes
         )
         if span is not None:
@@ -441,7 +441,7 @@ class DaosEngine:
             writes = []
             for idx, target in enumerate(replicas):
                 if idx:
-                    yield target.xstream.run(ENGINE_CPU_PER_OP)
+                    yield target.xstream.enter(ENGINE_CPU_PER_OP)
                 writes.append(self.env.process(target.vos.update(
                     cid, oid, dkey, akey, epoch, offset, nbytes, data=data,
                     bw_efficiency=eff, trace=trace,
@@ -475,7 +475,7 @@ class DaosEngine:
             self.degraded_reads += 1
         target = live[0]
         span = trace.child("engine.xstream", node=self.node.name, nbytes=nbytes) if trace is not None else None
-        yield target.xstream.run(
+        yield target.xstream.enter(
             ENGINE_CPU_PER_OP + ENGINE_CPU_PER_BYTE * nbytes
         )
         if span is not None:
@@ -512,7 +512,7 @@ class DaosEngine:
         if any(t.down for t in targets):
             raise DaosError("EC2P1 degraded writes are not supported; rebuild first")
 
-        yield targets[0].xstream.run(
+        yield targets[0].xstream.enter(
             ENGINE_CPU_PER_OP + ENGINE_CPU_PER_BYTE * nbytes
         )
         if region is not None and nbytes > INLINE_THRESHOLD:
@@ -523,7 +523,7 @@ class DaosEngine:
         local_off = (offset // erasure.STRIPE_BYTES) * erasure.CELL_BYTES
         eff = self._media_eff(channel)
         # Parity XOR runs on the parity target's xstream.
-        yield targets[2].xstream.run(ENGINE_CPU_PER_BYTE * nbytes)
+        yield targets[2].xstream.enter(ENGINE_CPU_PER_BYTE * nbytes)
         writes = [
             self.env.process(t.vos.update(
                 cid, oid, dkey, akey, epoch, local_off, half, data=buf,
@@ -555,7 +555,7 @@ class DaosEngine:
         local_off = (offset // erasure.STRIPE_BYTES) * erasure.CELL_BYTES
         eff = self._media_eff(channel)
         serving = next(t for t in targets if not t.down)
-        yield serving.xstream.run(ENGINE_CPU_PER_OP + ENGINE_CPU_PER_BYTE * nbytes)
+        yield serving.xstream.enter(ENGINE_CPU_PER_OP + ENGINE_CPU_PER_BYTE * nbytes)
 
         def read_from(t):
             return self.env.process(t.vos.fetch(
@@ -574,7 +574,7 @@ class DaosEngine:
             results = yield self.env.all_of([pa, pp])
             # Reconstruct the lost cell stream, then reassemble in order.
             lost = erasure.reconstruct_cell(results[pa], results[pp])
-            yield p_target.xstream.run(ENGINE_CPU_PER_BYTE * nbytes)
+            yield p_target.xstream.enter(ENGINE_CPU_PER_BYTE * nbytes)
             if down[0]:
                 data = erasure.interleave(lost, results[pa])
             else:
@@ -591,7 +591,7 @@ class DaosEngine:
         cont = self._cont(args["pool"], args["cont"])
         cont.epoch += 1
         target = self.target_for(args["oid"], args["dkey"])
-        yield target.xstream.run(ENGINE_CPU_PER_OP)
+        yield target.xstream.enter(ENGINE_CPU_PER_OP)
         yield from target.vos.punch(
             args["cont"], args["oid"], args["dkey"], args["akey"],
             cont.epoch, args["offset"], args["nbytes"],
@@ -603,7 +603,7 @@ class DaosEngine:
         cont.epoch += 1
         oid, dkey = args["oid"], args["dkey"]
         target = self.target_for(oid, dkey)
-        yield target.xstream.run(ENGINE_CPU_PER_OP)
+        yield target.xstream.enter(ENGINE_CPU_PER_OP)
         target.vos.object(args["cont"], oid).punch_dkey(cont.epoch, dkey)
         return {"epoch": cont.epoch}
 
@@ -614,7 +614,7 @@ class DaosEngine:
         # SX objects stripe dkeys over every target: enumerate them all.
         merged: List[bytes] = []
         for target in self._shards_of(oid):
-            yield target.xstream.run(ENGINE_CPU_PER_OP)
+            yield target.xstream.enter(ENGINE_CPU_PER_OP)
             keys = yield from target.vos.list_dkeys(args["cont"], oid, epoch)
             merged.extend(keys)
         return {"dkeys": sorted(set(merged))}
@@ -625,7 +625,7 @@ class DaosEngine:
         epoch = args.get("epoch", cont.epoch)
         sizes: Dict[bytes, int] = {}
         for target in self._shards_of(oid):
-            yield target.xstream.run(ENGINE_CPU_PER_OP)
+            yield target.xstream.enter(ENGINE_CPU_PER_OP)
             part = yield from target.vos.dkey_sizes(
                 args["cont"], oid, args["akey"], epoch
             )
@@ -640,7 +640,7 @@ class DaosEngine:
         cont = self._cont(args["pool"], args["cont"])
         cont.epoch += 1
         for target in self.live_replicas(args["oid"], args["dkey"]):
-            yield target.xstream.run(ENGINE_CPU_PER_OP)
+            yield target.xstream.enter(ENGINE_CPU_PER_OP)
             yield from target.vos.kv_put(
                 args["cont"], args["oid"], args["dkey"], args["akey"],
                 cont.epoch, args["value"],
@@ -654,7 +654,7 @@ class DaosEngine:
         if live is not self.replicas_for(args["oid"], args["dkey"]):
             self.degraded_reads += 1
         target = live[0]
-        yield target.xstream.run(ENGINE_CPU_PER_OP)
+        yield target.xstream.enter(ENGINE_CPU_PER_OP)
         value = yield from target.vos.kv_get(
             args["cont"], args["oid"], args["dkey"], args["akey"], epoch
         )
@@ -669,7 +669,7 @@ class DaosEngine:
             kind = op["kind"]
             oid, dkey = op["oid"], op["dkey"]
             target = self.target_for(oid, dkey)
-            yield target.xstream.run(ENGINE_CPU_PER_OP)
+            yield target.xstream.enter(ENGINE_CPU_PER_OP)
             if kind == "update":
                 yield from target.vos.update(
                     args["cont"], oid, dkey, op["akey"], epoch,

@@ -4,12 +4,13 @@ Two costs dominate the paper's results: per-operation CPU work that
 parallelizes across cores, and work inside serialized sections (socket
 locks, a single RPC progress context) that does not.  :class:`CpuPool`
 models the former as a multi-server FIFO station; :class:`SerializedSection`
-models the latter as a single FIFO server.
+models the latter, and every single-threaded submission context, as a
+single FIFO server.
 
 All costs passed in are **x86-baseline** seconds; the pool scales them by
-the owning host's ``cycle_factor`` (and sections by ``lock_factor``), which
-is how the BlueField-3's slower Arm cores enter every result without any
-caller knowing which platform it runs on.
+the owning host's ``cycle_factor`` (and host-wide sections by
+``lock_factor``), which is how the BlueField-3's slower Arm cores enter
+every result without any caller knowing which platform it runs on.
 """
 
 from __future__ import annotations
@@ -50,13 +51,10 @@ class CpuPool:
         """Resource name for wait-cause attribution."""
         return self._pool.name
 
-    def execute(self, x86_cost: float) -> Timeout:
-        """Run ``x86_cost`` seconds of baseline work on the earliest-free core."""
-        return self._pool.execute(x86_cost * self.factor)
-
-    def execute_then(self, x86_cost: float, *delays: float) -> Timeout:
-        """:meth:`execute`, then the caller's ``delays``, as one event."""
-        return self._pool.execute_then(x86_cost * self.factor, *delays)
+    def execute(self, x86_cost: float, *delays: float) -> Timeout:
+        """Run ``x86_cost`` seconds of baseline work on the earliest-free
+        core, then sleep the caller's ``delays``: one event."""
+        return self._pool.execute(x86_cost * self.factor, *delays)
 
     @property
     def busy_time(self) -> float:
@@ -78,21 +76,32 @@ class CpuPool:
 
 
 class SerializedSection:
-    """A host-wide serialized code path (lock, single progress thread).
+    """A serialized code path: a lock, a progress thread, a job thread.
 
-    Costs scale by the host's ``lock_factor`` — serialized sections degrade
-    more than parallel code on the DPU's Arm complex (contended atomics,
+    Host-wide sections (socket locks, a single RPC progress context) scale
+    costs by the host's ``lock_factor``: serialized code degrades more
+    than parallel code on the DPU's Arm complex (contended atomics,
     smaller LLC), which is what produces the BlueField RDMA small-I/O gap
     in Fig. 5d.
+
+    An FIO job, an SPDK reactor or a DAOS engine xstream is one thread
+    too, scaled by the host's ``cycle_factor``: its CPU work is serial
+    even when the node has idle cores, and that serialism, not the core
+    count, is what bounds per-job IOPS in Fig. 3 (~80 K per job at
+    ~11.5 us/op), while device and network phases overlap freely across
+    in-flight operations.  The paper's configurations run at most as
+    many job threads as the node has cores, so no core-contention stage
+    is modeled for submission work.
     """
 
     __slots__ = ("env", "name", "factor", "_server")
 
-    def __init__(self, env: Environment, name: str, lock_factor: float = 1.0,
+    def __init__(self, env: Environment, name: str, factor: float = 1.0,
                  wait_name: Optional[str] = None) -> None:
         self.env = env
         self.name = name
-        self.factor = float(lock_factor)
+        #: Multiplier applied to every x86-baseline cost.
+        self.factor = float(factor)
         # ``wait_name`` lets a section share a blame bucket with the pool
         # it stands in for (e.g. the BF3 tcp_stack section and the Arm RX
         # core pool both attribute to "dpu.arm_rx").

@@ -86,11 +86,10 @@ class NvmeDevice:
         span = None
         if trace is not None:
             span = trace.child("nvme", node=self.name, nbytes=nbytes)
-        # Queue+service plus the parallel NAND access latency are two
-        # back-to-back pure sleeps for this process; ``serve_then``
-        # reserves the device exactly like ``serve`` but wakes us once,
-        # at the bit-identical completion instant (one kernel event).
-        yield self._server.serve_then(service, spec.access_latency(is_write))
+        # Queue+service, then the parallel NAND access latency: one
+        # kernel event at the chained instant, the latency booked to the
+        # device.
+        yield self._server.serve(service, latency=spec.access_latency(is_write))
         if span is not None:
             span.finish()
         (self.writes if is_write else self.reads).record(nbytes)
@@ -175,12 +174,13 @@ class NvmeArray:
         """One logical I/O; pieces on different devices proceed in parallel.
 
         A split I/O with no ``trace`` and no fault plan is joined inline:
-        the caller reserves every piece itself, in piece order, with the
-        float operations of :meth:`FifoServer.serve_then
-        <repro.sim.queues.FifoServer.serve_then>`, and sleeps once, until
-        the last piece's wake instant.  That is one kernel event where a
-        process per piece and their join cost ``3n + 1`` (DESIGN.md §9).
-        A traced or faulted I/O keeps a process per piece.
+        the caller reserves every piece itself, in piece order, with
+        :meth:`FifoServer.reserve <repro.sim.queues.FifoServer.reserve>`,
+        and sleeps once, until the last piece's wake instant (the float
+        operations of :meth:`FifoServer.serve`).  That is one kernel event
+        where a process per piece and their join cost ``3n + 1``
+        (DESIGN.md §9).  A traced or faulted I/O keeps a process per piece,
+        the reference the join is tested against.
         """
         pieces = self.split(offset, nbytes)
         if len(pieces) == 1:
@@ -202,19 +202,11 @@ class NvmeArray:
         for i, (dev, size) in enumerate(pieces):
             service = dev.service_time(size, is_write, bw_efficiency)
             latency = dev.spec.access_latency(is_write)
-            srv = dev._server
-            free = srv._free_at
-            start = free if free > now else now
-            done = start + service
-            srv._free_at = done
-            srv.busy_time += service
-            srv.ops += 1
-            if srv._stats is not None:
-                srv._stats.record(now, done)
-            at = (now + (done - now)) + latency
+            start, done = dev._server.reserve(service)
+            at = now + (done - now) + latency
             if at > wake:
                 wake, last = at, i
-            booked.append((srv.name, start - now, service, latency))
+            booked.append((dev.name, start - now, service, latency))
         wt = env._wait_tracer
         if wt is not None:
             # Every piece reaches the aggregates; the caller's open span

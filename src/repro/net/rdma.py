@@ -344,9 +344,9 @@ class QueuePair:
         threshold = costs.rendezvous_threshold
         if (trace is None and node is not rdev.node
                 and (threshold is None or nbytes <= threshold)):
-            yield node.cpu.execute_then(costs.tx_cpu_per_op,
-                                        costs.rtt_overhead / 2.0,
-                                        switch.spec.propagation)
+            yield node.cpu.execute(costs.tx_cpu_per_op,
+                                   costs.rtt_overhead / 2.0,
+                                   switch.spec.propagation)
             yield from switch.cross(node.name, rdev.node.name,
                                     dev.wire_bytes(nbytes))
         else:
@@ -419,9 +419,9 @@ class QueuePair:
             costs = dev.costs
             switch = node.switch
             request = dev.wire_bytes(0)
-            yield node.cpu.execute_then(costs.tx_cpu_per_op,
-                                        costs.rtt_overhead / 2.0,
-                                        switch.spec.propagation)
+            yield node.cpu.execute(costs.tx_cpu_per_op,
+                                   costs.rtt_overhead / 2.0,
+                                   switch.spec.propagation)
             yield from switch.port(node.name).tx.transfer(request)
             rswitch = rnode.switch
             yield switch.port(rnode.name).rx.transfer_and_sleep(
@@ -494,7 +494,7 @@ class QueuePair:
             if threshold is not None and size > threshold:
                 rtt = 2 * (propagation + costs.rtt_overhead / 2.0)
                 delays = (delays[0], rtt, propagation)
-            yield node.cpu.execute_then(costs.tx_cpu_per_op, *delays)
+            yield node.cpu.execute(costs.tx_cpu_per_op, *delays)
             yield from switch.cross(node.name, rnode.name, dev.wire_bytes(size))
             return
         span = trace.child("rdma.post", node=dev.node.name, nbytes=size) if trace is not None else None

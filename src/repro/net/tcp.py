@@ -151,9 +151,9 @@ class TcpConnection:
                 and msg.src != dst_name):
             # The stream reservation, the stack latency (rtt/2) and the
             # propagation as one event, at the chained sleeps' instant.
-            yield stream.serve_and_sleep(costs.per_conn_byte_cost * size,
-                                         costs.rtt_overhead / 2.0,
-                                         switch.spec.propagation)
+            yield stream.serve(costs.per_conn_byte_cost * size,
+                               costs.rtt_overhead / 2.0,
+                               switch.spec.propagation)
             yield from switch.cross(msg.src, dst_name, wire)
         else:
             if costs.per_conn_byte_cost and size:

@@ -37,7 +37,7 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from math import inf, nextafter
-from typing import Generator, Optional
+from typing import Generator, Optional, Tuple
 
 from repro.sim.core import Environment, Event, Timeout
 
@@ -86,12 +86,17 @@ class FifoServer:
         """
         self._stats = stats
 
-    def serve(self, duration: float) -> Timeout:
-        """Reserve ``duration`` seconds of service; event fires at completion."""
+    def reserve(self, duration: float) -> Tuple[float, float]:
+        """Reserve ``duration`` seconds of service; return ``(start, done)``.
+
+        The station's one reservation: it books the busy time, the op
+        count and the station recorder, and schedules nothing.  A caller
+        that wakes itself (a pipe's chunk, a striped I/O's pieces) books
+        the wait tracer too; :meth:`serve` is this plus both.
+        """
         if duration < 0:
             raise ValueError(f"negative service duration {duration}")
-        env = self.env
-        now = env._now
+        now = self.env._now
         free = self._free_at
         start = free if free > now else now
         done = start + duration
@@ -100,49 +105,27 @@ class FifoServer:
         self.ops += 1
         if self._stats is not None:
             self._stats.record(now, done)
-        wt = env._wait_tracer
-        if wt is not None:
-            wt.reserve(self.name, start - now, duration)
-        return env.timeout(done - now)
+        return start, done
 
-    def serve_then(self, duration: float, extra_delay: float) -> Timeout:
-        """Reserve ``duration`` of service, then sleep ``extra_delay`` more.
+    def serve(self, duration: float, *delays: float,
+              latency: float = 0.0) -> Timeout:
+        """Reserve ``duration`` of service; the event fires when it ends.
 
-        Equivalent to ``yield serve(duration)`` followed by
-        ``yield env.timeout(extra_delay)`` but with a single kernel event.
-        The reservation bookkeeping (``_free_at``, ``busy_time``, station
-        stats) is identical to :meth:`serve`; only the caller's wake-up is
-        deferred.  The wait tracer books ``extra_delay`` as the server's
-        own latency (a device's access latency).
-        """
-        if extra_delay < 0:
-            raise ValueError(f"negative extra delay {extra_delay}")
-        return self._serve_until(duration, extra_delay, extra_delay)
-
-    def serve_and_sleep(self, duration: float, *delays: float) -> Timeout:
-        """:meth:`serve`, then sleep each of ``delays``: one kernel event.
-
-        The form of :meth:`PooledServer.execute_then` for one server.  The
-        delays are the caller's own sleeps (a transport's stack latency and
-        propagation), so the wait tracer sees only wait and service, as it
-        does for separate sleeps outside any span.
-        """
-        if min(delays, default=0.0) < 0:
-            raise ValueError(f"negative delay in {delays}")
-        return self._serve_until(duration, 0.0, *delays)
-
-    def _serve_until(self, duration: float, latency: float,
-                     *delays: float) -> Timeout:
-        """Reserve ``duration``; wake ``delays`` after the service ends.
-
-        Bit-exactness: :meth:`serve` would fire at ``now + (done - now)``
-        and each chained timeout ``d`` later; the absolute fire time below
-        repeats those float operations verbatim and is scheduled via
-        ``timeout_until``, which never re-rounds through a relative delay.
-        ``latency`` is what the wait tracer books after the service.
+        ``latency`` (the server's own access latency, paid in parallel
+        with later services) and then each of ``delays`` (the caller's
+        own sleeps: a transport's stack latency, a propagation) are slept
+        after the service in the same one kernel event.  It fires at
+        ``now + (done - now)`` plus each of them in turn, the float chain
+        of separate timeouts, scheduled with ``timeout_until``, which
+        never re-rounds through a relative delay.  The wait tracer books
+        ``latency`` to the server and the delays to nobody, as it does
+        separate sleeps outside any span.
         """
         if duration < 0:
             raise ValueError(f"negative service duration {duration}")
+        if latency < 0 or delays and min(delays) < 0:
+            raise ValueError(f"negative delay in {(latency, *delays)}")
+        # :meth:`reserve`, inline: this is the hottest call of a run.
         env = self.env
         now = env._now
         free = self._free_at
@@ -156,7 +139,9 @@ class FifoServer:
         wt = env._wait_tracer
         if wt is not None:
             wt.reserve(self.name, start - now, duration, latency)
-        when = now + (done - now)
+        if not (delays or latency):
+            return env.timeout(done - now)
+        when = now + (done - now) + latency
         for d in delays:
             when += d
         return env.timeout_until(when)
@@ -203,38 +188,16 @@ class PooledServer:
         """Attach a :class:`~repro.sim.timeseries.StationStats` recorder."""
         self._stats = stats
 
-    def execute(self, duration: float) -> Timeout:
-        """Reserve ``duration`` seconds on the earliest-free server."""
-        if duration < 0:
-            raise ValueError(f"negative service duration {duration}")
-        env = self.env
-        now = env._now
-        free = heapq.heappop(self._free)
-        start = free if free > now else now
-        done = start + duration
-        heapq.heappush(self._free, done)
-        self.busy_time += duration
-        self.ops += 1
-        if self._stats is not None:
-            self._stats.record(now, done)
-        wt = env._wait_tracer
-        if wt is not None:
-            wt.reserve(self.name, start - now, duration)
-        return env.timeout(done - now)
+    def execute(self, duration: float, *delays: float) -> Timeout:
+        """Reserve ``duration`` seconds on the earliest-free server.
 
-    def execute_then(self, duration: float, *delays: float) -> Timeout:
-        """:meth:`execute`, then sleep each of ``delays``: one kernel event.
-
-        Bit-exactness as in :meth:`FifoServer.serve_then`: the wake-up
-        repeats the float chain ``now + (done - now)``, then ``+ d`` per
-        delay, and is scheduled with ``timeout_until``.  The delays are the
-        caller's own sleeps (a transport's stack latency and propagation),
-        not the pool's, so the wait tracer sees only wait and service, as
-        it does for separate sleeps outside any span.
+        The event fires when the service ends and then, as in
+        :meth:`FifoServer.serve`, after each of the caller's ``delays``
+        too, still one kernel event.
         """
         if duration < 0:
             raise ValueError(f"negative service duration {duration}")
-        if min(delays, default=0.0) < 0:
+        if delays and min(delays) < 0:
             raise ValueError(f"negative delay in {delays}")
         env = self.env
         now = env._now
@@ -249,6 +212,8 @@ class PooledServer:
         wt = env._wait_tracer
         if wt is not None:
             wt.reserve(self.name, start - now, duration)
+        if not delays:
+            return env.timeout(done - now)
         when = now + (done - now)
         for d in delays:
             when += d
@@ -285,19 +250,19 @@ class BandwidthPipe:
     granularity (approximating per-packet fair sharing).  A fixed
     ``latency`` is added once per transfer.
 
-    With ``coalesce=True`` (the default) a transfer of more than one chunk
-    costs one kernel event however many transfers share the pipe: the
-    scheduler (``_advance``/``_sync``/``_on_timer``) computes the slots the
-    chunk loop would reserve and wakes the transfer at its last chunk's
-    completion.  ``coalesce=False``, a wait tracer or a station recorder
-    selects the chunk-per-event loop, which is the reference the
-    scheduler is tested against and lets observers see every chunk.
+    A transfer of more than one chunk costs one kernel event however many
+    transfers share the pipe: the scheduler (``_advance``/``_sync``/
+    ``_on_timer``) computes the slots the chunk loop would reserve and
+    wakes the transfer at its last chunk's completion.  An attached wait
+    tracer or station recorder selects the chunk-per-event loop, which
+    lets observers see every chunk and is the reference the scheduler is
+    tested against.
 
     Use from a process as ``yield from pipe.transfer(nbytes)``.
     """
 
     __slots__ = ("env", "bandwidth", "latency", "chunk_bytes", "_server",
-                 "bytes_moved", "coalesce", "_requests", "_finishing",
+                 "bytes_moved", "_requests", "_finishing",
                  "_undo", "_timer", "_timer_at", "_timer_cb",
                  "coalesced_ops", "revoked_ops")
 
@@ -307,7 +272,6 @@ class BandwidthPipe:
         bandwidth: float,
         latency: float = 0.0,
         chunk_bytes: int = 64 * 1024,
-        coalesce: bool = True,
         name: Optional[str] = None,
     ) -> None:
         if bandwidth <= 0:
@@ -325,9 +289,6 @@ class BandwidthPipe:
         self._server = FifoServer(env, name=name)
         #: Total payload bytes moved (for reports).
         self.bytes_moved = 0
-        #: Schedule multi-chunk transfers analytically.  ``coalesce=False``
-        #: forces the chunk-per-event reference.
-        self.coalesce = bool(coalesce)
         # Scheduler state: transfers with a pending chunk request, in
         # request order; transfers whose last chunk is reserved, in finish
         # order; the undo log of slots reserved ahead of the clock (see
@@ -386,7 +347,7 @@ class BandwidthPipe:
         srv = self._server
         chunk = self.chunk_bytes
         # Observers are attached between runs, never mid-transfer.
-        if self.coalesce and srv._stats is None and env._wait_tracer is None:
+        if srv._stats is None and env._wait_tracer is None:
             if nbytes > chunk:
                 if self._requests or self._finishing:
                     self._sync()
@@ -399,17 +360,12 @@ class BandwidthPipe:
                     self._abort(xfer)
                     raise
                 return
-            # One chunk: the chunk loop's one reservation, made inline.
+            # One chunk: the chunk loop's one reservation, made here.
             self.coalesced_ops += 1
             if self._requests or self._finishing:
                 self._sync()
             now = env._now
-            free = srv._free_at
-            duration = nbytes / self.bandwidth
-            done = (free if free > now else now) + duration
-            srv._free_at = done
-            srv.busy_time += duration
-            srv.ops += 1
+            _start, done = srv.reserve(nbytes / self.bandwidth)
             yield env.timeout(done - now)
             return
         bw = self.bandwidth
@@ -426,19 +382,19 @@ class BandwidthPipe:
 
         For a pipe without latency and ``0 < nbytes <= chunk_bytes``.  The
         chunk takes the one slot :meth:`transfer` would reserve, observed
-        or not, and the wake-up is :meth:`FifoServer.serve_and_sleep`'s
-        chained instant.
+        or not, and the wake-up is :meth:`FifoServer.serve`'s chained
+        instant.
         """
         if self.latency or not 0 < nbytes <= self.chunk_bytes:
             raise ValueError(
                 f"not a one-chunk transfer on a zero-latency pipe: {nbytes} bytes")
         self.bytes_moved += nbytes
         srv = self._server
-        if self.coalesce and srv._stats is None and self.env._wait_tracer is None:
+        if srv._stats is None and self.env._wait_tracer is None:
             self.coalesced_ops += 1
         if self._requests or self._finishing:
             self._sync()
-        return srv.serve_and_sleep(nbytes / self.bandwidth, *delays)
+        return srv.serve(nbytes / self.bandwidth, *delays)
 
     # -- scheduler -----------------------------------------------------------
     def _advance(self, now: float, until: float) -> None:

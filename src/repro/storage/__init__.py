@@ -12,12 +12,9 @@ These are the three storage tiers the paper's evaluation climbs through:
 * :mod:`repro.storage.block` / :mod:`repro.storage.sparse` — the logical
   block device over the NVMe array, with an optional functional byte store
   for end-to-end data-integrity tests.
-* :mod:`repro.storage.context` — serial execution contexts (job threads /
-  reactor cores) that submission paths run on.
 """
 
 from repro.storage.block import BlockDevice
-from repro.storage.context import JobThread
 from repro.storage.iouring import IoUringEngine
 from repro.storage.pmdk import PmemPool
 from repro.storage.sparse import SparseBytes
@@ -26,7 +23,6 @@ from repro.storage.spdk import NvmfInitiator, NvmfTarget, SpdkLocalEngine
 __all__ = [
     "BlockDevice",
     "IoUringEngine",
-    "JobThread",
     "NvmfInitiator",
     "NvmfTarget",
     "PmemPool",

@@ -13,11 +13,11 @@ from __future__ import annotations
 
 from typing import Generator, Optional
 
+from repro.hw.cpu import SerializedSection
 from repro.hw.platform import Node
 from repro.hw.specs import IOURING_PATH, US, StoragePathCosts
 from repro.sim.core import Event
 from repro.storage.block import BlockDevice
-from repro.storage.context import JobThread
 
 __all__ = ["IoUringEngine", "BLOCK_LAYER_SERIAL_PER_OP"]
 
@@ -44,10 +44,10 @@ class IoUringEngine:
         self._block_layer = node.lock("block_layer")
         self._threads = 0
 
-    def new_context(self, name: Optional[str] = None) -> JobThread:
+    def new_context(self, name: Optional[str] = None) -> SerializedSection:
         """Create one job thread (an FIO job)."""
         self._threads += 1
-        return JobThread(
+        return SerializedSection(
             self.env,
             name or f"{self.node.name}.iouring.job{self._threads}",
             factor=self.node.spec.cycle_factor,
@@ -55,7 +55,7 @@ class IoUringEngine:
 
     def submit(
         self,
-        ctx: JobThread,
+        ctx: SerializedSection,
         offset: int,
         nbytes: int,
         is_write: bool,
@@ -67,7 +67,7 @@ class IoUringEngine:
         span = None
         if trace is not None:
             span = trace.child("iouring.submit", node=self.node.name, nbytes=nbytes)
-        yield ctx.run(costs.submit_cpu_per_op)
+        yield ctx.enter(costs.submit_cpu_per_op)
         yield self._block_layer.enter(BLOCK_LAYER_SERIAL_PER_OP)
         if span is not None:
             span.finish()
@@ -82,7 +82,7 @@ class IoUringEngine:
         span = None
         if trace is not None:
             span = trace.child("iouring.complete", node=self.node.name)
-        yield ctx.run(costs.complete_cpu_per_op)
+        yield ctx.enter(costs.complete_cpu_per_op)
         if span is not None:
             span.finish()
         return result

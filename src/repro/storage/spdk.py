@@ -14,7 +14,7 @@ mirrors NVMe-oF's structure:
 3. the target returns a completion capsule the initiator demultiplexes by
    command id.
 
-Everything runs on explicit reactor threads (:class:`JobThread`), and all
+Everything runs on explicit reactor threads (:class:`SerializedSection`), and all
 CPU costs ride the owning node's architecture factors, so the same code
 produces host and DPU results.
 """
@@ -24,13 +24,13 @@ from __future__ import annotations
 import itertools
 from typing import Dict, Generator, Optional
 
+from repro.hw.cpu import SerializedSection
 from repro.hw.platform import ComputeNode, Node
 from repro.hw.specs import SPDK_PATH, US, StoragePathCosts
 from repro.net.fabric import FabricChannel, RemoteRegion
 from repro.net.message import Message, reply_listener, request_listener
 from repro.sim.core import Environment, Event
 from repro.storage.block import BlockDevice
-from repro.storage.context import JobThread
 
 __all__ = ["SpdkLocalEngine", "NvmfTarget", "NvmfInitiator"]
 
@@ -54,10 +54,10 @@ class SpdkLocalEngine:
         self.costs = costs
         self._threads = 0
 
-    def new_context(self, name: Optional[str] = None) -> JobThread:
+    def new_context(self, name: Optional[str] = None) -> SerializedSection:
         """Create one reactor thread."""
         self._threads += 1
-        return JobThread(
+        return SerializedSection(
             self.env,
             name or f"{self.node.name}.spdk.reactor{self._threads}",
             factor=self.node.spec.cycle_factor,
@@ -65,7 +65,7 @@ class SpdkLocalEngine:
 
     def submit(
         self,
-        ctx: JobThread,
+        ctx: SerializedSection,
         offset: int,
         nbytes: int,
         is_write: bool,
@@ -77,7 +77,7 @@ class SpdkLocalEngine:
         span = None
         if trace is not None:
             span = trace.child("spdk.submit", node=self.node.name, nbytes=nbytes)
-        yield ctx.run(costs.submit_cpu_per_op)
+        yield ctx.enter(costs.submit_cpu_per_op)
         if span is not None:
             span.finish()
         if is_write:
@@ -93,7 +93,7 @@ class SpdkLocalEngine:
         span = None
         if trace is not None:
             span = trace.child("spdk.complete", node=self.node.name)
-        yield ctx.run(costs.complete_cpu_per_op)
+        yield ctx.enter(costs.complete_cpu_per_op)
         if span is not None:
             span.finish()
         return result
@@ -193,10 +193,10 @@ class NvmfInitiator:
             self._started = True
         return self
 
-    def new_context(self, name: Optional[str] = None) -> JobThread:
+    def new_context(self, name: Optional[str] = None) -> SerializedSection:
         """Create one submission reactor thread."""
         self._threads += 1
-        return JobThread(
+        return SerializedSection(
             self.env,
             name or f"{self.node.name}.nvmf.reactor{self._threads}",
             factor=self.node.spec.cycle_factor,
@@ -204,7 +204,7 @@ class NvmfInitiator:
 
     def submit(
         self,
-        ctx: JobThread,
+        ctx: SerializedSection,
         offset: int,
         nbytes: int,
         is_write: bool,
@@ -222,7 +222,7 @@ class NvmfInitiator:
         if trace is not None:
             span = trace.child("nvmf.cmd", node=self.node.name, nbytes=nbytes)
 
-        yield ctx.run(costs.submit_cpu_per_op)
+        yield ctx.enter(costs.submit_cpu_per_op)
 
         buffer = None
         region = self._window
@@ -251,7 +251,7 @@ class NvmfInitiator:
         )
         yield from self.channel.send(capsule)
         yield done
-        yield ctx.run(costs.complete_cpu_per_op)
+        yield ctx.enter(costs.complete_cpu_per_op)
         if span is not None:
             span.finish()
 

@@ -204,32 +204,22 @@ def test_array_capacity():
 # The inline join of a split I/O
 # ---------------------------------------------------------------------------
 
-def reference_submit(arr, offset, nbytes, is_write):
-    """The process-per-piece join that ``NvmeArray.submit`` replaces."""
-    pieces = arr.split(offset, nbytes)
-    if len(pieces) == 1:
-        dev, size = pieces[0]
-        yield from dev.submit(size, is_write)
-        return
-    env = arr.env
-    yield env.all_of([env.process(dev.submit(size, is_write))
-                      for dev, size in pieces])
-
-
 def _run_submitters(ios, n_devices, inline, traced):
+    """``inline=False`` passes a span, which selects the reference join: a
+    process per piece, as every traced I/O runs it."""
+    from repro.sim.spans import SpanCollector
     from repro.sim.waits import WaitTracer
 
     env = Environment()
     arr = NvmeArray(env, NVME_SSD, n_devices=n_devices, stripe_bytes=64 * KIB)
     tracer = WaitTracer(env).install() if traced else None
+    collector = SpanCollector(env)
     woke = {}
 
     def submitter(env, i, t0, offset, nbytes, is_write):
         yield env.timeout(t0)
-        if inline:
-            yield from arr.submit(offset, nbytes, is_write)
-        else:
-            yield from reference_submit(arr, offset, nbytes, is_write)
+        span = None if inline else collector.trace("io").root
+        yield from arr.submit(offset, nbytes, is_write, trace=span)
         woke[i] = env.now
 
     for i, io in enumerate(ios):
@@ -329,3 +319,36 @@ def test_traced_and_faulted_split_ios_keep_a_process_per_piece():
         env.run()
         # Init, then 2 piece starts, 2 device wake-ups, 2 piece ends, 1 join.
         assert env.events_processed == 8, mode
+
+
+def test_station_recorder_keeps_the_inline_join():
+    """A recorder only watches: the join, its event and its booking stay.
+
+    The caller's open span keeps the RESERVE record of the piece it waited
+    for, so a doctored run with its sampler on blames the same devices.
+    """
+    from repro.sim.spans import SpanCollector
+    from repro.sim.timeseries import StationStats
+    from repro.sim.waits import WaitTracer
+
+    env = Environment()
+    arr = NvmeArray(env, NVME_SSD, n_devices=2, stripe_bytes=MIB)
+    stats = [StationStats(dev.name) for dev in arr.devices]
+    for dev, st in zip(arr.devices, stats):
+        dev.attach_stats(st)
+    tracer = WaitTracer(env).install()
+    col = SpanCollector(env)
+    spans = []
+
+    def io(env):
+        span = col.trace("io").root.child("media.nvme")
+        yield from arr.submit(MIB - 4 * KIB, 8 * KIB, is_write=False)
+        spans.append(span.finish())
+
+    env.process(io(env))
+    env.run()
+    # Init, then the caller's one wake-up.
+    assert env.events_processed == 2
+    (rec,) = tracer.records_for_span(spans[0].span_id)
+    assert rec.resource == "nvme.ssd0"
+    assert [st.arrivals for st in stats] == [1, 1]

@@ -3,7 +3,8 @@
 Pins the perf-critical invariants added by the kernel optimisation pass:
 
 * :class:`BandwidthPipe`'s analytic scheduler is *bit-identical* to the
-  classic chunk-per-event reference (``coalesce=False``) — uncontended,
+  classic chunk-per-event reference (the loop an attached wait tracer
+  selects) — uncontended,
   under randomized contention (arrivals roll back the slots reserved
   ahead of them), for reads mid-run and for owners cut mid-transfer —
   while spending a small, size-independent number of kernel events on
@@ -21,18 +22,28 @@ import random
 from repro.sim.core import Environment
 from repro.sim.queues import BandwidthPipe
 from repro.sim.resources import PriorityResource, Resource
+from repro.sim.waits import WaitTracer
 
 
 # ---------------------------------------------------------------------------
 # BandwidthPipe coalescing equivalence
 # ---------------------------------------------------------------------------
 
-def _run_schedule(jobs, coalesce, bandwidth=10e9, latency=2e-6,
+def _pipe_env(traced):
+    """A fresh environment; ``traced`` installs a wait tracer, which sends
+    every pipe transfer down the chunk-per-event reference loop."""
+    env = Environment()
+    if traced:
+        WaitTracer(env).install()
+    return env
+
+
+def _run_schedule(jobs, traced, bandwidth=10e9, latency=2e-6,
                   chunk_bytes=64 * 1024):
     """Run ``[(start, nbytes), ...]`` through one pipe; return outcomes."""
-    env = Environment()
+    env = _pipe_env(traced)
     pipe = BandwidthPipe(env, bandwidth=bandwidth, latency=latency,
-                         chunk_bytes=chunk_bytes, coalesce=coalesce)
+                         chunk_bytes=chunk_bytes)
     done = {}
 
     def mover(env, i, start, nbytes):
@@ -60,8 +71,8 @@ def test_coalesced_uncontended_bit_identical_to_chunked():
     # the chunk-per-event reference bit for bit.
     jobs = [(i * 1e-3, n) for i, n in enumerate(
         [1, 4096, 64 * 1024, 64 * 1024 + 1, 1024 * 1024, 3 * 1024 * 1024])]
-    a = _run_schedule(jobs, coalesce=True)
-    b = _run_schedule(jobs, coalesce=False)
+    a = _run_schedule(jobs, traced=False)
+    b = _run_schedule(jobs, traced=True)
     assert a["done"] == b["done"]          # bit-identical, no tolerance
     assert a["bytes_moved"] == b["bytes_moved"]
     assert a["busy_time"] == b["busy_time"]
@@ -79,8 +90,8 @@ def test_coalesced_contended_bit_identical_to_chunked():
         rng = random.Random(seed)
         jobs = [(rng.uniform(0.0, 5e-4), rng.randrange(1, 4 * 1024 * 1024))
                 for _ in range(16)]
-        a = _run_schedule(jobs, coalesce=True)
-        b = _run_schedule(jobs, coalesce=False)
+        a = _run_schedule(jobs, traced=False)
+        b = _run_schedule(jobs, traced=True)
         assert a["done"] == b["done"], f"seed {seed}"
         assert a["bytes_moved"] == b["bytes_moved"]
         assert a["busy_time"] == b["busy_time"]
@@ -91,9 +102,9 @@ def test_coalesced_contention_triggers_revocation_sometimes():
     # Sanity that the contended test above actually exercises revocation:
     # two big transfers launched close together must revoke once.
     jobs = [(0.0, 8 * 1024 * 1024), (1e-5, 8 * 1024 * 1024)]
-    a = _run_schedule(jobs, coalesce=True)
+    a = _run_schedule(jobs, traced=False)
     assert a["revoked_ops"] >= 1
-    b = _run_schedule(jobs, coalesce=False)
+    b = _run_schedule(jobs, traced=True)
     assert a["done"] == b["done"]
 
 
@@ -101,16 +112,16 @@ def test_coalesced_event_cost_is_size_independent():
     # One uncontended transfer costs O(1) kernel events regardless of
     # size; the chunked reference costs O(size / chunk).  The >=4x
     # reduction on a 1 MiB transfer is an acceptance criterion.
-    def events_for(nbytes, coalesce):
-        r = _run_schedule([(0.0, nbytes)], coalesce=coalesce)
+    def events_for(nbytes, traced):
+        r = _run_schedule([(0.0, nbytes)], traced=traced)
         return r["events"]
 
-    small_co = events_for(64 * 1024, True)
-    big_co = events_for(16 * 1024 * 1024, True)
+    small_co = events_for(64 * 1024, False)
+    big_co = events_for(16 * 1024 * 1024, False)
     assert big_co == small_co  # size-independent
 
     mib = 1024 * 1024
-    co, ch = events_for(mib, True), events_for(mib, False)
+    co, ch = events_for(mib, False), events_for(mib, True)
     assert ch >= 4 * co, (co, ch)
 
 
@@ -123,7 +134,7 @@ def test_chunk_burst_fairness_bound_when_overlapping():
     small = 4096
     arrival = 1e-5
     a = _run_schedule([(0.0, 32 * 1024 * 1024), (arrival, small)],
-                      coalesce=True, bandwidth=bandwidth, latency=latency,
+                      traced=False, bandwidth=bandwidth, latency=latency,
                       chunk_bytes=chunk)
     small_done = a["done"][1]
     worst = arrival + latency + chunk_time + small / bandwidth
@@ -132,7 +143,7 @@ def test_chunk_burst_fairness_bound_when_overlapping():
 
 # ---------------------------------------------------------------------------
 # BandwidthPipe scheduler properties (each against the chunk-per-event
-# reference, coalesce=False)
+# reference a wait tracer selects)
 # ---------------------------------------------------------------------------
 
 CHUNK = 64 * 1024
@@ -150,7 +161,7 @@ def _mixed_size(rng):
     return rng.randrange(1 << 20, 6 << 20)
 
 
-def _run_and_read(jobs, coalesce, samples=(), cuts=None, latency=2e-6):
+def _run_and_read(jobs, traced, samples=(), cuts=None, latency=2e-6):
     """Run ``[(start, nbytes), ...]``; read the pipe at each of ``samples``.
 
     ``cuts`` maps a job index to ``(instant, how)``: ``"interrupt"``
@@ -160,9 +171,9 @@ def _run_and_read(jobs, coalesce, samples=(), cuts=None, latency=2e-6):
     from repro.sim.core import Interrupt
 
     cuts = cuts or {}
-    env = Environment()
+    env = _pipe_env(traced)
     pipe = BandwidthPipe(env, bandwidth=10e9, latency=latency,
-                         chunk_bytes=CHUNK, coalesce=coalesce)
+                         chunk_bytes=CHUNK)
     done, cut_at, reads = {}, {}, []
 
     def mover(env, i, start, nbytes):
@@ -227,8 +238,8 @@ def test_scheduler_matches_reference_on_random_contended_schedules():
         spread = rng.choice((1e-5, 2e-4, 2e-3))
         jobs = [(rng.uniform(0.0, spread), _mixed_size(rng))
                 for _ in range(n)]
-        got, pipe = _run_and_read(jobs, coalesce=True)
-        want, _ = _run_and_read(jobs, coalesce=False)
+        got, pipe = _run_and_read(jobs, traced=False)
+        want, _ = _run_and_read(jobs, traced=True)
         assert got == want, f"seed {seed}"
         rollbacks += pipe.revoked_ops
     assert rollbacks > 0
@@ -242,8 +253,8 @@ def test_scheduler_reads_match_reference_mid_run():
         jobs = [(rng.uniform(0.0, 5e-4), _mixed_size(rng))
                 for _ in range(rng.randrange(1, 16))]
         samples = sorted(rng.uniform(0.0, 3e-3) for _ in range(30))
-        got, pipe = _run_and_read(jobs, coalesce=True, samples=samples)
-        want, _ = _run_and_read(jobs, coalesce=False, samples=samples)
+        got, pipe = _run_and_read(jobs, traced=False, samples=samples)
+        want, _ = _run_and_read(jobs, traced=True, samples=samples)
         assert got["reads"] == want["reads"], f"seed {seed}"
         assert got == want, f"seed {seed}"
         assert pipe.coalesced_ops > 0
@@ -261,19 +272,18 @@ def test_scheduler_owners_cut_mid_transfer_match_reference():
                     rng.choice(("interrupt", "close")))
                 for i, (start, _n) in enumerate(jobs) if rng.random() < 0.4}
         samples = sorted(rng.uniform(0.0, 3e-3) for _ in range(10))
-        got, _ = _run_and_read(jobs, True, samples=samples, cuts=cuts)
-        want, _ = _run_and_read(jobs, False, samples=samples, cuts=cuts)
+        got, _ = _run_and_read(jobs, False, samples=samples, cuts=cuts)
+        want, _ = _run_and_read(jobs, True, samples=samples, cuts=cuts)
         assert got == want, f"seed {seed}"
         cut_any += len(got["cut_at"])
     assert cut_any > 0
 
 
-def _run_with_hops(jobs, coalesce, merged):
+def _run_with_hops(jobs, traced, merged):
     """``[(start, nbytes, delays), ...]`` through one pipe: one-chunk jobs
     with ``delays`` then sleep them, merged into the crossing or not."""
-    env = Environment()
-    pipe = BandwidthPipe(env, bandwidth=10e9, chunk_bytes=CHUNK,
-                         coalesce=coalesce)
+    env = _pipe_env(traced)
+    pipe = BandwidthPipe(env, bandwidth=10e9, chunk_bytes=CHUNK)
     done = {}
 
     def mover(env, i, start, nbytes, delays):
@@ -312,11 +322,11 @@ def test_one_chunk_transfer_and_sleep_matches_the_chained_hop():
                                for _ in range(rng.randrange(1, 3)))
                 jobs.append((start, rng.randrange(1, CHUNK + 1), delays))
         hops = sum(1 for _s, _n, d in jobs if d)
-        want, _, chained_events = _run_with_hops(jobs, False, False)
-        for coalesce in (True, False):
-            got, pipe, events = _run_with_hops(jobs, coalesce, True)
-            assert got == want, f"seed {seed} coalesce={coalesce}"
-            if not coalesce:
+        want, _, chained_events = _run_with_hops(jobs, True, False)
+        for traced in (False, True):
+            got, pipe, events = _run_with_hops(jobs, traced, True)
+            assert got == want, f"seed {seed} traced={traced}"
+            if traced:
                 assert events == chained_events - sum(
                     len(d) for _s, _n, d in jobs)
             else:
@@ -345,10 +355,9 @@ def test_scheduler_pending_request_goes_first_at_a_chunk_boundary():
     chunk_time = 2.0 ** -10
     for b_bytes in (512, 3 * 1024):
         runs = {}
-        for coalesce in (True, False):
-            env = Environment()
-            pipe = BandwidthPipe(env, bandwidth=2.0 ** 20, chunk_bytes=1024,
-                                 coalesce=coalesce)
+        for traced in (False, True):
+            env = _pipe_env(traced)
+            pipe = BandwidthPipe(env, bandwidth=2.0 ** 20, chunk_bytes=1024)
             done = {}
 
             def mover(env, tag, start, nbytes):
@@ -360,9 +369,9 @@ def test_scheduler_pending_request_goes_first_at_a_chunk_boundary():
             env.process(mover(env, "a", 0.0, 3 * 1024))
             env.process(mover(env, "b", chunk_time, b_bytes))
             env.run()
-            runs[coalesce] = (done, pipe.busy_time, pipe.ops)
-        assert runs[True] == runs[False]
-        done = runs[True][0]
+            runs[traced] = (done, pipe.busy_time, pipe.ops)
+        assert runs[False] == runs[True]
+        done = runs[False][0]
         # In chunk times: A holds [0, 1) and [1, 2), B's first slot
         # starts at 2 and A's last one follows it.
         if b_bytes == 512:
@@ -386,10 +395,9 @@ def test_scheduler_compares_chunk_boundaries_exactly():
         boundary += chunk_time
     assert (boundary - start) / chunk_time < 8
     runs = {}
-    for coalesce in (True, False):
-        env = Environment()
-        pipe = BandwidthPipe(env, bandwidth=bandwidth, chunk_bytes=chunk,
-                             coalesce=coalesce)
+    for traced in (False, True):
+        env = _pipe_env(traced)
+        pipe = BandwidthPipe(env, bandwidth=bandwidth, chunk_bytes=chunk)
         done = {}
 
         def a(env):
@@ -408,9 +416,9 @@ def test_scheduler_compares_chunk_boundaries_exactly():
         env.process(a(env))
         env.process(b(env))
         env.run()
-        runs[coalesce] = (done, pipe.busy_time, pipe.ops)
-    assert runs[True] == runs[False]
-    assert runs[True][0]["b"] > boundary + chunk_time
+        runs[traced] = (done, pipe.busy_time, pipe.ops)
+    assert runs[False] == runs[True]
+    assert runs[False][0]["b"] > boundary + chunk_time
 
 
 # ---------------------------------------------------------------------------

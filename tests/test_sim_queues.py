@@ -119,7 +119,7 @@ def test_pooled_server_single_equivalent_to_fifo():
     assert done == [1.5, 3.0, 4.5]
 
 
-def test_execute_then_fires_at_the_chained_instant_with_one_event():
+def test_execute_with_delays_fires_at_the_chained_instant_with_one_event():
     """One event, at exactly the float the reservation + sleeps reach."""
     delays = (1.1e-6, 3.7e-7)
     fired = {}
@@ -134,7 +134,7 @@ def test_execute_then_fires_at_the_chained_instant_with_one_event():
                 for d in delays:
                     yield env.timeout(d)
             else:
-                yield pool.execute_then(4.1e-6, *delays)
+                yield pool.execute(4.1e-6, *delays)
 
         env.process(client(env))
         env.run()
@@ -143,15 +143,15 @@ def test_execute_then_fires_at_the_chained_instant_with_one_event():
     assert fired[False][1] == fired[True][1] - len(delays)
 
 
-def test_execute_then_rejects_a_negative_delay_before_reserving():
+def test_execute_rejects_a_negative_delay_before_reserving():
     env = Environment()
     pool = PooledServer(env, 1)
     with pytest.raises(ValueError):
-        pool.execute_then(1.0, 0.5, -1e-9)
+        pool.execute(1.0, 0.5, -1e-9)
     assert (pool.ops, pool.busy_time, pool._free) == (0, 0.0, [0.0])
 
 
-def test_execute_then_reports_only_wait_and_service():
+def test_execute_with_delays_reports_only_wait_and_service():
     from repro.sim.spans import SpanCollector
     from repro.sim.waits import WaitTracer
 
@@ -162,7 +162,7 @@ def test_execute_then_reports_only_wait_and_service():
 
     def op(env):
         tr = col.trace("io")
-        yield pool.execute_then(2e-3, 5e-4)
+        yield pool.execute(2e-3, 5e-4)
         tr.finish()
 
     env.process(op(env))
@@ -173,7 +173,7 @@ def test_execute_then_reports_only_wait_and_service():
 
 
 @pytest.mark.parametrize("delays", [(1.1e-6, 3.7e-7), (2.9e-7, 0.0), ()])
-def test_serve_and_sleep_fires_at_the_chained_instant_with_one_event(delays):
+def test_serve_with_delays_fires_at_the_chained_instant_with_one_event(delays):
     """Queued clients wake at the chained instants, one event each."""
     fired = {}
     for chained in (True, False):
@@ -188,7 +188,7 @@ def test_serve_and_sleep_fires_at_the_chained_instant_with_one_event(delays):
                 for d in delays:
                     yield env.timeout(d)
             else:
-                yield srv.serve_and_sleep(4.1e-6, *delays)
+                yield srv.serve(4.1e-6, *delays)
             woke.append(env.now)
 
         for _ in range(3):
@@ -200,16 +200,18 @@ def test_serve_and_sleep_fires_at_the_chained_instant_with_one_event(delays):
     assert fired[False][2:] == fired[True][2:]
 
 
-def test_serve_and_sleep_rejects_a_negative_delay_before_reserving():
+def test_serve_rejects_a_negative_delay_before_reserving():
     env = Environment()
     srv = FifoServer(env)
     with pytest.raises(ValueError):
-        srv.serve_and_sleep(1.0, 0.5, -1e-9)
+        srv.serve(1.0, 0.5, -1e-9)
+    with pytest.raises(ValueError):
+        srv.serve(1.0, latency=-1e-9)
     assert (srv.ops, srv.busy_time, srv._free_at) == (0, 0.0, 0.0)
 
 
-def test_serve_and_sleep_reports_only_wait_and_service():
-    """Unlike ``serve_then``, whose delay is the server's own latency."""
+def test_serve_books_its_latency_but_not_the_callers_delays():
+    """The caller's delays are not the server's; its ``latency`` is."""
     from repro.sim.spans import SpanCollector
     from repro.sim.waits import WaitTracer
 
@@ -220,8 +222,8 @@ def test_serve_and_sleep_reports_only_wait_and_service():
 
     def op(env):
         tr = col.trace("io")
-        yield srv.serve_and_sleep(2e-3, 5e-4)
-        yield srv.serve_then(2e-3, 5e-4)
+        yield srv.serve(2e-3, 5e-4)
+        yield srv.serve(2e-3, latency=5e-4)
         tr.finish()
 
     env.process(op(env))

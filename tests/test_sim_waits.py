@@ -41,7 +41,7 @@ class TestReserve:
         assert agg.wait == pytest.approx(1e-3)
         assert agg.service == pytest.approx(2e-3)
 
-    def test_serve_then_records_access_latency(self):
+    def test_serve_records_access_latency(self):
         env = Environment()
         col = SpanCollector(env)
         srv = FifoServer(env, name="nvme")
@@ -49,7 +49,7 @@ class TestReserve:
 
         def op(env):
             tr = col.trace("io")
-            yield srv.serve_then(2e-3, 5e-4)
+            yield srv.serve(2e-3, latency=5e-4)
             tr.finish()
 
         env.process(op(env))

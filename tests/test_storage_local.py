@@ -1,15 +1,14 @@
-"""Unit tests for BlockDevice, JobThread, io_uring and local SPDK engines,
+"""Unit tests for BlockDevice, job threads, io_uring and local SPDK engines,
 and the PMDK tier."""
 
 import pytest
 
-from repro.hw import NvmeArray, make_paper_testbed
+from repro.hw import NvmeArray, SerializedSection, make_paper_testbed
 from repro.hw.specs import IOURING_PATH, KIB, MIB, NVME_SSD, US
 from repro.sim import Environment
 from repro.storage import (
     BlockDevice,
     IoUringEngine,
-    JobThread,
     PmemPool,
     SpdkLocalEngine,
 )
@@ -73,16 +72,16 @@ def test_block_device_write_arg_validation():
 
 
 # ---------------------------------------------------------------------------
-# JobThread
+# Job threads
 # ---------------------------------------------------------------------------
 
 def test_job_thread_serializes_with_factor():
     env = Environment()
-    t = JobThread(env, "t", factor=2.0)
+    t = SerializedSection(env, "t", factor=2.0)
     done = []
 
     def work(env):
-        yield t.run(10 * US)
+        yield t.enter(10 * US)
         done.append(env.now)
 
     env.process(work(env))
