@@ -10,11 +10,14 @@ DPU is what multi-tenant experiments stress).
 
 from __future__ import annotations
 
-from typing import Dict, Generator
+from typing import TYPE_CHECKING, Dict, Generator
 
 from repro.hw.specs import LinkSpec
 from repro.sim.core import Environment, Event
 from repro.sim.queues import BandwidthPipe
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.sim.spans import Span
 
 __all__ = ["Port", "DuplexLink", "Switch"]
 
@@ -99,6 +102,26 @@ class Switch:
             # fewer heap operation per crossing.
             yield env.timeout(propagation)
         yield from self.cross(src, dst, wire_bytes)
+
+    def wire_span(self, trace: "Span", stage: str, t: float,
+                  pre_delay: float = 0.0, nbytes: int = 0) -> "Span":
+        """Open the span of a traced crossing whose sleep another event took.
+
+        A sampled message opens ``stage`` (a child of ``trace``) around
+        :meth:`transmit` at ``t``.  When its caller merged ``transmit``'s
+        sleep into an earlier event, this opens the span at ``t`` instead
+        and books on it the ``(sleep)`` :meth:`transmit` would have booked
+        there: ``when - t`` for its ``timeout_until(when)``, the
+        propagation for its ``timeout``, nothing without either.  The
+        caller then crosses (:meth:`cross`) and finishes the span.
+        """
+        span = trace.child(stage, nbytes=nbytes, start=t)
+        propagation = self.spec.propagation
+        if pre_delay:
+            span.slept(t, ((t + pre_delay) + propagation) - t)
+        elif propagation:
+            span.slept(t, propagation)
+        return span
 
     def cross(self, src: str, dst: str, wire_bytes: int
               ) -> Generator[Event, None, None]:

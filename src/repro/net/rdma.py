@@ -333,22 +333,28 @@ class QueuePair:
         Post CPU, wire, in-flight error check, receiver poll CPU.  With
         ``match_recv`` the message first takes the receiver's oldest posted
         RECV (waiting, like RNR retries) and returns its ``(wr_id, mr)``.
-        An untraced eager message between switched nodes takes
-        :meth:`_post`'s one-event post inline: it is the hottest post of
-        every small-I/O cell, and a delegated generator costs host time.
+        An eager message between switched nodes takes :meth:`_post`'s
+        one-event post inline: it is the hottest post of every small-I/O
+        cell, and a delegated generator costs host time.
         """
         remote = self._require_remote()
         dev, rdev = self.device, remote.device
         costs, node = dev.costs, dev.node
-        switch = node.switch
         threshold = costs.rendezvous_threshold
-        if (trace is None and node is not rdev.node
-                and (threshold is None or nbytes <= threshold)):
-            yield node.cpu.execute(costs.tx_cpu_per_op,
-                                   costs.rtt_overhead / 2.0,
-                                   switch.spec.propagation)
+        if node is not rdev.node and (threshold is None or nbytes <= threshold):
+            switch = node.switch
+            span = trace.child("rdma.post", node=node.name, nbytes=nbytes) if trace is not None else None
+            now = self.env.now
+            pre = costs.rtt_overhead / 2.0
+            done = yield node.cpu.execute(costs.tx_cpu_per_op, pre,
+                                          switch.spec.propagation)
+            if span is not None:
+                span = self._posted(trace, span, now, done, nbytes,
+                                    "rdma.eager")
             yield from switch.cross(node.name, rdev.node.name,
                                     dev.wire_bytes(nbytes))
+            if span is not None:
+                span.finish()
         else:
             yield from self._post(remote, nbytes, trace, "rdma.eager")
         if self.error is not None or remote.error is not None:
@@ -411,22 +417,36 @@ class QueuePair:
         # Request travels out (small), data travels back (nbytes).
         dev, rdev = self.device, remote.device
         node, rnode = dev.node, rdev.node
-        if trace is None and node is not rnode:
+        if node is not rnode:
             # Three events take the request to the target: its post (CPU,
             # stack latency, propagation), its TX crossing, and its RX
             # crossing merged with the stack latency and propagation the
-            # target sleeps before sending the data back.
+            # target sleeps before sending the data back.  A sampled
+            # request books the two ``rdma.dma`` spans where the chained
+            # sleeps put them.
             costs = dev.costs
             switch = node.switch
             request = dev.wire_bytes(0)
-            yield node.cpu.execute(costs.tx_cpu_per_op,
-                                   costs.rtt_overhead / 2.0,
-                                   switch.spec.propagation)
+            span = trace.child("rdma.post", node=node.name, nbytes=0) if trace is not None else None
+            now = self.env.now
+            done = yield node.cpu.execute(costs.tx_cpu_per_op,
+                                          costs.rtt_overhead / 2.0,
+                                          switch.spec.propagation)
+            if span is not None:
+                span = self._posted(trace, span, now, done, 0, "rdma.dma")
             yield from switch.port(node.name).tx.transfer(request)
             rswitch = rnode.switch
-            yield switch.port(rnode.name).rx.transfer_and_sleep(
-                request, rdev.costs.rtt_overhead / 2.0, rswitch.spec.propagation)
+            rpre = rdev.costs.rtt_overhead / 2.0
+            now = self.env.now
+            done = yield switch.port(rnode.name).rx.transfer_and_sleep(
+                request, rpre, rswitch.spec.propagation)
+            if span is not None:
+                span.finish(at=now + (done - now))
+                span = rswitch.wire_span(trace, "rdma.dma", span.t_end, rpre,
+                                         nbytes)
             yield from rswitch.cross(rnode.name, node.name, rdev.wire_bytes(nbytes))
+            if span is not None:
+                span.finish()
         else:
             yield from self._post(remote, 0, trace, "rdma.dma")
             yield from rdev.qp_wire(dev, nbytes, rendezvous_exempt=True,
@@ -476,32 +496,56 @@ class QueuePair:
     ) -> Generator[Event, None, None]:
         """Post CPU on the initiator, then the wire to ``remote``.
 
-        An untraced post between switched nodes reserves the CPU and sleeps
-        the stack latency, the rendezvous round-trip (above the threshold)
-        and the propagation as one event, at the bit-identical instant the
-        chained sleeps of :meth:`RdmaDevice.qp_wire` reach.  Traced posts
-        keep their ``rdma.post`` span and ``(sleep)`` records, and so their
-        separate events.
+        A post between switched nodes reserves the CPU and sleeps the
+        stack latency, the rendezvous round-trip (above the threshold) and
+        the propagation as one event, at the bit-identical instant the
+        chained sleeps of :meth:`RdmaDevice.qp_wire` reach.  A sampled
+        post then books its spans and ``(sleep)`` records there
+        (:meth:`_posted`).  A loopback post sleeps in ``qp_wire``.
         """
         dev = self.device
         node, rnode = dev.node, remote.device.node
-        if trace is None and node is not rnode:
-            costs = dev.costs
-            switch = node.switch
-            propagation = switch.spec.propagation
-            delays = (costs.rtt_overhead / 2.0, propagation)
-            threshold = costs.rendezvous_threshold
-            if threshold is not None and size > threshold:
-                rtt = 2 * (propagation + costs.rtt_overhead / 2.0)
-                delays = (delays[0], rtt, propagation)
-            yield node.cpu.execute(costs.tx_cpu_per_op, *delays)
-            yield from switch.cross(node.name, rnode.name, dev.wire_bytes(size))
+        span = trace.child("rdma.post", node=node.name, nbytes=size) if trace is not None else None
+        if node is rnode:
+            yield node.cpu.execute(dev.costs.tx_cpu_per_op)
+            if span is not None:
+                span.finish()
+            yield from dev.qp_wire(remote.device, size, trace=trace, stage=stage)
             return
-        span = trace.child("rdma.post", node=dev.node.name, nbytes=size) if trace is not None else None
-        yield dev.node.cpu.execute(dev.costs.tx_cpu_per_op)
+        costs = dev.costs
+        switch = node.switch
+        propagation = switch.spec.propagation
+        delays = (costs.rtt_overhead / 2.0, propagation)
+        threshold = costs.rendezvous_threshold
+        rendezvous = threshold is not None and size > threshold
+        if rendezvous:
+            delays = (delays[0], dev.rendezvous_rtt(), propagation)
+        now = self.env.now
+        done = yield node.cpu.execute(costs.tx_cpu_per_op, *delays)
+        if span is not None:
+            span = self._posted(trace, span, now, done, size, stage,
+                                rendezvous)
+        yield from switch.cross(node.name, rnode.name, dev.wire_bytes(size))
         if span is not None:
             span.finish()
-        yield from dev.qp_wire(remote.device, size, trace=trace, stage=stage)
+
+    def _posted(self, trace: Any, span: Any, now: float, done: float,
+                size: int, stage: str, rendezvous: bool = False) -> Any:
+        """Book a sampled switched post after its one merged event.
+
+        ``span`` is the ``rdma.post`` span open since ``now``; ``done`` is
+        the end of the post CPU's service.  Closes it where the chained
+        path did, books what :meth:`RdmaDevice.qp_wire` books between the
+        post and the crossing, and returns the open ``stage`` span.
+        """
+        t = now + (done - now)
+        span.finish(at=t)
+        dev = self.device
+        pre = dev.costs.rtt_overhead / 2.0
+        if rendezvous:
+            t = dev.rendezvous_spans(trace, t, pre)
+            pre = 0.0
+        return dev.node.switch.wire_span(trace, stage, t, pre, size)
 
 
 class RdmaDevice:
@@ -551,25 +595,46 @@ class RdmaDevice:
             and size > costs.rendezvous_threshold
         ):
             # RTS/CTS exchange: one extra round-trip of small control msgs.
-            rtt = 2 * (self.node.switch.spec.propagation + costs.rtt_overhead / 2.0)
+            # The stack latency and the round-trip are one kernel event,
+            # firing at the bit-identical chained-sleep instant; a sampled
+            # message books their sleeps and its rendezvous span apart.
+            now = env.now
+            wt = env._wait_tracer if trace is not None else None
+            if wt is not None:
+                wt.claim()
+            yield env.timeout_until((now + pre) + self.rendezvous_rtt())
             if trace is not None:
-                # Keep the two sleeps distinct so the rendezvous span
-                # measures the control round-trip on traced runs.
-                yield env.timeout(pre)
-                span = trace.child("rdma.rendezvous", node=src_name)
-                yield env.timeout(rtt)
-                span.finish()
-                pre = 0.0
-            else:
-                # Merge stack latency + RTS/CTS into one kernel event,
-                # firing at the bit-identical chained-sleep instant.
-                yield env.timeout_until((env.now + pre) + rtt)
-                pre = 0.0
+                self.rendezvous_spans(trace, now, pre)
+            pre = 0.0
         span = trace.child(stage, nbytes=size) if trace is not None else None
         yield from self.node.switch.transmit(src_name, dst_name,
                                              self.wire_bytes(size), pre_delay=pre)
         if span is not None:
             span.finish()
+
+    def rendezvous_rtt(self) -> float:
+        """The RTS/CTS control round-trip a rendezvous message pays."""
+        return 2 * (self.node.switch.spec.propagation
+                    + self.costs.rtt_overhead / 2.0)
+
+    def rendezvous_spans(self, trace: Any, t: float, pre: float) -> float:
+        """Book a sampled rendezvous whose sleeps another event took.
+
+        The chained path slept the stack latency ``pre`` at ``t`` on
+        whatever span was open, then the round-trip inside an
+        ``rdma.rendezvous`` span.  Books both sleeps and the span at those
+        instants and returns the instant the round-trip ends.
+        """
+        env = self.env
+        wt = env._wait_tracer
+        active = wt.active_span() if wt is not None else None
+        if active is not None:
+            active.slept(t, pre)
+        t = t + pre
+        rtt = self.rendezvous_rtt()
+        trace.child("rdma.rendezvous", node=self.node.name, start=t,
+                    end=t + rtt).slept(t, rtt)
+        return t + rtt
 
     def wire_bytes(self, size: int) -> int:
         """Bytes on the wire for a ``size``-byte payload (header, goodput)."""

@@ -147,14 +147,23 @@ class TcpConnection:
                 span.finish()
         # Single-stream per-connection processing (sequential per direction).
         wire = int(msg.frame_bytes / costs.goodput_efficiency)
-        if (costs.per_conn_byte_cost and size and trace is None
-                and msg.src != dst_name):
+        if costs.per_conn_byte_cost and size and msg.src != dst_name:
             # The stream reservation, the stack latency (rtt/2) and the
-            # propagation as one event, at the chained sleeps' instant.
-            yield stream.serve(costs.per_conn_byte_cost * size,
-                               costs.rtt_overhead / 2.0,
-                               switch.spec.propagation)
+            # propagation as one event, at the chained sleeps' instant.  A
+            # sampled message then books its ``tcp.stream`` and
+            # ``net.wire`` spans where the chained sleeps put them.
+            span = trace.child("tcp.stream", node=msg.src, nbytes=size) if trace is not None else None
+            now = env.now
+            pre = costs.rtt_overhead / 2.0
+            done = yield stream.serve(costs.per_conn_byte_cost * size, pre,
+                                      switch.spec.propagation)
+            if span is not None:
+                span.finish(at=now + (done - now))
+                span = switch.wire_span(trace, "net.wire", span.t_end, pre,
+                                        size)
             yield from switch.cross(msg.src, dst_name, wire)
+            if span is not None:
+                span.finish()
         else:
             if costs.per_conn_byte_cost and size:
                 span = trace.child("tcp.stream", node=msg.src, nbytes=size) if trace is not None else None

@@ -27,7 +27,13 @@ servers that need only **one** event per operation:
   not foresee) rolls them back.
   One timer per pipe (``Environment.call_at``) wakes each finishing
   transfer.  A pending request due at the arrival's instant goes first.
-  See DESIGN.md §9 for the exactness argument.
+  Under a wait tracer each slot is booked, in slot order, once it can no
+  longer be undone, as the chunk loop would have booked it when the
+  chunk was requested.  See DESIGN.md §9 for the exactness argument.
+
+Every station's wake-up event has the instant its service ends,
+``done``, as its value: a caller that merged sleeps into it books the
+reference's spans from there (``done = yield srv.serve(d, *delays)``).
 
 All of them track cumulative busy time so utilization can be reported.
 """
@@ -117,9 +123,11 @@ class FifoServer:
         after the service in the same one kernel event.  It fires at
         ``now + (done - now)`` plus each of them in turn, the float chain
         of separate timeouts, scheduled with ``timeout_until``, which
-        never re-rounds through a relative delay.  The wait tracer books
-        ``latency`` to the server and the delays to nobody, as it does
-        separate sleeps outside any span.
+        never re-rounds through a relative delay.  The event's value is
+        ``done``.  The wait tracer books ``latency`` to the server; the
+        delays are the caller's, which books them on its own spans from
+        ``done`` (a sampled message's stage spans and ``(sleep)``
+        records) or, with no span open, not at all.
         """
         if duration < 0:
             raise ValueError(f"negative service duration {duration}")
@@ -140,11 +148,11 @@ class FifoServer:
         if wt is not None:
             wt.reserve(self.name, start - now, duration, latency)
         if not (delays or latency):
-            return env.timeout(done - now)
+            return env.timeout(done - now, done)
         when = now + (done - now) + latency
         for d in delays:
             when += d
-        return env.timeout_until(when)
+        return env.timeout_until(when, done)
 
     def serve_units(self, units: float) -> Timeout:
         """Serve ``units`` of work at the configured ``rate``."""
@@ -193,7 +201,7 @@ class PooledServer:
 
         The event fires when the service ends and then, as in
         :meth:`FifoServer.serve`, after each of the caller's ``delays``
-        too, still one kernel event.
+        too, still one kernel event; its value is ``done``.
         """
         if duration < 0:
             raise ValueError(f"negative service duration {duration}")
@@ -213,11 +221,11 @@ class PooledServer:
         if wt is not None:
             wt.reserve(self.name, start - now, duration)
         if not delays:
-            return env.timeout(done - now)
+            return env.timeout(done - now, done)
         when = now + (done - now)
         for d in delays:
             when += d
-        return env.timeout_until(when)
+        return env.timeout_until(when, done)
 
     def utilization(self, elapsed: Optional[float] = None) -> float:
         """Mean per-server busy fraction over ``elapsed`` (default since 0)."""
@@ -230,15 +238,19 @@ class _Transfer(Event):
 
     ``left`` counts the bytes not yet reserved; ``at`` is the instant of
     the next chunk request or, once the last chunk is reserved, of the
-    finish.
+    finish.  ``span`` is the span its owner had open when it called
+    :meth:`BandwidthPipe.transfer`, which the wait tracer books its chunks
+    on.
     """
 
-    __slots__ = ("left", "at")
+    __slots__ = ("left", "at", "span")
 
-    def __init__(self, env: Environment, left: int, at: float) -> None:
+    def __init__(self, env: Environment, left: int, at: float,
+                 span=None) -> None:
         super().__init__(env)
         self.left = left
         self.at = at
+        self.span = span
 
 
 class BandwidthPipe:
@@ -253,10 +265,13 @@ class BandwidthPipe:
     A transfer of more than one chunk costs one kernel event however many
     transfers share the pipe: the scheduler (``_advance``/``_sync``/
     ``_on_timer``) computes the slots the chunk loop would reserve and
-    wakes the transfer at its last chunk's completion.  An attached wait
-    tracer or station recorder selects the chunk-per-event loop, which
-    lets observers see every chunk and is the reference the scheduler is
-    tested against.
+    wakes the transfer at its last chunk's completion.  A wait tracer
+    gets every slot in slot order (``_book``), each once it is final: as
+    it is reserved, if it was requested by now, or else when it leaves
+    the undo log without being rolled back.  Reading the tracer makes
+    the slots due by then final first.  Only an attached station
+    recorder selects the chunk-per-event loop, which hands the recorder
+    every chunk and is the reference the scheduler is tested against.
 
     Use from a process as ``yield from pipe.transfer(nbytes)``.
     """
@@ -336,10 +351,13 @@ class BandwidthPipe:
             raise ValueError(f"negative transfer size {nbytes}")
         self.bytes_moved += nbytes
         env = self.env
+        wt = env._wait_tracer
         if self.latency:
-            wt = env._wait_tracer
             if wt is not None:
-                # Pure propagation, blamed on the pipe (not a generic sleep).
+                # Pure propagation, blamed on the pipe (not a generic
+                # sleep), after the slots requested by now.
+                if self._requests or self._finishing:
+                    self._sync()
                 wt.reserve(self._server.name, 0.0, 0.0, self.latency)
             yield env.timeout(self.latency)
         if nbytes == 0:
@@ -347,11 +365,15 @@ class BandwidthPipe:
         srv = self._server
         chunk = self.chunk_bytes
         # Observers are attached between runs, never mid-transfer.
-        if srv._stats is None and env._wait_tracer is None:
+        if srv._stats is None:
+            if self._requests or self._finishing:
+                self._sync()
             if nbytes > chunk:
-                if self._requests or self._finishing:
-                    self._sync()
-                xfer = _Transfer(env, nbytes, env._now)
+                span = None
+                if wt is not None:
+                    span = wt.active_span()
+                    wt.defer(self._sync)
+                xfer = _Transfer(env, nbytes, env._now, span)
                 self._requests.appendleft(xfer)
                 self._arm()
                 try:
@@ -362,11 +384,7 @@ class BandwidthPipe:
                 return
             # One chunk: the chunk loop's one reservation, made here.
             self.coalesced_ops += 1
-            if self._requests or self._finishing:
-                self._sync()
-            now = env._now
-            _start, done = srv.reserve(nbytes / self.bandwidth)
-            yield env.timeout(done - now)
+            yield srv.serve(nbytes / self.bandwidth)
             return
         bw = self.bandwidth
         remaining = nbytes
@@ -390,7 +408,7 @@ class BandwidthPipe:
                 f"not a one-chunk transfer on a zero-latency pipe: {nbytes} bytes")
         self.bytes_moved += nbytes
         srv = self._server
-        if srv._stats is None and self.env._wait_tracer is None:
+        if srv._stats is None:
             self.coalesced_ops += 1
         if self._requests or self._finishing:
             self._sync()
@@ -408,11 +426,14 @@ class BandwidthPipe:
         the chunk's timeout would fire.  A transfer alone in the queue
         takes its slots in one run, and a run with a slot requested after
         ``now`` is logged for undo as ``(last request, first request,
-        transfer, bytes left, free_at, busy_time, slots)``.
+        transfer, bytes left, free_at, busy_time, slots)``.  Under a wait
+        tracer a run requested by ``now`` is booked at once; a logged one
+        is booked when it leaves the log.
         """
         requests = self._requests
         if not requests:
             return
+        wt = self.env._wait_tracer
         finishing = self._finishing
         pop = requests.popleft
         push = requests.append
@@ -469,6 +490,8 @@ class BandwidthPipe:
             if slot_r > now:
                 log((slot_r, r0, xfer, left0, free0, busy0, n))
                 ahead += 1
+            elif wt is not None:
+                self._book(r0, xfer, left0, free0, n)
             if left:
                 push(xfer)
             else:
@@ -477,15 +500,46 @@ class BandwidthPipe:
         srv.busy_time = busy
         srv.ops = ops
 
+    def _book(self, r: float, xfer: _Transfer, left: int, free: float,
+              n: int) -> None:
+        """Book ``n`` slots of a run into the wait tracer, in slot order.
+
+        The run is replayed from its first request ``r``, the bytes
+        ``left`` and the server's ``free_at`` before it, with the chunk
+        loop's float operations, and each slot is booked as the chunk
+        loop's ``FifoServer.serve`` booked it: wait ``start - r``, its
+        service, at the request instant ``r``, on the owner's span.
+        """
+        book = self.env._wait_tracer.book
+        name = self._server.name
+        span = xfer.span
+        bw = self.bandwidth
+        chunk = self.chunk_bytes
+        full = chunk / bw
+        for _ in range(n):
+            start = free if free > r else r
+            duration = full if left > chunk else left / bw
+            free = start + duration
+            book(name, start - r, duration, 0.0, span, r)
+            left = left - chunk if left > chunk else 0
+            r = r + (free - r)
+
     def _sync(self) -> None:
         """Make the server hold what the chunk loop holds at ``now``.
 
         Slots requested after ``now`` are rolled back, latest first, and
         requests due by ``now`` are reserved.  A request due exactly at
-        ``now`` counts as made before whatever calls this.
+        ``now`` counts as made before whatever calls this.  Under a wait
+        tracer every slot requested by ``now`` is booked, in slot order.
         """
         now = self.env._now
         undo = self._undo
+        wt = self.env._wait_tracer
+        if wt is not None:
+            while undo and undo[0][0] <= now:
+                _last, r, xfer, left, free, _busy, n = undo.popleft()
+                self._book(r, xfer, left, free, n)
+        kept = None
         if undo and undo[-1][0] > now:
             self.revoked_ops += 1
             srv = self._server
@@ -500,6 +554,8 @@ class BandwidthPipe:
                 else:
                     finishing.pop()
                 # Keep the run's slots requested by now; none is its last.
+                # Only the earliest run rolled back can have any.
+                kept = (r, xfer, left, free)
                 while r <= now:
                     free = (free if free > r else r) + full
                     busy += full
@@ -513,6 +569,10 @@ class BandwidthPipe:
                 srv.busy_time = busy
                 srv.ops -= n
         undo.clear()
+        if wt is not None and kept is not None:
+            r, xfer, left, free = kept
+            self._book(r, xfer, left, free,
+                       (left - xfer.left) // self.chunk_bytes)
         requests = self._requests
         if requests and requests[0].at <= now:
             self._advance(now, now)
@@ -547,8 +607,11 @@ class BandwidthPipe:
         self._timer = None
         now = self.env._now
         undo = self._undo
+        wt = self.env._wait_tracer
         while undo and undo[0][0] <= now:
-            undo.popleft()
+            _last, r, xfer, left, free, _busy, n = undo.popleft()
+            if wt is not None:
+                self._book(r, xfer, left, free, n)
         if self._requests:
             self._advance(now, now)
         finishing = self._finishing

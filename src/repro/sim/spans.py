@@ -10,8 +10,12 @@ process, the "wire format" is simply the live parent span object.
 Design rules that keep tracing honest and cheap:
 
 * **Zero kernel coupling** — spans never schedule events or touch the event
-  loop; timestamps are plain reads of ``env.now``.  A traced run therefore
-  produces *bit-identical* simulated results to an untraced one.
+  loop.  A span opens and closes at ``env.now`` unless its opener passes
+  the instant: a hop that merged the reference's chained sleeps into one
+  event opens and closes its spans, after it wakes, at the instants the
+  chained sleeps would have reached (``start=``/``end=``/``finish(at=)``).
+  A traced run therefore dispatches the same events as an untraced one
+  and produces *bit-identical* simulated results.
 * **Zero cost when off** — every instrumented call site guards with
   ``if trace is not None``; with no collector attached nothing is allocated.
 * **Sampling** — :meth:`SpanCollector.trace` returns ``None`` for
@@ -35,6 +39,8 @@ import itertools
 from math import fsum
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
 
+from repro.sim.waits import SLEEP, SLEEP_RESOURCE
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.core import Environment
 
@@ -54,7 +60,10 @@ class Span:
     """One timed stage of one request.
 
     ``t_end`` is ``None`` until :meth:`finish` is called.  Spans form a tree
-    via ``parent_id``; the root span covers the whole request.
+    via ``parent_id``; the root span covers the whole request.  ``start``
+    opens the span at an earlier instant than now; ``end`` also closes it
+    there at once.  Such a closed-form span never enters the wait tracer's
+    per-process stack: nothing waits while it is open.
     """
 
     __slots__ = ("trace", "span_id", "parent_id", "name", "node",
@@ -67,6 +76,8 @@ class Span:
         parent_id: Optional[int],
         node: Optional[str] = None,
         nbytes: int = 0,
+        start: Optional[float] = None,
+        end: Optional[float] = None,
         **attrs: object,
     ) -> None:
         self.trace = trace
@@ -75,10 +86,13 @@ class Span:
         self.name = name
         self.node = node
         env = trace.env
-        self.t_start = env.now
-        self.t_end: Optional[float] = None
+        self.t_start = env.now if start is None else start
+        self.t_end: Optional[float] = end
         self.nbytes = nbytes
         self.attrs = attrs or None
+        if end is not None:
+            trace.collector._record(self)
+            return
         wt = env._wait_tracer
         if wt is not None:
             # Register as the active span of the opening process so wait
@@ -88,21 +102,29 @@ class Span:
     # -- lifecycle ---------------------------------------------------------
 
     def child(self, name: str, node: Optional[str] = None,
-              nbytes: int = 0, **attrs: object) -> "Span":
-        """Open a child span starting now."""
+              nbytes: int = 0, start: Optional[float] = None,
+              end: Optional[float] = None, **attrs: object) -> "Span":
+        """Open a child span starting now (or at ``start``, up to ``end``)."""
         return Span(self.trace, name, self.span_id, node=node,
-                    nbytes=nbytes, **attrs)
+                    nbytes=nbytes, start=start, end=end, **attrs)
 
-    def finish(self) -> "Span":
-        """Close the span at the current simulated time and record it."""
+    def finish(self, at: Optional[float] = None) -> "Span":
+        """Close the span now (or at the earlier instant ``at``) and record it."""
         if self.t_end is None:
             env = self.trace.env
-            self.t_end = env.now
+            self.t_end = env.now if at is None else at
             wt = env._wait_tracer
             if wt is not None:
                 wt.pop_span(env._active, self)
             self.trace.collector._record(self)
         return self
+
+    def slept(self, t: float, delay: float) -> None:
+        """Book the ``(sleep)`` a ``timeout(delay)`` made at ``t`` would have
+        booked on this span, for a sleep merged into another event."""
+        wt = self.trace.env._wait_tracer
+        if wt is not None:
+            wt.book(SLEEP_RESOURCE, 0.0, 0.0, delay, self, t, SLEEP)
 
     def __enter__(self) -> "Span":
         return self

@@ -29,11 +29,13 @@ Design rules (shared with spans and station stats):
   ``env._wait_tracer is not None`` attribute test; nothing is allocated
   and no branch beyond the test is taken when no tracer is installed.
 * **Pure observation** — the tracer never schedules events or perturbs
-  wake-up order; a traced run is bit-identical to an untraced one.  (The
-  only interaction is that :class:`~repro.sim.queues.BandwidthPipe`
-  moves every chunk as its own event while a tracer is installed so that
-  per-chunk reservations are observed individually — its analytic
-  scheduler gives the same result, see DESIGN.md §9.)
+  wake-up order; a traced run dispatches the events an untraced one does
+  and is bit-identical to it.  Where a model spends one event on what
+  the reference spent several on, it books the reference's records in
+  closed form with :meth:`WaitTracer.book`, at the instants the
+  reference would have reached: a merged hop after it wakes, a
+  :class:`~repro.sim.queues.BandwidthPipe` each chunk slot once it can
+  no longer be undone (see DESIGN.md §9/§10).
 * **Bounded memory** — the flat record list stops growing at
   ``max_records`` (the drop count is reported), per-resource aggregate
   scalars are O(#resources), and the per-resource cumulative-wait
@@ -52,7 +54,7 @@ Two accounting streams come out:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.sim.timeseries import GAUGE, TimeSeries
 
@@ -159,12 +161,10 @@ class WaitTracer:
                  series_capacity: int = 512) -> None:
         self.env = env
         self.max_records = int(max_records)
-        #: Span-attributed wait events (sampled requests only).
-        self.records: List[WaitRecord] = []
+        self._records: List[WaitRecord] = []
         #: Events not recorded because ``max_records`` was reached.
         self.records_dropped = 0
-        #: Per-resource totals over all operations since install.
-        self.aggregates: Dict[str, ResourceWait] = {}
+        self._aggregates: Dict[str, ResourceWait] = {}
         # Per-process open-span stacks, keyed by the Process object that
         # pushed the span (None for module-level pushes).
         self._stacks: Dict[object, List["Span"]] = {}
@@ -180,6 +180,9 @@ class WaitTracer:
         self._series_capacity = int(series_capacity)
         self._series: Dict[str, TimeSeries] = {}
         self._series_last_t: Dict[str, float] = {}
+        # Models that book lazily (a pipe's chunk slots), each with the
+        # callable that books what is due by now.  Every read runs them.
+        self._deferred: Dict[Callable[[], None], None] = {}
         self.t_installed: Optional[float] = None
 
     # -- lifecycle ----------------------------------------------------------
@@ -195,8 +198,12 @@ class WaitTracer:
         return self
 
     def uninstall(self) -> None:
-        """Detach; hooks revert to the zero-cost no-tracer path."""
+        """Detach; hooks revert to the zero-cost no-tracer path.
+
+        Bookings due by now are made first (see :meth:`defer`).
+        """
         if self.env._wait_tracer is self:
+            self._flush()
             self.env._wait_tracer = None
 
     def __enter__(self) -> "WaitTracer":
@@ -230,33 +237,55 @@ class WaitTracer:
 
     # -- hooks (called from kernel/primitives; tracer installed) ------------
 
+    def active_span(self) -> Optional["Span"]:
+        """The innermost open span of the running process, if any."""
+        stack = self._stacks.get(self.env._active)
+        return stack[-1] if stack else None
+
     def reserve(self, name: Optional[str], wait: float, service: float,
                 latency: float = 0.0, record: bool = True) -> None:
         """A reservation server computed its analytic wait/service split.
 
-        Claims the primitive's immediately-following wake-up timeout so it
-        is not double-counted as a sleep.  ``record=False`` books the
-        aggregates only, never a span record.
+        Books it now, on the active span, and claims the primitive's
+        immediately-following wake-up timeout so it is not double-counted
+        as a sleep.  ``record=False`` books the aggregates only, never a
+        span record.
         """
         self._claimed = True
+        stack = self._stacks.get(self.env._active) if record else None
+        self.book(name, wait, service, latency,
+                  stack[-1] if stack else None, self.env._now)
+
+    def claim(self) -> None:
+        """Consume the next timeout silently: its caller books it itself."""
+        self._claimed = True
+
+    def book(self, name: Optional[str], wait: float, service: float,
+             latency: float, span: Optional["Span"], t: float,
+             kind: str = RESERVE) -> None:
+        """Book one wait event on an explicit span at instant ``t``.
+
+        The closed-form entry point: a model that spent one event where
+        the reference spent several books each of the reference's events
+        here, with the span that was open and the instant it was made at.
+        Unlike :meth:`reserve` it claims no timeout, because none follows
+        it.  ``span=None`` books the aggregates only.  A ``SLEEP`` goes to
+        the ``(sleep)`` pseudo-resource; callers book one only on a span.
+        """
         if name is None:
             name = ANON_RESOURCE
-        agg = self.aggregates.get(name)
+        agg = self._aggregates.get(name)
         if agg is None:
-            agg = self.aggregates[name] = ResourceWait(name)
+            agg = self._aggregates[name] = ResourceWait(name)
         agg.count += 1
         agg.wait += wait
         agg.service += service
         agg.latency += latency
-        now = self.env._now
         if wait > 0.0:
-            self._bump_series(name, now, agg.wait + agg.block)
-        if not record:
-            return
-        stack = self._stacks.get(self.env._active)
-        if stack:
-            self._append(WaitRecord(stack[-1], name, RESERVE,
-                                    wait, service, latency, now))
+            self._bump_series(name, t, agg.wait + agg.block)
+        if span is not None:
+            self._append(WaitRecord(span, name, kind,
+                                    wait, service, latency, t))
 
     def on_timeout(self, delay: float) -> None:
         """``env.timeout``/``timeout_until`` was called.
@@ -272,13 +301,20 @@ class WaitTracer:
         stack = self._stacks.get(self.env._active)
         if not stack:
             return
-        agg = self.aggregates.get(SLEEP_RESOURCE)
-        if agg is None:
-            agg = self.aggregates[SLEEP_RESOURCE] = ResourceWait(SLEEP_RESOURCE)
-        agg.count += 1
-        agg.latency += delay
-        self._append(WaitRecord(stack[-1], SLEEP_RESOURCE, SLEEP,
-                                0.0, 0.0, delay, self.env._now))
+        self.book(SLEEP_RESOURCE, 0.0, 0.0, delay, stack[-1], self.env._now,
+                  SLEEP)
+
+    def defer(self, sync: Callable[[], None]) -> None:
+        """Run ``sync()`` before every read of the tracer.
+
+        For a model that books lazily: ``sync()`` books whatever it owes
+        up to now, so a read sees what an eager model would have booked.
+        """
+        self._deferred[sync] = None
+
+    def _flush(self) -> None:
+        for sync in self._deferred:
+            sync()
 
     def begin_block(self, event, name: Optional[str]) -> None:
         """A request/put/get parked in a waiter queue."""
@@ -295,9 +331,9 @@ class WaitTracer:
         name, t0, span = info
         now = self.env._now
         dur = now - t0
-        agg = self.aggregates.get(name)
+        agg = self._aggregates.get(name)
         if agg is None:
-            agg = self.aggregates[name] = ResourceWait(name)
+            agg = self._aggregates[name] = ResourceWait(name)
         agg.count += 1
         agg.block += dur
         if dur > 0.0:
@@ -309,10 +345,10 @@ class WaitTracer:
         self._blocked.pop(event, None)
 
     def _append(self, record: WaitRecord) -> None:
-        if len(self.records) >= self.max_records:
+        if len(self._records) >= self.max_records:
             self.records_dropped += 1
             return
-        self.records.append(record)
+        self._records.append(record)
 
     def _bump_series(self, name: str, now: float, cum_wait: float) -> None:
         ts = self._series.get(name)
@@ -327,6 +363,18 @@ class WaitTracer:
             self._series_last_t[name] = now
 
     # -- analyses -----------------------------------------------------------
+
+    @property
+    def records(self) -> List[WaitRecord]:
+        """Span-attributed wait events (sampled requests only)."""
+        self._flush()
+        return self._records
+
+    @property
+    def aggregates(self) -> Dict[str, ResourceWait]:
+        """Per-resource totals over all operations since install."""
+        self._flush()
+        return self._aggregates
 
     def blame(self) -> Dict[str, float]:
         """Resource -> attributed seconds over all sampled spans.
@@ -397,6 +445,7 @@ class WaitTracer:
 
     def wait_series(self) -> List[TimeSeries]:
         """Cumulative blamed-wait counters, one per resource, name-sorted."""
+        self._flush()
         return [self._series[k] for k in sorted(self._series)]
 
     def to_dict(self) -> dict:

@@ -177,102 +177,189 @@ def test_one_sided_ops_leave_send_cq_empty():
     assert len(qc.send_cq) == 0 and len(qs.recv_cq) == 0
 
 
-@pytest.mark.parametrize("propagation", [None, 0.0])
-def test_untraced_send_merges_post_and_wire_into_one_event(propagation):
-    """Same arrival instant as the traced (chained) path, one event fewer."""
+def _one_op(op, observed, propagation=None, loopback=False):
+    """Run one verb from a rounded clock value.
+
+    ``observed`` installs a wait tracer and samples the request (its
+    ``io`` root span is open in the initiator while the verb runs).
+    Returns the finish instant, the events dispatched, the link, the
+    initiator's device and, when observed, the collector and tracer.
+    """
     from dataclasses import replace
 
     from repro.hw.specs import PAPER_LINK
     from repro.sim.spans import SpanCollector
-
-    link = PAPER_LINK if propagation is None else replace(
-        PAPER_LINK, propagation=propagation)
-    seen = {}
-    for traced in (False, True):
-        env = Environment()
-        top = make_paper_testbed(env, link=link)
-        dev_c, dev_s = RdmaDevice(top.client), RdmaDevice(top.server)
-        qc, qs = connect_qps(dev_c, dev_s)
-        trace = SpanCollector(env).trace("io").root if traced else None
-
-        def sender(env):
-            yield env.timeout(1e-3 / 3)  # a clock value with rounding
-            yield from qc.transmit(4 * KIB, trace=trace)
-
-        env.process(sender(env))
-        env.run()
-        seen[traced] = (env.now, env.events_processed)
-    assert seen[False][0] == seen[True][0]
-    assert seen[False][1] == seen[True][1] - 1
-
-
-def _one_op(op, traced, propagation=None, loopback=False):
-    """Run one verb from a rounded clock value: (finish instant, events)."""
-    from dataclasses import replace
-
-    from repro.hw.specs import PAPER_LINK
-    from repro.sim.spans import SpanCollector
+    from repro.sim.waits import WaitTracer
 
     link = PAPER_LINK if propagation is None else replace(
         PAPER_LINK, propagation=propagation)
     env = Environment()
     top = make_paper_testbed(env, link=link)
+    tracer = WaitTracer(env).install() if observed else None
+    collector = SpanCollector(env)
     dev_c = RdmaDevice(top.client)
     dev_s = RdmaDevice(top.client if loopback else top.server)
     qc, qs = connect_qps(dev_c, dev_s)
     mr = qs.pd.register_mr(4 * MIB, AccessFlags.remote_rw())
-    trace = SpanCollector(env).trace("io").root if traced else None
     kind, nbytes = op
 
     def initiator(env):
         yield env.timeout(1e-3 / 3)
+        trace = collector.trace("io").root if observed else None
         if kind == "write":
             yield from qc.rdma_write(mr.addr, mr.rkey, nbytes=nbytes, trace=trace)
         elif kind == "read":
             yield from qc.rdma_read(mr.addr, mr.rkey, nbytes, trace=trace)
         else:
             yield from qc.transmit(nbytes, trace=trace)
+        if trace is not None:
+            trace.finish()
 
     env.process(initiator(env))
     env.run()
-    return env.now, env.events_processed
+    return env.now, env.events_processed, link, dev_c, collector, tracer
 
 
-#: verb -> events the untraced post saves over the chained (traced) path:
-#: the post's stack latency, rendezvous round-trip and propagation ride on
-#: its CPU reservation; a READ request's RX crossing carries the reply's
-#: stack latency and propagation.
-_MERGED_HOPS = {
-    ("write", 4 * KIB): 1,
-    ("write", MIB): 3,          # above the rendezvous threshold
-    ("send", 32 * KIB): 3,
-    ("read", 4 * KIB): 2,
-    ("read", MIB): 2,
-}
+def _assert_chained_bookings(op, link, dev, collector, tracer):
+    """A sampled verb's spans and records sit at the chained path's instants.
+
+    The post CPU's span closes at ``t0 + (done - t0)``.  A rendezvous
+    message then sleeps the stack latency on the open ``io`` span and the
+    round-trip in an ``rdma.rendezvous`` span.  The stage span opens next
+    with the sleep ``Switch.transmit`` books (``when - t`` after a stack
+    latency, else the propagation), and its first port crossing is
+    requested at ``when``.  A READ's data span opens where its request's
+    RX crossing ends, with the target's stack latency and propagation.
+    """
+    from repro.sim.waits import RESERVE, SLEEP
+
+    kind, nbytes = op
+    costs = dev.costs
+    pre = costs.rtt_overhead / 2.0
+    prop = link.propagation
+    node = dev.node.name
+    spans = {}
+    for s in sorted(collector.spans, key=lambda s: (s.t_start, s.span_id)):
+        spans.setdefault(s.name, []).append(s)
+
+    def sleeps(span):
+        return [(r.t, r.latency) for r in tracer.records_for_span(span.span_id)
+                if r.kind == SLEEP]
+
+    def reserves(span):
+        return [r for r in tracer.records_for_span(span.span_id)
+                if r.kind == RESERVE]
+
+    def closed(span):
+        """Where a span around one idle reservation closes."""
+        (rec,) = reserves(span)
+        assert (rec.wait, rec.t) == (0.0, span.t_start)
+        t0 = span.t_start
+        return t0 + ((t0 + rec.service) - t0)
+
+    (root,) = spans["io"]
+    (post,) = spans["rdma.post"]
+    t = closed(post)
+    assert post.t_end == t
+    stage = "rdma.eager" if kind == "send" else "rdma.dma"
+    if kind != "read" and nbytes > costs.rendezvous_threshold:
+        rtt = 2 * (prop + pre)
+        assert sleeps(root) == [(t, pre)]
+        (rendezvous,) = spans["rdma.rendezvous"]
+        t = t + pre
+        assert (rendezvous.t_start, rendezvous.t_end) == (t, t + rtt)
+        assert sleeps(rendezvous) == [(t, rtt)]
+        t = t + rtt
+        when = t + prop
+        slept = [(t, prop)] if prop else []
+    else:
+        assert sleeps(root) == []
+        when = (t + pre) + prop
+        slept = [(t, when - t)]
+    wire = spans[stage][0]
+    assert wire.t_start == t
+    assert sleeps(wire) == slept
+    crossing = reserves(wire)
+    assert crossing[0].t == when
+    assert crossing[0].resource == f"net.{node}.tx"
+    if kind == "read":
+        (rx,) = [r for r in crossing if r.resource.endswith(".rx")]
+        t = rx.t + ((rx.t + rx.service) - rx.t)
+        assert rx.wait == 0.0 and wire.t_end == t
+        data = spans[stage][1]
+        assert data.t_start == t
+        when = (t + pre) + prop
+        assert sleeps(data) == [(t, when - t)]
+        assert reserves(data)[0].t == when
 
 
-@pytest.mark.parametrize("op", list(_MERGED_HOPS), ids=str)
+@pytest.mark.parametrize("propagation", [None, 0.0])
+def test_untraced_send_merges_post_and_wire_into_one_event(propagation):
+    """Post CPU, stack latency and propagation are one event, sampled or
+    not, and the sampled send books its spans at the chained instants."""
+    op = ("send", 4 * KIB)
+    plain = _one_op(op, False, propagation)
+    observed = _one_op(op, True, propagation)
+    assert plain[:2] == observed[:2]
+    _assert_chained_bookings(op, *observed[2:])
+
+
+#: Verbs whose fixed delays merge into an earlier event: the post's stack
+#: latency, rendezvous round-trip and propagation ride on its CPU
+#: reservation; a READ request's RX crossing carries the reply's stack
+#: latency and propagation.
+_MERGED_HOPS = [
+    ("write", 4 * KIB),
+    ("write", MIB),          # above the rendezvous threshold
+    ("send", 32 * KIB),
+    ("read", 4 * KIB),
+    ("read", MIB),
+]
+
+
+@pytest.mark.parametrize("op", _MERGED_HOPS, ids=str)
 @pytest.mark.parametrize("propagation", [None, 0.0])
 def test_untraced_verbs_merge_fixed_delays_at_the_chained_instant(op, propagation):
-    untraced = _one_op(op, False, propagation)
-    traced = _one_op(op, True, propagation)
-    assert untraced[0] == traced[0]
-    saved = _MERGED_HOPS[op]
-    if propagation == 0.0 and op[0] != "read" and saved == 3:
-        saved = 2  # no propagation sleep to merge after the rendezvous
-    assert untraced[1] == traced[1] - saved
+    """A sampled verb dispatches the events an unsampled one does, finishes
+    at the same instant, and books its spans and sleeps where the chained
+    sleeps put them."""
+    plain = _one_op(op, False, propagation)
+    observed = _one_op(op, True, propagation)
+    assert plain[:2] == observed[:2]
+    _assert_chained_bookings(op, *observed[2:])
 
 
-@pytest.mark.parametrize("op", list(_MERGED_HOPS), ids=str)
+@pytest.mark.parametrize("op", _MERGED_HOPS, ids=str)
 def test_loopback_verbs_keep_their_separate_events(op):
-    """Nothing merges on a loopback pair but the rendezvous round-trip
-    with the stack latency before it, which traced posts keep apart."""
-    untraced = _one_op(op, False, loopback=True)
-    traced = _one_op(op, True, loopback=True)
-    assert untraced[0] == traced[0]
+    """Nothing merges on a loopback pair but the rendezvous round-trip with
+    the stack latency before it; a sampled message merges them too and
+    books the two sleeps apart."""
+    from repro.sim.waits import SLEEP
+
+    plain = _one_op(op, False, loopback=True)
+    observed = _one_op(op, True, loopback=True)
+    assert plain[:2] == observed[:2]
     kind, nbytes = op
-    rendezvous = kind != "read" and nbytes > RDMA_COSTS.rendezvous_threshold
-    assert untraced[1] == traced[1] - rendezvous
+    *_, dev, collector, tracer = observed
+    rendezvous = [s for s in collector.spans if s.name == "rdma.rendezvous"]
+    if kind != "read" and nbytes > RDMA_COSTS.rendezvous_threshold:
+        (span,) = rendezvous
+        pre = dev.costs.rtt_overhead / 2.0
+        rtt = dev.rendezvous_rtt()
+        (post,) = [s for s in collector.spans if s.name == "rdma.post"]
+        (root,) = [s for s in collector.spans if s.name == "io"]
+
+        def sleeps(span):
+            return [(r.t, r.latency)
+                    for r in tracer.records_for_span(span.span_id)
+                    if r.kind == SLEEP]
+
+        assert sleeps(root) == [(post.t_end, pre)]
+        assert (span.t_start, span.t_end) == (post.t_end + pre,
+                                              (post.t_end + pre) + rtt)
+        assert sleeps(span) == [(span.t_start, rtt)]
+    else:
+        assert rendezvous == []
 
 
 # ---------------------------------------------------------------------------

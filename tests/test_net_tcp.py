@@ -197,25 +197,30 @@ def test_meters_count_bytes():
 
 @pytest.mark.parametrize("propagation", [None, 0.0])
 def test_untraced_message_merges_stream_and_wire_latency(propagation):
-    """The stream reservation, stack latency and propagation are one event
-    for an untraced message, delivered at the traced (chained) instant."""
+    """The stream reservation, stack latency and propagation are one event,
+    sampled or not.  The message reaches the wire at the instant the chained
+    sleeps reach, and a sampled one books its spans and sleep there."""
     from dataclasses import replace
 
     from repro.hw.specs import PAPER_LINK
     from repro.sim.spans import SpanCollector
+    from repro.sim.waits import RESERVE, SLEEP, WaitTracer
 
     link = PAPER_LINK if propagation is None else replace(
         PAPER_LINK, propagation=propagation)
-    seen = {}
-    for traced in (False, True):
+    runs = {}
+    for observed in (False, True):
         env = Environment()
         top = make_paper_testbed(env, link=link)
-        conn = connect(TcpStack(top.client), TcpStack(top.server))
-        meta = {"trace": SpanCollector(env).trace("io").root} if traced else {}
+        tracer = WaitTracer(env).install() if observed else None
+        collector = SpanCollector(env)
+        client = TcpStack(top.client)
+        conn = connect(client, TcpStack(top.server))
         arrived = []
 
         def sender(env):
             yield env.timeout(1e-3 / 3)  # a clock value with rounding
+            meta = {"trace": collector.trace("io").root} if observed else {}
             for nbytes in (4 * KIB, 3 * MIB):
                 yield from conn.send(Message(src=top.client.name,
                                              dst=top.server.name, kind="io",
@@ -224,6 +229,26 @@ def test_untraced_message_merges_stream_and_wire_latency(propagation):
 
         env.process(sender(env))
         env.run()
-        seen[traced] = (arrived, env.events_processed)
-    assert seen[False][0] == seen[True][0]
-    assert seen[False][1] == seen[True][1] - 2
+        runs[observed] = (arrived, env.events_processed)
+    assert runs[False] == runs[True]
+
+    # The chained path: the stream span closes at t0 + (done - t0), the
+    # wire span opens there with a sleep of when - t1, and the crossing
+    # starts at when = (t1 + rtt/2) + propagation.
+    pre = client.costs.rtt_overhead / 2.0
+    streams = [s for s in collector.spans if s.name == "tcp.stream"]
+    wires = [s for s in collector.spans if s.name == "net.wire"]
+    assert len(streams) == len(wires) == 2
+    for stream, wire in zip(streams, wires):
+        (rec,) = tracer.records_for_span(stream.span_id)
+        assert (rec.kind, rec.wait, rec.t) == (RESERVE, 0.0, stream.t_start)
+        t0 = stream.t_start
+        t1 = t0 + ((t0 + rec.service) - t0)
+        when = (t1 + pre) + link.propagation
+        assert stream.t_end == t1
+        assert wire.t_start == t1
+        sleep, *crossing = tracer.records_for_span(wire.span_id)
+        assert (sleep.kind, sleep.t, sleep.latency) == (SLEEP, t1, when - t1)
+        tx = [r for r in crossing if r.resource == f"net.{top.client.name}.tx"]
+        assert tx[0].t == when
+        assert all(r.kind == RESERVE for r in crossing)

@@ -4,10 +4,12 @@ The design rule in :mod:`repro.sim.spans` is that spans never schedule
 events or touch the event loop, so an instrumented run is
 *bit-identical* to a bare one, and the only hot-loop cost with no
 collector attached is an ``is not None`` test (no Span objects are ever
-created).
+created).  When on, observation selects no slower path: an observed
+cell dispatches the events of its plain twin.
 """
 
 import dataclasses
+import os
 from types import SimpleNamespace
 
 import pytest
@@ -15,6 +17,8 @@ import pytest
 import repro.sim.spans as spans_mod
 from repro.bench.runner import doctor_stations, run_fig5_cell, run_fig5_doctored
 from repro.sim import SpanCollector
+from repro.sim.queues import BandwidthPipe
+from repro.sim.timeseries import StationStats
 
 MIB = 1 << 20
 
@@ -86,18 +90,32 @@ def _fig3_cells():
             for rw in ("read", "write")]
 
 
+def _record_every_pipe(patch):
+    """Attach a station recorder to every bandwidth pipe built under
+    ``patch``, which sends each of its transfers down the chunk-per-event
+    loop, the reference of the pipe's scheduler."""
+    init = BandwidthPipe.__init__
+
+    def recorded(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self._server.attach_stats(StationStats(self.name or "pipe"))
+
+    patch.setattr(BandwidthPipe, "__init__", recorded)
+
+
 def _run_cell(fig, provider, client, rw, ssds, observed, monkeypatch):
     """Run one cell, plain or observed, with per-op latency recorded.
 
     The observed Fig. 5 run is the doctor's with its sampler on: a wait
     tracer from *t = 0*, station recorders, and every measured request
-    traced (``sample_every=1``).  That sends each event merge down its
-    reference path: the pipe's chunk loop (tracer), the traced RDMA post,
-    read and transmit and the TCP stream (spans).  An observed Fig. 3 or
-    Fig. 4 cell gets a wait tracer and a ``SpanCollector(sample_every=1)``;
-    its spans reach the NVMe array, which then runs a process per piece.
-    Returns the result, every latency sample in record order, the station
-    busy times, the final clock and the events dispatched.
+    traced (``sample_every=1``).  A recorder on every pipe sends its
+    transfers down the chunk loop, the scheduler's reference; its sampled
+    messages take their merged hops, as plain ones do.  An observed Fig. 3
+    or Fig. 4 cell gets a wait tracer and a ``SpanCollector(sample_every=1)``;
+    its spans reach the NVMe array, which then runs a process per piece,
+    the reference of the NVMe join.  Returns the result, every latency
+    sample in record order, the station busy times, the final clock and
+    the events dispatched.
     """
     from repro.bench import runner
     from repro.sim.monitor import LatencyRecorder
@@ -131,6 +149,7 @@ def _run_cell(fig, provider, client, rw, ssds, observed, monkeypatch):
             result = runner.run_fig4_cell(provider, rw, bs, 2, 2,
                                           runtime=runtime)
         elif observed:
+            _record_every_pipe(patch)
             result = run_fig5_doctored(provider, client, rw, bs, jobs,
                                        n_ssds=ssds, runtime=runtime,
                                        sample_every=1).result
@@ -146,13 +165,17 @@ def _run_cell(fig, provider, client, rw, ssds, observed, monkeypatch):
                          _fig5_cells() + _fig4_cells() + _fig3_cells())
 def test_observed_1mib_cell_matches_plain(fig, provider, client, rw, ssds,
                                           monkeypatch):
-    """Every event merge equals its observed reference, bit for bit.
+    """Observation changes no outcome, bit for bit.
 
-    The plain run merges: multi-chunk pipe transfers, fixed-delay wire
-    hops, the NVMe join.  The observed run takes every reference path.
-    Same result, latency samples, station busy times and clock; and the
-    plain run dispatches fewer events, so a merge cannot silently stop
-    firing.  (The name predates the 4 KiB, Fig. 3 and Fig. 4 cells.)
+    Both runs merge fixed-delay wire hops.  The plain run also schedules
+    multi-chunk pipe transfers and joins split NVMe I/Os inline; the
+    observed run takes the chunk loop on Fig. 5 cells (pipe recorders) and
+    a process per NVMe piece on Fig. 3 cells (spans).  Same result,
+    latency samples, station busy times and clock.  Where the observed run
+    takes a reference path the plain run dispatches fewer events, so a
+    merge cannot silently stop firing; where it takes none and runs no
+    sampler (Fig. 4), it dispatches exactly as many.  (The name predates
+    the 4 KiB, Fig. 3 and Fig. 4 cells.)
     """
     plain, plain_events = _run_cell(fig, provider, client, rw, ssds,
                                     False, monkeypatch)
@@ -160,29 +183,94 @@ def test_observed_1mib_cell_matches_plain(fig, provider, client, rw, ssds,
                                           True, monkeypatch)
     assert plain[0].total_ios > 0
     assert plain == observed
-    assert plain_events < observed_events
+    if fig == "fig4":
+        assert plain_events == observed_events
+    else:
+        assert plain_events < observed_events
 
 
-@pytest.mark.parametrize("provider,rw", [("rdma", "write"), ("tcp", "read")])
-def test_sampler_leaves_the_doctors_answer_alone(provider, rw):
-    """Station recorders watch; they select no path.
+@pytest.mark.parametrize("provider,rw,bs,ssds", [
+    pytest.param("rdma", "write", MIB, 4, id="rdma-write"),
+    pytest.param("tcp", "read", MIB, 4, id="tcp-read"),
+    pytest.param("rdma", "read", MIB, 1, id="rdma-read-1ssd"),
+    pytest.param("tcp", "read", MIB, 1, id="tcp-read-1ssd"),
+    pytest.param("rdma", "randread", 4096, 1, id="rdma-randread-4k"),
+    pytest.param("tcp", "randread", 4096, 1, id="tcp-randread-4k"),
+])
+def test_sampler_leaves_the_doctors_answer_alone(provider, rw, bs, ssds,
+                                                 monkeypatch):
+    """Station recorders watch; the wait tracer's answer does not move.
 
-    A doctored 1 MiB I/O over 4 SSDs usually splits on the NVMe array; its
-    ``media.nvme`` span must keep the record of the piece it waited for
-    with the sampler on as with it off.
+    The doctored cell runs with no sampler, and again with its sampler on
+    and a station recorder on every bandwidth pipe, which sends each pipe
+    transfer down the chunk-per-event loop.  The scheduler's closed-form
+    booking must give the chunk loop's blame, aggregates, wait series and,
+    per resource, the same records in the same order.  A doctored 1 MiB
+    I/O over 4 SSDs usually splits on the NVMe array; its ``media.nvme``
+    span keeps the record of the piece it waited for either way.
     """
-    runs = [run_fig5_doctored(provider, "dpu", rw, MIB, 8, n_ssds=4,
-                              runtime=0.01, sample_every=1,
-                              observe_sampler=observe)
-            for observe in (False, True)]
-    off, on = (run.tracer for run in runs)
-    assert runs[1].sampler is not None
-    assert "nvme.ssd0" in off.blame()
-    assert on.blame() == off.blame()
-    assert on.blame_components() == off.blame_components()
-    assert ({k: v.to_dict() for k, v in on.aggregates.items()}
-            == {k: v.to_dict() for k, v in off.aggregates.items()})
-    assert len(on.records) == len(off.records)
+    def answer(run):
+        tracer = run.tracer
+        records = {}
+        for r in tracer.records:
+            records.setdefault(r.resource, []).append(
+                (r.kind, r.wait, r.service, r.latency, r.t, r.span.stage))
+        return {
+            "blame": tracer.blame(),
+            "components": tracer.blame_components(),
+            "aggregates": {k: v.to_dict()
+                           for k, v in tracer.aggregates.items()},
+            "series": {ts.name: ts.points() for ts in tracer.wait_series()},
+            "records": records,
+        }
+
+    jobs, runtime = (8, 0.01) if bs == MIB else (4, 0.004)
+    off = run_fig5_doctored(provider, "dpu", rw, bs, jobs, n_ssds=ssds,
+                            runtime=runtime, sample_every=1,
+                            observe_sampler=False)
+    with monkeypatch.context() as patch:
+        _record_every_pipe(patch)
+        on = run_fig5_doctored(provider, "dpu", rw, bs, jobs, n_ssds=ssds,
+                               runtime=runtime, sample_every=1)
+    assert on.sampler is not None
+    assert off.result.to_dict() == on.result.to_dict()
+    want, got = answer(on), answer(off)
+    assert "nvme.ssd0" in got["blame"]
+    assert any(name.startswith("net.") for name in got["records"])
+    assert got == want
+
+
+def _ledger_configs():
+    """The committed Fig. 5 campaign's cells, as the campaign runs them."""
+    from repro.bench.campaign import expand_spec, load_spec
+
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "benchmarks",
+                        "campaigns", "fig5_ci.json")
+    return [pytest.param(config, id=f"{config['transport']}-{config['rw']}-"
+                                    f"{config['bs']}-{config['ssds']}ssd")
+            for config in expand_spec(load_spec(path))]
+
+
+@pytest.mark.parametrize("config", _ledger_configs())
+def test_observed_ledger_cell_costs_what_its_plain_twin_costs(config):
+    """Observation selects no slower path.
+
+    Each committed Fig. 5 ledger cell runs doctored (wait tracer from
+    *t = 0*, 1 request in 20 traced, no sampler) and plain.  The sampled
+    requests' spans and records are booked in closed form and the pipes
+    schedule their chunks under the tracer, so setup (the prefill), ramp
+    and measured window dispatch exactly the plain run's events.
+    """
+    from repro.bench.campaign import run_cell
+
+    assert config["quick"]
+    observed = run_cell(config).result
+    plain = run_fig5_cell(config["transport"], config["client"],
+                          config["rw"], config["bs"], config["numjobs"],
+                          n_ssds=config["ssds"], iodepth=config["iodepth"],
+                          runtime=config["runtime"])
+    assert observed.total_ios == plain.total_ios > 0
+    assert observed.phase_events == plain.phase_events
 
 
 class TestZeroCostWhenOff:

@@ -3,12 +3,13 @@
 Pins the perf-critical invariants added by the kernel optimisation pass:
 
 * :class:`BandwidthPipe`'s analytic scheduler is *bit-identical* to the
-  classic chunk-per-event reference (the loop an attached wait tracer
-  selects) — uncontended,
+  classic chunk-per-event reference (the loop an attached station
+  recorder selects) — uncontended,
   under randomized contention (arrivals roll back the slots reserved
   ahead of them), for reads mid-run and for owners cut mid-transfer —
   while spending a small, size-independent number of kernel events on
-  each transfer.
+  each transfer; and under a wait tracer it books every chunk the
+  reference books, on the same span, at the same instant.
 * ``Environment.events_processed`` / ``timeouts_recycled`` count what
   they claim; ``timeout_until`` fires at the exact float requested even
   when the Timeout object is recycled.
@@ -22,6 +23,8 @@ import random
 from repro.sim.core import Environment
 from repro.sim.queues import BandwidthPipe
 from repro.sim.resources import PriorityResource, Resource
+from repro.sim.spans import SpanCollector
+from repro.sim.timeseries import StationStats
 from repro.sim.waits import WaitTracer
 
 
@@ -29,21 +32,21 @@ from repro.sim.waits import WaitTracer
 # BandwidthPipe coalescing equivalence
 # ---------------------------------------------------------------------------
 
-def _pipe_env(traced):
-    """A fresh environment; ``traced`` installs a wait tracer, which sends
-    every pipe transfer down the chunk-per-event reference loop."""
-    env = Environment()
-    if traced:
-        WaitTracer(env).install()
-    return env
+def _pipe(env, reference, *args, **kwargs):
+    """A pipe; ``reference`` attaches a station recorder to its server,
+    which sends every transfer down the chunk-per-event reference loop."""
+    pipe = BandwidthPipe(env, *args, **kwargs)
+    if reference:
+        pipe._server.attach_stats(StationStats("reference"))
+    return pipe
 
 
-def _run_schedule(jobs, traced, bandwidth=10e9, latency=2e-6,
+def _run_schedule(jobs, reference, bandwidth=10e9, latency=2e-6,
                   chunk_bytes=64 * 1024):
     """Run ``[(start, nbytes), ...]`` through one pipe; return outcomes."""
-    env = _pipe_env(traced)
-    pipe = BandwidthPipe(env, bandwidth=bandwidth, latency=latency,
-                         chunk_bytes=chunk_bytes)
+    env = Environment()
+    pipe = _pipe(env, reference, bandwidth=bandwidth, latency=latency,
+                 chunk_bytes=chunk_bytes)
     done = {}
 
     def mover(env, i, start, nbytes):
@@ -71,8 +74,8 @@ def test_coalesced_uncontended_bit_identical_to_chunked():
     # the chunk-per-event reference bit for bit.
     jobs = [(i * 1e-3, n) for i, n in enumerate(
         [1, 4096, 64 * 1024, 64 * 1024 + 1, 1024 * 1024, 3 * 1024 * 1024])]
-    a = _run_schedule(jobs, traced=False)
-    b = _run_schedule(jobs, traced=True)
+    a = _run_schedule(jobs, reference=False)
+    b = _run_schedule(jobs, reference=True)
     assert a["done"] == b["done"]          # bit-identical, no tolerance
     assert a["bytes_moved"] == b["bytes_moved"]
     assert a["busy_time"] == b["busy_time"]
@@ -90,8 +93,8 @@ def test_coalesced_contended_bit_identical_to_chunked():
         rng = random.Random(seed)
         jobs = [(rng.uniform(0.0, 5e-4), rng.randrange(1, 4 * 1024 * 1024))
                 for _ in range(16)]
-        a = _run_schedule(jobs, traced=False)
-        b = _run_schedule(jobs, traced=True)
+        a = _run_schedule(jobs, reference=False)
+        b = _run_schedule(jobs, reference=True)
         assert a["done"] == b["done"], f"seed {seed}"
         assert a["bytes_moved"] == b["bytes_moved"]
         assert a["busy_time"] == b["busy_time"]
@@ -102,9 +105,9 @@ def test_coalesced_contention_triggers_revocation_sometimes():
     # Sanity that the contended test above actually exercises revocation:
     # two big transfers launched close together must revoke once.
     jobs = [(0.0, 8 * 1024 * 1024), (1e-5, 8 * 1024 * 1024)]
-    a = _run_schedule(jobs, traced=False)
+    a = _run_schedule(jobs, reference=False)
     assert a["revoked_ops"] >= 1
-    b = _run_schedule(jobs, traced=True)
+    b = _run_schedule(jobs, reference=True)
     assert a["done"] == b["done"]
 
 
@@ -112,8 +115,8 @@ def test_coalesced_event_cost_is_size_independent():
     # One uncontended transfer costs O(1) kernel events regardless of
     # size; the chunked reference costs O(size / chunk).  The >=4x
     # reduction on a 1 MiB transfer is an acceptance criterion.
-    def events_for(nbytes, traced):
-        r = _run_schedule([(0.0, nbytes)], traced=traced)
+    def events_for(nbytes, reference):
+        r = _run_schedule([(0.0, nbytes)], reference=reference)
         return r["events"]
 
     small_co = events_for(64 * 1024, False)
@@ -134,7 +137,7 @@ def test_chunk_burst_fairness_bound_when_overlapping():
     small = 4096
     arrival = 1e-5
     a = _run_schedule([(0.0, 32 * 1024 * 1024), (arrival, small)],
-                      traced=False, bandwidth=bandwidth, latency=latency,
+                      reference=False, bandwidth=bandwidth, latency=latency,
                       chunk_bytes=chunk)
     small_done = a["done"][1]
     worst = arrival + latency + chunk_time + small / bandwidth
@@ -143,7 +146,7 @@ def test_chunk_burst_fairness_bound_when_overlapping():
 
 # ---------------------------------------------------------------------------
 # BandwidthPipe scheduler properties (each against the chunk-per-event
-# reference a wait tracer selects)
+# reference a station recorder selects)
 # ---------------------------------------------------------------------------
 
 CHUNK = 64 * 1024
@@ -161,25 +164,41 @@ def _mixed_size(rng):
     return rng.randrange(1 << 20, 6 << 20)
 
 
-def _run_and_read(jobs, traced, samples=(), cuts=None, latency=2e-6):
+def _run_and_read(jobs, reference, samples=(), cuts=None, latency=2e-6,
+                  traced=False):
     """Run ``[(start, nbytes), ...]``; read the pipe at each of ``samples``.
 
     ``cuts`` maps a job index to ``(instant, how)``: ``"interrupt"``
     interrupts the owner, ``"close"`` makes it close the transfer
-    generator it drives by hand.  Returns every observable outcome.
+    generator it drives by hand.  ``traced`` installs a wait tracer and
+    has every other job transfer inside a span of its own; the tracer is
+    read at each sample as well.  Returns every observable outcome.
     """
     from repro.sim.core import Interrupt
 
     cuts = cuts or {}
-    env = _pipe_env(traced)
-    pipe = BandwidthPipe(env, bandwidth=10e9, latency=latency,
-                         chunk_bytes=CHUNK)
+    env = Environment()
+    tracer = WaitTracer(env).install() if traced else None
+    collector = SpanCollector(env)
+    pipe = _pipe(env, reference, bandwidth=10e9, latency=latency,
+                 chunk_bytes=CHUNK, name="pipe")
     done, cut_at, reads = {}, {}, []
+
+    def traced_job(i, body):
+        # A span per even job, open while its transfer runs.
+        if tracer is None or i % 2:
+            yield from body
+            return
+        span = collector.trace(f"job{i}").root
+        try:
+            yield from body
+        finally:
+            span.finish()
 
     def mover(env, i, start, nbytes):
         yield env.timeout(start)
         try:
-            yield from pipe.transfer(nbytes)
+            yield from traced_job(i, pipe.transfer(nbytes))
             done[i] = env.now
         except Interrupt:
             cut_at[i] = env.now
@@ -187,7 +206,7 @@ def _run_and_read(jobs, traced, samples=(), cuts=None, latency=2e-6):
     def closer(env, i, start, nbytes, deadline):
         # Drives the transfer by hand and abandons it at ``deadline``.
         yield env.timeout(start)
-        gen = pipe.transfer(nbytes)
+        gen = traced_job(i, pipe.transfer(nbytes))
         alarm = env.timeout(deadline - start)
         try:
             step = next(gen)
@@ -210,6 +229,9 @@ def _run_and_read(jobs, traced, samples=(), cuts=None, latency=2e-6):
     def reader(env):
         for t in samples:
             yield env.timeout(t - env.now)
+            if tracer is not None:
+                # Before the pipe's own readings, which sync it.
+                reads.append(_tracer_view(tracer))
             reads.append((env.now, pipe.busy_time, pipe.ops,
                           pipe.utilization()))
 
@@ -224,10 +246,21 @@ def _run_and_read(jobs, traced, samples=(), cuts=None, latency=2e-6):
     if samples:
         env.process(reader(env))
     env.run()
-    outcome = {"done": done, "cut_at": cut_at, "reads": reads,
-               "bytes_moved": pipe.bytes_moved, "busy_time": pipe.busy_time,
-               "ops": pipe.ops, "utilization": pipe.utilization(env.now)}
+    outcome = {"tracer": _tracer_view(tracer)} if tracer is not None else {}
+    outcome.update(done=done, cut_at=cut_at, reads=reads,
+                   bytes_moved=pipe.bytes_moved, busy_time=pipe.busy_time,
+                   ops=pipe.ops, utilization=pipe.utilization(env.now))
     return outcome, pipe
+
+
+def _tracer_view(tracer):
+    """What a wait tracer booked: records, aggregates and wait series."""
+    return (
+        [(r.resource, r.kind, r.wait, r.service, r.latency, r.t, r.span.name)
+         for r in tracer.records],
+        {k: v.to_dict() for k, v in tracer.aggregates.items()},
+        [(ts.name, ts.points()) for ts in tracer.wait_series()],
+    )
 
 
 def test_scheduler_matches_reference_on_random_contended_schedules():
@@ -238,9 +271,37 @@ def test_scheduler_matches_reference_on_random_contended_schedules():
         spread = rng.choice((1e-5, 2e-4, 2e-3))
         jobs = [(rng.uniform(0.0, spread), _mixed_size(rng))
                 for _ in range(n)]
-        got, pipe = _run_and_read(jobs, traced=False)
-        want, _ = _run_and_read(jobs, traced=True)
+        got, pipe = _run_and_read(jobs, reference=False)
+        want, _ = _run_and_read(jobs, reference=True)
         assert got == want, f"seed {seed}"
+        rollbacks += pipe.revoked_ops
+    assert rollbacks > 0
+
+
+def test_scheduler_books_what_the_chunk_loop_books():
+    # Under a wait tracer the scheduler books every chunk the reference
+    # loop books, on the owner's span, at the chunk's request instant, in
+    # slot order; a tracer read mid-run sees the chunks requested by then.
+    # Same transfers, instants and pipe readings as without a tracer.
+    rollbacks = 0
+    for seed in range(30):
+        rng = random.Random(400 + seed)
+        jobs = [(rng.uniform(0.0, rng.choice((1e-5, 2e-4, 2e-3))),
+                 _mixed_size(rng)) for _ in range(rng.randrange(1, 16))]
+        cuts = {i: (start + rng.uniform(0.0, 1e-3),
+                    rng.choice(("interrupt", "close")))
+                for i, (start, _n) in enumerate(jobs) if rng.random() < 0.2}
+        samples = sorted(rng.uniform(0.0, 3e-3) for _ in range(10))
+        latency = rng.choice((0.0, 2e-6))
+        got, pipe = _run_and_read(jobs, False, samples, cuts, latency,
+                                  traced=True)
+        want, _ = _run_and_read(jobs, True, samples, cuts, latency,
+                                traced=True)
+        assert got == want, f"seed {seed}"
+        plain, _ = _run_and_read(jobs, False, samples, cuts, latency)
+        assert {k: v for k, v in got.items() if k not in ("tracer", "reads")} \
+            == {k: v for k, v in plain.items() if k != "reads"}
+        assert got["tracer"][0], f"seed {seed}: no span records"
         rollbacks += pipe.revoked_ops
     assert rollbacks > 0
 
@@ -253,8 +314,8 @@ def test_scheduler_reads_match_reference_mid_run():
         jobs = [(rng.uniform(0.0, 5e-4), _mixed_size(rng))
                 for _ in range(rng.randrange(1, 16))]
         samples = sorted(rng.uniform(0.0, 3e-3) for _ in range(30))
-        got, pipe = _run_and_read(jobs, traced=False, samples=samples)
-        want, _ = _run_and_read(jobs, traced=True, samples=samples)
+        got, pipe = _run_and_read(jobs, reference=False, samples=samples)
+        want, _ = _run_and_read(jobs, reference=True, samples=samples)
         assert got["reads"] == want["reads"], f"seed {seed}"
         assert got == want, f"seed {seed}"
         assert pipe.coalesced_ops > 0
@@ -279,11 +340,11 @@ def test_scheduler_owners_cut_mid_transfer_match_reference():
     assert cut_any > 0
 
 
-def _run_with_hops(jobs, traced, merged):
+def _run_with_hops(jobs, reference, merged):
     """``[(start, nbytes, delays), ...]`` through one pipe: one-chunk jobs
     with ``delays`` then sleep them, merged into the crossing or not."""
-    env = _pipe_env(traced)
-    pipe = BandwidthPipe(env, bandwidth=10e9, chunk_bytes=CHUNK)
+    env = Environment()
+    pipe = _pipe(env, reference, bandwidth=10e9, chunk_bytes=CHUNK)
     done = {}
 
     def mover(env, i, start, nbytes, delays):
@@ -323,10 +384,10 @@ def test_one_chunk_transfer_and_sleep_matches_the_chained_hop():
                 jobs.append((start, rng.randrange(1, CHUNK + 1), delays))
         hops = sum(1 for _s, _n, d in jobs if d)
         want, _, chained_events = _run_with_hops(jobs, True, False)
-        for traced in (False, True):
-            got, pipe, events = _run_with_hops(jobs, traced, True)
-            assert got == want, f"seed {seed} traced={traced}"
-            if traced:
+        for reference in (False, True):
+            got, pipe, events = _run_with_hops(jobs, reference, True)
+            assert got == want, f"seed {seed} reference={reference}"
+            if reference:
                 assert events == chained_events - sum(
                     len(d) for _s, _n, d in jobs)
             else:
@@ -355,9 +416,9 @@ def test_scheduler_pending_request_goes_first_at_a_chunk_boundary():
     chunk_time = 2.0 ** -10
     for b_bytes in (512, 3 * 1024):
         runs = {}
-        for traced in (False, True):
-            env = _pipe_env(traced)
-            pipe = BandwidthPipe(env, bandwidth=2.0 ** 20, chunk_bytes=1024)
+        for reference in (False, True):
+            env = Environment()
+            pipe = _pipe(env, reference, bandwidth=2.0 ** 20, chunk_bytes=1024)
             done = {}
 
             def mover(env, tag, start, nbytes):
@@ -369,7 +430,7 @@ def test_scheduler_pending_request_goes_first_at_a_chunk_boundary():
             env.process(mover(env, "a", 0.0, 3 * 1024))
             env.process(mover(env, "b", chunk_time, b_bytes))
             env.run()
-            runs[traced] = (done, pipe.busy_time, pipe.ops)
+            runs[reference] = (done, pipe.busy_time, pipe.ops)
         assert runs[False] == runs[True]
         done = runs[False][0]
         # In chunk times: A holds [0, 1) and [1, 2), B's first slot
@@ -395,9 +456,9 @@ def test_scheduler_compares_chunk_boundaries_exactly():
         boundary += chunk_time
     assert (boundary - start) / chunk_time < 8
     runs = {}
-    for traced in (False, True):
-        env = _pipe_env(traced)
-        pipe = BandwidthPipe(env, bandwidth=bandwidth, chunk_bytes=chunk)
+    for reference in (False, True):
+        env = Environment()
+        pipe = _pipe(env, reference, bandwidth=bandwidth, chunk_bytes=chunk)
         done = {}
 
         def a(env):
@@ -416,7 +477,7 @@ def test_scheduler_compares_chunk_boundaries_exactly():
         env.process(a(env))
         env.process(b(env))
         env.run()
-        runs[traced] = (done, pipe.busy_time, pipe.ops)
+        runs[reference] = (done, pipe.busy_time, pipe.ops)
     assert runs[False] == runs[True]
     assert runs[False][0]["b"] > boundary + chunk_time
 
