@@ -88,7 +88,6 @@ def run_fig3_cell(
     n_ssds: int = 1,
     iodepth: Optional[int] = None,
     runtime: float = 0.03,
-    collector: Optional[SpanCollector] = None,
     seed: Optional[int] = None,
 ) -> FioResult:
     """One point of Fig. 3: local FIO with the IO_URING engine."""
@@ -102,7 +101,7 @@ def run_fig3_cell(
         size=512 * MIB,
         **_seed_kwargs(seed),
     )
-    return run_fio(env, engine, spec, collector=collector)
+    return run_fio(env, engine, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +137,6 @@ def run_fig4_cell(
     n_ssds: int = 1,
     iodepth: int = 32,
     runtime: float = 0.03,
-    collector: Optional[SpanCollector] = None,
     seed: Optional[int] = None,
 ) -> FioResult:
     """One heatmap cell of Fig. 4: remote SPDK, pinned core counts.
@@ -166,7 +164,7 @@ def run_fig4_cell(
         runtime=runtime, ramp_time=runtime / 4, size=512 * MIB,
         **_seed_kwargs(seed),
     )
-    return run_fio(env, adapter, spec, collector=collector)
+    return run_fio(env, adapter, spec)
 
 
 # ---------------------------------------------------------------------------

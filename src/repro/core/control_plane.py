@@ -60,7 +60,6 @@ class GrpcServer:
         self.node = node
         self.env: Environment = node.env
         self._methods: Dict[Tuple[str, str], Callable] = {}
-        self._interceptors: list = []
         self.calls_served = 0
 
     def add_method(self, service: str, method: str, handler: Callable) -> None:
@@ -69,10 +68,6 @@ class GrpcServer:
         if key in self._methods:
             raise ValueError(f"duplicate method {service}/{method}")
         self._methods[key] = handler
-
-    def add_interceptor(self, fn: Callable) -> None:
-        """Add ``fn(service, method, metadata)`` raising GrpcError to reject."""
-        self._interceptors.append(fn)
 
     def serve(self, conn: TcpConnection) -> None:
         """Service unary calls arriving on ``conn`` until ``grpc.shutdown``."""
@@ -97,8 +92,6 @@ class GrpcServer:
             yield from reply(StatusCode.UNIMPLEMENTED, detail=f"{service}/{method}")
             return
         try:
-            for interceptor in self._interceptors:
-                interceptor(service, method, metadata)
             response = yield from handler(body.get("request"), metadata)
         except GrpcError as exc:
             yield from reply(exc.code, detail=exc.detail)
@@ -205,8 +198,6 @@ class GrpcChannel:
         handler = server._methods.get((service, method))
         if handler is None:
             raise GrpcError(StatusCode.UNIMPLEMENTED, f"{service}/{method}")
-        for interceptor in server._interceptors:
-            interceptor(service, method, md)
         response = yield from handler(request, md)
         server.calls_served += 1
         yield self.env.timeout(self.LOOPBACK_LATENCY)

@@ -55,11 +55,6 @@ class DataPlane:
         peak tracking — no ad-hoc peak fields)."""
         return self._pool.occupancy
 
-    @property
-    def is_rdma(self) -> bool:
-        """Whether the bound provider is a verbs family."""
-        return self.provider.family == "rdma"
-
     def stage(self, nbytes: int, trace=None) -> Generator[Event, None, Allocation]:
         """Reserve DPU DRAM for one in-flight payload (``yield from``).
 

@@ -12,7 +12,6 @@ like the DPU Arm-RX bottleneck of Fig. 5, show up.
 
 from __future__ import annotations
 
-import json
 from math import fsum
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List
@@ -80,10 +79,6 @@ class SystemReport:
     def to_dict(self) -> dict:
         """The whole snapshot as plain dicts/lists (JSON-serialisable)."""
         return asdict(self)
-
-    def to_json(self, indent: int = 2) -> str:
-        """The snapshot as a JSON document (machine-readable telemetry)."""
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
     def render(self) -> str:
         """A printable multi-table report."""

@@ -69,15 +69,6 @@ class TokenBucket:
         self._refill()
         return self._level
 
-    def try_acquire(self, n: float) -> bool:
-        """Take ``n`` tokens if available right now."""
-        self._refill()
-        if n <= self._level:
-            self._level -= n
-            return True
-        self.denied += 1
-        return False
-
     def acquire(self, n: float, strict: bool = False) -> Generator[Event, None, None]:
         """Take ``n`` tokens, waiting for refill (or raising when strict)."""
         if n <= 0:

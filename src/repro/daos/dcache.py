@@ -101,12 +101,6 @@ class ClientCache:
         if self._evict(self._key(oid, chunk)):
             self.invalidations += 1
 
-    def invalidate_object(self, oid: ObjectId) -> None:
-        """Drop every cached chunk of one object (unlink/truncate)."""
-        for key in [k for k in self._entries if k[:2] == (oid.hi, oid.lo)]:
-            self._evict(key)
-            self.invalidations += 1
-
     def clear(self) -> None:
         """Drop everything."""
         self._entries.clear()

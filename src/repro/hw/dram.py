@@ -9,7 +9,7 @@ exhausted (back-pressure), which the multi-tenant experiments exercise.
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Generator
 
 from repro.sim.core import Environment, Event
 from repro.sim.monitor import Gauge
@@ -27,11 +27,6 @@ class Allocation:
         self.pool = pool
         self.nbytes = nbytes
         self._freed = False
-
-    @property
-    def freed(self) -> bool:
-        """True once returned to the pool."""
-        return self._freed
 
     def free(self) -> None:
         """Return the bytes to the pool (idempotent)."""
@@ -73,16 +68,6 @@ class DramPool:
                 f"{self.name}: allocation of {nbytes} exceeds capacity {self.capacity_bytes}"
             )
         yield self._free.get(nbytes)
-        self.occupancy.set(self.used_bytes)
-        return Allocation(self, nbytes)
-
-    def try_alloc(self, nbytes: int) -> Optional[Allocation]:
-        """Allocate without blocking; None if it does not fit right now."""
-        if nbytes <= 0:
-            raise ValueError(f"allocation must be positive, got {nbytes}")
-        if nbytes > self._free.level:
-            return None
-        self._free.get(nbytes)
         self.occupancy.set(self.used_bytes)
         return Allocation(self, nbytes)
 

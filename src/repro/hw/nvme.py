@@ -9,13 +9,17 @@ parallelism hides latency once queues are deep).
 
 The array stripes a flat logical address space across devices (1 MiB
 stripe, like the paper's dfs/fio layout), giving the near-linear
-multi-drive scaling of Fig. 3c.
+multi-drive scaling of Fig. 3c.  An I/O that spans stripes is joined
+inline: the caller reserves every piece and sleeps once, one kernel event
+however many pieces, traced, faulted or plain.  A process per piece, the
+join it reproduces, is the reference in ``tests/reference.py``.
 """
 
 from __future__ import annotations
 
 from typing import Generator, List, Optional, Tuple
 
+from repro.faults.errors import NvmeMediaError
 from repro.hw.specs import MIB, NvmeSpec
 from repro.sim.core import Environment, Event
 from repro.sim.monitor import RateMeter
@@ -41,11 +45,14 @@ class NvmeDevice:
 
     def service_time(self, nbytes: int, is_write: bool,
                      bw_efficiency: float = 1.0) -> float:
-        """Seconds of device occupancy for one I/O of ``nbytes``.
+        """Seconds of device occupancy for one I/O of ``nbytes`` issued now.
 
         ``bw_efficiency`` < 1 models a software path (e.g. the kernel block
         layer) that cannot stream the device at its raw rate; it inflates
-        only the bandwidth-bound component of the service time.
+        only the bandwidth-bound component of the service time.  The
+        device's one fault check: an active ``nvme_latency_spike``
+        stretches the time by its factor, and an active
+        ``nvme_media_error`` raises :class:`NvmeMediaError` instead.
         """
         if nbytes <= 0:
             raise ValueError(f"I/O size must be positive, got {nbytes}")
@@ -53,8 +60,23 @@ class NvmeDevice:
             raise ValueError(f"bw_efficiency must be in (0, 1], got {bw_efficiency}")
         spec = self.spec
         if is_write:
-            return max(nbytes / (spec.write_bw * bw_efficiency), 1.0 / spec.write_iops_cap)
-        return max(nbytes / (spec.read_bw * bw_efficiency), 1.0 / spec.read_iops_cap)
+            service = max(nbytes / (spec.write_bw * bw_efficiency),
+                          1.0 / spec.write_iops_cap)
+        else:
+            service = max(nbytes / (spec.read_bw * bw_efficiency),
+                          1.0 / spec.read_iops_cap)
+        fx = self.env._faults
+        if fx is not None:
+            name = self.name
+            if fx.active("nvme_media_error", name) is not None:
+                raise NvmeMediaError(
+                    f"{name}: injected media error on "
+                    f"{'write' if is_write else 'read'} of {nbytes} bytes"
+                )
+            spike = fx.active("nvme_latency_spike", name)
+            if spike is not None:
+                service *= spike.factor
+        return service
 
     def submit(
         self,
@@ -65,31 +87,16 @@ class NvmeDevice:
     ) -> Generator[Event, None, None]:
         """Perform one device I/O; completes after queue + service + latency.
 
-        The service time is :meth:`service_time`, stretched while an
-        ``nvme_latency_spike`` fault is active.
+        The service time is :meth:`service_time`, with its fault check.
         """
         service = self.service_time(nbytes, is_write, bw_efficiency)
-        spec = self.spec
-        fx = self.env._faults
-        if fx is not None:
-            name = self.name
-            if fx.active("nvme_media_error", name) is not None:
-                from repro.faults.errors import NvmeMediaError
-
-                raise NvmeMediaError(
-                    f"{name}: injected media error on "
-                    f"{'write' if is_write else 'read'} of {nbytes} bytes"
-                )
-            spike = fx.active("nvme_latency_spike", name)
-            if spike is not None:
-                service *= spike.factor
         span = None
         if trace is not None:
             span = trace.child("nvme", node=self.name, nbytes=nbytes)
         # Queue+service, then the parallel NAND access latency: one
         # kernel event at the chained instant, the latency booked to the
         # device.
-        yield self._server.serve(service, latency=spec.access_latency(is_write))
+        yield self._server.serve(service, latency=self.spec.access_latency(is_write))
         if span is not None:
             span.finish()
         (self.writes if is_write else self.reads).record(nbytes)
@@ -173,56 +180,66 @@ class NvmeArray:
     ) -> Generator[Event, None, None]:
         """One logical I/O; pieces on different devices proceed in parallel.
 
-        A split I/O with no ``trace`` and no fault plan is joined inline:
-        the caller reserves every piece itself, in piece order, with
-        :meth:`FifoServer.reserve <repro.sim.queues.FifoServer.reserve>`,
-        and sleeps once, until the last piece's wake instant (the float
-        operations of :meth:`FifoServer.serve`).  That is one kernel event
-        where a process per piece and their join cost ``3n + 1``
-        (DESIGN.md §9).  A traced or faulted I/O keeps a process per piece,
-        the reference the join is tested against.
+        A split I/O is joined inline: the caller reserves every piece
+        itself, in piece order, with :meth:`FifoServer.reserve
+        <repro.sim.queues.FifoServer.reserve>`, and sleeps once, until the
+        last piece's wake instant (the float operations of
+        :meth:`FifoServer.serve`).  That is one kernel event where a
+        process per piece and their join cost ``3n + 1`` (DESIGN.md §9).
+        What those processes would have left is made here in closed form:
+
+        * each piece's RESERVE booking, at now: on its ``nvme`` child span
+          of ``trace`` (opened now, closed at the piece's wake instant),
+          or, untraced, on the caller's open span for the piece it waited
+          for (the last to finish, the first of them on a tie) and on the
+          aggregates only for the rest;
+        * a piece under an ``nvme_media_error`` reserves nothing; the
+          other pieces reserve, book and count as above, and then the
+          first failing piece's error is raised, with no sleep.
         """
+        if nbytes <= 0 or offset < 0:
+            raise ValueError(f"bad I/O of {nbytes} bytes at offset {offset}")
         pieces = self.split(offset, nbytes)
         if len(pieces) == 1:
             dev, size = pieces[0]
             yield from dev.submit(size, is_write, bw_efficiency, trace=trace)
             return
         env = self.env
-        if trace is not None or env._faults is not None or not pieces:
-            procs = [
-                env.process(dev.submit(size, is_write, bw_efficiency, trace=trace))
-                for dev, size in pieces
-            ]
-            yield env.all_of(procs)
-            return
         now = env._now
         booked = []
+        error = None
         wake = now
         last = 0
-        for i, (dev, size) in enumerate(pieces):
-            service = dev.service_time(size, is_write, bw_efficiency)
+        for dev, size in pieces:
+            try:
+                service = dev.service_time(size, is_write, bw_efficiency)
+            except NvmeMediaError as exc:
+                error = error or exc
+                continue
             latency = dev.spec.access_latency(is_write)
             start, done = dev._server.reserve(service)
             at = now + (done - now) + latency
             if at > wake:
-                wake, last = at, i
-            booked.append((dev.name, start - now, service, latency))
+                wake, last = at, len(booked)
+            booked.append((dev, size, start - now, service, latency, at))
         wt = env._wait_tracer
-        if wt is not None:
-            # Every piece reaches the aggregates; the caller's open span
-            # gets the record of the piece it waited for, the last to
-            # finish (the first of them on a tie), so the span's records
-            # still sum to its duration.
-            for i, (name, wait, service, latency) in enumerate(booked):
-                wt.reserve(name, wait, service, latency, record=i == last)
-        yield env.timeout_until(wake)
-        for dev, size in pieces:
+        waited = None
+        if wt is not None and trace is None and error is None:
+            # The piece the caller waits for keeps its record on the
+            # caller's open span, whose records then sum to its duration.
+            waited = wt.active_span()
+        for i, (dev, size, wait, service, latency, at) in enumerate(booked):
+            span = waited if i == last else None
+            if trace is not None:
+                span = trace.child("nvme", node=dev.name, nbytes=size,
+                                   start=now, end=at)
+            if wt is not None:
+                wt.book(dev.name, wait, service, latency, span, now)
+        if error is None:
+            if wt is not None:
+                wt.claim()  # the pieces' bookings cover the sleep
+            yield env.timeout_until(wake)
+        for dev, size, *_ in booked:
             (dev.writes if is_write else dev.reads).record(size)
-
-    def total_bytes_read(self) -> int:
-        """Aggregate bytes read across devices."""
-        return sum(d.reads.bytes for d in self.devices)
-
-    def total_bytes_written(self) -> int:
-        """Aggregate bytes written across devices."""
-        return sum(d.writes.bytes for d in self.devices)
+        if error is not None:
+            raise error

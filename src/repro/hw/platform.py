@@ -132,11 +132,6 @@ class ClusterTopology:
     #: is a separate idle node in DPU-offload mode (host off the data path).
     launcher: ComputeNode
 
-    @property
-    def client_is_dpu(self) -> bool:
-        """True when the DAOS client runs on the BlueField-3."""
-        return self.client.spec.name == BLUEFIELD3.name
-
 
 def make_paper_testbed(
     env: Environment,

@@ -367,11 +367,6 @@ class GpuSpec:
         """HBM bandwidth in bytes/second."""
         return self.mem_bw_gbs * 1e9
 
-    @property
-    def nvlink_bytes(self) -> float:
-        """NVLink per-GPU bandwidth in bytes/second."""
-        return self.nvlink_gbs * 1e9
-
 
 #: Paper Table 1, verbatim.
 GPU_GENERATIONS: Tuple[GpuSpec, ...] = (

@@ -31,7 +31,6 @@ Time is a ``float`` in **seconds**.  All hardware models in
 
 from repro.sim.core import (
     AllOf,
-    AnyOf,
     Environment,
     Event,
     Interrupt,
@@ -42,7 +41,7 @@ from repro.sim.core import (
 from repro.sim.hist import LogHistogram
 from repro.sim.monitor import Gauge, LatencyRecorder, RateMeter
 from repro.sim.queues import BandwidthPipe, FifoServer
-from repro.sim.resources import Container, PriorityResource, Resource, Store
+from repro.sim.resources import Container, Resource, Store
 from repro.sim.rng import RngStreams, seed_from_key
 from repro.sim.spans import (
     LatencyBreakdown,
@@ -58,7 +57,6 @@ from repro.sim.waits import WaitRecord, WaitTracer
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "BandwidthPipe",
     "Container",
     "Diagnosis",
@@ -70,7 +68,6 @@ __all__ = [
     "LatencyBreakdown",
     "LatencyRecorder",
     "LogHistogram",
-    "PriorityResource",
     "Probe",
     "Process",
     "RateMeter",

@@ -52,7 +52,6 @@ __all__ = [
     "Process",
     "ConditionEvent",
     "AllOf",
-    "AnyOf",
     "Environment",
     "tie_scramble",
 ]
@@ -405,7 +404,7 @@ class Process(Event):
 
 
 class ConditionEvent(Event):
-    """Base class for :class:`AllOf` / :class:`AnyOf` composite waits."""
+    """Base class for composite waits such as :class:`AllOf`."""
 
     __slots__ = ("events", "_pending")
 
@@ -453,24 +452,6 @@ class AllOf(ConditionEvent):
         self._pending -= 1
         if self._pending == 0:
             self.succeed(self._collect())
-
-
-class AnyOf(ConditionEvent):
-    """Fires as soon as *any* constituent event fires.
-
-    Value is a ``{event: value}`` mapping of the events fired so far.
-    """
-
-    __slots__ = ()
-
-    def _check(self, event: Event) -> None:
-        if self._value is not PENDING:
-            return
-        if not event._ok:
-            event._defused = True
-            self.fail(event._value)
-            return
-        self.succeed(self._collect())
 
 
 class Environment:
@@ -662,10 +643,6 @@ class Environment:
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """Wait for every event in ``events``."""
         return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Wait for the first event in ``events``."""
-        return AnyOf(self, events)
 
     # -- scheduling ---------------------------------------------------------
     def schedule(self, event: Event, delay: float = 0.0, priority: int = NORMAL) -> None:

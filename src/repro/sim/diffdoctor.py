@@ -104,10 +104,6 @@ class DiffDiagnosis:
     def exit_code(self) -> int:
         return 0 if self.ok else 1
 
-    @property
-    def top_contributor(self) -> Optional[dict]:
-        return self.contributors[0] if self.contributors else None
-
     def to_dict(self) -> dict:
         return {
             "format": "repro-diff-v1",

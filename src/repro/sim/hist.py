@@ -6,13 +6,13 @@ stays bounded regardless of sample count — the property the unbounded
 ``base = 2 ** (1/16)`` which bounds the *relative* quantile error at
 ``base - 1`` (~4.4%); reporting the geometric bucket midpoint halves that to
 ~2.2%.  Histograms are mergeable (per-worker recording, one reduction at the
-end) and export a cumulative-bucket view for the Prometheus text format.
+end).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List
 
 __all__ = ["LogHistogram"]
 
@@ -83,21 +83,11 @@ class LogHistogram:
 
     # -- bucket geometry ---------------------------------------------------
 
-    def _bucket_upper(self, index: int) -> float:
-        if index <= 0:
-            return self.min_value
-        return self.min_value * self.base ** index
-
     def _representative(self, index: int) -> float:
         """Geometric midpoint of the bucket — the reported quantile value."""
         if index <= 0:
             return self.min_value
         return self.min_value * self.base ** (index - 0.5)
-
-    @property
-    def relative_error(self) -> float:
-        """Worst-case relative error of a reported percentile."""
-        return math.sqrt(self.base) - 1.0
 
     # -- queries -----------------------------------------------------------
 
@@ -143,15 +133,6 @@ class LogHistogram:
             self.min = min(self.min, other.min)
             self.max = max(self.max, other.max)
         return self
-
-    def cumulative_buckets(self) -> List[Tuple[float, int]]:
-        """``(upper_bound, cumulative_count)`` pairs — Prometheus ``le`` view."""
-        out: List[Tuple[float, int]] = []
-        running = 0
-        for i in sorted(self._buckets):
-            running += self._buckets[i]
-            out.append((self._bucket_upper(i), running))
-        return out
 
     def to_dict(self) -> dict:
         return {

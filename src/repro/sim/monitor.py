@@ -64,12 +64,6 @@ class Gauge:
         """High-watermark: the largest level seen since the last reset."""
         return self._max
 
-    def reset_max(self) -> float:
-        """Restart watermark tracking from the current level; returns the old."""
-        old = self._max
-        self._max = self._level
-        return old
-
     def mean(self, since: Optional[float] = None) -> float:
         """Time-weighted mean level over ``[since, now]``.
 

@@ -29,7 +29,10 @@ servers that need only **one** event per operation:
   transfer.  A pending request due at the arrival's instant goes first.
   Under a wait tracer each slot is booked, in slot order, once it can no
   longer be undone, as the chunk loop would have booked it when the
-  chunk was requested.  See DESIGN.md §9 for the exactness argument.
+  chunk was requested.  The scheduler is the pipe's one path: the
+  chunk-per-event loop it reproduces lives in the tests, as the
+  reference it is compared against.  See DESIGN.md §9 for the
+  exactness argument.
 
 Every station's wake-up event has the instant its service ends,
 ``done``, as its value: a caller that merged sleeps into it books the
@@ -269,9 +272,9 @@ class BandwidthPipe:
     gets every slot in slot order (``_book``), each once it is final: as
     it is reserved, if it was requested by now, or else when it leaves
     the undo log without being rolled back.  Reading the tracer makes
-    the slots due by then final first.  Only an attached station
-    recorder selects the chunk-per-event loop, which hands the recorder
-    every chunk and is the reference the scheduler is tested against.
+    the slots due by then final first.  A transfer of one chunk is the
+    chunk loop's one reservation, made at once.  Every transfer takes
+    this path, observed or not; a pipe has no station recorder.
 
     Use from a process as ``yield from pipe.transfer(nbytes)``.
     """
@@ -345,7 +348,9 @@ class BandwidthPipe:
         """Move ``nbytes`` through the pipe; completes after the last chunk.
 
         This is a plain generator intended for ``yield from`` inside a
-        simulation process (no extra :class:`Process` is spawned).
+        simulation process (no extra :class:`Process` is spawned).  It
+        sleeps the latency, then waits for one event: the one chunk's
+        service, or the scheduler's wake-up at the last chunk's end.
         """
         if nbytes < 0:
             raise ValueError(f"negative transfer size {nbytes}")
@@ -362,57 +367,41 @@ class BandwidthPipe:
             yield env.timeout(self.latency)
         if nbytes == 0:
             return
-        srv = self._server
-        chunk = self.chunk_bytes
-        # Observers are attached between runs, never mid-transfer.
-        if srv._stats is None:
-            if self._requests or self._finishing:
-                self._sync()
-            if nbytes > chunk:
-                span = None
-                if wt is not None:
-                    span = wt.active_span()
-                    wt.defer(self._sync)
-                xfer = _Transfer(env, nbytes, env._now, span)
-                self._requests.appendleft(xfer)
-                self._arm()
-                try:
-                    yield xfer
-                except BaseException:
-                    self._abort(xfer)
-                    raise
-                return
-            # One chunk: the chunk loop's one reservation, made here.
-            self.coalesced_ops += 1
-            yield srv.serve(nbytes / self.bandwidth)
+        if self._requests or self._finishing:
+            self._sync()
+        if nbytes > self.chunk_bytes:
+            span = None
+            if wt is not None:
+                span = wt.active_span()
+                wt.defer(self._sync)
+            xfer = _Transfer(env, nbytes, env._now, span)
+            self._requests.appendleft(xfer)
+            self._arm()
+            try:
+                yield xfer
+            except BaseException:
+                self._abort(xfer)
+                raise
             return
-        bw = self.bandwidth
-        remaining = nbytes
-        while remaining > 0:
-            take = chunk if remaining > chunk else remaining
-            if self._requests or self._finishing:
-                self._sync()
-            yield srv.serve(take / bw)
-            remaining -= take
+        # One chunk: the chunk loop's one reservation, made here.
+        self.coalesced_ops += 1
+        yield self._server.serve(nbytes / self.bandwidth)
 
     def transfer_and_sleep(self, nbytes: int, *delays: float) -> Timeout:
         """A one-chunk transfer, then the caller's ``delays``: one event.
 
         For a pipe without latency and ``0 < nbytes <= chunk_bytes``.  The
-        chunk takes the one slot :meth:`transfer` would reserve, observed
-        or not, and the wake-up is :meth:`FifoServer.serve`'s chained
-        instant.
+        chunk takes the one slot :meth:`transfer` would reserve, and the
+        wake-up is :meth:`FifoServer.serve`'s chained instant.
         """
         if self.latency or not 0 < nbytes <= self.chunk_bytes:
             raise ValueError(
                 f"not a one-chunk transfer on a zero-latency pipe: {nbytes} bytes")
         self.bytes_moved += nbytes
-        srv = self._server
-        if srv._stats is None:
-            self.coalesced_ops += 1
+        self.coalesced_ops += 1
         if self._requests or self._finishing:
             self._sync()
-        return srv.serve(nbytes / self.bandwidth, *delays)
+        return self._server.serve(nbytes / self.bandwidth, *delays)
 
     # -- scheduler -----------------------------------------------------------
     def _advance(self, now: float, until: float) -> None:

@@ -4,8 +4,6 @@ These are the queueing building blocks for the hardware models:
 
 * :class:`Resource` — ``capacity`` identical servers (CPU cores, NVMe
   submission slots).  FIFO grant order.
-* :class:`PriorityResource` — like :class:`Resource` but grants by
-  ``(priority, fifo)`` order; used for QoS experiments.
 * :class:`Store` — an unbounded/bounded FIFO of Python objects (message
   queues, completion queues).
 * :class:`Container` — a continuous level (bytes of buffer pool, tokens).
@@ -23,8 +21,7 @@ which guarantees release even if the process is interrupted while queued.
 from __future__ import annotations
 
 from collections import deque
-from heapq import heappop, heappush
-from typing import Any, Deque, List, Tuple
+from typing import Any, Deque, List
 
 from repro.sim.core import PENDING, Environment, Event, SimulationError
 
@@ -32,8 +29,6 @@ __all__ = [
     "Request",
     "Release",
     "Resource",
-    "PriorityRequest",
-    "PriorityResource",
     "StorePut",
     "StoreGet",
     "Store",
@@ -99,9 +94,6 @@ class Resource:
         #: Resource name for wait-cause attribution (None = anonymous).
         self.name = name
         self.users: List[Request] = []
-        self._init_waiters()
-
-    def _init_waiters(self) -> None:
         self.queue: Deque[Request] = deque()
 
     @property
@@ -159,89 +151,6 @@ class Resource:
         wt = self.env._wait_tracer
         while self.queue and len(self.users) < self._capacity:
             nxt = self.queue.popleft()
-            self.users.append(nxt)
-            if wt is not None:
-                wt.end_block(nxt)
-            nxt.succeed()
-
-
-class PriorityRequest(Request):
-    """Request carrying a priority (lower value = more urgent)."""
-
-    __slots__ = ("priority", "_seq")
-
-    def __init__(self, resource: "PriorityResource", priority: int) -> None:
-        self.priority = priority
-        self._seq = resource._next_seq()
-        super().__init__(resource)
-
-    @property
-    def key(self) -> tuple:
-        return (self.priority, self._seq)
-
-
-class PriorityResource(Resource):
-    """Resource granting queued requests in ``(priority, arrival)`` order.
-
-    The waiter queue is a binary heap keyed by ``(priority, seq)`` —
-    O(log n) per enqueue/dequeue instead of the previous full re-sort per
-    arrival.  Withdrawing a queued request (``release()`` before grant)
-    uses *lazy deletion*: the entry stays in the heap and is skipped by
-    :meth:`_grant_next` once it is no longer in the live set.
-    """
-
-    def __init__(self, env: Environment, capacity: int = 1,
-                 name: "str | None" = None) -> None:
-        self._seq = 0
-        super().__init__(env, capacity, name)
-
-    def _init_waiters(self) -> None:
-        self._heap: List[Tuple[int, int, PriorityRequest]] = []
-        self._queued: set = set()
-
-    @property
-    def queue(self) -> Tuple[PriorityRequest, ...]:
-        """Live queued requests in grant order (for introspection/tests)."""
-        return tuple(
-            r for _, _, r in sorted(self._heap) if id(r) in self._queued
-        )
-
-    def _next_seq(self) -> int:
-        self._seq += 1
-        return self._seq
-
-    def request(self, priority: int = 0) -> PriorityRequest:  # type: ignore[override]
-        """Ask for one slot with ``priority`` (lower is served first)."""
-        return PriorityRequest(self, priority)
-
-    def _do_request(self, request: PriorityRequest) -> None:  # type: ignore[override]
-        if len(self.users) < self._capacity:
-            self.users.append(request)
-            request._succeed_inline()
-        else:
-            wt = self.env._wait_tracer
-            if wt is not None:
-                wt.begin_block(request, self.name)
-            heappush(self._heap, (request.priority, request._seq, request))
-            self._queued.add(id(request))
-
-    def _withdraw(self, request: Request) -> None:
-        self._queued.discard(id(request))
-        wt = self.env._wait_tracer
-        if wt is not None:
-            wt.cancel_block(request)
-
-    def _grant_next(self) -> None:
-        heap = self._heap
-        queued = self._queued
-        wt = self.env._wait_tracer
-        while heap and len(self.users) < self._capacity:
-            _, _, nxt = heap[0]
-            if id(nxt) not in queued:  # lazily-deleted tombstone
-                heappop(heap)
-                continue
-            heappop(heap)
-            queued.discard(id(nxt))
             self.users.append(nxt)
             if wt is not None:
                 wt.end_block(nxt)

@@ -229,13 +229,6 @@ class SpanCollector:
 
     # -- views -------------------------------------------------------------
 
-    def by_trace(self) -> Dict[int, List[Span]]:
-        """Finished spans grouped by trace id."""
-        out: Dict[int, List[Span]] = {}
-        for s in self.spans:
-            out.setdefault(s.trace_id, []).append(s)
-        return out
-
     def roots(self) -> List[Span]:
         """All finished root spans, in completion order."""
         return [s for s in self.spans if s.parent_id is None]
@@ -310,15 +303,6 @@ class LatencyBreakdown:
         rows = [(k, v, v / root) for k, v in self.stage_totals.items()]
         rows.sort(key=lambda r: r[1], reverse=True)
         return rows
-
-    def top_stage(self) -> Optional[str]:
-        """Stage with the largest attributed time (ignoring the root bucket)."""
-        best = None
-        best_t = -1.0
-        for k, v, _share in self.shares():
-            if v > best_t:
-                best, best_t = k, v
-        return best
 
     def top_wait_cause(self, stage: str) -> Optional[tuple]:
         """``(resource, seconds, fraction_of_stage_waits)`` for a stage.

@@ -11,8 +11,8 @@ every primitive that makes a process give up the CPU reports a wait event:
   queueing delay (``wait``), occupancy (``service``) and post-service sleep
   (``latency``) is analytically exact — reservation servers compute all
   three before scheduling the single wake-up event.
-* **block** — a parked :class:`~repro.sim.resources.Resource` /
-  ``PriorityResource`` request, :class:`~repro.sim.resources.Store`
+* **block** — a parked :class:`~repro.sim.resources.Resource`
+  request, :class:`~repro.sim.resources.Store`
   put/get or :class:`~repro.sim.resources.Container` put/get, measured
   from park to grant.
 * **sleep** — a plain ``env.timeout`` not claimed by any primitive (pure
@@ -243,16 +243,15 @@ class WaitTracer:
         return stack[-1] if stack else None
 
     def reserve(self, name: Optional[str], wait: float, service: float,
-                latency: float = 0.0, record: bool = True) -> None:
+                latency: float = 0.0) -> None:
         """A reservation server computed its analytic wait/service split.
 
         Books it now, on the active span, and claims the primitive's
         immediately-following wake-up timeout so it is not double-counted
-        as a sleep.  ``record=False`` books the aggregates only, never a
-        span record.
+        as a sleep.
         """
         self._claimed = True
-        stack = self._stacks.get(self.env._active) if record else None
+        stack = self._stacks.get(self.env._active)
         self.book(name, wait, service, latency,
                   stack[-1] if stack else None, self.env._now)
 
@@ -439,9 +438,6 @@ class WaitTracer:
             d = out.setdefault(r.span.stage, {})
             d[r.resource] = d.get(r.resource, 0.0) + r.total
         return out
-
-    def records_for_span(self, span_id: int) -> List[WaitRecord]:
-        return [r for r in self.records if r.span.span_id == span_id]
 
     def wait_series(self) -> List[TimeSeries]:
         """Cumulative blamed-wait counters, one per resource, name-sorted."""

@@ -30,11 +30,6 @@ class SparseBytes:
     def __len__(self) -> int:
         return self.size
 
-    @property
-    def pages_materialized(self) -> int:
-        """Number of 4 KiB pages currently allocated."""
-        return len(self._pages)
-
     def _check(self, offset: int, nbytes: int) -> None:
         if offset < 0 or nbytes < 0:
             raise ValueError(f"negative offset/length ({offset}, {nbytes})")

@@ -69,34 +69,6 @@ def test_handler_error_maps_to_status():
     assert exc_info.value.code is StatusCode.PERMISSION_DENIED
 
 
-def test_interceptor_rejects():
-    env, top, server, channel = setup()
-
-    def handler(request, metadata):
-        yield env.timeout(0)
-        return {}
-
-    def require_auth(service, method, metadata):
-        if "authorization" not in metadata:
-            raise GrpcError(StatusCode.UNAUTHENTICATED, "token required")
-
-    server.add_method("svc", "M", handler)
-    server.add_interceptor(require_auth)
-
-    def bad(env):
-        yield from channel.unary("svc", "M", {})
-
-    p = env.process(bad(env))
-    with pytest.raises(GrpcError) as exc_info:
-        env.run(until=p)
-    assert exc_info.value.code is StatusCode.UNAUTHENTICATED
-
-    def good(env):
-        return (yield from channel.unary("svc", "M", {}, metadata={"authorization": "t"}))
-
-    assert run(env, good(env)) == {}
-
-
 def test_default_metadata_attached():
     env, top, server, channel = setup()
     channel.default_metadata["authorization"] = "bearer-x"

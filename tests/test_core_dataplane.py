@@ -16,9 +16,9 @@ def make_dp(budget=None, client="dpu", provider="rdma"):
 
 def test_provider_binding():
     env, top, dp = make_dp(provider="rdma")
-    assert dp.is_rdma
+    assert dp.provider.family == "rdma"
     env2, top2, dp2 = make_dp(provider="ucx+tcp")
-    assert not dp2.is_rdma
+    assert dp2.provider.family != "rdma"
 
 
 def test_budget_defaults_to_node_dram():

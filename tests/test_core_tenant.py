@@ -16,14 +16,15 @@ def test_bucket_starts_full():
     env = Environment()
     b = TokenBucket(env, rate=100, burst=50)
     assert b.level == 50
-    assert b.try_acquire(50)
-    assert not b.try_acquire(1)
+    assert list(b.acquire(50)) == []  # granted without waiting
+    with pytest.raises(RateLimitExceeded):
+        list(b.acquire(1, strict=True))
 
 
 def test_bucket_refills_over_time():
     env = Environment()
     b = TokenBucket(env, rate=10, burst=10)
-    assert b.try_acquire(10)
+    assert list(b.acquire(10)) == []
 
     def waiter(env):
         yield env.timeout(0.5)

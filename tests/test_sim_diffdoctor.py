@@ -69,7 +69,7 @@ class TestTcpVsRdma:
     def test_arm_rx_wait_is_top_contributor(self, tcp_record, rdma_record):
         """The paper's claim in delta form: RDMA wins by skipping Arm RX."""
         dd = diff_runs(tcp_record, rdma_record)
-        top = dd.top_contributor
+        top = dd.contributors[0]
         assert top["resource"] == "dpu.arm_rx"
         assert top["delta"] < 0  # tcp -> rdma removes that time
         assert abs(top["delta_wait"]) >= abs(top["delta_service"])
@@ -87,8 +87,8 @@ class TestTcpVsRdma:
         rev = diff_runs(rdma_record, tcp_record)
         assert fwd.observed["latency"]["delta"] == pytest.approx(
             -rev.observed["latency"]["delta"])
-        assert fwd.top_contributor["delta"] == pytest.approx(
-            -rev.top_contributor["delta"])
+        assert fwd.contributors[0]["delta"] == pytest.approx(
+            -rev.contributors[0]["delta"])
 
     def test_config_delta_and_observed_metrics(self, tcp_record, rdma_record):
         dd = diff_runs(tcp_record, rdma_record)

@@ -220,7 +220,7 @@ class TestFig5Doctored:
         assert leaves
         checked = 0
         for span in leaves:
-            recs = tracer.records_for_span(span.span_id)
+            recs = [r for r in tracer.records if r.span is span]
             if not recs:
                 continue
             total = sum(r.total for r in recs)

@@ -110,8 +110,6 @@ def test_gauge_max_watermark_and_reset():
     env.run()
     assert g.max() == 7
     assert g.peak == 7          # alias kept for existing callers
-    assert g.reset_max() == 7   # returns the old watermark...
-    assert g.max() == 2         # ...and restarts from the current level
 
 
 def test_gauge_mean_zero_elapsed_window_is_current_level():

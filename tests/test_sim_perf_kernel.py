@@ -3,8 +3,8 @@
 Pins the perf-critical invariants added by the kernel optimisation pass:
 
 * :class:`BandwidthPipe`'s analytic scheduler is *bit-identical* to the
-  classic chunk-per-event reference (the loop an attached station
-  recorder selects) — uncontended,
+  classic chunk-per-event reference (:class:`tests.reference.ChunkLoopPipe`)
+  — uncontended,
   under randomized contention (arrivals roll back the slots reserved
   ahead of them), for reads mid-run and for owners cut mid-transfer —
   while spending a small, size-independent number of kernel events on
@@ -13,19 +13,17 @@ Pins the perf-critical invariants added by the kernel optimisation pass:
 * ``Environment.events_processed`` / ``timeouts_recycled`` count what
   they claim; ``timeout_until`` fires at the exact float requested even
   when the Timeout object is recycled.
-* :class:`Resource` keeps FIFO grant order through swap-remove releases;
-  :class:`PriorityResource` keeps ``(priority, arrival)`` order through
-  heap tombstones (lazy deletion).
+* :class:`Resource` keeps FIFO grant order through swap-remove releases.
 """
 
 import random
 
 from repro.sim.core import Environment
 from repro.sim.queues import BandwidthPipe
-from repro.sim.resources import PriorityResource, Resource
+from repro.sim.resources import Resource
 from repro.sim.spans import SpanCollector
-from repro.sim.timeseries import StationStats
 from repro.sim.waits import WaitTracer
+from tests.reference import AnyOf, ChunkLoopPipe
 
 
 # ---------------------------------------------------------------------------
@@ -33,12 +31,9 @@ from repro.sim.waits import WaitTracer
 # ---------------------------------------------------------------------------
 
 def _pipe(env, reference, *args, **kwargs):
-    """A pipe; ``reference`` attaches a station recorder to its server,
-    which sends every transfer down the chunk-per-event reference loop."""
-    pipe = BandwidthPipe(env, *args, **kwargs)
-    if reference:
-        pipe._server.attach_stats(StationStats("reference"))
-    return pipe
+    """A pipe; ``reference`` makes it run every transfer down the
+    chunk-per-event reference loop."""
+    return (ChunkLoopPipe if reference else BandwidthPipe)(env, *args, **kwargs)
 
 
 def _run_schedule(jobs, reference, bandwidth=10e9, latency=2e-6,
@@ -146,7 +141,7 @@ def test_chunk_burst_fairness_bound_when_overlapping():
 
 # ---------------------------------------------------------------------------
 # BandwidthPipe scheduler properties (each against the chunk-per-event
-# reference a station recorder selects)
+# reference)
 # ---------------------------------------------------------------------------
 
 CHUNK = 64 * 1024
@@ -211,7 +206,7 @@ def _run_and_read(jobs, reference, samples=(), cuts=None, latency=2e-6,
         try:
             step = next(gen)
             while True:
-                yield env.any_of([step, alarm])
+                yield AnyOf(env, [step, alarm])
                 if step.processed:
                     step = gen.send(None)
                 else:
@@ -548,7 +543,7 @@ def test_timeout_until_rejects_past():
 
 
 # ---------------------------------------------------------------------------
-# Resource grant order under swap-remove / heap tombstones
+# Resource grant order under swap-remove
 # ---------------------------------------------------------------------------
 
 def test_resource_fifo_order_survives_random_release_order():
@@ -570,70 +565,3 @@ def test_resource_fifo_order_survives_random_release_order():
         env.process(worker(env, i))
     env.run()
     assert granted == list(range(20))
-
-
-def test_priority_resource_tombstone_skipped_on_grant():
-    env = Environment()
-    res = PriorityResource(env, capacity=1)
-    order = []
-
-    def run(env):
-        hold = res.request(priority=0)
-        yield hold
-        # Queue three waiters; cancel the most urgent one while queued —
-        # its heap entry becomes a tombstone that grant must skip.
-        urgent = res.request(priority=-5)
-        mid = res.request(priority=1)
-        late = res.request(priority=2)
-        res.release(urgent)  # withdraw before grant (lazy deletion)
-        assert [r.priority for r in res.queue] == [1, 2]
-        res.release(hold)
-        yield mid
-        order.append("mid")
-        res.release(mid)
-        yield late
-        order.append("late")
-        res.release(late)
-        assert not urgent.processed  # the tombstone never fired
-
-    env.process(run(env))
-    env.run()
-    assert order == ["mid", "late"]
-
-
-def test_priority_resource_order_matches_sorted_reference():
-    # Property: random priorities + random mid-queue withdrawals grant in
-    # exactly (priority, arrival) order over the surviving requests.
-    rng = random.Random(7)
-    env = Environment()
-    res = PriorityResource(env, capacity=1)
-    granted = []
-
-    def run(env):
-        hold = res.request(priority=-100)
-        yield hold
-        reqs = []
-        for i in range(30):
-            reqs.append((i, res.request(priority=rng.randrange(0, 5))))
-        withdrawn = set(rng.sample(range(30), 10))
-        for i, r in reqs:
-            if i in withdrawn:
-                res.release(r)
-        expect = [i for i, r in sorted(
-            ((i, r) for i, r in reqs if i not in withdrawn),
-            key=lambda ir: (ir[1].priority, ir[1]._seq))]
-        survivors = {i: r for i, r in reqs if i not in withdrawn}
-        for i, r in survivors.items():
-            r.callbacks.append(lambda ev, i=i: granted.append(i))
-        res.release(hold)
-        # Release in the expected grant order so the single slot cascades
-        # through every survivor; ``granted`` records the *actual* order
-        # the resource granted them in.
-        for i in expect:
-            yield survivors[i]
-            res.release(survivors[i])
-        assert granted == expect
-
-    env.process(run(env))
-    env.run()
-    assert len(granted) == 20

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Container, Environment, PriorityResource, Resource, Store
+from repro.sim import Container, Environment, Resource, Store
 from repro.sim.core import SimulationError
 
 
@@ -142,56 +142,6 @@ def test_context_manager_releases_on_interrupt():
     env.process(later(env, res))
     env.run()
     assert grabbed == [2]
-
-
-# ---------------------------------------------------------------------------
-# PriorityResource
-# ---------------------------------------------------------------------------
-
-def test_priority_resource_orders_by_priority():
-    env = Environment()
-    res = PriorityResource(env, capacity=1)
-    order = []
-
-    def worker(env, res, prio, tag):
-        with res.request(priority=prio) as req:
-            yield req
-            order.append(tag)
-            yield env.timeout(1)
-
-    def submit(env):
-        # First grabs the resource; the rest queue with mixed priorities.
-        env.process(worker(env, res, 5, "first"))
-        yield env.timeout(0.1)
-        env.process(worker(env, res, 3, "mid"))
-        env.process(worker(env, res, 1, "hot"))
-        env.process(worker(env, res, 9, "cold"))
-
-    env.process(submit(env))
-    env.run()
-    assert order == ["first", "hot", "mid", "cold"]
-
-
-def test_priority_resource_fifo_within_priority():
-    env = Environment()
-    res = PriorityResource(env, capacity=1)
-    order = []
-
-    def worker(env, res, tag):
-        with res.request(priority=1) as req:
-            yield req
-            order.append(tag)
-            yield env.timeout(1)
-
-    def submit(env):
-        env.process(worker(env, res, "a"))
-        yield env.timeout(0.1)
-        env.process(worker(env, res, "b"))
-        env.process(worker(env, res, "c"))
-
-    env.process(submit(env))
-    env.run()
-    assert order == ["a", "b", "c"]
 
 
 # ---------------------------------------------------------------------------

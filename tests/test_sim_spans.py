@@ -147,7 +147,6 @@ class TestLatencyBreakdown:
         assert bd.total_root_time == pytest.approx(6.0)
         assert bd.attributed_time == pytest.approx(6.0)
         assert bd.shares()[0][0] == "c"
-        assert bd.top_stage() == "c"
 
     def test_parallel_children_clamp_to_zero(self):
         env = Environment()
@@ -193,7 +192,7 @@ class TestLatencyBreakdown:
     def test_empty(self):
         bd = LatencyBreakdown([])
         assert bd.coverage() == 0.0
-        assert bd.top_stage() is None
+        assert bd.shares() == []
 
 
 class TestWaitBlameColumn:
@@ -248,7 +247,7 @@ class TestCriticalPath:
         env = Environment()
         col = SpanCollector(env)
         tr = build_sequential_trace(env, col, [("a", 1.0), ("b", 2.0), ("c", 3.0)])
-        spans = col.by_trace()[tr.trace_id]
+        spans = [s for s in col.spans if s.trace_id == tr.trace_id]
         names = [s.name for s in critical_path(spans)]
         assert names == ["e2e", "a", "b", "c"]
 
@@ -267,7 +266,7 @@ class TestCriticalPath:
         env.process(fin(env, slow, 5.0))
         env.run()
         tr.finish()
-        spans = col.by_trace()[tr.trace_id]
+        spans = [s for s in col.spans if s.trace_id == tr.trace_id]
         names = [s.name for s in critical_path(spans)]
         assert "slow" in names and "fast" not in names
 
@@ -284,7 +283,7 @@ class TestCriticalPath:
         rx.finish()
         rpc.finish()
         tr.finish()
-        names = [s.name for s in critical_path(col.by_trace()[tr.trace_id])]
+        names = [s.name for s in critical_path(col.spans)]
         assert names == ["e2e", "rpc", "tx", "rx"]
 
     def test_rejects_multiple_traces(self):
@@ -306,8 +305,7 @@ class TestCollectorViews:
         col = SpanCollector(env)
         t1 = build_sequential_trace(env, col, [("a", 1.0)])
         t2 = build_sequential_trace(env, col, [("b", 1.0)])
-        grouped = col.by_trace()
-        assert set(grouped) == {t1.trace_id, t2.trace_id}
+        assert {s.trace_id for s in col.spans} == {t1.trace_id, t2.trace_id}
         assert [r.trace_id for r in col.roots()] == [t1.trace_id, t2.trace_id]
 
     def test_collector_to_dict(self):

@@ -467,7 +467,7 @@ class TestSpanAttribution:
             env.process(op(env, i))
         env.run()
         for span in col.spans:
-            total = sum(r.total for r in tracer.records_for_span(span.span_id))
+            total = sum(r.total for r in tracer.records if r.span is span)
             assert total == pytest.approx(span.duration, abs=1e-15)
 
     def test_concurrent_processes_attribute_to_own_spans(self):

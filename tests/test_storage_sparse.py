@@ -45,9 +45,9 @@ def test_punch_zeroes_range():
 def test_punch_drops_full_pages():
     s = SparseBytes(4 * PAGE_SIZE)
     s.write(0, b"x" * (2 * PAGE_SIZE))
-    assert s.pages_materialized == 2
+    assert len(s._pages) == 2
     s.punch(0, PAGE_SIZE)
-    assert s.pages_materialized == 1
+    assert len(s._pages) == 1
 
 
 def test_bounds_enforced():
