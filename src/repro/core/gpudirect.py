@@ -32,18 +32,6 @@ class GpuDirectPath:
         self.service = service
         self.session_id = session_id
         self.gpu = gpu
-        #: MR keys obtained via nvidia-peermem and conveyed over the
-        #: control plane (we track count for the reports).
-        self.registrations = 0
-
-    def register_gpu_buffer(self, nbytes: int):
-        """Register a GPU buffer and convey its descriptor (§3.5 steps 1-2)."""
-        state = self.service.sessions[self.session_id]
-        region = self.service.tenants.scoped_window(
-            state.tenant, state.daos.channel, self.service.node.name, nbytes
-        )
-        self.registrations += 1
-        return region
 
     def read(
         self, ctx: SerializedSection, fh: int, offset: int, nbytes: int

@@ -20,7 +20,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Dict, Generator, Optional
+from typing import Any, Dict, Generator, Iterable, Optional
 
 from repro.net.fabric import FabricChannel, RemoteRegion
 from repro.sim.core import Environment, Event
@@ -176,10 +176,23 @@ class TenantManager:
 
     def admit(
         self, tenant: Tenant, nbytes: int, strict: bool = False
-    ) -> Generator[Event, None, None]:
-        """Admission control for one I/O of ``nbytes`` (shaping by default)."""
+    ) -> Iterable[Event]:
+        """Admission control for one I/O of ``nbytes`` (shaping by default).
+
+        ``yield from`` it.  A tenant without buckets is admitted at once
+        and gets ``()``, with no generator to drive.
+        """
         if tenant.revoked:
             raise AuthError(f"tenant {tenant.name!r} is revoked")
+        if tenant.ops_bucket is None and tenant.bytes_bucket is None:
+            tenant.stats["ops"] += 1
+            tenant.stats["bytes"] += nbytes
+            return ()
+        return self._shape(tenant, nbytes, strict)
+
+    @staticmethod
+    def _shape(tenant: Tenant, nbytes: int, strict: bool
+               ) -> Generator[Event, None, None]:
         if tenant.ops_bucket is not None:
             yield from tenant.ops_bucket.acquire(1, strict=strict)
         if tenant.bytes_bucket is not None and nbytes > 0:

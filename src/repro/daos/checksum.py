@@ -13,12 +13,7 @@ from __future__ import annotations
 import zlib
 from typing import Optional
 
-__all__ = ["Checksummer", "ChecksumError", "CHUNK_BYTES"]
-
-#: DAOS checksums data in chunks (csum_chunk_size); verification failures
-#: localize to a chunk.  We keep one checksum per extent plus the chunk
-#: constant for cost accounting.
-CHUNK_BYTES = 32 * 1024
+__all__ = ["Checksummer", "ChecksumError"]
 
 
 class ChecksumError(RuntimeError):
@@ -47,8 +42,3 @@ class Checksummer:
             raise ChecksumError(
                 f"checksum mismatch: stored {expected:#010x}, computed {actual:#010x}"
             )
-
-    @staticmethod
-    def n_chunks(nbytes: int) -> int:
-        """Number of checksum chunks an extent of ``nbytes`` spans."""
-        return max(1, (nbytes + CHUNK_BYTES - 1) // CHUNK_BYTES)

@@ -72,30 +72,20 @@ class DaosClient:
         )
 
     # -- cost plumbing -------------------------------------------------------------
-    def _pre(self, ctx: SerializedSection, trace=None):
-        span = trace.child("client_submit", node=self.node.name) if trace is not None else None
-        yield ctx.enter(self.costs.submit_cpu_per_op)
-        if span is not None:
-            span.finish()
-        if self.costs.serial_per_op:
-            span = trace.child("client_progress", node=self.node.name) if trace is not None else None
-            yield self._progress.enter(self.costs.serial_per_op)
-            if span is not None:
-                span.finish()
-
-    def _post(self, ctx: SerializedSection, trace=None):
-        span = trace.child("client_complete", node=self.node.name) if trace is not None else None
-        yield ctx.enter(self.costs.complete_cpu_per_op)
-        if span is not None:
-            span.finish()
-
     def call(
         self, ctx: SerializedSection, opcode: str, args: Dict[str, Any]
     ) -> Generator[Event, None, Any]:
-        """One costed RPC from ``ctx`` (control-plane-ish operations)."""
-        yield from self._pre(ctx)
+        """One costed RPC from ``ctx`` (control-plane-ish operations).
+
+        The submit CPU, the progress section, the RPC and the complete
+        CPU, as :meth:`ObjectHandle.fetch` pays them, without spans.
+        """
+        costs = self.costs
+        yield ctx.enter(costs.submit_cpu_per_op)
+        if costs.serial_per_op:
+            yield self._progress.enter(costs.serial_per_op)
         result = yield from self.rpc.call(opcode, args)
-        yield from self._post(ctx)
+        yield ctx.enter(costs.complete_cpu_per_op)
         return result
 
     def _call_io(
@@ -108,21 +98,24 @@ class DaosClient:
     ) -> Generator[Event, None, Any]:
         """One data-path RPC with recovery semantics (ISSUE 10).
 
-        With no fault plan installed this is a zero-overhead passthrough
-        to :meth:`RpcClient.call`.  Under chaos each attempt carries the
-        policy's per-op deadline; retryable failures back off with
-        deterministic jitter (blamed on ``fault:{resource}`` when a
-        tracer is installed), repair the transport, and try again until
-        the attempt cap or the whole-op budget runs out.  Non-idempotent
-        ops (writes) never retry after an ambiguous timeout.
+        With no fault plan installed this is a zero-overhead passthrough:
+        it returns :meth:`RpcClient.call`'s generator, which the caller
+        drives.  Under chaos each attempt carries the policy's per-op
+        deadline; retryable failures back off with deterministic jitter
+        (blamed on ``fault:{resource}`` when a tracer is installed),
+        repair the transport, and try again until the attempt cap or the
+        whole-op budget runs out.  Non-idempotent ops (writes) never retry
+        after an ambiguous timeout.
         """
-        env = self.env
-        fx = env._faults
+        fx = self.env._faults
         if fx is None:
-            result = yield from self.rpc.call(
-                opcode, args, req_nbytes=req_nbytes, trace=trace
-            )
-            return result
+            return self.rpc.call(opcode, args, req_nbytes=req_nbytes,
+                                 trace=trace)
+        return self._retrying(fx, opcode, args, req_nbytes, trace, idempotent)
+
+    def _retrying(self, fx, opcode, args, req_nbytes, trace, idempotent):
+        """:meth:`_call_io`'s attempts under the fault plan ``fx``."""
+        env = self.env
         policy = fx.plan.policy
         self._io_seq += 1
         seq = self._io_seq
@@ -272,11 +265,26 @@ class ObjectHandle:
             if data is None:
                 raise DaosError("update needs data or an explicit nbytes")
             nbytes = len(data)
+        if offset < 0 or nbytes <= 0:
+            raise DaosError(f"bad extent ({offset}, {nbytes}) of {self.oid}")
         client = self.client
-        yield from client._pre(ctx, trace=trace)
+        costs = client.costs
+        # The submit CPU and the progress section, inline in both data
+        # ops: a helper generator would add a frame to each resume.
+        span = trace.child("client_submit", node=client.node.name) if trace is not None else None
+        yield ctx.enter(costs.submit_cpu_per_op)
+        if span is not None:
+            span.finish()
+        if costs.serial_per_op:
+            span = trace.child("client_progress", node=client.node.name) if trace is not None else None
+            yield client._progress.enter(costs.serial_per_op)
+            if span is not None:
+                span.finish()
 
-        args = self._base_args()
-        args.update(dkey=bytes(dkey), akey=bytes(akey), offset=offset, nbytes=nbytes)
+        cont = self.cont
+        args = {"pool": cont.pool, "cont": cont.cont, "oid": self.oid,
+                "dkey": bytes(dkey), "akey": bytes(akey), "offset": offset,
+                "nbytes": nbytes}
         if epoch is not None:
             args["epoch"] = epoch
 
@@ -299,7 +307,10 @@ class ObjectHandle:
         req_nbytes = 220 + (nbytes if window is None else 0)
         result = yield from client._call_io("obj_update", args, req_nbytes=req_nbytes,
                                             trace=trace, idempotent=False)
-        yield from client._post(ctx, trace=trace)
+        span = trace.child("client_complete", node=client.node.name) if trace is not None else None
+        yield ctx.enter(costs.complete_cpu_per_op)
+        if span is not None:
+            span.finish()
         if window is not None and client.data_mode:
             client.channel.deregister(window)
         return result["epoch"]
@@ -315,11 +326,24 @@ class ObjectHandle:
         trace=None,
     ) -> Generator[Event, None, Optional[bytes]]:
         """Read a range at ``epoch`` (None = latest committed)."""
+        if offset < 0 or nbytes <= 0:
+            raise DaosError(f"bad read range ({offset}, {nbytes}) of {self.oid}")
         client = self.client
-        yield from client._pre(ctx, trace=trace)
+        costs = client.costs
+        span = trace.child("client_submit", node=client.node.name) if trace is not None else None
+        yield ctx.enter(costs.submit_cpu_per_op)
+        if span is not None:
+            span.finish()
+        if costs.serial_per_op:
+            span = trace.child("client_progress", node=client.node.name) if trace is not None else None
+            yield client._progress.enter(costs.serial_per_op)
+            if span is not None:
+                span.finish()
 
-        args = self._base_args()
-        args.update(dkey=bytes(dkey), akey=bytes(akey), offset=offset, nbytes=nbytes)
+        cont = self.cont
+        args = {"pool": cont.pool, "cont": cont.cont, "oid": self.oid,
+                "dkey": bytes(dkey), "akey": bytes(akey), "offset": offset,
+                "nbytes": nbytes}
         if epoch is not None:
             args["epoch"] = epoch
 
@@ -335,7 +359,10 @@ class ObjectHandle:
 
         result = yield from client._call_io("obj_fetch", args, trace=trace,
                                             idempotent=True)
-        yield from client._post(ctx, trace=trace)
+        span = trace.child("client_complete", node=client.node.name) if trace is not None else None
+        yield ctx.enter(costs.complete_cpu_per_op)
+        if span is not None:
+            span.finish()
         if window is not None and client.data_mode:
             client.channel.deregister(window)
             return bytes(buf)

@@ -38,13 +38,13 @@ _ENTRY_AKEY = b"entry"
 _DATA_AKEY = b"data"
 
 
-def _chunk_dkey(index: int) -> bytes:
-    """Chunk index -> dkey bytes (big-endian keeps enumeration sorted)."""
-    return struct.pack(">Q", index)
+_CHUNK_KEY = struct.Struct(">Q")
+#: Chunk index -> dkey bytes (big-endian keeps enumeration sorted).
+_chunk_dkey = _CHUNK_KEY.pack
 
 
 def _chunk_index(dkey: bytes) -> int:
-    return struct.unpack(">Q", dkey)[0]
+    return _CHUNK_KEY.unpack(dkey)[0]
 
 
 class DfsFile:
@@ -115,15 +115,21 @@ class DfsFile:
         epoch: Optional[int] = None,
         trace=None,
     ) -> Generator[Event, None, Optional[bytes]]:
-        """POSIX pread; returns bytes in data mode, None otherwise."""
+        """POSIX pread; returns bytes in data mode, None otherwise.
+
+        A read inside one chunk is that chunk's fetch: its generator is
+        returned for the caller to drive, with no frame of this layer.
+        """
+        idx, in_off = divmod(offset, self.chunk_size)
+        if offset >= 0 and 0 < nbytes <= self.chunk_size - in_off:
+            return self._obj.fetch(ctx, _chunk_dkey(idx), _DATA_AKEY, in_off,
+                                   nbytes, epoch=epoch, trace=trace)
+        return self._read_pieces(ctx, offset, nbytes, epoch, trace)
+
+    def _read_pieces(self, ctx, offset, nbytes, epoch, trace):
+        """A read across chunks: one fetch process per chunk piece."""
         pieces = self._split(offset, nbytes)
         env = self.ns.client.env
-        if len(pieces) == 1:
-            idx, in_off, take = pieces[0]
-            return (yield from self._obj.fetch(
-                ctx, _chunk_dkey(idx), _DATA_AKEY, in_off, take, epoch=epoch,
-                trace=trace,
-            ))
         procs = [
             env.process(self._obj.fetch(
                 ctx, _chunk_dkey(idx), _DATA_AKEY, in_off, take, epoch=epoch,

@@ -126,6 +126,9 @@ class DaosEngine:
         #: the cached objects, so entries never go stale.  This removes an
         #: f-string + CRC32 from every data-path RPC.
         self._place_cache: Dict[tuple, List[_Target]] = {}
+        #: ``(pool, cont) -> _Container`` for the data handlers; pools and
+        #: containers are never removed, so entries never go stale.
+        self._cont_cache: Dict[tuple, _Container] = {}
         #: Reads served from a surviving replica or by EC reconstruction
         #: while a target was down (surfaced in ``SystemReport``).
         self.degraded_reads = 0
@@ -342,10 +345,6 @@ class DaosEngine:
             raise NoSuchContainer(f"{cont} does not exist in {pool}")
         return c
 
-    @staticmethod
-    def _media_eff(channel: FabricChannel) -> float:
-        return MEDIA_OVERLAP[channel.provider.family]
-
     def _register_handlers(self) -> None:
         r = self.rpc.register
         r("pool_connect", self._h_pool_connect)
@@ -396,10 +395,14 @@ class DaosEngine:
     # -- data handlers ------------------------------------------------------------
     def _h_obj_update(self, args, src, channel):
         pool, cid = args["pool"], args["cont"]
-        cont = self._cont(pool, cid)
+        cont = self._cont_cache.get((pool, cid))
+        if cont is None:
+            cont = self._cont_cache[pool, cid] = self._cont(pool, cid)
         oid: ObjectId = args["oid"]
         dkey, akey = args["dkey"], args["akey"]
         offset, nbytes = args["offset"], args["nbytes"]
+        if offset < 0 or nbytes <= 0:
+            raise DaosError(f"bad extent ({offset}, {nbytes}) of {oid}")
         region: Optional[RemoteRegion] = args.get("region")
         data: Optional[bytes] = args.get("data")
         epoch = args.get("epoch")
@@ -429,7 +432,7 @@ class DaosEngine:
             # replicas share the payload server-side.
             data = yield from channel.rma_read(self.node.name, region, nbytes,
                                                trace=trace)
-        eff = self._media_eff(channel)
+        eff = MEDIA_OVERLAP[channel.provider.family]
         if len(replicas) == 1:
             yield from replicas[0].vos.update(
                 cid, oid, dkey, akey, epoch, offset, nbytes, data=data,
@@ -451,10 +454,14 @@ class DaosEngine:
 
     def _h_obj_fetch(self, args, src, channel):
         pool, cid = args["pool"], args["cont"]
-        cont = self._cont(pool, cid)
+        cont = self._cont_cache.get((pool, cid))
+        if cont is None:
+            cont = self._cont_cache[pool, cid] = self._cont(pool, cid)
         oid: ObjectId = args["oid"]
         dkey, akey = args["dkey"], args["akey"]
         offset, nbytes = args["offset"], args["nbytes"]
+        if offset < 0 or nbytes <= 0:
+            raise DaosError(f"bad read range ({offset}, {nbytes}) of {oid}")
         region: Optional[RemoteRegion] = args.get("region")
         epoch = args.get("epoch")
         if epoch is None:
@@ -469,10 +476,14 @@ class DaosEngine:
             return result
 
         # Served by the first live replica (primary unless failed over).
-        live = self.live_replicas(oid, dkey)
-        if live is not self.replicas_for(oid, dkey):
-            # Failover filtered the placement: this read is degraded.
-            self.degraded_reads += 1
+        live = self.replicas_for(oid, dkey)
+        for t in live:
+            if t.down:
+                # Failover filters the placement (or finds no replica up):
+                # this read is degraded.
+                live = self.live_replicas(oid, dkey)
+                self.degraded_reads += 1
+                break
         target = live[0]
         span = trace.child("engine.xstream", node=self.node.name, nbytes=nbytes) if trace is not None else None
         yield target.xstream.enter(
@@ -482,7 +493,7 @@ class DaosEngine:
             span.finish()
         data = yield from target.vos.fetch(
             cid, oid, dkey, akey, epoch, offset, nbytes,
-            bw_efficiency=self._media_eff(channel), trace=trace,
+            bw_efficiency=MEDIA_OVERLAP[channel.provider.family], trace=trace,
         )
         if region is not None and nbytes > INLINE_THRESHOLD:
             # Bulk push into the client window.
@@ -521,7 +532,7 @@ class DaosEngine:
         d0, d1, parity = erasure.encode(data, nbytes)
         half = nbytes // 2
         local_off = (offset // erasure.STRIPE_BYTES) * erasure.CELL_BYTES
-        eff = self._media_eff(channel)
+        eff = MEDIA_OVERLAP[channel.provider.family]
         # Parity XOR runs on the parity target's xstream.
         yield targets[2].xstream.enter(ENGINE_CPU_PER_BYTE * nbytes)
         writes = [
@@ -553,7 +564,7 @@ class DaosEngine:
             )
         half = nbytes // 2
         local_off = (offset // erasure.STRIPE_BYTES) * erasure.CELL_BYTES
-        eff = self._media_eff(channel)
+        eff = MEDIA_OVERLAP[channel.provider.family]
         serving = next(t for t in targets if not t.down)
         yield serving.xstream.enter(ENGINE_CPU_PER_OP + ENGINE_CPU_PER_BYTE * nbytes)
 

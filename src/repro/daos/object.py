@@ -160,10 +160,6 @@ class ExtentStore:
         ends = [e.end for e in self.extents if e.epoch <= epoch]
         return max(ends, default=0)
 
-    def highest_epoch(self) -> int:
-        """Newest epoch recorded (0 when empty)."""
-        return max((e.epoch for e in self.extents), default=0)
-
 
 class SingleValue:
     """A single-value akey: each write replaces the whole value."""

@@ -17,6 +17,7 @@ DAOS engine pulls write payloads and pushes read payloads.
 from __future__ import annotations
 
 import itertools
+from functools import partial
 from heapq import heappop, heappush
 from math import inf
 from typing import Any, Callable, Dict, Generator, Optional
@@ -102,10 +103,6 @@ class RpcServer:
             raise ValueError(f"duplicate RPC opcode {opcode!r}")
         self._handlers[opcode] = handler
 
-    def opcodes(self) -> list:
-        """Registered opcode names."""
-        return sorted(self._handlers)
-
     def serve(self, channel: FabricChannel) -> None:
         """Service requests arriving on ``channel`` until ``rpc.shutdown``.
 
@@ -113,7 +110,7 @@ class RpcServer:
         """
         channel.listen(self.node.name, request_listener(
             self.env, "rpc.req", "rpc.shutdown",
-            lambda msg: self._dispatch(channel, msg), "rpc-handler"))
+            partial(self._dispatch, channel), "rpc-handler"))
 
     def _dispatch(self, channel: FabricChannel, msg: Message):
         # One generator frame per request: the accounting wrapper and the
@@ -122,10 +119,11 @@ class RpcServer:
         st = self.stats
         if st is not None:
             st.arrive()
-        t0 = self.env.now
+        t0 = self.env._now
         try:
-            opcode = msg.payload.get("op")
-            args = msg.payload.get("args", {})
+            payload = msg.payload
+            opcode = payload.get("op")
+            args = payload["args"] if "args" in payload else {}
             handler = self._handlers.get(opcode)
             if handler is None:
                 yield from self._send_reply(channel, msg.reply_to(
@@ -183,14 +181,19 @@ class RpcServer:
         The client's deadline/retry machinery recovers the op — exactly
         what happens when a real server's reply hits a broken QP.
         Without an installed fault plan transport failures are genuine
-        bugs and propagate.
+        bugs and propagate: the send's own generator is returned, for
+        the caller to drive.
         """
+        fx = self.env._faults
+        if fx is None:
+            return channel.send(reply)
+        return self._send_or_drop(fx, channel, reply)
+
+    @staticmethod
+    def _send_or_drop(fx, channel: FabricChannel, reply: Message):
         try:
             yield from channel.send(reply)
         except (RdmaError, ConnectionError):
-            fx = self.env._faults
-            if fx is None:
-                raise
             fx.stats.replies_dropped += 1
 
 
@@ -250,7 +253,7 @@ class RpcClient:
         if not self._started:
             raise RuntimeError("RpcClient not started; call start() first")
         tag = next(RpcClient._tags)
-        done = self.env.event()
+        done = Event(self.env)
         self._pending[tag] = done
         span = trace.child(f"rpc[{opcode}]", node=self.node.name) if trace is not None else None
         try:
@@ -261,7 +264,7 @@ class RpcClient:
                 tag=tag,
                 payload={"op": opcode, "args": args},
                 nbytes=req_nbytes,
-                meta={"trace": span} if span is not None else {},
+                meta={"trace": span} if span is not None else None,
             ))
         except BaseException:
             # The request never reached the server; forget the tag so the

@@ -129,13 +129,14 @@ class VersionedObjectStore:
     ) -> Generator[Event, None, Optional[bytes]]:
         """Read a range at ``epoch``: media time per covering extent,
         checksum verification, zero-fill for holes."""
-        obj = self.object_if_exists(cont, oid)
+        obj = self.objects.get((cont, oid))
+        data_mode = self.nvme.data_mode
         if obj is None:
             # Never-written object: a pure hole, no media touched.
-            return bytes(nbytes) if self._data_mode() else None
+            return bytes(nbytes) if data_mode else None
         store = obj.array(dkey, akey)
         coverage: List[Coverage] = store.resolve(epoch, offset, nbytes)
-        out: Optional[bytearray] = bytearray(nbytes) if self._data_mode() else None
+        out: Optional[bytearray] = bytearray(nbytes) if data_mode else None
 
         env = self.env
         reads = []
@@ -146,19 +147,20 @@ class VersionedObjectStore:
                 continue
             tier, media_off = ext.media
             seg_off = media_off + (seg.start - ext.start)
+            seg_nbytes = seg.end - seg.start
             if tier == "scm":
-                reads.append(self.scm.load(seg_off, seg.nbytes))
+                reads.append(self.scm.load(seg_off, seg_nbytes))
             else:
                 any_nvme = True
                 reads.append(
-                    self.nvme.read(seg_off, seg.nbytes, bw_efficiency=bw_efficiency)
+                    self.nvme.read(seg_off, seg_nbytes, bw_efficiency=bw_efficiency)
                 )
             if verify:
-                Checksummer.verify(ext.data, ext.nbytes, ext.checksum)
+                Checksummer.verify(ext.data, ext.end - ext.start, ext.checksum)
             if out is not None and ext.data is not None:
                 src = seg.start - ext.start
                 out[seg.start - offset:seg.end - offset] = \
-                    memoryview(ext.data)[src:src + seg.nbytes]
+                    memoryview(ext.data)[src:src + seg_nbytes]
         if reads:
             span = None
             if trace is not None:
@@ -254,9 +256,6 @@ class VersionedObjectStore:
         return sizes
 
     # -- helpers ------------------------------------------------------------------
-    def _data_mode(self) -> bool:
-        return self.nvme.data_mode
-
     @property
     def nvme_used_bytes(self) -> int:
         """Bytes bump-allocated from this target's NVMe region."""

@@ -24,10 +24,15 @@ from repro.sim.queues import FifoServer, PooledServer
 __all__ = ["CpuPool", "SerializedSection"]
 
 
-class CpuPool:
-    """A pool of identical cores with an architecture speed factor."""
+class CpuPool(PooledServer):
+    """A pool of identical cores with an architecture speed factor.
 
-    __slots__ = ("env", "spec", "n_cores", "factor", "_pool")
+    The pool is the cores' station: :meth:`execute` is
+    :meth:`PooledServer.execute <repro.sim.queues.PooledServer.execute>`,
+    which scales every x86-baseline cost by :attr:`factor`.
+    """
+
+    __slots__ = ("spec", "n_cores")
 
     def __init__(
         self,
@@ -37,42 +42,19 @@ class CpuPool:
         factor: Optional[float] = None,
         name: Optional[str] = None,
     ) -> None:
-        self.env = env
+        n_cores = int(n_cores if n_cores is not None else spec.cores)
+        if n_cores <= 0:
+            raise ValueError(f"need at least one core, got {n_cores}")
+        super().__init__(env, n_cores, name=name)
         self.spec = spec
-        self.n_cores = int(n_cores if n_cores is not None else spec.cores)
-        if self.n_cores <= 0:
-            raise ValueError(f"need at least one core, got {self.n_cores}")
+        self.n_cores = n_cores
         #: Multiplier applied to every x86-baseline cost.
         self.factor = float(factor if factor is not None else spec.cycle_factor)
-        self._pool = PooledServer(env, self.n_cores, name=name)
 
-    @property
-    def name(self) -> Optional[str]:
-        """Resource name for wait-cause attribution."""
-        return self._pool.name
-
-    def execute(self, x86_cost: float, *delays: float) -> Timeout:
-        """Run ``x86_cost`` seconds of baseline work on the earliest-free
-        core, then sleep the caller's ``delays``: one event."""
-        return self._pool.execute(x86_cost * self.factor, *delays)
-
-    @property
-    def busy_time(self) -> float:
-        """Cumulative core-seconds consumed."""
-        return self._pool.busy_time
-
-    @property
-    def ops(self) -> int:
-        """Operations executed."""
-        return self._pool.ops
-
-    def utilization(self, elapsed: Optional[float] = None) -> float:
-        """Mean per-core busy fraction."""
-        return self._pool.utilization(elapsed)
-
-    def attach_stats(self, stats) -> None:
-        """Attach a telemetry station (in-flight work items, Little's law)."""
-        self._pool.attach_stats(stats)
+    #: ``execute(x86_cost, *delays)``: run ``x86_cost`` seconds of baseline
+    #: work on the earliest-free core, then sleep the caller's ``delays``:
+    #: one event, one call.
+    execute = PooledServer.execute
 
 
 class SerializedSection:

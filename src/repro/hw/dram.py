@@ -41,23 +41,26 @@ class Allocation:
         self.free()
 
 
-class DramPool:
-    """A byte pool with blocking allocation and occupancy instrumentation."""
+class DramPool(Container):
+    """A byte pool with blocking allocation and occupancy instrumentation.
+
+    Its level is the free bytes.  What need not wait moves the level at
+    once, as an inline-succeeded get or put would, with no event built;
+    anything that waits, or is waited for, takes the container's path.
+    """
 
     def __init__(self, env: Environment, capacity_bytes: int, name: str = "dram") -> None:
         if capacity_bytes <= 0:
             raise ValueError(f"capacity must be positive, got {capacity_bytes}")
-        self.env = env
-        self.name = name
+        super().__init__(env, capacity=capacity_bytes, init=capacity_bytes,
+                         name=name)
         self.capacity_bytes = int(capacity_bytes)
-        self._free = Container(env, capacity=capacity_bytes, init=capacity_bytes,
-                               name=name)
         self.occupancy = Gauge(env, f"{name}.occupancy")
 
     @property
     def used_bytes(self) -> float:
         """Bytes currently allocated."""
-        return self.capacity_bytes - self._free.level
+        return self.capacity_bytes - self._level
 
     def alloc(self, nbytes: int) -> Generator[Event, None, Allocation]:
         """Allocate ``nbytes``; blocks until available.  Use ``yield from``."""
@@ -67,10 +70,16 @@ class DramPool:
             raise MemoryError(
                 f"{self.name}: allocation of {nbytes} exceeds capacity {self.capacity_bytes}"
             )
-        yield self._free.get(nbytes)
-        self.occupancy.set(self.used_bytes)
+        if self._putters or nbytes > self._level:
+            yield self.get(nbytes)
+        else:
+            self._level -= nbytes
+        self.occupancy.set(self.capacity_bytes - self._level)
         return Allocation(self, nbytes)
 
     def _release(self, nbytes: int) -> None:
-        self._free.put(nbytes)
-        self.occupancy.set(self.used_bytes)
+        if self._getters or self._level + nbytes > self.capacity:
+            self.put(nbytes)
+        else:
+            self._level += nbytes
+        self.occupancy.set(self.capacity_bytes - self._level)

@@ -56,7 +56,3 @@ class GpuDevice:
         yield from self._pcie.transfer(nbytes)
         yield from self._hbm.transfer(nbytes)
         self.ingest.record(nbytes)
-
-    def pcie_utilization(self) -> float:
-        """Fraction of time the GPU's PCIe path was busy."""
-        return self._pcie.utilization()

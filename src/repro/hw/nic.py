@@ -10,7 +10,7 @@ DPU is what multi-tenant experiments stress).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Generator
+from typing import TYPE_CHECKING, Dict, Generator, Tuple
 
 from repro.hw.specs import LinkSpec
 from repro.sim.core import Environment, Event
@@ -62,6 +62,8 @@ class Switch:
         self.env = env
         self.spec = spec
         self.ports: Dict[str, Port] = {}
+        #: ``(src, dst) -> (src TX pipe, dst RX pipe)``, built on first use.
+        self._routes: Dict[Tuple[str, str], Tuple[BandwidthPipe, BandwidthPipe]] = {}
 
     def attach(self, name: str) -> Port:
         """Create (or return) the port for node ``name``."""
@@ -123,11 +125,30 @@ class Switch:
             span.slept(t, propagation)
         return span
 
+    def route(self, src: str, dst: str
+              ) -> Tuple[BandwidthPipe, BandwidthPipe]:
+        """``src``'s TX pipe and ``dst``'s RX pipe, looked up once per pair."""
+        route = self._routes.get((src, dst))
+        if route is None:
+            route = self._routes[src, dst] = (self.port(src).tx,
+                                              self.port(dst).rx)
+        return route
+
     def cross(self, src: str, dst: str, wire_bytes: int
               ) -> Generator[Event, None, None]:
-        """The port crossings alone, for callers that slept the propagation."""
-        yield from self.port(src).tx.transfer(wire_bytes)
-        yield from self.port(dst).rx.transfer(wire_bytes)
+        """The port crossings alone, for callers that slept the propagation.
+
+        A one-chunk crossing is each pipe's one reservation, as one event
+        (the ports have no latency and share the switch's chunk size); the
+        hottest senders drive those two events themselves, over :meth:`route`.
+        """
+        tx, rx = self.route(src, dst)
+        if 0 < wire_bytes <= tx.chunk_bytes:
+            yield tx.transfer_and_sleep(wire_bytes)
+            yield rx.transfer_and_sleep(wire_bytes)
+        else:
+            yield from tx.transfer(wire_bytes)
+            yield from rx.transfer(wire_bytes)
 
 
 class DuplexLink:

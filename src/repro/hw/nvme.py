@@ -31,7 +31,8 @@ __all__ = ["NvmeDevice", "NvmeArray"]
 class NvmeDevice:
     """One NVMe SSD as a calibrated queueing station."""
 
-    __slots__ = ("env", "spec", "index", "name", "_server", "reads", "writes")
+    __slots__ = ("env", "spec", "index", "name", "_server", "reads", "writes",
+                 "_latency")
 
     def __init__(self, env: Environment, spec: NvmeSpec, index: int = 0) -> None:
         self.env = env
@@ -42,6 +43,8 @@ class NvmeDevice:
         self._server = FifoServer(env, name=self.name)
         self.reads = RateMeter(env, f"{self.name}.reads")
         self.writes = RateMeter(env, f"{self.name}.writes")
+        #: The access latency of a read and of a write, by ``is_write``.
+        self._latency = (spec.access_latency(False), spec.access_latency(True))
 
     def service_time(self, nbytes: int, is_write: bool,
                      bw_efficiency: float = 1.0) -> float:
@@ -96,7 +99,7 @@ class NvmeDevice:
         # Queue+service, then the parallel NAND access latency: one
         # kernel event at the chained instant, the latency booked to the
         # device.
-        yield self._server.serve(service, latency=self.spec.access_latency(is_write))
+        yield self._server.serve(service, latency=self._latency[is_write])
         if span is not None:
             span.finish()
         (self.writes if is_write else self.reads).record(nbytes)
@@ -128,7 +131,7 @@ class NvmeArray:
     I/Os scatter uniformly.
     """
 
-    __slots__ = ("env", "devices", "stripe_bytes")
+    __slots__ = ("env", "devices", "stripe_bytes", "capacity_bytes")
 
     def __init__(
         self,
@@ -144,14 +147,11 @@ class NvmeArray:
         self.env = env
         self.devices: List[NvmeDevice] = [NvmeDevice(env, spec, i) for i in range(n_devices)]
         self.stripe_bytes = int(stripe_bytes)
+        #: Total array capacity.
+        self.capacity_bytes = sum(d.spec.capacity_bytes for d in self.devices)
 
     def __len__(self) -> int:
         return len(self.devices)
-
-    @property
-    def capacity_bytes(self) -> int:
-        """Total array capacity."""
-        return sum(d.spec.capacity_bytes for d in self.devices)
 
     def device_for(self, offset: int) -> NvmeDevice:
         """The device holding logical ``offset``."""
@@ -197,13 +197,16 @@ class NvmeArray:
           other pieces reserve, book and count as above, and then the
           first failing piece's error is raised, with no sleep.
         """
-        if nbytes <= 0 or offset < 0:
-            raise ValueError(f"bad I/O of {nbytes} bytes at offset {offset}")
-        pieces = self.split(offset, nbytes)
-        if len(pieces) == 1:
-            dev, size = pieces[0]
-            yield from dev.submit(size, is_write, bw_efficiency, trace=trace)
+        if nbytes <= 0 or offset < 0 or offset + nbytes > self.capacity_bytes:
+            raise ValueError(f"bad I/O of {nbytes} bytes at offset {offset} "
+                             f"(array capacity {self.capacity_bytes})")
+        stripe, in_stripe = divmod(offset, self.stripe_bytes)
+        if nbytes <= self.stripe_bytes - in_stripe:
+            # One piece: :meth:`split`'s one entry, without the list.
+            dev = self.devices[stripe % len(self.devices)]
+            yield from dev.submit(nbytes, is_write, bw_efficiency, trace=trace)
             return
+        pieces = self.split(offset, nbytes)
         env = self.env
         now = env._now
         booked = []
@@ -216,7 +219,7 @@ class NvmeArray:
             except NvmeMediaError as exc:
                 error = error or exc
                 continue
-            latency = dev.spec.access_latency(is_write)
+            latency = dev._latency[is_write]
             start, done = dev._server.reserve(service)
             at = now + (done - now) + latency
             if at > wake:

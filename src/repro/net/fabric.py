@@ -20,6 +20,7 @@ RPC, NVMe-oF, the ROS2 data plane) one interface regardless of provider:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Dict, Generator, Optional, Tuple
 
 from repro.hw.platform import ComputeNode
@@ -338,11 +339,13 @@ class RdmaChannel(FabricChannel):
 
     def send(self, msg: Message) -> Generator[Event, None, None]:
         # The channel owns both ends: no RECV WR, RQ match or CQ entries
-        # (nobody would poll them), just the SEND's timing, then delivery.
+        # (nobody would poll them), just the SEND's timing, then delivery
+        # at the end of it: the transmit's generator, returned as is.
         qp = self.qps[msg.src]
-        yield from qp.transmit(msg.nbytes,
-                               msg.meta.get("trace") if msg.meta else None)
-        self._listeners.deliver(qp.remote.device.node.name, msg)
+        return qp.transmit(
+            msg.nbytes, msg.meta.get("trace") if msg.meta else None,
+            deliver=partial(self._listeners.deliver,
+                            qp.remote.device.node.name, msg))
 
     def register(self, name, length, buffer=None, valid_until=None):
         if name not in self.nodes:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Iterable, Optional
 
-from repro.sim.core import NORMAL
+from repro.sim.core import NORMAL, Process
 
 __all__ = ["Message", "Listeners", "request_listener", "reply_listener",
            "payload_nbytes", "HEADER_BYTES"]
@@ -88,18 +88,14 @@ class Message:
         elif nbytes < 0:
             raise ValueError(f"negative message size {nbytes}")
         self.nbytes = nbytes
-        self.meta = {} if meta is None else meta
+        #: Capsule metadata (a sampled request's ``trace``), or None.
+        self.meta = meta
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Message(src={self.src!r}, dst={self.dst!r}, kind={self.kind!r}, "
             f"tag={self.tag}, nbytes={self.nbytes})"
         )
-
-    @property
-    def frame_bytes(self) -> int:
-        """Payload plus framing header."""
-        return self.nbytes + HEADER_BYTES
 
     def reply_to(self, payload: Any = None, nbytes: Optional[int] = None,
                  kind: Optional[str] = None) -> "Message":
@@ -116,7 +112,7 @@ class Message:
             tag=self.tag,
             payload=payload,
             nbytes=nbytes,
-            meta=dict(self.meta),
+            meta=dict(self.meta) if self.meta else None,
         )
 
 
@@ -162,7 +158,7 @@ def request_listener(env: Any, request: str, shutdown: str,
     def deliver(msg: Message) -> None:
         nonlocal live
         if live and msg.kind == request:
-            env.process(handle(msg), name=name, priority=NORMAL)
+            Process(env, handle(msg), name, NORMAL)
         elif msg.kind == shutdown:
             live = False
 

@@ -30,13 +30,12 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
-from typing import Any, Dict, Generator, Optional
+from typing import Any, Callable, Dict, Generator, Optional
 
 from repro.hw.platform import ComputeNode
 from repro.hw.specs import RDMA_COSTS, TransportCosts
 from repro.net.message import HEADER_BYTES
 from repro.sim.core import Environment, Event
-from repro.sim.monitor import RateMeter
 from repro.sim.resources import Store
 
 __all__ = [
@@ -327,32 +326,46 @@ class QueuePair:
 
     def transmit(
         self, nbytes: int, trace: Any = None, match_recv: bool = False,
+        deliver: Optional[Callable[[], None]] = None,
     ) -> Generator[Event, None, Any]:
         """One SEND without verbs bookkeeping (fabric channels use it bare).
 
         Post CPU, wire, in-flight error check, receiver poll CPU.  With
         ``match_recv`` the message first takes the receiver's oldest posted
         RECV (waiting, like RNR retries) and returns its ``(wr_id, mr)``.
+        ``deliver`` is called once the receiver has polled it: a channel
+        hands its message to the peer's listener there, so a channel send
+        is this one generator (:meth:`RdmaChannel.send
+        <repro.net.fabric.RdmaChannel.send>` returns it).
         An eager message between switched nodes takes :meth:`_post`'s
         one-event post inline: it is the hottest post of every small-I/O
         cell, and a delegated generator costs host time.
         """
-        remote = self._require_remote()
+        remote = self.remote
+        if self.error is not None or remote is None or remote.error is not None:
+            self._require_remote()  # raises the state's error
         dev, rdev = self.device, remote.device
         costs, node = dev.costs, dev.node
         threshold = costs.rendezvous_threshold
         if node is not rdev.node and (threshold is None or nbytes <= threshold):
             switch = node.switch
             span = trace.child("rdma.post", node=node.name, nbytes=nbytes) if trace is not None else None
-            now = self.env.now
+            now = self.env._now
             pre = costs.rtt_overhead / 2.0
             done = yield node.cpu.execute(costs.tx_cpu_per_op, pre,
                                           switch.spec.propagation)
             if span is not None:
                 span = self._posted(trace, span, now, done, nbytes,
                                     "rdma.eager")
-            yield from switch.cross(node.name, rdev.node.name,
-                                    dev.wire_bytes(nbytes))
+            # :meth:`RdmaDevice.wire_bytes` and :meth:`Switch.cross
+            # <repro.hw.nic.Switch.cross>`, inline.
+            wire = int((nbytes + HEADER_BYTES) / costs.goodput_efficiency)
+            tx, rx = switch.route(node.name, rdev.node.name)
+            if 0 < wire <= tx.chunk_bytes:
+                yield tx.transfer_and_sleep(wire)
+                yield rx.transfer_and_sleep(wire)
+            else:
+                yield from switch.cross(node.name, rdev.node.name, wire)
             if span is not None:
                 span.finish()
         else:
@@ -368,8 +381,8 @@ class QueuePair:
         yield rdev.node.cpu.execute(costs.rx_cpu_per_op)
         if span is not None:
             span.finish()
-        dev.sent.record(nbytes)
-        rdev.received.record(nbytes)
+        if deliver is not None:
+            deliver()
         return wr
 
     # -- one-sided -------------------------------------------------------------
@@ -394,10 +407,7 @@ class QueuePair:
 
         if payload is not None:
             mr.write_bytes(remote_addr, payload)
-        comp = Completion(wr_id, "write", "ok", size)
-        self.device.sent.record(size)
-        remote.device.received.record(size)
-        return comp
+        return Completion(wr_id, "write", "ok", size)
 
     def rdma_read(
         self,
@@ -453,10 +463,7 @@ class QueuePair:
                                     trace=trace, stage="rdma.dma")
 
         data = mr.read_bytes(remote_addr, nbytes)
-        comp = Completion(wr_id, "read", "ok", nbytes, data)
-        remote.device.sent.record(nbytes)
-        self.device.received.record(nbytes)
-        return comp
+        return Completion(wr_id, "read", "ok", nbytes, data)
 
     # -- internals ---------------------------------------------------------
     def _validate(
@@ -555,8 +562,6 @@ class RdmaDevice:
         self.node = node
         self.env: Environment = node.env
         self.costs = costs
-        self.sent = RateMeter(self.env, f"{node.name}.rdma.tx")
-        self.received = RateMeter(self.env, f"{node.name}.rdma.rx")
 
     def alloc_pd(self) -> ProtectionDomain:
         """Allocate a protection domain."""

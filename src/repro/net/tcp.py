@@ -29,9 +29,8 @@ from typing import Callable, Dict, Generator
 
 from repro.hw.platform import ComputeNode
 from repro.hw.specs import TCP_COSTS, TransportCosts
-from repro.net.message import Listeners, Message
+from repro.net.message import HEADER_BYTES, Listeners, Message
 from repro.sim.core import Environment, Event
-from repro.sim.monitor import RateMeter
 from repro.sim.queues import FifoServer
 
 __all__ = ["TcpConnection", "TcpStack"]
@@ -108,7 +107,7 @@ class TcpConnection:
         """
         if self.closed:
             raise ConnectionError(f"connection {self.conn_id} is closed")
-        if self.fail_until > self._env.now:
+        if self.fail_until > self._env._now:
             raise ConnectionError(
                 f"connection {self.conn_id} reset (injected fault)"
             )
@@ -146,14 +145,14 @@ class TcpConnection:
             if span is not None:
                 span.finish()
         # Single-stream per-connection processing (sequential per direction).
-        wire = int(msg.frame_bytes / costs.goodput_efficiency)
+        wire = int((size + HEADER_BYTES) / costs.goodput_efficiency)
         if costs.per_conn_byte_cost and size and msg.src != dst_name:
             # The stream reservation, the stack latency (rtt/2) and the
             # propagation as one event, at the chained sleeps' instant.  A
             # sampled message then books its ``tcp.stream`` and
             # ``net.wire`` spans where the chained sleeps put them.
             span = trace.child("tcp.stream", node=msg.src, nbytes=size) if trace is not None else None
-            now = env.now
+            now = env._now
             pre = costs.rtt_overhead / 2.0
             done = yield stream.serve(costs.per_conn_byte_cost * size, pre,
                                       switch.spec.propagation)
@@ -161,7 +160,13 @@ class TcpConnection:
                 span.finish(at=now + (done - now))
                 span = switch.wire_span(trace, "net.wire", span.t_end, pre,
                                         size)
-            yield from switch.cross(msg.src, dst_name, wire)
+            # :meth:`Switch.cross <repro.hw.nic.Switch.cross>`, inline.
+            tx, rx = switch.route(msg.src, dst_name)
+            if 0 < wire <= tx.chunk_bytes:
+                yield tx.transfer_and_sleep(wire)
+                yield rx.transfer_and_sleep(wire)
+            else:
+                yield from switch.cross(msg.src, dst_name, wire)
             if span is not None:
                 span.finish()
         else:
@@ -206,8 +211,6 @@ class TcpConnection:
             if span is not None:
                 span.finish()
 
-        src.sent.record(size)
-        dst.received.record(size)
         # Provider-internal messages (kinds starting with "_", the RxM
         # emulation) end here: their sender is the one waiting for them.
         if not msg.kind.startswith("_"):
@@ -237,8 +240,6 @@ class TcpStack:
         self.costs = costs
         #: The node-wide serialized stack section (socket/qdisc locks).
         self.section = node.lock("tcp_stack")
-        self.sent = RateMeter(self.env, f"{node.name}.tcp.tx")
-        self.received = RateMeter(self.env, f"{node.name}.tcp.rx")
 
     def connect(self, remote: "TcpStack") -> TcpConnection:
         """Open a connection to ``remote`` (handshake cost is negligible

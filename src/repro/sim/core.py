@@ -36,6 +36,7 @@ from __future__ import annotations
 from gc import disable as gc_disable, enable as gc_enable, isenabled as gc_isenabled
 from heapq import heappop, heappush
 from sys import getrefcount
+from types import GeneratorType
 from typing import Any, Callable, Generator, Iterable, Optional
 
 from repro.sim.registry import Registry
@@ -226,13 +227,15 @@ class Event:
 class Timeout(Event):
     """An event that fires ``delay`` seconds after creation."""
 
-    __slots__ = ("delay",)
+    __slots__ = ()
 
     def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
-        super().__init__(env)
-        self.delay = delay
+        # Event's fields, set here: no super() call per allocation.
+        self.env = env
+        self.callbacks = []
+        self._defused = False
         self._ok = True
         self._value = value
         env._eid += 1
@@ -249,10 +252,11 @@ class Initialize(Event):
 
     def __init__(self, env: "Environment", process: "Process",
                  priority: int = URGENT) -> None:
-        super().__init__(env)
+        self.env = env
+        self.callbacks = [process._rcb]
+        self._defused = False
         self._ok = True
         self._value = None
-        self.callbacks.append(process._rcb)
         env._eid += 1
         ts = env._tie_scramble
         heappush(env._queue,
@@ -306,9 +310,14 @@ class Process(Event):
         name: Optional[str] = None,
         priority: int = URGENT,
     ) -> None:
-        if not hasattr(generator, "send") or not hasattr(generator, "throw"):
+        if type(generator) is not GeneratorType and (
+                not hasattr(generator, "send") or not hasattr(generator, "throw")):
             raise TypeError(f"{generator!r} is not a generator")
-        super().__init__(env)
+        self.env = env
+        self.callbacks = []
+        self._value = PENDING
+        self._ok = True
+        self._defused = False
         self.generator = generator
         self.name = name or getattr(generator, "__name__", "process")
         self._target: Optional[Event] = None
@@ -555,7 +564,6 @@ class Environment:
             t = tfree.pop()
             t.callbacks = []
             t._value = value
-            t.delay = delay
             self._eid += 1
             ts = self._tie_scramble
             heappush(self._queue,
@@ -592,7 +600,6 @@ class Environment:
             t._defused = False
             t._ok = True
         t._value = value
-        t.delay = when - now
         self._eid += 1
         ts = self._tie_scramble
         heappush(self._queue,
@@ -626,7 +633,6 @@ class Environment:
             t._ok = True
         t.callbacks = [callback]
         t._value = None
-        t.delay = when - now
         self._eid += 1
         ts = self._tie_scramble
         heappush(self._queue,

@@ -49,7 +49,7 @@ class Gauge:
 
     def set(self, level: float) -> None:
         """Record a new level at the current simulated time."""
-        now = self.env.now
+        now = self.env._now
         self._area += self._level * (now - self._last_t)
         self._last_t = now
         self._level = float(level)

@@ -45,10 +45,11 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
+from heapq import heappush
 from math import inf, nextafter
 from typing import Generator, Optional, Tuple
 
-from repro.sim.core import Environment, Event, Timeout
+from repro.sim.core import NORMAL, Environment, Event, Timeout
 
 __all__ = ["FifoServer", "PooledServer", "BandwidthPipe"]
 
@@ -147,15 +148,32 @@ class FifoServer:
         self.ops += 1
         if self._stats is not None:
             self._stats.record(now, done)
-        wt = env._wait_tracer
-        if wt is not None:
-            wt.reserve(self.name, start - now, duration, latency)
-        if not (delays or latency):
-            return env.timeout(done - now, done)
+        # ``+ 0.0`` leaves a time unchanged, so the plain wake-up is
+        # ``timeout(done - now)``'s instant.
         when = now + (done - now) + latency
         for d in delays:
             when += d
-        return env.timeout_until(when, done)
+        wt = env._wait_tracer
+        if wt is not None:
+            wt.reserve(self.name, start - now, duration, latency)
+            wt.on_timeout(when - now)
+        # The wake-up Timeout, pushed here as ``timeout_until(when, done)``
+        # would push it, with one call less per reservation.
+        tfree = env._tfree
+        if tfree:
+            t = tfree.pop()
+            env._timeouts_recycled += 1
+        else:
+            t = Timeout.__new__(Timeout)
+            t.env = env
+            t._ok = True
+            t._defused = False
+        t.callbacks = []
+        t._value = done
+        eid = env._eid = env._eid + 1
+        ts = env._tie_scramble
+        heappush(env._queue, (when, NORMAL, eid if ts is None else ts(eid), t))
+        return t
 
     def serve_units(self, units: float) -> Timeout:
         """Serve ``units`` of work at the configured ``rate``."""
@@ -178,7 +196,8 @@ class PooledServer:
     pool under non-preemptive dispatch.
     """
 
-    __slots__ = ("env", "n", "name", "_free", "busy_time", "ops", "_stats")
+    __slots__ = ("env", "n", "name", "factor", "_free", "busy_time", "ops",
+                 "_stats")
 
     def __init__(self, env: Environment, n: int,
                  name: Optional[str] = None) -> None:
@@ -188,6 +207,9 @@ class PooledServer:
         self.n = int(n)
         #: Resource name for wait-cause attribution (None = anonymous).
         self.name = name
+        #: Multiplier applied to every duration: a CPU pool's core speed
+        #: (:class:`~repro.hw.cpu.CpuPool`), 1 for a bare station.
+        self.factor = 1.0
         self._free = [0.0] * self.n
         heapq.heapify(self._free)
         self.busy_time = 0.0
@@ -200,35 +222,54 @@ class PooledServer:
         self._stats = stats
 
     def execute(self, duration: float, *delays: float) -> Timeout:
-        """Reserve ``duration`` seconds on the earliest-free server.
+        """Reserve ``duration`` seconds, scaled by :attr:`factor`, on the
+        earliest-free server.
 
         The event fires when the service ends and then, as in
         :meth:`FifoServer.serve`, after each of the caller's ``delays``
         too, still one kernel event; its value is ``done``.
         """
+        duration = duration * self.factor
         if duration < 0:
             raise ValueError(f"negative service duration {duration}")
         if delays and min(delays) < 0:
             raise ValueError(f"negative delay in {delays}")
         env = self.env
         now = env._now
-        free = heapq.heappop(self._free)
+        # The earliest-free server takes the operation: its free time is
+        # replaced by ``done`` (a pop and a push in one heap operation).
+        free_at = self._free
+        free = free_at[0]
         start = free if free > now else now
         done = start + duration
-        heapq.heappush(self._free, done)
+        heapq.heapreplace(free_at, done)
         self.busy_time += duration
         self.ops += 1
         if self._stats is not None:
             self._stats.record(now, done)
-        wt = env._wait_tracer
-        if wt is not None:
-            wt.reserve(self.name, start - now, duration)
-        if not delays:
-            return env.timeout(done - now, done)
         when = now + (done - now)
         for d in delays:
             when += d
-        return env.timeout_until(when, done)
+        wt = env._wait_tracer
+        if wt is not None:
+            wt.reserve(self.name, start - now, duration)
+            wt.on_timeout(when - now)
+        # The wake-up Timeout, pushed as in :meth:`FifoServer.serve`.
+        tfree = env._tfree
+        if tfree:
+            t = tfree.pop()
+            env._timeouts_recycled += 1
+        else:
+            t = Timeout.__new__(Timeout)
+            t.env = env
+            t._ok = True
+            t._defused = False
+        t.callbacks = []
+        t._value = done
+        eid = env._eid = env._eid + 1
+        ts = env._tie_scramble
+        heappush(env._queue, (when, NORMAL, eid if ts is None else ts(eid), t))
+        return t
 
     def utilization(self, elapsed: Optional[float] = None) -> float:
         """Mean per-server busy fraction over ``elapsed`` (default since 0)."""

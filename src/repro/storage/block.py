@@ -1,12 +1,11 @@
 """Logical block device over the NVMe array.
 
-Adds two things to :class:`~repro.hw.nvme.NvmeArray`:
-
-* a single flat byte-addressed namespace with bounds checking, and
-* an optional **functional byte store** (``data_mode=True``) so tests and
-  examples can verify actual data round-trips through every layer above.
-  Performance benches leave it off — moving real megabytes per simulated
-  I/O would only burn host memory bandwidth.
+Adds to :class:`~repro.hw.nvme.NvmeArray` (a flat byte-addressed space
+that checks its own bounds) an optional **functional byte store**
+(``data_mode=True``) so tests and examples can verify actual data
+round-trips through every layer above.  Performance benches leave it off
+— moving real megabytes per simulated I/O would only burn host memory
+bandwidth — and then a device I/O is the array's I/O alone.
 """
 
 from __future__ import annotations
@@ -27,35 +26,29 @@ class BlockDevice:
         self.array = array
         self.env = array.env
         self.data_mode = bool(data_mode)
+        #: Total logical capacity (the array's devices are fixed).
+        self.capacity_bytes = array.capacity_bytes
         self._store: Optional[SparseBytes] = (
-            SparseBytes(array.capacity_bytes) if data_mode else None
+            SparseBytes(self.capacity_bytes) if data_mode else None
         )
-
-    @property
-    def capacity_bytes(self) -> int:
-        """Total logical capacity."""
-        return self.array.capacity_bytes
-
-    def _check(self, offset: int, nbytes: int) -> None:
-        if offset < 0:
-            raise ValueError(f"negative offset {offset}")
-        if nbytes <= 0:
-            raise ValueError(f"I/O size must be positive, got {nbytes}")
-        if offset + nbytes > self.capacity_bytes:
-            raise ValueError(
-                f"I/O [{offset}, +{nbytes}) beyond device capacity {self.capacity_bytes}"
-            )
 
     def read(
         self, offset: int, nbytes: int, bw_efficiency: float = 1.0, trace=None
     ) -> Generator[Event, None, Optional[bytes]]:
-        """Read; returns bytes in data mode, None otherwise."""
-        self._check(offset, nbytes)
-        yield from self.array.submit(offset, nbytes, is_write=False,
-                                     bw_efficiency=bw_efficiency, trace=trace)
-        if self._store is not None:
-            return self._store.read(offset, nbytes)
-        return None
+        """Read; returns bytes in data mode, None otherwise.
+
+        Without a byte store this is the array's I/O, bounds check
+        included: its generator is returned for the caller to drive.
+        """
+        io = self.array.submit(offset, nbytes, is_write=False,
+                               bw_efficiency=bw_efficiency, trace=trace)
+        if self._store is None:
+            return io
+        return self._read_stored(io, offset, nbytes)
+
+    def _read_stored(self, io, offset: int, nbytes: int):
+        yield from io
+        return self._store.read(offset, nbytes)
 
     def write(
         self,
@@ -65,15 +58,20 @@ class BlockDevice:
         bw_efficiency: float = 1.0,
         trace=None,
     ) -> Generator[Event, None, None]:
-        """Write ``data`` (or a virtual payload of ``nbytes``)."""
+        """Write ``data`` (or a virtual payload of ``nbytes``); the array's
+        I/O alone, as in :meth:`read`, unless bytes go to the store."""
         if nbytes is None:
             if data is None:
                 raise ValueError("write needs data or an explicit nbytes")
             nbytes = len(data)
         if data is not None and len(data) != nbytes:
             raise ValueError(f"data of {len(data)} bytes but nbytes={nbytes}")
-        self._check(offset, nbytes)
-        yield from self.array.submit(offset, nbytes, is_write=True,
-                                     bw_efficiency=bw_efficiency, trace=trace)
-        if self._store is not None and data is not None:
-            self._store.write(offset, data)
+        io = self.array.submit(offset, nbytes, is_write=True,
+                               bw_efficiency=bw_efficiency, trace=trace)
+        if self._store is None or data is None:
+            return io
+        return self._write_stored(io, offset, data)
+
+    def _write_stored(self, io, offset: int, data: bytes):
+        yield from io
+        self._store.write(offset, data)

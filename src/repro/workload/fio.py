@@ -188,10 +188,12 @@ def run_fio(
     else:
         op_errors = ()
 
+    is_write = spec.is_write
+
     def lane(env, ctx, pattern, lat):
         while not stop[0]:
             offset = pattern.next()
-            t0 = env.now
+            t0 = env._now
             if collector is not None and t0 >= measure_from:
                 tr = collector.trace(f"fio.{spec.rw}", nbytes=spec.bs)
             else:
@@ -200,20 +202,20 @@ def run_fio(
                 # The exact pre-chaos hot loop: no counters, no try frame.
                 if tr is not None:
                     yield from adapter.submit(ctx, offset, spec.bs,
-                                              spec.is_write, trace=tr.root)
+                                              is_write, trace=tr.root)
                     tr.finish()
                 else:
                     yield from adapter.submit(ctx, offset, spec.bs,
-                                              spec.is_write)
+                                              is_write)
             else:
                 fx.stats.submitted += 1
                 try:
                     if tr is not None:
                         yield from adapter.submit(ctx, offset, spec.bs,
-                                                  spec.is_write, trace=tr.root)
+                                                  is_write, trace=tr.root)
                     else:
                         yield from adapter.submit(ctx, offset, spec.bs,
-                                                  spec.is_write)
+                                                  is_write)
                 except op_errors:
                     fx.stats.failed += 1
                     if tr is not None:
@@ -224,9 +226,10 @@ def run_fio(
                 fx.stats.completed += 1
                 if tr is not None:
                     tr.finish()
-            if env.now >= measure_from:
+            now = env._now
+            if now >= measure_from:
                 meter.record(spec.bs)
-                lat.record(env.now - t0)
+                lat.record(now - t0)
 
     for j in range(spec.numjobs):
         ctx = adapter.new_context(f"fio.job{j}")

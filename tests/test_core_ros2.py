@@ -273,16 +273,3 @@ def test_gpudirect_faster_than_staged():
         return p.value
 
     assert run_path(True) < run_path(False)
-
-
-def test_gpudirect_register_buffer():
-    from repro.core.gpudirect import GpuDirectPath
-    from repro.hw.gpu import GpuDevice
-    from repro.hw.specs import GPU_BY_NAME
-
-    env, system, session, token = boot(client="dpu", data_mode=False)
-    gpu = GpuDevice(env, GPU_BY_NAME["H100"])
-    path = GpuDirectPath(system.service, session.session_id, gpu)
-    region = path.register_gpu_buffer(4 * MIB)
-    assert region.length == 4 * MIB
-    assert path.registrations == 1

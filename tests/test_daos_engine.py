@@ -119,6 +119,72 @@ def test_update_fetch_bulk_roundtrip():
     assert run(env, go(env)) == payload
 
 
+def test_malformed_ranges_fail_at_the_client():
+    """A bad range is the caller's error, raised before any cost is paid
+    or any RPC is sent; the simulation carries on."""
+    from repro.daos.types import DaosError
+
+    env, top, engine, pool, daos = setup()
+    ctx, cont = open_cont(env, daos, pool)
+    obj = run(env, cont.alloc_oid(ctx, ObjectClass.S1, 1))
+    obj = cont.obj(obj[0])
+    served = engine.rpc.requests_served
+
+    def bad(op):
+        def go(env):
+            t0 = env.now
+            try:
+                yield from op
+            except DaosError as exc:
+                return str(exc), env.now - t0
+        return run(env, go(env))
+
+    for op, text in (
+        (obj.fetch(ctx, b"dk", b"ak", 0, 0), "bad read range"),
+        (obj.fetch(ctx, b"dk", b"ak", -4096, 4096), "bad read range"),
+        (obj.update(ctx, b"dk", b"ak", 0, nbytes=0), "bad extent"),
+        (obj.update(ctx, b"dk", b"ak", -1, data=b"x"), "bad extent"),
+    ):
+        message, waited = bad(op)
+        assert text in message and waited == 0.0
+    assert engine.rpc.requests_served == served
+
+    def good(env):
+        yield from obj.update(ctx, b"dk", b"ak", 0, data=b"fine")
+        return (yield from obj.fetch(ctx, b"dk", b"ak", 0, 4))
+
+    assert run(env, good(env)) == b"fine"
+
+
+def test_malformed_range_rpc_gets_an_error_reply():
+    """A raw RPC with a bad range gets an error reply instead of killing
+    the engine's handler (and with it the whole run)."""
+    env, top, engine, pool, daos = setup()
+    ctx, cont = open_cont(env, daos, pool)
+    oid = run(env, cont.alloc_oid(ctx, ObjectClass.S1, 1))[0]
+    base = {"pool": cont.pool, "cont": cont.cont, "oid": oid,
+            "dkey": b"dk", "akey": b"ak"}
+
+    def call(opcode, **args):
+        def go(env):
+            try:
+                yield from daos.rpc.call(opcode, {**base, **args})
+            except RpcError as exc:
+                return exc.remote_error
+        return run(env, go(env))
+
+    assert "bad read range" in call("obj_fetch", offset=0, nbytes=0)
+    assert "bad read range" in call("obj_fetch", offset=-4096, nbytes=4096)
+    assert "bad extent" in call("obj_update", offset=0, nbytes=0, data=b"")
+    obj = cont.obj(oid)
+
+    def good(env):
+        yield from obj.update(ctx, b"dk", b"ak", 0, data=b"still serving")
+        return (yield from obj.fetch(ctx, b"dk", b"ak", 0, 13))
+
+    assert run(env, good(env)) == b"still serving"
+
+
 def test_small_records_land_on_scm_large_on_nvme():
     env, top, engine, pool, daos = setup()
     ctx, cont = open_cont(env, daos, pool)

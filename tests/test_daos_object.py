@@ -29,12 +29,6 @@ def test_checksum_virtual_sentinel_keyed_by_size():
         Checksummer.verify(None, 8192, c1)
 
 
-def test_checksum_chunks():
-    assert Checksummer.n_chunks(1) == 1
-    assert Checksummer.n_chunks(32 * 1024) == 1
-    assert Checksummer.n_chunks(32 * 1024 + 1) == 2
-
-
 # ---------------------------------------------------------------------------
 # ExtentStore basics
 # ---------------------------------------------------------------------------
@@ -114,14 +108,6 @@ def test_extent_store_validation():
         s.punch(1, 0, 0)
     with pytest.raises(ValueError):
         s.resolve(1, 0, 0)
-
-
-def test_highest_epoch():
-    s = ExtentStore()
-    assert s.highest_epoch() == 0
-    s.write(3, 0, 1, None)
-    s.write(7, 0, 1, None)
-    assert s.highest_epoch() == 7
 
 
 @settings(max_examples=80, deadline=None)

@@ -188,13 +188,6 @@ def test_stray_message_ignored():
     assert server.requests_served == 0
 
 
-def test_opcodes_listing():
-    env, top, ch, server, client = setup()
-    server.register("b_op", lambda a, s, c: iter(()))
-    server.register("a_op", lambda a, s, c: iter(()))
-    assert server.opcodes() == ["a_op", "b_op"]
-
-
 # ---------------------------------------------------------------------------
 # Deadlines: one timer per client
 # ---------------------------------------------------------------------------

@@ -63,17 +63,6 @@ def test_ingest_meter_counts_both_paths():
     assert gpu.ingest.bytes == 3000
 
 
-def test_pcie_utilization_tracks_staged_only():
-    env, gpu = make()
-
-    def feed(env):
-        yield from gpu.hbm_write(64 * MIB)
-
-    p = env.process(feed(env))
-    env.run(until=p)
-    assert gpu.pcie_utilization() == 0.0
-
-
 def test_generation_ordering_of_hbm_bandwidth():
     bws = [g.mem_bw_bytes for g in GPU_GENERATIONS]
     assert bws == sorted(bws)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.net.message import HEADER_BYTES, Message, payload_nbytes
+from repro.net.message import Message, payload_nbytes
 
 
 def test_payload_nbytes_bytes_like():
@@ -44,7 +44,6 @@ def test_payload_nbytes_opaque_object():
 def test_message_defaults_to_payload_size():
     m = Message(src="a", dst="b", payload=b"xyz")
     assert m.nbytes == 3
-    assert m.frame_bytes == 3 + HEADER_BYTES
 
 
 def test_message_explicit_virtual_size():

@@ -17,12 +17,11 @@ def make_remote(provider, client_cores=None, server_cores=None, data_mode=False,
     """Build client<->target over one channel, optionally limiting cores."""
     env = Environment()
     top = make_paper_testbed(env, client="host", n_ssds=n_ssds)
-    if client_cores is not None:
-        top.client.cpu._pool = type(top.client.cpu._pool)(env, client_cores)
-        top.client.cpu.n_cores = client_cores
-    if server_cores is not None:
-        top.server.cpu._pool = type(top.server.cpu._pool)(env, server_cores)
-        top.server.cpu.n_cores = server_cores
+    for node, cores in ((top.client, client_cores), (top.server, server_cores)):
+        if cores is not None:
+            cpu = node.cpu
+            cpu.n = cpu.n_cores = cores
+            cpu._free = [0.0] * cores
     fab = Fabric(env)
     ch = fab.connect(top.client, top.server, provider)
     device = BlockDevice(top.server.nvme, data_mode=data_mode)
