@@ -4,7 +4,10 @@
 completion to the caller" (§3.2).  The data plane therefore stages every
 in-flight payload in the client node's DRAM pool — 30 GiB on BlueField-3
 — giving natural back-pressure when tenants overrun the buffer budget,
-and tracks per-provider transfer statistics for the reports.
+and keeps the payload counts for the reports.  A caller frees a staged
+buffer with :meth:`Allocation.free <repro.hw.dram.Allocation.free>` and
+records each completed payload on :attr:`DataPlane.reads` or
+:attr:`DataPlane.writes`.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from repro.hw.dram import Allocation, DramPool
 from repro.hw.platform import ComputeNode
 from repro.net.fabric import ProviderInfo, resolve_provider
 from repro.sim.core import Environment, Event
-from repro.sim.monitor import Gauge, RateMeter
+from repro.sim.monitor import RateMeter
 
 __all__ = ["DataPlane"]
 
@@ -49,11 +52,10 @@ class DataPlane:
         self.writes = RateMeter(self.env, f"{node.name}.dp.writes")
 
     @property
-    def staged(self) -> Gauge:
-        """The staging pool's occupancy gauge (level, time-weighted mean,
-        and the :meth:`~repro.sim.monitor.Gauge.max` watermark used for
-        peak tracking — no ad-hoc peak fields)."""
-        return self._pool.occupancy
+    def staged(self) -> DramPool:
+        """The staging pool: its ``used_bytes`` and ``peak_bytes`` are the
+        staged level and watermark."""
+        return self._pool
 
     def stage(self, nbytes: int, trace=None) -> Generator[Event, None, Allocation]:
         """Reserve DPU DRAM for one in-flight payload (``yield from``).
@@ -74,15 +76,3 @@ class DataPlane:
         if span is not None:
             span.finish()
         return alloc
-
-    def release(self, alloc: Allocation) -> None:
-        """Return a staging buffer (occupancy tracked by the pool's gauge)."""
-        alloc.free()
-
-    def record_read(self, nbytes: int) -> None:
-        """Account one completed read payload."""
-        self.reads.record(nbytes)
-
-    def record_write(self, nbytes: int) -> None:
-        """Account one completed write payload."""
-        self.writes.record(nbytes)

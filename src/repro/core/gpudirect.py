@@ -18,9 +18,9 @@ from __future__ import annotations
 from typing import Generator, Optional
 
 from repro.core.offload import Ros2ClientService
-from repro.hw.cpu import SerializedSection
 from repro.hw.gpu import GpuDevice
 from repro.sim.core import Event
+from repro.sim.queues import FifoServer
 
 __all__ = ["GpuDirectPath", "StagedGpuPath"]
 
@@ -34,7 +34,7 @@ class GpuDirectPath:
         self.gpu = gpu
 
     def read(
-        self, ctx: SerializedSection, fh: int, offset: int, nbytes: int
+        self, ctx: FifoServer, fh: int, offset: int, nbytes: int
     ) -> Generator[Event, None, None]:
         """One read whose payload lands in GPU HBM (no DRAM staging).
 
@@ -46,7 +46,7 @@ class GpuDirectPath:
         yield from self.service.tenants.admit(state.tenant, nbytes)
         data = yield from state.files[fh].read(ctx, offset, nbytes)
         yield from self.gpu.hbm_write(nbytes)
-        self.service.data_plane.record_read(nbytes)
+        self.service.data_plane.reads.record(nbytes)
         return data
 
 
@@ -59,7 +59,7 @@ class StagedGpuPath:
         self.gpu = gpu
 
     def read(
-        self, ctx: SerializedSection, fh: int, offset: int, nbytes: int
+        self, ctx: FifoServer, fh: int, offset: int, nbytes: int
     ) -> Generator[Event, None, None]:
         """One read staged in client DRAM, then copied over PCIe into HBM."""
         data = yield from self.service.io_read(

@@ -19,7 +19,6 @@ from typing import Generator, Optional
 
 import numpy as np
 
-from repro.hw.cpu import SerializedSection
 from repro.hw.platform import Node
 from repro.hw.specs import GIB
 from repro.sim.core import Environment, Event
@@ -144,13 +143,12 @@ class InlineCrypto:
         if accelerated is None:
             accelerated = node.spec.name == "bluefield-3"
         self.accelerated = bool(accelerated)
-        self._engine = FifoServer(self.env, rate=DPU_CRYPTO_ACCEL_RATE,
-                                  name=f"{node.name}.crypto")
+        self._engine = FifoServer(self.env, f"{node.name}.crypto")
         self.bytes_processed = 0
 
     def crypt(
         self,
-        ctx: SerializedSection,
+        ctx: FifoServer,
         stream_offset: int,
         data: Optional[bytes] = None,
         nbytes: Optional[int] = None,
@@ -165,7 +163,7 @@ class InlineCrypto:
                 raise ValueError("crypt needs data or an explicit nbytes")
             nbytes = len(data)
         if self.accelerated:
-            yield self._engine.serve_units(nbytes)
+            yield self._engine.serve(nbytes / DPU_CRYPTO_ACCEL_RATE)
         else:
             yield ctx.enter(nbytes / SW_CRYPTO_BYTES_PER_SEC)
         self.bytes_processed += nbytes

@@ -26,8 +26,8 @@ from repro.core.tenant import AuthError, Tenant, TenantManager
 from repro.daos.client import ContainerHandle, DaosClient
 from repro.daos.dfs import DfsFile, DfsNamespace
 from repro.daos.types import DaosError
-from repro.hw.cpu import SerializedSection
 from repro.sim.core import Environment, Event
+from repro.sim.queues import FifoServer
 
 __all__ = ["Ros2ClientService", "Ros2Session", "Ros2DataPort"]
 
@@ -44,7 +44,7 @@ class _SessionState:
     daos: DaosClient
     cont: ContainerHandle
     ns: DfsNamespace
-    svc_ctx: SerializedSection
+    svc_ctx: FifoServer
     crypto: Optional[InlineCrypto] = None
     files: Dict[int, DfsFile] = field(default_factory=dict)
 
@@ -235,7 +235,7 @@ class Ros2ClientService:
 
     def io_write(
         self,
-        ctx: SerializedSection,
+        ctx: FifoServer,
         session_id: int,
         fh: int,
         offset: int,
@@ -269,12 +269,12 @@ class Ros2ClientService:
             yield from state.files[fh].write(ctx, offset, nbytes=nbytes, data=data,
                                              trace=trace)
         finally:
-            self.data_plane.release(alloc)
-        self.data_plane.record_write(nbytes)
+            alloc.free()
+        self.data_plane.writes.record(nbytes)
 
     def io_read(
         self,
-        ctx: SerializedSection,
+        ctx: FifoServer,
         session_id: int,
         fh: int,
         offset: int,
@@ -302,8 +302,8 @@ class Ros2ClientService:
                 if span is not None:
                     span.finish()
         finally:
-            self.data_plane.release(alloc)
-        self.data_plane.record_read(nbytes)
+            alloc.free()
+        self.data_plane.reads.record(nbytes)
         return data
 
 
@@ -319,11 +319,11 @@ class Ros2DataPort:
         self.session_id = session_id
         self._threads = 0
 
-    def new_context(self, name: Optional[str] = None) -> SerializedSection:
+    def new_context(self, name: Optional[str] = None) -> FifoServer:
         """One workload job thread on the client node."""
         self._threads += 1
         node = self.service.node
-        return SerializedSection(
+        return FifoServer(
             node.env,
             name or f"{node.name}.ros2.job{self._threads}",
             factor=node.spec.cycle_factor,

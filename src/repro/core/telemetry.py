@@ -166,7 +166,7 @@ def snapshot(system) -> SystemReport:
     dp = system.service.data_plane
     report.data_plane_read_bytes = dp.reads.bytes
     report.data_plane_write_bytes = dp.writes.bytes
-    report.staged_peak_bytes = dp.staged.peak
+    report.staged_peak_bytes = dp.staged.peak_bytes
     report.tenant_stats = {
         name: dict(system.service.tenants._by_name[name].stats)
         for name in system.service.tenants.tenants()
@@ -215,7 +215,7 @@ def install_probes(system, sampler: Sampler) -> Sampler:
     system.env.components.subscribe(probe)
     dp = system.service.data_plane
     cname = system.client_node.name
-    sampler.add_probe(f"{cname}.dp.staged", lambda d=dp: d.staged.level,
+    sampler.add_probe(f"{cname}.dp.staged", lambda d=dp: d.staged.used_bytes,
                       kind=GAUGE, unit="bytes", node=cname)
     sampler.add_probe(f"{cname}.dp.read.bytes",
                       lambda d=dp: float(d.reads.bytes),

@@ -27,12 +27,12 @@ from repro.daos.rpc import RPC_REQUEST_BYTES, RpcClient
 from repro.daos.types import ContainerId, DaosError, ObjectClass, ObjectId, PoolId
 from repro.faults.errors import FaultInjectedError
 from repro.faults.retry import backoff_delay, is_retryable, remaining_budget
-from repro.hw.cpu import SerializedSection
 from repro.net.rdma import RdmaError
 from repro.hw.platform import ComputeNode
 from repro.hw.specs import DAOS_PATH, StoragePathCosts
 from repro.net.fabric import FabricChannel, RemoteRegion
 from repro.sim.core import Environment, Event
+from repro.sim.queues import FifoServer
 
 __all__ = ["DaosClient", "PoolHandle", "ContainerHandle", "ObjectHandle", "Transaction"]
 
@@ -62,10 +62,10 @@ class DaosClient:
             self._window = channel.register(node.name, bulk_window_bytes)
 
     # -- contexts -----------------------------------------------------------------
-    def new_context(self, name: Optional[str] = None) -> SerializedSection:
+    def new_context(self, name: Optional[str] = None) -> FifoServer:
         """One application job thread issuing I/O through this client."""
         self._threads += 1
-        return SerializedSection(
+        return FifoServer(
             self.env,
             name or f"{self.node.name}.daos.job{self._threads}",
             factor=self.node.spec.cycle_factor,
@@ -73,7 +73,7 @@ class DaosClient:
 
     # -- cost plumbing -------------------------------------------------------------
     def call(
-        self, ctx: SerializedSection, opcode: str, args: Dict[str, Any]
+        self, ctx: FifoServer, opcode: str, args: Dict[str, Any]
     ) -> Generator[Event, None, Any]:
         """One costed RPC from ``ctx`` (control-plane-ish operations).
 
@@ -167,7 +167,7 @@ class DaosClient:
 
     # -- handles ---------------------------------------------------------------------
     def connect_pool(
-        self, ctx: SerializedSection, pool: PoolId
+        self, ctx: FifoServer, pool: PoolId
     ) -> Generator[Event, None, "PoolHandle"]:
         """Connect to a pool; returns its handle."""
         result = yield from self.call(ctx, "pool_connect", {"pool": pool})
@@ -183,7 +183,7 @@ class PoolHandle:
     n_targets: int
 
     def create_container(
-        self, ctx: SerializedSection
+        self, ctx: FifoServer
     ) -> Generator[Event, None, "ContainerHandle"]:
         """Create and open a fresh container."""
         result = yield from self.client.call(ctx, "cont_create", {"pool": self.pool})
@@ -191,7 +191,7 @@ class PoolHandle:
         return handle
 
     def open_container(
-        self, ctx: SerializedSection, cont: ContainerId
+        self, ctx: FifoServer, cont: ContainerId
     ) -> Generator[Event, None, "ContainerHandle"]:
         """Open an existing container."""
         result = yield from self.client.call(
@@ -212,7 +212,7 @@ class ContainerHandle:
         self.open_epoch = epoch
 
     def alloc_oid(
-        self, ctx: SerializedSection, oclass: ObjectClass = ObjectClass.S1, count: int = 1
+        self, ctx: FifoServer, oclass: ObjectClass = ObjectClass.S1, count: int = 1
     ) -> Generator[Event, None, List[ObjectId]]:
         """Allocate ``count`` fresh object ids of ``oclass``."""
         result = yield from self.client.call(
@@ -225,7 +225,7 @@ class ContainerHandle:
         """Open an object handle (local operation)."""
         return ObjectHandle(self, oid)
 
-    def query_epoch(self, ctx: SerializedSection) -> Generator[Event, None, int]:
+    def query_epoch(self, ctx: FifoServer) -> Generator[Event, None, int]:
         """Highest committed epoch (snapshot point)."""
         result = yield from self.client.call(
             ctx, "cont_query", {"pool": self.pool, "cont": self.cont}
@@ -251,7 +251,7 @@ class ObjectHandle:
     # -- array I/O -------------------------------------------------------------
     def update(
         self,
-        ctx: SerializedSection,
+        ctx: FifoServer,
         dkey: bytes,
         akey: bytes,
         offset: int,
@@ -317,7 +317,7 @@ class ObjectHandle:
 
     def fetch(
         self,
-        ctx: SerializedSection,
+        ctx: FifoServer,
         dkey: bytes,
         akey: bytes,
         offset: int,
@@ -369,7 +369,7 @@ class ObjectHandle:
         return result.get("data")
 
     def punch(
-        self, ctx: SerializedSection, dkey: bytes, akey: bytes, offset: int, nbytes: int
+        self, ctx: FifoServer, dkey: bytes, akey: bytes, offset: int, nbytes: int
     ) -> Generator[Event, None, int]:
         """Punch a hole in an array akey."""
         args = self._base_args()
@@ -377,7 +377,7 @@ class ObjectHandle:
         result = yield from self.client.call(ctx, "obj_punch", args)
         return result["epoch"]
 
-    def punch_dkey(self, ctx: SerializedSection, dkey: bytes) -> Generator[Event, None, int]:
+    def punch_dkey(self, ctx: FifoServer, dkey: bytes) -> Generator[Event, None, int]:
         """Remove a whole dkey."""
         args = self._base_args()
         args["dkey"] = bytes(dkey)
@@ -386,7 +386,7 @@ class ObjectHandle:
 
     # -- KV I/O ---------------------------------------------------------------
     def kv_put(
-        self, ctx: SerializedSection, dkey: bytes, akey: bytes, value: Any
+        self, ctx: FifoServer, dkey: bytes, akey: bytes, value: Any
     ) -> Generator[Event, None, int]:
         """Store a single value."""
         args = self._base_args()
@@ -395,7 +395,7 @@ class ObjectHandle:
         return result["epoch"]
 
     def kv_get(
-        self, ctx: SerializedSection, dkey: bytes, akey: bytes, epoch: Optional[int] = None
+        self, ctx: FifoServer, dkey: bytes, akey: bytes, epoch: Optional[int] = None
     ) -> Generator[Event, None, Any]:
         """Read a single value at ``epoch``."""
         args = self._base_args()
@@ -407,7 +407,7 @@ class ObjectHandle:
 
     # -- enumeration --------------------------------------------------------------
     def list_dkeys(
-        self, ctx: SerializedSection, epoch: Optional[int] = None
+        self, ctx: FifoServer, epoch: Optional[int] = None
     ) -> Generator[Event, None, List[bytes]]:
         """Visible dkeys across every shard."""
         args = self._base_args()
@@ -417,7 +417,7 @@ class ObjectHandle:
         return result["dkeys"]
 
     def dkey_sizes(
-        self, ctx: SerializedSection, akey: bytes, epoch: Optional[int] = None
+        self, ctx: FifoServer, akey: bytes, epoch: Optional[int] = None
     ) -> Generator[Event, None, Dict[bytes, int]]:
         """Per-dkey array sizes (DFS file-size query)."""
         args = self._base_args()
@@ -481,7 +481,7 @@ class Transaction:
         self.aborted = True
         self.ops.clear()
 
-    def commit(self, ctx: SerializedSection) -> Generator[Event, None, int]:
+    def commit(self, ctx: FifoServer) -> Generator[Event, None, int]:
         """Apply every staged op atomically; returns the commit epoch."""
         self._check_open()
         result = yield from self.cont.client.call(ctx, "tx_commit", {

@@ -24,9 +24,9 @@ from typing import Generator, Optional, Tuple
 
 from repro.daos.dfs import DfsFile
 from repro.daos.types import ObjectId
-from repro.hw.cpu import SerializedSection
 from repro.hw.specs import US
 from repro.sim.core import Environment, Event
+from repro.sim.queues import FifoServer
 
 __all__ = ["ClientCache", "CachedDfsFile"]
 
@@ -132,7 +132,7 @@ class CachedDfsFile:
         return self.file.chunk_size
 
     def read(
-        self, ctx: SerializedSection, offset: int, nbytes: int
+        self, ctx: FifoServer, offset: int, nbytes: int
     ) -> Generator[Event, None, Optional[bytes]]:
         """Chunk-aligned reads hit the cache; others read through."""
         chunk = self.file.chunk_size
@@ -150,7 +150,7 @@ class CachedDfsFile:
 
     def write(
         self,
-        ctx: SerializedSection,
+        ctx: FifoServer,
         offset: int,
         nbytes: Optional[int] = None,
         data: Optional[bytes] = None,
@@ -165,6 +165,6 @@ class CachedDfsFile:
             self.cache.invalidate(self.file.oid, idx)
         yield from self.file.write(ctx, offset, nbytes=nbytes, data=data)
 
-    def size(self, ctx: SerializedSection):
+    def size(self, ctx: FifoServer):
         """Delegate size queries (metadata is not cached here)."""
         return self.file.size(ctx)

@@ -24,8 +24,8 @@ from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from repro.daos.client import ContainerHandle, DaosClient, ObjectHandle
 from repro.daos.types import DaosError, NoSuchObject, ObjectClass, ObjectId
-from repro.hw.cpu import SerializedSection
 from repro.sim.core import Event
+from repro.sim.queues import FifoServer
 
 __all__ = ["DfsNamespace", "DfsFile", "CHUNK_SIZE"]
 
@@ -75,7 +75,7 @@ class DfsFile:
 
     def write(
         self,
-        ctx: SerializedSection,
+        ctx: FifoServer,
         offset: int,
         nbytes: Optional[int] = None,
         data: Optional[bytes] = None,
@@ -109,7 +109,7 @@ class DfsFile:
 
     def read(
         self,
-        ctx: SerializedSection,
+        ctx: FifoServer,
         offset: int,
         nbytes: int,
         epoch: Optional[int] = None,
@@ -144,13 +144,13 @@ class DfsFile:
         return b"".join(parts)
 
     def punch(
-        self, ctx: SerializedSection, offset: int, nbytes: int
+        self, ctx: FifoServer, offset: int, nbytes: int
     ) -> Generator[Event, None, None]:
         """Deallocate a byte range (reads back as zeros)."""
         for idx, in_off, take in self._split(offset, nbytes):
             yield from self._obj.punch(ctx, _chunk_dkey(idx), _DATA_AKEY, in_off, take)
 
-    def size(self, ctx: SerializedSection) -> Generator[Event, None, int]:
+    def size(self, ctx: FifoServer) -> Generator[Event, None, int]:
         """POSIX file size: end of the highest-offset visible extent."""
         sizes = yield from self._obj.dkey_sizes(ctx, _DATA_AKEY)
         best = 0
@@ -171,7 +171,7 @@ class DfsNamespace:
         self.root_oid: Optional[ObjectId] = None
 
     # -- mount/format --------------------------------------------------------
-    def format(self, ctx: SerializedSection) -> Generator[Event, None, "DfsNamespace"]:
+    def format(self, ctx: FifoServer) -> Generator[Event, None, "DfsNamespace"]:
         """Initialize the superblock and root directory (mkfs)."""
         oids = yield from self.cont.alloc_oid(ctx, ObjectClass.S1, 1)
         root = oids[0]
@@ -185,7 +185,7 @@ class DfsNamespace:
         self.root_oid = root
         return self
 
-    def mount(self, ctx: SerializedSection) -> Generator[Event, None, "DfsNamespace"]:
+    def mount(self, ctx: FifoServer) -> Generator[Event, None, "DfsNamespace"]:
         """Load the superblock of an already-formatted container."""
         sb = self.cont.obj(_SB_OID)
         try:
@@ -211,7 +211,7 @@ class DfsNamespace:
         return self.root_oid
 
     def _lookup_entry(
-        self, ctx: SerializedSection, dir_oid: ObjectId, name: str
+        self, ctx: FifoServer, dir_oid: ObjectId, name: str
     ) -> Generator[Event, None, Dict[str, Any]]:
         obj = self.cont.obj(dir_oid)
         try:
@@ -221,7 +221,7 @@ class DfsNamespace:
         return entry
 
     def _resolve_dir(
-        self, ctx: SerializedSection, components: List[str]
+        self, ctx: FifoServer, components: List[str]
     ) -> Generator[Event, None, ObjectId]:
         """Walk ``components`` (all must be directories); returns the oid."""
         oid = self._require_mounted()
@@ -233,7 +233,7 @@ class DfsNamespace:
         return oid
 
     def _resolve_parent(
-        self, ctx: SerializedSection, path: str
+        self, ctx: FifoServer, path: str
     ) -> Generator[Event, None, Tuple[ObjectId, str]]:
         comps = self._components(path)
         if not comps:
@@ -242,7 +242,7 @@ class DfsNamespace:
         return parent, comps[-1]
 
     def _entry_exists(
-        self, ctx: SerializedSection, dir_oid: ObjectId, name: str
+        self, ctx: FifoServer, dir_oid: ObjectId, name: str
     ) -> Generator[Event, None, bool]:
         try:
             yield from self._lookup_entry(ctx, dir_oid, name)
@@ -251,7 +251,7 @@ class DfsNamespace:
         return True
 
     # -- namespace operations -------------------------------------------------------
-    def mkdir(self, ctx: SerializedSection, path: str) -> Generator[Event, None, None]:
+    def mkdir(self, ctx: FifoServer, path: str) -> Generator[Event, None, None]:
         """Create a directory (parents must exist)."""
         parent, name = yield from self._resolve_parent(ctx, path)
         if (yield from self._entry_exists(ctx, parent, name)):
@@ -264,7 +264,7 @@ class DfsNamespace:
 
     def create(
         self,
-        ctx: SerializedSection,
+        ctx: FifoServer,
         path: str,
         chunk_size: Optional[int] = None,
         oclass: ObjectClass = ObjectClass.SX,
@@ -288,7 +288,7 @@ class DfsNamespace:
         yield from tx.commit(ctx)
         return DfsFile(self, path, oids[0], chunk)
 
-    def open(self, ctx: SerializedSection, path: str) -> Generator[Event, None, DfsFile]:
+    def open(self, ctx: FifoServer, path: str) -> Generator[Event, None, DfsFile]:
         """Open an existing regular file."""
         parent, name = yield from self._resolve_parent(ctx, path)
         entry = yield from self._lookup_entry(ctx, parent, name)
@@ -296,7 +296,7 @@ class DfsNamespace:
             raise IsADirectoryError(path)
         return DfsFile(self, path, entry["oid"], entry["chunk_size"])
 
-    def unlink(self, ctx: SerializedSection, path: str) -> Generator[Event, None, None]:
+    def unlink(self, ctx: FifoServer, path: str) -> Generator[Event, None, None]:
         """Remove a file or (empty) directory entry."""
         parent, name = yield from self._resolve_parent(ctx, path)
         entry = yield from self._lookup_entry(ctx, parent, name)
@@ -309,7 +309,7 @@ class DfsNamespace:
         yield from tx.commit(ctx)
 
     def rename(
-        self, ctx: SerializedSection, old: str, new: str
+        self, ctx: FifoServer, old: str, new: str
     ) -> Generator[Event, None, None]:
         """Atomically move an entry (one transaction: insert + remove)."""
         old_parent, old_name = yield from self._resolve_parent(ctx, old)
@@ -322,7 +322,7 @@ class DfsNamespace:
         tx.punch_dkey(old_parent, old_name.encode())
         yield from tx.commit(ctx)
 
-    def readdir(self, ctx: SerializedSection, path: str) -> Generator[Event, None, List[str]]:
+    def readdir(self, ctx: FifoServer, path: str) -> Generator[Event, None, List[str]]:
         """List entry names in a directory."""
         comps = self._components(path) if path != "/" else []
         dir_oid = yield from self._resolve_dir(ctx, comps)
@@ -330,7 +330,7 @@ class DfsNamespace:
         dkeys = yield from obj.list_dkeys(ctx)
         return sorted(d.decode() for d in dkeys)
 
-    def stat(self, ctx: SerializedSection, path: str) -> Generator[Event, None, Dict[str, Any]]:
+    def stat(self, ctx: FifoServer, path: str) -> Generator[Event, None, Dict[str, Any]]:
         """POSIX-ish stat: type, mode, oid, chunk_size, size."""
         parent, name = yield from self._resolve_parent(ctx, path)
         entry = yield from self._lookup_entry(ctx, parent, name)
@@ -342,7 +342,7 @@ class DfsNamespace:
             info["size"] = 0
         return info
 
-    def exists(self, ctx: SerializedSection, path: str) -> Generator[Event, None, bool]:
+    def exists(self, ctx: FifoServer, path: str) -> Generator[Event, None, bool]:
         """Whether ``path`` resolves."""
         try:
             parent, name = yield from self._resolve_parent(ctx, path)

@@ -33,11 +33,11 @@ from repro.daos.types import (
     new_pool_id,
 )
 from repro.daos.vos import VersionedObjectStore
-from repro.hw.cpu import SerializedSection
 from repro.hw.platform import StorageNode
 from repro.hw.specs import US
 from repro.net.fabric import FabricChannel, RemoteRegion
 from repro.sim.core import Environment
+from repro.sim.queues import FifoServer
 from repro.storage.block import BlockDevice
 from repro.storage.pmdk import PmemPool
 
@@ -80,7 +80,7 @@ class _Pool:
 class _Target:
     index: int
     vos: VersionedObjectStore
-    xstream: SerializedSection
+    xstream: FifoServer
     #: Failure-injection flag: a down target serves nothing until rebuilt.
     down: bool = False
 
@@ -112,10 +112,10 @@ class DaosEngine:
                 self.env, i, scm, self.block,
                 nvme_region_start=i * region, nvme_region_bytes=region,
             )
-            self.targets.append(_Target(i, vos, SerializedSection(
+            self.targets.append(_Target(i, vos, FifoServer(
                 self.env, f"{node.name}.xs{i}", factor=node.spec.cycle_factor
             )))
-        self._sys_xstream = SerializedSection(
+        self._sys_xstream = FifoServer(
             self.env, f"{node.name}.xs_sys", factor=node.spec.cycle_factor
         )
         self.pools: Dict[PoolId, _Pool] = {}

@@ -331,9 +331,9 @@ class FaultInjector:
 
     def _stall(self, section: object,
                duration: float) -> Generator["Event", None, None]:
-        # Occupy the serialized section's server for exactly ``duration``
+        # Occupy the serialized section for exactly ``duration``
         # (``enter()`` would scale by the node's lock factor).
-        yield section._server.serve(duration)  # type: ignore[attr-defined]
+        yield section.serve(duration)  # type: ignore[attr-defined]
 
 
 def _union_length(spans: List[Tuple[float, float]]) -> float:

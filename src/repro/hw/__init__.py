@@ -4,8 +4,8 @@ Each model is a queueing station built on :mod:`repro.sim`:
 
 * :mod:`repro.hw.specs` — every datasheet/calibration constant, including
   the NVIDIA GPU generation table reproduced as paper Table 1.
-* :mod:`repro.hw.cpu` — CPU core pools with per-architecture speed factors
-  and named serialized sections (locks, single progress threads).
+* :mod:`repro.hw.cpu` — CPU core pools with per-architecture speed factors;
+  serialized sections (locks, single progress threads) are FIFO servers.
 * :mod:`repro.hw.nvme` — NVMe SSD devices and striped arrays.
 * :mod:`repro.hw.nic` — duplex network links and a store-and-forward switch.
 * :mod:`repro.hw.dram` — DRAM buffer pools (host, DPU).
@@ -14,7 +14,7 @@ Each model is a queueing station built on :mod:`repro.sim`:
   matching the paper's testbed (§4.1).
 """
 
-from repro.hw.cpu import CpuPool, SerializedSection
+from repro.hw.cpu import CpuPool
 from repro.hw.dram import DramPool
 from repro.hw.gpu import GpuDevice
 from repro.hw.nic import DuplexLink, Switch
@@ -63,7 +63,6 @@ __all__ = [
     "NvmeDevice",
     "NvmeSpec",
     "PAPER_LINK",
-    "SerializedSection",
     "StorageNode",
     "Switch",
     "make_paper_testbed",

@@ -3,14 +3,28 @@
 Two costs dominate the paper's results: per-operation CPU work that
 parallelizes across cores, and work inside serialized sections (socket
 locks, a single RPC progress context) that does not.  :class:`CpuPool`
-models the former as a multi-server FIFO station; :class:`SerializedSection`
-models the latter, and every single-threaded submission context, as a
-single FIFO server.
+models the former as a multi-server FIFO station.  A serialized section
+is a single FIFO server, :class:`~repro.sim.queues.FifoServer`, entered
+with ``enter(x86_cost)``.
 
-All costs passed in are **x86-baseline** seconds; the pool scales them by
-the owning host's ``cycle_factor`` (and host-wide sections by
-``lock_factor``), which is how the BlueField-3's slower Arm cores enter
-every result without any caller knowing which platform it runs on.
+Host-wide sections (socket locks, a single RPC progress context, built
+by :meth:`Node.lock <repro.hw.platform.Node.lock>`) scale costs by the
+host's ``lock_factor``: serialized code degrades more than parallel code
+on the DPU's Arm complex (contended atomics, smaller LLC), which is what
+produces the BlueField RDMA small-I/O gap in Fig. 5d.
+
+An FIO job, an SPDK reactor or a DAOS engine xstream is one thread too,
+a section scaled by the host's ``cycle_factor``: its CPU work is serial
+even when the node has idle cores, and that serialism, not the core
+count, is what bounds per-job IOPS in Fig. 3 (~80 K per job at ~11.5
+us/op), while device and network phases overlap freely across in-flight
+operations.  The paper's configurations run at most as many job threads
+as the node has cores, so no core-contention stage is modeled for
+submission work.
+
+All costs passed in are **x86-baseline** seconds; the pool and the
+section scale them, which is how the BlueField-3's slower Arm cores
+enter every result without any caller knowing which platform it runs on.
 """
 
 from __future__ import annotations
@@ -18,10 +32,10 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.hw.specs import HostSpec
-from repro.sim.core import Environment, Timeout
+from repro.sim.core import Environment
 from repro.sim.queues import FifoServer, PooledServer
 
-__all__ = ["CpuPool", "SerializedSection"]
+__all__ = ["CpuPool"]
 
 
 class CpuPool(PooledServer):
@@ -57,47 +71,7 @@ class CpuPool(PooledServer):
     execute = PooledServer.execute
 
 
-class SerializedSection:
-    """A serialized code path: a lock, a progress thread, a job thread.
-
-    Host-wide sections (socket locks, a single RPC progress context) scale
-    costs by the host's ``lock_factor``: serialized code degrades more
-    than parallel code on the DPU's Arm complex (contended atomics,
-    smaller LLC), which is what produces the BlueField RDMA small-I/O gap
-    in Fig. 5d.
-
-    An FIO job, an SPDK reactor or a DAOS engine xstream is one thread
-    too, scaled by the host's ``cycle_factor``: its CPU work is serial
-    even when the node has idle cores, and that serialism, not the core
-    count, is what bounds per-job IOPS in Fig. 3 (~80 K per job at
-    ~11.5 us/op), while device and network phases overlap freely across
-    in-flight operations.  The paper's configurations run at most as
-    many job threads as the node has cores, so no core-contention stage
-    is modeled for submission work.
-    """
-
-    __slots__ = ("env", "name", "factor", "_server")
-
-    def __init__(self, env: Environment, name: str, factor: float = 1.0,
-                 wait_name: Optional[str] = None) -> None:
-        self.env = env
-        self.name = name
-        #: Multiplier applied to every x86-baseline cost.
-        self.factor = float(factor)
-        # ``wait_name`` lets a section share a blame bucket with the pool
-        # it stands in for (e.g. the BF3 tcp_stack section and the Arm RX
-        # core pool both attribute to "dpu.arm_rx").
-        self._server = FifoServer(env, name=wait_name or name)
-
-    def enter(self, x86_cost: float) -> Timeout:
-        """Pass through the section, paying ``x86_cost`` (scaled) serially."""
-        return self._server.serve(x86_cost * self.factor)
-
-    @property
-    def busy_time(self) -> float:
-        """Cumulative serialized seconds."""
-        return self._server.busy_time
-
-    def utilization(self, elapsed: Optional[float] = None) -> float:
-        """Fraction of time the section was occupied."""
-        return self._server.utilization(elapsed)
+#: The name the perf harness times ``enter`` under
+#: (``calls_per_io.hw.SerializedSection.enter``); a section is a
+#: :class:`FifoServer`.
+SerializedSection = FifoServer

@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import Generator
 
 from repro.sim.core import Environment, Event
-from repro.sim.monitor import Gauge
 from repro.sim.resources import Container
 
 __all__ = ["DramPool", "Allocation"]
@@ -42,11 +41,13 @@ class Allocation:
 
 
 class DramPool(Container):
-    """A byte pool with blocking allocation and occupancy instrumentation.
+    """A byte pool with blocking allocation and an occupancy watermark.
 
-    Its level is the free bytes.  What need not wait moves the level at
-    once, as an inline-succeeded get or put would, with no event built;
-    anything that waits, or is waited for, takes the container's path.
+    Its level is the free bytes, and :attr:`used_bytes` the occupancy.
+    What need not wait moves the level at once, as an inline-succeeded
+    get or put would, with no event built; anything that waits, or is
+    waited for, takes the container's path.  Every allocation and
+    release updates :attr:`peak_bytes`.
     """
 
     def __init__(self, env: Environment, capacity_bytes: int, name: str = "dram") -> None:
@@ -55,7 +56,8 @@ class DramPool(Container):
         super().__init__(env, capacity=capacity_bytes, init=capacity_bytes,
                          name=name)
         self.capacity_bytes = int(capacity_bytes)
-        self.occupancy = Gauge(env, f"{name}.occupancy")
+        #: The most bytes allocated at once (high-watermark).
+        self.peak_bytes = 0.0
 
     @property
     def used_bytes(self) -> float:
@@ -74,12 +76,17 @@ class DramPool(Container):
             yield self.get(nbytes)
         else:
             self._level -= nbytes
-        self.occupancy.set(self.capacity_bytes - self._level)
+        used = self.capacity_bytes - self._level
+        if used > self.peak_bytes:
+            self.peak_bytes = used
         return Allocation(self, nbytes)
 
     def _release(self, nbytes: int) -> None:
         if self._getters or self._level + nbytes > self.capacity:
             self.put(nbytes)
+            # Allocations this put serves can leave more bytes in use.
+            used = self.capacity_bytes - self._level
+            if used > self.peak_bytes:
+                self.peak_bytes = used
         else:
             self._level += nbytes
-        self.occupancy.set(self.capacity_bytes - self._level)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Literal, Optional
 
-from repro.hw.cpu import CpuPool, SerializedSection
+from repro.hw.cpu import CpuPool
 from repro.hw.dram import DramPool
 from repro.hw.nic import Port, Switch
 from repro.hw.nvme import NvmeArray
@@ -31,6 +31,7 @@ from repro.hw.specs import (
     NvmeSpec,
 )
 from repro.sim.core import Environment
+from repro.sim.queues import FifoServer
 
 __all__ = ["Node", "ComputeNode", "StorageNode", "ClusterTopology", "make_paper_testbed"]
 
@@ -59,29 +60,29 @@ class Node:
             name=f"{name}.arm_rx" if self.is_arm_dpu else f"{name}.tcp_rx",
         )
         self.dram = DramPool(env, spec.dram_bytes, name=f"{name}.dram")
-        self._locks: Dict[str, SerializedSection] = {}
+        self._locks: Dict[str, FifoServer] = {}
         reg = env.components
         reg.add(name, "node", self, node=name)
         for pool in (self.cpu, self.tcp_rx_cpu):
             reg.add(pool.name, "cpu", pool, node=name, capacity=pool.n_cores)
 
-    def lock(self, name: str) -> SerializedSection:
-        """Get or create the named host-wide serialized section."""
+    def lock(self, name: str) -> FifoServer:
+        """Get or create the named host-wide serialized section.
+
+        It joins the registry as ``<node>.<name>``, and its own name is
+        its blame bucket: the BF3 ``tcp_stack`` section, the calibrated
+        stand-in for the Arm kernel RX/stack path, books as
+        ``<node>.arm_rx``, the bucket of the Arm-RX core pool.
+        """
         sec = self._locks.get(name)
         if sec is None:
-            # The BF3 tcp_stack section is the calibrated stand-in for the
-            # Arm kernel RX/stack path; it shares the Arm-RX blame bucket.
-            wait_name = (
-                f"{self.name}.arm_rx"
-                if self.is_arm_dpu and name == "tcp_stack"
-                else f"{self.name}.{name}"
-            )
-            sec = self._locks[name] = SerializedSection(
-                self.env, f"{self.name}.{name}", self.spec.lock_factor,
-                wait_name=wait_name,
-            )
-            self.env.components.add(sec.name, "section", sec, node=self.name,
-                                    bucket=wait_name)
+            reg_name = f"{self.name}.{name}"
+            bucket = (self.tcp_rx_cpu.name
+                      if self.is_arm_dpu and name == "tcp_stack" else reg_name)
+            sec = self._locks[name] = FifoServer(self.env, bucket,
+                                                 self.spec.lock_factor)
+            self.env.components.add(reg_name, "section", sec, node=self.name,
+                                    bucket=bucket)
         return sec
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

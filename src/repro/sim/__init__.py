@@ -8,10 +8,10 @@ dependency of this project).  It provides:
   :class:`~repro.sim.core.Process` — the primitive coordination objects.
 * :mod:`repro.sim.resources` — capacity-limited resources, stores and
   containers used to model CPUs, device queues and links.
-* :mod:`repro.sim.queues` — serializers and bandwidth pipes used by the
-  hardware models.
-* :mod:`repro.sim.monitor` — lightweight instrumentation (time-weighted
-  gauges, rate meters, latency recorders).
+* :mod:`repro.sim.queues` — FIFO and pooled servers (also the serialized
+  sections) and bandwidth pipes used by the hardware models.
+* :mod:`repro.sim.monitor` — lightweight instrumentation (rate meters,
+  latency recorders).
 * :mod:`repro.sim.spans` — request-scoped distributed tracing (spans,
   latency breakdowns, critical paths).
 * :mod:`repro.sim.hist` — bounded-memory log-bucketed latency histograms.
@@ -39,7 +39,7 @@ from repro.sim.core import (
     Timeout,
 )
 from repro.sim.hist import LogHistogram
-from repro.sim.monitor import Gauge, LatencyRecorder, RateMeter
+from repro.sim.monitor import LatencyRecorder, RateMeter
 from repro.sim.queues import BandwidthPipe, FifoServer
 from repro.sim.resources import Container, Resource, Store
 from repro.sim.rng import RngStreams, seed_from_key
@@ -63,7 +63,6 @@ __all__ = [
     "Environment",
     "Event",
     "FifoServer",
-    "Gauge",
     "Interrupt",
     "LatencyBreakdown",
     "LatencyRecorder",

@@ -8,80 +8,13 @@ recommend (measure first, never in the hot loop).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
 from repro.sim.core import Environment
 
-__all__ = ["Gauge", "RateMeter", "LatencyRecorder"]
-
-
-class Gauge:
-    """A time-weighted level (queue depth, buffer occupancy).
-
-    :meth:`set` records the new level; :meth:`mean` integrates the level
-    over time; :meth:`max` is the resettable high-watermark used for
-    staged-buffer peak tracking (no ad-hoc peak fields elsewhere).
-    """
-
-    __slots__ = ("name", "env", "_level", "_t0", "_last_t", "_area", "_max")
-
-    def __init__(self, env: Environment, name: str, initial: float = 0.0) -> None:
-        self.env = env
-        self.name = name
-        self._level = float(initial)
-        #: Creation time — the start of the integration window.
-        self._t0 = env.now
-        self._last_t = env.now
-        self._area = 0.0
-        self._max = float(initial)
-
-    @property
-    def level(self) -> float:
-        """Current level."""
-        return self._level
-
-    @property
-    def peak(self) -> float:
-        """Maximum level observed (alias of :meth:`max`)."""
-        return self._max
-
-    def set(self, level: float) -> None:
-        """Record a new level at the current simulated time."""
-        now = self.env._now
-        self._area += self._level * (now - self._last_t)
-        self._last_t = now
-        self._level = float(level)
-        if level > self._max:
-            self._max = float(level)
-
-    def add(self, delta: float) -> None:
-        """Adjust the level by ``delta``."""
-        self.set(self._level + delta)
-
-    def max(self) -> float:
-        """High-watermark: the largest level seen since the last reset."""
-        return self._max
-
-    def mean(self, since: Optional[float] = None) -> float:
-        """Time-weighted mean level over ``[since, now]``.
-
-        ``since`` defaults to the gauge's creation time (integration never
-        covers time the gauge did not exist; earlier values are clamped,
-        and values after creation shorten the divisor but keep the full
-        accumulated area — use :class:`~repro.sim.timeseries.TimeSeries`
-        for true windowed means).  A zero-elapsed window is well-defined:
-        it returns the current level — the only value the gauge has held
-        "so far".
-        """
-        now = self.env.now
-        t0 = self._t0 if since is None else max(since, self._t0)
-        span = now - t0
-        if span <= 0:
-            return self._level
-        area = self._area + self._level * (now - self._last_t)
-        return area / span
+__all__ = ["RateMeter", "LatencyRecorder"]
 
 
 class RateMeter:

@@ -8,8 +8,8 @@ servers that need only **one** event per operation:
 * :class:`FifoServer` — a single FIFO server.  ``serve(duration)`` computes
   the completion time analytically (``max(now, free_at) + duration``) and
   returns a single timeout event.  Exactly models a non-preemptive FIFO
-  queue with deterministic service, which is how we model NVMe channels and
-  serial links.
+  queue with deterministic service, which is how we model NVMe channels,
+  serial links and serialized code sections (``enter(x86_cost)``).
 * :class:`PooledServer` — ``n`` identical FIFO servers sharing one queue
   (an M/G/n-style station).  Completion times are computed with a heap of
   per-server free times.  Models CPU core pools.
@@ -67,17 +67,23 @@ class FifoServer:
     its current position and receives an event that fires when its service
     completes.  This collapses queueing to O(1) state (the time the server
     next becomes free).
+
+    A serialized code path (a lock, a progress thread, a job thread) is a
+    FIFO server too: :meth:`enter` serves an x86-baseline cost scaled by
+    :attr:`factor`, the host's ``lock_factor`` or ``cycle_factor``
+    (:mod:`repro.hw.cpu`).  Its :attr:`name` is its blame bucket.
     """
 
-    __slots__ = ("env", "rate", "name", "_free_at", "busy_time", "ops", "_stats")
+    __slots__ = ("env", "name", "factor", "_free_at", "busy_time", "ops",
+                 "_stats")
 
-    def __init__(self, env: Environment, rate: Optional[float] = None,
-                 name: Optional[str] = None) -> None:
+    def __init__(self, env: Environment, name: Optional[str] = None,
+                 factor: float = 1.0) -> None:
         self.env = env
-        #: Optional service rate in units/second for :meth:`serve_units`.
-        self.rate = rate
         #: Resource name for wait-cause attribution (None = anonymous).
         self.name = name
+        #: Multiplier :meth:`enter` applies to every x86-baseline cost.
+        self.factor = float(factor)
         self._free_at = 0.0
         #: Cumulative seconds of service performed (for utilization).
         self.busy_time = 0.0
@@ -175,11 +181,9 @@ class FifoServer:
         heappush(env._queue, (when, NORMAL, eid if ts is None else ts(eid), t))
         return t
 
-    def serve_units(self, units: float) -> Timeout:
-        """Serve ``units`` of work at the configured ``rate``."""
-        if self.rate is None:
-            raise ValueError("server has no rate configured; use serve(duration)")
-        return self.serve(units / self.rate)
+    def enter(self, x86_cost: float) -> Timeout:
+        """Pass through the section, paying ``x86_cost * factor`` serially."""
+        return self.serve(x86_cost * self.factor)
 
     def utilization(self, elapsed: Optional[float] = None) -> float:
         """Fraction of time busy over ``elapsed`` (default: since t=0)."""

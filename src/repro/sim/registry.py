@@ -5,8 +5,10 @@ they are built.  A component's registry name is the one name its
 resource goes by everywhere: the station name the wait tracer books it
 under (``nvme.ssd0``, ``net.dpu.tx``, ``dpu.arm_rx``), which is also its
 fault target, telemetry probe prefix and span node.  Where two
-components share a blame bucket on purpose (the BlueField-3's
-``tcp_stack`` section books as ``dpu.arm_rx``), the registry records it.
+components share a blame bucket on purpose, the registry records it:
+the BlueField-3's ``tcp_stack`` section is found as ``dpu.tcp_stack``,
+while its own name, the one it books under, is its bucket
+``dpu.arm_rx``.
 
 The telemetry snapshot and probes, the doctor's stations and the fault
 injector's targets are read-only views over it: observing a run never

@@ -13,10 +13,10 @@ from __future__ import annotations
 
 from typing import Generator, Optional
 
-from repro.hw.cpu import SerializedSection
 from repro.hw.platform import Node
 from repro.hw.specs import IOURING_PATH, US, StoragePathCosts
 from repro.sim.core import Event
+from repro.sim.queues import FifoServer
 from repro.storage.block import BlockDevice
 
 __all__ = ["IoUringEngine", "BLOCK_LAYER_SERIAL_PER_OP"]
@@ -44,10 +44,10 @@ class IoUringEngine:
         self._block_layer = node.lock("block_layer")
         self._threads = 0
 
-    def new_context(self, name: Optional[str] = None) -> SerializedSection:
+    def new_context(self, name: Optional[str] = None) -> FifoServer:
         """Create one job thread (an FIO job)."""
         self._threads += 1
-        return SerializedSection(
+        return FifoServer(
             self.env,
             name or f"{self.node.name}.iouring.job{self._threads}",
             factor=self.node.spec.cycle_factor,
@@ -55,7 +55,7 @@ class IoUringEngine:
 
     def submit(
         self,
-        ctx: SerializedSection,
+        ctx: FifoServer,
         offset: int,
         nbytes: int,
         is_write: bool,

@@ -40,7 +40,9 @@ class PmemPool:
         self.env = env
         self.capacity_bytes = int(capacity_bytes)
         self.allocated = 0
-        self._dimm = FifoServer(env, rate=bandwidth, name="scm.dimm")
+        #: DIMM bandwidth in bytes per second.
+        self.bandwidth = bandwidth
+        self._dimm = FifoServer(env, "scm.dimm")
         self._store: Optional[SparseBytes] = (
             SparseBytes(capacity_bytes) if data_mode else None
         )
@@ -64,7 +66,7 @@ class PmemPool:
                 raise ValueError("persist needs data or an explicit nbytes")
             nbytes = len(data)
         self._check(offset, nbytes)
-        yield self._dimm.serve_units(nbytes)
+        yield self._dimm.serve(nbytes / self.bandwidth)
         yield self.env.timeout(PMEM_WRITE_LATENCY)
         if self._store is not None and data is not None:
             self._store.write(offset, data)
@@ -75,7 +77,7 @@ class PmemPool:
     ) -> Generator[Event, None, Optional[bytes]]:
         """Load ``nbytes``; returns bytes in data mode."""
         self._check(offset, nbytes)
-        yield self._dimm.serve_units(nbytes)
+        yield self._dimm.serve(nbytes / self.bandwidth)
         yield self.env.timeout(PMEM_READ_LATENCY)
         self.reads.record(nbytes)
         if self._store is not None:

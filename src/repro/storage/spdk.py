@@ -14,9 +14,10 @@ mirrors NVMe-oF's structure:
 3. the target returns a completion capsule the initiator demultiplexes by
    command id.
 
-Everything runs on explicit reactor threads (:class:`SerializedSection`), and all
-CPU costs ride the owning node's architecture factors, so the same code
-produces host and DPU results.
+Everything runs on explicit reactor threads (serialized sections, each a
+:class:`~repro.sim.queues.FifoServer`), and all CPU costs ride the owning
+node's architecture factors, so the same code produces host and DPU
+results.
 """
 
 from __future__ import annotations
@@ -24,12 +25,12 @@ from __future__ import annotations
 import itertools
 from typing import Dict, Generator, Optional
 
-from repro.hw.cpu import SerializedSection
 from repro.hw.platform import ComputeNode, Node
 from repro.hw.specs import SPDK_PATH, US, StoragePathCosts
 from repro.net.fabric import FabricChannel, RemoteRegion
 from repro.net.message import Message, reply_listener, request_listener
 from repro.sim.core import Environment, Event
+from repro.sim.queues import FifoServer
 from repro.storage.block import BlockDevice
 
 __all__ = ["SpdkLocalEngine", "NvmfTarget", "NvmfInitiator"]
@@ -54,10 +55,10 @@ class SpdkLocalEngine:
         self.costs = costs
         self._threads = 0
 
-    def new_context(self, name: Optional[str] = None) -> SerializedSection:
+    def new_context(self, name: Optional[str] = None) -> FifoServer:
         """Create one reactor thread."""
         self._threads += 1
-        return SerializedSection(
+        return FifoServer(
             self.env,
             name or f"{self.node.name}.spdk.reactor{self._threads}",
             factor=self.node.spec.cycle_factor,
@@ -65,7 +66,7 @@ class SpdkLocalEngine:
 
     def submit(
         self,
-        ctx: SerializedSection,
+        ctx: FifoServer,
         offset: int,
         nbytes: int,
         is_write: bool,
@@ -193,10 +194,10 @@ class NvmfInitiator:
             self._started = True
         return self
 
-    def new_context(self, name: Optional[str] = None) -> SerializedSection:
+    def new_context(self, name: Optional[str] = None) -> FifoServer:
         """Create one submission reactor thread."""
         self._threads += 1
-        return SerializedSection(
+        return FifoServer(
             self.env,
             name or f"{self.node.name}.nvmf.reactor{self._threads}",
             factor=self.node.spec.cycle_factor,
@@ -204,7 +205,7 @@ class NvmfInitiator:
 
     def submit(
         self,
-        ctx: SerializedSection,
+        ctx: FifoServer,
         offset: int,
         nbytes: int,
         is_write: bool,

@@ -9,7 +9,7 @@ measurement (FIO's ``ramp_time``).
 
 An adapter is anything with::
 
-    new_context(name=None) -> SerializedSection
+    new_context(name=None) -> FifoServer
     submit(ctx, offset, nbytes, is_write) -> generator
 
 which :class:`~repro.storage.iouring.IoUringEngine`,

@@ -186,7 +186,7 @@ def test_dram_backpressure_bounds_inflight_payloads():
 
     p = env.process(go(env))
     env.run(until=p)
-    assert system.service.data_plane.staged.peak <= 4 * MIB
+    assert system.service.data_plane.staged.peak_bytes <= 4 * MIB
 
 
 def test_simulation_determinism():

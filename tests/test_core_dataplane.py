@@ -38,15 +38,16 @@ def test_stage_release_cycle():
 
     def go(env):
         alloc = yield from dp.stage(4 * MIB)
-        peak = dp.staged.level
-        dp.release(alloc)
-        return peak, dp.staged.level
+        peak = dp.staged.used_bytes
+        alloc.free()
+        return peak, dp.staged.used_bytes
 
     p = env.process(go(env))
     env.run(until=p)
     peak, after = p.value
     assert peak == 4 * MIB
     assert after == 0
+    assert dp.staged.peak_bytes == 4 * MIB
 
 
 def test_stage_blocks_on_budget():
@@ -56,13 +57,13 @@ def test_stage_blocks_on_budget():
     def hog(env):
         alloc = yield from dp.stage(3 * MIB)
         yield env.timeout(1.0)
-        dp.release(alloc)
+        alloc.free()
 
     def waiter(env):
         yield env.timeout(0.1)
         alloc = yield from dp.stage(2 * MIB)
         times.append(env.now)
-        dp.release(alloc)
+        alloc.free()
 
     env.process(hog(env))
     env.process(waiter(env))
@@ -89,8 +90,8 @@ def test_invalid_stage_size():
 
 def test_accounting_meters():
     env, top, dp = make_dp()
-    dp.record_read(1000)
-    dp.record_write(2000)
-    dp.record_write(3000)
+    dp.reads.record(1000)
+    dp.writes.record(2000)
+    dp.writes.record(3000)
     assert dp.reads.bytes == 1000 and dp.reads.ops == 1
     assert dp.writes.bytes == 5000 and dp.writes.ops == 2

@@ -5,9 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.inline import ChaCha20, InlineCrypto
-from repro.hw import SerializedSection, make_paper_testbed
+from repro.hw import make_paper_testbed
 from repro.hw.specs import MIB
-from repro.sim import Environment
+from repro.sim import Environment, FifoServer
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +106,7 @@ def test_accelerated_crypto_cheaper_than_software():
         env = Environment()
         top = make_paper_testbed(env, client=client)
         crypto = InlineCrypto(top.client, bytes(32), accelerated=accelerated)
-        ctx = SerializedSection(env, "t", factor=top.client.spec.cycle_factor)
+        ctx = FifoServer(env, "t", factor=top.client.spec.cycle_factor)
 
         def proc(env):
             for _ in range(8):
@@ -123,7 +123,7 @@ def test_crypto_functional_and_timed():
     env = Environment()
     top = make_paper_testbed(env, client="dpu")
     crypto = InlineCrypto(top.client, RFC_KEY)
-    ctx = SerializedSection(env, "t")
+    ctx = FifoServer(env, "t")
     got = []
 
     def proc(env):
@@ -144,6 +144,6 @@ def test_crypt_requires_size_or_data():
     env = Environment()
     top = make_paper_testbed(env)
     crypto = InlineCrypto(top.client, bytes(32))
-    ctx = SerializedSection(env, "t")
+    ctx = FifoServer(env, "t")
     with pytest.raises(ValueError):
         list(crypto.crypt(ctx, 0))

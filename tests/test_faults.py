@@ -175,6 +175,34 @@ def test_unknown_target_is_rejected_before_prefill(spec, valid):
     assert system.env._faults.armed_at is None
 
 
+def test_arm_stall_occupies_a_bf3_section_unscaled():
+    from repro.hw import BLUEFIELD3, Node
+
+    env = Environment()
+    node = Node(env, "dpu", BLUEFIELD3)
+    sec = node.lock("tcp_stack")
+    # Found by its registry name, booked under the Arm-RX bucket.
+    (comp,) = env.components.get("dpu.tcp_stack")
+    assert comp.obj is sec and comp.kind == "section"
+    assert comp.bucket == sec.name == "dpu.arm_rx"
+    factor = BLUEFIELD3.lock_factor
+    assert factor != 1.0
+    stall = FaultEvent(kind="arm_stall", target="dpu.tcp_stack", at=0.001,
+                       duration=0.002)
+    FaultPlan(events=(stall,)).install(env).arm(0.0)
+    env.run(until=0.0015)
+    assert sec.busy_time == 0.002
+    done = []
+
+    def enter(env):
+        done.append((yield sec.enter(1e-5)))
+
+    env.process(enter(env))
+    env.run()
+    assert done == [(0.001 + 0.002) + 1e-5 * factor]
+    assert sec.busy_time == 0.002 + 1e-5 * factor
+
+
 def test_chaos_cli_exits_2_on_an_unknown_target(capsys):
     from repro.bench.cli import main
 

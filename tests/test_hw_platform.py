@@ -19,7 +19,7 @@ from repro.sim import Environment
 
 
 # ---------------------------------------------------------------------------
-# CpuPool / SerializedSection
+# CpuPool / serialized sections
 # ---------------------------------------------------------------------------
 
 def test_cpu_pool_scales_cost_by_cycle_factor():
@@ -241,6 +241,29 @@ def test_dram_context_manager():
     env.process(proc(env))
     env.run()
     assert used == [400, 0]
+
+
+def test_dram_peak_bytes_watermark():
+    env = Environment()
+    pool = DramPool(env, 1000)
+    seen = []
+
+    def first(env):
+        alloc = yield from pool.alloc(600)
+        yield env.timeout(1)
+        alloc.free()  # serves the waiting 700: more in use than before
+        seen.append((pool.used_bytes, pool.peak_bytes))
+
+    def second(env):
+        alloc = yield from pool.alloc(700)
+        yield env.timeout(1)
+        alloc.free()
+
+    env.process(first(env))
+    env.process(second(env))
+    env.run()
+    assert seen == [(700, 700)]
+    assert pool.used_bytes == 0 and pool.peak_bytes == 700
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,12 @@ cell (DPU client, 2 jobs, seed 7, a 4 ms window: about 400 IOs, under a
 second each) and bounds them per measured IO.
 
 The 4 KiB path cost 267.0 calls per IO on RDMA and 328.9 on TCP before
-its layers were flattened (DESIGN.md §9, "Host cost per IO"), and 144.0
-and 191.6 after.  The bounds are those counts plus 5 %.  The counts are
-CPython 3.11's: 3.12 inlines comprehensions, so it can only count fewer,
-and 3.10 runs the same Python functions (its count is unmeasured).
+its layers were flattened (DESIGN.md §9, "Host cost per IO"), 144.0 and
+191.6 after, and 140.0 and 187.6 once the DRAM pool kept its own
+watermark and the data plane's one-line forwards went.  The bounds are
+those counts plus 5 %.  The counts are CPython 3.11's: 3.12 inlines
+comprehensions, so it can only count fewer, and 3.10 runs the same
+Python functions (its count is unmeasured).
 """
 
 import sys
@@ -23,7 +25,7 @@ from repro.bench import runner
 from repro.sim.core import Environment
 
 #: Calls per measured IO: (count when the bound was set, bound).
-BUDGET = {"rdma": (144.0, 144.0 * 1.05), "tcp": (191.6, 191.6 * 1.05)}
+BUDGET = {"rdma": (140.0, 140.0 * 1.05), "tcp": (187.6, 187.6 * 1.05)}
 
 
 def _calls_per_io(monkeypatch, provider):

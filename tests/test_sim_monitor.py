@@ -2,33 +2,7 @@
 
 import pytest
 
-from repro.sim import Environment, Gauge, LatencyRecorder, RateMeter
-
-
-def test_gauge_time_weighted_mean():
-    env = Environment()
-    g = Gauge(env, "depth")
-
-    def proc(env):
-        g.set(10)
-        yield env.timeout(1)
-        g.set(0)
-        yield env.timeout(1)
-
-    env.process(proc(env))
-    env.run()
-    assert g.mean() == pytest.approx(5.0)
-    assert g.peak == 10
-    assert g.level == 0
-
-
-def test_gauge_add_delta():
-    env = Environment()
-    g = Gauge(env, "q", initial=2)
-    g.add(3)
-    assert g.level == 5
-    g.add(-5)
-    assert g.level == 0
+from repro.sim import Environment, LatencyRecorder, RateMeter
 
 
 def test_rate_meter_reports_rates():
@@ -94,49 +68,6 @@ def test_latency_recorder_disabled():
     rec = LatencyRecorder("lat", enabled=False)
     rec.record(1.0)
     assert len(rec) == 0
-
-
-def test_gauge_max_watermark_and_reset():
-    env = Environment()
-    g = Gauge(env, "stage")
-
-    def proc(env):
-        g.set(7)
-        yield env.timeout(1)
-        g.set(2)
-        yield env.timeout(1)
-
-    env.process(proc(env))
-    env.run()
-    assert g.max() == 7
-    assert g.peak == 7          # alias kept for existing callers
-
-
-def test_gauge_mean_zero_elapsed_window_is_current_level():
-    env = Environment()
-    g = Gauge(env, "q", initial=3)
-    # No simulated time has passed: the mean of a point window is the level.
-    assert g.mean() == 3.0
-    g.set(9)
-    assert g.mean() == 9.0
-
-
-def test_gauge_created_late_integrates_from_creation():
-    env = Environment()
-    holder = {}
-
-    def proc(env):
-        yield env.timeout(5)       # gauge does not exist yet
-        holder["g"] = g = Gauge(env, "late")
-        g.set(10)
-        yield env.timeout(1)
-        g.set(0)
-        yield env.timeout(1)
-
-    env.process(proc(env))
-    env.run()
-    # Integration starts at creation (t=5), not t=0: mean is 10*1/2 = 5.
-    assert holder["g"].mean() == pytest.approx(5.0)
 
 
 # ---------------------------------------------------------------------------

@@ -42,25 +42,19 @@ def test_fifo_server_idle_gap_not_counted():
     assert srv.busy_time == pytest.approx(2.0)
 
 
-def test_fifo_server_rate_units():
+def test_fifo_server_enter_scales_by_factor():
     env = Environment()
-    srv = FifoServer(env, rate=100.0)  # 100 units/sec
+    srv = FifoServer(env, "section", factor=2.5)
     done = []
 
     def client(env, srv):
-        yield srv.serve_units(50)
-        done.append(env.now)
+        done.append((yield srv.enter(0.2)))
+        done.append((yield srv.serve(0.2)))  # serve is unscaled
 
     env.process(client(env, srv))
     env.run()
-    assert done == [pytest.approx(0.5)]
-
-
-def test_fifo_server_serve_units_without_rate_raises():
-    env = Environment()
-    srv = FifoServer(env)
-    with pytest.raises(ValueError):
-        srv.serve_units(10)
+    assert done == [0.2 * 2.5, 0.2 * 2.5 + 0.2]
+    assert srv.busy_time == 0.2 * 2.5 + 0.2
 
 
 def test_fifo_server_negative_duration_raises():

@@ -240,7 +240,7 @@ def test_sampler_littles_law_on_deterministic_queue():
     from repro.sim import FifoServer
 
     env = Environment()
-    server = FifoServer(env, rate=1000.0)  # 1 ms per unit of work
+    server = FifoServer(env)
     st = StationStats("srv")
     server.attach_stats(st)
     s = Sampler(env, interval=5e-4)
@@ -249,7 +249,7 @@ def test_sampler_littles_law_on_deterministic_queue():
 
     def client(env):
         for _ in range(200):
-            yield server.serve_units(1.0)
+            yield server.serve(1.0 / 1000.0)  # 1 ms per unit of work
 
     env.process(client(env))
     env.run(until=0.25)

@@ -325,7 +325,7 @@ class TestLifecycle:
     def test_traced_run_is_bit_identical(self):
         def scenario(env, traced):
             col = SpanCollector(env)
-            srv = FifoServer(env, rate=1e6, name="dev")
+            srv = FifoServer(env, name="dev")
             res = Resource(env, capacity=2, name="lock")
             tracer = WaitTracer(env).install() if traced else None
             finish_times = []
@@ -334,7 +334,7 @@ class TestLifecycle:
                 tr = col.trace(f"op{i}")
                 with res.request() as req:
                     yield req
-                    yield srv.serve_units(512 * (i + 1))
+                    yield srv.serve(512 * (i + 1) / 1e6)
                 yield env.timeout(1e-5 * i)
                 tr.finish()
                 finish_times.append((i, env.now))

@@ -3,9 +3,9 @@ and the PMDK tier."""
 
 import pytest
 
-from repro.hw import NvmeArray, SerializedSection, make_paper_testbed
+from repro.hw import NvmeArray, make_paper_testbed
 from repro.hw.specs import IOURING_PATH, KIB, MIB, NVME_SSD, US
-from repro.sim import Environment
+from repro.sim import Environment, FifoServer
 from repro.storage import (
     BlockDevice,
     IoUringEngine,
@@ -77,7 +77,7 @@ def test_block_device_write_arg_validation():
 
 def test_job_thread_serializes_with_factor():
     env = Environment()
-    t = SerializedSection(env, "t", factor=2.0)
+    t = FifoServer(env, "t", factor=2.0)
     done = []
 
     def work(env):
