@@ -57,7 +57,6 @@ __all__ = [
     "resolve_ref",
     "list_runs",
     "run_summary",
-    "flatten_run",
     "series_from_record",
 ]
 
@@ -376,11 +375,6 @@ def run_summary(record: dict) -> dict:
         "iops": metrics.get("result.iops"),
         "p99": metrics.get("result.latency.p99"),
     }
-
-
-def flatten_run(record: dict) -> Dict[str, float]:
-    """The record's numeric metric namespace (already flat on disk)."""
-    return {k: float(v) for k, v in record.get("metrics", {}).items()}
 
 
 def series_from_record(record: dict, node: Optional[str] = None) -> list:

@@ -18,6 +18,7 @@ from typing import Dict, List
 
 from repro.bench.report import Table
 from repro.sim.timeseries import GAUGE, RATE, UTILIZATION, Sampler, StationStats
+from repro.sim.waits import WaitTracer
 
 __all__ = [
     "SystemReport",
@@ -188,7 +189,22 @@ def install_probes(system, sampler: Sampler) -> Sampler:
     Little's-law check) per NVMe device.  The engine adds
     ``engine.xstreams.busy`` and the ``engine.rpc`` station; the client
     node its data-plane probes and ``<node>.cpu`` station.
+
+    The NVMe and client-CPU stations are fed by the environment's wait
+    tracer, which is installed here if none is.  The RPC station reads
+    the server's own counters.
     """
+    env = system.env
+    tracer = env._wait_tracer
+    if tracer is None:
+        tracer = WaitTracer(env).install()
+
+    def watched(name: str, node) -> None:
+        stats = StationStats()
+        tracer.watch(name, stats)
+        sampler.add_station(name, stats, lambda: stats.in_flight(env.now),
+                            node=node)
+
     def probe(c) -> None:
         obj, cap, node = c.obj, c.capacity, c.node
         if c.kind in ("cpu", "section", "pipe", "nvme"):
@@ -199,20 +215,18 @@ def install_probes(system, sampler: Sampler) -> Sampler:
                               lambda: float(obj.bytes_moved),
                               kind=RATE, unit="B/s", node=node)
         elif c.kind == "nvme":
-            stats = StationStats(c.name)
-            obj.attach_stats(stats)
-            sampler.add_station(c.name, stats, node=node)
+            watched(c.name, node)
         elif c.kind == "engine":
             sampler.add_probe(
                 "engine.xstreams.busy",
                 lambda: fsum(t.xstream.busy_time for t in obj.targets) / obj.n_targets,
                 kind=UTILIZATION, node=node,
             )
-            rpc_stats = StationStats("engine.rpc")
-            obj.rpc.attach_stats(rpc_stats)
-            sampler.add_station("engine.rpc", rpc_stats, node=node)
+            rpc = obj.rpc
+            sampler.add_station("engine.rpc", rpc, lambda: rpc.in_flight,
+                                node=node)
 
-    system.env.components.subscribe(probe)
+    env.components.subscribe(probe)
     dp = system.service.data_plane
     cname = system.client_node.name
     sampler.add_probe(f"{cname}.dp.staged", lambda d=dp: d.staged.used_bytes,
@@ -223,9 +237,7 @@ def install_probes(system, sampler: Sampler) -> Sampler:
     sampler.add_probe(f"{cname}.dp.write.bytes",
                       lambda d=dp: float(d.writes.bytes),
                       kind=RATE, unit="B/s", node=cname)
-    client_stats = StationStats(f"{cname}.cpu")
-    system.client_node.cpu.attach_stats(client_stats)
-    sampler.add_station(f"{cname}.cpu", client_stats, node=cname)
+    watched(system.client_node.cpu.name, cname)
     return sampler
 
 

@@ -158,6 +158,7 @@ class DaosClient:
                     # not an anonymous sleep: blame it on the faulted
                     # resource so the doctor surfaces ``fault:{name}``.
                     wt.reserve(f"fault:{fx.fault_resource()}", delay, 0.0)
+                    wt.claim()
                 yield env.timeout(delay)
                 try:
                     self.channel.ensure_connected()

@@ -17,7 +17,7 @@ replication journal we do not model.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -25,10 +25,8 @@ __all__ = [
     "CELL_BYTES",
     "STRIPE_BYTES",
     "check_aligned",
-    "split_stripe",
     "xor_bytes",
     "reconstruct_cell",
-    "stripe_range",
 ]
 
 #: One EC cell; a stripe is two cells + parity.
@@ -60,30 +58,11 @@ def xor_bytes(a: Optional[bytes], b: Optional[bytes]) -> Optional[bytes]:
     return (va ^ vb).tobytes()
 
 
-def split_stripe(
-    data: Optional[bytes],
-) -> Tuple[Optional[bytes], Optional[bytes], Optional[bytes]]:
-    """One stripe -> (cell0, cell1, parity)."""
-    if data is None:
-        return None, None, None
-    if len(data) != STRIPE_BYTES:
-        raise ValueError(f"stripe must be {STRIPE_BYTES} B, got {len(data)}")
-    c0, c1 = data[:CELL_BYTES], data[CELL_BYTES:]
-    return c0, c1, xor_bytes(c0, c1)
-
-
 def reconstruct_cell(
     surviving: Optional[bytes], parity: Optional[bytes]
 ) -> Optional[bytes]:
     """Rebuild a lost data cell from its sibling and the parity."""
     return xor_bytes(surviving, parity)
-
-
-def stripe_range(offset: int, nbytes: int) -> List[int]:
-    """Stripe indices covered by an aligned range."""
-    check_aligned(offset, nbytes)
-    first = offset // STRIPE_BYTES
-    return list(range(first, first + nbytes // STRIPE_BYTES))
 
 
 def encode(

@@ -85,17 +85,11 @@ class RpcServer:
         self.env: Environment = node.env
         self._handlers: Dict[str, Callable] = {}
         self.requests_served = 0
-        #: Optional telemetry station (attached only while sampling).
-        self.stats = None
-
-    def attach_stats(self, stats) -> None:
-        """Attach a :class:`~repro.sim.timeseries.StationStats` recorder.
-
-        Every dispatched request then reports arrival and sojourn
-        (dispatch to reply-sent), powering the in-flight-RPC counter track
-        and the Little's-law self-check on the RPC station.
-        """
-        self.stats = stats
+        # The RPC station's counters (dispatch to reply sent), which the
+        # sampler reads for its in-flight track and Little's-law check.
+        self.arrivals = 0
+        self.in_flight = 0
+        self.sojourn_sum = 0.0
 
     def register(self, opcode: str, handler: Callable) -> None:
         """Register ``handler(args, src, channel) -> generator`` for ``opcode``."""
@@ -116,9 +110,8 @@ class RpcServer:
         # One generator frame per request: the accounting wrapper and the
         # handler body used to be separate generators, which added a
         # delegation frame to every resumption of every handler.
-        st = self.stats
-        if st is not None:
-            st.arrive()
+        self.arrivals += 1
+        self.in_flight += 1
         t0 = self.env._now
         try:
             payload = msg.payload
@@ -172,8 +165,8 @@ class RpcServer:
                 nbytes=RPC_REPLY_BYTES + wire_extra,
             ))
         finally:
-            if st is not None:
-                st.depart(self.env.now - t0)
+            self.in_flight -= 1
+            self.sojourn_sum += self.env._now - t0
 
     def _send_reply(self, channel: FabricChannel, reply: Message):
         """Send a reply; under fault injection a dead transport drops it.

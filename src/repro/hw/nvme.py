@@ -113,15 +113,6 @@ class NvmeDevice:
         """Fraction of time the device was serving."""
         return self._server.utilization(elapsed)
 
-    def attach_stats(self, stats) -> None:
-        """Attach a telemetry station to the device's command queue.
-
-        ``stats`` (a :class:`~repro.sim.timeseries.StationStats`) then sees
-        every submission's arrival and completion, powering the per-device
-        queue-depth counter track and the Little's-law self-check.
-        """
-        self._server.attach_stats(stats)
-
 
 class NvmeArray:
     """``n`` devices striped into one logical address space.

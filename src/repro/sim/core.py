@@ -47,7 +47,6 @@ __all__ = [
     "NORMAL",
     "SimulationError",
     "Interrupt",
-    "StopProcess",
     "Event",
     "Timeout",
     "Process",
@@ -100,10 +99,6 @@ def tie_scramble(seed: int) -> Callable[[int], int]:
 
 class SimulationError(RuntimeError):
     """Raised for kernel misuse (double-trigger, yield of foreign events...)."""
-
-
-class StopProcess(Exception):
-    """Raised internally to abort a process from outside (rarely needed)."""
 
 
 class Interrupt(Exception):
@@ -210,14 +205,6 @@ class Event:
         self._value = exception
         self.env.schedule(self, 0.0, priority)
         return self
-
-    def trigger(self, event: "Event") -> None:
-        """Mirror another event's outcome (used for chaining)."""
-        if event._ok:
-            self.succeed(event._value)
-        else:
-            self._defused = True
-            self.fail(event._value)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "pending" if self._value is PENDING else ("ok" if self._ok else "failed")
@@ -367,15 +354,6 @@ class Process(Event):
                     # with the same value at the same simulated time.
                     self.callbacks = None
                 return
-            except StopProcess:
-                env._active = None
-                self._ok = True
-                self._value = None
-                if self.callbacks:
-                    env.schedule(self, 0.0, URGENT)
-                else:
-                    self.callbacks = None
-                return
             except BaseException as exc:  # noqa: BLE001 - failure propagates
                 env._active = None
                 self._ok = False
@@ -483,9 +461,8 @@ class Environment:
                  "_events_processed", "_tfree", "_timeouts_recycled",
                  "_wait_tracer", "_tie_scramble", "_faults", "components")
 
-    def __init__(self, initial_time: float = 0.0,
-                 tie_seed: Optional[int] = None) -> None:
-        self._now = float(initial_time)
+    def __init__(self, tie_seed: Optional[int] = None) -> None:
+        self._now = 0.0
         #: Tie-break scrambler (race-sanitizer mode) or None.  When set,
         #: every heap push keys same-time, same-priority events by a
         #: seeded permutation of the sequence number instead of FIFO —
@@ -503,7 +480,7 @@ class Environment:
         self._timeouts_recycled = 0
         #: Wait-cause tracer (:class:`repro.sim.waits.WaitTracer`) or None.
         #: Hot paths pay one ``is not None`` test when no tracer is
-        #: installed, mirroring station ``_stats``.
+        #: installed.
         self._wait_tracer = None
         #: Fault injector (:class:`repro.faults.plan.FaultInjector`) or
         #: None.  Injection points and recovery loops pay one ``is not

@@ -29,14 +29,13 @@ blue.  ``diff_folded(x, x)`` is empty by construction.
 
 from __future__ import annotations
 
-from typing import IO, Dict, Iterable, List, Optional, Tuple, Union
+from typing import IO, Dict, Iterable, Optional, Tuple, Union
 
 from repro.sim.spans import Span
 from repro.sim.waits import WaitRecord
 
 __all__ = ["fold_spans", "fold_waits", "render_collapsed", "write_collapsed",
-           "top_frames", "diff_folded", "render_diff_collapsed",
-           "write_diff_collapsed", "diff_totals"]
+           "diff_folded", "render_diff_collapsed", "write_diff_collapsed"]
 
 #: Seconds -> integer nanoseconds (collapsed-stack weights).
 NS = 1e9
@@ -169,24 +168,3 @@ def write_diff_collapsed(path_or_file: Union[str, IO[str]],
     with open(path_or_file, "w") as fh:
         fh.write(text)
     return path_or_file
-
-
-def diff_totals(diff: Dict[str, Tuple[int, int]],
-                n: int = 10) -> List[tuple]:
-    """``(leaf_frame, delta_ns)`` largest absolute movers, for reports."""
-    totals: Dict[str, int] = {}
-    for stack, (a, b) in diff.items():
-        leaf = stack.rsplit(";", 1)[-1]
-        totals[leaf] = totals.get(leaf, 0) + (b - a)
-    rows = sorted(totals.items(), key=lambda kv: (-abs(kv[1]), kv[0]))
-    return rows[:n]
-
-
-def top_frames(folded: Dict[str, int], n: int = 10) -> List[tuple]:
-    """``(leaf_frame, total_ns)`` heaviest leaf frames, for quick reports."""
-    totals: Dict[str, int] = {}
-    for stack, weight in folded.items():
-        leaf = stack.rsplit(";", 1)[-1]
-        totals[leaf] = totals.get(leaf, 0) + weight
-    rows = sorted(totals.items(), key=lambda kv: (-kv[1], kv[0]))
-    return rows[:n]

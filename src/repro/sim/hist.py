@@ -12,7 +12,7 @@ end).
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List
+from typing import Dict, Iterable
 
 __all__ = ["LogHistogram"]
 
@@ -114,9 +114,6 @@ class LogHistogram:
                 # The true value lies inside [min, max] by construction.
                 return min(max(rep, self.min), self.max)
         return self.max
-
-    def percentiles(self, ps: Iterable[float]) -> List[float]:
-        return [self.percentile(p) for p in ps]
 
     # -- merging & export --------------------------------------------------
 

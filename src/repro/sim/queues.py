@@ -74,8 +74,7 @@ class FifoServer:
     (:mod:`repro.hw.cpu`).  Its :attr:`name` is its blame bucket.
     """
 
-    __slots__ = ("env", "name", "factor", "_free_at", "busy_time", "ops",
-                 "_stats")
+    __slots__ = ("env", "name", "factor", "_free_at", "busy_time", "ops")
 
     def __init__(self, env: Environment, name: Optional[str] = None,
                  factor: float = 1.0) -> None:
@@ -89,26 +88,14 @@ class FifoServer:
         self.busy_time = 0.0
         #: Number of operations served.
         self.ops = 0
-        #: Optional telemetry station (attached only while sampling).
-        self._stats = None
-
-    def attach_stats(self, stats) -> None:
-        """Attach a :class:`~repro.sim.timeseries.StationStats` recorder.
-
-        The hot loop pays one ``is not None`` test when detached; with a
-        recorder attached every reservation reports its arrival and
-        (analytically known) completion time, feeding the in-flight gauge
-        and the Little's-law self-check.
-        """
-        self._stats = stats
 
     def reserve(self, duration: float) -> Tuple[float, float]:
         """Reserve ``duration`` seconds of service; return ``(start, done)``.
 
-        The station's one reservation: it books the busy time, the op
-        count and the station recorder, and schedules nothing.  A caller
-        that wakes itself (a pipe's chunk, a striped I/O's pieces) books
-        the wait tracer too; :meth:`serve` is this plus both.
+        The station's one reservation: it books the busy time and the op
+        count, and schedules nothing.  A caller that wakes itself (a
+        striped I/O's pieces) books the wait tracer too; :meth:`serve` is
+        this plus both.
         """
         if duration < 0:
             raise ValueError(f"negative service duration {duration}")
@@ -119,8 +106,6 @@ class FifoServer:
         self._free_at = done
         self.busy_time += duration
         self.ops += 1
-        if self._stats is not None:
-            self._stats.record(now, done)
         return start, done
 
     def serve(self, duration: float, *delays: float,
@@ -152,8 +137,6 @@ class FifoServer:
         self._free_at = done
         self.busy_time += duration
         self.ops += 1
-        if self._stats is not None:
-            self._stats.record(now, done)
         # ``+ 0.0`` leaves a time unchanged, so the plain wake-up is
         # ``timeout(done - now)``'s instant.
         when = now + (done - now) + latency
@@ -162,7 +145,6 @@ class FifoServer:
         wt = env._wait_tracer
         if wt is not None:
             wt.reserve(self.name, start - now, duration, latency)
-            wt.on_timeout(when - now)
         # The wake-up Timeout, pushed here as ``timeout_until(when, done)``
         # would push it, with one call less per reservation.
         tfree = env._tfree
@@ -200,8 +182,7 @@ class PooledServer:
     pool under non-preemptive dispatch.
     """
 
-    __slots__ = ("env", "n", "name", "factor", "_free", "busy_time", "ops",
-                 "_stats")
+    __slots__ = ("env", "n", "name", "factor", "_free", "busy_time", "ops")
 
     def __init__(self, env: Environment, n: int,
                  name: Optional[str] = None) -> None:
@@ -218,12 +199,6 @@ class PooledServer:
         heapq.heapify(self._free)
         self.busy_time = 0.0
         self.ops = 0
-        #: Optional telemetry station (attached only while sampling).
-        self._stats = None
-
-    def attach_stats(self, stats) -> None:
-        """Attach a :class:`~repro.sim.timeseries.StationStats` recorder."""
-        self._stats = stats
 
     def execute(self, duration: float, *delays: float) -> Timeout:
         """Reserve ``duration`` seconds, scaled by :attr:`factor`, on the
@@ -249,15 +224,12 @@ class PooledServer:
         heapq.heapreplace(free_at, done)
         self.busy_time += duration
         self.ops += 1
-        if self._stats is not None:
-            self._stats.record(now, done)
         when = now + (done - now)
         for d in delays:
             when += d
         wt = env._wait_tracer
         if wt is not None:
             wt.reserve(self.name, start - now, duration)
-            wt.on_timeout(when - now)
         # The wake-up Timeout, pushed as in :meth:`FifoServer.serve`.
         tfree = env._tfree
         if tfree:
@@ -319,7 +291,7 @@ class BandwidthPipe:
     the undo log without being rolled back.  Reading the tracer makes
     the slots due by then final first.  A transfer of one chunk is the
     chunk loop's one reservation, made at once.  Every transfer takes
-    this path, observed or not; a pipe has no station recorder.
+    this path, observed or not.
 
     Use from a process as ``yield from pipe.transfer(nbytes)``.
     """
@@ -409,6 +381,7 @@ class BandwidthPipe:
                 if self._requests or self._finishing:
                     self._sync()
                 wt.reserve(self._server.name, 0.0, 0.0, self.latency)
+                wt.claim()
             yield env.timeout(self.latency)
         if nbytes == 0:
             return

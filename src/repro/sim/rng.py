@@ -52,7 +52,3 @@ class RngStreams:
     def _key(name: str) -> tuple:
         # Stable mapping of a stream name to a SeedSequence spawn key.
         return tuple(name.encode("utf-8"))
-
-    def fork(self, salt: int) -> "RngStreams":
-        """Derive an independent family of streams (per-run seeding)."""
-        return RngStreams(self.root_seed ^ (salt * 0x9E3779B1 & 0xFFFFFFFF))

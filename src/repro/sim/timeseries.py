@@ -23,10 +23,12 @@ Three pieces:
   reads state — it never occupies a resource — so an instrumented run
   produces bit-identical simulated results to a bare one, and when it is
   never started the kernel schedules nothing at all (zero cost when off).
-* :class:`StationStats` + :meth:`Sampler.littles_law` — per-station
-  arrival/sojourn accounting and the ``L = λW`` self-check that keeps the
-  whole observability pipeline honest: the *sampled* mean in-flight count
-  must match arrival-rate × mean-sojourn computed from exact counters.
+* :meth:`Sampler.add_station` + :meth:`Sampler.littles_law` — per-station
+  arrival/sojourn counters (a :class:`StationStats` the wait tracer
+  feeds, or the RPC server's own) and the ``L = λW`` self-check that
+  keeps the whole observability pipeline honest: the *sampled* mean
+  in-flight count must match arrival-rate × mean-sojourn computed from
+  exact counters.
 """
 
 from __future__ import annotations
@@ -213,81 +215,37 @@ class Probe:
 
 
 class StationStats:
-    """Arrival/sojourn accounting for one queueing station.
+    """Arrival/sojourn accounting for one reservation station.
 
-    Feeds both the in-flight gauge (instantaneous number in system,
-    queued + in service) and the exact side of the Little's-law check:
-    ``arrivals`` and ``sojourn_sum`` are updated with O(1) float work per
-    operation, so λ and W are exact while ``L`` comes from the sampler.
-
-    Two usage styles:
-
-    * **reservation** — completion time is known at arrival
-      (:class:`~repro.sim.queues.FifoServer` analytics):
-      ``record(t_arrive, t_done)``; in-flight is reconstructed lazily from
-      a min-heap of outstanding completion times.
-    * **event** — completion is a separate program point
-      (RPC dispatch): ``arrive()`` then later ``depart(sojourn)``.
+    The wait tracer feeds it every booking of the station's name
+    (:meth:`~repro.sim.waits.WaitTracer.watch`); a reservation's
+    completion is known when it is booked.  ``arrivals`` and
+    ``sojourn_sum`` are the exact side of the Little's-law check, and the
+    in-flight gauge (queued + in service) is reconstructed lazily from a
+    min-heap of outstanding completion times.
     """
 
-    __slots__ = ("name", "arrivals", "sojourn_sum", "_done", "_current")
+    __slots__ = ("arrivals", "sojourn_sum", "_done")
 
-    def __init__(self, name: str) -> None:
-        self.name = name
+    def __init__(self) -> None:
         #: Operations that entered the station.
         self.arrivals = 0
         #: Summed time-in-system (queue wait + service) in seconds.
         self.sojourn_sum = 0.0
         self._done: List[float] = []  # outstanding completion times (heap)
-        self._current = 0             # event-style in-flight count
-
-    # -- reservation style ---------------------------------------------------
 
     def record(self, t_arrive: float, t_done: float) -> None:
-        """Account one operation arriving now and completing at ``t_done``."""
+        """Account one operation arriving at ``t_arrive``, done at ``t_done``."""
         self.arrivals += 1
         self.sojourn_sum += t_done - t_arrive
         heapq.heappush(self._done, t_done)
-
-    # -- event style ---------------------------------------------------------
-
-    def arrive(self) -> None:
-        """One operation entered the station (completion not yet known)."""
-        self.arrivals += 1
-        self._current += 1
-
-    def depart(self, sojourn: float) -> None:
-        """The operation that arrived earliest-unmatched left after ``sojourn``."""
-        self.sojourn_sum += sojourn
-        self._current -= 1
-
-    # -- queries -------------------------------------------------------------
 
     def in_flight(self, now: float) -> int:
         """Number in system at ``now`` (pops expired reservations)."""
         done = self._done
         while done and done[0] <= now:
             heapq.heappop(done)
-        return len(done) + self._current
-
-    def mean_sojourn(self) -> float:
-        """W — mean time in system per arrival (0 when idle)."""
-        return self.sojourn_sum / self.arrivals if self.arrivals else 0.0
-
-    def arrival_rate(self, elapsed: float) -> float:
-        """λ — arrivals per second over ``elapsed``."""
-        return self.arrivals / elapsed if elapsed > 0.0 else 0.0
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "arrivals": self.arrivals,
-            "sojourn_sum": self.sojourn_sum,
-            "mean_sojourn": self.mean_sojourn(),
-        }
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<StationStats {self.name} arrivals={self.arrivals}>"
+        return len(done)
 
 
 class Sampler:
@@ -316,7 +274,11 @@ class Sampler:
         self.interval = float(interval)
         self.capacity = int(capacity)
         self.series: Dict[str, TimeSeries] = {}
-        self.stations: Dict[str, StationStats] = {}
+        #: Registered stations: name -> an object counting ``arrivals``
+        #: and ``sojourn_sum``.
+        self.stations: Dict[str, object] = {}
+        # Each station's counters when it was registered.
+        self._base: Dict[str, Tuple[int, float]] = {}
         self._probes: List[Probe] = []
         self._proc = None
         self._stopped = False
@@ -341,17 +303,20 @@ class Sampler:
                                        unit=unit, kind=kind, node=node)
         return probe
 
-    def add_station(self, name: str, stats: StationStats,
-                    node: Optional[str] = None) -> StationStats:
-        """Register a queueing station: in-flight gauge + Little's-law check."""
+    def add_station(self, name: str, station, in_flight: Callable[[], int],
+                    node: Optional[str] = None) -> None:
+        """Register a queueing station: in-flight gauge + Little's-law check.
+
+        ``station`` counts ``arrivals`` and ``sojourn_sum``; the check
+        uses what they add from now on.  ``in_flight()`` reads its number
+        in system (queued + in service).
+        """
         if name in self.stations:
             raise ValueError(f"duplicate station name {name!r}")
-        self.stations[name] = stats
-        env = self.env
-        self.add_probe(f"{name}.in_flight",
-                       lambda: float(stats.in_flight(env.now)),
+        self.stations[name] = station
+        self._base[name] = (station.arrivals, station.sojourn_sum)
+        self.add_probe(f"{name}.in_flight", lambda: float(in_flight()),
                        kind=GAUGE, unit="ops", node=node)
-        return stats
 
     # -- life cycle ----------------------------------------------------------
 
@@ -413,7 +378,8 @@ class Sampler:
         """The ``L = λW`` self-check for every registered station.
 
         ``L`` is the *sampled* time-weighted mean of the in-flight series,
-        ``λ`` and ``W`` come from the station's exact counters; a healthy
+        ``λ`` and ``W`` come from the station's exact counters (what they
+        added since :meth:`add_station`); a healthy
         telemetry pipeline keeps ``|L - λW| / λW`` within ``tolerance``.
         Stations with fewer than ``min_arrivals`` are reported but marked
         ``checked=False`` (the law is asymptotic).
@@ -421,34 +387,49 @@ class Sampler:
         out: Dict[str, dict] = {}
         elapsed = self.elapsed()
         for name in sorted(self.stations):
-            st = self.stations[name]
+            arrivals, sojourn = self._counters(name)
             series = self.series[f"{name}.in_flight"]
-            lam = st.arrival_rate(elapsed)
-            w = st.mean_sojourn()
+            lam = arrivals / elapsed if elapsed > 0.0 else 0.0
+            w = sojourn / arrivals if arrivals else 0.0
             rhs = lam * w
             sampled_l = series.time_weighted_mean()
             if rhs > 0.0:
                 rel_err = abs(sampled_l - rhs) / rhs
             else:
                 rel_err = abs(sampled_l)
-            checked = st.arrivals >= min_arrivals
+            checked = arrivals >= min_arrivals
             out[name] = {
                 "L_sampled": sampled_l,
                 "lambda": lam,
                 "W": w,
                 "lambda_W": rhs,
                 "rel_err": rel_err,
-                "arrivals": st.arrivals,
+                "arrivals": arrivals,
                 "checked": checked,
                 "ok": (rel_err <= tolerance) if checked else True,
             }
         return out
 
+    def _counters(self, name: str) -> Tuple[int, float]:
+        """``(arrivals, sojourn_sum)`` a station added since registration."""
+        st = self.stations[name]
+        arrivals0, sojourn0 = self._base[name]
+        return st.arrivals - arrivals0, st.sojourn_sum - sojourn0
+
     def to_dict(self) -> dict:
+        stations = {}
+        for name in sorted(self.stations):
+            arrivals, sojourn = self._counters(name)
+            stations[name] = {
+                "name": name,
+                "arrivals": arrivals,
+                "sojourn_sum": sojourn,
+                "mean_sojourn": sojourn / arrivals if arrivals else 0.0,
+            }
         return {
             "interval": self.interval,
             "t_start": self.t_start,
             "ticks": self.ticks,
             "series": {k: v.to_dict() for k, v in sorted(self.series.items())},
-            "stations": {k: v.to_dict() for k, v in sorted(self.stations.items())},
+            "stations": stations,
         }

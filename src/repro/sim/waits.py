@@ -46,6 +46,8 @@ Two accounting streams come out:
 * :attr:`WaitTracer.aggregates` — per-resource scalar totals over *all*
   operations since install (prefill included).  These pair with each
   station's own ``busy_time`` for the doctor's utilization-law check.
+  A station the sampler watches (:meth:`WaitTracer.watch`) is fed from
+  the same bookings: the tracer is the one thing a station reports to.
 * :attr:`WaitTracer.records` — span-attributed events (only recorded when
   the waiting process has an open span, i.e. for sampled requests).
   These feed the blame ranking, the per-span decomposition and the
@@ -61,6 +63,7 @@ from repro.sim.timeseries import GAUGE, TimeSeries
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.core import Environment
     from repro.sim.spans import Span
+    from repro.sim.timeseries import StationStats
 
 __all__ = ["WaitTracer", "WaitRecord", "ResourceWait",
            "RESERVE", "BLOCK", "SLEEP", "SLEEP_RESOURCE", "ANON_RESOURCE"]
@@ -125,15 +128,19 @@ class WaitRecord:
 class ResourceWait:
     """Per-resource scalar aggregates over every operation since install."""
 
-    __slots__ = ("name", "count", "wait", "service", "latency", "block")
+    __slots__ = ("name", "count", "wait", "service", "latency", "block",
+                 "station")
 
-    def __init__(self, name: str) -> None:
+    def __init__(self, name: str, station=None) -> None:
         self.name = name
         self.count = 0
         self.wait = 0.0
         self.service = 0.0
         self.latency = 0.0
         self.block = 0.0
+        #: The sampler's station for this name (:meth:`WaitTracer.watch`)
+        #: or None.
+        self.station = station
 
     def to_dict(self) -> dict:
         return {
@@ -165,12 +172,15 @@ class WaitTracer:
         #: Events not recorded because ``max_records`` was reached.
         self.records_dropped = 0
         self._aggregates: Dict[str, ResourceWait] = {}
+        # Stations the sampler watches (see :meth:`watch`), by name.
+        self._watched: Dict[str, "StationStats"] = {}
         # Per-process open-span stacks, keyed by the Process object that
         # pushed the span (None for module-level pushes).
         self._stacks: Dict[object, List["Span"]] = {}
-        # Reservation primitives set this right before creating their
-        # wake-up timeout so Environment.timeout does not double-count
-        # the same sim-time passage as a sleep.
+        # Set by :meth:`claim` right before a caller that booked its own
+        # wait creates the timeout it sleeps through, so
+        # Environment.timeout does not book the same passage again as a
+        # sleep.
         self._claimed = False
         # Parked request/put/get events -> (resource, park time, span).
         # Keyed by the event object itself (strong ref, removed at grant
@@ -246,11 +256,10 @@ class WaitTracer:
                 latency: float = 0.0) -> None:
         """A reservation server computed its analytic wait/service split.
 
-        Books it now, on the active span, and claims the primitive's
-        immediately-following wake-up timeout so it is not double-counted
-        as a sleep.
+        Books it now, on the active span.  A station pushes its own
+        wake-up, so no timeout follows; a caller that sleeps through
+        ``env.timeout`` after booking calls :meth:`claim` first.
         """
-        self._claimed = True
         stack = self._stacks.get(self.env._active)
         self.book(name, wait, service, latency,
                   stack[-1] if stack else None, self.env._now)
@@ -258,6 +267,25 @@ class WaitTracer:
     def claim(self) -> None:
         """Consume the next timeout silently: its caller books it itself."""
         self._claimed = True
+
+    def watch(self, name: str, station: "StationStats") -> None:
+        """Feed every later booking of ``name`` to ``station``.
+
+        Each one arrives at its instant ``t`` and leaves at ``t + wait +
+        service``: the sampler's in-flight gauge and Little's-law counters
+        see exactly the reservations the aggregates count.
+        """
+        self._watched[name] = station
+        agg = self._aggregates.get(name)
+        if agg is not None:
+            agg.station = station
+
+    def _aggregate(self, name: str) -> ResourceWait:
+        agg = self._aggregates.get(name)
+        if agg is None:
+            agg = self._aggregates[name] = ResourceWait(
+                name, self._watched.get(name))
+        return agg
 
     def book(self, name: Optional[str], wait: float, service: float,
              latency: float, span: Optional["Span"], t: float,
@@ -275,13 +303,16 @@ class WaitTracer:
             name = ANON_RESOURCE
         agg = self._aggregates.get(name)
         if agg is None:
-            agg = self._aggregates[name] = ResourceWait(name)
+            agg = self._aggregate(name)
         agg.count += 1
         agg.wait += wait
         agg.service += service
         agg.latency += latency
         if wait > 0.0:
             self._bump_series(name, t, agg.wait + agg.block)
+        station = agg.station
+        if station is not None:
+            station.record(t, t + wait + service)
         if span is not None:
             self._append(WaitRecord(span, name, kind,
                                     wait, service, latency, t))
@@ -289,7 +320,7 @@ class WaitTracer:
     def on_timeout(self, delay: float) -> None:
         """``env.timeout``/``timeout_until`` was called.
 
-        Consumed silently when a reservation just claimed it; otherwise
+        Consumed silently when its caller just claimed it; otherwise
         this is a pure delay, attributed to the ``(sleep)`` pseudo-resource
         of the active span (unattributed sleeps — samplers, idle loops —
         are not recorded at all).
@@ -330,9 +361,7 @@ class WaitTracer:
         name, t0, span = info
         now = self.env._now
         dur = now - t0
-        agg = self._aggregates.get(name)
-        if agg is None:
-            agg = self._aggregates[name] = ResourceWait(name)
+        agg = self._aggregate(name)
         agg.count += 1
         agg.block += dur
         if dur > 0.0:

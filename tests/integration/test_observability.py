@@ -36,6 +36,18 @@ def test_littles_law_holds_at_every_station(observed):
             f"(rel_err={row['rel_err'] * 100:.1f}%)")
 
 
+def test_stations_count_exactly_what_the_tracer_booked(observed):
+    """The NVMe and client-CPU stations report only to the wait tracer:
+    each one's arrivals are its tracer aggregate's booking count."""
+    law = observed.sampler.littles_law(tolerance=0.05)
+    aggregates = observed.tracer.aggregates
+    fed = sorted(n for n in law if n != "engine.rpc")
+    assert "dpu.cpu" in fed and any(n.startswith("nvme.") for n in fed)
+    for name in fed:
+        assert law[name]["arrivals"] == aggregates[name].count > 0, name
+        assert law[name]["checked"] and law[name]["ok"], (name, law[name])
+
+
 def test_sampled_series_cover_the_required_signals(observed):
     names = set(observed.sampler.series)
     # CPU, NVMe queue depth, NIC, Arm-core/TCP-RX load, in-flight RPCs.

@@ -42,6 +42,7 @@ def chunk_loop_transfer(pipe, nbytes):
         wt = env._wait_tracer
         if wt is not None:
             wt.reserve(srv.name, 0.0, 0.0, pipe.latency)
+            wt.claim()
         yield env.timeout(pipe.latency)
     chunk = pipe.chunk_bytes
     bw = pipe.bandwidth

@@ -146,10 +146,6 @@ class TestStorage:
         assert s["iops"] == records[0]["metrics"]["result.iops"]
         assert s["p99"] == records[0]["metrics"]["result.latency.p99"]
 
-    def test_flatten_run_is_numeric(self, tiny_record):
-        flat = lg.flatten_run(tiny_record)
-        assert flat and all(isinstance(v, float) for v in flat.values())
-
 
 class TestSeries:
     def test_pack_points_preserves_final_value_and_span(self, tiny_run):

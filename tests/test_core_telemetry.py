@@ -102,6 +102,10 @@ def test_observe_on_real_system():
                                         n_ssds=1))
     token = system.register_tenant("tl")
     sampler = observe(system, interval=1e-4)
+    # With no wait tracer on the environment, observing installs one:
+    # it feeds the NVMe and client-CPU stations.
+    tracer = env._wait_tracer
+    assert tracer is not None
 
     def go(env):
         yield from system.start()
@@ -120,6 +124,8 @@ def test_observe_on_real_system():
     # every registered station reports a Little's-law row.
     assert sampler.series["nvme.ssd0.busy"].max() > 0.0
     assert set(sampler.littles_law()) == set(sampler.stations)
+    assert sampler.stations["nvme.ssd0"].arrivals == \
+        tracer.aggregates["nvme.ssd0"].count > 0
     doc = sampler.to_dict()
     assert set(doc["series"]) == set(sampler.series)
 
@@ -135,8 +141,11 @@ def test_observing_adds_no_component():
     assert "storage.tcp_stack" not in before
     snapshot(system)
     doctor_stations(system)
+    assert system.env._wait_tracer is None
     observe(system).stop()
     assert [c.name for c in reg] == before
+    # The wait tracer it installs to feed its stations is no component.
+    assert system.env._wait_tracer is not None
 
 
 def test_one_name_per_resource():

@@ -12,7 +12,6 @@ from repro.daos.erasure import (
     encode,
     interleave,
     reconstruct_cell,
-    stripe_range,
     xor_bytes,
 )
 from repro.daos.rpc import RpcError
@@ -35,11 +34,6 @@ def test_alignment_checks():
         check_aligned(0, STRIPE_BYTES - 1)
     with pytest.raises(ValueError):
         check_aligned(0, 0)
-
-
-def test_stripe_range():
-    assert stripe_range(0, STRIPE_BYTES) == [0]
-    assert stripe_range(2 * STRIPE_BYTES, 3 * STRIPE_BYTES) == [2, 3, 4]
 
 
 def test_xor_bytes_basics():

@@ -47,6 +47,32 @@ def test_call_roundtrip():
     assert server.requests_served == 1
 
 
+def test_rpc_server_counts_its_station():
+    """``arrivals``/``in_flight``/``sojourn_sum`` run from dispatch to
+    reply sent: the RPC station the sampler's Little's-law check reads."""
+    env, top, ch, server, client = setup()
+    seen = []
+
+    def slow(args, src, channel):
+        seen.append(server.in_flight)
+        yield env.timeout(args["d"])
+        return {}
+
+    server.register("slow", slow)
+    server.serve(ch)
+
+    def main(env):
+        yield from client.call("slow", {"d": 1e-3})
+        yield from client.call("slow", {"d": 3e-3})
+
+    p = env.process(main(env))
+    env.run(until=p)
+    assert seen == [1, 1]
+    assert server.arrivals == 2 and server.in_flight == 0
+    # Each sojourn is the handler's sleep plus the reply's send.
+    assert 4e-3 < server.sojourn_sum < 5e-3
+
+
 def test_unknown_opcode_raises_client_side():
     env, top, ch, server, client = setup()
     server.serve(ch)

@@ -396,7 +396,8 @@ def test_array_rejects_empty_or_negative_io_before_reserving():
 
 
 def test_station_recorder_keeps_the_inline_join():
-    """A recorder only watches: the join, its event and its booking stay.
+    """A station watched through the tracer sees every piece of a split
+    I/O, and the join, its event and its booking stay.
 
     The caller's open span keeps the RESERVE record of the piece it waited
     for, so a doctored run with its sampler on blames the same devices.
@@ -407,10 +408,10 @@ def test_station_recorder_keeps_the_inline_join():
 
     env = Environment()
     arr = NvmeArray(env, NVME_SSD, n_devices=2, stripe_bytes=MIB)
-    stats = [StationStats(dev.name) for dev in arr.devices]
-    for dev, st in zip(arr.devices, stats):
-        dev.attach_stats(st)
     tracer = WaitTracer(env).install()
+    stats = [StationStats() for _ in arr.devices]
+    for dev, st in zip(arr.devices, stats):
+        tracer.watch(dev.name, st)
     col = SpanCollector(env)
     spans = []
 

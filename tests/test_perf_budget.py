@@ -11,8 +11,11 @@ second each) and bounds them per measured IO.
 The 4 KiB path cost 267.0 calls per IO on RDMA and 328.9 on TCP before
 its layers were flattened (DESIGN.md §9, "Host cost per IO"), 144.0 and
 191.6 after, and 140.0 and 187.6 once the DRAM pool kept its own
-watermark and the data plane's one-line forwards went.  The bounds are
-those counts plus 5 %.  The counts are CPython 3.11's: 3.12 inlines
+watermark and the data plane's one-line forwards went.  The doctored
+twin of the cell (``run_fig5_doctored``: the wait tracer and 1-in-20
+request spans on, no sampler) cost 192.7 and 270.1 while each station
+reservation also called the tracer's ``on_timeout``; it costs 179.7 and
+249.2 with that call gone.  The bounds are those counts plus 5 %.  The counts are CPython 3.11's: 3.12 inlines
 comprehensions, so it can only count fewer, and 3.10 runs the same
 Python functions (its count is unmeasured).
 """
@@ -26,9 +29,12 @@ from repro.sim.core import Environment
 
 #: Calls per measured IO: (count when the bound was set, bound).
 BUDGET = {"rdma": (140.0, 140.0 * 1.05), "tcp": (187.6, 187.6 * 1.05)}
+#: The same for the doctored cell (wait tracer and 1-in-20 spans on, no
+#: sampler).
+DOCTORED_BUDGET = {"rdma": (179.7, 179.7 * 1.05), "tcp": (249.2, 249.2 * 1.05)}
 
 
-def _calls_per_io(monkeypatch, provider):
+def _calls_per_io(monkeypatch, cell, provider):
     """Profile ``call`` events over the cell's measured window, per IO."""
     calls = [0]
     runs = [0]
@@ -58,16 +64,35 @@ def _calls_per_io(monkeypatch, provider):
             monkeypatch.setattr(Environment, "run", orig_run)
 
     monkeypatch.setattr(runner, "run_fio", run_fio)
-    result = runner.run_fig5_cell(provider, "dpu", "randread", 4096, 2,
-                                  runtime=0.004, seed=7)
+    result = cell(provider)
     assert runs[0] == 2 and result.total_ios > 300
     return calls[0] / result.total_ios
+
+
+def _plain(provider):
+    return runner.run_fig5_cell(provider, "dpu", "randread", 4096, 2,
+                                runtime=0.004, seed=7)
+
+
+def _doctored(provider):
+    return runner.run_fig5_doctored(provider, "dpu", "randread", 4096, 2,
+                                    runtime=0.004, seed=7,
+                                    observe_sampler=False).result
 
 
 @pytest.mark.parametrize("provider", sorted(BUDGET))
 def test_calls_per_io_stay_within_budget(monkeypatch, provider):
     measured, bound = BUDGET[provider]
-    per_io = _calls_per_io(monkeypatch, provider)
+    per_io = _calls_per_io(monkeypatch, _plain, provider)
     assert per_io <= bound, (
         f"{provider} 4 KiB read costs {per_io:.1f} Python calls per IO, "
         f"over the budget {bound:.1f} (set at {measured})")
+
+
+@pytest.mark.parametrize("provider", sorted(DOCTORED_BUDGET))
+def test_doctored_calls_per_io_stay_within_budget(monkeypatch, provider):
+    measured, bound = DOCTORED_BUDGET[provider]
+    per_io = _calls_per_io(monkeypatch, _doctored, provider)
+    assert per_io <= bound, (
+        f"doctored {provider} 4 KiB read costs {per_io:.1f} Python calls "
+        f"per IO, over the budget {bound:.1f} (set at {measured})")

@@ -8,12 +8,10 @@ import pytest
 from repro.sim import Environment, SpanCollector, WaitTracer
 from repro.sim.flame import (
     diff_folded,
-    diff_totals,
     fold_spans,
     fold_waits,
     render_collapsed,
     render_diff_collapsed,
-    top_frames,
     write_collapsed,
     write_diff_collapsed,
 )
@@ -141,10 +139,6 @@ class TestRendering:
         assert write_collapsed(buf, folded) is None
         assert buf.getvalue() == "a;b 10\n"
 
-    def test_top_frames_by_leaf(self):
-        folded = {"a;x": 5, "b;x": 7, "a;y": 3}
-        assert top_frames(folded, n=2) == [("x", 12), ("y", 3)]
-
 
 class TestGoldenFig5:
     """Pin the exact collapsed-stack output of a small deterministic cell."""
@@ -204,10 +198,6 @@ class TestDiffFolded:
         buf = io.StringIO()
         assert write_diff_collapsed(buf, diff) is None
         assert buf.getvalue() == "a;b 10 3\n"
-
-    def test_diff_totals_ranks_leaf_movers(self):
-        diff = {"a;x": (10, 0), "b;x": (5, 0), "a;y": (0, 12)}
-        assert diff_totals(diff, n=2) == [("x", -15), ("y", 12)]
 
 
 class TestChromeTraceCounterTracks:

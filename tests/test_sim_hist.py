@@ -152,5 +152,5 @@ def test_percentiles_monotonic_in_p(values):
     h = LogHistogram()
     h.record_many(values)
     ps = [1, 10, 25, 50, 75, 90, 99, 99.9]
-    qs = h.percentiles(ps)
+    qs = [h.percentile(p) for p in ps]
     assert qs == sorted(qs)

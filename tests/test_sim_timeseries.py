@@ -110,33 +110,47 @@ def test_probe_rejects_unknown_kind():
 # ---------------------------------------------------------------------------
 
 def test_station_stats_reservation_style():
-    st = StationStats("nvme0")
+    st = StationStats()
     st.record(0.0, 2.0)
     st.record(0.5, 1.0)
     assert st.arrivals == 2
     assert st.sojourn_sum == pytest.approx(2.5)
-    assert st.mean_sojourn() == pytest.approx(1.25)
     assert st.in_flight(0.6) == 2
     assert st.in_flight(1.0) == 1   # second op done at t=1
     assert st.in_flight(2.0) == 0
-    assert st.arrival_rate(2.0) == pytest.approx(1.0)
-
-
-def test_station_stats_event_style():
-    st = StationStats("rpc")
-    st.arrive()
-    st.arrive()
-    assert st.in_flight(0.0) == 2
-    st.depart(0.25)
-    assert st.in_flight(0.0) == 1
-    assert st.mean_sojourn() == pytest.approx(0.125)
 
 
 def test_station_stats_idle_queries():
-    st = StationStats("idle")
-    assert st.mean_sojourn() == 0.0
-    assert st.arrival_rate(0.0) == 0.0
+    st = StationStats()
+    assert st.arrivals == 0 and st.sojourn_sum == 0.0
     assert st.in_flight(1.0) == 0
+
+
+def test_a_watched_name_feeds_its_station_every_booking():
+    """The wait tracer is the station's one recorder: every booking of
+    the watched name reaches it, a reservation's and a closed-form
+    ``book`` alike, and no other name does."""
+    from repro.sim import FifoServer
+    from repro.sim.waits import WaitTracer
+
+    env = Environment()
+    tracer = WaitTracer(env).install()
+    server = FifoServer(env, name="srv")
+    st = StationStats()
+    tracer.watch("srv", st)
+
+    def client(env):
+        server.serve(2.0)
+        yield server.serve(1.0)  # queued 2 s behind the first
+        tracer.book("srv", 0.5, 0.25, 9.0, None, env.now)  # a split piece
+        tracer.book("other", 0.0, 1.0, 0.0, None, env.now)
+
+    env.process(client(env))
+    env.run()
+    assert st.arrivals == tracer.aggregates["srv"].count == 3
+    # Sojourns: 2, 2 + 1, and the piece's wait + service, not its latency.
+    assert st.sojourn_sum == pytest.approx(5.75)
+    assert st.in_flight(3.0) == 1 and st.in_flight(3.75) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -151,9 +165,29 @@ def test_sampler_rejects_bad_interval_and_duplicates():
     s.add_probe("a", lambda: 0.0)
     with pytest.raises(ValueError):
         s.add_probe("a", lambda: 0.0)
-    s.add_station("st", StationStats("st"))
+    st = StationStats()
+    s.add_station("st", st, lambda: st.in_flight(env.now))
     with pytest.raises(ValueError):
-        s.add_station("st", StationStats("st"))
+        s.add_station("st", st, lambda: st.in_flight(env.now))
+
+
+def test_station_counts_from_its_registration():
+    """A station's own counters may predate the sampler (the RPC server
+    counts from its construction): Little's law uses what they add after
+    it joins."""
+    from types import SimpleNamespace
+
+    env = Environment()
+    rpc = SimpleNamespace(arrivals=7, sojourn_sum=3.0, in_flight=0)
+    s = Sampler(env, interval=1.0)
+    s.add_station("rpc", rpc, lambda: rpc.in_flight)
+    rpc.arrivals += 2
+    rpc.sojourn_sum += 0.5
+    s.start()
+    env.run(until=2.0)
+    row = s.littles_law(min_arrivals=1)["rpc"]
+    assert row["arrivals"] == 2 and row["W"] == 0.25
+    assert s.to_dict()["stations"]["rpc"]["sojourn_sum"] == 0.5
 
 
 def test_sampler_gauge_and_cumulative_kinds():
@@ -238,13 +272,15 @@ def test_sampler_disabled_is_bit_identical():
 def test_sampler_littles_law_on_deterministic_queue():
     """Closed-form check: fixed-rate arrivals to a deterministic server."""
     from repro.sim import FifoServer
+    from repro.sim.waits import WaitTracer
 
     env = Environment()
-    server = FifoServer(env)
-    st = StationStats("srv")
-    server.attach_stats(st)
+    tracer = WaitTracer(env).install()
+    server = FifoServer(env, name="srv")
+    st = StationStats()
+    tracer.watch("srv", st)
     s = Sampler(env, interval=5e-4)
-    s.add_station("srv", st)
+    s.add_station("srv", st, lambda: st.in_flight(env.now))
     s.start()
 
     def client(env):
