@@ -84,17 +84,17 @@ _TAIL_SUFFIXES = (".max", ".p99", ".p999")
 DEFAULT_SEEDS: Tuple[int, ...] = (1, 2, 3, 4, 5)
 DEFAULT_HASH_SEEDS: Tuple[int, ...] = (0, 12345)
 
+#: The quick Fig. 5 cell sanitized on each transport: the DPU client's
+#: 4 KiB random read with 16 jobs.
+_CELL = {"client": "dpu", "rw": "randread", "bs": 4096, "numjobs": 16}
+
 
 def build_record(
     transport: str,
-    client: str = "dpu",
-    rw: str = "randread",
-    bs: int = 4096,
-    numjobs: int = 16,
     runtime: float = 0.02,
     tie_seed: Optional[int] = None,
 ) -> dict:
-    """Run one doctored Fig. 5 cell and reduce it to a stripped record.
+    """Run the doctored quick Fig. 5 cell and reduce it to a stripped record.
 
     The config deliberately excludes ``tie_seed``: the permuted run
     claims to be *the same experiment*, and the sanitizer's whole
@@ -104,13 +104,11 @@ def build_record(
     from repro.bench.runner import run_fig5_doctored
 
     run = run_fig5_doctored(
-        transport, client, rw, bs, numjobs,
-        runtime=runtime, sample_every=20, observe_sampler=False,
-        tie_seed=tie_seed)
-    config = {
-        "experiment": "fig5", "transport": transport, "client": client,
-        "rw": rw, "bs": bs, "numjobs": numjobs, "runtime": runtime,
-    }
+        transport, _CELL["client"], _CELL["rw"], _CELL["bs"],
+        _CELL["numjobs"], runtime=runtime, sample_every=20,
+        observe_sampler=False, tie_seed=tie_seed)
+    config = {"experiment": "fig5", "transport": transport, **_CELL,
+              "runtime": runtime}
     record = ledger.make_run_record(
         run.result, run.collector, run.tracer, config=config,
         label=f"sanitize-{transport}", kind="sanitize")
@@ -179,13 +177,10 @@ def _blame_drift(ref: dict, var: dict, label: str) -> List[dict]:
 # Subprocess orchestration
 # ---------------------------------------------------------------------------
 
-def _worker_argv(transport: str, client: str, rw: str, bs: int,
-                 numjobs: int, runtime: float,
+def _worker_argv(transport: str, runtime: float,
                  tie_seed: Optional[int]) -> List[str]:
     argv = [sys.executable, "-m", "repro.analysis.sanitizer", "--worker",
-            "--transport", transport, "--client", client, "--rw", rw,
-            "--bs", str(bs), "--numjobs", str(numjobs),
-            "--runtime", repr(runtime)]
+            "--transport", transport, "--runtime", repr(runtime)]
     if tie_seed is not None:
         argv += ["--tie-seed", str(tie_seed)]
     return argv
@@ -211,10 +206,6 @@ def _collect(proc: "subprocess.Popen[str]", what: str) -> str:
 
 def sanitize_cell(
     transport: str,
-    client: str = "dpu",
-    rw: str = "randread",
-    bs: int = 4096,
-    numjobs: int = 16,
     runtime: float = 0.02,
     seeds: Sequence[int] = DEFAULT_SEEDS,
     hash_seeds: Sequence[int] = DEFAULT_HASH_SEEDS,
@@ -225,8 +216,7 @@ def sanitize_cell(
     single-threaded simulation); the OS schedules them.
     """
     def argv(tie_seed: Optional[int]) -> List[str]:
-        return _worker_argv(transport, client, rw, bs, numjobs,
-                            runtime, tie_seed)
+        return _worker_argv(transport, runtime, tie_seed)
 
     procs: Dict[Tuple[Optional[int], int], "subprocess.Popen[str]"] = {}
     procs[(None, hash_seeds[0])] = _spawn(argv(None), hash_seeds[0])
@@ -266,8 +256,7 @@ def sanitize_cell(
 
     ok = not hash_mismatches and not drifts
     return {
-        "transport": transport, "client": client, "rw": rw, "bs": bs,
-        "numjobs": numjobs, "runtime": runtime,
+        "transport": transport, **_CELL, "runtime": runtime,
         "seeds": list(seeds), "hash_seeds": list(hash_seeds),
         "n_runs": 1 + len(seeds) * len(hash_seeds),
         "reference_iops": float(
@@ -339,20 +328,14 @@ def _worker_main(argv: Optional[List[str]] = None) -> int:
                     "canonical record on stdout.")
     parser.add_argument("--worker", action="store_true", required=True)
     parser.add_argument("--transport", required=True)
-    parser.add_argument("--client", default="dpu")
-    parser.add_argument("--rw", default="randread")
-    parser.add_argument("--bs", type=int, default=4096)
-    parser.add_argument("--numjobs", type=int, default=16)
     parser.add_argument("--runtime", type=float, default=0.02)
     parser.add_argument("--tie-seed", type=int, default=None)
     args = parser.parse_args(argv)
 
     from repro.bench.ledger import canonical_json
 
-    record = build_record(
-        args.transport, client=args.client, rw=args.rw, bs=args.bs,
-        numjobs=args.numjobs, runtime=args.runtime,
-        tie_seed=args.tie_seed)
+    record = build_record(args.transport, runtime=args.runtime,
+                          tie_seed=args.tie_seed)
     sys.stdout.write(canonical_json(record) + "\n")
     return 0
 

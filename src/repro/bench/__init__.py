@@ -4,7 +4,7 @@
   remote SPDK, end-to-end DFS/ROS2) plus sweep drivers.  Every cell of
   every figure builds a fresh simulated testbed, so cells are independent
   and reproducible.
-* :mod:`repro.bench.report` — ASCII tables, heatmaps and CSV output that
+* :mod:`repro.bench.report` — ASCII tables and heatmaps that
   mirror how the paper presents each figure.
 * :mod:`repro.bench.calibration` — the paper's reported numbers/bands and
   shape checks (who wins, by what factor, where crossovers sit), used by
@@ -12,8 +12,8 @@
   against calibration drift.
 """
 
-from repro.bench.calibration import PAPER_BANDS, ShapeCheck, check_band
-from repro.bench.report import Table, format_heatmap, format_rate, write_csv
+from repro.bench.calibration import PAPER_BANDS, ShapeCheck
+from repro.bench.report import Table, format_heatmap, format_rate
 from repro.bench.runner import (
     run_fig3_cell,
     run_fig4_cell,
@@ -25,12 +25,10 @@ __all__ = [
     "PAPER_BANDS",
     "ShapeCheck",
     "Table",
-    "check_band",
     "format_heatmap",
     "format_rate",
     "run_fig3_cell",
     "run_fig4_cell",
     "run_fig5_cell",
     "run_ros2_fio",
-    "write_csv",
 ]

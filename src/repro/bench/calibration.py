@@ -15,7 +15,7 @@ from typing import Dict
 
 GIB = 2**30
 
-__all__ = ["ShapeCheck", "PAPER_BANDS", "check_band", "describe_band"]
+__all__ = ["ShapeCheck", "PAPER_BANDS", "describe_band"]
 
 
 @dataclass(frozen=True)
@@ -30,11 +30,6 @@ class ShapeCheck:
 
     def holds(self, value: float) -> bool:
         return self.lo <= value <= self.hi
-
-
-def check_band(bands: Dict[str, ShapeCheck], key: str, value: float) -> bool:
-    """Whether ``value`` falls in the named paper band."""
-    return bands[key].holds(value)
 
 
 def describe_band(check: ShapeCheck, value: float) -> str:

@@ -145,6 +145,10 @@ def _finish_record(record: dict) -> dict:
     return record
 
 
+#: Most points a record keeps of one cumulative-wait series.
+SERIES_POINTS_CAP = 96
+
+
 def _pack_points(ts, cap: int) -> List[list]:
     """Bound and round a cumulative-wait series for storage.
 
@@ -198,7 +202,6 @@ def make_run_record(
     created: Optional[str] = None,
     code_fingerprint: Optional[str] = None,
     include_series: bool = True,
-    series_points_cap: int = 96,
     extra_sections: Optional[dict] = None,
 ) -> dict:
     """Reduce an instrumented run into one ``repro-run-v1`` record.
@@ -249,7 +252,7 @@ def make_run_record(
     if include_series:
         record["wait_series"] = {
             ts.name: {"unit": ts.unit, "kind": ts.kind,
-                      "points": _pack_points(ts, series_points_cap)}
+                      "points": _pack_points(ts, SERIES_POINTS_CAP)}
             for ts in tracer.wait_series()
         }
     if extra_sections:

@@ -1,4 +1,4 @@
-"""ASCII tables, heatmaps, and CSV output for the benches.
+"""ASCII tables and heatmaps for the benches.
 
 The paper shows line charts (Fig. 3, Fig. 5) and heatmaps (Fig. 4); the
 benches print the same data as text: one table per sub-figure with the
@@ -8,11 +8,10 @@ core x core heatmap grids for Fig. 4.
 
 from __future__ import annotations
 
-import csv
 import io
 from typing import Dict, List, Optional, Sequence
 
-__all__ = ["Table", "format_heatmap", "format_rate", "write_csv"]
+__all__ = ["Table", "format_heatmap", "format_rate"]
 
 
 def format_rate(value: float, unit: str) -> str:
@@ -78,15 +77,6 @@ def format_heatmap(
     for r in rows:
         table.add_row(str(r), [format_rate(values[(r, c)], unit).strip() for c in cols])
     return table.render()
-
-
-def write_csv(path: str, fieldnames: Sequence[str], rows: List[dict]) -> None:
-    """Dump sweep results as CSV for external plotting."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(fieldnames))
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
 
 
 def render_series(

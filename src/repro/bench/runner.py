@@ -45,6 +45,9 @@ __all__ = [
     "default_runtime",
 ]
 
+#: The DFS file every Fig. 5 FIO job reads or writes.
+FIO_PATH = "/bench/fio.dat"
+
 
 def default_iodepth(bs: int) -> int:
     """The queue depths the paper's FIO configurations imply: deep queues
@@ -134,12 +137,11 @@ def run_fig4_cell(
     bs: int,
     client_cores: int,
     server_cores: int,
-    n_ssds: int = 1,
     iodepth: int = 32,
     runtime: float = 0.03,
     seed: Optional[int] = None,
 ) -> FioResult:
-    """One heatmap cell of Fig. 4: remote SPDK, pinned core counts.
+    """One heatmap cell of Fig. 4: remote SPDK to one SSD, pinned core counts.
 
     One NVMe-oF qpair (channel + initiator) per client core, one FIO job
     per core, ``iodepth`` commands in flight per qpair — the standard
@@ -147,7 +149,7 @@ def run_fig4_cell(
     """
     env = Environment()
     top = make_paper_testbed(
-        env, client="host", n_ssds=n_ssds,
+        env, client="host",
         client_cores=client_cores, server_cores=server_cores,
     )
     fabric = Fabric(env)
@@ -201,41 +203,34 @@ class _MultiSessionAdapter:
 def run_ros2_fio(
     system: Ros2System,
     spec: FioJobSpec,
-    path: str = "/bench/fio.dat",
-    prefill: Optional[bool] = None,
     tenant_policy: Optional[dict] = None,
-    sessions_per_job: bool = True,
     collector: Optional[SpanCollector] = None,
 ) -> FioResult:
     """Bootstrap ``system``, create the test file, pre-fill it for read
     workloads, and drive ``spec`` through ROS2 data ports.
 
-    ``sessions_per_job=True`` mirrors FIO's one-process-per-job DFS
-    engine: every job gets its own session (channel, PD/QP or TCP
-    connection); with False all jobs share one session."""
+    Every job gets its own session (channel, PD/QP or TCP connection), as
+    FIO's one-process-per-job DFS engine does."""
     env = system.env
     token = system.register_tenant("fio", **(tenant_policy or {}))
-    if prefill is None:
-        prefill = not spec.is_write
     span = spec.numjobs * spec.size
-    n_sessions = spec.numjobs if sessions_per_job else 1
 
     def setup(env):
         yield from system.start()
         first = yield from system.open_session(token)
-        parent = path.rsplit("/", 1)[0]
+        parent = FIO_PATH.rsplit("/", 1)[0]
         if parent:
             yield from first.mkdir(parent)
-        fh0 = yield from first.create(path)
+        fh0 = yield from first.create(FIO_PATH)
         ports = [(first.data_port(), fh0)]
-        for _ in range(n_sessions - 1):
+        for _ in range(spec.numjobs - 1):
             s = yield from system.open_session(token)
-            fh = yield from s.open(path)
+            fh = yield from s.open(FIO_PATH)
             ports.append((s.data_port(), fh))
         fx = env._faults
         if fx is not None:
             fx.check_targets()  # every session's channel exists now
-        if prefill:
+        if not spec.is_write:
             # Lay the file out in whole chunks so reads hit real extents,
             # 32 writers wide (setup time, excluded from measurement).
             port0 = ports[0][0]
@@ -315,14 +310,13 @@ def run_fig5_cell(
     iodepth: Optional[int] = None,
     runtime: Optional[float] = None,
     seed: Optional[int] = None,
-    n_targets: Optional[int] = None,
 ) -> FioResult:
     """One point of Fig. 5: FIO/DFS end-to-end on the assembled ROS2 stack,
     with nothing observing it (:func:`run_fig5_doctored` is the
     instrumented twin)."""
     system, spec = _build_fig5(provider, client, rw, bs, numjobs,
                                n_ssds=n_ssds, iodepth=iodepth, runtime=runtime,
-                               seed=seed, n_targets=n_targets)
+                               seed=seed)
     return run_ros2_fio(system, spec)
 
 

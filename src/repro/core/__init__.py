@@ -32,7 +32,7 @@ from repro.core.offload import Ros2ClientService, Ros2Session
 from repro.core.qos import QosScheduler
 from repro.core.ros2 import Ros2Config, Ros2System
 from repro.core.telemetry import SystemReport, snapshot
-from repro.core.tenant import RateLimitExceeded, TenantManager, TokenBucket
+from repro.core.tenant import TenantManager, TokenBucket
 
 __all__ = [
     "ChaCha20",
@@ -43,7 +43,6 @@ __all__ = [
     "GrpcServer",
     "InlineCrypto",
     "QosScheduler",
-    "RateLimitExceeded",
     "Ros2ClientService",
     "Ros2Config",
     "Ros2Session",

@@ -112,8 +112,6 @@ class GrpcChannel:
         self,
         node: ComputeNode,
         server_node: ComputeNode,
-        client_stack: Optional[TcpStack] = None,
-        server_stack: Optional[TcpStack] = None,
     ) -> None:
         self.node = node
         self.env: Environment = node.env
@@ -124,9 +122,7 @@ class GrpcChannel:
         self.conn: Optional[TcpConnection] = None
         self._local_server: Optional[GrpcServer] = None
         if not self.local:
-            self._client_stack = client_stack or TcpStack(node)
-            self._server_stack = server_stack or TcpStack(server_node)
-            self.conn = self._client_stack.connect(self._server_stack)
+            self.conn = TcpStack(node).connect(TcpStack(server_node))
         self._pending: Dict[int, Event] = {}
         self._started = False
         #: Metadata attached to every call (bearer token etc.).

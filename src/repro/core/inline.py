@@ -134,12 +134,11 @@ class InlineCrypto:
         self,
         node: Node,
         key: bytes,
-        nonce: bytes = bytes(12),
         accelerated: Optional[bool] = None,
     ) -> None:
         self.node = node
         self.env: Environment = node.env
-        self.cipher = ChaCha20(key, nonce)
+        self.cipher = ChaCha20(key, bytes(12))
         if accelerated is None:
             accelerated = node.spec.name == "bluefield-3"
         self.accelerated = bool(accelerated)

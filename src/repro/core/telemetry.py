@@ -241,13 +241,13 @@ def install_probes(system, sampler: Sampler) -> Sampler:
     return sampler
 
 
-def observe(system, interval: float = 1e-4, capacity: int = 512) -> Sampler:
+def observe(system, interval: float = 1e-4) -> Sampler:
     """Attach and start the standard sampler on a running system.
 
-    ``interval`` is the sampling period in simulated seconds; ``capacity``
-    bounds every series (older windows merge pairwise past it).  Returns
-    the started :class:`~repro.sim.timeseries.Sampler`.
+    ``interval`` is the sampling period in simulated seconds; every series
+    keeps the sampler's default capacity (older windows merge pairwise
+    past it).  Returns the started :class:`~repro.sim.timeseries.Sampler`.
     """
-    sampler = Sampler(system.env, interval=interval, capacity=capacity)
+    sampler = Sampler(system.env, interval=interval)
     install_probes(system, sampler)
     return sampler.start()

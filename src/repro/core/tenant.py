@@ -20,16 +20,12 @@ from __future__ import annotations
 import hashlib
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Dict, Generator, Iterable, Optional
+from typing import Dict, Generator, Iterable, Optional
 
 from repro.net.fabric import FabricChannel, RemoteRegion
 from repro.sim.core import Environment, Event
 
-__all__ = ["RateLimitExceeded", "AuthError", "TokenBucket", "Tenant", "TenantManager"]
-
-
-class RateLimitExceeded(RuntimeError):
-    """Raised in strict mode when a tenant exceeds its configured rate."""
+__all__ = ["AuthError", "TokenBucket", "Tenant", "TenantManager"]
 
 
 class AuthError(RuntimeError):
@@ -39,9 +35,8 @@ class AuthError(RuntimeError):
 class TokenBucket:
     """Analytic token bucket: ``rate`` tokens/s, capacity ``burst``.
 
-    ``acquire`` either waits (shaping, the default) or raises
-    (:class:`RateLimitExceeded`, policing) when the bucket is empty.
-    Refill is computed lazily from elapsed simulated time, so the limiter
+    ``acquire`` waits (shaping) when the bucket is empty.  Refill is
+    computed lazily from elapsed simulated time, so the limiter
     adds zero events while a tenant stays under its rate.
     """
 
@@ -55,7 +50,6 @@ class TokenBucket:
             raise ValueError(f"burst must be positive, got {self.burst}")
         self._level = self.burst
         self._last = env.now
-        self.denied = 0
         self.delayed = 0
 
     def _refill(self) -> None:
@@ -69,8 +63,8 @@ class TokenBucket:
         self._refill()
         return self._level
 
-    def acquire(self, n: float, strict: bool = False) -> Generator[Event, None, None]:
-        """Take ``n`` tokens, waiting for refill (or raising when strict)."""
+    def acquire(self, n: float) -> Generator[Event, None, None]:
+        """Take ``n`` tokens, waiting for refill."""
         if n <= 0:
             raise ValueError(f"token count must be positive, got {n}")
         if n > self.burst:
@@ -83,11 +77,6 @@ class TokenBucket:
             if n <= self._level + eps:
                 self._level = max(0.0, self._level - n)
                 return
-            if strict:
-                self.denied += 1
-                raise RateLimitExceeded(
-                    f"need {n} tokens, {self._level:.1f} available at rate {self.rate}/s"
-                )
             # Wait for the deficit to refill, then RE-CHECK: a concurrent
             # acquirer may have drained the bucket while we slept (no
             # overdraft allowed).
@@ -174,10 +163,8 @@ class TenantManager:
         """Registered tenant names."""
         return sorted(self._by_name)
 
-    def admit(
-        self, tenant: Tenant, nbytes: int, strict: bool = False
-    ) -> Iterable[Event]:
-        """Admission control for one I/O of ``nbytes`` (shaping by default).
+    def admit(self, tenant: Tenant, nbytes: int) -> Iterable[Event]:
+        """Admission control (shaping) for one I/O of ``nbytes``.
 
         ``yield from`` it.  A tenant without buckets is admitted at once
         and gets ``()``, with no generator to drive.
@@ -188,15 +175,14 @@ class TenantManager:
             tenant.stats["ops"] += 1
             tenant.stats["bytes"] += nbytes
             return ()
-        return self._shape(tenant, nbytes, strict)
+        return self._shape(tenant, nbytes)
 
     @staticmethod
-    def _shape(tenant: Tenant, nbytes: int, strict: bool
-               ) -> Generator[Event, None, None]:
+    def _shape(tenant: Tenant, nbytes: int) -> Generator[Event, None, None]:
         if tenant.ops_bucket is not None:
-            yield from tenant.ops_bucket.acquire(1, strict=strict)
+            yield from tenant.ops_bucket.acquire(1)
         if tenant.bytes_bucket is not None and nbytes > 0:
-            yield from tenant.bytes_bucket.acquire(nbytes, strict=strict)
+            yield from tenant.bytes_bucket.acquire(nbytes)
         tenant.stats["ops"] += 1
         tenant.stats["bytes"] += nbytes
 
@@ -206,7 +192,6 @@ class TenantManager:
         channel: FabricChannel,
         owner: str,
         length: int,
-        buffer: Optional[Any] = None,
     ) -> RemoteRegion:
         """Mint a registration whose rkey dies after the tenant's TTL.
 
@@ -216,4 +201,4 @@ class TenantManager:
         valid_until = (
             self.env.now + tenant.rkey_ttl if tenant.rkey_ttl is not None else None
         )
-        return channel.register(owner, length, buffer=buffer, valid_until=valid_until)
+        return channel.register(owner, length, valid_until=valid_until)

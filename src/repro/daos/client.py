@@ -36,6 +36,9 @@ from repro.sim.queues import FifoServer
 
 __all__ = ["DaosClient", "PoolHandle", "ContainerHandle", "ObjectHandle", "Transaction"]
 
+#: The performance-mode bulk window each client pre-registers.
+BULK_WINDOW_BYTES = 16 * 1024 * 1024
+
 
 class DaosClient:
     """One client context connected to an engine over one channel."""
@@ -44,14 +47,12 @@ class DaosClient:
         self,
         node: ComputeNode,
         channel: FabricChannel,
-        costs: StoragePathCosts = DAOS_PATH,
         data_mode: bool = False,
-        bulk_window_bytes: int = 16 * 1024 * 1024,
     ) -> None:
         self.node = node
         self.env: Environment = node.env
         self.channel = channel
-        self.costs = costs
+        self.costs: StoragePathCosts = DAOS_PATH
         self.data_mode = bool(data_mode)
         self.rpc = RpcClient(node, channel).start()
         self._progress = node.lock("daos_progress")
@@ -59,7 +60,7 @@ class DaosClient:
         self._io_seq = 0
         self._window: Optional[RemoteRegion] = None
         if not data_mode:
-            self._window = channel.register(node.name, bulk_window_bytes)
+            self._window = channel.register(node.name, BULK_WINDOW_BYTES)
 
     # -- contexts -----------------------------------------------------------------
     def new_context(self, name: Optional[str] = None) -> FifoServer:

@@ -15,7 +15,6 @@ __all__ = [
     "NoSuchPool",
     "NoSuchContainer",
     "NoSuchObject",
-    "EpochError",
     "new_pool_id",
     "new_container_id",
 ]
@@ -35,10 +34,6 @@ class NoSuchContainer(DaosError):
 
 class NoSuchObject(DaosError):
     """Object (or dkey/akey within it) does not exist at this epoch."""
-
-
-class EpochError(DaosError):
-    """Invalid epoch ordering (write into the past, read of the future)."""
 
 
 class ObjectClass(Enum):

@@ -46,7 +46,6 @@ class VersionedObjectStore:
         nvme: BlockDevice,
         nvme_region_start: int,
         nvme_region_bytes: int,
-        scm_threshold: int = SCM_THRESHOLD,
     ) -> None:
         self.env = env
         self.target_index = target_index
@@ -54,7 +53,6 @@ class VersionedObjectStore:
         self.nvme = nvme
         self.region_start = int(nvme_region_start)
         self.region_bytes = int(nvme_region_bytes)
-        self.scm_threshold = int(scm_threshold)
         self._nvme_cursor = 0
         self.objects: Dict[Tuple[ContainerId, ObjectId], VersionedObject] = {}
 
@@ -99,7 +97,7 @@ class VersionedObjectStore:
         """Write one extent: record it, then persist to the right tier."""
         store = self.object(cont, oid).array(dkey, akey)
         ext = store.write(epoch, offset, nbytes, data)
-        if nbytes <= self.scm_threshold:
+        if nbytes <= SCM_THRESHOLD:
             span = trace.child("media.scm", nbytes=nbytes) if trace is not None else None
             scm_off = self.scm.reserve(nbytes)
             yield from self.scm.persist(scm_off, nbytes=nbytes, data=data)

@@ -33,18 +33,17 @@ class GpuDevice:
       removes).
     """
 
-    def __init__(self, env: Environment, spec: GpuSpec, index: int = 0) -> None:
+    def __init__(self, env: Environment, spec: GpuSpec) -> None:
         self.env = env
         self.spec = spec
-        self.index = index
         self.hbm_capacity = spec.memory_gb * 10**9
         # HBM ingest: a fraction of HBM bandwidth is available to inbound
         # DMA (compute traffic owns the rest); 25% is a conservative slice.
         self._hbm = BandwidthPipe(env, spec.mem_bw_bytes * 0.25, latency=0.5e-6,
-                                  name=f"gpu{index}.hbm")
+                                  name="gpu0.hbm")
         self._pcie = BandwidthPipe(env, PCIE_GEN5_X16, latency=0.8e-6,
-                                   name=f"gpu{index}.pcie")
-        self.ingest = RateMeter(env, f"gpu{index}.ingest")
+                                   name="gpu0.pcie")
+        self.ingest = RateMeter(env, "gpu0.ingest")
 
     def hbm_write(self, nbytes: int) -> Generator[Event, None, None]:
         """DMA ``nbytes`` directly into HBM (GPUDirect RDMA target)."""

@@ -91,17 +91,13 @@ class Switch:
         chained sleeps would have reached.
         """
         env = self.env
-        if src == dst:
-            if pre_delay:
-                yield env.timeout(pre_delay)
-            return  # loopback never touches the wire
         propagation = self.spec.propagation
         if pre_delay:
             yield env.timeout_until((env.now + pre_delay) + propagation)
         elif propagation:
-            # Zero-propagation links (ablations, loop-local fabrics) skip
-            # the timeout(0) event entirely — same simulated time, one
-            # fewer heap operation per crossing.
+            # Zero-propagation links (ablations) skip the timeout(0)
+            # event entirely — same simulated time, one fewer heap
+            # operation per crossing.
             yield env.timeout(propagation)
         yield from self.cross(src, dst, wire_bytes)
 
@@ -152,11 +148,8 @@ class Switch:
 
 
 class DuplexLink:
-    """A direct point-to-point link (two independent directions).
-
-    Used where no switch is involved (e.g. the DPU's internal PCIe path to
-    host memory in the GPUDirect ablation).
-    """
+    """A direct point-to-point link (two independent directions), with no
+    latency, moving 64 KiB chunks."""
 
     __slots__ = ("env", "spec", "_ab", "_ba", "a", "b")
 
@@ -166,15 +159,13 @@ class DuplexLink:
         a: str,
         b: str,
         rate_bytes: float,
-        latency: float = 0.0,
-        chunk_bytes: int = 64 * 1024,
     ) -> None:
         self.env = env
         self.a = a
         self.b = b
-        self._ab = BandwidthPipe(env, rate_bytes, latency, chunk_bytes,
+        self._ab = BandwidthPipe(env, rate_bytes, 0.0, 64 * 1024,
                                  name=f"link.{a}.{b}")
-        self._ba = BandwidthPipe(env, rate_bytes, latency, chunk_bytes,
+        self._ba = BandwidthPipe(env, rate_bytes, 0.0, 64 * 1024,
                                  name=f"link.{b}.{a}")
 
     def pipe(self, src: str, dst: str) -> BandwidthPipe:

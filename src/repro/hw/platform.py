@@ -111,14 +111,13 @@ class StorageNode(ComputeNode):
         switch: Switch,
         nvme_spec: NvmeSpec,
         n_ssds: int,
-        scm_bytes: int = 512 * GIB,
     ) -> None:
         super().__init__(env, name, spec, switch)
         self.nvme = NvmeArray(env, nvme_spec, n_ssds)
         for dev in self.nvme.devices:
             env.components.add(dev.name, "nvme", dev, node=name)
         #: Storage-class-memory capacity (PMDK tier for metadata/small IO).
-        self.scm_bytes = int(scm_bytes)
+        self.scm_bytes = 512 * GIB
 
 
 @dataclass(slots=True)
@@ -139,7 +138,6 @@ def make_paper_testbed(
     client: Literal["host", "dpu"] = "host",
     n_ssds: int = 1,
     link: Optional[LinkSpec] = None,
-    nvme: Optional[NvmeSpec] = None,
     client_cores: Optional[int] = None,
     server_cores: Optional[int] = None,
 ) -> ClusterTopology:
@@ -156,7 +154,6 @@ def make_paper_testbed(
     if n_ssds not in (1, 2, 3, 4):
         raise ValueError(f"paper testbed has 1-4 SSDs, got {n_ssds}")
     link = link or PAPER_LINK
-    nvme = nvme or NVME_SSD
 
     def pin(spec: HostSpec, cores: Optional[int]) -> HostSpec:
         if cores is None:
@@ -169,7 +166,7 @@ def make_paper_testbed(
 
     switch = Switch(env, link)
     server = StorageNode(
-        env, "storage", pin(STORAGE_SERVER, server_cores), switch, nvme, n_ssds
+        env, "storage", pin(STORAGE_SERVER, server_cores), switch, NVME_SSD, n_ssds
     )
     host = ComputeNode(env, "host", pin(EPYC_HOST, client_cores), switch)
     if client == "host":

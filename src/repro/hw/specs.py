@@ -180,7 +180,6 @@ class LinkSpec:
     name: str = "switch-100g"
     rate_bits: float = 100e9  # 100 Gbps switch port
     propagation: float = 1.5 * US  # one-way switch + wire latency
-    mtu_bytes: int = 4096  # RoCE/Ethernet jumbo-ish MTU
     chunk_bytes: int = 64 * KIB  # simulation interleave granularity
 
     @property
@@ -231,8 +230,6 @@ class TransportCosts:
     per_conn_byte_cost: float
     rtt_overhead: float
     rendezvous_threshold: Optional[int] = None
-    zero_copy: bool = False
-    kernel_bypass: bool = False
 
 
 #: Kernel TCP (ofi+tcp / ucx+tcp providers).
@@ -253,8 +250,6 @@ TCP_COSTS = TransportCosts(
     per_conn_byte_cost=0.17 * NS,
     rtt_overhead=28.0 * US,
     rendezvous_threshold=None,
-    zero_copy=False,
-    kernel_bypass=False,
 )
 
 #: RDMA verbs (ucx+rc / ucx+dc_x / ofi+verbs providers, IB or RoCEv2).
@@ -273,8 +268,6 @@ RDMA_COSTS = TransportCosts(
     per_conn_byte_cost=0.0,
     rtt_overhead=4.0 * US,
     rendezvous_threshold=16 * KIB,
-    zero_copy=True,
-    kernel_bypass=True,
 )
 
 
@@ -292,7 +285,6 @@ class StoragePathCosts:
       device bandwidth the path can extract (kernel block layer tax).
     * ``serial_per_op`` — host-wide serialized cost (e.g. the DAOS client's
       single event-queue progress context).
-    * ``per_byte_cpu`` — checksum/copy work per byte on the engine.
     """
 
     name: str
@@ -301,7 +293,6 @@ class StoragePathCosts:
     read_bw_efficiency: float = 1.0
     write_bw_efficiency: float = 1.0
     serial_per_op: float = 0.0
-    per_byte_cpu: float = 0.0
 
 
 #: Local kernel io_uring path (Fig. 3).  11.5 us/op per job thread gives
@@ -339,7 +330,6 @@ DAOS_PATH = StoragePathCosts(
     read_bw_efficiency=1.0,
     write_bw_efficiency=1.0,
     serial_per_op=1.0 * US,
-    per_byte_cpu=0.02 * NS,
 )
 
 

@@ -25,7 +25,7 @@ from typing import Any, Callable, Dict, Generator, Optional, Tuple
 
 from repro.hw.platform import ComputeNode
 from repro.hw.specs import RDMA_COSTS, TCP_COSTS, TransportCosts
-from repro.net.message import Listeners, Message
+from repro.net.message import Listeners, Message, payload_nbytes
 from repro.net.rdma import (
     AccessFlags,
     MemoryRegion,
@@ -261,9 +261,7 @@ class TcpChannel(FabricChannel):
 
     def rma_write(self, initiator, region, payload=None, nbytes=None, offset=0,
                   trace=None):
-        size = nbytes if nbytes is not None else Message(
-            src="", dst="", payload=payload
-        ).nbytes
+        size = nbytes if nbytes is not None else payload_nbytes(payload)
         entry = self._lookup(region, size, offset)
         target = self.peer_of(initiator)
         meta = {"trace": trace} if trace is not None else {}
@@ -284,11 +282,10 @@ class RdmaChannel(FabricChannel):
         a: ComputeNode,
         b: ComputeNode,
         devices: Dict[str, RdmaDevice],
-        pds: Optional[Dict[str, ProtectionDomain]] = None,
     ) -> None:
         super().__init__(provider, a, b)
         self.devices = devices
-        self.pds: Dict[str, ProtectionDomain] = pds or {
+        self.pds: Dict[str, ProtectionDomain] = {
             a.name: devices[a.name].alloc_pd(),
             b.name: devices[b.name].alloc_pd(),
         }

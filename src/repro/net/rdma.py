@@ -34,7 +34,7 @@ from typing import Any, Callable, Dict, Generator, Optional
 
 from repro.hw.platform import ComputeNode
 from repro.hw.specs import RDMA_COSTS, TransportCosts
-from repro.net.message import HEADER_BYTES
+from repro.net.message import HEADER_BYTES, payload_nbytes
 from repro.sim.core import Environment, Event
 from repro.sim.resources import Store
 
@@ -228,8 +228,6 @@ class QueuePair:
         self,
         device: "RdmaDevice",
         pd: ProtectionDomain,
-        send_cq: Optional[CompletionQueue] = None,
-        recv_cq: Optional[CompletionQueue] = None,
     ) -> None:
         if pd.device is not device:
             raise RdmaError("PD belongs to a different device")
@@ -237,8 +235,8 @@ class QueuePair:
         self.pd = pd
         self.qp_num = next(_qp_counter)
         self.env: Environment = device.env
-        self.send_cq = send_cq or CompletionQueue(self.env)
-        self.recv_cq = recv_cq or CompletionQueue(self.env)
+        self.send_cq = CompletionQueue(self.env)
+        self.recv_cq = CompletionQueue(self.env)
         self.remote: Optional["QueuePair"] = None
         #: Non-None once the QP has transitioned to the error state
         #: (fault injection / fatal transport failure); holds the reason.
@@ -248,7 +246,16 @@ class QueuePair:
 
     # -- connection management ---------------------------------------------
     def connect(self, remote: "QueuePair") -> None:
-        """Pair two QPs (both directions)."""
+        """Pair two QPs (both directions) on two different nodes.
+
+        Every data channel of the testbed crosses the switch, so a QP pair
+        on one node is rejected before anything is simulated.
+        """
+        if self.device.node is remote.device.node:
+            raise ValueError(
+                f"QP {self.qp_num} and QP {remote.qp_num} are both on node "
+                f"{self.device.node.name!r}; a QP pair joins two nodes"
+            )
         if self.remote is not None or remote.remote is not None:
             raise RdmaError("QP already connected")
         self.remote = remote
@@ -313,7 +320,7 @@ class QueuePair:
         Returns the initiator-side completion (also pushed to ``send_cq``).
         The receiver's completion (with the payload) lands in its ``recv_cq``.
         """
-        size = nbytes if nbytes is not None else _payload_size(payload)
+        size = nbytes if nbytes is not None else payload_nbytes(payload)
         wr_id_recv, mr = yield from self.transmit(size, trace=trace,
                                                   match_recv=True)
         if mr is not None and isinstance(payload, (bytes, bytearray, memoryview)):
@@ -337,9 +344,9 @@ class QueuePair:
         hands its message to the peer's listener there, so a channel send
         is this one generator (:meth:`RdmaChannel.send
         <repro.net.fabric.RdmaChannel.send>` returns it).
-        An eager message between switched nodes takes :meth:`_post`'s
-        one-event post inline: it is the hottest post of every small-I/O
-        cell, and a delegated generator costs host time.
+        An eager message takes :meth:`_post`'s one-event post inline: it
+        is the hottest post of every small-I/O cell, and a delegated
+        generator costs host time.
         """
         remote = self.remote
         if self.error is not None or remote is None or remote.error is not None:
@@ -347,7 +354,7 @@ class QueuePair:
         dev, rdev = self.device, remote.device
         costs, node = dev.costs, dev.node
         threshold = costs.rendezvous_threshold
-        if node is not rdev.node and (threshold is None or nbytes <= threshold):
+        if threshold is None or nbytes <= threshold:
             switch = node.switch
             span = trace.child("rdma.post", node=node.name, nbytes=nbytes) if trace is not None else None
             now = self.env._now
@@ -401,7 +408,7 @@ class QueuePair:
         completion is returned, not pushed to ``send_cq``.
         """
         remote = self._require_remote()
-        size = nbytes if nbytes is not None else _payload_size(payload)
+        size = nbytes if nbytes is not None else payload_nbytes(payload)
         mr = self._validate(remote, remote_addr, size, AccessFlags.REMOTE_WRITE, rkey)
         yield from self._post(remote, size, trace, "rdma.dma")
 
@@ -424,43 +431,37 @@ class QueuePair:
         """
         remote = self._require_remote()
         mr = self._validate(remote, remote_addr, nbytes, AccessFlags.REMOTE_READ, rkey)
-        # Request travels out (small), data travels back (nbytes).
+        # Request travels out (small), data travels back (nbytes).  Three
+        # events take the request to the target: its post (CPU, stack
+        # latency, propagation), its TX crossing, and its RX crossing
+        # merged with the stack latency and propagation the target sleeps
+        # before sending the data back.  A sampled request books the two
+        # ``rdma.dma`` spans where the chained sleeps put them.
         dev, rdev = self.device, remote.device
         node, rnode = dev.node, rdev.node
-        if node is not rnode:
-            # Three events take the request to the target: its post (CPU,
-            # stack latency, propagation), its TX crossing, and its RX
-            # crossing merged with the stack latency and propagation the
-            # target sleeps before sending the data back.  A sampled
-            # request books the two ``rdma.dma`` spans where the chained
-            # sleeps put them.
-            costs = dev.costs
-            switch = node.switch
-            request = dev.wire_bytes(0)
-            span = trace.child("rdma.post", node=node.name, nbytes=0) if trace is not None else None
-            now = self.env.now
-            done = yield node.cpu.execute(costs.tx_cpu_per_op,
-                                          costs.rtt_overhead / 2.0,
-                                          switch.spec.propagation)
-            if span is not None:
-                span = self._posted(trace, span, now, done, 0, "rdma.dma")
-            yield from switch.port(node.name).tx.transfer(request)
-            rswitch = rnode.switch
-            rpre = rdev.costs.rtt_overhead / 2.0
-            now = self.env.now
-            done = yield switch.port(rnode.name).rx.transfer_and_sleep(
-                request, rpre, rswitch.spec.propagation)
-            if span is not None:
-                span.finish(at=now + (done - now))
-                span = rswitch.wire_span(trace, "rdma.dma", span.t_end, rpre,
-                                         nbytes)
-            yield from rswitch.cross(rnode.name, node.name, rdev.wire_bytes(nbytes))
-            if span is not None:
-                span.finish()
-        else:
-            yield from self._post(remote, 0, trace, "rdma.dma")
-            yield from rdev.qp_wire(dev, nbytes, rendezvous_exempt=True,
-                                    trace=trace, stage="rdma.dma")
+        costs = dev.costs
+        switch = node.switch
+        request = dev.wire_bytes(0)
+        span = trace.child("rdma.post", node=node.name, nbytes=0) if trace is not None else None
+        now = self.env.now
+        done = yield node.cpu.execute(costs.tx_cpu_per_op,
+                                      costs.rtt_overhead / 2.0,
+                                      switch.spec.propagation)
+        if span is not None:
+            span = self._posted(trace, span, now, done, 0, "rdma.dma")
+        yield from switch.port(node.name).tx.transfer(request)
+        rswitch = rnode.switch
+        rpre = rdev.costs.rtt_overhead / 2.0
+        now = self.env.now
+        done = yield switch.port(rnode.name).rx.transfer_and_sleep(
+            request, rpre, rswitch.spec.propagation)
+        if span is not None:
+            span.finish(at=now + (done - now))
+            span = rswitch.wire_span(trace, "rdma.dma", span.t_end, rpre,
+                                     nbytes)
+        yield from rswitch.cross(rnode.name, node.name, rdev.wire_bytes(nbytes))
+        if span is not None:
+            span.finish()
 
         data = mr.read_bytes(remote_addr, nbytes)
         return Completion(wr_id, "read", "ok", nbytes, data)
@@ -503,22 +504,15 @@ class QueuePair:
     ) -> Generator[Event, None, None]:
         """Post CPU on the initiator, then the wire to ``remote``.
 
-        A post between switched nodes reserves the CPU and sleeps the
-        stack latency, the rendezvous round-trip (above the threshold) and
-        the propagation as one event, at the bit-identical instant the
-        chained sleeps of :meth:`RdmaDevice.qp_wire` reach.  A sampled
-        post then books its spans and ``(sleep)`` records there
-        (:meth:`_posted`).  A loopback post sleeps in ``qp_wire``.
+        The post reserves the CPU and sleeps the stack latency, the
+        rendezvous round-trip (above the threshold) and the propagation as
+        one event, at the bit-identical instant the chained sleeps would
+        reach.  A sampled post then books its spans and ``(sleep)``
+        records there (:meth:`_posted`).
         """
         dev = self.device
         node, rnode = dev.node, remote.device.node
         span = trace.child("rdma.post", node=node.name, nbytes=size) if trace is not None else None
-        if node is rnode:
-            yield node.cpu.execute(dev.costs.tx_cpu_per_op)
-            if span is not None:
-                span.finish()
-            yield from dev.qp_wire(remote.device, size, trace=trace, stage=stage)
-            return
         costs = dev.costs
         switch = node.switch
         propagation = switch.spec.propagation
@@ -542,8 +536,9 @@ class QueuePair:
 
         ``span`` is the ``rdma.post`` span open since ``now``; ``done`` is
         the end of the post CPU's service.  Closes it where the chained
-        path did, books what :meth:`RdmaDevice.qp_wire` books between the
-        post and the crossing, and returns the open ``stage`` span.
+        path did, books the rendezvous and stack-latency sleeps the chained
+        path booked between the post and the crossing, and returns the
+        open ``stage`` span.
         """
         t = now + (done - now)
         span.finish(at=t)
@@ -567,55 +562,9 @@ class RdmaDevice:
         """Allocate a protection domain."""
         return ProtectionDomain(self)
 
-    def create_qp(
-        self,
-        pd: ProtectionDomain,
-        send_cq: Optional[CompletionQueue] = None,
-        recv_cq: Optional[CompletionQueue] = None,
-    ) -> QueuePair:
+    def create_qp(self, pd: ProtectionDomain) -> QueuePair:
         """Create an RC queue pair in ``pd``."""
-        return QueuePair(self, pd, send_cq, recv_cq)
-
-    def qp_wire(
-        self,
-        dst_device: "RdmaDevice",
-        size: int,
-        rendezvous_exempt: bool = False,
-        trace: Any = None,
-        stage: str = "net.wire",
-    ) -> Generator[Event, None, None]:
-        """Move ``size`` payload bytes to ``dst_device`` over the switch.
-
-        Applies goodput efficiency, fixed stack latency, and — for large
-        two-sided messages — the rendezvous control round-trip.
-        """
-        costs = self.costs
-        env = self.env
-        src_name = self.node.name
-        dst_name = dst_device.node.name
-        pre = costs.rtt_overhead / 2.0
-        if (
-            not rendezvous_exempt
-            and costs.rendezvous_threshold is not None
-            and size > costs.rendezvous_threshold
-        ):
-            # RTS/CTS exchange: one extra round-trip of small control msgs.
-            # The stack latency and the round-trip are one kernel event,
-            # firing at the bit-identical chained-sleep instant; a sampled
-            # message books their sleeps and its rendezvous span apart.
-            now = env.now
-            wt = env._wait_tracer if trace is not None else None
-            if wt is not None:
-                wt.claim()
-            yield env.timeout_until((now + pre) + self.rendezvous_rtt())
-            if trace is not None:
-                self.rendezvous_spans(trace, now, pre)
-            pre = 0.0
-        span = trace.child(stage, nbytes=size) if trace is not None else None
-        yield from self.node.switch.transmit(src_name, dst_name,
-                                             self.wire_bytes(size), pre_delay=pre)
-        if span is not None:
-            span.finish()
+        return QueuePair(self, pd)
 
     def rendezvous_rtt(self) -> float:
         """The RTS/CTS control round-trip a rendezvous message pays."""
@@ -645,8 +594,3 @@ class RdmaDevice:
         """Bytes on the wire for a ``size``-byte payload (header, goodput)."""
         return int((size + HEADER_BYTES) / self.costs.goodput_efficiency)
 
-
-def _payload_size(payload: Any) -> int:
-    from repro.net.message import payload_nbytes
-
-    return payload_nbytes(payload)

@@ -146,7 +146,7 @@ class TcpConnection:
                 span.finish()
         # Single-stream per-connection processing (sequential per direction).
         wire = int((size + HEADER_BYTES) / costs.goodput_efficiency)
-        if costs.per_conn_byte_cost and size and msg.src != dst_name:
+        if costs.per_conn_byte_cost and size:
             # The stream reservation, the stack latency (rtt/2) and the
             # propagation as one event, at the chained sleeps' instant.  A
             # sampled message then books its ``tcp.stream`` and
@@ -170,13 +170,7 @@ class TcpConnection:
             if span is not None:
                 span.finish()
         else:
-            if costs.per_conn_byte_cost and size:
-                span = trace.child("tcp.stream", node=msg.src, nbytes=size) if trace is not None else None
-                yield stream.serve(costs.per_conn_byte_cost * size)
-                if span is not None:
-                    span.finish()
-
-            # --- wire --------------------------------------------------
+            # --- wire (no stream work to merge the sleep into) ---------
             # Fixed stack latency (rtt/2) is merged into the switch
             # crossing's propagation event — one kernel event,
             # bit-identical fire time.
@@ -242,6 +236,16 @@ class TcpStack:
         self.section = node.lock("tcp_stack")
 
     def connect(self, remote: "TcpStack") -> TcpConnection:
-        """Open a connection to ``remote`` (handshake cost is negligible
-        next to the paper's multi-second measurement windows)."""
+        """Open a connection to ``remote`` on another node (handshake cost
+        is negligible next to the paper's multi-second measurement windows).
+
+        Every data channel of the testbed crosses the switch, so a
+        connection within one node is rejected before anything is
+        simulated.
+        """
+        if remote.node is self.node:
+            raise ValueError(
+                f"both ends are on node {self.node.name!r}; a TCP "
+                "connection joins two nodes"
+            )
         return TcpConnection(self, remote)

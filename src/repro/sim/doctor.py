@@ -53,6 +53,10 @@ __all__ = [
 
 #: Metrics an SLO rule may target.  Latency metrics read from
 #: ``result.latency`` (seconds); throughput metrics from the result itself.
+#: Largest relative gap between a station's measured utilization and
+#: X·D (the utilization law) that still passes the law check.
+UTILIZATION_TOLERANCE = 0.01
+
 _LATENCY_METRICS = ("p50", "p95", "p99", "p999", "mean", "max")
 _THROUGHPUT_METRICS = ("iops", "kiops", "bandwidth", "bandwidth_gib")
 
@@ -240,17 +244,15 @@ def diagnose(
     littles_rows: Optional[Dict[str, dict]] = None,
     slos: Iterable[str] = (),
     label: str = "",
-    elapsed: Optional[float] = None,
-    utilization_tolerance: float = 0.01,
 ) -> Diagnosis:
     """Cross-check a finished run and rank its bottlenecks.
 
     ``result`` is a :class:`~repro.workload.fio.FioResult`; ``stations``
     carry each server's own ``busy_time``; ``littles_rows`` is the output
     of :meth:`~repro.sim.timeseries.Sampler.littles_law` when a sampler
-    observed the run.  ``elapsed`` is the wall of simulated time covered
-    by both the tracer aggregates and the station busy counters (defaults
-    to ``tracer.env.now - tracer.t_installed``).
+    observed the run.  The utilization law covers the simulated time
+    since the tracer was installed, which both the tracer aggregates and
+    the station busy counters span.
     """
     spec = result.spec
     roots = collector.roots()
@@ -285,8 +287,7 @@ def diagnose(
         }
 
     # -- utilization law ----------------------------------------------------
-    if elapsed is None:
-        elapsed = tracer.env.now - (tracer.t_installed or 0.0)
+    elapsed = tracer.env.now - (tracer.t_installed or 0.0)
     util_rows: List[dict] = []
     for st in stations:
         agg = tracer.aggregates.get(st.name)
@@ -303,7 +304,7 @@ def diagnose(
             "x_times_d": u_law,
             "ops": agg.count if agg is not None else 0,
             "rel_err": rel_err,
-            "ok": rel_err <= utilization_tolerance,
+            "ok": rel_err <= UTILIZATION_TOLERANCE,
         })
     util_rows.sort(key=lambda r: (-r["utilization"], r["station"]))
 

@@ -141,12 +141,6 @@ class LatencyRecorder:
             self._hist.record_many(other._samples)
         return self
 
-    def histogram(self):
-        """The streaming histogram view (spilling exact samples if needed)."""
-        if self._hist is None:
-            self._spill()
-        return self._hist
-
     def summary(self) -> Dict[str, float]:
         """Return count/mean/p50/p95/p99/p999/max in seconds (zeros if empty)."""
         if self._hist is not None:

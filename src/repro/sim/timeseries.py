@@ -51,6 +51,9 @@ GAUGE = "gauge"          # fn() is an instantaneous level
 RATE = "rate"            # fn() is a cumulative total; store delta / dt
 UTILIZATION = "utilization"  # like RATE but the total is busy-seconds
 
+#: Largest relative gap ``|L - λW| / λW`` a checked station may show.
+LITTLES_LAW_TOLERANCE = 0.05
+
 
 class TimeSeries:
     """Bounded time-weighted series with automatic pairwise downsampling.
@@ -343,10 +346,10 @@ class Sampler:
             if p.kind != GAUGE:
                 p._prev = float(p.fn())
 
-    def sample_now(self, dt: Optional[float] = None) -> None:
-        """Take one sample covering the last ``dt`` (default: interval)."""
+    def sample_now(self) -> None:
+        """Take one sample covering the last interval."""
         now = self.env.now
-        window = self.interval if dt is None else dt
+        window = self.interval
         self.ticks += 1
         for p in self._probes:
             raw = float(p.fn())
@@ -373,14 +376,14 @@ class Sampler:
             return 0.0
         return self.env.now - self.t_start
 
-    def littles_law(self, tolerance: float = 0.05,
-                    min_arrivals: int = 50) -> Dict[str, dict]:
+    def littles_law(self, min_arrivals: int = 50) -> Dict[str, dict]:
         """The ``L = λW`` self-check for every registered station.
 
         ``L`` is the *sampled* time-weighted mean of the in-flight series,
         ``λ`` and ``W`` come from the station's exact counters (what they
         added since :meth:`add_station`); a healthy
-        telemetry pipeline keeps ``|L - λW| / λW`` within ``tolerance``.
+        telemetry pipeline keeps ``|L - λW| / λW`` within
+        :data:`LITTLES_LAW_TOLERANCE`.
         Stations with fewer than ``min_arrivals`` are reported but marked
         ``checked=False`` (the law is asymptotic).
         """
@@ -406,7 +409,7 @@ class Sampler:
                 "rel_err": rel_err,
                 "arrivals": arrivals,
                 "checked": checked,
-                "ok": (rel_err <= tolerance) if checked else True,
+                "ok": (rel_err <= LITTLES_LAW_TOLERANCE) if checked else True,
             }
         return out
 

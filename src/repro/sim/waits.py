@@ -164,8 +164,7 @@ class WaitTracer:
         blame = tracer.blame()
     """
 
-    def __init__(self, env: "Environment", max_records: int = 1_000_000,
-                 series_capacity: int = 512) -> None:
+    def __init__(self, env: "Environment", max_records: int = 1_000_000) -> None:
         self.env = env
         self.max_records = int(max_records)
         self._records: List[WaitRecord] = []
@@ -187,7 +186,6 @@ class WaitTracer:
         # or withdrawal) so id() reuse cannot mix up two waits.
         self._blocked: Dict[object, Tuple[str, float, "Span"]] = {}
         # Per-resource cumulative wait counters (Chrome-trace tracks).
-        self._series_capacity = int(series_capacity)
         self._series: Dict[str, TimeSeries] = {}
         self._series_last_t: Dict[str, float] = {}
         # Models that book lazily (a pipe's chunk slots), each with the
@@ -382,8 +380,7 @@ class WaitTracer:
         ts = self._series.get(name)
         if ts is None:
             ts = self._series[name] = TimeSeries(
-                f"wait.{name}", capacity=self._series_capacity,
-                unit="s", kind=GAUGE)
+                f"wait.{name}", unit="s", kind=GAUGE)
             self._series_last_t[name] = self.t_installed or 0.0
         last = self._series_last_t[name]
         ts.append(now, now - last, cum_wait)

@@ -35,12 +35,11 @@ class IoUringEngine:
         self,
         node: Node,
         device: BlockDevice,
-        costs: StoragePathCosts = IOURING_PATH,
     ) -> None:
         self.node = node
         self.env = node.env
         self.device = device
-        self.costs = costs
+        self.costs: StoragePathCosts = IOURING_PATH
         self._block_layer = node.lock("block_layer")
         self._threads = 0
 

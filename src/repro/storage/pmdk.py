@@ -33,15 +33,12 @@ class PmemPool:
         env: Environment,
         capacity_bytes: int,
         data_mode: bool = False,
-        bandwidth: float = PMEM_BANDWIDTH,
     ) -> None:
         if capacity_bytes <= 0:
             raise ValueError(f"capacity must be positive, got {capacity_bytes}")
         self.env = env
         self.capacity_bytes = int(capacity_bytes)
         self.allocated = 0
-        #: DIMM bandwidth in bytes per second.
-        self.bandwidth = bandwidth
         self._dimm = FifoServer(env, "scm.dimm")
         self._store: Optional[SparseBytes] = (
             SparseBytes(capacity_bytes) if data_mode else None
@@ -66,7 +63,7 @@ class PmemPool:
                 raise ValueError("persist needs data or an explicit nbytes")
             nbytes = len(data)
         self._check(offset, nbytes)
-        yield self._dimm.serve(nbytes / self.bandwidth)
+        yield self._dimm.serve(nbytes / PMEM_BANDWIDTH)
         yield self.env.timeout(PMEM_WRITE_LATENCY)
         if self._store is not None and data is not None:
             self._store.write(offset, data)
@@ -77,7 +74,7 @@ class PmemPool:
     ) -> Generator[Event, None, Optional[bytes]]:
         """Load ``nbytes``; returns bytes in data mode."""
         self._check(offset, nbytes)
-        yield self._dimm.serve(nbytes / self.bandwidth)
+        yield self._dimm.serve(nbytes / PMEM_BANDWIDTH)
         yield self.env.timeout(PMEM_READ_LATENCY)
         self.reads.record(nbytes)
         if self._store is not None:

@@ -1,4 +1,4 @@
-"""SPDK user-space NVMe driver and NVMe-over-Fabrics target/initiator.
+"""SPDK NVMe-over-Fabrics target and initiator.
 
 This is the Fig. 4 machinery: a storage node exposes one (or more) NVMe
 namespaces through an :class:`NvmfTarget`; a client drives it remotely
@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 from typing import Dict, Generator, Optional
 
-from repro.hw.platform import ComputeNode, Node
+from repro.hw.platform import ComputeNode
 from repro.hw.specs import SPDK_PATH, US, StoragePathCosts
 from repro.net.fabric import FabricChannel, RemoteRegion
 from repro.net.message import Message, reply_listener, request_listener
@@ -33,71 +33,14 @@ from repro.sim.core import Environment, Event
 from repro.sim.queues import FifoServer
 from repro.storage.block import BlockDevice
 
-__all__ = ["SpdkLocalEngine", "NvmfTarget", "NvmfInitiator"]
+__all__ = ["NvmfTarget", "NvmfInitiator"]
 
 #: Per-command CPU on the target's poller (parse capsule, post backend IO,
 #: build completion) — SPDK's polled target path, no syscalls.
 TARGET_CPU_PER_OP = 1.2 * US
 
-
-class SpdkLocalEngine:
-    """Local user-space NVMe access (no kernel in the path)."""
-
-    def __init__(
-        self,
-        node: Node,
-        device: BlockDevice,
-        costs: StoragePathCosts = SPDK_PATH,
-    ) -> None:
-        self.node = node
-        self.env = node.env
-        self.device = device
-        self.costs = costs
-        self._threads = 0
-
-    def new_context(self, name: Optional[str] = None) -> FifoServer:
-        """Create one reactor thread."""
-        self._threads += 1
-        return FifoServer(
-            self.env,
-            name or f"{self.node.name}.spdk.reactor{self._threads}",
-            factor=self.node.spec.cycle_factor,
-        )
-
-    def submit(
-        self,
-        ctx: FifoServer,
-        offset: int,
-        nbytes: int,
-        is_write: bool,
-        data: Optional[bytes] = None,
-        trace=None,
-    ) -> Generator[Event, None, Optional[bytes]]:
-        """One local NVMe command through the user-space driver."""
-        costs = self.costs
-        span = None
-        if trace is not None:
-            span = trace.child("spdk.submit", node=self.node.name, nbytes=nbytes)
-        yield ctx.enter(costs.submit_cpu_per_op)
-        if span is not None:
-            span.finish()
-        if is_write:
-            yield from self.device.write(
-                offset, nbytes=nbytes, data=data,
-                bw_efficiency=costs.write_bw_efficiency, trace=trace,
-            )
-            result = None
-        else:
-            result = yield from self.device.read(
-                offset, nbytes, bw_efficiency=costs.read_bw_efficiency, trace=trace
-            )
-        span = None
-        if trace is not None:
-            span = trace.child("spdk.complete", node=self.node.name)
-        yield ctx.enter(costs.complete_cpu_per_op)
-        if span is not None:
-            span.finish()
-        return result
+#: The performance-mode I/O window each initiator pre-registers.
+IO_WINDOW_BYTES = 16 * 1024 * 1024
 
 
 class NvmfTarget:
@@ -107,12 +50,10 @@ class NvmfTarget:
         self,
         node: ComputeNode,
         device: BlockDevice,
-        cpu_per_op: float = TARGET_CPU_PER_OP,
     ) -> None:
         self.node = node
         self.env: Environment = node.env
         self.device = device
-        self.cpu_per_op = cpu_per_op
         self.commands_served = 0
 
     def serve(self, channel: FabricChannel) -> None:
@@ -135,7 +76,7 @@ class NvmfTarget:
         if trace is not None:
             span = trace.child("nvmf.target", node=self.node.name, nbytes=nbytes)
 
-        yield self.node.cpu.execute(self.cpu_per_op)
+        yield self.node.cpu.execute(TARGET_CPU_PER_OP)
 
         if op == "write":
             # Pull the payload from the client window, then hit the media.
@@ -168,14 +109,12 @@ class NvmfInitiator:
         self,
         node: ComputeNode,
         channel: FabricChannel,
-        costs: StoragePathCosts = SPDK_PATH,
         data_mode: bool = False,
-        io_window_bytes: int = 16 * 1024 * 1024,
     ) -> None:
         self.node = node
         self.env: Environment = node.env
         self.channel = channel
-        self.costs = costs
+        self.costs: StoragePathCosts = SPDK_PATH
         self.data_mode = bool(data_mode)
         self.target_name = channel.peer_of(node.name)
         self._pending: Dict[int, Event] = {}
@@ -185,7 +124,7 @@ class NvmfInitiator:
         # command (real initiators pre-register their buffer pools).
         self._window: Optional[RemoteRegion] = None
         if not data_mode:
-            self._window = channel.register(node.name, io_window_bytes)
+            self._window = channel.register(node.name, IO_WINDOW_BYTES)
 
     def start(self) -> "NvmfInitiator":
         """Listen for completion capsules; call once before I/O."""

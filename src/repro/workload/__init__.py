@@ -3,8 +3,8 @@
 * :mod:`repro.workload.patterns` — offset streams (sequential per-job
   regions, aligned uniform random).
 * :mod:`repro.workload.fio` — the FIO-equivalent job runner: numjobs x
-  iodepth lanes against any engine adapter (io_uring, SPDK local, NVMe-oF
-  initiator, DAOS client, ROS2 data port), with ramp-up exclusion and
+  iodepth lanes against any engine adapter (io_uring, NVMe-oF initiator,
+  ROS2 data port), with ramp-up exclusion and
   IOPS/bandwidth/latency reporting.
 * :mod:`repro.workload.llm` — the paper's motivation (§2.1-2.2): the
   per-node ingest-rate model ``B ~ G * r * s``, and the three LLM I/O
@@ -12,14 +12,13 @@
   runnable workload specs.
 """
 
-from repro.workload.fio import FioJobSpec, FioResult, Ros2FioAdapter, run_fio
+from repro.workload.fio import FioJobSpec, FioResult, run_fio
 from repro.workload.mdtest import MdtestResult, MdtestSpec, run_mdtest
 from repro.workload.llm import (
     CheckpointSpec,
     DataloaderSpec,
     LlmIngestModel,
     ParameterLoadSpec,
-    llm_phase_specs,
 )
 from repro.workload.patterns import RandomPattern, SequentialPattern
 
@@ -33,9 +32,7 @@ __all__ = [
     "MdtestSpec",
     "ParameterLoadSpec",
     "RandomPattern",
-    "Ros2FioAdapter",
     "run_fio",
     "run_mdtest",
     "SequentialPattern",
-    "llm_phase_specs",
 ]

@@ -12,23 +12,23 @@ An adapter is anything with::
     new_context(name=None) -> FifoServer
     submit(ctx, offset, nbytes, is_write) -> generator
 
-which :class:`~repro.storage.iouring.IoUringEngine`,
-:class:`~repro.storage.spdk.SpdkLocalEngine` and
-:class:`~repro.storage.spdk.NvmfInitiator` already satisfy;
-:class:`Ros2FioAdapter` adds the ROS2 data port (FIO's DFS engine).
+which :class:`~repro.storage.iouring.IoUringEngine` and
+:class:`~repro.storage.spdk.NvmfInitiator` already satisfy; the Fig. 5
+runner's ``_MultiSessionAdapter`` (:mod:`repro.bench.runner`) drives the
+ROS2 data port (FIO's DFS engine).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.sim.core import Environment
 from repro.sim.monitor import LatencyRecorder, RateMeter
 from repro.sim.rng import RngStreams
 from repro.workload.patterns import RandomPattern, SequentialPattern
 
-__all__ = ["FioJobSpec", "FioResult", "Ros2FioAdapter", "run_fio", "WORKLOADS"]
+__all__ = ["FioJobSpec", "FioResult", "run_fio", "WORKLOADS"]
 
 #: The paper's four POSIX workloads (Fig. 3/4/5 row labels R, W, RR, RW).
 WORKLOADS = ("read", "write", "randread", "randwrite")
@@ -128,27 +128,10 @@ class FioResult:
         )
 
 
-class Ros2FioAdapter:
-    """FIO's DFS engine: drive one open ROS2 file through the data port."""
-
-    def __init__(self, port, fh: int) -> None:
-        self.port = port
-        self.fh = fh
-
-    def new_context(self, name: Optional[str] = None):
-        return self.port.new_context(name)
-
-    def submit(self, ctx, offset: int, nbytes: int, is_write: bool, trace=None):
-        if is_write:
-            return self.port.write(ctx, self.fh, offset, nbytes=nbytes, trace=trace)
-        return self.port.read(ctx, self.fh, offset, nbytes, trace=trace)
-
-
 def run_fio(
     env: Environment,
     adapter,
     spec: FioJobSpec,
-    until_extra: float = 0.0,
     collector=None,
 ) -> FioResult:
     """Run one FIO job spec to completion and report the measured window.
@@ -250,7 +233,7 @@ def run_fio(
     meter.reset()
     for rec in job_lats:
         rec.clear()
-    env.run(until=t_end + until_extra)
+    env.run(until=t_end)
     events_close = env.events_processed
     stop[0] = True
     # Drain: in-flight operations complete but no new ones are issued.

@@ -18,7 +18,7 @@ Two pieces:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from repro.hw.specs import GIB, GPU_GENERATIONS, KIB, MIB, GpuSpec
 from repro.workload.fio import FioJobSpec
@@ -28,7 +28,6 @@ __all__ = [
     "DataloaderSpec",
     "ParameterLoadSpec",
     "CheckpointSpec",
-    "llm_phase_specs",
 ]
 
 
@@ -65,18 +64,14 @@ class LlmIngestModel:
         )
 
     @staticmethod
-    def generation_sweep(
-        gpus_per_node: int = 8,
-        base_rate: float = 25.0,
-        bytes_per_sample: int = 2 * MIB,
-    ) -> List[Tuple[GpuSpec, float]]:
+    def generation_sweep() -> List[Tuple[GpuSpec, float]]:
         """Per-node ingest requirement for every Table 1 GPU generation.
 
-        ``base_rate`` is r for the P100 baseline; later generations scale
-        with tensor throughput.
+        The P100 baseline consumes r = 25 samples/s/GPU on an 8-GPU node;
+        later generations scale with tensor throughput.
         """
         baseline = GPU_GENERATIONS[0]
-        base = LlmIngestModel(gpus_per_node, base_rate, bytes_per_sample)
+        base = LlmIngestModel(samples_per_gpu_per_sec=25.0)
         return [
             (gpu, base.scaled_to_gpu(gpu, baseline).node_ingest_rate())
             for gpu in GPU_GENERATIONS
@@ -148,11 +143,3 @@ class CheckpointSpec:
             size=min(self.state_bytes // self.writers, 2 * GIB),
         )
 
-
-def llm_phase_specs() -> Dict[str, FioJobSpec]:
-    """The three Fig. 1 phases as runnable FIO jobs."""
-    return {
-        "dataloader": DataloaderSpec().fio_spec(),
-        "parameter_load": ParameterLoadSpec().fio_spec(),
-        "checkpoint": CheckpointSpec().fio_spec(),
-    }

@@ -59,7 +59,6 @@ def run_mdtest(
     ns: DfsNamespace,
     make_context,
     spec: MdtestSpec,
-    root: str = "/mdtest",
 ) -> Generator[Event, None, MdtestResult]:
     """Run the three mdtest phases; use as a process (``yield from``).
 
@@ -67,6 +66,7 @@ def run_mdtest(
     (e.g. ``client.new_context`` or ``port.new_context``).
     """
     ctxs = [make_context() for _ in range(spec.ranks)]
+    root = "/mdtest"
     yield from ns.mkdir(ctxs[0], root)
     for r in range(spec.ranks):
         yield from ns.mkdir(ctxs[r], f"{root}/rank{r}")

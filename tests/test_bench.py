@@ -1,12 +1,10 @@
 """Unit tests for the bench harness: report rendering, calibration bands,
 and a smoke pass over each experiment builder."""
 
-import os
-
 import pytest
 
-from repro.bench.calibration import PAPER_BANDS, ShapeCheck, check_band, describe_band
-from repro.bench.report import Table, format_heatmap, format_rate, render_series, write_csv
+from repro.bench.calibration import PAPER_BANDS, ShapeCheck, describe_band
+from repro.bench.report import Table, format_heatmap, format_rate, render_series
 from repro.bench.runner import default_iodepth, run_fig3_cell, run_fig4_cell, run_fig5_cell
 from repro.hw.specs import KIB, MIB
 
@@ -52,15 +50,6 @@ def test_render_series_shape():
     assert "jobs" in out and "read" in out
 
 
-def test_write_csv(tmp_path):
-    path = os.path.join(tmp_path, "out.csv")
-    write_csv(path, ["a", "b"], [{"a": 1, "b": 2}, {"a": 3, "b": 4}])
-    with open(path) as fh:
-        content = fh.read()
-    assert content.splitlines()[0] == "a,b"
-    assert "3,4" in content
-
-
 # ---------------------------------------------------------------------------
 # Calibration bands
 # ---------------------------------------------------------------------------
@@ -72,7 +61,7 @@ def test_shape_check_holds():
 
 
 def test_check_band_and_describe():
-    assert check_band(PAPER_BANDS, "fig3.4k.1job", 80e3)
+    assert PAPER_BANDS["fig3.4k.1job"].holds(80e3)
     msg = describe_band(PAPER_BANDS["fig3.4k.1job"], 80e3)
     assert msg.startswith("[OK ]")
     msg = describe_band(PAPER_BANDS["fig3.4k.1job"], 1.0)

@@ -5,7 +5,6 @@ import pytest
 from repro.daos.types import (
     ContainerId,
     DaosError,
-    EpochError,
     NoSuchContainer,
     NoSuchObject,
     NoSuchPool,
@@ -51,7 +50,7 @@ def test_object_id_equality_and_hash():
 
 
 def test_error_hierarchy():
-    for exc_type in (NoSuchPool, NoSuchContainer, NoSuchObject, EpochError):
+    for exc_type in (NoSuchPool, NoSuchContainer, NoSuchObject):
         assert issubclass(exc_type, DaosError)
     assert issubclass(DaosError, RuntimeError)
     with pytest.raises(DaosError):

@@ -99,21 +99,6 @@ def test_switch_transfer_time():
     assert done[0] == pytest.approx(expected, rel=0.01)
 
 
-def test_switch_loopback_is_free():
-    env = Environment()
-    sw = Switch(env, PAPER_LINK)
-    sw.attach("a")
-    done = []
-
-    def xfer(env):
-        yield from sw.transmit("a", "a", GIB)
-        done.append(env.now)
-
-    env.process(xfer(env))
-    env.run()
-    assert done[0] == 0.0
-
-
 def test_switch_unknown_port_raises():
     env = Environment()
     sw = Switch(env, PAPER_LINK)

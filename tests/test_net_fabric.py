@@ -48,6 +48,30 @@ def test_provider_mismatch_rejected():
         ea.connect(eb)
 
 
+@pytest.mark.parametrize("provider", ["ucx+tcp", "ucx+rc"])
+def test_same_node_channel_rejected(provider):
+    """A data channel joins two nodes; one within a node is bad input."""
+    env = Environment()
+    top = make_paper_testbed(env)
+    with pytest.raises(ValueError, match="two nodes"):
+        Fabric(env).connect(top.client, top.client, provider)
+
+
+def test_same_node_qp_pair_and_tcp_connection_rejected():
+    from repro.net.rdma import RdmaDevice
+    from repro.net.tcp import TcpStack
+
+    env = Environment()
+    top = make_paper_testbed(env)
+    dev = RdmaDevice(top.client)
+    qa, qb = dev.create_qp(dev.alloc_pd()), dev.create_qp(dev.alloc_pd())
+    with pytest.raises(ValueError, match="two nodes"):
+        qa.connect(qb)
+    assert qa.remote is None and qb.remote is None
+    with pytest.raises(ValueError, match="two nodes"):
+        TcpStack(top.client).connect(TcpStack(top.client))
+
+
 # ---------------------------------------------------------------------------
 # Channel behaviour, parametrized over families
 # ---------------------------------------------------------------------------

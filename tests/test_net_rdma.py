@@ -3,7 +3,7 @@
 import pytest
 
 from repro.hw import make_paper_testbed
-from repro.hw.specs import KIB, MIB, RDMA_COSTS
+from repro.hw.specs import KIB, MIB
 from repro.net.rdma import (
     AccessFlags,
     AccessViolation,
@@ -177,7 +177,7 @@ def test_one_sided_ops_leave_send_cq_empty():
     assert len(qc.send_cq) == 0 and len(qs.recv_cq) == 0
 
 
-def _one_op(op, observed, propagation=None, loopback=False):
+def _one_op(op, observed, propagation=None):
     """Run one verb from a rounded clock value.
 
     ``observed`` installs a wait tracer and samples the request (its
@@ -198,7 +198,7 @@ def _one_op(op, observed, propagation=None, loopback=False):
     tracer = WaitTracer(env).install() if observed else None
     collector = SpanCollector(env)
     dev_c = RdmaDevice(top.client)
-    dev_s = RdmaDevice(top.client if loopback else top.server)
+    dev_s = RdmaDevice(top.server)
     qc, qs = connect_qps(dev_c, dev_s)
     mr = qs.pd.register_mr(4 * MIB, AccessFlags.remote_rw())
     kind, nbytes = op
@@ -327,38 +327,6 @@ def test_untraced_verbs_merge_fixed_delays_at_the_chained_instant(op, propagatio
     observed = _one_op(op, True, propagation)
     assert plain[:2] == observed[:2]
     _assert_chained_bookings(op, *observed[2:])
-
-
-@pytest.mark.parametrize("op", _MERGED_HOPS, ids=str)
-def test_loopback_verbs_keep_their_separate_events(op):
-    """Nothing merges on a loopback pair but the rendezvous round-trip with
-    the stack latency before it; a sampled message merges them too and
-    books the two sleeps apart."""
-    from repro.sim.waits import SLEEP
-
-    plain = _one_op(op, False, loopback=True)
-    observed = _one_op(op, True, loopback=True)
-    assert plain[:2] == observed[:2]
-    kind, nbytes = op
-    *_, dev, collector, tracer = observed
-    rendezvous = [s for s in collector.spans if s.name == "rdma.rendezvous"]
-    if kind != "read" and nbytes > RDMA_COSTS.rendezvous_threshold:
-        (span,) = rendezvous
-        pre = dev.costs.rtt_overhead / 2.0
-        rtt = dev.rendezvous_rtt()
-        (post,) = [s for s in collector.spans if s.name == "rdma.post"]
-        (root,) = [s for s in collector.spans if s.name == "io"]
-
-        def sleeps(span):
-            return [(r.t, r.latency) for r in tracer.records
-                    if r.span is span and r.kind == SLEEP]
-
-        assert sleeps(root) == [(post.t_end, pre)]
-        assert (span.t_start, span.t_end) == (post.t_end + pre,
-                                              (post.t_end + pre) + rtt)
-        assert sleeps(span) == [(span.t_start, rtt)]
-    else:
-        assert rendezvous == []
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Unit tests for BlockDevice, job threads, io_uring and local SPDK engines,
-and the PMDK tier."""
+"""Unit tests for BlockDevice, job threads, the io_uring engine and the
+PMDK tier."""
 
 import pytest
 
@@ -10,7 +10,6 @@ from repro.storage import (
     BlockDevice,
     IoUringEngine,
     PmemPool,
-    SpdkLocalEngine,
 )
 
 
@@ -183,37 +182,6 @@ def test_iouring_data_mode_roundtrip():
     env.process(proc(env))
     env.run()
     assert got == [b"io_uring ok"]
-
-
-# ---------------------------------------------------------------------------
-# SpdkLocalEngine
-# ---------------------------------------------------------------------------
-
-def test_spdk_local_faster_than_iouring_per_op():
-    """User-space polling beats the kernel path on per-op latency."""
-
-    def one_op(engine_cls):
-        env, top, dev = make_local()
-        engine = engine_cls(top.server, dev)
-        ctx = engine.new_context()
-        done = []
-
-        def proc(env):
-            yield from engine.submit(ctx, 0, 4 * KIB, False)
-            done.append(env.now)
-
-        env.process(proc(env))
-        env.run()
-        return done[0]
-
-    assert one_op(SpdkLocalEngine) < one_op(IoUringEngine)
-
-
-def test_spdk_local_extracts_raw_bandwidth():
-    env, top, dev = make_local()
-    engine = SpdkLocalEngine(top.server, dev)
-    rate = run_engine_jobs(engine, n_jobs=2, iodepth=8, block=MIB, is_write=False)
-    assert rate * MIB == pytest.approx(NVME_SSD.read_bw, rel=0.05)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from repro.workload import (
     LlmIngestModel,
     RandomPattern,
     SequentialPattern,
-    llm_phase_specs,
     run_fio,
 )
 from repro.workload.fio import WORKLOADS
@@ -155,7 +154,11 @@ def test_generation_sweep_monotone():
 
 
 def test_phase_specs_shapes():
-    specs = llm_phase_specs()
+    from repro.workload import CheckpointSpec, DataloaderSpec, ParameterLoadSpec
+
+    specs = {"dataloader": DataloaderSpec().fio_spec(),
+             "parameter_load": ParameterLoadSpec().fio_spec(),
+             "checkpoint": CheckpointSpec().fio_spec()}
     assert specs["dataloader"].is_random and not specs["dataloader"].is_write
     assert not specs["parameter_load"].is_random
     assert specs["checkpoint"].is_write and not specs["checkpoint"].is_random

@@ -67,8 +67,7 @@ def test_mdtest_with_payload_writes_data():
     spec = MdtestSpec(ranks=1, files_per_rank=3, payload_bytes=512)
 
     def go(env):
-        result = yield from run_mdtest(env, ns, daos.new_context, spec,
-                                       root="/md2")
+        result = yield from run_mdtest(env, ns, daos.new_context, spec)
         return result
 
     p = env.process(go(env))
