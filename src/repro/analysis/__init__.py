@@ -10,7 +10,8 @@ metrics that are invariant under equal-time event reordering.
   ``# simlint: disable=...`` comments);
 * :mod:`repro.analysis.baseline` — the committed suppression baseline;
 * :mod:`repro.analysis.sanitizer` — the virtual-time race sanitizer
-  (tie-scramble × ``PYTHONHASHSEED`` matrix over a quick Fig. 5 cell).
+  (tie-scramble × ``PYTHONHASHSEED`` matrix over the cells of a
+  campaign spec, run by the campaign executor's cell runner and pool).
 
 CLI entry points: ``python -m repro.bench.cli lint`` and ``... sanitize``.
 """
@@ -30,11 +31,10 @@ from repro.analysis.model import LINT_FORMAT, RULES, Finding, LintReport
 from repro.analysis.rules import check_source
 from repro.analysis.sanitizer import (
     SANITIZE_FORMAT,
-    build_record,
     compare_metrics,
     render_sanitize,
     run_sanitizer,
-    sanitize_cell,
+    spec_cells,
 )
 
 __all__ = [
@@ -51,9 +51,8 @@ __all__ = [
     "lint_source",
     "lint_paths",
     "render_report",
-    "build_record",
     "compare_metrics",
-    "sanitize_cell",
+    "spec_cells",
     "run_sanitizer",
     "render_sanitize",
 ]

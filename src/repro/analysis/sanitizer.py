@@ -13,17 +13,24 @@ nothing in the type system enforces:
    is permuted has a hidden happens-before assumption — a virtual-time
    race.
 
-The sanitizer attacks both axes on a quick Fig. 5 cell:
+The sanitizer attacks both axes on the cells of a campaign spec
+(``repro-campaign-v1``, expanded by
+:func:`~repro.bench.campaign.expand_spec`).  Every run goes through the
+campaign's own cell runner and record format
+(:func:`~repro.bench.campaign.run_cell` +
+:func:`~repro.bench.campaign.cell_record`) on its worker pool:
 
-* it re-runs the cell with the kernel's seeded **tie scramble**
-  (:func:`repro.sim.core.tie_scramble`) permuting equal-``(time,
-  priority)`` pop order, for several shuffle seeds;
-* it re-runs each shuffled cell under two different ``PYTHONHASHSEED``
-  values (which requires a subprocess — the hash seed is fixed at
+* the FIFO run is the reference — byte-identical to the cell's ledger
+  record, so every verdict names a run ID in the ledger;
+* each tie seed re-runs the cell with the kernel's seeded **tie
+  scramble** (:func:`repro.sim.core.tie_scramble`) permuting
+  equal-``(time, priority)`` pop order;
+* each tie-seeded run repeats under every ``PYTHONHASHSEED`` value, one
+  pool of spawned workers per value (the hash seed is fixed at
   interpreter start);
 
-then diffs the stripped ledger records.  The gates are deliberately of
-different strength:
+then diffs the records.  The gates are deliberately of different
+strength:
 
 * **hash axis: byte identity.**  Changing ``PYTHONHASHSEED`` does not
   change the schedule, so the full stripped record — attribution
@@ -47,11 +54,7 @@ blame the resource whose grant order diverged.
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
-import subprocess
-import sys
 from typing import Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
@@ -60,14 +63,13 @@ __all__ = [
     "TAIL_TOLERANCE",
     "DEFAULT_SEEDS",
     "DEFAULT_HASH_SEEDS",
-    "build_record",
+    "spec_cells",
     "compare_metrics",
-    "sanitize_cell",
     "run_sanitizer",
     "render_sanitize",
 ]
 
-SANITIZE_FORMAT = "repro-sanitize-v1"
+SANITIZE_FORMAT = "repro-sanitize-v2"
 
 #: Relative tolerance for ordinary metrics (rates, counts, means).
 #: The observed tie-permutation envelope on the quick cells is ≤2.5e-4
@@ -84,35 +86,33 @@ _TAIL_SUFFIXES = (".max", ".p99", ".p999")
 DEFAULT_SEEDS: Tuple[int, ...] = (1, 2, 3, 4, 5)
 DEFAULT_HASH_SEEDS: Tuple[int, ...] = (0, 12345)
 
-#: The quick Fig. 5 cell sanitized on each transport: the DPU client's
-#: 4 KiB random read with 16 jobs.
-_CELL = {"client": "dpu", "rw": "randread", "bs": 4096, "numjobs": 16}
+#: Experiments whose runner takes a tie seed and whose records carry
+#: the blame the drift report needs.
+_SANITIZABLE = ("fig5", "chaos")
+
+#: ``(cell key, tie seed or None for FIFO, hash seed)`` -> record.
+_Runs = Dict[Tuple[str, Optional[int], int], dict]
 
 
-def build_record(
-    transport: str,
-    runtime: float = 0.02,
-    tie_seed: Optional[int] = None,
-) -> dict:
-    """Run the doctored quick Fig. 5 cell and reduce it to a stripped record.
+def spec_cells(spec: dict) -> List[dict]:
+    """The normalized cells of a campaign spec, checked before anything runs.
 
-    The config deliberately excludes ``tie_seed``: the permuted run
-    claims to be *the same experiment*, and the sanitizer's whole
-    question is whether the record agrees.
+    Raises ``ValueError`` on a bad cell, an empty spec, or a ``fig3`` /
+    ``fig4`` cell (their runners take no tie seed and their records
+    carry no blame).
     """
-    from repro.bench import ledger
-    from repro.bench.runner import run_fig5_doctored
+    from repro.bench.campaign import cell_key, expand_spec
 
-    run = run_fig5_doctored(
-        transport, _CELL["client"], _CELL["rw"], _CELL["bs"],
-        _CELL["numjobs"], runtime=runtime, sample_every=20,
-        observe_sampler=False, tie_seed=tie_seed)
-    config = {"experiment": "fig5", "transport": transport, **_CELL,
-              "runtime": runtime}
-    record = ledger.make_run_record(
-        run.result, run.collector, run.tracer, config=config,
-        label=f"sanitize-{transport}", kind="sanitize")
-    return ledger.strip_volatile(record)
+    configs = expand_spec(spec)
+    if not configs:
+        raise ValueError("campaign spec has no cells to sanitize")
+    for config in configs:
+        if config["experiment"] not in _SANITIZABLE:
+            raise ValueError(
+                f"cannot sanitize {cell_key(config)}: a "
+                f"{config['experiment']} cell takes no tie seed; "
+                f"expected one of {_SANITIZABLE}")
+    return configs
 
 
 def _tolerance_for(key: str) -> float:
@@ -173,77 +173,57 @@ def _blame_drift(ref: dict, var: dict, label: str) -> List[dict]:
     ]
 
 
-# ---------------------------------------------------------------------------
-# Subprocess orchestration
-# ---------------------------------------------------------------------------
+def _run_all(configs: Sequence[dict], seeds: Sequence[int],
+             hash_seeds: Sequence[int]) -> _Runs:
+    """Every run of every cell, one spawned-worker pool per hash seed.
 
-def _worker_argv(transport: str, runtime: float,
-                 tie_seed: Optional[int]) -> List[str]:
-    argv = [sys.executable, "-m", "repro.analysis.sanitizer", "--worker",
-            "--transport", transport, "--runtime", repr(runtime)]
-    if tie_seed is not None:
-        argv += ["--tie-seed", str(tie_seed)]
-    return argv
-
-
-def _spawn(argv: List[str], hash_seed: int) -> "subprocess.Popen[str]":
-    env = dict(os.environ)
-    env["PYTHONHASHSEED"] = str(hash_seed)
-    # Ensure the worker resolves the same package tree as the parent.
-    env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
-    return subprocess.Popen(argv, stdout=subprocess.PIPE,
-                            stderr=subprocess.PIPE, text=True, env=env)
-
-
-def _collect(proc: "subprocess.Popen[str]", what: str) -> str:
-    out, err = proc.communicate()
-    if proc.returncode != 0:
-        raise RuntimeError(
-            f"sanitizer worker failed ({what}, rc={proc.returncode}):\n"
-            f"{err.strip()[-2000:]}")
-    return out.strip()
-
-
-def sanitize_cell(
-    transport: str,
-    runtime: float = 0.02,
-    seeds: Sequence[int] = DEFAULT_SEEDS,
-    hash_seeds: Sequence[int] = DEFAULT_HASH_SEEDS,
-) -> dict:
-    """Sanitize one cell: 1 reference + len(seeds)*len(hash_seeds) runs.
-
-    All workers are spawned concurrently (each is an independent
-    single-threaded simulation); the OS schedules them.
+    The FIFO reference runs once, under the first hash seed.
     """
-    def argv(tie_seed: Optional[int]) -> List[str]:
-        return _worker_argv(transport, runtime, tie_seed)
+    from repro.bench.campaign import _pool_map, cell_key
 
-    procs: Dict[Tuple[Optional[int], int], "subprocess.Popen[str]"] = {}
-    procs[(None, hash_seeds[0])] = _spawn(argv(None), hash_seeds[0])
-    for s in seeds:
-        for h in hash_seeds:
-            procs[(s, h)] = _spawn(argv(s), h)
+    runs: _Runs = {}
+    jobs = os.cpu_count() or 1
+    for h in hash_seeds:
+        ties: List[Optional[int]] = list(seeds)
+        if h == hash_seeds[0]:
+            ties.insert(0, None)
+        items = [((cell_key(c), s), c, s) for c in configs for s in ties]
 
-    texts = {key: _collect(proc, f"tie_seed={key[0]} hash_seed={key[1]}")
-             for key, proc in procs.items()}
+        def collect(res: tuple) -> None:
+            (key, tie_seed), status, payload, _ = res
+            if status != "ok":
+                raise RuntimeError(
+                    f"sanitizer run failed ({key} tie_seed={tie_seed} "
+                    f"hash_seed={h}): {payload['error']}")
+            runs[key, tie_seed, h] = payload
 
-    ref = json.loads(texts[(None, hash_seeds[0])])
+        _pool_map(items, min(jobs, len(items)), collect, hash_seed=h)
+    return runs
+
+
+def _verdict(key: str, config: dict, runs: _Runs, seeds: Sequence[int],
+             hash_seeds: Sequence[int]) -> dict:
+    """One cell's entry of the report."""
+    from repro.bench.ledger import canonical_json, strip_volatile
+
+    ref = runs[key, None, hash_seeds[0]]
     hash_mismatches: List[dict] = []
     drifts: List[dict] = []
     blame: List[dict] = []
     envelope_use, envelope_metric = 0.0, ""
     for s in seeds:
         # Hash axis: full stripped record must be byte-identical.
-        base_text = texts[(s, hash_seeds[0])]
-        for h in hash_seeds[1:]:
-            if texts[(s, h)] != base_text:
+        texts = [canonical_json(strip_volatile(runs[key, s, h]))
+                 for h in hash_seeds]
+        for h, text in zip(hash_seeds[1:], texts[1:]):
+            if text != texts[0]:
                 hash_mismatches.append({
                     "tie_seed": s, "hash_seeds": [hash_seeds[0], h],
                     "why": "stripped record differs across "
                            "PYTHONHASHSEED — hash-order dependence"})
         # Tie axis: metrics section within the quantization envelope.
         for h in hash_seeds:
-            var = json.loads(texts[(s, h)])
+            var = runs[key, s, h]
             use, use_key = _envelope_use(ref, var)
             if use > envelope_use:
                 envelope_use, envelope_metric = use, use_key
@@ -251,12 +231,10 @@ def sanitize_cell(
             if rows:
                 for row in rows:
                     drifts.append({"tie_seed": s, "hash_seed": h, **row})
-                blame = _blame_drift(
-                    ref, var, f"{transport} tie_seed={s}")
+                blame = _blame_drift(ref, var, f"{key} tie_seed={s}")
 
-    ok = not hash_mismatches and not drifts
     return {
-        "transport": transport, **_CELL, "runtime": runtime,
+        "key": key, "config": config, "reference_run_id": ref["run_id"],
         "seeds": list(seeds), "hash_seeds": list(hash_seeds),
         "n_runs": 1 + len(seeds) * len(hash_seeds),
         "reference_iops": float(
@@ -266,20 +244,20 @@ def sanitize_cell(
         "hash_mismatches": hash_mismatches,
         "drifted_metrics": drifts,
         "blame": blame,
-        "ok": ok,
+        "ok": not hash_mismatches and not drifts,
     }
 
 
-def run_sanitizer(
-    transports: Sequence[str] = ("rdma", "tcp"),
-    runtime: float = 0.02,
-    seeds: Sequence[int] = DEFAULT_SEEDS,
-    hash_seeds: Sequence[int] = DEFAULT_HASH_SEEDS,
-) -> dict:
-    """Sanitize the quick Fig. 5 cells; the ``repro-sanitize-v1`` doc."""
-    cells = [sanitize_cell(t, runtime=runtime, seeds=seeds,
-                           hash_seeds=hash_seeds)
-             for t in transports]
+def run_sanitizer(configs: Sequence[dict], seeds: Sequence[int],
+                  hash_seeds: Sequence[int]) -> dict:
+    """Sanitize the cells (:func:`spec_cells`); the ``repro-sanitize-v2``
+    document.  Each cell runs 1 + ``len(seeds) * len(hash_seeds)`` times.
+    """
+    from repro.bench.campaign import cell_key
+
+    runs = _run_all(configs, seeds, hash_seeds)
+    cells = [_verdict(cell_key(c), c, runs, seeds, hash_seeds)
+             for c in configs]
     return {
         "format": SANITIZE_FORMAT,
         "tolerance": DEFAULT_TOLERANCE,
@@ -295,10 +273,10 @@ def render_sanitize(doc: dict) -> str:
     for cell in doc.get("cells", []):
         status = "clean" if cell["ok"] else "RACE"
         lines.append(
-            f"{cell['transport']}/{cell['client']} {cell['rw']} "
-            f"bs={cell['bs']}: {status} — {cell['n_runs']} runs, "
+            f"{cell['key']}: {status} — {cell['n_runs']} runs, "
             f"worst envelope use {cell['envelope_use'] * 100:.0f}% "
-            f"({cell['envelope_metric'] or 'n/a'})")
+            f"({cell['envelope_metric'] or 'n/a'}) "
+            f"against {cell['reference_run_id']}")
         for m in cell["hash_mismatches"]:
             lines.append(f"  HASH RACE: tie_seed={m['tie_seed']} "
                          f"hash_seeds={m['hash_seeds']}: {m['why']}")
@@ -315,30 +293,3 @@ def render_sanitize(doc: dict) -> str:
     verdict = "ok" if doc.get("ok") else "VIRTUAL-TIME RACE DETECTED"
     lines.append(f"sanitize: {verdict}")
     return "\n".join(lines)
-
-
-# ---------------------------------------------------------------------------
-# Worker entry point (subprocess side)
-# ---------------------------------------------------------------------------
-
-def _worker_main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro.analysis.sanitizer",
-        description="Worker mode: run one cell, print its stripped "
-                    "canonical record on stdout.")
-    parser.add_argument("--worker", action="store_true", required=True)
-    parser.add_argument("--transport", required=True)
-    parser.add_argument("--runtime", type=float, default=0.02)
-    parser.add_argument("--tie-seed", type=int, default=None)
-    args = parser.parse_args(argv)
-
-    from repro.bench.ledger import canonical_json
-
-    record = build_record(args.transport, runtime=args.runtime,
-                          tie_seed=args.tie_seed)
-    sys.stdout.write(canonical_json(record) + "\n")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(_worker_main())

@@ -121,9 +121,9 @@ def load_spec(path: str) -> dict:
     """Load and sanity-check a ``repro-campaign-v1`` spec file."""
     with open(path) as fh:
         spec = json.load(fh)
-    if spec.get("format") != FORMAT:
-        raise ValueError(f"{path}: not a {FORMAT} spec "
-                         f"(format={spec.get('format')!r})")
+    found = spec.get("format") if isinstance(spec, dict) else None
+    if found != FORMAT:
+        raise ValueError(f"{path}: not a {FORMAT} spec (format={found!r})")
     return spec
 
 
@@ -330,13 +330,18 @@ def cell_label(config: dict) -> str:
 # Single-cell execution (runs in workers and in-process alike)
 # ---------------------------------------------------------------------------
 
-def run_cell(config: dict):
+def run_cell(config: dict, tie_seed: Optional[int] = None):
     """Simulate a normalized ``fig5`` or ``chaos`` cell, fully instrumented.
 
     The one mapping from a cell config to a runner call, shared by the
-    executor and the ``doctor``/``chaos`` subcommands.  Returns the
-    :class:`~repro.bench.runner.DoctoredRun` (fig5) or
-    :class:`~repro.bench.runner.ChaosRun` (chaos).
+    executor, the race sanitizer and the ``doctor``/``chaos``
+    subcommands.  Returns the :class:`~repro.bench.runner.DoctoredRun`
+    (fig5) or :class:`~repro.bench.runner.ChaosRun` (chaos).
+
+    ``tie_seed`` permutes the kernel's equal-time pop order (see
+    :func:`repro.sim.core.tie_scramble`).  It is an argument of the run,
+    not a config field: a permuted run claims to be the same experiment,
+    so its config, label and cache slot stay the cell's own.
     """
     from repro.bench import runner
 
@@ -345,7 +350,8 @@ def run_cell(config: dict):
     knobs = dict(n_ssds=config["ssds"], iodepth=config["iodepth"],
                  runtime=config["runtime"],
                  sample_every=config["sample_every"],
-                 seed=config.get("seed"), n_targets=config.get("targets"))
+                 seed=config.get("seed"), n_targets=config.get("targets"),
+                 tie_seed=tie_seed)
     if config["experiment"] == "chaos":
         from repro.faults.plan import FaultPlan
 
@@ -377,16 +383,17 @@ def cell_record(config: dict, run) -> dict:
         label=label, kind="chaos", extra_sections={"chaos": sections})
 
 
-def execute_cell(config: dict) -> dict:
+def execute_cell(config: dict, tie_seed: Optional[int] = None) -> dict:
     """Simulate one cell and reduce it to an *unstamped* ledger record.
 
     Volatile fields (``created``/``git_sha``/``code_fingerprint``) are
     left for the parent to stamp once, so records cannot depend on which
-    worker ran them or when they finished.
+    worker ran them or when they finished.  ``tie_seed`` reaches only
+    the ``fig5``/``chaos`` runners (:func:`run_cell`).
     """
     experiment = config["experiment"]
     if experiment in ("fig5", "chaos"):
-        return cell_record(config, run_cell(config))
+        return cell_record(config, run_cell(config, tie_seed))
     if experiment == "fig3":
         from repro.bench.runner import run_fig3_cell
 
@@ -406,12 +413,16 @@ def execute_cell(config: dict) -> dict:
                                label=cell_label(config), kind=experiment)
 
 
-def _campaign_worker(item: Tuple[str, dict]) -> tuple:
+#: ``(key, config, tie_seed)``; the key comes back first in the result.
+_WorkItem = Tuple[object, dict, Optional[int]]
+
+
+def _campaign_worker(item: _WorkItem) -> tuple:
     """Pool entry point: never raises — a crash becomes a per-cell error."""
-    key, config = item
+    key, config, tie_seed = item
     t0 = time.perf_counter()
     try:
-        record = execute_cell(config)
+        record = execute_cell(config, tie_seed)
     except BaseException as exc:  # noqa: BLE001 - isolation is the point
         return (key, "error",
                 {"error": f"{type(exc).__name__}: {exc}",
@@ -528,34 +539,47 @@ class CampaignResult:
         }
 
 
-def _pool_map(items: List[Tuple[str, dict]], jobs: int,
-              on_result: Callable[[tuple], None]) -> None:
+def _pool_map(items: List[_WorkItem], jobs: int,
+              on_result: Callable[[tuple], None],
+              hash_seed: Optional[int] = None) -> None:
     """Run :func:`_campaign_worker` over ``items`` on ``jobs`` processes.
 
-    Results are delivered through ``on_result`` as they complete
-    (completion order — callers must not let it leak into outputs).  A
-    broken pool (worker killed outright) surfaces as per-cell errors for
-    every not-yet-finished cell rather than aborting the campaign.
+    Results are delivered through ``on_result`` in item order.  A broken
+    pool (worker killed outright) surfaces as per-cell errors for every
+    not-yet-finished item rather than aborting the campaign.
+
+    Workers are forked, unless ``hash_seed`` is given: then they are
+    spawned, fresh interpreters that start with that ``PYTHONHASHSEED``
+    (a spawned worker inherits ``os.environ`` as it is when the pool
+    starts it, and the hash seed is fixed at interpreter start).
     """
     import multiprocessing as mp
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
     try:
-        ctx = mp.get_context("fork")
+        ctx = mp.get_context("fork" if hash_seed is None else "spawn")
     except ValueError:  # pragma: no cover - non-POSIX fallback
         ctx = mp.get_context()
-    pending = {key for key, _ in items}
+    saved = os.environ.get("PYTHONHASHSEED")
+    if hash_seed is not None:
+        os.environ["PYTHONHASHSEED"] = str(hash_seed)
+    done = 0
     try:
         with ProcessPoolExecutor(max_workers=jobs, mp_context=ctx) as pool:
             for result in pool.map(_campaign_worker, items):
-                pending.discard(result[0])
+                done += 1
                 on_result(result)
     except BrokenProcessPool:
-        for key in sorted(pending):
+        for key, _, _ in items[done:]:
             on_result((key, "error",
                        {"error": "worker process died (BrokenProcessPool)",
                         "traceback": ""}, 0.0))
+    finally:
+        if saved is None:
+            os.environ.pop("PYTHONHASHSEED", None)
+        else:
+            os.environ["PYTHONHASHSEED"] = saved
 
 
 def run_campaign(
@@ -586,7 +610,7 @@ def run_campaign(
                             fingerprint=fingerprint, dry_run=dry_run)
 
     outcomes: Dict[str, CellOutcome] = {}
-    to_run: List[Tuple[str, dict]] = []
+    to_run: List[_WorkItem] = []
     for config in configs:
         key = cell_key(config)
         cached = None
@@ -605,13 +629,13 @@ def run_campaign(
             if progress is not None:
                 progress(outcomes[key])
         else:
-            to_run.append((key, config))
+            to_run.append((key, config, None))
 
     records: Dict[str, dict] = {}
 
     def on_result(res: tuple) -> None:
         key, status, payload, wall = res
-        config = dict(next(c for k, c in to_run if k == key))
+        config = dict(next(c for k, c, _ in to_run if k == key))
         if status == "ok":
             records[key] = payload
             outcomes[key] = CellOutcome(key=key, config=config, status="ran",

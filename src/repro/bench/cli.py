@@ -370,20 +370,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     ps = sub.add_parser(
         "sanitize",
-        help="virtual-time race sanitizer: tie-shuffle x PYTHONHASHSEED "
-             "matrix over the quick Fig. 5 cells",
+        help="virtual-time race sanitizer: run each fig5/chaos cell of a "
+             "campaign spec FIFO, then under tie-shuffle seeds 1-5 x "
+             "PYTHONHASHSEED 0 and 12345, and diff the records",
     )
-    ps.add_argument("--transport", choices=["rdma", "tcp", "both"],
-                    default="both", help="which quick cell(s) to run")
-    ps.add_argument("--seeds", type=int, default=5,
-                    help="number of tie-shuffle seeds (default 5)")
-    ps.add_argument("--hash-seeds", default="0,12345",
-                    help="comma-separated PYTHONHASHSEED values "
-                         "(default 0,12345)")
-    ps.add_argument("--runtime", type=float, default=0.02,
-                    help="simulated seconds per run (default 0.02)")
+    ps.add_argument("spec", help="repro-campaign-v1 JSON spec of fig5/chaos "
+                                 "cells (CI: benchmarks/campaigns/"
+                                 "sanitize_ci.json)")
     ps.add_argument("--json-out", default=None,
-                    help="write the repro-sanitize-v1 document here")
+                    help="write the repro-sanitize-v2 document here")
 
     sub.add_parser("providers", help="list fabric providers")
     return parser
@@ -417,17 +412,19 @@ def _cmd_lint(args) -> int:
 
 
 def _cmd_sanitize(args) -> int:
-    from repro.analysis import render_sanitize, run_sanitizer
+    from repro.analysis import sanitizer as sz
+    from repro.bench.campaign import load_spec
 
-    transports = (("rdma", "tcp") if args.transport == "both"
-                  else (args.transport,))
-    seeds = tuple(range(1, args.seeds + 1))
-    hash_seeds = tuple(int(h) for h in args.hash_seeds.split(","))
-    doc = run_sanitizer(transports=transports, runtime=args.runtime,
-                        seeds=seeds, hash_seeds=hash_seeds)
+    try:
+        configs = sz.spec_cells(load_spec(args.spec))
+    except (OSError, ValueError) as exc:
+        return _fail(exc)
+    if not _out_paths_ok(args, "json_out"):
+        return 2
+    doc = sz.run_sanitizer(configs, sz.DEFAULT_SEEDS, sz.DEFAULT_HASH_SEEDS)
     if args.json_out:
         _write_json(args.json_out, doc)
-    print(render_sanitize(doc))
+    print(sz.render_sanitize(doc))
     return 0 if doc["ok"] else 1
 
 

@@ -29,8 +29,9 @@ first hex digits of the record's canonical-JSON hash (volatile fields —
 timestamps, git SHA — and ``cost`` excluded).  The simulator is
 deterministic, so re-recording an unchanged cell reproduces the
 identical ID and file, and any code change that moves an outcome shows
-up as a new ID.  The git SHA is *passed in* by the caller (the CLI reads it from the
-environment or ``git rev-parse``); nothing in here shells out.
+up as a new ID.  Records are built unstamped (volatile fields ``None``)
+and the caller stamps the returned dict: the CLI reads the git SHA from
+the environment or ``git rev-parse``; nothing in here shells out.
 """
 
 from __future__ import annotations
@@ -198,9 +199,6 @@ def make_run_record(
     config: dict,
     label: str = "",
     kind: str = "doctor",
-    git_sha: Optional[str] = None,
-    created: Optional[str] = None,
-    code_fingerprint: Optional[str] = None,
     include_series: bool = True,
     extra_sections: Optional[dict] = None,
 ) -> dict:
@@ -226,9 +224,9 @@ def make_run_record(
         "format": FORMAT,
         "kind": kind,
         "label": label,
-        "created": created,
-        "git_sha": git_sha,
-        "code_fingerprint": code_fingerprint,
+        "created": None,
+        "git_sha": None,
+        "code_fingerprint": None,
         "config": dict(config),
         "config_hash": config_hash(config),
         "metrics": flatten_numeric({"result": result.to_dict()}),
@@ -269,9 +267,6 @@ def make_cell_record(
     config: dict,
     label: str = "",
     kind: str = "fig3",
-    git_sha: Optional[str] = None,
-    created: Optional[str] = None,
-    code_fingerprint: Optional[str] = None,
 ) -> dict:
     """A metrics-only record for cells run without the doctor pipeline.
 
@@ -284,9 +279,9 @@ def make_cell_record(
         "format": FORMAT,
         "kind": kind,
         "label": label,
-        "created": created,
-        "git_sha": git_sha,
-        "code_fingerprint": code_fingerprint,
+        "created": None,
+        "git_sha": None,
+        "code_fingerprint": None,
         "config": dict(config),
         "config_hash": config_hash(config),
         "metrics": flatten_numeric({"result": result.to_dict()}),

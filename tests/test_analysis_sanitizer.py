@@ -1,14 +1,16 @@
 """The virtual-time race sanitizer: shuffle determinism + envelopes.
 
 The load-bearing property (hypothesis-driven): for any tie seed, the
-4 KiB rdma-dpu cell's stripped ledger record is **byte-identical**
-across repeated runs with that seed — the equal-time shuffle is a pure,
-seeded function and introduces no entropy of its own — and its headline
+4 KiB rdma-dpu campaign cell's record is **byte-identical** across
+repeated runs with that seed — the equal-time shuffle is a pure, seeded
+function and introduces no entropy of its own — and its headline
 metrics stay inside the sanitizer's quantization envelope relative to
-the FIFO reference.
+the FIFO reference.  Records are built the way the sanitizer builds
+them: :func:`normalize_cell` + :func:`run_cell` + :func:`cell_record`.
 """
 
 import json
+import os
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -17,32 +19,54 @@ from hypothesis import strategies as st
 from repro.analysis.sanitizer import (
     DEFAULT_TOLERANCE,
     TAIL_TOLERANCE,
-    build_record,
+    _verdict,
     compare_metrics,
-    sanitize_cell,
+    run_sanitizer,
+    spec_cells,
+)
+from repro.bench.campaign import (
+    cell_key,
+    cell_record,
+    expand_spec,
+    load_spec,
+    normalize_cell,
+    run_cell,
 )
 from repro.bench.ledger import canonical_json
 from repro.sim.core import tie_scramble
+
+CAMPAIGNS = os.path.join(os.path.dirname(__file__), os.pardir,
+                         "benchmarks", "campaigns")
 
 #: Short simulated window: the byte-identity property is runtime
 #: independent, so keep each run cheap.
 RUNTIME = 0.004
 
 
+def quick_4k(transport, runtime=RUNTIME):
+    """The quick 4 KiB DPU randread cell of ``fig5_ci.json``."""
+    return normalize_cell({"transport": transport, "client": "dpu",
+                           "rw": "randread", "bs": "4k", "numjobs": 16,
+                           "iodepth": 16, "runtime": runtime})
+
+
+def build_record(transport, runtime=RUNTIME, tie_seed=None):
+    config = quick_4k(transport, runtime)
+    return cell_record(config, run_cell(config, tie_seed=tie_seed))
+
+
 @pytest.fixture(scope="module")
 def rdma_reference():
     """The FIFO (unshuffled) 4 KiB rdma-dpu record."""
-    return build_record("rdma", runtime=RUNTIME, tie_seed=None)
+    return build_record("rdma", tie_seed=None)
 
 
 @settings(max_examples=4, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(tie_seed=st.integers(min_value=1, max_value=2**31 - 1))
 def test_shuffle_preserves_ledger_byte_identity(tie_seed):
-    a = canonical_json(build_record("rdma", runtime=RUNTIME,
-                                    tie_seed=tie_seed))
-    b = canonical_json(build_record("rdma", runtime=RUNTIME,
-                                    tie_seed=tie_seed))
+    a = canonical_json(build_record("rdma", tie_seed=tie_seed))
+    b = canonical_json(build_record("rdma", tie_seed=tie_seed))
     assert a == b
 
 
@@ -59,7 +83,7 @@ def test_shuffled_metrics_stay_in_envelope(rdma_reference):
     # every event id by a constant (FIFO order unchanged) and seed 7
     # passes at some offsets and fails at others.
     for tie_seed in range(1, 8):
-        var = build_record("rdma", runtime=RUNTIME, tie_seed=tie_seed)
+        var = build_record("rdma", tie_seed=tie_seed)
         drift = [row for row in compare_metrics(rdma_reference, var)
                  if not row["metric"].endswith(EXTREMES)]
         assert drift == [], (tie_seed, drift)
@@ -70,14 +94,14 @@ def test_shuffled_metrics_stay_in_envelope(rdma_reference):
 
 def test_shuffled_extremes_stay_in_envelope():
     # The extremes, at the window the ``sanitize`` gate runs
-    # (``build_record``'s default), where they rest on ~8000 requests.
-    ref = build_record("rdma", tie_seed=None)
-    var = build_record("rdma", tie_seed=7)
+    # (``sanitize_ci.json``), where they rest on ~8000 requests.
+    ref = build_record("rdma", runtime=0.02, tie_seed=None)
+    var = build_record("rdma", runtime=0.02, tie_seed=7)
     assert compare_metrics(ref, var) == []
 
 
 def test_fifo_rerun_is_byte_identical(rdma_reference):
-    again = build_record("rdma", runtime=RUNTIME, tie_seed=None)
+    again = build_record("rdma", tie_seed=None)
     assert canonical_json(again) == canonical_json(rdma_reference)
 
 
@@ -136,14 +160,40 @@ def test_tail_metrics_get_the_loose_envelope():
     assert len(compare_metrics(ref, var)) == 1
 
 
+def test_hash_axis_flags_any_byte_difference():
+    ref = {"run_id": "ref", "metrics": {"result.iops": 1.0}}
+    runs = {("k", None, 0): ref,
+            ("k", 1, 0): {"metrics": {"result.iops": 1.0}, "flame": "a"},
+            ("k", 1, 5): {"metrics": {"result.iops": 1.0}, "flame": "b"}}
+    cell = _verdict("k", {}, runs, seeds=(1,), hash_seeds=(0, 5))
+    assert not cell["ok"] and cell["drifted_metrics"] == []
+    assert [m["hash_seeds"] for m in cell["hash_mismatches"]] == [[0, 5]]
+
+
 # ---------------------------------------------------------------------------
-# End-to-end subprocess matrix (small: 1 tie seed x 2 hash seeds)
+# The committed CI spec and the end-to-end pool matrix
 # ---------------------------------------------------------------------------
 
-def test_sanitize_cell_subprocess_matrix():
-    cell = sanitize_cell("tcp", runtime=RUNTIME, seeds=(3,),
-                         hash_seeds=(0, 1))
+def test_ci_spec_is_the_ledgers_4k_cells():
+    # So each FIFO reference the CI sanitizer diffs against is a
+    # committed ledger record.
+    ci = [cell_key(c) for c in
+          spec_cells(load_spec(os.path.join(CAMPAIGNS, "sanitize_ci.json")))]
+    fig5 = [cell_key(c) for c in
+            expand_spec(load_spec(os.path.join(CAMPAIGNS, "fig5_ci.json")))
+            if c["bs"] == 4096]
+    assert len(ci) == 2 and sorted(ci) == sorted(fig5)
+
+
+def test_sanitize_matrix_runs_on_the_pool():
+    # 1 tie seed x 2 hash seeds, each hash seed on its own spawned pool.
+    config = quick_4k("tcp")
+    doc = run_sanitizer([config], seeds=(3,), hash_seeds=(0, 1))
+    assert doc["format"] == "repro-sanitize-v2" and doc["ok"]
+    [cell] = doc["cells"]
     assert cell["ok"], json.dumps(cell, indent=2)[:2000]
+    assert cell["key"] == cell_key(config) and cell["config"] == config
+    assert cell["reference_run_id"] == build_record("tcp")["run_id"]
     assert cell["n_runs"] == 3
     assert cell["hash_mismatches"] == []
     assert cell["drifted_metrics"] == []

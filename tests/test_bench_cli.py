@@ -326,6 +326,48 @@ class TestCampaignSubcommand:
         assert "--jobs" in capsys.readouterr().err
 
 
+class TestSanitizeFailsFast:
+    """A spec the sanitizer cannot run exits 2, with one error line,
+    before any worker starts."""
+
+    @pytest.fixture(autouse=True)
+    def no_pool(self, monkeypatch):
+        import repro.bench.campaign as cp
+
+        def boom(*a, **kw):
+            raise AssertionError("sanitizer started a pool despite bad input")
+
+        monkeypatch.setattr(cp, "_pool_map", boom)
+
+    def _exits_2(self, capsys, argv):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        return err
+
+    def test_missing_spec(self, capsys):
+        self._exits_2(capsys, ["sanitize", "does-not-exist.json"])
+
+    @pytest.mark.parametrize("body", ["{not json", "[]",
+                                      '{"format": "nope"}',
+                                      '{"format": "repro-campaign-v1"}'])
+    def test_malformed_spec(self, capsys, tmp_path, body):
+        spec = tmp_path / "spec.json"
+        spec.write_text(body)
+        self._exits_2(capsys, ["sanitize", str(spec)])
+
+    @pytest.mark.parametrize("cell", [
+        {"experiment": "fig3"},
+        {"experiment": "fig4"},
+    ])
+    def test_fig3_and_fig4_cells(self, capsys, tmp_path, cell):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"format": "repro-campaign-v1",
+                                    "cells": [{"transport": "rdma"}, cell]}))
+        err = self._exits_2(capsys, ["sanitize", str(spec)])
+        assert f"a {cell['experiment']} cell takes no tie seed" in err
+
+
 class TestRunsFormatJson:
     def test_format_json_is_sorted_by_run_id(self, capsys):
         assert main(["runs", "--ledger-dir", LEDGER_DIR,

@@ -28,6 +28,13 @@ def test_flatten_numeric_scalar_root():
     assert lg.flatten_numeric(True) == {}
 
 
+def _stamped(record, **stamps):
+    """Stamp a built record the way campaigns and the CLI do: after the
+    run ID is fixed, on the returned dict."""
+    record.update(stamps)
+    return record
+
+
 @pytest.fixture(scope="module")
 def tiny_run():
     """The same deterministic miniature Fig. 5 cell the flame golden uses."""
@@ -45,10 +52,12 @@ def tiny_config(tiny_run):
 
 @pytest.fixture(scope="module")
 def tiny_record(tiny_run, tiny_config):
-    return lg.make_run_record(tiny_run.result, tiny_run.collector,
-                              tiny_run.tracer, config=tiny_config,
-                              label="tiny", git_sha="abc1234",
-                              created="2026-08-07T00:00:00Z")
+    record = lg.make_run_record(tiny_run.result, tiny_run.collector,
+                                tiny_run.tracer, config=tiny_config,
+                                label="tiny")
+    return _stamped(record, git_sha="abc1234",
+                    created="2026-08-07T00:00:00Z")
+
 
 
 class TestRecordShape:
@@ -82,15 +91,15 @@ class TestRecordShape:
 
 class TestRunIdStability:
     def test_volatile_fields_do_not_move_the_id(self, tiny_run, tiny_config):
-        a = lg.make_run_record(tiny_run.result, tiny_run.collector,
-                               tiny_run.tracer, config=tiny_config,
-                               git_sha="abc1234",
-                               created="2026-08-07T00:00:00Z")
-        b = lg.make_run_record(tiny_run.result, tiny_run.collector,
-                               tiny_run.tracer, config=tiny_config,
-                               git_sha="fffffff",
-                               created="2031-01-01T12:34:56Z")
+        a = _stamped(lg.make_run_record(tiny_run.result, tiny_run.collector,
+                                        tiny_run.tracer, config=tiny_config),
+                     git_sha="abc1234", created="2026-08-07T00:00:00Z")
+        b = _stamped(lg.make_run_record(tiny_run.result, tiny_run.collector,
+                                        tiny_run.tracer, config=tiny_config),
+                     git_sha="fffffff", created="2031-01-01T12:34:56Z")
         assert a["run_id"] == b["run_id"]
+        assert lg.content_hash(a) == lg.content_hash(b)
+        assert a["run_id"].endswith(lg.content_hash(a))
 
     def test_content_change_moves_the_id(self, tiny_record):
         tweaked = copy.deepcopy(tiny_record)
@@ -298,14 +307,17 @@ class TestVolatileFields:
 
     def test_fingerprint_is_volatile_for_the_run_id(self, tiny_run,
                                                     tiny_config):
-        a = lg.make_run_record(tiny_run.result, tiny_run.collector,
-                               tiny_run.tracer, config=tiny_config,
-                               label="tiny", code_fingerprint="a" * 16)
-        b = lg.make_run_record(tiny_run.result, tiny_run.collector,
-                               tiny_run.tracer, config=tiny_config,
-                               label="tiny", code_fingerprint="b" * 16)
+        a = _stamped(lg.make_run_record(tiny_run.result, tiny_run.collector,
+                                        tiny_run.tracer, config=tiny_config,
+                                        label="tiny"),
+                     code_fingerprint="a" * 16)
+        b = _stamped(lg.make_run_record(tiny_run.result, tiny_run.collector,
+                                        tiny_run.tracer, config=tiny_config,
+                                        label="tiny"),
+                     code_fingerprint="b" * 16)
         assert a["code_fingerprint"] != b["code_fingerprint"]
         assert a["run_id"] == b["run_id"]
+        assert lg.content_hash(a) == lg.content_hash(b)
         assert lg.strip_volatile(a) == lg.strip_volatile(b)
 
 
@@ -317,10 +329,10 @@ class TestMakeCellRecord:
     def test_metrics_only_record_round_trips(self, tmp_path):
         config = {"experiment": "fig3", "rw": "read", "bs": 1024**2,
                   "numjobs": 1, "iodepth": 8, "runtime": 0.03, "ssds": 1}
-        record = lg.make_cell_record(self._Result(), config=config,
-                                     label="fig3 read", kind="fig3",
-                                     git_sha="abc", created="2026-01-01",
-                                     code_fingerprint="f" * 16)
+        record = _stamped(
+            lg.make_cell_record(self._Result(), config=config,
+                                label="fig3 read", kind="fig3"),
+            git_sha="abc", created="2026-01-01", code_fingerprint="f" * 16)
         assert record["format"] == lg.FORMAT
         assert record["kind"] == "fig3"
         assert record["metrics"]["result.iops"] == 1000.0

@@ -26,8 +26,6 @@ CALLERS = ("src", "benchmarks", "examples")
 
 _VERBS = "the verbs work-request API the rendezvous ablation and tests drive"
 _KERNEL = "the kernel's event API keeps its scheduling arguments whole"
-_STAMP = ("tests stamp records by hand to show volatile fields leave the "
-          "run ID alone; campaigns stamp after the record is built")
 
 #: ``Function(param)`` -> why no caller outside the tests passes it.
 ALLOWED_PARAMETERS: Dict[str, str] = {
@@ -45,14 +43,8 @@ ALLOWED_PARAMETERS: Dict[str, str] = {
     "Process.interrupt(cause)": "tests check an interrupt carries its cause",
     "main(argv)": "the CLI entry point; tests drive it with an argv list",
     "code_fingerprint(root)": "tests fingerprint a scratch tree",
-    "make_run_record(git_sha)": _STAMP,
-    "make_run_record(created)": _STAMP,
-    "make_run_record(code_fingerprint)": _STAMP,
     "make_run_record(include_series)":
         "tests check a record without its wait series",
-    "make_cell_record(git_sha)": _STAMP,
-    "make_cell_record(created)": _STAMP,
-    "make_cell_record(code_fingerprint)": _STAMP,
     "run_fig5_cell(iodepth)": "tests run smoke cells at a campaign's depth",
     "run_fig5_cell(seed)": "tests run a smoke cell at a fixed seed",
     "make_paper_testbed(link)":
