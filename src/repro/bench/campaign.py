@@ -79,8 +79,12 @@ _EXPERIMENTS = ("fig3", "fig4", "fig5", "chaos")
 # Code fingerprint — the cache's second key
 # ---------------------------------------------------------------------------
 
-def code_fingerprint(root: Optional[str] = None) -> str:
-    """Hash of the ``src/repro`` tree plus the package version.
+#: The tree :func:`code_fingerprint` hashes: the ``repro`` package.
+PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def code_fingerprint() -> str:
+    """Hash of the :data:`PACKAGE_ROOT` tree plus the package version.
 
     The content-addressed cache keys on ``(config_hash, code_fingerprint)``:
     a record produced by *different code* never satisfies a cache lookup,
@@ -89,10 +93,7 @@ def code_fingerprint(root: Optional[str] = None) -> str:
     must not move run IDs, or every comment edit would orphan the stable
     ID prefixes CI pins.
     """
-    if root is None:
-        import repro
-
-        root = os.path.dirname(os.path.abspath(repro.__file__))
+    root = PACKAGE_ROOT
     entries: List[Tuple[str, str]] = []
     for dirpath, dirnames, filenames in os.walk(root):
         dirnames[:] = sorted(d for d in dirnames if d != "__pycache__")
@@ -273,7 +274,13 @@ def normalize_cell(cell: dict) -> dict:
 def _check_cell(config: dict) -> None:
     """Raise ``ValueError`` on a knob no runner accepts, so a bad cell is
     rejected before anything is simulated.  Never rewrites a value: the
-    config (and so the run ID) of a valid cell is what the caller wrote."""
+    config (and so the run ID) of a valid cell is what the caller wrote.
+
+    The one validator of a cell: campaign cells, and the ``fig3``,
+    ``fig4``, ``fig5``, ``doctor`` and ``chaos`` subcommands' flags, all
+    come through here.
+    """
+    from repro.hw.specs import EPYC_HOST, STORAGE_SERVER
     from repro.net.fabric import resolve_provider
     from repro.workload.fio import WORKLOADS
 
@@ -292,6 +299,17 @@ def _check_cell(config: dict) -> None:
                 "targets"):
         if key in config and not config[key] > 0:
             raise ValueError(f"{key} must be > 0, got {config[key]}")
+    # Fig. 4 pins cores on the testbed's Fig. 4 client and server hosts.
+    for key, spec in (("client_cores", EPYC_HOST),
+                      ("server_cores", STORAGE_SERVER)):
+        if key in config and not 1 <= config[key] <= spec.cores:
+            raise ValueError(f"{key} must be 1-{spec.cores} "
+                             f"({spec.name}), got {config[key]}")
+    if "min_goodput" in config and not 0 < config["min_goodput"] <= 1:
+        raise ValueError(f"min_goodput must be in (0, 1], "
+                         f"got {config['min_goodput']}")
+    if "p999_max" in config and not config["p999_max"] > 0:
+        raise ValueError(f"p999_max must be > 0, got {config['p999_max']}")
 
 
 def cell_key(config: dict) -> str:

@@ -761,6 +761,22 @@ def _run_providers(args) -> int:
 
 def _run_figure(args) -> int:
     """fig3 / fig4 / fig5: one plain, unobserved cell and its result line."""
+    from repro.bench.campaign import _check_cell
+
+    if args.experiment == "fig4":
+        knobs = {"provider": args.provider, "client_cores": args.client_cores,
+                 "server_cores": args.server_cores}
+    else:
+        knobs = {"numjobs": args.jobs, "ssds": args.ssds}
+        if args.experiment == "fig5":
+            knobs.update(transport=args.transport, client=args.client)
+    if args.runtime is not None:
+        knobs["runtime"] = args.runtime
+    try:
+        _check_cell({"experiment": args.experiment, "rw": args.rw,
+                     "bs": args.bs, **knobs})
+    except ValueError as exc:
+        return _fail(exc)
     if args.experiment == "fig3":
         result = run_fig3_cell(args.rw, args.bs, args.jobs, n_ssds=args.ssds,
                                runtime=args.runtime)
@@ -795,10 +811,10 @@ _COMMANDS = {
 }
 
 
-def main(argv: Optional[list] = None) -> int:
+def main(argv: list) -> int:
     args = build_parser().parse_args(argv)
     return _COMMANDS.get(args.experiment, _run_figure)(args)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -199,7 +199,6 @@ def make_run_record(
     config: dict,
     label: str = "",
     kind: str = "doctor",
-    include_series: bool = True,
     extra_sections: Optional[dict] = None,
 ) -> dict:
     """Reduce an instrumented run into one ``repro-run-v1`` record.
@@ -246,13 +245,12 @@ def make_run_record(
             "waits": dict(sorted(
                 fold_waits(collector.spans, tracer.records).items())),
         },
-    }
-    if include_series:
-        record["wait_series"] = {
+        "wait_series": {
             ts.name: {"unit": ts.unit, "kind": ts.kind,
                       "points": _pack_points(ts, SERIES_POINTS_CAP)}
             for ts in tracer.wait_series()
-        }
+        },
+    }
     if extra_sections:
         for key, value in extra_sections.items():
             if key in record:

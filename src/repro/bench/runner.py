@@ -307,16 +307,13 @@ def run_fig5_cell(
     bs: int,
     numjobs: int,
     n_ssds: int = 1,
-    iodepth: Optional[int] = None,
     runtime: Optional[float] = None,
-    seed: Optional[int] = None,
 ) -> FioResult:
     """One point of Fig. 5: FIO/DFS end-to-end on the assembled ROS2 stack,
     with nothing observing it (:func:`run_fig5_doctored` is the
     instrumented twin)."""
     system, spec = _build_fig5(provider, client, rw, bs, numjobs,
-                               n_ssds=n_ssds, iodepth=iodepth, runtime=runtime,
-                               seed=seed)
+                               n_ssds=n_ssds, runtime=runtime)
     return run_ros2_fio(system, spec)
 
 

@@ -60,7 +60,6 @@ class GrpcServer:
         self.node = node
         self.env: Environment = node.env
         self._methods: Dict[Tuple[str, str], Callable] = {}
-        self.calls_served = 0
 
     def add_method(self, service: str, method: str, handler: Callable) -> None:
         """Register ``handler(request, metadata) -> generator`` for a method."""
@@ -96,7 +95,6 @@ class GrpcServer:
         except GrpcError as exc:
             yield from reply(exc.code, detail=exc.detail)
             return
-        self.calls_served += 1
         yield from reply(StatusCode.OK, response=response)
 
 
@@ -195,7 +193,6 @@ class GrpcChannel:
         if handler is None:
             raise GrpcError(StatusCode.UNIMPLEMENTED, f"{service}/{method}")
         response = yield from handler(request, md)
-        server.calls_served += 1
         yield self.env.timeout(self.LOOPBACK_LATENCY)
         return response
 

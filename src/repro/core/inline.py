@@ -125,25 +125,17 @@ SW_CRYPTO_BYTES_PER_SEC = 3.0 * GIB
 class InlineCrypto:
     """Per-tenant inline encryption with platform-dependent cost.
 
-    * On a DPU (``accelerated=True``, the default on BlueField-3) payloads
-      stream through the crypto engine: a serial offload, no CPU.
+    * On a BlueField-3 (``accelerated``) payloads stream through the
+      crypto engine: a serial offload, no CPU.
     * On a host, encryption is software: per-byte CPU on the job thread.
     """
 
-    def __init__(
-        self,
-        node: Node,
-        key: bytes,
-        accelerated: Optional[bool] = None,
-    ) -> None:
+    def __init__(self, node: Node, key: bytes) -> None:
         self.node = node
         self.env: Environment = node.env
         self.cipher = ChaCha20(key, bytes(12))
-        if accelerated is None:
-            accelerated = node.spec.name == "bluefield-3"
-        self.accelerated = bool(accelerated)
+        self.accelerated = node.spec.name == "bluefield-3"
         self._engine = FifoServer(self.env, f"{node.name}.crypto")
-        self.bytes_processed = 0
 
     def crypt(
         self,
@@ -165,7 +157,6 @@ class InlineCrypto:
             yield self._engine.serve(nbytes / DPU_CRYPTO_ACCEL_RATE)
         else:
             yield ctx.enter(nbytes / SW_CRYPTO_BYTES_PER_SEC)
-        self.bytes_processed += nbytes
         if data is None:
             return None
         return self.cipher.crypt_at(stream_offset, data)

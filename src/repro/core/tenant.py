@@ -50,7 +50,6 @@ class TokenBucket:
             raise ValueError(f"burst must be positive, got {self.burst}")
         self._level = self.burst
         self._last = env.now
-        self.delayed = 0
 
     def _refill(self) -> None:
         now = self.env.now
@@ -81,7 +80,6 @@ class TokenBucket:
             # acquirer may have drained the bucket while we slept (no
             # overdraft allowed).
             deficit = max(n - self._level, eps)
-            self.delayed += 1
             yield self.env.timeout(deficit / self.rate)
 
 

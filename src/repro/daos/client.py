@@ -196,22 +196,19 @@ class PoolHandle:
         self, ctx: FifoServer, cont: ContainerId
     ) -> Generator[Event, None, "ContainerHandle"]:
         """Open an existing container."""
-        result = yield from self.client.call(
+        yield from self.client.call(
             ctx, "cont_open", {"pool": self.pool, "cont": cont}
         )
-        return ContainerHandle(self.client, self.pool, cont, result["epoch"])
+        return ContainerHandle(self.client, self.pool, cont)
 
 
 class ContainerHandle:
     """An open container: object handles, oid allocation, snapshots, TX."""
 
-    def __init__(
-        self, client: DaosClient, pool: PoolId, cont: ContainerId, epoch: int
-    ) -> None:
+    def __init__(self, client: DaosClient, pool: PoolId, cont: ContainerId) -> None:
         self.client = client
         self.pool = pool
         self.cont = cont
-        self.open_epoch = epoch
 
     def alloc_oid(
         self, ctx: FifoServer, oclass: ObjectClass = ObjectClass.S1, count: int = 1

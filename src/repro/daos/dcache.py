@@ -12,9 +12,9 @@ module reproduces that layer for the simulated client:
   and populate; local writes invalidate the overlapping pages (write-
   through, like dfuse with writeback caching disabled).
 
-Cache entries are only trusted for ``ttl`` simulated seconds — after
-that a re-read goes back to the engine, which is how dfuse bounds
-staleness under cross-client sharing.
+With :attr:`ClientCache.TTL` set, cache entries are only trusted for
+that many simulated seconds — after that a re-read goes back to the
+engine, which is how dfuse bounds staleness under cross-client sharing.
 """
 
 from __future__ import annotations
@@ -37,24 +37,20 @@ HIT_CPU = 0.8 * US
 class ClientCache:
     """Byte-budgeted LRU of file pages with TTL freshness."""
 
-    def __init__(
-        self,
-        env: Environment,
-        capacity_bytes: int,
-        ttl: Optional[float] = None,
-    ) -> None:
+    #: Entries older than this many seconds are revalidated (None = never
+    #: expire).
+    TTL: Optional[float] = None
+
+    def __init__(self, env: Environment, capacity_bytes: int) -> None:
         if capacity_bytes <= 0:
             raise ValueError(f"capacity must be positive, got {capacity_bytes}")
         self.env = env
         self.capacity_bytes = int(capacity_bytes)
-        #: Entries older than this are revalidated (None = never expire).
-        self.ttl = ttl
         self._entries: "OrderedDict[Tuple, Tuple[float, int, Optional[bytes]]]" = \
             OrderedDict()
         self._bytes = 0
         self.hits = 0
         self.misses = 0
-        self.invalidations = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -75,7 +71,8 @@ class ClientCache:
             self.misses += 1
             return None
         stamp, nbytes, data = entry
-        if self.ttl is not None and self.env.now - stamp > self.ttl:
+        ttl = self.TTL
+        if ttl is not None and self.env.now - stamp > ttl:
             self._evict(key)
             self.misses += 1
             return None
@@ -98,8 +95,7 @@ class ClientCache:
 
     def invalidate(self, oid: ObjectId, chunk: int) -> None:
         """Drop the chunk (local write or explicit invalidation)."""
-        if self._evict(self._key(oid, chunk)):
-            self.invalidations += 1
+        self._evict(self._key(oid, chunk))
 
     def clear(self) -> None:
         """Drop everything."""

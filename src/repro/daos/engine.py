@@ -66,7 +66,6 @@ MEDIA_OVERLAP = {"tcp": 0.88, "rdma": 1.0}
 
 @dataclass(slots=True)
 class _Container:
-    cont_id: ContainerId
     epoch: int = 0  # highest committed epoch
 
 
@@ -151,7 +150,7 @@ class DaosEngine:
         """Create a container in ``pool``."""
         p = self._pool(pool)
         cid = new_container_id()
-        p.containers[cid] = _Container(cid)
+        p.containers[cid] = _Container()
         return cid
 
     def serve(self, channel: FabricChannel) -> None:

@@ -40,9 +40,10 @@ RPC_REPLY_BYTES = 96
 class RpcError(DaosError):
     """An RPC failed on the server; carries the remote error text.
 
-    ``remote_error`` is the raw server-side message; ``op``, ``target``
-    and ``sim_time`` locate the failure so chaos reports and the retry
-    classifier can act on it without string-parsing the whole message.
+    ``remote_error`` is the raw server-side message; ``op`` and
+    ``target`` locate the failure so chaos reports and the retry
+    classifier can act on it without string-parsing the whole message
+    (which also carries ``sim_time``).
     """
 
     def __init__(
@@ -55,7 +56,6 @@ class RpcError(DaosError):
         self.remote_error = remote_error
         self.op = op
         self.target = target
-        self.sim_time = sim_time
         message = remote_error
         if op is not None or target is not None:
             context = " ".join(
@@ -84,7 +84,6 @@ class RpcServer:
         self.node = node
         self.env: Environment = node.env
         self._handlers: Dict[str, Callable] = {}
-        self.requests_served = 0
         # The RPC station's counters (dispatch to reply sent), which the
         # sampler reads for its in-flight track and Little's-law check.
         self.arrivals = 0
@@ -158,7 +157,6 @@ class RpcServer:
             wire_extra = 0
             if isinstance(result, dict):
                 wire_extra = int(result.pop("_wire", 0))
-            self.requests_served += 1
             yield from self._send_reply(channel, msg.reply_to(
                 kind="rpc.rep",
                 payload={"status": "ok", "result": result},

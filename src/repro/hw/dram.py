@@ -9,10 +9,10 @@ exhausted (back-pressure), which the multi-tenant experiments exercise.
 
 from __future__ import annotations
 
-from typing import Generator
+from collections import deque
+from typing import Deque, Generator, Tuple
 
 from repro.sim.core import Environment, Event
-from repro.sim.resources import Container
 
 __all__ = ["DramPool", "Allocation"]
 
@@ -40,29 +40,33 @@ class Allocation:
         self.free()
 
 
-class DramPool(Container):
+class DramPool:
     """A byte pool with blocking allocation and an occupancy watermark.
 
-    Its level is the free bytes, and :attr:`used_bytes` the occupancy.
-    What need not wait moves the level at once, as an inline-succeeded
-    get or put would, with no event built; anything that waits, or is
-    waited for, takes the container's path.  Every allocation and
-    release updates :attr:`peak_bytes`.
+    An allocation that fits the free bytes takes them at once, with no
+    event built.  One that does not parks an event in a FIFO queue (a
+    wait-tracer *block* record, named after the pool) until frees cover
+    it; a free grants the waiters at the head of the queue that now fit.
+    Every allocation, and every free that grants one, updates
+    :attr:`peak_bytes`.
     """
 
     def __init__(self, env: Environment, capacity_bytes: int, name: str = "dram") -> None:
         if capacity_bytes <= 0:
             raise ValueError(f"capacity must be positive, got {capacity_bytes}")
-        super().__init__(env, capacity=capacity_bytes, init=capacity_bytes,
-                         name=name)
+        self.env = env
+        self.name = name
         self.capacity_bytes = int(capacity_bytes)
+        self._free = float(capacity_bytes)
+        #: Parked allocations, ``(nbytes, event)``, in arrival order.
+        self._waiters: Deque[Tuple[int, Event]] = deque()
         #: The most bytes allocated at once (high-watermark).
         self.peak_bytes = 0.0
 
     @property
     def used_bytes(self) -> float:
         """Bytes currently allocated."""
-        return self.capacity_bytes - self._level
+        return self.capacity_bytes - self._free
 
     def alloc(self, nbytes: int) -> Generator[Event, None, Allocation]:
         """Allocate ``nbytes``; blocks until available.  Use ``yield from``."""
@@ -72,21 +76,33 @@ class DramPool(Container):
             raise MemoryError(
                 f"{self.name}: allocation of {nbytes} exceeds capacity {self.capacity_bytes}"
             )
-        if self._putters or nbytes > self._level:
-            yield self.get(nbytes)
+        if nbytes > self._free:
+            event = Event(self.env)
+            wt = self.env._wait_tracer
+            if wt is not None:
+                wt.begin_block(event, self.name)
+            self._waiters.append((nbytes, event))
+            yield event
         else:
-            self._level -= nbytes
-        used = self.capacity_bytes - self._level
-        if used > self.peak_bytes:
-            self.peak_bytes = used
+            self._free -= nbytes
+        self._note_peak()
         return Allocation(self, nbytes)
 
     def _release(self, nbytes: int) -> None:
-        if self._getters or self._level + nbytes > self.capacity:
-            self.put(nbytes)
-            # Allocations this put serves can leave more bytes in use.
-            used = self.capacity_bytes - self._level
-            if used > self.peak_bytes:
-                self.peak_bytes = used
-        else:
-            self._level += nbytes
+        self._free += nbytes
+        waiters = self._waiters
+        if waiters:
+            wt = self.env._wait_tracer
+            while waiters and waiters[0][0] <= self._free:
+                amount, event = waiters.popleft()
+                self._free -= amount
+                if wt is not None:
+                    wt.end_block(event)
+                event.succeed()
+            # Allocations this free serves can leave more bytes in use.
+            self._note_peak()
+
+    def _note_peak(self) -> None:
+        used = self.capacity_bytes - self._free
+        if used > self.peak_bytes:
+            self.peak_bytes = used

@@ -36,7 +36,6 @@ class GpuDevice:
     def __init__(self, env: Environment, spec: GpuSpec) -> None:
         self.env = env
         self.spec = spec
-        self.hbm_capacity = spec.memory_gb * 10**9
         # HBM ingest: a fraction of HBM bandwidth is available to inbound
         # DMA (compute traffic owns the rest); 25% is a conservative slice.
         self._hbm = BandwidthPipe(env, spec.mem_bw_bytes * 0.25, latency=0.5e-6,

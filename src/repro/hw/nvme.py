@@ -122,22 +122,16 @@ class NvmeArray:
     I/Os scatter uniformly.
     """
 
-    __slots__ = ("env", "devices", "stripe_bytes", "capacity_bytes")
+    __slots__ = ("env", "devices", "capacity_bytes")
 
-    def __init__(
-        self,
-        env: Environment,
-        spec: NvmeSpec,
-        n_devices: int,
-        stripe_bytes: int = MIB,
-    ) -> None:
+    #: Stripe unit: consecutive runs of this many bytes go to one drive.
+    STRIPE_BYTES = MIB
+
+    def __init__(self, env: Environment, spec: NvmeSpec, n_devices: int) -> None:
         if n_devices <= 0:
             raise ValueError(f"need at least one device, got {n_devices}")
-        if stripe_bytes <= 0:
-            raise ValueError(f"stripe size must be positive, got {stripe_bytes}")
         self.env = env
         self.devices: List[NvmeDevice] = [NvmeDevice(env, spec, i) for i in range(n_devices)]
-        self.stripe_bytes = int(stripe_bytes)
         #: Total array capacity.
         self.capacity_bytes = sum(d.spec.capacity_bytes for d in self.devices)
 
@@ -146,7 +140,7 @@ class NvmeArray:
 
     def device_for(self, offset: int) -> NvmeDevice:
         """The device holding logical ``offset``."""
-        return self.devices[(offset // self.stripe_bytes) % len(self.devices)]
+        return self.devices[(offset // self.STRIPE_BYTES) % len(self.devices)]
 
     def split(self, offset: int, nbytes: int) -> List[Tuple[NvmeDevice, int]]:
         """Break ``[offset, offset+nbytes)`` into per-device pieces."""
@@ -154,7 +148,7 @@ class NvmeArray:
         remaining = nbytes
         pos = offset
         while remaining > 0:
-            in_stripe = self.stripe_bytes - (pos % self.stripe_bytes)
+            in_stripe = self.STRIPE_BYTES - (pos % self.STRIPE_BYTES)
             take = min(remaining, in_stripe)
             out.append((self.device_for(pos), take))
             pos += take
@@ -191,8 +185,8 @@ class NvmeArray:
         if nbytes <= 0 or offset < 0 or offset + nbytes > self.capacity_bytes:
             raise ValueError(f"bad I/O of {nbytes} bytes at offset {offset} "
                              f"(array capacity {self.capacity_bytes})")
-        stripe, in_stripe = divmod(offset, self.stripe_bytes)
-        if nbytes <= self.stripe_bytes - in_stripe:
+        stripe, in_stripe = divmod(offset, self.STRIPE_BYTES)
+        if nbytes <= self.STRIPE_BYTES - in_stripe:
             # One piece: :meth:`split`'s one entry, without the list.
             dev = self.devices[stripe % len(self.devices)]
             yield from dev.submit(nbytes, is_write, bw_efficiency, trace=trace)

@@ -27,7 +27,6 @@ from repro.hw.specs import (
     PAPER_LINK,
     STORAGE_SERVER,
     HostSpec,
-    LinkSpec,
     NvmeSpec,
 )
 from repro.sim.core import Environment
@@ -137,7 +136,6 @@ def make_paper_testbed(
     env: Environment,
     client: Literal["host", "dpu"] = "host",
     n_ssds: int = 1,
-    link: Optional[LinkSpec] = None,
     client_cores: Optional[int] = None,
     server_cores: Optional[int] = None,
 ) -> ClusterTopology:
@@ -153,7 +151,6 @@ def make_paper_testbed(
 
     if n_ssds not in (1, 2, 3, 4):
         raise ValueError(f"paper testbed has 1-4 SSDs, got {n_ssds}")
-    link = link or PAPER_LINK
 
     def pin(spec: HostSpec, cores: Optional[int]) -> HostSpec:
         if cores is None:
@@ -164,7 +161,7 @@ def make_paper_testbed(
             spec, cores=cores, tcp_rx_cores=min(spec.tcp_rx_cores, cores)
         )
 
-    switch = Switch(env, link)
+    switch = Switch(env, PAPER_LINK)
     server = StorageNode(
         env, "storage", pin(STORAGE_SERVER, server_cores), switch, NVME_SSD, n_ssds
     )

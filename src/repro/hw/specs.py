@@ -116,10 +116,10 @@ class HostSpec:
     lock_factor: float = 1.0
     tcp_rx_cores: int = 4
     tcp_rx_byte_factor: float = 1.0
-    description: str = ""
 
 
-#: Dual-socket AMD EPYC 7443 client host: 48 physical cores, 251 GiB (§4.1).
+#: Dual-socket AMD EPYC 7443 client host with a 200 Gb ConnectX-6: 48
+#: physical cores, 251 GiB (§4.1).
 #: We expose physical cores; SMT adds nothing in these I/O-bound runs.
 EPYC_HOST = HostSpec(
     name="epyc-7443",
@@ -129,10 +129,10 @@ EPYC_HOST = HostSpec(
     lock_factor=1.0,
     tcp_rx_cores=4,
     tcp_rx_byte_factor=1.0,
-    description="dual AMD EPYC 7443, 200Gb ConnectX-6 (client host)",
 )
 
-#: NVIDIA BlueField-3: 16 Arm Cortex-A78AE cores, 30 GiB DRAM (§4.1).
+#: NVIDIA BlueField-3 (ConnectX-7 based, §2.5): 16 Arm Cortex-A78AE cores,
+#: 30 GiB DRAM (§4.1).
 #: cycle_factor 2.2: A78AE at ~2 GHz vs EPYC Zen3 at ~2.85 GHz plus lower
 #: IPC on the I/O-heavy paths; lock_factor 2.5: serialized sections
 #: (contended atomics, LLC misses) degrade more than straight-line code —
@@ -149,7 +149,6 @@ BLUEFIELD3 = HostSpec(
     lock_factor=2.5,
     tcp_rx_cores=2,
     tcp_rx_byte_factor=3.5,
-    description="BlueField-3 DPU: 16x Cortex-A78AE, ConnectX-7 (§2.5, §4.1)",
 )
 
 #: Storage server: 2 NUMA nodes, 128 cores; experiments pinned to NUMA 0
@@ -160,7 +159,6 @@ STORAGE_SERVER = HostSpec(
     dram_bytes=251 * GIB,
     cycle_factor=1.0,
     lock_factor=1.0,
-    description="storage server NUMA node 0: 64 cores, 4x NVMe, CX-6",
 )
 
 

@@ -58,22 +58,20 @@ class ProviderInfo:
     name: str
     family: str  # "tcp" | "rdma"
     costs: TransportCosts
-    description: str
 
 
 #: The provider strings the paper's configurations use (§3.2).
 PROVIDERS: Dict[str, ProviderInfo] = {
-    "ofi+tcp;ofi_rxm": ProviderInfo(
-        "ofi+tcp;ofi_rxm", "tcp", TCP_COSTS, "libfabric TCP with RxM messaging"
-    ),
-    "ucx+tcp": ProviderInfo("ucx+tcp", "tcp", TCP_COSTS, "UCX over kernel TCP"),
-    "ucx+rc": ProviderInfo("ucx+rc", "rdma", RDMA_COSTS, "UCX reliable-connected verbs"),
-    "ucx+dc_x": ProviderInfo(
-        "ucx+dc_x", "rdma", RDMA_COSTS, "UCX dynamically-connected verbs"
-    ),
-    "ofi+verbs;ofi_rxm": ProviderInfo(
-        "ofi+verbs;ofi_rxm", "rdma", RDMA_COSTS, "libfabric verbs with RxM"
-    ),
+    # libfabric TCP with RxM messaging
+    "ofi+tcp;ofi_rxm": ProviderInfo("ofi+tcp;ofi_rxm", "tcp", TCP_COSTS),
+    # UCX over kernel TCP
+    "ucx+tcp": ProviderInfo("ucx+tcp", "tcp", TCP_COSTS),
+    # UCX reliable-connected verbs
+    "ucx+rc": ProviderInfo("ucx+rc", "rdma", RDMA_COSTS),
+    # UCX dynamically-connected verbs
+    "ucx+dc_x": ProviderInfo("ucx+dc_x", "rdma", RDMA_COSTS),
+    # libfabric verbs with RxM
+    "ofi+verbs;ofi_rxm": ProviderInfo("ofi+verbs;ofi_rxm", "rdma", RDMA_COSTS),
 }
 
 #: Convenience aliases accepted anywhere a provider name is.
@@ -160,10 +158,10 @@ class FabricChannel:
         raise NotImplementedError
 
     def rma_read(
-        self, initiator: str, region: RemoteRegion, nbytes: int, offset: int = 0,
+        self, initiator: str, region: RemoteRegion, nbytes: int,
         trace: Any = None,
     ) -> Generator[Event, None, Optional[bytes]]:
-        """Pull ``nbytes`` from the peer's window into the initiator."""
+        """Pull ``nbytes`` from the start of the peer's window."""
         raise NotImplementedError
 
     def rma_write(
@@ -172,10 +170,9 @@ class FabricChannel:
         region: RemoteRegion,
         payload: Any = None,
         nbytes: Optional[int] = None,
-        offset: int = 0,
         trace: Any = None,
     ) -> Generator[Event, None, None]:
-        """Push bytes into the peer's window."""
+        """Push bytes to the start of the peer's window."""
         raise NotImplementedError
 
 
@@ -226,26 +223,26 @@ class TcpChannel(FabricChannel):
             name, buffer, addr, valid_until, _ = entry
             self._regions[region.rkey] = (name, buffer, addr, valid_until, True)
 
-    def _lookup(self, region: RemoteRegion, nbytes: int, offset: int):
+    def _lookup(self, region: RemoteRegion, nbytes: int):
         entry = self._regions.get(region.rkey)
         if entry is None or entry[4]:
             raise PermissionError(f"region rkey {region.rkey:#x} is not registered")
         if entry[3] is not None and self.env.now > entry[3]:
             raise PermissionError(f"region rkey {region.rkey:#x} has expired")
-        if offset < 0 or offset + nbytes > region.length:
+        if nbytes > region.length:
             raise PermissionError(
-                f"access [+{offset}, +{offset + nbytes}) outside region of {region.length}"
+                f"access of {nbytes} bytes outside region of {region.length}"
             )
         return entry
 
-    def rma_read(self, initiator, region, nbytes, offset=0, trace=None):
+    def rma_read(self, initiator, region, nbytes, trace=None):
         """Emulated read: request message out, data message back.
 
         The target pays full TCP receive+send CPU (its rxm progress
         engine), the initiator pays receive costs for the data — this is
         the CPU tax that makes TCP RMA expensive.
         """
-        entry = self._lookup(region, nbytes, offset)
+        entry = self._lookup(region, nbytes)
         target = self.peer_of(initiator)
         meta = {"trace": trace} if trace is not None else {}
         req = Message(src=initiator, dst=target, kind="_rxm_read_req", nbytes=32,
@@ -256,13 +253,13 @@ class TcpChannel(FabricChannel):
         yield from self._conn.send(data)
         buffer = entry[1]
         if buffer is not None:
-            return bytes(memoryview(buffer)[offset:offset + nbytes])
+            return bytes(memoryview(buffer)[:nbytes])
         return None
 
-    def rma_write(self, initiator, region, payload=None, nbytes=None, offset=0,
+    def rma_write(self, initiator, region, payload=None, nbytes=None,
                   trace=None):
         size = nbytes if nbytes is not None else payload_nbytes(payload)
-        entry = self._lookup(region, size, offset)
+        entry = self._lookup(region, size)
         target = self.peer_of(initiator)
         meta = {"trace": trace} if trace is not None else {}
         data = Message(src=initiator, dst=target, kind="_rxm_write", nbytes=size,
@@ -270,7 +267,7 @@ class TcpChannel(FabricChannel):
         yield from self._conn.send(data)
         buffer = entry[1]
         if buffer is not None and payload is not None:
-            memoryview(buffer)[offset:offset + size] = bytes(payload)
+            memoryview(buffer)[:size] = bytes(payload)
 
 
 class RdmaChannel(FabricChannel):
@@ -361,17 +358,17 @@ class RdmaChannel(FabricChannel):
         if mr is not None:
             mr.pd.deregister_mr(mr)
 
-    def rma_read(self, initiator, region, nbytes, offset=0, trace=None):
+    def rma_read(self, initiator, region, nbytes, trace=None):
         qp = self.qps[initiator]
-        comp = yield from qp.rdma_read(region.addr + offset, region.rkey, nbytes,
+        comp = yield from qp.rdma_read(region.addr, region.rkey, nbytes,
                                        trace=trace)
         return comp.payload
 
-    def rma_write(self, initiator, region, payload=None, nbytes=None, offset=0,
+    def rma_write(self, initiator, region, payload=None, nbytes=None,
                   trace=None):
         qp = self.qps[initiator]
         yield from qp.rdma_write(
-            region.addr + offset, region.rkey, payload=payload, nbytes=nbytes,
+            region.addr, region.rkey, payload=payload, nbytes=nbytes,
             trace=trace,
         )
 

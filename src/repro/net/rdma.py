@@ -155,11 +155,8 @@ class MemoryRegion:
 class ProtectionDomain:
     """The verbs isolation unit: MRs and QPs that may interoperate."""
 
-    _ids = itertools.count(1)
-
     def __init__(self, device: "RdmaDevice") -> None:
         self.device = device
-        self.pd_id = next(ProtectionDomain._ids)
         self.regions: Dict[int, MemoryRegion] = {}  # rkey -> MR
 
     def register_mr(

@@ -41,7 +41,7 @@ from repro.sim.core import (
 from repro.sim.hist import LogHistogram
 from repro.sim.monitor import LatencyRecorder, RateMeter
 from repro.sim.queues import BandwidthPipe, FifoServer
-from repro.sim.resources import Container, Resource, Store
+from repro.sim.resources import Resource, Store
 from repro.sim.rng import RngStreams, seed_from_key
 from repro.sim.spans import (
     LatencyBreakdown,
@@ -58,7 +58,6 @@ from repro.sim.waits import WaitRecord, WaitTracer
 __all__ = [
     "AllOf",
     "BandwidthPipe",
-    "Container",
     "Diagnosis",
     "Environment",
     "Event",

@@ -108,11 +108,6 @@ class Interrupt(Exception):
     waiting on stays valid and may be re-yielded.
     """
 
-    @property
-    def cause(self) -> Any:
-        """The ``cause`` object passed to :meth:`Process.interrupt`."""
-        return self.args[0] if self.args else None
-
 
 class Event:
     """An outcome that will happen at some point in simulated time.
@@ -256,11 +251,11 @@ class _InterruptEvent(Event):
 
     __slots__ = ("process",)
 
-    def __init__(self, env: "Environment", process: "Process", cause: Any) -> None:
+    def __init__(self, env: "Environment", process: "Process") -> None:
         super().__init__(env)
         self.process = process
         self._ok = False
-        self._value = Interrupt(cause)
+        self._value = Interrupt()
         self._defused = True
         self.callbacks.append(self._deliver)
         env.schedule(self, 0.0, URGENT)
@@ -320,13 +315,13 @@ class Process(Event):
         """True while the generator has not terminated."""
         return self._value is PENDING
 
-    def interrupt(self, cause: Any = None) -> None:
+    def interrupt(self) -> None:
         """Throw :class:`Interrupt` into the process at the current time."""
         if self._value is not PENDING:
             raise SimulationError(f"{self!r} has terminated and cannot be interrupted")
         if self is self.env.active_process:
             raise SimulationError("a process cannot interrupt itself")
-        _InterruptEvent(self.env, self, cause)
+        _InterruptEvent(self.env, self)
 
     # -- dispatch ----------------------------------------------------------
     def _resume(self, event: Event) -> None:

@@ -43,7 +43,7 @@ __all__ = ["UNATTRIBUTED", "DiffDiagnosis", "diff_runs", "diff_flames"]
 UNATTRIBUTED = "(unattributed)"
 
 #: Relative tolerance for the attribution identity check.
-DEFAULT_TOLERANCE = 0.01
+TOLERANCE = 0.01
 
 #: Latency-delta floor (seconds): below this the two runs are considered
 #: equal and the relative attribution error is measured against the floor
@@ -173,7 +173,6 @@ class DiffDiagnosis:
 def diff_runs(
     base: dict,
     current: dict,
-    tolerance: float = DEFAULT_TOLERANCE,
     label: str = "",
 ) -> DiffDiagnosis:
     """Decompose the end-to-end delta between two ledger records.
@@ -182,6 +181,7 @@ def diff_runs(
     :mod:`repro.bench.ledger`); the delta reads as "what changed going
     *from base to current*".
     """
+    tolerance = TOLERANCE
     base_rows, base_unattr = _per_request_blame(base)
     cur_rows, cur_unattr = _per_request_blame(current)
 

@@ -360,7 +360,7 @@ def diagnose(
 
     if tracer.records_dropped:
         notes.append(f"{tracer.records_dropped} wait records dropped "
-                     f"(max_records={tracer.max_records}); blame shares "
+                     f"(max_records={tracer.MAX_RECORDS}); blame shares "
                      "cover the recorded prefix only")
 
     return Diagnosis(

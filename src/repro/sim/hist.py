@@ -14,41 +14,29 @@ from __future__ import annotations
 import math
 from typing import Dict, Iterable
 
-__all__ = ["LogHistogram"]
+__all__ = ["BASE", "MIN_VALUE", "LogHistogram"]
 
-#: Default bucket growth factor: 16 buckets per octave.
-_DEFAULT_BASE = 2.0 ** (1.0 / 16.0)
+#: Bucket growth factor: 16 buckets per octave.
+BASE = 2.0 ** (1.0 / 16.0)
 
 #: Values below this floor all land in bucket 0 (1 ns for latencies in
 #: seconds — far below anything the simulator produces).
-_MIN_VALUE = 1e-9
+MIN_VALUE = 1e-9
+
+_LOG_BASE = math.log(BASE)
 
 
 class LogHistogram:
     """Bounded-memory histogram over positive floats.
 
-    Parameters
-    ----------
-    base:
-        Geometric bucket growth factor (> 1).  Smaller base → finer buckets
-        → tighter percentile error and slightly more memory.
-    min_value:
-        Smallest distinguishable value; anything below is clamped into the
-        first bucket.
+    Every histogram shares one bucket geometry (:data:`BASE` growth from
+    :data:`MIN_VALUE`; anything below the floor lands in the first
+    bucket), so any two merge bucket by bucket.
     """
 
-    __slots__ = ("base", "min_value", "_log_base", "_buckets",
-                 "count", "sum", "min", "max")
+    __slots__ = ("_buckets", "count", "sum", "min", "max")
 
-    def __init__(self, base: float = _DEFAULT_BASE,
-                 min_value: float = _MIN_VALUE) -> None:
-        if not base > 1.0:
-            raise ValueError(f"base must be > 1, got {base}")
-        if not min_value > 0.0:
-            raise ValueError(f"min_value must be positive, got {min_value}")
-        self.base = float(base)
-        self.min_value = float(min_value)
-        self._log_base = math.log(self.base)
+    def __init__(self) -> None:
         self._buckets: Dict[int, int] = {}
         self.count = 0
         self.sum = 0.0
@@ -58,9 +46,9 @@ class LogHistogram:
     # -- recording ---------------------------------------------------------
 
     def _index(self, value: float) -> int:
-        if value <= self.min_value:
+        if value <= MIN_VALUE:
             return 0
-        return int(math.log(value / self.min_value) / self._log_base) + 1
+        return int(math.log(value / MIN_VALUE) / _LOG_BASE) + 1
 
     def record(self, value: float, count: int = 1) -> None:
         """Record ``value`` (``count`` times)."""
@@ -86,8 +74,8 @@ class LogHistogram:
     def _representative(self, index: int) -> float:
         """Geometric midpoint of the bucket — the reported quantile value."""
         if index <= 0:
-            return self.min_value
-        return self.min_value * self.base ** (index - 0.5)
+            return MIN_VALUE
+        return MIN_VALUE * BASE ** (index - 0.5)
 
     # -- queries -----------------------------------------------------------
 
@@ -119,9 +107,6 @@ class LogHistogram:
 
     def merge(self, other: "LogHistogram") -> "LogHistogram":
         """Fold ``other`` into ``self`` (in place); returns self."""
-        if (abs(other.base - self.base) > 1e-12
-                or abs(other.min_value - self.min_value) > 1e-18):
-            raise ValueError("cannot merge histograms with different geometry")
         for i, n in other._buckets.items():
             self._buckets[i] = self._buckets.get(i, 0) + n
         self.count += other.count

@@ -63,26 +63,22 @@ class LatencyRecorder:
     """Accumulates per-operation latencies; summarizes at the end.
 
     Short runs keep exact samples (NumPy percentiles at report time, as
-    before).  Past ``spill_threshold`` samples the recorder folds everything
+    before).  Past :attr:`SPILL_THRESHOLD` samples the recorder folds everything
     into a bounded :class:`~repro.sim.hist.LogHistogram` and keeps streaming
     into it, so memory stays O(buckets) for arbitrarily long runs while
     percentiles stay within the histogram's ~2% relative bucket error.
     """
 
-    __slots__ = ("name", "_samples", "enabled", "spill_threshold", "_hist")
+    __slots__ = ("name", "_samples", "enabled", "_hist")
 
-    #: Default sample count at which exact storage spills to the histogram.
+    #: Sample count at which exact storage spills to the histogram.
     SPILL_THRESHOLD = 65_536
 
-    def __init__(self, name: str, enabled: bool = True,
-                 spill_threshold: int = SPILL_THRESHOLD) -> None:
-        if spill_threshold < 1:
-            raise ValueError(f"spill_threshold must be >= 1, got {spill_threshold}")
+    def __init__(self, name: str, enabled: bool = True) -> None:
         self.name = name
         self._samples: List[float] = []
         #: When False, :meth:`record` is a no-op (cheap to leave in place).
         self.enabled = enabled
-        self.spill_threshold = spill_threshold
         self._hist = None  # type: ignore[var-annotated]
 
     def __len__(self) -> int:
@@ -111,7 +107,7 @@ class LatencyRecorder:
             self._hist.record(latency)
             return
         self._samples.append(latency)
-        if len(self._samples) >= self.spill_threshold:
+        if len(self._samples) >= self.SPILL_THRESHOLD:
             self._spill()
 
     def clear(self) -> None:
@@ -130,7 +126,7 @@ class LatencyRecorder:
         """
         if self._hist is None and other._hist is None:
             self._samples.extend(other._samples)
-            if len(self._samples) >= self.spill_threshold:
+            if len(self._samples) >= self.SPILL_THRESHOLD:
                 self._spill()
             return self
         if self._hist is None:

@@ -298,8 +298,7 @@ class BandwidthPipe:
 
     __slots__ = ("env", "bandwidth", "latency", "chunk_bytes", "_server",
                  "bytes_moved", "_requests", "_finishing",
-                 "_undo", "_timer", "_timer_at", "_timer_cb",
-                 "coalesced_ops", "revoked_ops")
+                 "_undo", "_timer", "_timer_at", "_timer_cb")
 
     def __init__(
         self,
@@ -334,10 +333,6 @@ class BandwidthPipe:
         self._timer: Optional[Timeout] = None
         self._timer_at = 0.0
         self._timer_cb = self._on_timer
-        #: Transfers completed analytically (perf accounting).
-        self.coalesced_ops = 0
-        #: Rollbacks of slots reserved ahead of an arrival.
-        self.revoked_ops = 0
 
     @property
     def name(self) -> Optional[str]:
@@ -402,7 +397,6 @@ class BandwidthPipe:
                 raise
             return
         # One chunk: the chunk loop's one reservation, made here.
-        self.coalesced_ops += 1
         yield self._server.serve(nbytes / self.bandwidth)
 
     def transfer_and_sleep(self, nbytes: int, *delays: float) -> Timeout:
@@ -416,7 +410,6 @@ class BandwidthPipe:
             raise ValueError(
                 f"not a one-chunk transfer on a zero-latency pipe: {nbytes} bytes")
         self.bytes_moved += nbytes
-        self.coalesced_ops += 1
         if self._requests or self._finishing:
             self._sync()
         return self._server.serve(nbytes / self.bandwidth, *delays)
@@ -548,7 +541,6 @@ class BandwidthPipe:
                 self._book(r, xfer, left, free, n)
         kept = None
         if undo and undo[-1][0] > now:
-            self.revoked_ops += 1
             srv = self._server
             requests = self._requests
             finishing = self._finishing
@@ -624,7 +616,6 @@ class BandwidthPipe:
         finishing = self._finishing
         while finishing and finishing[0].at <= now:
             xfer = finishing.popleft()
-            self.coalesced_ops += 1
             xfer._value = None
             callbacks = xfer.callbacks
             xfer.callbacks = None

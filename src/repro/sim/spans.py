@@ -175,11 +175,11 @@ class Trace:
     __slots__ = ("trace_id", "env", "collector", "root")
 
     def __init__(self, collector: "SpanCollector", name: str,
-                 node: Optional[str] = None, nbytes: int = 0) -> None:
+                 nbytes: int = 0) -> None:
         self.trace_id = next(_trace_ids)
         self.env = collector.env
         self.collector = collector
-        self.root = Span(self, name, None, node=node, nbytes=nbytes)
+        self.root = Span(self, name, None, nbytes=nbytes)
 
     def finish(self) -> Span:
         """Close the root span."""
@@ -193,36 +193,32 @@ class SpanCollector:
     ----------
     sample_every:
         Keep 1 in N requests (``trace()`` returns ``None`` for the rest).
-    max_traces:
-        Stop sampling new traces past this many (spans of already-started
-        traces are still recorded so no trace is left half-captured).
     """
 
-    def __init__(self, env: "Environment", sample_every: int = 1,
-                 max_traces: int = 100_000) -> None:
+    #: Stop sampling new traces past this many (spans of already-started
+    #: traces are still recorded so no trace is left half-captured).
+    MAX_TRACES = 100_000
+
+    def __init__(self, env: "Environment", sample_every: int = 1) -> None:
         if sample_every < 1:
             raise ValueError(f"sample_every must be >= 1, got {sample_every}")
-        if max_traces < 1:
-            raise ValueError(f"max_traces must be >= 1, got {max_traces}")
         self.env = env
         self.sample_every = int(sample_every)
-        self.max_traces = int(max_traces)
         self.spans: List[Span] = []
         self.requests_seen = 0
         self.traces_started = 0
 
     # -- sampling ----------------------------------------------------------
 
-    def trace(self, name: str, node: Optional[str] = None,
-              nbytes: int = 0) -> Optional[Trace]:
+    def trace(self, name: str, nbytes: int = 0) -> Optional[Trace]:
         """Maybe start a trace for a new request (honours sampling)."""
         self.requests_seen += 1
         if (self.requests_seen - 1) % self.sample_every != 0:
             return None
-        if self.traces_started >= self.max_traces:
+        if self.traces_started >= self.MAX_TRACES:
             return None
         self.traces_started += 1
-        return Trace(self, name, node=node, nbytes=nbytes)
+        return Trace(self, name, nbytes=nbytes)
 
     def _record(self, span: Span) -> None:
         self.spans.append(span)

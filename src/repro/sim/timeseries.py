@@ -54,6 +54,10 @@ UTILIZATION = "utilization"  # like RATE but the total is busy-seconds
 #: Largest relative gap ``|L - λW| / λW`` a checked station may show.
 LITTLES_LAW_TOLERANCE = 0.05
 
+#: Fewest arrivals at which a station's Little's law is checked (the law
+#: is asymptotic).
+LITTLES_LAW_MIN_ARRIVALS = 50
+
 
 class TimeSeries:
     """Bounded time-weighted series with automatic pairwise downsampling.
@@ -150,27 +154,16 @@ class TimeSeries:
         """Smallest window mean (0.0 when empty)."""
         return min(self._v) if self._v else 0.0
 
-    def time_weighted_mean(self, t0: Optional[float] = None,
-                           t1: Optional[float] = None) -> float:
-        """Duration-weighted mean over ``[t0, t1]`` (whole series default).
+    def time_weighted_mean(self) -> float:
+        """Duration-weighted mean over the whole series (0.0 when empty).
 
-        Windows straddling the boundary contribute pro-rata, treating each
-        window's signal as constant at its mean — exact for signals
-        sampled at window granularity, within one window's width otherwise.
+        Each window weighs the span its bounds give, ``t_end - (t_end -
+        dt)``, which can differ from ``dt`` in the last bit.
         """
-        if not self._t:
-            return 0.0
-        lo = self.t_first if t0 is None else t0
-        hi = self.t_last if t1 is None else t1
         area = 0.0
         span = 0.0
         for t_end, dt, v in zip(self._t, self._dt, self._v):
-            a = t_end - dt
-            start = a if a > lo else lo
-            end = t_end if t_end < hi else hi
-            if end <= start:
-                continue
-            w = end - start
+            w = t_end - (t_end - dt)
             area += v * w
             span += w
         return area / span if span > 0.0 else 0.0
@@ -269,13 +262,11 @@ class Sampler:
     unsampled ones.
     """
 
-    def __init__(self, env: "Environment", interval: float = 1e-4,
-                 capacity: int = 512) -> None:
+    def __init__(self, env: "Environment", interval: float = 1e-4) -> None:
         if interval <= 0.0:
             raise ValueError(f"interval must be positive, got {interval}")
         self.env = env
         self.interval = float(interval)
-        self.capacity = int(capacity)
         self.series: Dict[str, TimeSeries] = {}
         #: Registered stations: name -> an object counting ``arrivals``
         #: and ``sojourn_sum``.
@@ -302,8 +293,7 @@ class Sampler:
             probe._prev = float(fn())
         self._probes.append(probe)
         unit = unit or ({UTILIZATION: "busy", RATE: "/s"}.get(kind, ""))
-        self.series[name] = TimeSeries(name, capacity=self.capacity,
-                                       unit=unit, kind=kind, node=node)
+        self.series[name] = TimeSeries(name, unit=unit, kind=kind, node=node)
         return probe
 
     def add_station(self, name: str, station, in_flight: Callable[[], int],
@@ -376,7 +366,7 @@ class Sampler:
             return 0.0
         return self.env.now - self.t_start
 
-    def littles_law(self, min_arrivals: int = 50) -> Dict[str, dict]:
+    def littles_law(self) -> Dict[str, dict]:
         """The ``L = λW`` self-check for every registered station.
 
         ``L`` is the *sampled* time-weighted mean of the in-flight series,
@@ -384,8 +374,8 @@ class Sampler:
         added since :meth:`add_station`); a healthy
         telemetry pipeline keeps ``|L - λW| / λW`` within
         :data:`LITTLES_LAW_TOLERANCE`.
-        Stations with fewer than ``min_arrivals`` are reported but marked
-        ``checked=False`` (the law is asymptotic).
+        Stations with fewer than :data:`LITTLES_LAW_MIN_ARRIVALS` are
+        reported but marked ``checked=False``.
         """
         out: Dict[str, dict] = {}
         elapsed = self.elapsed()
@@ -400,7 +390,7 @@ class Sampler:
                 rel_err = abs(sampled_l - rhs) / rhs
             else:
                 rel_err = abs(sampled_l)
-            checked = arrivals >= min_arrivals
+            checked = arrivals >= LITTLES_LAW_MIN_ARRIVALS
             out[name] = {
                 "L_sampled": sampled_l,
                 "lambda": lam,

@@ -12,9 +12,9 @@ every primitive that makes a process give up the CPU reports a wait event:
   (``latency``) is analytically exact — reservation servers compute all
   three before scheduling the single wake-up event.
 * **block** — a parked :class:`~repro.sim.resources.Resource`
-  request, :class:`~repro.sim.resources.Store`
-  put/get or :class:`~repro.sim.resources.Container` put/get, measured
-  from park to grant.
+  request, :class:`~repro.sim.resources.Store` get or
+  :class:`~repro.hw.dram.DramPool` allocation, measured from park to
+  grant.
 * **sleep** — a plain ``env.timeout`` not claimed by any primitive (pure
   delays: switch propagation, polling intervals, think time).
 
@@ -37,7 +37,7 @@ Design rules (shared with spans and station stats):
   :class:`~repro.sim.queues.BandwidthPipe` each chunk slot once it can
   no longer be undone (see DESIGN.md §9/§10).
 * **Bounded memory** — the flat record list stops growing at
-  ``max_records`` (the drop count is reported), per-resource aggregate
+  :attr:`WaitTracer.MAX_RECORDS` (the drop count is reported), per-resource aggregate
   scalars are O(#resources), and the per-resource cumulative-wait
   counters are bounded :class:`~repro.sim.timeseries.TimeSeries` rings.
 
@@ -164,11 +164,13 @@ class WaitTracer:
         blame = tracer.blame()
     """
 
-    def __init__(self, env: "Environment", max_records: int = 1_000_000) -> None:
+    #: The flat record list stops growing at this many records.
+    MAX_RECORDS = 1_000_000
+
+    def __init__(self, env: "Environment") -> None:
         self.env = env
-        self.max_records = int(max_records)
         self._records: List[WaitRecord] = []
-        #: Events not recorded because ``max_records`` was reached.
+        #: Events not recorded because :attr:`MAX_RECORDS` was reached.
         self.records_dropped = 0
         self._aggregates: Dict[str, ResourceWait] = {}
         # Stations the sampler watches (see :meth:`watch`), by name.
@@ -181,7 +183,7 @@ class WaitTracer:
         # Environment.timeout does not book the same passage again as a
         # sleep.
         self._claimed = False
-        # Parked request/put/get events -> (resource, park time, span).
+        # Parked requests, gets and allocations -> (resource, park time, span).
         # Keyed by the event object itself (strong ref, removed at grant
         # or withdrawal) so id() reuse cannot mix up two waits.
         self._blocked: Dict[object, Tuple[str, float, "Span"]] = {}
@@ -345,7 +347,7 @@ class WaitTracer:
             sync()
 
     def begin_block(self, event, name: Optional[str]) -> None:
-        """A request/put/get parked in a waiter queue."""
+        """A request, get or allocation parked in a waiter queue."""
         stack = self._stacks.get(self.env._active)
         if not stack:
             return
@@ -371,7 +373,7 @@ class WaitTracer:
         self._blocked.pop(event, None)
 
     def _append(self, record: WaitRecord) -> None:
-        if len(self._records) >= self.max_records:
+        if len(self._records) >= self.MAX_RECORDS:
             self.records_dropped += 1
             return
         self._records.append(record)

@@ -58,7 +58,6 @@ class IoUringEngine:
         offset: int,
         nbytes: int,
         is_write: bool,
-        data: Optional[bytes] = None,
         trace=None,
     ) -> Generator[Event, None, Optional[bytes]]:
         """One POSIX read/write; completes when the CQE is reaped."""
@@ -72,7 +71,7 @@ class IoUringEngine:
             span.finish()
         eff = costs.write_bw_efficiency if is_write else costs.read_bw_efficiency
         if is_write:
-            yield from self.device.write(offset, nbytes=nbytes, data=data,
+            yield from self.device.write(offset, nbytes=nbytes,
                                          bw_efficiency=eff, trace=trace)
             result = None
         else:

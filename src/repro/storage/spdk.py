@@ -39,7 +39,7 @@ __all__ = ["NvmfTarget", "NvmfInitiator"]
 #: build completion) — SPDK's polled target path, no syscalls.
 TARGET_CPU_PER_OP = 1.2 * US
 
-#: The performance-mode I/O window each initiator pre-registers.
+#: The I/O window each initiator pre-registers.
 IO_WINDOW_BYTES = 16 * 1024 * 1024
 
 
@@ -54,7 +54,6 @@ class NvmfTarget:
         self.node = node
         self.env: Environment = node.env
         self.device = device
-        self.commands_served = 0
 
     def serve(self, channel: FabricChannel) -> None:
         """Service command capsules on ``channel`` until ``nvmf.shutdown``."""
@@ -67,7 +66,7 @@ class NvmfTarget:
         op = cmd["op"]
         offset = cmd["offset"]
         nbytes = cmd["nbytes"]
-        region: Optional[RemoteRegion] = cmd.get("region")
+        region: RemoteRegion = cmd["region"]
 
         # The command capsule carries the initiator's span (like the DAOS
         # RPC capsule); target-side work hangs off a handler child span.
@@ -80,23 +79,18 @@ class NvmfTarget:
 
         if op == "write":
             # Pull the payload from the client window, then hit the media.
-            data = None
-            if region is not None:
-                data = yield from channel.rma_read(self.node.name, region, nbytes,
-                                                   trace=span)
-            yield from self.device.write(offset, nbytes=nbytes, data=data, trace=span)
+            yield from channel.rma_read(self.node.name, region, nbytes, trace=span)
+            yield from self.device.write(offset, nbytes=nbytes, trace=span)
         elif op == "read":
-            data = yield from self.device.read(offset, nbytes, trace=span)
-            if region is not None:
-                yield from channel.rma_write(
-                    self.node.name, region, payload=data, nbytes=nbytes, trace=span
-                )
+            yield from self.device.read(offset, nbytes, trace=span)
+            yield from channel.rma_write(
+                self.node.name, region, nbytes=nbytes, trace=span
+            )
         else:
             raise ValueError(f"unknown NVMe-oF op {op!r}")
 
         if span is not None:
             span.finish()
-        self.commands_served += 1
         yield from channel.send(msg.reply_to(kind="nvmf.cpl", payload={"status": "ok"}))
 
 
@@ -105,26 +99,18 @@ class NvmfInitiator:
 
     _cid = itertools.count(1)
 
-    def __init__(
-        self,
-        node: ComputeNode,
-        channel: FabricChannel,
-        data_mode: bool = False,
-    ) -> None:
+    def __init__(self, node: ComputeNode, channel: FabricChannel) -> None:
         self.node = node
         self.env: Environment = node.env
         self.channel = channel
         self.costs: StoragePathCosts = SPDK_PATH
-        self.data_mode = bool(data_mode)
         self.target_name = channel.peer_of(node.name)
         self._pending: Dict[int, Event] = {}
         self._started = False
         self._threads = 0
-        # Performance mode: one pre-registered window reused by every
-        # command (real initiators pre-register their buffer pools).
-        self._window: Optional[RemoteRegion] = None
-        if not data_mode:
-            self._window = channel.register(node.name, IO_WINDOW_BYTES)
+        # One pre-registered window reused by every command (real
+        # initiators pre-register their buffer pools).
+        self._window = channel.register(node.name, IO_WINDOW_BYTES)
 
     def start(self) -> "NvmfInitiator":
         """Listen for completion capsules; call once before I/O."""
@@ -148,9 +134,8 @@ class NvmfInitiator:
         offset: int,
         nbytes: int,
         is_write: bool,
-        data: Optional[bytes] = None,
         trace=None,
-    ) -> Generator[Event, None, Optional[bytes]]:
+    ) -> Generator[Event, None, None]:
         """One remote NVMe command; completes at the completion capsule."""
         if not self._started:
             raise RuntimeError("initiator not started; call start() first")
@@ -164,15 +149,6 @@ class NvmfInitiator:
 
         yield ctx.enter(costs.submit_cpu_per_op)
 
-        buffer = None
-        region = self._window
-        if self.data_mode:
-            # Functional mode: per-command window carrying real bytes.
-            buffer = bytearray(nbytes)
-            if is_write and data is not None:
-                buffer[:] = data
-            region = self.channel.register(self.node.name, nbytes, buffer=buffer)
-
         done = env.event()
         self._pending[cid] = done
         capsule = Message(
@@ -184,7 +160,7 @@ class NvmfInitiator:
                 "op": "write" if is_write else "read",
                 "offset": offset,
                 "nbytes": nbytes,
-                "region": region,
+                "region": self._window,
             },
             nbytes=96,
             meta={"trace": span} if span is not None else {},
@@ -194,13 +170,6 @@ class NvmfInitiator:
         yield ctx.enter(costs.complete_cpu_per_op)
         if span is not None:
             span.finish()
-
-        result: Optional[bytes] = None
-        if self.data_mode:
-            if not is_write:
-                result = bytes(buffer)
-            self.channel.deregister(region)
-        return result
 
     def shutdown(self) -> Generator[Event, None, None]:
         """Ask the target to stop handling commands on this channel."""

@@ -15,6 +15,7 @@ import pytest
 from repro.bench.runner import run_fig5_doctored
 from repro.sim.chrometrace import build_chrome_trace, validate_chrome_trace
 from repro.sim.timeseries import UTILIZATION
+from tests.reference import window_mean
 
 
 @pytest.fixture(scope="module")
@@ -78,7 +79,7 @@ def test_perfetto_export_is_valid_and_complete(observed):
 
 def _busiest(sampler, t0, t1):
     """The utilization series with the highest mean over ``[t0, t1]``."""
-    means = {name: s.time_weighted_mean(t0, t1)
+    means = {name: window_mean(s, t0, t1)
              for name, s in sampler.series.items() if s.kind == UTILIZATION}
     name = min(means, key=lambda n: (-means[n], n))
     return name, means[name]

@@ -12,7 +12,11 @@ takes in closed form, kept here so that exactly one path lives in
   per piece and an ``AllOf`` join, which
   :meth:`~repro.hw.nvme.NvmeArray.submit` reproduces inline;
 * :class:`AnyOf` — the first-of wait an RPC call once raced against its
-  deadline, which the RPC client's deadline timer reproduces.
+  deadline, which the RPC client's deadline timer reproduces;
+* :func:`window_mean` — a time series' duration-weighted mean over a
+  sub-window, which only tests ask for
+  (:meth:`~repro.sim.timeseries.TimeSeries.time_weighted_mean` averages
+  the whole series).
 
 A test patches a reference in (``monkeypatch.setattr(BandwidthPipe,
 "transfer", chunk_loop_transfer)``) or builds it directly.
@@ -22,7 +26,7 @@ from repro.sim.core import PENDING, ConditionEvent
 from repro.sim.queues import BandwidthPipe
 
 __all__ = ["AnyOf", "ChunkLoopPipe", "chunk_loop_transfer",
-           "process_per_piece_submit"]
+           "process_per_piece_submit", "window_mean"]
 
 
 def chunk_loop_transfer(pipe, nbytes):
@@ -101,3 +105,20 @@ class AnyOf(ConditionEvent):
             self.fail(event._value)
             return
         self.succeed(self._collect())
+
+
+def window_mean(series, t0, t1):
+    """``series``' duration-weighted mean over ``[t0, t1]``.
+
+    Windows straddling a bound contribute pro rata, treating each
+    window's signal as constant at its mean.
+    """
+    area = 0.0
+    span = 0.0
+    for t_end, dt, v in series.points():
+        start = max(t_end - dt, t0)
+        end = min(t_end, t1)
+        if end > start:
+            area += v * (end - start)
+            span += end - start
+    return area / span if span > 0.0 else 0.0

@@ -174,22 +174,29 @@ class TestCodeFingerprint:
             path.parent.mkdir(parents=True, exist_ok=True)
             path.write_text(text)
 
-    def test_stable_and_sensitive_to_source_changes(self, tmp_path):
+    def test_stable_and_sensitive_to_source_changes(self, tmp_path,
+                                                     monkeypatch):
+        monkeypatch.setattr(cp, "PACKAGE_ROOT", str(tmp_path))
         self._tree(tmp_path, {"a.py": "x = 1\n", "sub/b.py": "y = 2\n"})
-        fp = cp.code_fingerprint(str(tmp_path))
-        assert fp == cp.code_fingerprint(str(tmp_path))
+        fp = cp.code_fingerprint()
+        assert fp == cp.code_fingerprint()
         assert len(fp) == 16
         (tmp_path / "a.py").write_text("x = 2\n")
-        assert cp.code_fingerprint(str(tmp_path)) != fp
+        assert cp.code_fingerprint() != fp
 
-    def test_ignores_pycache_and_non_python(self, tmp_path):
+    def test_ignores_pycache_and_non_python(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cp, "PACKAGE_ROOT", str(tmp_path))
         self._tree(tmp_path, {"a.py": "x = 1\n"})
-        fp = cp.code_fingerprint(str(tmp_path))
+        fp = cp.code_fingerprint()
         self._tree(tmp_path, {"__pycache__/a.cpython-311.pyc": "junk",
                               "notes.txt": "junk"})
-        assert cp.code_fingerprint(str(tmp_path)) == fp
+        assert cp.code_fingerprint() == fp
 
     def test_real_tree_fingerprint_is_stable(self):
+        import repro
+
+        assert cp.PACKAGE_ROOT == os.path.dirname(
+            os.path.abspath(repro.__file__))
         assert cp.code_fingerprint() == cp.code_fingerprint()
 
 

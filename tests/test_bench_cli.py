@@ -239,6 +239,57 @@ class TestBadCellFailsFast:
             assert args.transport == name
 
 
+class TestFigureAndVerdictKnobsFailFast:
+    """Core counts outside the testbed's hosts, a zero job count and a
+    verdict no run can pass exit 2 with one error line, before anything
+    is simulated: every subcommand validates through ``_check_cell``."""
+
+    @pytest.fixture(autouse=True)
+    def no_figure_sim(self, no_sim, monkeypatch):
+        import repro.bench.cli as cli
+
+        def boom(*a, **kw):
+            raise AssertionError("simulation ran despite fail-fast error")
+
+        for name in ("run_fig3_cell", "run_fig4_cell", "_build_fig5"):
+            monkeypatch.setattr(cli, name, boom)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["fig3", "--jobs", "0"], "numjobs must be > 0"),
+        (["fig5", "--jobs", "0", "--bs", "4k"], "numjobs must be > 0"),
+        (["fig4", "--client-cores", "0"], "client_cores must be 1-48"),
+        (["fig4", "--client-cores", "64"], "client_cores must be 1-48"),
+        (["fig4", "--server-cores", "65"], "server_cores must be 1-64"),
+        ({"experiment": "fig4", "client_cores": 0},
+         "client_cores must be 1-48"),
+        (["chaos", "--min-goodput", "1.5"], "min_goodput must be in (0, 1]"),
+        (["chaos", "--p999-max", "-1"], "p999_max must be > 0"),
+    ])
+    def test_exits_2(self, capsys, tmp_path, argv, message):
+        if isinstance(argv, dict):  # a campaign spec with one bad cell
+            spec = tmp_path / "spec.json"
+            spec.write_text(json.dumps({"format": "repro-campaign-v1",
+                                        "cells": [argv]}))
+            argv = ["campaign", str(spec), "--dry-run",
+                    "--ledger-dir", str(tmp_path)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert message in err
+
+    def test_core_bounds_come_from_the_host_specs(self):
+        from repro.bench.campaign import _check_cell
+        from repro.hw.specs import EPYC_HOST, STORAGE_SERVER
+
+        cell = {"experiment": "fig4", "provider": "ucx+rc", "rw": "randread",
+                "bs": 4096, "client_cores": EPYC_HOST.cores,
+                "server_cores": STORAGE_SERVER.cores}
+        _check_cell(cell)
+        for key in ("client_cores", "server_cores"):
+            with pytest.raises(ValueError, match=key):
+                _check_cell({**cell, key: cell[key] + 1})
+
+
 class TestRunsSubcommand:
     def test_listing_shows_committed_campaign(self, capsys):
         assert main(["runs", "--ledger-dir", LEDGER_DIR]) == 0

@@ -36,7 +36,6 @@ def test_unary_roundtrip():
         return (yield from channel.unary("svc", "Hello", {"who": "world"}))
 
     assert run(env, main(env)) == {"greeting": "hello world"}
-    assert server.calls_served == 1
 
 
 def test_unimplemented_method():
@@ -122,7 +121,6 @@ def test_loopback_channel_same_node():
         return (yield from channel.unary("svc", "Ping", {}))
 
     assert run(env, main(env)) == "pong"
-    assert server.calls_served == 1
 
 
 def test_loopback_unbound_raises():
@@ -171,7 +169,7 @@ def test_shutdown_stops_loop():
 
     env.process(main(env))
     env.run(until=0.5)
-    assert ran == [] and got == [] and server.calls_served == 0
+    assert ran == [] and got == []
 
 
 def test_stray_kinds_and_unknown_tags_dropped():
@@ -188,7 +186,7 @@ def test_stray_kinds_and_unknown_tags_dropped():
 
     p = env.process(main(env))
     env.run(until=p)  # neither side crashes
-    assert server.calls_served == 0 and channel._pending == {}
+    assert channel._pending == {}
 
 
 def test_second_listener_rejected():

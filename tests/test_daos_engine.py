@@ -128,7 +128,7 @@ def test_malformed_ranges_fail_at_the_client():
     ctx, cont = open_cont(env, daos, pool)
     obj = run(env, cont.alloc_oid(ctx, ObjectClass.S1, 1))
     obj = cont.obj(obj[0])
-    served = engine.rpc.requests_served
+    served = engine.rpc.arrivals
 
     def bad(op):
         def go(env):
@@ -147,7 +147,7 @@ def test_malformed_ranges_fail_at_the_client():
     ):
         message, waited = bad(op)
         assert text in message and waited == 0.0
-    assert engine.rpc.requests_served == served
+    assert engine.rpc.arrivals == served
 
     def good(env):
         yield from obj.update(ctx, b"dk", b"ak", 0, data=b"fine")

@@ -44,7 +44,7 @@ def test_call_roundtrip():
     p = env.process(main(env))
     env.run(until=p)
     assert got == [{"echo": 42}]
-    assert server.requests_served == 1
+    assert server.arrivals == 1
 
 
 def test_rpc_server_counts_its_station():
@@ -163,7 +163,7 @@ def test_shutdown_stops_server():
     p = env.process(main(env))
     with pytest.raises(RpcTimeout):
         env.run(until=p)
-    assert ran == [] and server.requests_served == 0
+    assert ran == [] and server.arrivals == 0
 
 
 def test_reply_after_deadline_dropped():
@@ -188,7 +188,7 @@ def test_reply_after_deadline_dropped():
     p = env.process(main(env))
     env.run(until=p)
     assert got == ["timeout", 0.0]
-    assert server.requests_served == 2
+    assert server.arrivals == 2
     assert client._pending == {}
 
 
@@ -211,7 +211,7 @@ def test_stray_message_ignored():
 
     env.process(main(env))
     env.run(until=1.0)  # must not crash
-    assert server.requests_served == 0
+    assert server.arrivals == 0
 
 
 # ---------------------------------------------------------------------------

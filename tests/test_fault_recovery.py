@@ -51,10 +51,10 @@ def test_rpc_error_carries_context():
     assert exc.remote_error == "DaosError: backend exploded"
     assert exc.op == "boom"
     assert exc.target == top.server.name
-    assert exc.sim_time is not None and exc.sim_time > 0
     # The rendered message locates the failure without attribute access.
     assert "op=boom" in str(exc)
     assert f"target={top.server.name}" in str(exc)
+    assert f"t={env.now:.6f}" in str(exc)
 
 
 def test_rpc_timeout_carries_context_and_drops_late_reply():
@@ -74,7 +74,7 @@ def test_rpc_timeout_carries_context_and_drops_late_reply():
     with pytest.raises(RpcTimeout) as ei:
         env.run(until=p)
     assert ei.value.op == "slow"
-    assert ei.value.sim_time is not None
+    assert f"t={env.now:.6f}" in str(ei.value)
     assert "no reply within" in str(ei.value)
     # Drain the heap: the late reply must be dropped by the demux, not
     # crash it or leak into a later call's pending slot.

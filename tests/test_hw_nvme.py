@@ -128,7 +128,7 @@ def test_meters_track_reads_and_writes():
 
 def test_array_striping_round_robin():
     env = Environment()
-    arr = NvmeArray(env, NVME_SSD, n_devices=4, stripe_bytes=MIB)
+    arr = NvmeArray(env, NVME_SSD, n_devices=4)
     assert arr.device_for(0).index == 0
     assert arr.device_for(MIB).index == 1
     assert arr.device_for(4 * MIB).index == 0
@@ -145,7 +145,7 @@ def test_array_split_within_one_stripe():
 
 def test_array_split_across_stripes():
     env = Environment()
-    arr = NvmeArray(env, NVME_SSD, n_devices=2, stripe_bytes=MIB)
+    arr = NvmeArray(env, NVME_SSD, n_devices=2)
     pieces = arr.split(MIB - 4 * KIB, 8 * KIB)
     assert [(d.index, n) for d, n in pieces] == [(0, 4 * KIB), (1, 4 * KIB)]
 
@@ -175,8 +175,6 @@ def test_array_single_device_validation():
     env = Environment()
     with pytest.raises(ValueError):
         NvmeArray(env, NVME_SSD, n_devices=0)
-    with pytest.raises(ValueError):
-        NvmeArray(env, NVME_SSD, n_devices=2, stripe_bytes=0)
 
 
 def test_array_total_counters():
@@ -208,6 +206,13 @@ def test_array_capacity():
 _STRIPE = 64 * KIB
 
 
+class _SmallStripeArray(NvmeArray):
+    """An array striped at :data:`_STRIPE`, so small I/Os split."""
+
+    __slots__ = ()
+    STRIPE_BYTES = _STRIPE
+
+
 def _run_submitters(ios, n_devices, reference, observe="plain",
                     faulted=False):
     """Run one I/O per submitter, ``(t0, offset, nbytes, is_write)``.
@@ -225,7 +230,7 @@ def _run_submitters(ios, n_devices, reference, observe="plain",
     from repro.sim.waits import WaitTracer
 
     env = Environment()
-    arr = NvmeArray(env, NVME_SSD, n_devices=n_devices, stripe_bytes=_STRIPE)
+    arr = _SmallStripeArray(env, NVME_SSD, n_devices=n_devices)
     if faulted:
         FaultPlan([
             FaultEvent("nvme_latency_spike", "nvme.ssd0", 0.0, 5e-4, 8.0),
@@ -319,7 +324,7 @@ def test_a_two_piece_io_costs_one_event():
     counts = {}
     for nbytes in (0, 8 * KIB):
         env = Environment()
-        arr = NvmeArray(env, NVME_SSD, n_devices=2, stripe_bytes=MIB)
+        arr = NvmeArray(env, NVME_SSD, n_devices=2)
 
         def io(env):
             if nbytes:
@@ -339,7 +344,7 @@ def test_split_io_span_gets_the_record_of_the_piece_it_waited_for(second):
     from repro.sim.waits import WaitTracer
 
     env = Environment()
-    arr = NvmeArray(env, NVME_SSD, n_devices=2, stripe_bytes=MIB)
+    arr = NvmeArray(env, NVME_SSD, n_devices=2)
     tracer = WaitTracer(env).install()
     col = SpanCollector(env)
     spans = []
@@ -372,7 +377,7 @@ def test_traced_and_faulted_split_ios_cost_one_event():
             events = [FaultEvent("nvme_latency_spike", "nvme.ssd1", 0.0,
                                  1.0, 4.0)] if mode == "spike" else []
             FaultPlan(events).install(env).arm(0.0)
-        arr = NvmeArray(env, NVME_SSD, n_devices=2, stripe_bytes=MIB)
+        arr = NvmeArray(env, NVME_SSD, n_devices=2)
         trace = SpanCollector(env).trace("io").root if mode == "trace" else None
         base = env.events_processed
 
@@ -407,7 +412,7 @@ def test_station_recorder_keeps_the_inline_join():
     from repro.sim.waits import WaitTracer
 
     env = Environment()
-    arr = NvmeArray(env, NVME_SSD, n_devices=2, stripe_bytes=MIB)
+    arr = NvmeArray(env, NVME_SSD, n_devices=2)
     tracer = WaitTracer(env).install()
     stats = [StationStats() for _ in arr.devices]
     for dev, st in zip(arr.devices, stats):

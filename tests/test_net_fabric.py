@@ -161,14 +161,14 @@ def test_rma_write_then_read_roundtrip(provider):
     got = []
 
     def client(env):
-        yield from ch.rma_write("host", region, payload=b"\x55" * 64, offset=16)
-        data = yield from ch.rma_read("host", region, 64, offset=16)
+        yield from ch.rma_write("host", region, payload=b"\x55" * 64)
+        data = yield from ch.rma_read("host", region, 64)
         got.append(data)
 
     env.process(client(env))
     env.run()
     assert got == [b"\x55" * 64]
-    assert buf[16:80] == b"\x55" * 64
+    assert buf[:64] == b"\x55" * 64 and buf[64:] == bytes(4 * KIB - 64)
 
 
 @pytest.mark.parametrize("provider", ["ucx+tcp", "ucx+rc"])

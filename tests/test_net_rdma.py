@@ -1,8 +1,10 @@
 """Unit tests for RDMA verbs: PDs, MRs, rkeys, QPs, one/two-sided ops."""
 
+from unittest import mock
+
 import pytest
 
-from repro.hw import make_paper_testbed
+from repro.hw import make_paper_testbed, platform
 from repro.hw.specs import KIB, MIB
 from repro.net.rdma import (
     AccessFlags,
@@ -194,7 +196,8 @@ def _one_op(op, observed, propagation=None):
     link = PAPER_LINK if propagation is None else replace(
         PAPER_LINK, propagation=propagation)
     env = Environment()
-    top = make_paper_testbed(env, link=link)
+    with mock.patch.object(platform, "PAPER_LINK", link):
+        top = make_paper_testbed(env)
     tracer = WaitTracer(env).install() if observed else None
     collector = SpanCollector(env)
     dev_c = RdmaDevice(top.client)

@@ -1,8 +1,10 @@
 """Unit tests for the TCP transport model."""
 
+from unittest import mock
+
 import pytest
 
-from repro.hw import make_paper_testbed
+from repro.hw import make_paper_testbed, platform
 from repro.hw.specs import GIB, KIB, MIB, TCP_COSTS
 from repro.net.message import HEADER_BYTES, Message
 from repro.net.tcp import TcpStack
@@ -215,7 +217,8 @@ def test_untraced_message_merges_stream_and_wire_latency(propagation):
     runs = {}
     for observed in (False, True):
         env = Environment()
-        top = make_paper_testbed(env, link=link)
+        with mock.patch.object(platform, "PAPER_LINK", link):
+            top = make_paper_testbed(env)
         tracer = WaitTracer(env).install() if observed else None
         collector = SpanCollector(env)
         client = TcpStack(top.client)

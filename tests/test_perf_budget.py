@@ -70,8 +70,8 @@ def _calls_per_io(monkeypatch, cell, provider):
 
 
 def _plain(provider):
-    return runner.run_fig5_cell(provider, "dpu", "randread", 4096, 2,
-                                runtime=0.004, seed=7)
+    return runner.run_ros2_fio(*runner._build_fig5(
+        provider, "dpu", "randread", 4096, 2, runtime=0.004, seed=7))
 
 
 def _doctored(provider):

@@ -15,7 +15,8 @@ from types import SimpleNamespace
 import pytest
 
 import repro.sim.spans as spans_mod
-from repro.bench.runner import doctor_stations, run_fig5_cell, run_fig5_doctored
+from repro.bench.runner import (
+    _build_fig5, doctor_stations, run_fig5_cell, run_fig5_doctored, run_ros2_fio)
 from repro.hw.nvme import NvmeArray
 from repro.sim import SpanCollector
 from repro.sim.queues import BandwidthPipe
@@ -291,10 +292,10 @@ def test_observed_ledger_cell_costs_what_its_plain_twin_costs(config):
 
     assert config["quick"]
     observed = run_cell(config).result
-    plain = run_fig5_cell(config["transport"], config["client"],
-                          config["rw"], config["bs"], config["numjobs"],
-                          n_ssds=config["ssds"], iodepth=config["iodepth"],
-                          runtime=config["runtime"])
+    plain = run_ros2_fio(*_build_fig5(
+        config["transport"], config["client"], config["rw"], config["bs"],
+        config["numjobs"], n_ssds=config["ssds"], iodepth=config["iodepth"],
+        runtime=config["runtime"]))
     assert observed.total_ios == plain.total_ios > 0
     assert observed.phase_events == plain.phase_events
 

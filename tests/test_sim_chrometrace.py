@@ -34,7 +34,7 @@ def tiny_run(monkeypatch):
 
     env = Environment()
     collector = SpanCollector(env, sample_every=1)
-    sampler = Sampler(env, interval=0.001, capacity=64)
+    sampler = Sampler(env, interval=0.001)
     state = {"busy": 0.0, "depth": 0.0}
     sampler.add_probe("dpu.cpu.busy", lambda: state["busy"],
                       kind=UTILIZATION, node="dpu")
@@ -43,7 +43,8 @@ def tiny_run(monkeypatch):
     sampler.start()
 
     def request(env, nbytes):
-        trace = collector.trace("io.read", node="host", nbytes=nbytes)
+        trace = collector.trace("io.read", nbytes=nbytes)
+        trace.root.node = "host"
         state["depth"] += 1.0
         with trace.root.child("rpc", node="dpu", nbytes=nbytes):
             state["busy"] += 0.0005
@@ -108,7 +109,8 @@ def test_open_spans_are_skipped(monkeypatch):
     monkeypatch.setattr(spans_mod, "_trace_ids", itertools.count(1))
     env = Environment()
     collector = SpanCollector(env, sample_every=1)
-    trace = collector.trace("open", node="host")
+    trace = collector.trace("open")
+    trace.root.node = "host"
     child = trace.root.child("done", node="host")
     child.finish()
     # Root never finished: only the child exports.

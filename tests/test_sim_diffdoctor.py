@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.bench import ledger as lg
 from repro.bench.runner import run_fig5_doctored
+from repro.sim import diffdoctor
 from repro.sim.diffdoctor import (
     UNATTRIBUTED,
     DiffDiagnosis,
@@ -119,11 +120,13 @@ class TestChecksAndNotes:
         assert not dd.ok and dd.exit_code == 1
         assert dd.verdict.endswith("[attribution check FAILED]")
 
-    def test_tolerance_is_configurable(self, tcp_record, rdma_record):
+    def test_tolerance_is_configurable(self, tcp_record, rdma_record,
+                                       monkeypatch):
         broken = copy.deepcopy(rdma_record)
         broken["traces"]["mean_latency"] *= 1.5
-        strict = diff_runs(tcp_record, broken, tolerance=0.01)
-        lax = diff_runs(tcp_record, broken, tolerance=10.0)
+        strict = diff_runs(tcp_record, broken)
+        monkeypatch.setattr(diffdoctor, "TOLERANCE", 10.0)
+        lax = diff_runs(tcp_record, broken)
         assert not strict.ok and lax.ok
 
     def test_sample_rate_mismatch_noted(self, tcp_record, rdma_record):

@@ -89,9 +89,16 @@ def test_merge_unspilled_equals_single_recorder():
     assert len(b) == 3  # other side untouched
 
 
+def _recorder(name, threshold):
+    """A recorder that spills to its histogram after ``threshold`` samples."""
+    small = type("SmallRecorder", (LatencyRecorder,),
+                 {"__slots__": (), "SPILL_THRESHOLD": threshold})
+    return small(name)
+
+
 def test_merge_spills_when_crossing_threshold():
-    a = LatencyRecorder("a", spill_threshold=8)
-    b = LatencyRecorder("b", spill_threshold=8)
+    a = _recorder("a", 8)
+    b = _recorder("b", 8)
     for i in range(5):
         a.record(1e-3 * (i + 1))
         b.record(2e-3 * (i + 1))
@@ -101,8 +108,8 @@ def test_merge_spills_when_crossing_threshold():
 
 
 def test_merge_spilled_sides_exact_counts():
-    a = LatencyRecorder("a", spill_threshold=4)
-    b = LatencyRecorder("b", spill_threshold=4)
+    a = _recorder("a", 4)
+    b = _recorder("b", 4)
     for i in range(10):
         a.record(1e-4 * (i + 1))
     for i in range(7):
@@ -115,7 +122,7 @@ def test_merge_spilled_sides_exact_counts():
 
 
 def test_merge_mixed_spilled_and_exact():
-    a = LatencyRecorder("a", spill_threshold=4)
+    a = _recorder("a", 4)
     b = LatencyRecorder("b")  # stays exact
     for i in range(6):
         a.record(1e-4 * (i + 1))
@@ -142,9 +149,9 @@ def test_merge_property_vs_single_recorder():
     )
     def check(samples, cut, threshold):
         cut = min(cut, len(samples))
-        a = LatencyRecorder("a", spill_threshold=threshold)
-        b = LatencyRecorder("b", spill_threshold=threshold)
-        one = LatencyRecorder("one", spill_threshold=threshold)
+        a = _recorder("a", threshold)
+        b = _recorder("b", threshold)
+        one = _recorder("one", threshold)
         for x in samples[:cut]:
             a.record(x)
             one.record(x)

@@ -58,8 +58,6 @@ def _run_schedule(jobs, reference, bandwidth=10e9, latency=2e-6,
         "busy_time": pipe.busy_time,
         "utilization": pipe.utilization(env.now),
         "events": env.events_processed,
-        "coalesced_ops": pipe.coalesced_ops,
-        "revoked_ops": pipe.revoked_ops,
     }
 
 
@@ -75,9 +73,8 @@ def test_coalesced_uncontended_bit_identical_to_chunked():
     assert a["bytes_moved"] == b["bytes_moved"]
     assert a["busy_time"] == b["busy_time"]
     assert a["utilization"] == b["utilization"]
-    assert a["coalesced_ops"] == len(jobs)
-    assert a["revoked_ops"] == 0
-    assert b["coalesced_ops"] == 0
+    # ...in fewer kernel events than the chunk loop spends.
+    assert a["events"] < b["events"]
 
 
 def test_coalesced_contended_bit_identical_to_chunked():
@@ -96,12 +93,27 @@ def test_coalesced_contended_bit_identical_to_chunked():
         assert a["utilization"] == b["utilization"]
 
 
-def test_coalesced_contention_triggers_revocation_sometimes():
+def _watch_revocations(monkeypatch):
+    """The instants at which a sync rolls back slots reserved ahead."""
+    revoked = []
+    sync = BandwidthPipe._sync
+
+    def spy(pipe):
+        if pipe._undo and pipe._undo[-1][0] > pipe.env.now:
+            revoked.append(pipe.env.now)
+        sync(pipe)
+
+    monkeypatch.setattr(BandwidthPipe, "_sync", spy)
+    return revoked
+
+
+def test_coalesced_contention_triggers_revocation_sometimes(monkeypatch):
     # Sanity that the contended test above actually exercises revocation:
     # two big transfers launched close together must revoke once.
+    revoked = _watch_revocations(monkeypatch)
     jobs = [(0.0, 8 * 1024 * 1024), (1e-5, 8 * 1024 * 1024)]
     a = _run_schedule(jobs, reference=False)
-    assert a["revoked_ops"] >= 1
+    assert revoked
     b = _run_schedule(jobs, reference=True)
     assert a["done"] == b["done"]
 
@@ -219,7 +231,7 @@ def _run_and_read(jobs, reference, samples=(), cuts=None, latency=2e-6,
     def interrupter(env, proc, at):
         yield env.timeout(at)
         if proc.is_alive:
-            proc.interrupt("cut")
+            proc.interrupt()
 
     def reader(env):
         for t in samples:
@@ -258,27 +270,27 @@ def _tracer_view(tracer):
     )
 
 
-def test_scheduler_matches_reference_on_random_contended_schedules():
-    rollbacks = 0
+def test_scheduler_matches_reference_on_random_contended_schedules(
+        monkeypatch):
+    revoked = _watch_revocations(monkeypatch)
     for seed in range(40):
         rng = random.Random(seed)
         n = rng.randrange(2, 24)
         spread = rng.choice((1e-5, 2e-4, 2e-3))
         jobs = [(rng.uniform(0.0, spread), _mixed_size(rng))
                 for _ in range(n)]
-        got, pipe = _run_and_read(jobs, reference=False)
+        got, _ = _run_and_read(jobs, reference=False)
         want, _ = _run_and_read(jobs, reference=True)
         assert got == want, f"seed {seed}"
-        rollbacks += pipe.revoked_ops
-    assert rollbacks > 0
+    assert revoked
 
 
-def test_scheduler_books_what_the_chunk_loop_books():
+def test_scheduler_books_what_the_chunk_loop_books(monkeypatch):
     # Under a wait tracer the scheduler books every chunk the reference
     # loop books, on the owner's span, at the chunk's request instant, in
     # slot order; a tracer read mid-run sees the chunks requested by then.
     # Same transfers, instants and pipe readings as without a tracer.
-    rollbacks = 0
+    revoked = _watch_revocations(monkeypatch)
     for seed in range(30):
         rng = random.Random(400 + seed)
         jobs = [(rng.uniform(0.0, rng.choice((1e-5, 2e-4, 2e-3))),
@@ -288,8 +300,8 @@ def test_scheduler_books_what_the_chunk_loop_books():
                 for i, (start, _n) in enumerate(jobs) if rng.random() < 0.2}
         samples = sorted(rng.uniform(0.0, 3e-3) for _ in range(10))
         latency = rng.choice((0.0, 2e-6))
-        got, pipe = _run_and_read(jobs, False, samples, cuts, latency,
-                                  traced=True)
+        got, _ = _run_and_read(jobs, False, samples, cuts, latency,
+                               traced=True)
         want, _ = _run_and_read(jobs, True, samples, cuts, latency,
                                 traced=True)
         assert got == want, f"seed {seed}"
@@ -297,8 +309,7 @@ def test_scheduler_books_what_the_chunk_loop_books():
         assert {k: v for k, v in got.items() if k not in ("tracer", "reads")} \
             == {k: v for k, v in plain.items() if k != "reads"}
         assert got["tracer"][0], f"seed {seed}: no span records"
-        rollbacks += pipe.revoked_ops
-    assert rollbacks > 0
+    assert revoked
 
 
 def test_scheduler_reads_match_reference_mid_run():
@@ -309,11 +320,10 @@ def test_scheduler_reads_match_reference_mid_run():
         jobs = [(rng.uniform(0.0, 5e-4), _mixed_size(rng))
                 for _ in range(rng.randrange(1, 16))]
         samples = sorted(rng.uniform(0.0, 3e-3) for _ in range(30))
-        got, pipe = _run_and_read(jobs, reference=False, samples=samples)
+        got, _ = _run_and_read(jobs, reference=False, samples=samples)
         want, _ = _run_and_read(jobs, reference=True, samples=samples)
         assert got["reads"] == want["reads"], f"seed {seed}"
         assert got == want, f"seed {seed}"
-        assert pipe.coalesced_ops > 0
 
 
 def test_scheduler_owners_cut_mid_transfer_match_reference():
@@ -380,13 +390,11 @@ def test_one_chunk_transfer_and_sleep_matches_the_chained_hop():
         hops = sum(1 for _s, _n, d in jobs if d)
         want, _, chained_events = _run_with_hops(jobs, True, False)
         for reference in (False, True):
-            got, pipe, events = _run_with_hops(jobs, reference, True)
+            got, _, events = _run_with_hops(jobs, reference, True)
             assert got == want, f"seed {seed} reference={reference}"
             if reference:
                 assert events == chained_events - sum(
                     len(d) for _s, _n, d in jobs)
-            else:
-                assert pipe.coalesced_ops >= hops
         merged += hops
     assert merged > 40
 

@@ -138,7 +138,8 @@ def test_store_conserves_items(amounts):
 
     def producer(env):
         for a in amounts:
-            yield store.put(a)
+            store.put(a)
+            yield env.timeout(a % 3)
 
     def consumer(env):
         for _ in amounts:

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.sim import Container, Environment, Resource, Store
-from repro.sim.core import SimulationError
+from repro.hw.dram import DramPool
+from repro.sim import Environment, Resource, Store
 
 
 # ---------------------------------------------------------------------------
@@ -153,16 +153,13 @@ def test_store_put_get_fifo():
     store = Store(env)
     got = []
 
-    def producer(env, store):
-        for i in range(3):
-            yield store.put(i)
-
     def consumer(env, store):
         for _ in range(3):
             item = yield store.get()
             got.append(item)
 
-    env.process(producer(env, store))
+    for i in range(3):
+        store.put(i)
     env.process(consumer(env, store))
     env.run()
     assert got == [0, 1, 2]
@@ -179,33 +176,12 @@ def test_store_get_blocks_until_put():
 
     def producer(env, store):
         yield env.timeout(4)
-        yield store.put("late")
+        store.put("late")
 
     env.process(consumer(env, store))
     env.process(producer(env, store))
     env.run()
     assert got == [(4, "late")]
-
-
-def test_store_capacity_blocks_put():
-    env = Environment()
-    store = Store(env, capacity=1)
-    times = []
-
-    def producer(env, store):
-        yield store.put("a")
-        t0 = env.now
-        yield store.put("b")  # blocks until consumer takes "a"
-        times.append((t0, env.now))
-
-    def consumer(env, store):
-        yield env.timeout(3)
-        yield store.get()
-
-    env.process(producer(env, store))
-    env.process(consumer(env, store))
-    env.run()
-    assert times == [(0, 3)]
 
 
 def test_store_len():
@@ -216,12 +192,6 @@ def test_store_len():
     assert len(store) == 1
 
 
-def test_store_invalid_capacity():
-    env = Environment()
-    with pytest.raises(ValueError):
-        Store(env, capacity=0)
-
-
 def test_store_many_items_order_preserved():
     env = Environment()
     store = Store(env)
@@ -230,7 +200,7 @@ def test_store_many_items_order_preserved():
 
     def producer(env):
         for i in range(n):
-            yield store.put(i)
+            store.put(i)
             if i % 7 == 0:
                 yield env.timeout(0.001)
 
@@ -245,82 +215,74 @@ def test_store_many_items_order_preserved():
 
 
 # ---------------------------------------------------------------------------
-# Container
+# Container: the DRAM pool is the one level-based resource (an allocation
+# takes bytes from the level, a free puts them back)
 # ---------------------------------------------------------------------------
 
 def test_container_basic_put_get():
     env = Environment()
-    c = Container(env, capacity=10, init=5)
-    assert c.level == 5
+    pool = DramPool(env, 10)
+    levels = []
 
-    def proc(env, c):
-        yield c.get(3)
-        assert c.level == 2
-        yield c.put(8)
-        assert c.level == 10
+    def proc(env):
+        a = yield from pool.alloc(3)
+        b = yield from pool.alloc(7)
+        levels.append(pool.used_bytes)
+        a.free()
+        levels.append(pool.used_bytes)
+        b.free()
+        levels.append(pool.used_bytes)
 
-    env.process(proc(env, c))
+    env.process(proc(env))
     env.run()
+    assert levels == [10, 7, 0]
 
 
 def test_container_get_blocks_until_refill():
+    """Parked allocations are granted in arrival order, each as soon as
+    the freed bytes cover the head of the queue."""
     env = Environment()
-    c = Container(env, capacity=100, init=0)
-    times = []
+    pool = DramPool(env, 100)
+    granted = []
 
-    def getter(env, c):
-        yield c.get(10)
-        times.append(env.now)
-
-    def putter(env, c):
+    def hog(env):
+        a = yield from pool.alloc(100)
         yield env.timeout(2)
-        yield c.put(10)
+        a.free()
 
-    env.process(getter(env, c))
-    env.process(putter(env, c))
+    def waiter(env, tag, nbytes, at):
+        yield env.timeout(at)
+        a = yield from pool.alloc(nbytes)
+        granted.append((tag, env.now))
+        yield env.timeout(1)
+        a.free()
+
+    env.process(hog(env))
+    env.process(waiter(env, "big", 80, 1))
+    env.process(waiter(env, "small", 30, 1.5))
     env.run()
-    assert times == [2]
-
-
-def test_container_put_blocks_at_capacity():
-    env = Environment()
-    c = Container(env, capacity=10, init=10)
-    times = []
-
-    def putter(env, c):
-        yield c.put(5)
-        times.append(env.now)
-
-    def getter(env, c):
-        yield env.timeout(3)
-        yield c.get(5)
-
-    env.process(putter(env, c))
-    env.process(getter(env, c))
-    env.run()
-    assert times == [3]
+    # "small" fits beside "big" only once "big" frees, at t=3.
+    assert granted == [("big", 2), ("small", 3)]
 
 
 def test_container_get_over_capacity_fails():
     env = Environment()
-    c = Container(env, capacity=10, init=0)
+    pool = DramPool(env, 10)
 
-    def proc(env, c):
-        yield c.get(11)
+    def proc(env):
+        yield from pool.alloc(11)
 
-    env.process(proc(env, c))
-    with pytest.raises(SimulationError):
+    env.process(proc(env))
+    with pytest.raises(MemoryError):
         env.run()
 
 
 def test_container_invalid_args():
     env = Environment()
     with pytest.raises(ValueError):
-        Container(env, capacity=0)
+        DramPool(env, 0)
+    pool = DramPool(env, 5)
     with pytest.raises(ValueError):
-        Container(env, capacity=5, init=6)
-    c = Container(env, capacity=5)
+        next(pool.alloc(0))
     with pytest.raises(ValueError):
-        c.put(0)
-    with pytest.raises(ValueError):
-        c.get(-1)
+        next(pool.alloc(-1))

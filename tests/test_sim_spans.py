@@ -17,7 +17,7 @@ class TestSpanLifecycle:
     def test_root_span_records_on_finish(self):
         env = Environment()
         col = SpanCollector(env)
-        tr = col.trace("op", node="client", nbytes=4096)
+        tr = col.trace("op", nbytes=4096)
         assert tr is not None
         advance(env, 1.5)
         root = tr.finish()
@@ -70,14 +70,16 @@ class TestSpanLifecycle:
     def test_to_dict_round_trip_fields(self):
         env = Environment()
         col = SpanCollector(env)
-        tr = col.trace("op", node="n1", nbytes=17)
+        tr = col.trace("op")
+        child = tr.root.child("stage", node="n1", nbytes=17)
         advance(env, 0.5)
-        d = tr.finish().to_dict()
-        assert d["name"] == "op"
+        d = child.finish().to_dict()
+        assert d["name"] == "stage"
         assert d["node"] == "n1"
         assert d["nbytes"] == 17
         assert d["duration"] == 0.5
-        assert d["parent_id"] is None
+        assert d["parent_id"] == tr.root.span_id
+        assert tr.finish().to_dict()["node"] is None
 
 
 class TestSampling:
@@ -89,9 +91,10 @@ class TestSampling:
         assert col.requests_seen == 20
         assert col.traces_started == 4
 
-    def test_max_traces_cap(self):
+    def test_max_traces_cap(self, monkeypatch):
+        monkeypatch.setattr(SpanCollector, "MAX_TRACES", 3)
         env = Environment()
-        col = SpanCollector(env, max_traces=3)
+        col = SpanCollector(env)
         traces = [col.trace("op") for _ in range(10)]
         assert sum(t is not None for t in traces) == 3
 
@@ -99,8 +102,6 @@ class TestSampling:
         env = Environment()
         with pytest.raises(ValueError):
             SpanCollector(env, sample_every=0)
-        with pytest.raises(ValueError):
-            SpanCollector(env, max_traces=0)
 
     def test_clear(self):
         env = Environment()

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.sim import Environment, Probe, Sampler, StationStats, TimeSeries
+from repro.sim import timeseries
 from repro.sim.timeseries import GAUGE, RATE, UTILIZATION
+from tests.reference import window_mean
 
 
 # ---------------------------------------------------------------------------
@@ -81,19 +83,23 @@ def test_downsampling_preserves_windowed_means_within_resolution():
     # Each half, queried as a window, is still ~pure (one merged window
     # may straddle the step).
     dt_max = max(dt for _, dt, _ in ts.points())
-    assert ts.time_weighted_mean(0.0, n / 2) <= dt_max / (n / 2)
-    assert ts.time_weighted_mean(n / 2, float(n)) >= 1.0 - dt_max / (n / 2)
+    assert window_mean(ts, 0.0, n / 2) <= dt_max / (n / 2)
+    assert window_mean(ts, n / 2, float(n)) >= 1.0 - dt_max / (n / 2)
 
 
 def test_time_weighted_mean_pro_rata_clipping():
+    """The whole series weighs each window by its width; the sub-window
+    reference the tests query clips straddling windows pro rata."""
     ts = TimeSeries("x", capacity=8)
     ts.append(1.0, 1.0, 0.0)
-    ts.append(2.0, 1.0, 10.0)
-    # Window [0.5, 1.5] takes half of each sample.
-    assert ts.time_weighted_mean(0.5, 1.5) == pytest.approx(5.0)
+    ts.append(3.0, 2.0, 10.0)
+    assert ts.time_weighted_mean() == pytest.approx(20.0 / 3.0)
+    # Window [0.5, 1.5] takes half of the first sample, a quarter of the
+    # second's span.
+    assert window_mean(ts, 0.5, 1.5) == pytest.approx(5.0)
     # Degenerate / out-of-range windows.
-    assert ts.time_weighted_mean(5.0, 6.0) == 0.0
-    assert ts.time_weighted_mean(1.0, 1.0) == 0.0
+    assert window_mean(ts, 5.0, 6.0) == 0.0
+    assert window_mean(ts, 1.0, 1.0) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +177,7 @@ def test_sampler_rejects_bad_interval_and_duplicates():
         s.add_station("st", st, lambda: st.in_flight(env.now))
 
 
-def test_station_counts_from_its_registration():
+def test_station_counts_from_its_registration(monkeypatch):
     """A station's own counters may predate the sampler (the RPC server
     counts from its construction): Little's law uses what they add after
     it joins."""
@@ -185,14 +191,15 @@ def test_station_counts_from_its_registration():
     rpc.sojourn_sum += 0.5
     s.start()
     env.run(until=2.0)
-    row = s.littles_law(min_arrivals=1)["rpc"]
+    monkeypatch.setattr(timeseries, "LITTLES_LAW_MIN_ARRIVALS", 1)
+    row = s.littles_law()["rpc"]
     assert row["arrivals"] == 2 and row["W"] == 0.25
     assert s.to_dict()["stations"]["rpc"]["sojourn_sum"] == 0.5
 
 
 def test_sampler_gauge_and_cumulative_kinds():
     env = Environment()
-    s = Sampler(env, interval=1.0, capacity=64)
+    s = Sampler(env, interval=1.0)
     state = {"level": 0.0, "total": 0.0, "busy": 0.0}
     s.add_probe("lvl", lambda: state["level"], kind=GAUGE)
     s.add_probe("rate", lambda: state["total"], kind=RATE)
@@ -219,7 +226,7 @@ def test_probe_added_while_sampling_counts_from_its_join():
     """A cumulative probe joining a running sampler is primed at once:
     its first window holds what happened after it joined, not its total."""
     env = Environment()
-    s = Sampler(env, interval=1.0, capacity=64)
+    s = Sampler(env, interval=1.0)
     s.start()
     state = {"busy": 7.0}  # already accumulated before the probe joined
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.hw.dram import DramPool
 from repro.sim import Environment, Resource, SpanCollector, Store, WaitTracer
 from repro.sim.queues import BandwidthPipe, FifoServer, PooledServer
 from repro.sim.waits import BLOCK, RESERVE, SLEEP, SLEEP_RESOURCE
@@ -191,14 +192,15 @@ class TestSleep:
 
 
 # ---------------------------------------------------------------------------
-# Block events (Resource / Store)
+# Block events (Resource / Store / DramPool)
 # ---------------------------------------------------------------------------
 
 class TestBlock:
     def test_resource_contention_measured_park_to_grant(self):
         env = Environment()
         col = SpanCollector(env)
-        res = Resource(env, capacity=1, name="lockA")
+        res = Resource(env, capacity=1)
+        res.name = "lockA"
         tracer = WaitTracer(env).install()
 
         def holder(env):
@@ -229,7 +231,8 @@ class TestBlock:
     def test_uncontended_request_records_zero_block(self):
         env = Environment()
         col = SpanCollector(env)
-        res = Resource(env, capacity=1, name="lockA")
+        res = Resource(env, capacity=1)
+        res.name = "lockA"
         tracer = WaitTracer(env).install()
 
         def op(env):
@@ -256,7 +259,7 @@ class TestBlock:
 
         def producer(env):
             yield env.timeout(2e-3)
-            yield store.put("msg")
+            store.put("msg")
 
         env.process(consumer(env))
         env.process(producer(env))
@@ -266,10 +269,36 @@ class TestBlock:
         assert blocks[0].resource == "inbox"
         assert blocks[0].wait == pytest.approx(2e-3)
 
+    def test_dram_alloc_blocks_until_free(self):
+        env = Environment()
+        col = SpanCollector(env)
+        pool = DramPool(env, 100, name="dpu.dram")
+        tracer = WaitTracer(env).install()
+
+        def hog(env):
+            a = yield from pool.alloc(100)
+            yield env.timeout(2e-3)
+            a.free()
+
+        def op(env):
+            tr = col.trace("op")
+            a = yield from pool.alloc(40)
+            a.free()
+            tr.finish()
+
+        env.process(hog(env))
+        env.process(op(env))
+        env.run()
+        blocks = [r for r in tracer.records if r.kind == BLOCK]
+        assert len(blocks) == 1
+        assert blocks[0].resource == "dpu.dram"
+        assert blocks[0].wait == pytest.approx(2e-3)
+
     def test_withdrawn_request_cancels_block(self):
         env = Environment()
         col = SpanCollector(env)
-        res = Resource(env, capacity=1, name="lockA")
+        res = Resource(env, capacity=1)
+        res.name = "lockA"
         tracer = WaitTracer(env).install()
 
         def holder(env):
@@ -326,7 +355,8 @@ class TestLifecycle:
         def scenario(env, traced):
             col = SpanCollector(env)
             srv = FifoServer(env, name="dev")
-            res = Resource(env, capacity=2, name="lock")
+            res = Resource(env, capacity=2)
+            res.name = "lock"
             tracer = WaitTracer(env).install() if traced else None
             finish_times = []
 
@@ -350,10 +380,11 @@ class TestLifecycle:
         assert plain == traced            # identical completion order/times
         assert env_a.now == env_b.now     # bit-identical clock
 
-    def test_max_records_bounds_memory(self):
+    def test_max_records_bounds_memory(self, monkeypatch):
+        monkeypatch.setattr(WaitTracer, "MAX_RECORDS", 3)
         env = Environment()
         col = SpanCollector(env)
-        tracer = WaitTracer(env, max_records=3).install()
+        tracer = WaitTracer(env).install()
 
         def op(env):
             tr = col.trace("op")

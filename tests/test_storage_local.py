@@ -175,7 +175,7 @@ def test_iouring_data_mode_roundtrip():
     got = []
 
     def proc(env):
-        yield from engine.submit(ctx, 0, 11, True, data=b"io_uring ok")
+        yield from dev.write(0, data=b"io_uring ok")
         data = yield from engine.submit(ctx, 0, 11, False)
         got.append(data)
 

@@ -12,8 +12,7 @@ from repro.sim import Environment
 from repro.storage import BlockDevice, NvmfInitiator, NvmfTarget
 
 
-def make_remote(provider, client_cores=None, server_cores=None, data_mode=False,
-                n_ssds=1):
+def make_remote(provider, client_cores=None, server_cores=None, n_ssds=1):
     """Build client<->target over one channel, optionally limiting cores."""
     env = Environment()
     top = make_paper_testbed(env, client="host", n_ssds=n_ssds)
@@ -24,10 +23,10 @@ def make_remote(provider, client_cores=None, server_cores=None, data_mode=False,
             cpu._free = [0.0] * cores
     fab = Fabric(env)
     ch = fab.connect(top.client, top.server, provider)
-    device = BlockDevice(top.server.nvme, data_mode=data_mode)
+    device = BlockDevice(top.server.nvme)
     target = NvmfTarget(top.server, device)
     target.serve(ch)
-    init = NvmfInitiator(top.client, ch, data_mode=data_mode).start()
+    init = NvmfInitiator(top.client, ch).start()
     return env, top, target, init
 
 
@@ -51,26 +50,14 @@ def drive(init, n_reactors, iodepth, block, is_write, duration=0.04):
     return completed[0] / duration
 
 
+def media_ops(top):
+    """NVMe commands the target executed on the storage node's media."""
+    return sum(d.reads.ops + d.writes.ops for d in top.server.nvme.devices)
+
+
 # ---------------------------------------------------------------------------
-# Functional correctness
+# Protocol
 # ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("provider", ["ucx+tcp", "ucx+rc"])
-def test_remote_data_roundtrip(provider):
-    env, top, target, init = make_remote(provider, data_mode=True)
-    ctx = init.new_context()
-    got = []
-
-    def proc(env):
-        yield from init.submit(ctx, 8192, 12, True, data=b"remote bytes")
-        data = yield from init.submit(ctx, 8192, 12, False)
-        got.append(data)
-
-    p = env.process(proc(env))
-    env.run(until=p)
-    assert got == [b"remote bytes"]
-    assert target.commands_served == 2
-
 
 def test_submit_before_start_raises():
     env = Environment()
@@ -112,7 +99,7 @@ def test_shutdown_stops_target_loop():
 
     env.process(proc(env))
     env.run(until=1.0)
-    assert done == [] and target.commands_served == 0
+    assert done == [] and media_ops(top) == 0
 
 
 @pytest.mark.parametrize("provider", ["ucx+tcp", "ucx+rc"])
@@ -129,7 +116,7 @@ def test_stray_kinds_and_unknown_cids_dropped(provider):
 
     p = env.process(proc(env))
     env.run(until=p)  # neither side crashes
-    assert target.commands_served == 0 and init._pending == {}
+    assert media_ops(top) == 0 and init._pending == {}
 
 
 def test_second_listener_rejected():

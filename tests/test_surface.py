@@ -1,18 +1,28 @@
-"""Every option and definition in ``src/repro`` has a caller outside the tests.
+"""Every option, definition and attribute in ``src/repro`` has a use
+outside the tests.
 
-Two AST scans, matching calls and references by name (so a name two
-definitions share counts a call to either as a call to both):
+Three AST scans, matching uses by name (so a name two definitions share
+counts a use of either as a use of both):
 
 * a defaulted parameter of a public function or constructor that no call
   in ``src/``, ``benchmarks/`` or ``examples/`` passes, by keyword or by
   position, is an option no configuration selects: inline its default;
 * a top-level definition in ``src/repro`` that nothing outside ``tests/``
   references is test-only (or dead) code: delete it, with the tests that
-  test only it.
+  test only it;
+* an attribute a ``src/repro`` method sets on ``self``, or a dataclass
+  field, that no code in those directories reads is write-only state:
+  delete it.  A read is an attribute load, a string constant naming it
+  (the name a ``getattr``-family call is given, or a string in a literal
+  tuple, list or set of names such as the SLO metrics; ``__slots__`` and
+  ``__all__`` do not count) or, for a dataclass, an ``asdict``/``astuple``
+  of itself, which dumps the dataclasses its fields name as well.
 
-:data:`ALLOWED_PARAMETERS` and :data:`ALLOWED_DEFINITIONS` hold the known
-exceptions, each with its reason; an entry the scan no longer reports
-fails too, so the lists shrink with the code.
+:data:`ALLOWED_PARAMETERS`, :data:`ALLOWED_DEFINITIONS` and
+:data:`ALLOWED_ATTRIBUTES` hold the known exceptions, each with its
+reason; an entry the scan no longer reports fails too, so the lists
+shrink with the code.  ``test_scans_flag_a_planted_tree`` runs the three
+scans over a small tree with one known offender each.
 """
 
 import ast
@@ -26,6 +36,7 @@ CALLERS = ("src", "benchmarks", "examples")
 
 _VERBS = "the verbs work-request API the rendezvous ablation and tests drive"
 _KERNEL = "the kernel's event API keeps its scheduling arguments whole"
+_CQE = "a verbs completion-queue entry carries it; tests match CQEs on it"
 
 #: ``Function(param)`` -> why no caller outside the tests passes it.
 ALLOWED_PARAMETERS: Dict[str, str] = {
@@ -40,51 +51,6 @@ ALLOWED_PARAMETERS: Dict[str, str] = {
     "Environment.timeout(value)": _KERNEL,
     "Environment.timeout_until(value)": _KERNEL,
     "Environment.process(priority)": _KERNEL,
-    "Process.interrupt(cause)": "tests check an interrupt carries its cause",
-    "main(argv)": "the CLI entry point; tests drive it with an argv list",
-    "code_fingerprint(root)": "tests fingerprint a scratch tree",
-    "make_run_record(include_series)":
-        "tests check a record without its wait series",
-    "run_fig5_cell(iodepth)": "tests run smoke cells at a campaign's depth",
-    "run_fig5_cell(seed)": "tests run a smoke cell at a fixed seed",
-    "make_paper_testbed(link)":
-        "tests zero the propagation to check merged events",
-    "InlineCrypto.__init__(accelerated)":
-        "tests pick the crypto path explicitly",
-    "ClientCache.__init__(ttl)": "tests expire entries with short TTLs",
-    "NvmeArray.__init__(stripe_bytes)":
-        "tests stripe at 1 MiB and reject a zero stripe",
-    "FabricChannel.rma_read(offset)":
-        "the fabric interface's window offset; tests address inside it",
-    "FabricChannel.rma_write(offset)":
-        "the fabric interface's window offset; tests address inside it",
-    "TcpChannel.rma_read(offset)": "implements FabricChannel.rma_read",
-    "TcpChannel.rma_write(offset)": "implements FabricChannel.rma_write",
-    "RdmaChannel.rma_read(offset)": "implements FabricChannel.rma_read",
-    "RdmaChannel.rma_write(offset)": "implements FabricChannel.rma_write",
-    "diff_runs(tolerance)": "tests tighten it to show a drift is caught",
-    "LogHistogram.__init__(base)": "tests check a bad base is rejected",
-    "LogHistogram.__init__(min_value)": "tests check a bad floor is rejected",
-    "LatencyRecorder.__init__(spill_threshold)":
-        "tests spill to the histogram after a few samples",
-    "Resource.__init__(capacity)":
-        "kept for the perf harness's Resource.request boundary; tests "
-        "exercise multi-slot grants",
-    "Resource.__init__(name)": "tests name a resource in wait records",
-    "Store.__init__(capacity)": "tests exercise a bounded store's puts",
-    "SpanCollector.__init__(max_traces)": "tests cap the trace count",
-    "SpanCollector.trace(node)": "tests place a root span on a node",
-    "TimeSeries.time_weighted_mean(t0)": "tests average a sub-window",
-    "TimeSeries.time_weighted_mean(t1)": "tests average a sub-window",
-    "Sampler.__init__(capacity)": "tests shrink it to force window merging",
-    "Sampler.littles_law(min_arrivals)":
-        "tests check a station of a short run",
-    "WaitTracer.__init__(max_records)":
-        "tests cap the records to check the drop count",
-    "IoUringEngine.submit(data)": "functional-mode tests move real bytes",
-    "NvmfInitiator.submit(data)": "functional-mode tests move real bytes",
-    "NvmfInitiator.__init__(data_mode)":
-        "functional-mode tests move real bytes",
 }
 
 #: Top-level names in ``src/repro`` -> why only tests reference them.
@@ -93,10 +59,19 @@ ALLOWED_DEFINITIONS: Dict[str, str] = {
     "Resource": "the perf harness wraps Resource.request by name",
 }
 
+#: ``Class.attribute`` -> why nothing outside the tests reads it.
+ALLOWED_ATTRIBUTES: Dict[str, str] = {
+    "Completion.wr_id": _CQE,
+    "Completion.opcode": _CQE,
+    "MemoryRegion.lkey":
+        "a verbs MR's local key, drawn before its rkey from one counter, "
+        "so the rkeys the examples print keep their numbers",
+}
 
-def _files(*dirs: str) -> Iterator[str]:
+
+def _files(root: str, *dirs: str) -> Iterator[str]:
     for d in dirs:
-        for dirpath, dirnames, filenames in os.walk(os.path.join(ROOT, d)):
+        for dirpath, dirnames, filenames in os.walk(os.path.join(root, d)):
             dirnames[:] = sorted(n for n in dirnames if n != "__pycache__")
             for name in sorted(filenames):
                 if name.endswith(".py"):
@@ -180,15 +155,15 @@ def _base_names(cls: ast.ClassDef) -> List[str]:
             if isinstance(b, (ast.Name, ast.Attribute))]
 
 
-def _uses(*dirs: str) -> _Uses:
+def _uses(root: str) -> _Uses:
     uses = _Uses()
-    for path in _files(*dirs):
+    for path in _files(root, *CALLERS):
         uses.scan(_parse(path))
     return uses
 
 
-def _package() -> List[ast.Module]:
-    return [_parse(p) for p in _files(PACKAGE)]
+def _package(root: str) -> List[ast.Module]:
+    return [_parse(p) for p in _files(root, PACKAGE)]
 
 
 def _functions(modules: List[ast.Module]):
@@ -224,11 +199,11 @@ def _functions(modules: List[ast.Module]):
                         yield qualname, [fn.name], fn, not static
 
 
-def unpassed_parameters() -> List[str]:
+def unpassed_parameters(root: str = ROOT) -> List[str]:
     """``Function(param)`` for every defaulted parameter no caller passes."""
-    uses = _uses(*CALLERS)
+    uses = _uses(root)
     found = []
-    for qualname, names, fn, drops_self in _functions(_package()):
+    for qualname, names, fn, drops_self in _functions(_package(root)):
         short = qualname.rsplit(".", 1)[-1]
         if short.startswith("_") and short != "__init__":
             continue
@@ -250,11 +225,11 @@ def unpassed_parameters() -> List[str]:
     return found
 
 
-def unused_definitions() -> List[str]:
+def unused_definitions(root: str = ROOT) -> List[str]:
     """Top-level names of ``src/repro`` nothing outside ``tests/`` uses."""
-    uses = _uses(*CALLERS)
+    uses = _uses(root)
     found = []
-    for module in _package():
+    for module in _package(root):
         for node in module.body:
             if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
                     and not node.name.startswith("_")
@@ -263,21 +238,207 @@ def unused_definitions() -> List[str]:
     return found
 
 
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    return any(getattr(d, "id", None) == "dataclass"
+               or getattr(getattr(d, "func", None), "id", None) == "dataclass"
+               for d in cls.decorator_list)
+
+
+def _dumped(classes: Dict[str, ast.ClassDef]) -> Set[str]:
+    """Dataclasses an ``asdict``/``astuple`` of their own, or of a
+    dataclass whose fields name them, dumps whole."""
+    todo = [name for name, cls in classes.items() if _is_dataclass(cls)
+            and any(isinstance(n, ast.Call)
+                    and getattr(n.func, "id", None) in ("asdict", "astuple")
+                    for n in ast.walk(cls))]
+    dumped: Set[str] = set()
+    while todo:
+        name = todo.pop()
+        if name in dumped:
+            continue
+        dumped.add(name)
+        for node in classes[name].body:
+            if isinstance(node, ast.AnnAssign):
+                todo += [n.id for n in ast.walk(node.annotation)
+                         if isinstance(n, ast.Name) and n.id in classes
+                         and _is_dataclass(classes[n.id])]
+    return dumped
+
+
+def _attributes(modules: List[ast.Module]) -> Dict[str, str]:
+    """``Class.attr`` -> ``attr`` for every attribute a method sets on
+    ``self`` and every field of a dataclass not dumped whole."""
+    classes = {n.name: n for m in modules for n in ast.walk(m)
+               if isinstance(n, ast.ClassDef)}
+    dumped = _dumped(classes)
+    found: Dict[str, str] = {}
+    for cls in classes.values():
+        if _is_dataclass(cls) and cls.name not in dumped:
+            for node in cls.body:
+                if (isinstance(node, ast.AnnAssign)
+                        and isinstance(node.target, ast.Name)):
+                    found[f"{cls.name}.{node.target.id}"] = node.target.id
+        for fn in cls.body:
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Assign):
+                    targets = node.targets
+                elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+                    targets = [node.target]
+                else:
+                    continue
+                for target in targets:
+                    for t in ast.walk(target):
+                        if (isinstance(t, ast.Attribute)
+                                and isinstance(t.value, ast.Name)
+                                and t.value.id == "self"
+                                and not t.attr.startswith("__")):
+                            found[f"{cls.name}.{t.attr}"] = t.attr
+    return found
+
+
+#: Builtins whose second argument names an attribute.
+_ATTR_FUNCS = ("getattr", "hasattr", "setattr", "delattr")
+
+
+def _reads(root: str) -> Set[str]:
+    """Attribute names the callers read: attribute loads, the name a
+    ``getattr``-family call is given, and the strings of a literal tuple,
+    list or set (tables of names, e.g. the SLO metrics) outside
+    ``__slots__`` and ``__all__``."""
+    names: Set[str] = set()
+    for path in _files(root, *CALLERS):
+        tree = _parse(path)
+        declared: Set[int] = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and any(
+                    getattr(t, "id", None) in ("__slots__", "__all__")
+                    for t in node.targets):
+                declared.add(id(node.value))
+        for node in ast.walk(tree):
+            named: List[ast.expr] = []
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx,
+                                                              ast.Load):
+                names.add(node.attr)
+            elif (isinstance(node, ast.Call)
+                  and getattr(node.func, "id", None) in _ATTR_FUNCS
+                  and len(node.args) > 1):
+                named = [node.args[1]]
+            elif (isinstance(node, (ast.Tuple, ast.List, ast.Set))
+                  and id(node) not in declared):
+                named = node.elts
+            names.update(n.value for n in named
+                         if isinstance(n, ast.Constant)
+                         and isinstance(n.value, str))
+    return names
+
+
+def unread_attributes(root: str = ROOT) -> List[str]:
+    """``Class.attr`` for every attribute or dataclass field nothing reads."""
+    reads = _reads(root)
+    return sorted(qualname for qualname, attr
+                  in _attributes(_package(root)).items()
+                  if attr not in reads)
+
+
+def _check(found: List[str], allowed: Dict[str, str], what: str) -> None:
+    unexpected = sorted(set(found) - set(allowed))
+    assert not unexpected, f"{what}: {unexpected}"
+    stale = sorted(set(allowed) - set(found))
+    assert not stale, f"allowlisted entries no longer reported: {stale}"
+
+
 def test_every_default_is_passed_by_some_caller():
-    found = unpassed_parameters()
-    unexpected = sorted(set(found) - set(ALLOWED_PARAMETERS))
-    assert not unexpected, (
-        "defaulted parameters no caller in src/, benchmarks/ or examples/ "
-        f"passes (inline the default): {unexpected}")
-    stale = sorted(set(ALLOWED_PARAMETERS) - set(found))
-    assert not stale, f"allowlisted parameters now passed or gone: {stale}"
+    _check(unpassed_parameters(), ALLOWED_PARAMETERS,
+           "defaulted parameters no caller in src/, benchmarks/ or "
+           "examples/ passes (inline the default)")
 
 
 def test_no_definition_is_used_only_by_tests():
-    found = unused_definitions()
-    unexpected = sorted(set(found) - set(ALLOWED_DEFINITIONS))
-    assert not unexpected, (
-        "top-level definitions nothing outside tests/ references "
-        f"(delete them): {unexpected}")
-    stale = sorted(set(ALLOWED_DEFINITIONS) - set(found))
-    assert not stale, f"allowlisted definitions now used or gone: {stale}"
+    _check(unused_definitions(), ALLOWED_DEFINITIONS,
+           "top-level definitions nothing outside tests/ references "
+           "(delete them)")
+
+
+def test_every_attribute_is_read_outside_the_tests():
+    _check(unread_attributes(), ALLOWED_ATTRIBUTES,
+           "attributes and dataclass fields nothing in src/, benchmarks/ "
+           "or examples/ reads (delete them)")
+
+
+_PLANTED = {
+    "src/repro/planted.py": '''
+from dataclasses import asdict, dataclass
+from typing import List
+
+
+def used(a, b=1, knob=2):
+    return a + b + knob
+
+
+def only_tested():
+    return 0
+
+
+class Box:
+    def __init__(self):
+        self.shown = 0
+        self.looked_up = 0
+        self.tabled = 0
+        self.write_only = 0
+
+    def bump(self):
+        self.write_only += 1
+        return self.shown
+
+
+@dataclass
+class Spec:
+    name: str
+    unread_field: int = 0
+
+
+@dataclass
+class Part:
+    size: int = 0
+
+
+@dataclass
+class Report:
+    parts: List[Part]
+    total: int = 0
+
+    def to_dict(self):
+        return asdict(self)
+''',
+    "benchmarks/drive.py": '''
+from repro.planted import Box, Part, Report, Spec, used
+
+METRICS = ("tabled",)
+box = Box()
+print(used(1, b=2), box.bump(), getattr(box, "looked_up"))
+print(Spec("x").name, Report([Part()]).to_dict())
+''',
+    "tests/test_planted.py": '''
+from repro.planted import Box, Spec, only_tested, used
+
+assert used(1, knob=3) and only_tested() == 0
+assert Box().write_only == 0 and Spec("z").unread_field == 0
+''',
+}
+
+
+def test_scans_flag_a_planted_tree(tmp_path):
+    """Each scan flags its planted offenders and nothing else: an attribute
+    read only through a ``getattr`` string or named only in a table of
+    names, and the fields of a dataclass an ``asdict`` dumps (through
+    another one's field), count as read."""
+    for rel, text in _PLANTED.items():
+        path = tmp_path / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    root = str(tmp_path)
+    assert unpassed_parameters(root) == ["used(knob)"]
+    assert unused_definitions(root) == ["only_tested"]
+    assert unread_attributes(root) == ["Box.write_only", "Spec.unread_field"]
