@@ -297,14 +297,14 @@ class RpcClient:
         return body.get("result")
 
     def _arm(self, when: float) -> None:
-        """Move the deadline timer to ``when``; a superseded one is ignored."""
+        """Move the deadline timer to ``when``, cancelling the one it replaces."""
+        if self._timer is not None:
+            self.env.cancel(self._timer)
         self._timer = self.env.call_at(when, self._expire_cb)
         self._timer_at = when
 
-    def _expire(self, timer: Event) -> None:
+    def _expire(self, _timer: Event) -> None:
         """Expire every unanswered call due now, then re-arm."""
-        if timer is not self._timer:
-            return  # superseded by an earlier deadline
         self._timer = None
         self._timer_at = inf
         now = self.env._now

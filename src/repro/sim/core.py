@@ -25,6 +25,9 @@ Hot-loop design notes (see DESIGN.md §9 for the event-cost budget):
   reservation).  An event that *anything* still references — a condition,
   user code — is never recycled, so the optimisation is invisible to
   correctness.
+* :meth:`Environment.cancel` withdraws a timer in place: the loop pops
+  an entry whose callbacks are gone and skips it, so a timer that would
+  run no model code costs no dispatch.
 * :attr:`Environment.events_processed` counts every dispatched event so
   telemetry and the run ledger's ``cost`` section
   (:func:`repro.bench.ledger.cost_section`) can report events-per-IO, the
@@ -586,8 +589,9 @@ class Environment:
         on (a pipe's next transfer finish, an RPC client's next deadline).
         It is scheduled exactly like ``timeout_until(when)`` but is never
         reported to the wait tracer: booking it as a ``(sleep)`` would
-        charge the span of whichever process happened to arm it.  The
-        owner tells a superseded timer from its live one by identity.
+        charge the span of whichever process happened to arm it.  An
+        owner that moves its timer withdraws the old one with
+        :meth:`cancel`.
         """
         now = self._now
         if when < now:
@@ -611,6 +615,18 @@ class Environment:
                  (when, NORMAL,
                   self._eid if ts is None else ts(self._eid), t))
         return t
+
+    def cancel(self, timer: Timeout) -> None:
+        """Withdraw a :meth:`call_at` timer; one that already fired is left.
+
+        The timer keeps its heap entry, and so its sequence number, and no
+        other event's key or order changes.  :meth:`run` drops the entry
+        when it reaches the top: it runs no callback, is not counted in
+        :attr:`events_processed` and does not move the clock.  The entry
+        holds a reference, so the timer cannot reach the free-list while
+        it is queued.
+        """
+        timer.callbacks = None
 
     def process(self, generator: Generator[Event, Any, Any],
                 name: Optional[str] = None, priority: int = URGENT) -> Process:
@@ -681,9 +697,11 @@ class Environment:
         try:
             while queue and queue[0][0] <= horizon:
                 when, _prio, _eid, event = pop(queue)
+                callbacks = event.callbacks
+                if callbacks is None:  # cancelled
+                    continue
                 self._now = when
                 n += 1
-                callbacks = event.callbacks
                 event.callbacks = None
                 for callback in callbacks:
                     callback(event)

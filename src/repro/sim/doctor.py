@@ -270,7 +270,7 @@ def diagnose(
         trace_spans = [s for s in collector.spans
                        if s.trace_id == p99_root.trace_id]
         path = critical_path(trace_spans)
-        span_waits = tracer.span_waits()
+        span_waits = tracer.span_waits({s.span_id for s in path})
         hop_blame: Dict[str, float] = {}
         for s in path:
             for res, secs in span_waits.get(s.span_id, {}).items():

@@ -21,18 +21,18 @@ servers that need only **one** event per operation:
   The pipe is *event-lean*: a transfer of more than one chunk is placed
   by an exact analytic scheduler instead of spending one event per chunk.
   Its pending chunk requests sit in a deque in request order; each is
-  reserved with the chunk loop's own float operations, ahead of ``now``
-  as far as the next transfer finish (within a bounded look-ahead), and
-  those early slots are logged so that an arrival (a request the log did
-  not foresee) rolls them back.
-  One timer per pipe (``Environment.call_at``) wakes each finishing
-  transfer.  A pending request due at the arrival's instant goes first.
-  Under a wait tracer each slot is booked, in slot order, once it can no
-  longer be undone, as the chunk loop would have booked it when the
-  chunk was requested.  The scheduler is the pipe's one path: the
-  chunk-per-event loop it reproduces lives in the tests, as the
-  reference it is compared against.  See DESIGN.md §9 for the
-  exactness argument.
+  reserved with the chunk loop's own float operations once it is due,
+  and nothing is reserved ahead of ``now``.  The next transfer finish is
+  projected in closed form, and one timer per pipe
+  (``Environment.call_at``) is armed there: it fires only where a
+  transfer finishes.  An arrival (a request the projection did not
+  foresee) re-projects, cancelling the timer if the finish moved.  A
+  pending request due at the arrival's instant goes first.  Under a
+  wait tracer each slot is booked, in slot order, as it is reserved,
+  as the chunk loop would have booked it when the chunk was requested.
+  The scheduler is the pipe's one path: the chunk-per-event loop it
+  reproduces lives in the tests, as the reference it is compared
+  against.  See DESIGN.md §9 for the exactness argument.
 
 Every station's wake-up event has the instant its service ends,
 ``done``, as its value: a caller that merged sleeps into it books the
@@ -44,20 +44,24 @@ All of them track cumulative busy time so utilization can be reported.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 from collections import deque
 from heapq import heappush
-from math import inf, nextafter
+from math import frexp, inf, ldexp
 from typing import Generator, Optional, Tuple
 
 from repro.sim.core import NORMAL, Environment, Event, Timeout
 
 __all__ = ["FifoServer", "PooledServer", "BandwidthPipe"]
 
-#: Slot runs a pipe reserves ahead of the clock while it looks for the
-#: next finish.  Past this it arms its timer at the next unreserved
-#: request instead, which bounds what one arrival can roll back when many
-#: transfers share the pipe.
-_LOOKAHEAD = 16
+#: Grid points in a binade of doubles (:func:`_repeat_add`).
+_GRID = 1 << 53
+
+#: A pipe projects a finish in closed form up to this many full-chunk
+#: times: ``bound``'s relative margin of 2**-20 in
+#: :meth:`BandwidthPipe._project` outweighs the rounding of instants up
+#: to there.
+_EXACT_SPAN = 2.0 ** 29
 
 
 class FifoServer:
@@ -273,6 +277,39 @@ class _Transfer(Event):
         self.span = span
 
 
+def _repeat_add(x: float, step: float, k: int) -> float:
+    """``x`` after ``k`` rounds of ``x += step``: the float the loop ends on.
+
+    Every sum that stays in one binade rounds onto that binade's grid, and
+    once a sum has rounded onto it (which settles a tie to even), each
+    further one adds the same multiple of the grid.  So the loop runs three
+    steps where it enters a binade, and the rest of the binade is one exact
+    multiply-add.
+    """
+    while k > 16:
+        x1 = x + step
+        x2 = x1 + step
+        x3 = x2 + step
+        k -= 3
+        _m, e = frexp(x3)
+        top = ldexp(1.0, e)
+        if x1 >= 0.5 * top:
+            # x2 and x3 are sums rounded onto the grid of [top/2, top).
+            u = ldexp(1.0, e - 53)
+            inc = int((x3 - x2) / u)
+            if inc == 0:
+                return x3
+            # Steps from x3 whose exact sum stays below ``top``.
+            n = min(k, (_GRID - int(x3 / u) - int(step / u) - 1) // inc)
+            if n > 0:
+                x3 += n * (inc * u)
+                k -= n
+        x = x3
+    for _ in range(k):
+        x += step
+    return x
+
+
 class BandwidthPipe:
     """A shared serial byte pipe with chunk-level fair interleaving.
 
@@ -283,13 +320,12 @@ class BandwidthPipe:
     ``latency`` is added once per transfer.
 
     A transfer of more than one chunk costs one kernel event however many
-    transfers share the pipe: the scheduler (``_advance``/``_sync``/
-    ``_on_timer``) computes the slots the chunk loop would reserve and
-    wakes the transfer at its last chunk's completion.  A wait tracer
-    gets every slot in slot order (``_book``), each once it is final: as
-    it is reserved, if it was requested by now, or else when it leaves
-    the undo log without being rolled back.  Reading the tracer makes
-    the slots due by then final first.  A transfer of one chunk is the
+    transfers share the pipe: the scheduler reserves the slots the chunk
+    loop would reserve once they are requested (``_sync``), projects the
+    next transfer finish without reserving anything (``_project``) and
+    wakes the transfer there (``_on_timer``).  A wait tracer gets every
+    slot, in slot order, as it is reserved; reading the tracer reserves
+    the slots requested by then first.  A transfer of one chunk is the
     chunk loop's one reservation, made at once.  Every transfer takes
     this path, observed or not.
 
@@ -297,8 +333,8 @@ class BandwidthPipe:
     """
 
     __slots__ = ("env", "bandwidth", "latency", "chunk_bytes", "_server",
-                 "bytes_moved", "_requests", "_finishing",
-                 "_undo", "_timer", "_timer_at", "_timer_cb")
+                 "bytes_moved", "_requests", "_order", "_finishing",
+                 "_timer", "_timer_at", "_timer_cb")
 
     def __init__(
         self,
@@ -324,14 +360,14 @@ class BandwidthPipe:
         #: Total payload bytes moved (for reports).
         self.bytes_moved = 0
         # Scheduler state: transfers with a pending chunk request, in
-        # request order; transfers whose last chunk is reserved, in finish
-        # order; the undo log of slots reserved ahead of the clock (see
-        # ``_advance``); the armed timer and its instant.
+        # request order; the same transfers in the order their last chunks
+        # come up (``_project``); transfers whose last chunk is reserved,
+        # in finish order; the armed timer and its instant.
         self._requests: deque = deque()
+        self._order: list = []
         self._finishing: deque = deque()
-        self._undo: deque = deque()
         self._timer: Optional[Timeout] = None
-        self._timer_at = 0.0
+        self._timer_at = inf
         self._timer_cb = self._on_timer
 
     @property
@@ -373,22 +409,25 @@ class BandwidthPipe:
             if wt is not None:
                 # Pure propagation, blamed on the pipe (not a generic
                 # sleep), after the slots requested by now.
-                if self._requests or self._finishing:
-                    self._sync()
+                self._sync()
                 wt.reserve(self._server.name, 0.0, 0.0, self.latency)
                 wt.claim()
             yield env.timeout(self.latency)
         if nbytes == 0:
             return
-        if self._requests or self._finishing:
+        chunk = self.chunk_bytes
+        if nbytes > chunk:
             self._sync()
-        if nbytes > self.chunk_bytes:
             span = None
             if wt is not None:
                 span = wt.active_span()
                 wt.defer(self._sync)
             xfer = _Transfer(env, nbytes, env._now, span)
+            # Every other request is due after now: this one goes first.
             self._requests.appendleft(xfer)
+            order = self._order
+            order.insert(bisect_left(order, -(-nbytes // chunk),
+                                     key=lambda x: -(-x.left // chunk)), xfer)
             self._arm()
             try:
                 yield xfer
@@ -396,8 +435,15 @@ class BandwidthPipe:
                 self._abort(xfer)
                 raise
             return
-        # One chunk: the chunk loop's one reservation, made here.
-        yield self._server.serve(nbytes / self.bandwidth)
+        # One chunk: the chunk loop's one reservation, made here.  It
+        # goes ahead of every pending request, so their finishes move.
+        if not self._requests:
+            yield self._server.serve(nbytes / self.bandwidth)
+            return
+        self._sync()
+        done = self._server.serve(nbytes / self.bandwidth)
+        self._arm()
+        yield done
 
     def transfer_and_sleep(self, nbytes: int, *delays: float) -> Timeout:
         """A one-chunk transfer, then the caller's ``delays``: one event.
@@ -410,34 +456,33 @@ class BandwidthPipe:
             raise ValueError(
                 f"not a one-chunk transfer on a zero-latency pipe: {nbytes} bytes")
         self.bytes_moved += nbytes
-        if self._requests or self._finishing:
-            self._sync()
-        return self._server.serve(nbytes / self.bandwidth, *delays)
+        if not self._requests:
+            return self._server.serve(nbytes / self.bandwidth, *delays)
+        self._sync()
+        done = self._server.serve(nbytes / self.bandwidth, *delays)
+        self._arm()
+        return done
 
     # -- scheduler -----------------------------------------------------------
-    def _advance(self, now: float, until: float) -> None:
-        """Reserve pending chunk requests in request order.
+    def _sync(self) -> None:
+        """Reserve every chunk request due by ``now``, in request order.
 
-        Every request due by ``now`` is reserved.  Requests due later, but
-        before ``until``, are reserved too, until some transfer has its
-        last chunk reserved.  Each slot repeats the chunk loop's float
-        operations: ``start = max(free_at, r)``, ``done = start +
-        take/bw``, and the next request at ``r + (done - r)``, the instant
-        the chunk's timeout would fire.  A transfer alone in the queue
-        takes its slots in one run, and a run with a slot requested after
-        ``now`` is logged for undo as ``(last request, first request,
-        transfer, bytes left, free_at, busy_time, slots)``.  Under a wait
-        tracer a run requested by ``now`` is booked at once; a logged one
-        is booked when it leaves the log.
+        A request due exactly at ``now`` counts as made before whatever
+        calls this.  Each slot repeats the chunk loop's float operations:
+        ``start = max(free_at, r)``, ``done = start + take/bw``, and the
+        next request at ``r + (done - r)``, the instant the chunk's
+        timeout would fire.  A transfer alone in the queue takes its slots
+        in one run.  Under a wait tracer each run is booked as it is
+        reserved.
         """
         requests = self._requests
-        if not requests:
+        now = self.env._now
+        if not requests or requests[0].at > now:
             return
         wt = self.env._wait_tracer
         finishing = self._finishing
         pop = requests.popleft
         push = requests.append
-        log = self._undo.append
         srv = self._server
         bw = self.bandwidth
         chunk = self.chunk_bytes
@@ -445,16 +490,11 @@ class BandwidthPipe:
         free = srv._free_at
         busy = srv.busy_time
         ops = srv.ops
-        ahead = 0
-        while requests:
+        while requests and requests[0].at <= now:
             xfer = pop()
-            r = xfer.at
-            if r > now and (finishing or r >= until or ahead == _LOOKAHEAD):
-                requests.appendleft(xfer)
-                break
-            r0, free0, busy0 = r, free, busy
+            r0 = r = xfer.at
+            free0 = free
             left = left0 = xfer.left
-            slot_r = r
             duration = full if left > chunk else left / bw
             free = (free if free > r else r) + duration
             busy += duration
@@ -465,12 +505,8 @@ class BandwidthPipe:
                 # slot.  Then every later one does too, exactly: a slot
                 # never outlasts the instant it was requested at, so
                 # ``done - r`` is exact (Sterbenz) and ``r + (done - r)``
-                # is ``done``.  The run goes on while its next request
-                # passes the test above.
-                stop = (now if finishing or until <= now
-                        else nextafter(until, -inf))
-                while r <= stop:
-                    slot_r = r
+                # is ``done``.
+                while r <= now:
                     if left > chunk:
                         free += full
                         busy += full
@@ -487,15 +523,13 @@ class BandwidthPipe:
             ops += n
             xfer.left = left
             xfer.at = r
-            if slot_r > now:
-                log((slot_r, r0, xfer, left0, free0, busy0, n))
-                ahead += 1
-            elif wt is not None:
+            if wt is not None:
                 self._book(r0, xfer, left0, free0, n)
             if left:
                 push(xfer)
             else:
                 finishing.append(xfer)
+                self._order.remove(xfer)
         srv._free_at = free
         srv.busy_time = busy
         srv.ops = ops
@@ -524,95 +558,81 @@ class BandwidthPipe:
             left = left - chunk if left > chunk else 0
             r = r + (free - r)
 
-    def _sync(self) -> None:
-        """Make the server hold what the chunk loop holds at ``now``.
+    def _project(self) -> float:
+        """The instant of the next transfer finish; nothing is reserved.
 
-        Slots requested after ``now`` are rolled back, latest first, and
-        requests due by ``now`` are reserved.  A request due exactly at
-        ``now`` counts as made before whatever calls this.  Under a wait
-        tracer every slot requested by ``now`` is booked, in slot order.
-        """
-        now = self.env._now
-        undo = self._undo
-        wt = self.env._wait_tracer
-        if wt is not None:
-            while undo and undo[0][0] <= now:
-                _last, r, xfer, left, free, _busy, n = undo.popleft()
-                self._book(r, xfer, left, free, n)
-        kept = None
-        if undo and undo[-1][0] > now:
-            srv = self._server
-            requests = self._requests
-            finishing = self._finishing
-            chunk = self.chunk_bytes
-            full = chunk / self.bandwidth
-            while undo and undo[-1][0] > now:
-                _last, r, xfer, left, free, busy, n = undo.pop()
-                if xfer.left:
-                    requests.pop()
-                else:
-                    finishing.pop()
-                # Keep the run's slots requested by now; none is its last.
-                # Only the earliest run rolled back can have any.
-                kept = (r, xfer, left, free)
-                while r <= now:
-                    free = (free if free > r else r) + full
-                    busy += full
-                    left -= chunk
-                    r = r + (free - r)
-                    n -= 1
-                xfer.left = left
-                xfer.at = r
-                requests.appendleft(xfer)
-                srv._free_at = free
-                srv.busy_time = busy
-                srv.ops -= n
-        undo.clear()
-        if wt is not None and kept is not None:
-            r, xfer, left, free = kept
-            self._book(r, xfer, left, free,
-                       (left - xfer.left) // self.chunk_bytes)
-        requests = self._requests
-        if requests and requests[0].at <= now:
-            self._advance(now, now)
-
-    def _arm(self) -> None:
-        """Keep the timer armed no later than the next transfer finish.
-
-        An armed timer bounds the look-ahead: a finish after it is found
-        when it fires.  An arrival cannot finish before a transfer whose
-        last chunk is already reserved, so then nothing is looked at.
-        When the look-ahead stops short of a finish, the next unreserved
-        request is the earliest instant one can come from.
+        A reserved last chunk ends before any pending request's.  Else the
+        pending transfers take slots round robin in request order, so
+        the first to finish is the one whose last chunk comes up first,
+        ``_order[0]``, and every slot before that chunk is a full one.
+        With at least two transfers the server never idles: each request
+        is due before its turn.  The free instant before a slot is then
+        the float that ``free += full`` reaches (:func:`_repeat_add`), and
+        the finisher's own requests are stepped with the chunk loop's
+        operations until they pass ``bound``; from there ``done <= 2r``,
+        so ``r + (done - r)`` is ``done`` and the rest is one sum.  When a
+        precondition fails, the next request instant is returned: the
+        timer then reserves it and projects again.
         """
         finishing = self._finishing
-        timer_at = self._timer_at if self._timer is not None else inf
-        if not finishing:
-            self._advance(self.env._now, timer_at)
         if finishing:
-            at = finishing[0].at
-        elif self._requests:
-            at = self._requests[0].at
-        else:
-            return
-        if at < timer_at:
-            self._timer = self.env.call_at(at, self._timer_cb)
+            return finishing[0].at
+        requests = self._requests
+        if not requests:
+            return inf
+        fin = self._order[0]
+        n = len(requests)
+        bw = self.bandwidth
+        chunk = self.chunk_bytes
+        full = chunk / bw
+        f = self._server._free_at
+        if n > 1:
+            if requests[0].at > f or requests[-1].at > f + full:
+                return requests[0].at
+            f = _repeat_add(f, full, requests.index(fin))
+        r = fin.at
+        left = fin.left
+        bound = n * full * (1.0 + 2.0 ** -20)
+        while left > chunk:
+            start = f if f > r else r
+            done = start + full
+            left -= chunk
+            r = r + (done - r)
+            f = _repeat_add(done, full, n - 1)
+            if r >= bound:
+                # A slot now ends at most ``n`` full slots after its
+                # request, give or take a few ulps: ``done <= 2r``.
+                start = f if f > r else r
+                m = -(-left // chunk)
+                if m > 1:
+                    r = _repeat_add(start, full, (m - 2) * n + 1)
+                    f = _repeat_add(r, full, n - 1)
+                    left -= (m - 1) * chunk
+                else:
+                    f = start
+                break
+        start = f if f > r else r
+        done = start + left / bw
+        at = r + (done - r)
+        # Later than this, rounding could outgrow ``bound``'s margin.
+        return at if at <= full * _EXACT_SPAN else requests[0].at
+
+    def _arm(self) -> None:
+        """Arm the timer at the next finish, cancelling one it replaces."""
+        at = self._project()
+        if at != self._timer_at:
+            env = self.env
+            if self._timer is not None:
+                env.cancel(self._timer)
+            self._timer = None if at == inf else env.call_at(at, self._timer_cb)
             self._timer_at = at
 
-    def _on_timer(self, timer: Event) -> None:
+    def _on_timer(self, _timer: Event) -> None:
         """Wake every transfer finishing now, then re-arm."""
-        if timer is not self._timer:
-            return  # superseded by an earlier timer
         self._timer = None
+        self._timer_at = inf
         now = self.env._now
-        undo = self._undo
-        wt = self.env._wait_tracer
-        while undo and undo[0][0] <= now:
-            _last, r, xfer, left, free, _busy, n = undo.popleft()
-            if wt is not None:
-                self._book(r, xfer, left, free, n)
-        if self._requests:
-            self._advance(now, now)
+        self._sync()
         finishing = self._finishing
         while finishing and finishing[0].at <= now:
             xfer = finishing.popleft()
@@ -621,8 +641,7 @@ class BandwidthPipe:
             xfer.callbacks = None
             for callback in callbacks:
                 callback(xfer)
-        if self._requests or finishing:
-            self._arm()
+        self._arm()
 
     def _abort(self, xfer: _Transfer) -> None:
         """The owner died mid-transfer: give back its unreserved chunks.
@@ -632,6 +651,7 @@ class BandwidthPipe:
         self._sync()
         if xfer.left:
             self._requests.remove(xfer)
+            self._order.remove(xfer)
         else:
             self._finishing.remove(xfer)
         self._arm()

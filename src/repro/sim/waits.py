@@ -56,7 +56,7 @@ Two accounting streams come out:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Collection, Dict, List, Optional, Tuple
 
 from repro.sim.timeseries import GAUGE, TimeSeries
 
@@ -399,7 +399,13 @@ class WaitTracer:
 
     @property
     def aggregates(self) -> Dict[str, ResourceWait]:
-        """Per-resource totals over all operations since install."""
+        """Per-resource totals since install.
+
+        Every reservation counts.  A block counts only if the parked
+        process had a span open (:meth:`begin_block`), and so does a
+        ``(sleep)`` (:meth:`on_timeout`), so those totals cover sampled
+        requests alone.
+        """
         self._flush()
         return self._aggregates
 
@@ -447,12 +453,20 @@ class WaitTracer:
                 out[r.resource] = out.get(r.resource, 0.0) + r.wait
         return out
 
-    def span_waits(self) -> Dict[int, Dict[str, float]]:
-        """span_id -> resource -> attributed seconds (blocks included)."""
+    def span_waits(self, span_ids: Collection[int]
+                   ) -> Dict[int, Dict[str, float]]:
+        """span_id -> resource -> attributed seconds (blocks included).
+
+        Only the spans in ``span_ids`` are folded, each from its own
+        records in record order, so a span's sums do not depend on which
+        others are asked for.
+        """
         out: Dict[int, Dict[str, float]] = {}
         for r in self.records:
-            d = out.setdefault(r.span.span_id, {})
-            d[r.resource] = d.get(r.resource, 0.0) + r.total
+            sid = r.span.span_id
+            if sid in span_ids:
+                d = out.setdefault(sid, {})
+                d[r.resource] = d.get(r.resource, 0.0) + r.total
         return out
 
     def stage_waits(self) -> Dict[str, Dict[str, float]]:

@@ -88,6 +88,83 @@ def test_call_at_runs_at_the_exact_instant_in_fifo_order():
         env.call_at(0.1, lambda event: None)
 
 
+def test_cancelled_call_at_runs_nothing_and_is_not_counted():
+    env = Environment()
+    ran = []
+    dropped = env.call_at(1.0, lambda event: ran.append("dropped"))
+    env.call_at(2.0, lambda event: ran.append(("kept", env.now)))
+    env.cancel(dropped)
+    env.run()
+    assert ran == [("kept", 2.0)]
+    assert env.events_processed == 1
+
+
+def test_cancelled_last_timer_leaves_the_clock_at_the_last_dispatch():
+    env = Environment()
+    env.call_at(1.0, lambda event: None)
+    env.cancel(env.call_at(5.0, lambda event: None))
+    env.run()
+    assert env.now == 1.0
+    assert env.events_processed == 1
+
+
+def test_cancelling_one_of_two_same_instant_timers_keeps_the_others_order():
+    def run(arm_first):
+        env = Environment()
+        order = []
+
+        def sleeper(env):
+            value = yield env.timeout_until(1.0, "slept")
+            order.append((value, env.now))
+
+        if arm_first:
+            first = env.call_at(1.0, lambda event: order.append("first"))
+        env.call_at(1.0, lambda event: order.append(("second", env.now)))
+        env.process(sleeper(env))
+        if arm_first:
+            env.cancel(first)
+        env.run()
+        return order, env.events_processed
+
+    assert run(True) == run(False)
+    assert run(True)[0] == [("second", 1.0), ("slept", 1.0)]
+
+
+def test_cancel_after_the_timer_fired_is_a_noop():
+    env = Environment()
+    ran = []
+    timer = env.call_at(1.0, lambda event: ran.append(env.now))
+    env.run()
+    env.cancel(timer)
+    env.call_at(2.0, lambda event: ran.append(env.now))
+    env.run()
+    assert ran == [1.0, 2.0]
+    assert env.events_processed == 2
+
+
+def test_a_queued_cancelled_timer_is_never_handed_out_again():
+    # Only the heap entry holds the cancelled timer; the free-list, which
+    # recycles dispatched Timeouts, must not hand it out while it is queued.
+    env = Environment()
+    timer = env.call_at(5.0, lambda event: None)
+    cancelled = id(timer)
+    env.cancel(timer)
+    del timer
+    handed = []
+
+    def churn(env):
+        for _ in range(200):
+            handed.append(id(env.call_at(env.now + 0.001, lambda event: None)))
+            t = env.timeout(0.01)
+            handed.append(id(t))
+            yield t
+
+    env.process(churn(env))
+    env.run(until=4.9)
+    assert env.timeouts_recycled > 0
+    assert cancelled not in handed
+
+
 @pytest.mark.parametrize("priority, expected", [(0, "sab"), (1, "abs")])
 def test_process_start_priority(priority, expected):
     """URGENT (0, default) starts ahead of events already due; NORMAL after."""

@@ -229,6 +229,28 @@ class TestFig5Doctored:
         # The identity must actually cover the workload, not a corner.
         assert checked >= len(leaves) * 0.9
 
+    def test_p99_blame_equals_the_fold_over_every_record(self, run):
+        """``diagnose`` folds only the p99 path's records; its blame is
+        the one a fold over every record gives, float for float."""
+        from repro.sim.doctor import _p99_root
+        from repro.sim.spans import critical_path
+
+        everything: dict = {}
+        for r in run.tracer.records:
+            d = everything.setdefault(r.span.span_id, {})
+            d[r.resource] = d.get(r.resource, 0.0) + r.total
+        root = _p99_root(run.collector)
+        path = critical_path([s for s in run.collector.spans
+                              if s.trace_id == root.trace_id])
+        hop: dict = {}
+        for s in path:
+            for res, secs in everything.get(s.span_id, {}).items():
+                hop[res] = hop.get(res, 0.0) + secs
+        want = [{"resource": k, "seconds": v}
+                for k, v in sorted(hop.items(), key=lambda kv: (-kv[1], kv[0]))]
+        assert want
+        assert self._diagnose(run).p99["blame"] == want
+
     def _diagnose(self, run):
         littles = run.sampler.littles_law() if run.sampler else None
         return diagnose(run.result, run.collector, run.tracer,

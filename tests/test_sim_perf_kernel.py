@@ -5,11 +5,12 @@ Pins the perf-critical invariants added by the kernel optimisation pass:
 * :class:`BandwidthPipe`'s analytic scheduler is *bit-identical* to the
   classic chunk-per-event reference (:class:`tests.reference.ChunkLoopPipe`)
   — uncontended,
-  under randomized contention (arrivals roll back the slots reserved
-  ahead of them), for reads mid-run and for owners cut mid-transfer —
-  while spending a small, size-independent number of kernel events on
-  each transfer; and under a wait tracer it books every chunk the
-  reference books, on the same span, at the same instant.
+  under randomized contention (an arrival moves the projected finish and
+  the timer armed there), for reads mid-run and for owners cut
+  mid-transfer — while spending a small, size-independent number of
+  kernel events on each transfer, and no timer that wakes nobody; and
+  under a wait tracer it books every chunk the reference books, on the
+  same span, at the same instant.
 * ``Environment.events_processed`` / ``timeouts_recycled`` count what
   they claim; ``timeout_until`` fires at the exact float requested even
   when the Timeout object is recycled.
@@ -94,22 +95,37 @@ def test_coalesced_contended_bit_identical_to_chunked():
 
 
 def _watch_revocations(monkeypatch):
-    """The instants at which a sync rolls back slots reserved ahead."""
+    """The instants at which a timer is withdrawn: an arrival moved the
+    finish a pipe had armed it at."""
     revoked = []
-    sync = BandwidthPipe._sync
+    cancel = Environment.cancel
 
-    def spy(pipe):
-        if pipe._undo and pipe._undo[-1][0] > pipe.env.now:
-            revoked.append(pipe.env.now)
-        sync(pipe)
+    def spy(env, timer):
+        revoked.append(env.now)
+        cancel(env, timer)
 
-    monkeypatch.setattr(BandwidthPipe, "_sync", spy)
+    monkeypatch.setattr(Environment, "cancel", spy)
     return revoked
+
+
+def _watch_timers(monkeypatch):
+    """How many transfers each dispatch of a pipe's timer woke."""
+    woken = []
+    on_timer = BandwidthPipe._on_timer
+
+    def spy(pipe, timer):
+        waiting = [*pipe._requests, *pipe._finishing]
+        on_timer(pipe, timer)
+        woken.append(sum(1 for x in waiting if x.processed))
+
+    monkeypatch.setattr(BandwidthPipe, "_on_timer", spy)
+    return woken
 
 
 def test_coalesced_contention_triggers_revocation_sometimes(monkeypatch):
     # Sanity that the contended test above actually exercises revocation:
-    # two big transfers launched close together must revoke once.
+    # two big transfers launched close together move the first one's
+    # finish once, and its timer with it.
     revoked = _watch_revocations(monkeypatch)
     jobs = [(0.0, 8 * 1024 * 1024), (1e-5, 8 * 1024 * 1024)]
     a = _run_schedule(jobs, reference=False)
@@ -272,7 +288,9 @@ def _tracer_view(tracer):
 
 def test_scheduler_matches_reference_on_random_contended_schedules(
         monkeypatch):
+    # ...and a pipe's timer fires only where a transfer finishes.
     revoked = _watch_revocations(monkeypatch)
+    woken = _watch_timers(monkeypatch)
     for seed in range(40):
         rng = random.Random(seed)
         n = rng.randrange(2, 24)
@@ -283,14 +301,17 @@ def test_scheduler_matches_reference_on_random_contended_schedules(
         want, _ = _run_and_read(jobs, reference=True)
         assert got == want, f"seed {seed}"
     assert revoked
+    assert woken and min(woken) >= 1
 
 
 def test_scheduler_books_what_the_chunk_loop_books(monkeypatch):
     # Under a wait tracer the scheduler books every chunk the reference
     # loop books, on the owner's span, at the chunk's request instant, in
     # slot order; a tracer read mid-run sees the chunks requested by then.
-    # Same transfers, instants and pipe readings as without a tracer.
+    # Same transfers, instants and pipe readings as without a tracer, and
+    # every timer the pipe dispatches wakes a transfer.
     revoked = _watch_revocations(monkeypatch)
+    woken = _watch_timers(monkeypatch)
     for seed in range(30):
         rng = random.Random(400 + seed)
         jobs = [(rng.uniform(0.0, rng.choice((1e-5, 2e-4, 2e-3))),
@@ -310,6 +331,28 @@ def test_scheduler_books_what_the_chunk_loop_books(monkeypatch):
             == {k: v for k, v in plain.items() if k != "reads"}
         assert got["tracer"][0], f"seed {seed}: no span records"
     assert revoked
+    assert woken and min(woken) >= 1
+
+
+def test_scheduler_stepping_request_by_request_is_exact(monkeypatch):
+    # Past the span where the closed form is exact, a pipe arms its timer
+    # at the next request instead of the projected finish: the slots and
+    # wake-ups stay the chunk loop's.
+    import repro.sim.queues as queues
+
+    monkeypatch.setattr(queues, "_EXACT_SPAN", 0.0)
+    woken = _watch_timers(monkeypatch)
+    for seed in range(8):
+        rng = random.Random(600 + seed)
+        jobs = [(rng.uniform(0.0, 2e-4), _mixed_size(rng))
+                for _ in range(rng.randrange(2, 10))]
+        cuts = {i: (start + rng.uniform(0.0, 1e-3), "interrupt")
+                for i, (start, _n) in enumerate(jobs) if rng.random() < 0.2}
+        samples = sorted(rng.uniform(0.0, 3e-3) for _ in range(5))
+        got, _ = _run_and_read(jobs, False, samples, cuts, traced=True)
+        want, _ = _run_and_read(jobs, True, samples, cuts, traced=True)
+        assert got == want, f"seed {seed}"
+    assert 0 in woken
 
 
 def test_scheduler_reads_match_reference_mid_run():
@@ -483,6 +526,64 @@ def test_scheduler_compares_chunk_boundaries_exactly():
         runs[reference] = (done, pipe.busy_time, pipe.ops)
     assert runs[False] == runs[True]
     assert runs[False][0]["b"] > boundary + chunk_time
+
+
+def test_repeat_add_is_the_loop_it_replaces():
+    # The closed form the projection sums slot ends with: bit for bit the
+    # float ``x += step`` reaches, across binade edges and on ties (a step
+    # half-way between two grid points of ``x``'s binade).
+    from math import ldexp
+
+    from repro.sim.queues import _repeat_add
+
+    rng = random.Random(5)
+    cases = [(0.0, CHUNK / 12.5e9, 5000), (0.0, CHUNK / 10e9, 3)]
+    for _ in range(300):
+        e = rng.randrange(-20, -6)
+        u = ldexp(1.0, e - 52)
+        x = ldexp(rng.uniform(1.0, 2.0), e)
+        step = rng.choice((
+            rng.uniform(1e-9, 1e-5),
+            (rng.randrange(1, 1 << 20) + 0.5) * u,
+            (rng.randrange(1, 1 << 20) + rng.choice((0.25, 0.75))) * 2 * u))
+        cases.append((x, step, rng.choice((rng.randrange(40),
+                                           rng.randrange(20000)))))
+    for x, step, k in cases:
+        want = x
+        for _ in range(k):
+            want += step
+        assert _repeat_add(x, step, k) == want, (x, step, k)
+
+
+def test_scheduler_timer_fires_only_at_finishes_under_heavy_contention(
+        monkeypatch):
+    # Dozens of movers, each running back-to-back transfers: the
+    # reference's instants, and no events but the movers' own and one
+    # timer dispatch per finishing instant.
+    woken = _watch_timers(monkeypatch)
+    rng = random.Random(9)
+    starts = [rng.uniform(0.0, 1e-4) for _ in range(40)]
+    sizes = [rng.choice((1 << 20, 3 * CHUNK + 7, 2 << 20)) for _ in starts]
+    runs = {}
+    for reference in (False, True):
+        env = Environment()
+        pipe = _pipe(env, reference, bandwidth=12.5e9, chunk_bytes=CHUNK)
+        done = {}
+
+        def mover(env, i):
+            yield env.timeout(starts[i])
+            for k in range(3):
+                yield from pipe.transfer(sizes[i])
+                done[i, k] = env.now
+
+        for i in range(len(starts)):
+            env.process(mover(env, i))
+        env.run()
+        runs[reference] = (done, pipe.busy_time, pipe.ops, env.events_processed)
+    assert runs[False][:3] == runs[True][:3]
+    assert sum(woken) == 3 * len(starts) and min(woken) >= 1
+    assert len(woken) == len(set(runs[False][0].values()))
+    assert runs[False][3] == 2 * len(starts) + len(woken)
 
 
 # ---------------------------------------------------------------------------

@@ -226,7 +226,7 @@ class TestBlock:
         assert "lockA" not in tracer.blame()
         # ...but included in the per-span decomposition.
         sid = col.spans[0].span_id
-        assert tracer.span_waits()[sid]["lockA"] == pytest.approx(3e-3)
+        assert tracer.span_waits({sid})[sid]["lockA"] == pytest.approx(3e-3)
 
     def test_uncontended_request_records_zero_block(self):
         env = Environment()
