@@ -32,6 +32,13 @@ Hot-loop design notes (see DESIGN.md §9 for the event-cost budget):
   telemetry and the run ledger's ``cost`` section
   (:func:`repro.bench.ledger.cost_section`) can report events-per-IO, the
   simulator's native cost metric.
+* A finished process holds no reference cycle.  Whether it returns or
+  raises, it drops its resume callback (a bound method, so a reference
+  back to itself) and the event it last waited on.  Reference counting
+  then frees the process, its generator and its frame as soon as the
+  request it served ends, and its last Timeout returns to the free-list.
+  Memory per cell follows the requests in flight, not those completed,
+  although :meth:`Environment.run` pauses the cycle collector.
 """
 
 from __future__ import annotations
@@ -328,19 +335,25 @@ class Process(Event):
 
     # -- dispatch ----------------------------------------------------------
     def _resume(self, event: Event) -> None:
+        # A finished process keeps no cycle (module notes).  Both exits
+        # drop the bound method pointing back at it and the event it last
+        # waited on, so reference counting frees them.  An exception's
+        # traceback can hold this frame — the raiser's directly, a
+        # catcher's through its generator frame — so both exits also
+        # clear the locals that would lead back to the process.
         env = self.env
         env._active = self
         generator = self.generator
         while True:
             try:
                 if event._ok:
-                    next_event = generator.send(event._value)
+                    event = generator.send(event._value)
                 else:
                     event._defused = True
-                    exc = event._value
-                    next_event = generator.throw(exc)
+                    event = generator.throw(event._value)
             except StopIteration as stop:
                 env._active = None
+                self._rcb = self._target = None
                 self._ok = True
                 self._value = stop.value
                 if self.callbacks:
@@ -351,37 +364,39 @@ class Process(Event):
                     # ``yield proc`` takes the already-processed fast path
                     # with the same value at the same simulated time.
                     self.callbacks = None
+                self = event = None
                 return
             except BaseException as exc:  # noqa: BLE001 - failure propagates
                 env._active = None
+                self._rcb = self._target = None
                 self._ok = False
                 self._value = exc
                 env.schedule(self, 0.0, URGENT)
+                self = event = None
                 return
 
             try:
-                cbs = next_event.callbacks
+                cbs = event.callbacks
             except AttributeError:
                 env._active = None
                 raise SimulationError(
-                    f"process {self.name!r} yielded a non-event: {next_event!r}"
+                    f"process {self.name!r} yielded a non-event: {event!r}"
                 ) from None
             if cbs is not None:
                 # Still pending or scheduled: park until it is processed.
                 # (The cross-environment guard lives on this branch only —
                 # an already-processed event carries no scheduling state, so
                 # the hot inline path skips both checks.)
-                if next_event.env is not env:
+                if event.env is not env:
                     env._active = None
                     raise SimulationError(
                         f"process {self.name!r} yielded an event "
                         f"from another environment"
                     )
                 cbs.append(self._rcb)
-                self._target = next_event
+                self._target = event
                 break
             # Already processed: loop immediately with its value.
-            event = next_event
         env._active = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -667,9 +682,15 @@ class Environment:
         loop (and restored on exit, including on error): a simulation turn
         allocates heavily — events, heap tuples, generator frames — and
         CPython's generation-0 collections otherwise trigger every ~700
-        allocations, costing ~10% of wall time.  Reference cycles
-        (process → generator → frame) are rare and small; they are
-        reclaimed by the next enabled collection after the run returns.
+        allocations, costing ~10% of wall time.  The pause is safe because
+        a finished process releases its resume callback and its last
+        awaited event (see :meth:`Process._resume`), so the processes that
+        served a request leave no cycle behind.  The paused collector
+        meets only the cycles of long-lived state, one set per session
+        and per injected fault, and the next enabled collection after
+        the run reclaims them.  A failed process's traceback reaches this
+        frame, so on exit the loop also drops the last event it
+        dispatched.
         """
         sentinel: Optional[Event] = None
         horizon = float("inf")
@@ -724,6 +745,9 @@ class Environment:
                 self._now = horizon
             return None
         finally:
+            # A failed process's traceback reaches this frame; let it
+            # keep no dispatched event (see the docstring).
+            event = callbacks = callback = None
             self._events_processed += n
             if gc_was_enabled:
                 gc_enable()

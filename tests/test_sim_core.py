@@ -1,8 +1,11 @@
 """Unit tests for the DES kernel (repro.sim.core)."""
 
+import gc
+
 import pytest
 
 from repro.sim import Environment, Event, Interrupt, SimulationError
+from repro.sim.core import URGENT
 from tests.reference import AnyOf
 
 
@@ -543,3 +546,145 @@ def test_process_name_defaults():
     p = env.process(my_generator(env), name="worker-1")
     assert p.name == "worker-1"
     env.run()
+
+
+# -- a finished process frees itself -----------------------------------------
+# Each case starts processes that all finish and returns how many Timeouts
+# they awaited.  With the collector off, nothing they leave may need it,
+# and every one of those Timeouts must be back on the free-list.
+
+def _returns(env):
+    def proc(env):
+        yield env.timeout(1)
+        return "done"
+
+    p = env.process(proc(env))
+    env.process(proc(env))
+    env.run()
+    assert p.value == "done"
+    return 2
+
+
+def _raises_into_a_waiter(env):
+    caught = []
+
+    def bad(env):
+        yield env.timeout(1)
+        raise ValueError("bad")
+
+    def waiter(env):
+        try:
+            yield env.process(bad(env))
+        except ValueError as exc:
+            caught.append(str(exc))
+
+    env.process(waiter(env))
+    env.run()
+    assert caught == ["bad"]
+    return 1
+
+
+def _interrupted_then_returns(env):
+    def sleeper(env):
+        try:
+            yield env.timeout(10)
+        except Interrupt:
+            yield env.timeout(1)
+        return env.now
+
+    def interrupter(env, victim):
+        yield env.timeout(1)
+        victim.interrupt()
+
+    victim = env.process(sleeper(env))
+    env.process(interrupter(env, victim))
+    env.run()
+    assert victim.value == 2
+    # The interrupted Timeout fires at 10 with no waiter and is parked too.
+    return 3
+
+
+def _nobody_awaits(env):
+    def proc(env):
+        yield env.timeout(1)
+
+    procs = [env.process(proc(env)) for _ in range(3)]
+    env.run()
+    assert all(p.processed for p in procs)
+    return 3
+
+
+@pytest.mark.parametrize("case", [
+    _returns, _raises_into_a_waiter, _interrupted_then_returns,
+    _nobody_awaits,
+], ids=lambda case: case.__name__.strip("_"))
+def test_a_finished_process_leaves_nothing_for_the_collector(case):
+    env = Environment()
+    # A collection can free what only an earlier one finalized: collect
+    # until nothing is left, so the count below is this case's alone.
+    while gc.collect():
+        pass
+    gc.disable()
+    try:
+        timeouts = case(env)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    for _ in range(timeouts):
+        env.timeout(0)
+    assert env.timeouts_recycled == timeouts
+
+
+def test_yield_on_a_finished_process_gets_its_outcome():
+    env = Environment()
+    got = []
+
+    def ok(env):
+        yield env.timeout(1)
+        return "value"
+
+    def bad(env):
+        yield env.timeout(1)
+        raise ValueError("late")
+
+    def defuse(env, failed):
+        try:
+            yield failed
+        except ValueError:
+            pass
+
+    def late(env, done, failed):
+        yield env.timeout(5)
+        got.append((env.now, (yield done)))
+        try:
+            yield failed
+        except ValueError as exc:
+            got.append((env.now, str(exc)))
+
+    failed = env.process(bad(env))
+    env.process(defuse(env, failed))
+    env.process(late(env, env.process(ok(env)), failed))
+    env.run()
+    assert got == [(5, "value"), (5, "late")]
+
+
+def test_an_interrupt_pending_when_its_process_finishes_is_dropped():
+    env = Environment()
+    wake = env.event()
+    log = []
+
+    def victim(env):
+        yield wake
+        log.append(("returned", env.now))
+
+    def interrupter(env, p):
+        yield env.timeout(1)
+        wake.succeed(priority=URGENT)  # delivered before the interrupt
+        p.interrupt()
+
+    p = env.process(victim(env))
+    env.process(interrupter(env, p))
+    env.run()
+    assert log == [("returned", 1)]
+    with pytest.raises(SimulationError, match="cannot be interrupted"):
+        p.interrupt()
