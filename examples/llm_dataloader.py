@@ -61,7 +61,7 @@ def main() -> None:
         def worker(env, wid):
             wctx = port.new_context(f"loader{wid}")
             while True:
-                sample = int(rng.integers(0, n_samples))
+                sample = rng.integers(0, n_samples)
                 yield from path.read(wctx, fh, sample * SAMPLE_BYTES, SAMPLE_BYTES)
                 if env.now >= measure_from:
                     delivered[0] += SAMPLE_BYTES

@@ -7,7 +7,8 @@ NIC".  This module provides both halves:
 * :class:`ChaCha20` — a real RFC 8439 ChaCha20 cipher, vectorized with
   NumPy across blocks (the keystream for every 64-byte block of a payload
   is computed in one array program — the "vectorize the outer loop" idiom
-  from the HPC guides).
+  from the HPC guides).  NumPy is imported only when a payload is
+  crypted, so a simulation without inline crypto never loads it.
 * :class:`InlineCrypto` — the timing wrapper: on BlueField-3 the payload
   rides the SoC's crypto accelerator (a serial offload engine near line
   rate); on a host it costs per-byte CPU on the calling thread.
@@ -15,20 +16,22 @@ NIC".  This module provides both halves:
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import TYPE_CHECKING, Generator, Optional
 
-import numpy as np
-
+from repro.daos.erasure import xor_bytes
 from repro.hw.platform import Node
 from repro.hw.specs import GIB
 from repro.sim.core import Environment, Event
 from repro.sim.queues import FifoServer
 
+if TYPE_CHECKING:
+    import numpy as np
+
 __all__ = ["ChaCha20", "InlineCrypto"]
 
 
 def _rotl(x: np.ndarray, n: int) -> np.ndarray:
-    return (x << np.uint32(n)) | (x >> np.uint32(32 - n))
+    return (x << n) | (x >> (32 - n))
 
 
 def _quarter_round(s: np.ndarray, a: int, b: int, c: int, d: int) -> None:
@@ -46,27 +49,27 @@ class ChaCha20:
     NONCE_BYTES = 12
     BLOCK_BYTES = 64
 
-    _CONSTANTS = np.frombuffer(b"expand 32-byte k", dtype="<u4").copy()
-
     def __init__(self, key: bytes, nonce: bytes) -> None:
         if len(key) != self.KEY_BYTES:
             raise ValueError(f"key must be {self.KEY_BYTES} bytes, got {len(key)}")
         if len(nonce) != self.NONCE_BYTES:
             raise ValueError(f"nonce must be {self.NONCE_BYTES} bytes, got {len(nonce)}")
-        self._key = np.frombuffer(key, dtype="<u4").copy()
-        self._nonce = np.frombuffer(nonce, dtype="<u4").copy()
+        self._key = bytes(key)
+        self._nonce = bytes(nonce)
 
     def keystream(self, counter: int, nbytes: int) -> bytes:
         """Keystream bytes starting at block ``counter``."""
         if nbytes <= 0:
             raise ValueError(f"nbytes must be positive, got {nbytes}")
+        import numpy as np
+
         nblocks = (nbytes + self.BLOCK_BYTES - 1) // self.BLOCK_BYTES
         # Build the (16, nblocks) initial state with a running counter.
         state = np.empty((16, nblocks), dtype=np.uint32)
-        state[0:4] = self._CONSTANTS[:, None]
-        state[4:12] = self._key[:, None]
+        state[0:4] = np.frombuffer(b"expand 32-byte k", dtype="<u4")[:, None]
+        state[4:12] = np.frombuffer(self._key, dtype="<u4")[:, None]
         state[12] = (counter + np.arange(nblocks, dtype=np.uint64)) & 0xFFFFFFFF
-        state[13:16] = self._nonce[:, None]
+        state[13:16] = np.frombuffer(self._nonce, dtype="<u4")[:, None]
 
         working = state.copy()
         old = np.seterr(over="ignore")
@@ -91,9 +94,7 @@ class ChaCha20:
         """Encrypt or decrypt (XOR with keystream) starting at ``counter``."""
         if not data:
             return b""
-        ks = np.frombuffer(self.keystream(counter, len(data)), dtype=np.uint8)
-        buf = np.frombuffer(data, dtype=np.uint8)
-        return (buf ^ ks).tobytes()
+        return xor_bytes(data, self.keystream(counter, len(data)))
 
     def crypt_at(self, byte_offset: int, data: bytes) -> bytes:
         """Encrypt/decrypt ``data`` located at ``byte_offset`` in the stream.
@@ -108,10 +109,7 @@ class ChaCha20:
             return b""
         counter = 1 + byte_offset // self.BLOCK_BYTES
         skip = byte_offset % self.BLOCK_BYTES
-        ks_all = self.keystream(counter, skip + len(data))
-        ks = np.frombuffer(ks_all, dtype=np.uint8)[skip:]
-        buf = np.frombuffer(data, dtype=np.uint8)
-        return (buf ^ ks).tobytes()
+        return xor_bytes(data, self.keystream(counter, skip + len(data))[skip:])
 
 
 #: BlueField-3 inline crypto accelerator throughput (datasheet-class AES/

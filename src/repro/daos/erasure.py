@@ -5,7 +5,8 @@ parity cell, placed on three distinct targets.  Any single target loss is
 recoverable: a missing data cell is the XOR of its sibling and the
 parity; the parity cell is recomputed from both data cells.
 
-The XOR runs vectorized over NumPy views (no Python-level byte loops),
+The XOR runs on whole buffers as big integers (``int.from_bytes``, no
+Python-level byte loops), cells are split and rejoined with byte slices,
 and everything degrades gracefully to *virtual* mode (sizes only) for the
 performance benches.
 
@@ -18,8 +19,6 @@ replication journal we do not model.
 from __future__ import annotations
 
 from typing import Optional, Tuple
-
-import numpy as np
 
 __all__ = [
     "CELL_BYTES",
@@ -48,14 +47,13 @@ def check_aligned(offset: int, nbytes: int) -> None:
 
 
 def xor_bytes(a: Optional[bytes], b: Optional[bytes]) -> Optional[bytes]:
-    """Vectorized XOR of two equal-length buffers (None stays virtual)."""
+    """XOR of two equal-length buffers (None stays virtual)."""
     if a is None or b is None:
         return None
     if len(a) != len(b):
         raise ValueError(f"XOR length mismatch: {len(a)} vs {len(b)}")
-    va = np.frombuffer(a, dtype=np.uint8)
-    vb = np.frombuffer(b, dtype=np.uint8)
-    return (va ^ vb).tobytes()
+    x = int.from_bytes(a, "little") ^ int.from_bytes(b, "little")
+    return x.to_bytes(len(a), "little")
 
 
 def reconstruct_cell(
@@ -72,7 +70,7 @@ def encode(
 
     Each returned buffer is ``nbytes // 2`` long: the concatenation of
     that target's cells across every stripe (which is exactly the
-    contiguous layout each target stores).  Vectorized via one reshape.
+    contiguous layout each target stores).
     """
     if nbytes % STRIPE_BYTES or nbytes <= 0:
         raise ValueError(f"EC encode needs whole stripes, got {nbytes}")
@@ -80,12 +78,12 @@ def encode(
         return None, None, None
     if len(data) != nbytes:
         raise ValueError(f"data of {len(data)} bytes but nbytes={nbytes}")
-    n_stripes = nbytes // STRIPE_BYTES
-    arr = np.frombuffer(data, dtype=np.uint8).reshape(n_stripes, 2, CELL_BYTES)
-    d0 = np.ascontiguousarray(arr[:, 0, :])
-    d1 = np.ascontiguousarray(arr[:, 1, :])
-    parity = d0 ^ d1
-    return d0.tobytes(), d1.tobytes(), parity.tobytes()
+    view = memoryview(data)
+    d0 = b"".join(view[i:i + CELL_BYTES]
+                  for i in range(0, nbytes, STRIPE_BYTES))
+    d1 = b"".join(view[i:i + CELL_BYTES]
+                  for i in range(CELL_BYTES, nbytes, STRIPE_BYTES))
+    return d0, d1, xor_bytes(d0, d1)
 
 
 def interleave(
@@ -98,8 +96,7 @@ def interleave(
         raise ValueError(
             f"cell streams must be equal whole-cell lengths, got {len(d0)}/{len(d1)}"
         )
-    n_stripes = len(d0) // CELL_BYTES
-    out = np.empty((n_stripes, 2, CELL_BYTES), dtype=np.uint8)
-    out[:, 0, :] = np.frombuffer(d0, dtype=np.uint8).reshape(n_stripes, CELL_BYTES)
-    out[:, 1, :] = np.frombuffer(d1, dtype=np.uint8).reshape(n_stripes, CELL_BYTES)
-    return out.tobytes()
+    cells = []
+    for i in range(0, len(d0), CELL_BYTES):
+        cells += (d0[i:i + CELL_BYTES], d1[i:i + CELL_BYTES])
+    return b"".join(cells)

@@ -1,20 +1,21 @@
 """Lightweight instrumentation for simulation runs.
 
 Benchmarks need throughput/IOPS/latency summaries without perturbing the
-event loop.  Everything here is plain accumulation; percentile math is
-vectorized with NumPy only at report time, as the optimization guides
-recommend (measure first, never in the hot loop).
+event loop.  Everything here is plain accumulation; the summary math runs
+once, at report time.  It is pure Python and reproduces NumPy's
+``np.mean`` and ``np.percentile`` (linear method) bit for bit, so a
+ledger's latency digits do not depend on whether, or which, NumPy is
+installed.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
-
-import numpy as np
+import math
+from typing import Dict, List, Sequence
 
 from repro.sim.core import Environment
 
-__all__ = ["RateMeter", "LatencyRecorder"]
+__all__ = ["RateMeter", "LatencyRecorder", "mean", "percentile"]
 
 
 class RateMeter:
@@ -62,8 +63,8 @@ class RateMeter:
 class LatencyRecorder:
     """Accumulates per-operation latencies; summarizes at the end.
 
-    Short runs keep exact samples (NumPy percentiles at report time, as
-    before).  Past :attr:`SPILL_THRESHOLD` samples the recorder folds everything
+    Short runs keep exact samples (exact percentiles at report time).
+    Past :attr:`SPILL_THRESHOLD` samples the recorder folds everything
     into a bounded :class:`~repro.sim.hist.LogHistogram` and keeps streaming
     into it, so memory stays O(buckets) for arbitrarily long runs while
     percentiles stay within the histogram's ~2% relative bucket error.
@@ -153,14 +154,71 @@ class LatencyRecorder:
         if not self._samples:
             return {"count": 0, "mean": 0.0, "p50": 0.0, "p95": 0.0,
                     "p99": 0.0, "p999": 0.0, "max": 0.0}
-        arr = np.asarray(self._samples, dtype=np.float64)
-        p50, p95, p99, p999 = np.percentile(arr, (50, 95, 99, 99.9))
+        samples = self._samples
+        ordered = sorted(samples)
         return {
-            "count": int(arr.size),
-            "mean": float(arr.mean()),
-            "p50": float(p50),
-            "p95": float(p95),
-            "p99": float(p99),
-            "p999": float(p999),
-            "max": float(arr.max()),
+            "count": len(samples),
+            "mean": mean(samples),
+            "p50": percentile(ordered, 50),
+            "p95": percentile(ordered, 95),
+            "p99": percentile(ordered, 99),
+            "p999": percentile(ordered, 99.9),
+            "max": ordered[-1],
         }
+
+
+def _pairwise_sum(a: Sequence[float], lo: int, n: int) -> float:
+    """NumPy's float64 ``add.reduce`` over ``a[lo:lo + n]``, same rounding.
+
+    Up to 128 elements: eight interleaved partial sums, folded as a
+    tree, then the tail.  Above: split at ``n // 2`` rounded down to a
+    multiple of 8 and recurse.
+    """
+    if n < 8:
+        res = 0.0
+        for i in range(lo, lo + n):
+            res += a[i]
+        return res
+    if n <= 128:
+        r0, r1, r2, r3, r4, r5, r6, r7 = a[lo:lo + 8]
+        end = lo + n - n % 8
+        for i in range(lo + 8, end, 8):
+            r0 += a[i]
+            r1 += a[i + 1]
+            r2 += a[i + 2]
+            r3 += a[i + 3]
+            r4 += a[i + 4]
+            r5 += a[i + 5]
+            r6 += a[i + 6]
+            r7 += a[i + 7]
+        res = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+        for i in range(end, lo + n):
+            res += a[i]
+        return res
+    n2 = n // 2
+    n2 -= n2 % 8
+    return _pairwise_sum(a, lo, n2) + _pairwise_sum(a, lo + n2, n - n2)
+
+
+def mean(samples: Sequence[float]) -> float:
+    """``np.mean`` of a non-empty float sequence, bit for bit."""
+    return (0.0 + _pairwise_sum(samples, 0, len(samples))) / len(samples)
+
+
+def percentile(ordered: Sequence[float], q: float) -> float:
+    """``np.percentile(..., q)`` (linear method) of sorted, non-empty data.
+
+    The virtual index is ``(n - 1) * q / 100``; between its neighbours
+    ``a`` and ``b`` at fraction ``g`` the value is ``a + (b - a) * g``,
+    or ``b - (b - a) * (1 - g)`` when ``g >= 0.5``, as NumPy's lerp.
+    """
+    n = len(ordered)
+    virtual = (n - 1) * (q / 100)
+    if virtual >= n - 1:
+        return ordered[-1]
+    i = math.floor(virtual)
+    a, b = ordered[i], ordered[i + 1]
+    g = virtual - i
+    if g >= 0.5:
+        return b - (b - a) * (1 - g)
+    return a + (b - a) * g

@@ -3,12 +3,16 @@
 FIO's four POSIX workloads reduce to two access patterns: a sequential
 cursor per job (``read``/``write``) and aligned uniform random offsets
 (``randread``/``randwrite``).  Both live here so engines and tests share
-one implementation.
+one implementation.  Random offsets come from the simulator's own
+:class:`~repro.sim.rng.Pcg64Stream`, so they are plain Python ints and
+the same on every NumPy version, or none.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from typing import List
+
+from repro.sim.rng import Pcg64Stream
 
 __all__ = ["SequentialPattern", "RandomPattern"]
 
@@ -43,34 +47,34 @@ class SequentialPattern:
 class RandomPattern:
     """Aligned uniform random offsets over ``[start, start + span)``.
 
-    Offsets are drawn in vectorized batches (one RNG call per 1024 I/Os),
-    keeping the generator out of the simulator's hot loop.
+    Offsets are drawn in batches (one RNG call per 1024 I/Os) into a
+    list, so each I/O pays one list lookup rather than one RNG call.
     """
 
     __slots__ = ("start", "span", "block", "_rng", "_batch", "_idx")
 
     BATCH = 1024
 
-    def __init__(self, start: int, span: int, block: int, rng: np.random.Generator) -> None:
+    def __init__(self, start: int, span: int, block: int, rng: Pcg64Stream) -> None:
         if span < block or block <= 0:
             raise ValueError(f"span {span} must hold at least one block of {block}")
         self.start = int(start)
         self.span = int(span)
         self.block = int(block)
         self._rng = rng
-        self._batch = None
+        self._batch: List[int] = []
         self._idx = 0
 
     def _refill(self) -> None:
-        n_blocks = self.span // self.block
-        picks = self._rng.integers(0, n_blocks, size=self.BATCH, dtype=np.int64)
-        self._batch = self.start + picks * self.block
+        start, block = self.start, self.block
+        picks = self._rng.integers(0, self.span // block, self.BATCH)
+        self._batch = [start + p * block for p in picks]
         self._idx = 0
 
     def next(self) -> int:
         """The next random block-aligned offset."""
-        if self._batch is None or self._idx >= self.BATCH:
+        if self._idx >= len(self._batch):
             self._refill()
-        offset = int(self._batch[self._idx])
+        offset = self._batch[self._idx]
         self._idx += 1
         return offset

@@ -19,32 +19,44 @@ from hypothesis import strategies as st
 
 from repro.faults.plan import FaultEvent, FaultPlan
 
-# (kind, target) pairs valid on the DPU-client testbed.  engine_crash is
-# excluded here — its target index must match the EC placement, which
+# (kind, target) pairs valid on the DPU-client testbed, by transport:
+# a cell has a QP or a TCP connection, never both, and check_targets
+# rejects a target the cell lacks.  engine_crash is excluded here — its
+# target index must match the EC placement, which
 # test_fault_recovery.py::test_engine_crash_rebuilds_and_heals covers.
-_KIND_TARGETS = [
-    ("qp_break", "dpu.qp"),
-    ("tcp_reset", "dpu.tcp"),
+_SHARED_TARGETS = [
     ("nvme_media_error", "nvme.ssd0"),
     ("nvme_latency_spike", "nvme.ssd0"),
     ("arm_stall", "dpu.daos_progress"),
 ]
+_KIND_TARGETS = {
+    "rdma": [("qp_break", "dpu.qp")] + _SHARED_TARGETS,
+    "tcp": [("tcp_reset", "dpu.tcp")] + _SHARED_TARGETS,
+}
 
 _RUNTIME = 0.01
 
-events_strategy = st.lists(
-    st.builds(
-        lambda kt, at_us, dur_us, factor: FaultEvent(
-            kind=kt[0], target=kt[1], at=at_us * 1e-6,
-            duration=dur_us * 1e-6, factor=float(factor),
+
+def events_strategy(transport):
+    """One or two faults, each on a target a ``transport`` cell has."""
+    return st.lists(
+        st.builds(
+            lambda kt, at_us, dur_us, factor: FaultEvent(
+                kind=kt[0], target=kt[1], at=at_us * 1e-6,
+                duration=dur_us * 1e-6, factor=float(factor),
+            ),
+            kt=st.sampled_from(_KIND_TARGETS[transport]),
+            at_us=st.integers(min_value=0, max_value=8000),
+            dur_us=st.integers(min_value=0, max_value=2000),
+            factor=st.integers(min_value=2, max_value=8),
         ),
-        kt=st.sampled_from(_KIND_TARGETS),
-        at_us=st.integers(min_value=0, max_value=8000),
-        dur_us=st.integers(min_value=0, max_value=2000),
-        factor=st.integers(min_value=2, max_value=8),
-    ),
-    min_size=1, max_size=2,
-)
+        min_size=1, max_size=2,
+    )
+
+
+#: A transport, then faults drawn from that transport's valid targets.
+cell_strategy = st.sampled_from(["rdma", "tcp"]).flatmap(
+    lambda t: st.tuples(st.just(t), events_strategy(t)))
 
 
 def run_cell(plan, transport="rdma", tie_seed=None):
@@ -66,8 +78,9 @@ def canonical(chaos) -> str:
 
 @settings(max_examples=4, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
-@given(events=events_strategy, transport=st.sampled_from(["rdma", "tcp"]))
-def test_random_plans_terminate_conserve_and_replay(events, transport):
+@given(cell=cell_strategy)
+def test_random_plans_terminate_conserve_and_replay(cell):
+    transport, events = cell
     plan = FaultPlan(events=tuple(events))
     first = run_cell(plan, transport)
 
@@ -84,7 +97,7 @@ def test_random_plans_terminate_conserve_and_replay(events, transport):
 
 @settings(max_examples=2, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
-@given(events=events_strategy)
+@given(events=events_strategy("rdma"))
 def test_tie_scramble_stays_in_envelope(events):
     """Scrambled same-timestamp event order must not break recovery.
 

@@ -167,3 +167,56 @@ def test_merge_property_vs_single_recorder():
             assert sa[key] == pytest.approx(so[key], rel=1e-9)
 
     check()
+
+
+# ---------------------------------------------------------------------------
+# Exact summary: pure Python, bit for bit NumPy's mean and percentile
+# ---------------------------------------------------------------------------
+
+#: Every size up to 300 crosses the 8-way unroll and the 128-element
+#: pairwise block; the rest straddle larger split points, NumPy's
+#: 8,192-element buffer and the recorder's spill threshold.
+SUMMARY_SIZES = (list(range(1, 301)) +
+                 [1023, 1024, 1025, 8191, 8192, 8193, 16000, 16383, 16385,
+                  65535, 65536, 70000])
+
+
+def _numpy_summary(samples):
+    import numpy as np
+
+    arr = np.asarray(samples, dtype=np.float64)
+    return [float(arr.mean())] + [
+        float(p) for p in np.percentile(arr, (50, 95, 99, 99.9))]
+
+
+@pytest.mark.parametrize("ties", [False, True])
+def test_mean_and_percentile_match_numpy_bit_for_bit(ties):
+    import random
+
+    from repro.sim.monitor import mean, percentile
+
+    r = random.Random(1 + ties)
+    for n in SUMMARY_SIZES:
+        samples = [r.lognormvariate(-9, 1.5) for _ in range(n)]
+        if ties:  # microsecond-quantized latencies repeat
+            samples = [round(x, 5) for x in samples]
+        ordered = sorted(samples)
+        got = [mean(samples)] + [percentile(ordered, q)
+                                 for q in (50, 95, 99, 99.9)]
+        assert got == _numpy_summary(samples), n
+
+
+def test_recorder_summary_matches_numpy_below_spill():
+    import random
+
+    r = random.Random(3)
+    for n in (1, 9, 129, 8193, LatencyRecorder.SPILL_THRESHOLD - 1):
+        rec = LatencyRecorder("lat")
+        samples = [r.expovariate(1e4) for _ in range(n)]
+        for x in samples:
+            rec.record(x)
+        s = rec.summary()
+        assert not rec.spilled
+        assert s["count"] == n and s["max"] == max(samples)
+        assert [s[k] for k in ("mean", "p50", "p95", "p99", "p999")] == \
+            _numpy_summary(samples)
