@@ -56,7 +56,8 @@ doctor**: the end-to-end latency delta between two runs is decomposed
 into per-resource wait and service contributions (``repro-diff-v1``),
 with red/blue differential flamegraphs (``--diff-flame``/
 ``--diff-wait-flame``) and a two-run Perfetto counter overlay
-(``--overlay``).
+(``--overlay``), whose tracks come from re-simulating each ledger run's
+cell: a record that does not regenerate its own run ID exits 2.
 
 Every artefact path is checked before anything is simulated: a path
 into a directory that does not exist exits 2.  So is every cell knob
@@ -150,7 +151,8 @@ def _add_diff_args(parser: argparse.ArgumentParser, json_flag: str,
                              "of wait blame" + note)
     parser.add_argument("--overlay", metavar="PATH", default=None,
                         help="write a Chrome trace overlaying both runs' "
-                             "wait counter tracks" + note)
+                             "wait counter tracks, re-simulating each "
+                             "ledger run from its config" + note)
 
 
 def _add_ledger_args(parser: argparse.ArgumentParser, record: bool = True,
@@ -306,10 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="run ID, unique ID prefix, or file path to "
                          "inspect; omit to list all runs")
     _add_ledger_args(pr, record=False, stamp=False)
-    pr.add_argument("--format", choices=["table", "json"], default=None,
+    pr.add_argument("--format", choices=["table", "json"], default="table",
                     help="listing format (default table)")
-    pr.add_argument("--json", action="store_true",
-                    help="shorthand for --format json")
 
     pca = sub.add_parser(
         "campaign",
@@ -342,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     pcr = sub.add_parser(
         "compare-runs",
         help="differential doctor on two ledger runs: attribute the "
-             "latency/IOPS delta per resource (no simulation)",
+             "latency/IOPS delta per resource (only --overlay simulates)",
     )
     pcr.add_argument("base", help="baseline run: ID, unique prefix, path, "
                                   "or 'cell:k=v,...' (executed on demand)")
@@ -455,9 +455,36 @@ def _record(config: dict, run, args) -> dict:
     return record
 
 
+def _overlay_series(records: list) -> list:
+    """Each record's live wait series for ``--overlay``, re-simulated from
+    its config.  ``ValueError`` names a run with no wait tracer (before
+    anything is simulated) or one whose re-simulated run ID differs."""
+    from repro.bench.campaign import cell_record, run_cell
+
+    for record in records:
+        experiment = record["config"].get("experiment")
+        if experiment not in ("fig5", "chaos"):
+            raise ValueError(
+                f"--overlay: run {record['run_id']} is a {experiment} cell "
+                "record with no wait tracer to regenerate")
+    out = []
+    for record in records:
+        run = run_cell(record["config"])
+        run_id = cell_record(record["config"], run)["run_id"]
+        if run_id != record["run_id"]:
+            raise ValueError(
+                f"--overlay: run {record['run_id']} re-simulates as "
+                f"{run_id}; the record was made by other code and must be "
+                "re-recorded")
+        out.append(getattr(run, "run", run).tracer.wait_series())
+    return out
+
+
 def _write_diff_outputs(base: dict, current: dict, dd, args,
-                        json_out: Optional[str]) -> None:
-    """The differential artefacts shared by doctor --against / compare-runs."""
+                        json_out: Optional[str],
+                        overlay: Optional[list] = None) -> None:
+    """The differential artefacts shared by doctor --against / compare-runs
+    (``overlay``: both runs' live wait series, for ``--overlay``)."""
     if json_out:
         _write_json(json_out, dd.to_dict())
         print(f"wrote diff verdict {json_out}")
@@ -477,7 +504,11 @@ def _write_diff_outputs(base: dict, current: dict, dd, args,
     if args.overlay:
         from repro.sim.diffdoctor import write_overlay_trace
 
-        doc = write_overlay_trace(args.overlay, base, current, label=dd.label)
+        doc = write_overlay_trace(
+            args.overlay, *overlay,
+            tracks=(f"A:{base['config']['transport']}",
+                    f"B:{current['config']['transport']}"),
+            run_ids=(base["run_id"], current["run_id"]), label=dd.label)
         other = doc.get("otherData", {})
         print(f"wrote overlay trace {args.overlay}: "
               f"{other.get('n_counter_tracks', 0)} counter tracks")
@@ -508,12 +539,15 @@ def _run_doctor(args) -> int:
     # Same fail-fast rule for the differential baseline: resolve the
     # ledger reference up front.  A ``cell:`` reference goes through the
     # campaign executor — cache-first, simulated and recorded only when
-    # missing.
-    base_record = None
+    # missing.  ``--overlay`` re-simulates the base here, before any
+    # artefact is written.
+    base_record = overlay = None
     if args.against:
         try:
             base_record = cp.resolve_run_or_cell(
                 args.against, _ledger_dir(args), **_stamps(args))
+            if args.overlay:
+                overlay = _overlay_series([base_record])
         except (ValueError, OSError) as exc:
             return _fail(exc)
 
@@ -570,7 +604,10 @@ def _run_doctor(args) -> int:
                            label=f"{label} vs {base_record['run_id']}")
             print()
             print(dd.render())
-            _write_diff_outputs(base_record, record, dd, args, args.diff_out)
+            if overlay is not None:
+                overlay.append(run.tracer.wait_series())
+            _write_diff_outputs(base_record, record, dd, args, args.diff_out,
+                                overlay)
             return max(diag.exit_code, dd.exit_code)
     return diag.exit_code
 
@@ -681,7 +718,7 @@ def _run_runs(args) -> int:
     from repro.bench.report import Table
 
     ldir = _ledger_dir(args)
-    as_json = args.json or args.format == "json"
+    as_json = args.format == "json"
     if args.ref:
         try:
             record = lg.load_run(args.ref, ldir)
@@ -745,11 +782,13 @@ def _run_compare_runs(args) -> int:
     try:
         base = resolve_run_or_cell(args.base, ldir, **stamps)
         current = resolve_run_or_cell(args.current, ldir, **stamps)
+        overlay = (_overlay_series([base, current]) if args.overlay
+                   else None)
     except (ValueError, OSError) as exc:
         return _fail(exc)
     dd = diff_runs(base, current)
     print(dd.render())
-    _write_diff_outputs(base, current, dd, args, args.json_out)
+    _write_diff_outputs(base, current, dd, args, args.json_out, overlay)
     return dd.exit_code
 
 

@@ -18,11 +18,13 @@ A record carries everything delta attribution needs, already reduced:
   install) and sampled-span ``blame`` split into wait/service/latency;
 * collapsed flame stacks for both span self-time and wait blame
   (integer nanoseconds — byte-stable);
-* optionally the per-resource cumulative-wait series points, so two
-  runs' counter tracks can be overlaid in one Perfetto trace;
 * the simulator's own ``cost``: kernel events dispatched per phase
   (setup with prefill, ramp, measured window, drain) and events per IO
   over the measured window (:func:`cost_section`).
+
+A record keeps only what a verdict reads.  A view that the config can
+regenerate is not stored: the ``--overlay`` trace re-simulates each
+record's cell and reads the live tracer's wait counters.
 
 Run IDs are **content-derived**: a human slug from the config plus the
 first hex digits of the record's canonical-JSON hash (volatile fields —
@@ -58,7 +60,6 @@ __all__ = [
     "resolve_ref",
     "list_runs",
     "run_summary",
-    "series_from_record",
 ]
 
 FORMAT = "repro-run-v1"
@@ -146,31 +147,6 @@ def _finish_record(record: dict) -> dict:
     return record
 
 
-#: Most points a record keeps of one cumulative-wait series.
-SERIES_POINTS_CAP = 96
-
-
-def _pack_points(ts, cap: int) -> List[list]:
-    """Bound and round a cumulative-wait series for storage.
-
-    Pairwise-merges adjacent windows (keeping the later cumulative value,
-    which is exact for monotone counters) until at most ``cap`` points
-    remain, then rounds to picosecond-ish precision so the JSON stays
-    compact.  Deterministic, so records remain byte-stable.
-    """
-    pts = list(ts.points())
-    while len(pts) > cap:
-        merged = []
-        for i in range(0, len(pts) - 1, 2):
-            _, dt1, _ = pts[i]
-            t2, dt2, v2 = pts[i + 1]
-            merged.append((t2, dt1 + dt2, v2))
-        if len(pts) % 2:
-            merged.append(pts[-1])
-        pts = merged
-    return [[round(t, 12), round(dt, 12), round(v, 12)] for t, dt, v in pts]
-
-
 def cost_section(result, events_total: int) -> dict:
     """Kernel events dispatched per phase of a run, and per measured IO.
 
@@ -234,8 +210,6 @@ def make_run_record(
             "count": len(roots),
             "total_root_time": total_root,
             "mean_latency": (total_root / len(roots)) if roots else 0.0,
-            "requests_seen": collector.requests_seen,
-            "sample_every": collector.sample_every,
         },
         "wait_aggregates": {name: agg.to_dict()
                             for name, agg in sorted(tracer.aggregates.items())},
@@ -244,11 +218,6 @@ def make_run_record(
             "spans": dict(sorted(fold_spans(collector.spans).items())),
             "waits": dict(sorted(
                 fold_waits(collector.spans, tracer.records).items())),
-        },
-        "wait_series": {
-            ts.name: {"unit": ts.unit, "kind": ts.kind,
-                      "points": _pack_points(ts, SERIES_POINTS_CAP)}
-            for ts in tracer.wait_series()
         },
     }
     if extra_sections:
@@ -371,28 +340,3 @@ def run_summary(record: dict) -> dict:
         "iops": metrics.get("result.iops"),
         "p99": metrics.get("result.latency.p99"),
     }
-
-
-def series_from_record(record: dict, node: Optional[str] = None) -> list:
-    """Reconstruct the stored wait series as live ``TimeSeries`` objects.
-
-    ``node`` overrides the owning node of every series — overlay callers
-    pass e.g. ``"A:tcp"`` so each run gets its own Perfetto process
-    track and the two runs' counters line up side by side.
-    """
-    from repro.sim.timeseries import GAUGE, TimeSeries
-
-    out = []
-    for name in sorted(record.get("wait_series", {})):
-        spec = record["wait_series"][name]
-        points = spec.get("points", [])
-        # Even capacity strictly above the point count, so appending the
-        # stored points never triggers a merge-down (lossless rebuild).
-        capacity = max(4, len(points) + 2 + (len(points) % 2))
-        ts = TimeSeries(name, capacity=capacity,
-                        unit=spec.get("unit", ""),
-                        kind=spec.get("kind", GAUGE), node=node)
-        for t, dt, v in points:
-            ts.append(t, dt, v)
-        out.append(ts)
-    return out

@@ -32,6 +32,7 @@ e.g.::
 
 from __future__ import annotations
 
+import json
 from math import fsum
 
 from dataclasses import dataclass, field
@@ -284,8 +285,7 @@ def diff_runs(
     if not base_rows and not cur_rows:
         notes.append("neither run carries blame data; delta is all "
                      "unattributed")
-    if base.get("traces", {}).get("sample_every") != \
-            current.get("traces", {}).get("sample_every"):
+    if config_a.get("sample_every") != config_b.get("sample_every"):
         notes.append("runs used different span sampling rates; per-request "
                      "means still comparable, absolute blame totals are not")
 
@@ -335,27 +335,41 @@ def diff_runs(
     )
 
 
-def write_overlay_trace(path: str, base: dict, current: dict,
+def write_overlay_trace(path: str, base_series: list, current_series: list,
+                        tracks: Tuple[str, str], run_ids: Tuple[str, str],
                         label: str = "overlay") -> dict:
     """One Chrome trace with *both* runs' wait counter tracks.
 
-    Each run's per-resource cumulative-wait series land on a process
-    track prefixed ``A:``/``B:`` (plus the run's transport for
-    readability), so Perfetto shows the two runs' counters side by side
-    on a shared time axis.  Records without stored ``wait_series`` —
-    ledgers written with series disabled — contribute no tracks.
+    ``base_series``/``current_series`` are each run's live
+    :meth:`~repro.sim.waits.WaitTracer.wait_series`.  A copy of each
+    lands on its run's process track, named by ``tracks`` (e.g.
+    ``("A:tcp", "B:rdma")``), so Perfetto shows the two runs' counters
+    side by side on a shared time axis; ``otherData`` names the two
+    ``run_ids`` the tracks came from.
     """
-    from repro.bench.ledger import series_from_record
-    from repro.sim.chrometrace import write_chrome_trace
+    from repro.sim.chrometrace import build_chrome_trace
 
-    def tag(prefix: str, record: dict) -> str:
-        name = (record.get("config", {}).get("transport")
-                or record.get("run_id") or prefix)
-        return f"{prefix}:{name}"
+    series = [_on_track(s, node)
+              for node, run in zip(tracks, (base_series, current_series))
+              for s in run]
+    doc = build_chrome_trace(extra_series=series, label=label)
+    doc["otherData"].update(base_run_id=run_ids[0],
+                            current_run_id=run_ids[1])
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    return doc
 
-    series = (series_from_record(base, node=tag("A", base))
-              + series_from_record(current, node=tag("B", current)))
-    return write_chrome_trace(path, extra_series=series, label=label)
+
+def _on_track(series, node: str):
+    """A copy of a live series owned by ``node``: same capacity, which
+    its points never reach, so the copy keeps every point."""
+    from repro.sim.timeseries import TimeSeries
+
+    out = TimeSeries(series.name, capacity=series.capacity,
+                     unit=series.unit, kind=series.kind, node=node)
+    for point in series.points():
+        out.append(*point)
+    return out
 
 
 def diff_flames(base: dict, current: dict) -> Dict[str, Dict[str, tuple]]:

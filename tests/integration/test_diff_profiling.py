@@ -87,3 +87,5 @@ def test_overlay_carries_both_runs_counter_tracks(diff_artifacts):
             if e.get("ph") == "M" and e.get("name") == "process_name"}
     assert any(p.startswith("A:tcp") for p in pids)
     assert any(p.startswith("B:rdma") for p in pids)
+    # The base's tracks were regenerated from the committed record.
+    assert doc["otherData"]["base_run_id"].startswith(TCP_4K)

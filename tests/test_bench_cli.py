@@ -142,7 +142,7 @@ def test_doctor_ledger_shares_the_campaign_identity(capsys, tmp_path):
 
     assert main(["doctor", "--quick", "--ledger",
                  "--ledger-dir", str(tmp_path)]) == 0
-    name = f"{TCP_4K}-j16-888cf0e3f3.json"
+    name = f"{TCP_4K}-j16-92975d1d9f.json"
     assert os.listdir(tmp_path) == [name]
     with open(tmp_path / name) as fh:
         produced = json.load(fh)
@@ -152,12 +152,12 @@ def test_doctor_ledger_shares_the_campaign_identity(capsys, tmp_path):
 
 
 def test_chaos_ledger_keeps_its_run_id(capsys, tmp_path):
-    """``chaos --ledger`` records the default QP-break cell under the same
-    run ID the command has always produced."""
+    """``chaos --ledger`` records the default QP-break cell under its
+    pinned run ID."""
     assert main(["chaos", "--ledger", "--runtime", "0.01",
                  "--ledger-dir", str(tmp_path)]) == 0
     assert os.listdir(tmp_path) == [
-        "chaos-rdma-dpu-randread-4096-j16-303eb0f701.json"]
+        "chaos-rdma-dpu-randread-4096-j16-22352998ef.json"]
 
 
 def test_doctor_json_breakdown_names_the_arm_rx_stage(capsys, tmp_path):
@@ -302,7 +302,8 @@ class TestRunsSubcommand:
         assert "dpu.arm_rx" in out and "iops:" in out
 
     def test_json_listing_parses(self, capsys):
-        assert main(["runs", "--ledger-dir", LEDGER_DIR, "--json"]) == 0
+        assert main(["runs", "--ledger-dir", LEDGER_DIR,
+                     "--format", "json"]) == 0
         rows = json.loads(capsys.readouterr().out)
         assert {r["kind"] for r in rows} == {"doctor", "chaos"}
         assert all(r["iops"] > 0 for r in rows)
@@ -339,6 +340,55 @@ class TestCompareRunsSubcommand:
         assert main(["compare-runs", TCP_4K, "bogus",
                      "--ledger-dir", LEDGER_DIR]) == 2
         assert "no run matching" in capsys.readouterr().err
+
+
+class TestOverlayRefusesWhatItCannotRegenerate:
+    """``--overlay`` re-simulates each ledger run from its config.  A run
+    it cannot regenerate exits 2, naming the run, and writes nothing."""
+
+    @pytest.fixture
+    def fig3_record(self, tmp_path):
+        from repro.bench import ledger as lg
+        from repro.bench.campaign import normalize_cell
+
+        class _Result:
+            def to_dict(self):
+                return {"iops": 1000.0}
+
+        record = lg.make_cell_record(
+            _Result(), config=normalize_cell({"experiment": "fig3"}),
+            kind="fig3")
+        return lg.save_run(record, str(tmp_path)), record["run_id"]
+
+    @pytest.mark.parametrize("argv", [
+        ["compare-runs", "{ref}", TCP_4K, "--ledger-dir", LEDGER_DIR],
+        ["doctor", "--quick", "--against", "{ref}"],
+    ], ids=["compare-runs", "doctor"])
+    def test_record_without_a_wait_tracer(self, no_sim, capsys, tmp_path,
+                                          fig3_record, argv):
+        path, run_id = fig3_record
+        overlay = tmp_path / "overlay.json"
+        argv = [a.format(ref=path) for a in argv]
+        assert main(argv + ["--overlay", str(overlay)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --overlay: run {run_id} is a fig3")
+        assert not overlay.exists()
+
+    def test_record_made_by_other_code(self, capsys, tmp_path):
+        from repro.bench import ledger as lg
+
+        record = lg.load_run(TCP_4K, LEDGER_DIR)
+        record["metrics"]["result.iops"] += 1.0
+        record = lg._finish_record(record)
+        path = lg.save_run(record, str(tmp_path))
+        overlay, diff = tmp_path / "overlay.json", tmp_path / "diff.json"
+        assert main(["compare-runs", path, RDMA_4K, "--ledger-dir",
+                     LEDGER_DIR, "--json-out", str(diff),
+                     "--overlay", str(overlay)]) == 2
+        err = capsys.readouterr().err
+        assert f"run {record['run_id']} re-simulates as " in err
+        assert "made by other code and must be re-recorded" in err
+        assert not overlay.exists() and not diff.exists()
 
 
 class TestCampaignSubcommand:
@@ -426,13 +476,6 @@ class TestRunsFormatJson:
         rows = json.loads(capsys.readouterr().out)
         ids = [r["run_id"] for r in rows]
         assert ids == sorted(ids) and len(ids) >= 4
-
-    def test_json_shorthand_agrees_with_format_json(self, capsys):
-        assert main(["runs", "--ledger-dir", LEDGER_DIR, "--json"]) == 0
-        shorthand = capsys.readouterr().out
-        assert main(["runs", "--ledger-dir", LEDGER_DIR,
-                     "--format", "json"]) == 0
-        assert capsys.readouterr().out == shorthand
 
 
 class TestCellRefsViaCli:

@@ -65,8 +65,13 @@ class TestRecordShape:
         r = tiny_record
         assert r["format"] == lg.FORMAT == "repro-run-v1"
         for key in ("config", "config_hash", "metrics", "cost", "traces",
-                    "wait_aggregates", "blame", "flame", "wait_series"):
+                    "wait_aggregates", "blame", "flame"):
             assert key in r, key
+        # The wait counter series are regenerated from the config, not
+        # stored; ``traces`` keeps what the diff doctor reads.
+        assert "wait_series" not in r
+        assert set(r["traces"]) == {"count", "total_root_time",
+                                    "mean_latency"}
         assert r["traces"]["count"] > 0
         assert r["traces"]["mean_latency"] > 0
         assert r["metrics"]["result.iops"] > 0
@@ -156,34 +161,6 @@ class TestStorage:
         assert s["p99"] == records[0]["metrics"]["result.latency.p99"]
 
 
-class TestSeries:
-    def test_pack_points_preserves_final_value_and_span(self, tiny_run):
-        for ts in tiny_run.tracer.wait_series():
-            pts = list(ts.points())
-            if len(pts) < 2:
-                continue
-            packed = lg._pack_points(ts, cap=8)
-            assert len(packed) <= 8
-            assert packed[-1][0] == pytest.approx(pts[-1][0])
-            assert packed[-1][2] == pytest.approx(pts[-1][2])
-            assert sum(p[1] for p in packed) == pytest.approx(
-                sum(p[1] for p in pts))
-
-    def test_series_from_record_round_trips(self, tiny_record):
-        rebuilt = lg.series_from_record(tiny_record, node="A:tcp")
-        assert rebuilt
-        for ts in rebuilt:
-            stored = tiny_record["wait_series"][ts.name]["points"]
-            assert len(ts) == len(stored)
-            assert ts.node == "A:tcp"
-            last = list(ts.points())[-1]
-            assert last[2] == pytest.approx(stored[-1][2])
-        # A record without the section (a metrics-only cell record)
-        # rebuilds no series.
-        bare = {k: v for k, v in tiny_record.items() if k != "wait_series"}
-        assert lg.series_from_record(bare) == []
-
-
 class TestCommittedCampaign:
     """The committed benchmarks/ledger campaign stays loadable and coherent."""
 
@@ -209,6 +186,15 @@ class TestCommittedCampaign:
         for r in lg.list_runs(LEDGER_DIR):
             assert r["run_id"].endswith(lg.content_hash(r)), r["run_id"]
 
+    def test_records_have_exactly_the_record_sections(self, tiny_record):
+        """A committed record missed by a re-record fails here, not only
+        in CI's campaign check."""
+        sections = set(tiny_record)
+        for r in lg.list_runs(LEDGER_DIR):
+            extra = {"chaos"} if r["kind"] == "chaos" else set()
+            assert set(r) == sections | extra, r["run_id"]
+            assert set(r["traces"]) == set(tiny_record["traces"]), r["run_id"]
+
     def test_records_carry_their_event_cost(self):
         for r in lg.list_runs(LEDGER_DIR):
             cost = r["cost"]
@@ -217,18 +203,19 @@ class TestCommittedCampaign:
             assert (cost["drain"] > 0) == (r["kind"] == "chaos"), r["run_id"]
 
 
-#: Two tiny cells, each with the run ID its record had before records
-#: carried ``cost``.  The ID hashes everything but ``cost``, so an equal
-#: ID means ``metrics`` and every other section are unchanged.  The chaos
-#: cell's ID moved once since: its RPC deadlines used to be Timeouts the
-#: wait tracer booked as ``(sleep)`` on the sampled spans, so the hashed
-#: ``blame``/``wait_aggregates`` held seconds nobody slept.  The deadline
-#: timer is now not a sleep; ``metrics`` did not move.
+#: Two tiny cells, each with its run ID.  The ID hashes everything but
+#: ``cost``, so an equal ID means ``metrics`` and every other section are
+#: unchanged.  The IDs were first pinned before records carried ``cost``
+#: and moved since only with the record's shape or the chaos cell's
+#: blame, never with ``metrics``: the chaos cell's RPC deadlines used to
+#: be Timeouts the wait tracer booked as ``(sleep)``, and records later
+#: stopped storing the wait counter series and the two ``traces`` fields
+#: no reader used.
 COST_CELLS = {
-    "fig5-tcp-dpu-randread-4096-j2-23204826de": {
+    "fig5-tcp-dpu-randread-4096-j2-638babdf8f": {
         "transport": "tcp", "numjobs": 2, "runtime": 0.004,
         "sample_every": 4},
-    "chaos-rdma-dpu-randread-4096-j4-dea393186e": {
+    "chaos-rdma-dpu-randread-4096-j4-f10e79d9ba": {
         "transport": "rdma", "numjobs": 4, "runtime": 0.01,
         "faults": {"events": [{"kind": "qp_break", "target": "dpu.qp",
                                "at": 0.005, "duration": 0.001}]}},

@@ -19,26 +19,37 @@ from repro.sim.diffdoctor import (
 )
 
 
-def record_for(transport):
-    """The quick 4 KiB Fig. 5 cell — the one the committed campaign pins."""
+def run_for(transport):
+    """The quick 4 KiB Fig. 5 cell — the one the committed campaign pins —
+    and its record."""
     run = run_fig5_doctored(transport, "dpu", "randread", 4096, 16,
                             runtime=0.02, sample_every=20,
                             observe_sampler=False)
     config = {"experiment": "fig5", "transport": transport, "client": "dpu",
               "rw": "randread", "bs": 4096, "numjobs": 16,
               "runtime": 0.02, "sample_every": 20}
-    return lg.make_run_record(run.result, run.collector, run.tracer,
-                              config=config, label=f"tiny {transport}")
+    return run, lg.make_run_record(run.result, run.collector, run.tracer,
+                                   config=config, label=f"tiny {transport}")
 
 
 @pytest.fixture(scope="module")
-def tcp_record():
-    return record_for("tcp")
+def tcp_run():
+    return run_for("tcp")
 
 
 @pytest.fixture(scope="module")
-def rdma_record():
-    return record_for("rdma")
+def rdma_run():
+    return run_for("rdma")
+
+
+@pytest.fixture(scope="module")
+def tcp_record(tcp_run):
+    return tcp_run[1]
+
+
+@pytest.fixture(scope="module")
+def rdma_record(rdma_run):
+    return rdma_run[1]
 
 
 class TestIdentityDiff:
@@ -131,7 +142,7 @@ class TestChecksAndNotes:
 
     def test_sample_rate_mismatch_noted(self, tcp_record, rdma_record):
         other = copy.deepcopy(rdma_record)
-        other["traces"]["sample_every"] = 99
+        other["config"]["sample_every"] = 99
         dd = diff_runs(tcp_record, other)
         assert any("sampling rates" in n for n in dd.notes)
 
@@ -158,20 +169,44 @@ class TestDiffFlamesAndOverlay:
             a, b = flames["waits"][stack]
             assert a > 0 and b == 0  # present under tcp, gone under rdma
 
+    @pytest.fixture
+    def overlay(self, tcp_run, rdma_run, tmp_path):
+        out = tmp_path / "overlay.json"
+        doc = write_overlay_trace(
+            str(out), tcp_run[0].tracer.wait_series(),
+            rdma_run[0].tracer.wait_series(), tracks=("A:tcp", "B:rdma"),
+            run_ids=(tcp_run[1]["run_id"], rdma_run[1]["run_id"]))
+        assert json.loads(out.read_text()) == doc
+        return doc
+
     def test_overlay_trace_is_valid_and_prefixed(
-            self, tcp_record, rdma_record, tmp_path):
+            self, overlay, tcp_record, rdma_record):
         from repro.sim.chrometrace import validate_chrome_trace
 
-        out = tmp_path / "overlay.json"
-        doc = write_overlay_trace(str(out), tcp_record, rdma_record)
-        assert validate_chrome_trace(doc) == []
-        on_disk = json.loads(out.read_text())
-        assert on_disk["otherData"]["n_counter_tracks"] > 0
-        pids = {e["args"]["name"]
-                for e in on_disk["traceEvents"]
+        assert validate_chrome_trace(overlay) == []
+        pids = {e["args"]["name"] for e in overlay["traceEvents"]
                 if e.get("ph") == "M" and e.get("name") == "process_name"}
-        assert any(p.startswith("A:tcp") for p in pids)
-        assert any(p.startswith("B:rdma") for p in pids)
+        assert {"A:tcp", "B:rdma"} <= pids
+        other = overlay["otherData"]
+        assert other["n_counter_tracks"] > 0
+        assert other["base_run_id"] == tcp_record["run_id"]
+        assert other["current_run_id"] == rdma_record["run_id"]
+
+    def test_each_row_carries_its_runs_live_series(self, overlay, tcp_run,
+                                                    rdma_run):
+        """Per ``A:``/``B:`` row: the track names are that run's live
+        ``wait_series()`` names, and each track ends on the live value."""
+        rows = {e["args"]["name"]: e["pid"] for e in overlay["traceEvents"]
+                if e.get("ph") == "M" and e.get("name") == "process_name"}
+        for row, (run, _) in (("A:tcp", tcp_run), ("B:rdma", rdma_run)):
+            live = run.tracer.wait_series()
+            counters = [e for e in overlay["traceEvents"]
+                        if e["ph"] == "C" and e["pid"] == rows[row]]
+            assert {e["name"] for e in counters} == {s.name for s in live}
+            for s in live:
+                last = max((e for e in counters if e["name"] == s.name),
+                           key=lambda e: e["ts"])
+                assert last["args"][s.name] == s.values()[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +220,7 @@ times = st.floats(min_value=0.0, max_value=10.0,
 def _record(tag, n, blame, mean):
     return {
         "run_id": tag, "config": {"transport": tag},
-        "traces": {"count": n, "mean_latency": mean, "sample_every": 1},
+        "traces": {"count": n, "mean_latency": mean},
         "metrics": {}, "blame": blame,
     }
 
@@ -247,8 +282,7 @@ def test_zero_delta_with_large_cancelling_blame_stays_ok():
     floor — the error scale has to track the summed magnitudes."""
     def rec(tag, blame):
         return {"run_id": tag, "config": {"transport": tag},
-                "traces": {"count": 1, "mean_latency": 0.0,
-                           "sample_every": 1},
+                "traces": {"count": 1, "mean_latency": 0.0},
                 "metrics": {}, "blame": blame}
 
     base = rec("a", {
