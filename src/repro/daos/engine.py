@@ -20,6 +20,7 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro.daos.object import ExtentStore
 from repro.daos.rpc import RpcServer
 from repro.daos.types import (
     ContainerId,
@@ -247,29 +248,28 @@ class DaosEngine:
                     if target not in replicas or peer not in replicas:
                         continue
                     for akey, store in obj._dkeys[dkey].items():
-                        extents = getattr(store, "extents", None)
-                        if extents is None:
+                        if not isinstance(store, ExtentStore):
                             # Single values: replay the newest version.
                             for epoch, _seq, value in store.versions:
                                 yield from target.vos.kv_put(
                                     cont, oid, dkey, akey, epoch, value
                                 )
                             continue
-                        for ext in extents:
-                            if ext.punched:
+                        for epoch, start, end, punched, data in store.walk():
+                            if punched:
                                 target.vos.object(cont, oid).array(
                                     dkey, akey
-                                ).punch(ext.epoch, ext.start, ext.nbytes)
+                                ).punch(epoch, start, end - start)
                                 continue
                             yield peer.xstream.enter(ENGINE_CPU_PER_OP)
                             # Read from the survivor, write to the rebuilt.
                             yield from peer.vos.fetch(
-                                cont, oid, dkey, akey, ext.epoch,
-                                ext.start, ext.nbytes, verify=False,
+                                cont, oid, dkey, akey, epoch,
+                                start, end - start, verify=False,
                             )
                             yield from target.vos.update(
-                                cont, oid, dkey, akey, ext.epoch,
-                                ext.start, ext.nbytes, data=ext.data,
+                                cont, oid, dkey, akey, epoch,
+                                start, end - start, data=data,
                             )
                             resynced += 1
         target.down = False
@@ -303,30 +303,28 @@ class DaosEngine:
                     if any(t.down for t in survivors):
                         continue  # unrecoverable right now
                     for akey, store in obj._dkeys[dkey].items():
-                        extents = getattr(store, "extents", None)
-                        if not extents:
+                        if not isinstance(store, ExtentStore):
                             continue
-                        for ext in extents:
-                            key = (cont, oid, dkey, akey, ext.epoch,
-                                   ext.start, ext.end)
-                            if key in done_keys or ext.punched:
+                        for epoch, start, end, punched, _ in store.walk():
+                            key = (cont, oid, dkey, akey, epoch, start, end)
+                            if key in done_keys or punched:
                                 continue
                             done_keys.add(key)
                             parts = []
                             for s in survivors:
                                 yield s.xstream.enter(ENGINE_CPU_PER_OP)
                                 part = yield from s.vos.fetch(
-                                    cont, oid, dkey, akey, ext.epoch,
-                                    ext.start, ext.nbytes, verify=False,
+                                    cont, oid, dkey, akey, epoch,
+                                    start, end - start, verify=False,
                                 )
                                 parts.append(part)
                             lost = erasure.xor_bytes(parts[0], parts[1])
                             yield target.xstream.enter(
-                                ENGINE_CPU_PER_BYTE * 2 * ext.nbytes
+                                ENGINE_CPU_PER_BYTE * 2 * (end - start)
                             )
                             yield from target.vos.update(
-                                cont, oid, dkey, akey, ext.epoch,
-                                ext.start, ext.nbytes, data=lost,
+                                cont, oid, dkey, akey, epoch,
+                                start, end - start, data=lost,
                             )
                             rebuilt += 1
         return rebuilt

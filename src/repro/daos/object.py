@@ -14,57 +14,43 @@ binds records to media and charges device costs.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from array import array
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.daos.checksum import Checksummer
 from repro.daos.types import NoSuchObject
 
-__all__ = ["Extent", "ExtentStore", "SingleValue", "VersionedObject", "Coverage"]
+__all__ = ["ExtentStore", "SingleValue", "VersionedObject"]
 
 _seq = itertools.count(1)
 
-
-@dataclass(slots=True)
-class Extent:
-    """One versioned write of ``[start, end)`` within an array akey."""
-
-    epoch: int
-    start: int
-    end: int  # exclusive
-    data: Optional[bytes]  # None in virtual mode
-    checksum: int
-    punched: bool = False
-    #: Media placement assigned by VOS: (tier, offset) or None before bind.
-    media: Optional[Tuple[str, int]] = None
-    seq: int = field(default_factory=lambda: next(_seq))
-
-    @property
-    def nbytes(self) -> int:
-        return self.end - self.start
-
-
-@dataclass(frozen=True, slots=True)
-class Coverage:
-    """One resolved segment of a read: ``[start, end)`` served by ``extent``
-    (None = hole, reads back as zeros)."""
-
-    start: int
-    end: int
-    extent: Optional[Extent]
-
-    @property
-    def nbytes(self) -> int:
-        return self.end - self.start
+#: Fields of one extent row; extent ``k`` is ``rows[k * ROW:(k + 1) * ROW]``,
+#: so its epoch is ``rows[k * ROW]``.
+EPOCH, START, END, CSUM, MEDIA = range(5)
+ROW = 5
+#: The media word is ``offset << MEDIA_SHIFT | tier``, or ``PUNCHED`` for a
+#: punch.  A write is ``TIER_NONE`` until VOS binds it after the persist.
+TIER_NONE, TIER_SCM, TIER_NVME = 0, 1, 2
+TIER_MASK = 3
+PUNCHED = 4
+MEDIA_SHIFT = 3
 
 
 class ExtentStore:
-    """A sparse, versioned byte array (one array akey)."""
+    """A sparse, versioned byte array (one array akey).
 
-    __slots__ = ("extents",)
+    Each write or punch appends one row of five ints to ``rows`` (epoch,
+    start, end exclusive, checksum, media word), and its row number ``k``
+    names the extent.  Data-mode payloads live in ``payloads`` by row
+    number, created on the first one.  Rows are appended in write order,
+    so among extents of equal epoch the later row is the newer write.
+    """
+
+    __slots__ = ("rows", "payloads")
 
     def __init__(self) -> None:
-        self.extents: List[Extent] = []
+        self.rows = array("q")
+        self.payloads: Optional[Dict[int, bytes]] = None
 
     def write(
         self,
@@ -72,83 +58,102 @@ class ExtentStore:
         offset: int,
         nbytes: int,
         data: Optional[bytes] = None,
-    ) -> Extent:
-        """Record a write at ``epoch``; returns the extent for media binding."""
+    ) -> int:
+        """Record a write at ``epoch``; returns its row for media binding."""
         if offset < 0 or nbytes <= 0:
             raise ValueError(f"bad extent ({offset}, {nbytes})")
         if data is not None and len(data) != nbytes:
             raise ValueError(f"data of {len(data)} bytes but nbytes={nbytes}")
-        ext = Extent(
-            epoch=epoch,
-            start=offset,
-            end=offset + nbytes,
-            data=bytes(data) if data is not None else None,
-            checksum=Checksummer.compute(data, nbytes),
-        )
-        self.extents.append(ext)
-        return ext
+        rows = self.rows
+        k = len(rows) // ROW
+        rows.extend((epoch, offset, offset + nbytes,
+                     Checksummer.compute(data, nbytes), TIER_NONE))
+        if data is not None:
+            if self.payloads is None:
+                self.payloads = {}
+            self.payloads[k] = bytes(data)
+        return k
 
-    def punch(self, epoch: int, offset: int, nbytes: int) -> Extent:
+    def punch(self, epoch: int, offset: int, nbytes: int) -> int:
         """Record a hole-punch (reads at later epochs see zeros)."""
         if offset < 0 or nbytes <= 0:
             raise ValueError(f"bad punch ({offset}, {nbytes})")
-        ext = Extent(
-            epoch=epoch, start=offset, end=offset + nbytes,
-            data=None, checksum=0, punched=True,
-        )
-        self.extents.append(ext)
-        return ext
+        rows = self.rows
+        k = len(rows) // ROW
+        rows.extend((epoch, offset, offset + nbytes, 0, PUNCHED))
+        return k
 
-    def resolve(self, epoch: int, offset: int, nbytes: int) -> List[Coverage]:
+    def bind(self, k: int, tier: int, offset: int) -> None:
+        """Place extent ``k`` on ``tier`` at media ``offset``."""
+        self.rows[k * ROW + MEDIA] = offset << MEDIA_SHIFT | tier
+
+    def walk(self) -> Iterator[Tuple[int, int, int, bool, Optional[bytes]]]:
+        """Every extent in write order: ``(epoch, start, end, punched,
+        payload)``, including rows appended while the walk runs."""
+        rows = self.rows
+        i = 0
+        while i < len(rows):
+            payloads = self.payloads
+            yield (rows[i], rows[i + START], rows[i + END],
+                   bool(rows[i + MEDIA] & PUNCHED),
+                   payloads.get(i // ROW) if payloads else None)
+            i += ROW
+
+    def resolve(
+        self, epoch: int, offset: int, nbytes: int
+    ) -> List[Tuple[int, int, Optional[int]]]:
         """Visibility resolution: split ``[offset, offset+nbytes)`` into
-        segments, each served by the newest extent visible at ``epoch``."""
+        ``(start, end, k)`` segments, each served by the newest extent row
+        ``k`` visible at ``epoch`` (``None``: a hole, reads back as zeros)."""
         if offset < 0 or nbytes <= 0:
             raise ValueError(f"bad read range ({offset}, {nbytes})")
         lo, hi = offset, offset + nbytes
-        live = [e for e in self.extents if e.epoch <= epoch and e.end > lo and e.start < hi]
+        rows = self.rows
+        live = []
+        for i in range(0, len(rows), ROW):
+            if rows[i] <= epoch and rows[i + END] > lo and rows[i + START] < hi:
+                live.append(i)
         if not live:
-            return [Coverage(lo, hi, None)]
+            return [(lo, hi, None)]
         if len(live) == 1:
-            e = live[0]
-            if e.start <= lo and e.end >= hi:
+            i = live[0]
+            if rows[i + START] <= lo and rows[i + END] >= hi:
                 # Fast path: a single extent covers the whole window — the
                 # general machinery below would produce exactly this one
                 # segment (same boundaries, same winner, same punch rule).
-                return [Coverage(lo, hi, None if e.punched else e)]
+                return [(lo, hi, None if rows[i + MEDIA] & PUNCHED else i // ROW)]
         # Split on all extent boundaries inside the query window.
-        points = sorted({lo, hi, *(max(lo, e.start) for e in live),
-                         *(min(hi, e.end) for e in live)})
-        out: List[Coverage] = []
+        points = sorted({lo, hi, *(max(lo, rows[i + START]) for i in live),
+                         *(min(hi, rows[i + END]) for i in live)})
+        out: List[Tuple[int, int, Optional[int]]] = []
         for a, b in zip(points, points[1:]):
-            if a >= b:
-                continue
-            winner: Optional[Extent] = None
-            for e in live:
-                if e.start <= a and e.end >= b:
-                    if winner is None or (e.epoch, e.seq) > (winner.epoch, winner.seq):
-                        winner = e
-            if winner is not None and winner.punched:
-                winner = None
-            out.append(Coverage(a, b, winner))
-        # Merge adjacent segments served by the same extent (or both holes).
-        merged: List[Coverage] = []
-        for seg in out:
-            if merged and merged[-1].extent is seg.extent and merged[-1].end == seg.start:
-                merged[-1] = Coverage(merged[-1].start, seg.end, seg.extent)
+            # ``live`` ascends, so ``>=`` gives an equal epoch to the later row.
+            win = -1
+            for i in live:
+                if rows[i + START] <= a and rows[i + END] >= b and (
+                        win < 0 or rows[i] >= rows[win]):
+                    win = i
+            k = None if win < 0 or rows[win + MEDIA] & PUNCHED else win // ROW
+            # Merge adjacent segments served by the same row (or both holes).
+            if out and out[-1][2] == k:
+                out[-1] = (out[-1][0], b, k)
             else:
-                merged.append(seg)
-        return merged
+                out.append((a, b, k))
+        return out
 
     def read_bytes(self, epoch: int, offset: int, nbytes: int) -> bytes:
         """Assemble real bytes for a read (functional mode; holes are zero)."""
         out = bytearray(nbytes)
-        for seg in self.resolve(epoch, offset, nbytes):
-            e = seg.extent
-            if e is None or e.data is None:
+        payloads = self.payloads
+        if not payloads:
+            return bytes(out)
+        rows = self.rows
+        for a, b, k in self.resolve(epoch, offset, nbytes):
+            data = None if k is None else payloads.get(k)
+            if data is None:
                 continue
-            src_off = seg.start - e.start
-            out[seg.start - offset:seg.end - offset] = \
-                memoryview(e.data)[src_off:src_off + seg.nbytes]
+            src = a - rows[k * ROW + START]
+            out[a - offset:b - offset] = memoryview(data)[src:src + b - a]
         return bytes(out)
 
     def size(self, epoch: int) -> int:
@@ -157,8 +162,16 @@ class ExtentStore:
         Matches POSIX file-size semantics under DFS: punching the tail does
         not shrink the file, so any recorded extent bounds the size.
         """
-        ends = [e.end for e in self.extents if e.epoch <= epoch]
-        return max(ends, default=0)
+        rows = self.rows
+        return max((rows[i + END] for i in range(0, len(rows), ROW)
+                    if rows[i] <= epoch), default=0)
+
+    def visible(self, after: int, epoch: int) -> bool:
+        """Whether a write (not a punch) with epoch in ``(after, epoch]``
+        exists."""
+        rows = self.rows
+        return any(after < rows[i] <= epoch and not rows[i + MEDIA] & PUNCHED
+                   for i in range(0, len(rows), ROW))
 
 
 class SingleValue:
@@ -257,10 +270,7 @@ class VersionedObject:
         written_after_punch = punched_at if (punched_at is not None and punched_at <= epoch) else 0
         for store in akeys.values():
             if isinstance(store, ExtentStore):
-                visible = any(
-                    written_after_punch < e.epoch <= epoch and not e.punched
-                    for e in store.extents
-                )
+                visible = store.visible(written_after_punch, epoch)
             else:
                 visible = any(
                     written_after_punch < rec[0] <= epoch for rec in store.versions

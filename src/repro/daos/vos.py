@@ -18,7 +18,10 @@ from __future__ import annotations
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from repro.daos.checksum import Checksummer
-from repro.daos.object import Coverage, VersionedObject
+from repro.daos.object import (
+    CSUM, END, MEDIA, MEDIA_SHIFT, ROW, START, TIER_MASK, TIER_NVME, TIER_SCM,
+    VersionedObject,
+)
 from repro.daos.types import ContainerId, NoSuchObject, ObjectId
 from repro.sim.core import Environment, Event
 from repro.storage.block import BlockDevice
@@ -96,19 +99,19 @@ class VersionedObjectStore:
     ) -> Generator[Event, None, None]:
         """Write one extent: record it, then persist to the right tier."""
         store = self.object(cont, oid).array(dkey, akey)
-        ext = store.write(epoch, offset, nbytes, data)
+        k = store.write(epoch, offset, nbytes, data)
         if nbytes <= SCM_THRESHOLD:
             span = trace.child("media.scm", nbytes=nbytes) if trace is not None else None
             scm_off = self.scm.reserve(nbytes)
             yield from self.scm.persist(scm_off, nbytes=nbytes, data=data)
-            ext.media = ("scm", scm_off)
+            store.bind(k, TIER_SCM, scm_off)
         else:
             span = trace.child("media.nvme", nbytes=nbytes) if trace is not None else None
             dev_off = self._alloc_nvme(nbytes)
             yield from self.nvme.write(
                 dev_off, nbytes=nbytes, data=data, bw_efficiency=bw_efficiency
             )
-            ext.media = ("nvme", dev_off)
+            store.bind(k, TIER_NVME, dev_off)
         if span is not None:
             span.finish()
 
@@ -133,32 +136,38 @@ class VersionedObjectStore:
             # Never-written object: a pure hole, no media touched.
             return bytes(nbytes) if data_mode else None
         store = obj.array(dkey, akey)
-        coverage: List[Coverage] = store.resolve(epoch, offset, nbytes)
         out: Optional[bytearray] = bytearray(nbytes) if data_mode else None
 
         env = self.env
+        rows = store.rows
+        payloads = store.payloads
         reads = []
         any_nvme = False
-        for seg in coverage:
-            ext = seg.extent
-            if ext is None or ext.media is None:
+        for seg_start, seg_end, k in store.resolve(epoch, offset, nbytes):
+            if k is None:
                 continue
-            tier, media_off = ext.media
-            seg_off = media_off + (seg.start - ext.start)
-            seg_nbytes = seg.end - seg.start
-            if tier == "scm":
+            i = k * ROW
+            media = rows[i + MEDIA]
+            tier = media & TIER_MASK
+            if not tier:
+                continue  # still persisting: not yet bound to media
+            ext_start = rows[i + START]
+            seg_off = (media >> MEDIA_SHIFT) + (seg_start - ext_start)
+            seg_nbytes = seg_end - seg_start
+            if tier == TIER_SCM:
                 reads.append(self.scm.load(seg_off, seg_nbytes))
             else:
                 any_nvme = True
                 reads.append(
                     self.nvme.read(seg_off, seg_nbytes, bw_efficiency=bw_efficiency)
                 )
+            data = payloads.get(k) if payloads else None
             if verify:
-                Checksummer.verify(ext.data, ext.end - ext.start, ext.checksum)
-            if out is not None and ext.data is not None:
-                src = seg.start - ext.start
-                out[seg.start - offset:seg.end - offset] = \
-                    memoryview(ext.data)[src:src + seg_nbytes]
+                Checksummer.verify(data, rows[i + END] - ext_start, rows[i + CSUM])
+            if out is not None and data is not None:
+                src = seg_start - ext_start
+                out[seg_start - offset:seg_end - offset] = \
+                    memoryview(data)[src:src + seg_nbytes]
         if reads:
             span = None
             if trace is not None:

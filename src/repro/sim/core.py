@@ -271,8 +271,13 @@ class _InterruptEvent(Event):
         env.schedule(self, 0.0, URGENT)
 
     def _deliver(self, event: "Event") -> None:
+        # Like ``Process._resume``, both exits drop the process and clear
+        # the locals: if the process fails, its exception's traceback holds
+        # this frame, which would otherwise lead back to the process.
         proc = self.process
+        self.process = None
         if proc.triggered:  # process already finished; drop the interrupt
+            self = event = proc = None
             return
         # Detach the process from whatever it is waiting on, then resume it
         # with the Interrupt exception.
@@ -282,8 +287,9 @@ class _InterruptEvent(Event):
                 target.callbacks.remove(proc._rcb)
             except ValueError:
                 pass
-        proc._target = None
+        proc._target = target = None
         proc._resume(self)
+        self = event = proc = None
 
 
 class Process(Event):

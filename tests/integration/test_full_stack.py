@@ -150,10 +150,10 @@ def test_checksum_end_to_end_detects_media_corruption():
             continue
         for akeys in vobj._dkeys.values():
             for store in akeys.values():
-                for ext in getattr(store, "extents", []):
-                    if ext.data:
-                        ext.data = b"y" * len(ext.data)
-                        corrupted = True
+                payloads = getattr(store, "payloads", None) or {}
+                for row, data in payloads.items():
+                    payloads[row] = b"y" * len(data)
+                    corrupted = True
     assert corrupted
 
     def read(env):

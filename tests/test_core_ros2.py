@@ -137,8 +137,9 @@ def test_encrypted_tenant_stores_ciphertext():
             continue
         for dk in vobj._dkeys.values():
             for store in dk.values():
-                for ext in getattr(store, "extents", []):
-                    if ext.data and payload[:16] in ext.data:
+                payloads = getattr(store, "payloads", None) or {}
+                for data in payloads.values():
+                    if payload[:16] in data:
                         found_plaintext = True
     assert not found_plaintext
 

@@ -368,8 +368,7 @@ def test_checksums_verified_on_fetch():
     # Corrupt the stored extent behind the engine's back.
     target = engine.target_for(obj.oid, b"d")
     vobj = target.vos.object_if_exists(cont.cont, obj.oid)
-    ext = vobj.array(b"d", b"a").extents[0]
-    ext.data = b"corrupt!"
+    vobj.array(b"d", b"a").payloads[0] = b"corrupt!"
 
     def read(env):
         yield from obj.fetch(ctx, b"d", b"a", 0, 8)

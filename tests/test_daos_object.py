@@ -78,12 +78,10 @@ def test_punch_hides_then_rewrite():
 
 def test_resolve_segments_and_merge():
     s = ExtentStore()
-    e1 = s.write(1, 0, 10, None)
-    cov = s.resolve(1, 0, 10)
-    assert len(cov) == 1 and cov[0].extent is e1
-    s.write(2, 3, 4, None)
-    cov = s.resolve(2, 0, 10)
-    assert [(c.start, c.end) for c in cov] == [(0, 3), (3, 7), (7, 10)]
+    r1 = s.write(1, 0, 10, None)
+    assert s.resolve(1, 0, 10) == [(0, 10, r1)]
+    r2 = s.write(2, 3, 4, None)
+    assert s.resolve(2, 0, 10) == [(0, 3, r1), (3, 7, r2), (7, 10, r1)]
 
 
 def test_size_semantics():

@@ -13,14 +13,21 @@ Before each finished process dropped its resume callback and its last
 awaited event (``Process._resume``), every RPC handler, NVMe-oF target
 handler and FIO lane stayed behind, with its generator and last Timeout:
 the Fig. 4 cell's count grew 4x with its window.
+
+A write leaves its extent in the VOS for good (every version stays
+readable at its epoch), so a write cell's memory does grow with its
+window, and the second test bounds by how much: the bytes a written
+extent keeps under ``repro/daos/``.
 """
 
 import gc
+import tracemalloc
 
 import pytest
 
 from repro.bench import runner
 from repro.bench.chaos import default_qp_break_plan
+from repro.daos.object import ROW, ExtentStore
 
 
 def _fig5(window):
@@ -96,3 +103,44 @@ def test_unreachable_objects_do_not_grow_with_the_window(name):
     assert long == short, (
         f"{name}: {short} unreachable objects after {short_ios} IOs, "
         f"{long} after {long_ios}")
+
+
+def _daos_bytes_and_extents(window):
+    """``(bytes allocated under repro/daos/ and held after the cell,
+    extent stores, extents they hold)`` for the 1 MiB RDMA write cell."""
+    tracemalloc.start()
+    try:
+        system, spec = runner._build_fig5(
+            "rdma", "dpu", "write", 1 << 20, 8, n_ssds=4, runtime=window,
+            seed=7)
+        runner.run_ros2_fio(system, spec)
+        snap = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    held = snap.filter_traces(
+        [tracemalloc.Filter(True, "*/repro/daos/*")]).statistics("filename")
+    stores = [store for target in system.engine.targets
+              for obj in target.vos.objects.values()
+              for akeys in obj._dkeys.values()
+              for store in akeys.values() if isinstance(store, ExtentStore)]
+    return (sum(stat.size for stat in held), len(stores),
+            sum(len(store.rows) // ROW for store in stores))
+
+
+def test_a_written_extent_keeps_no_object():
+    """Each extent is one row of five ints, about 40 B plus its array's
+    growth slack.  While it was an ``Extent`` object with a media tuple and
+    five boxed ints it kept about 311 B.
+
+    Both windows write every extent store of the file (its 1 MiB chunks
+    wrap), so the difference between them is the extents' own cost, free
+    of the stores, keys and engine state a cell sets up once."""
+    short_bytes, short_stores, short_extents = _daos_bytes_and_extents(0.05)
+    long_bytes, long_stores, long_extents = _daos_bytes_and_extents(0.15)
+    assert long_stores == short_stores
+    extents = long_extents - short_extents
+    assert extents > 1000
+    per_extent = (long_bytes - short_bytes) / extents
+    assert per_extent <= 64, (
+        f"{per_extent:.0f} B held under repro/daos/ per written extent "
+        f"({extents} extents)")

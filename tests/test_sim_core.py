@@ -604,6 +604,39 @@ def _interrupted_then_returns(env):
     return 3
 
 
+def _interrupted_then_raises(env):
+    # Only ``victims`` reaches the sleeper's process, and it is empty by
+    # the end: a local holding it would make a cycle of this case's own
+    # through the frames in the exception's traceback.
+    caught = []
+    victims = []
+
+    def sleeper(env):
+        try:
+            yield env.timeout(10)
+        except Interrupt:
+            raise ValueError("interrupted")
+
+    def waiter(env):
+        victims.append(env.process(sleeper(env)))
+        try:
+            yield victims[0]
+        except ValueError as exc:
+            caught.append(str(exc))
+
+    def interrupter(env):
+        yield env.timeout(1)
+        victims.pop().interrupt()
+
+    env.process(waiter(env))
+    env.process(interrupter(env))
+    env.run()
+    assert caught == ["interrupted"]
+    # The interrupter's Timeout, and the sleeper's, which fires at 10 with
+    # no waiter.
+    return 2
+
+
 def _nobody_awaits(env):
     def proc(env):
         yield env.timeout(1)
@@ -616,7 +649,7 @@ def _nobody_awaits(env):
 
 @pytest.mark.parametrize("case", [
     _returns, _raises_into_a_waiter, _interrupted_then_returns,
-    _nobody_awaits,
+    _interrupted_then_raises, _nobody_awaits,
 ], ids=lambda case: case.__name__.strip("_"))
 def test_a_finished_process_leaves_nothing_for_the_collector(case):
     env = Environment()
