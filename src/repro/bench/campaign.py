@@ -41,7 +41,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-from math import fsum
+from math import fsum, isfinite
 import os
 import time
 import traceback
@@ -299,6 +299,8 @@ def _check_cell(config: dict) -> None:
                 "targets"):
         if key in config and not config[key] > 0:
             raise ValueError(f"{key} must be > 0, got {config[key]}")
+    if "runtime" in config and not isfinite(config["runtime"]):
+        raise ValueError(f"runtime must be finite, got {config['runtime']}")
     # Fig. 4 pins cores on the testbed's Fig. 4 client and server hosts.
     for key, spec in (("client_cores", EPYC_HOST),
                       ("server_cores", STORAGE_SERVER)):

@@ -65,11 +65,10 @@ class SystemReport:
     data_plane_write_bytes: int = 0
     staged_peak_bytes: float = 0.0
     tenant_stats: Dict[str, Dict[str, int]] = field(default_factory=dict)
-    #: Kernel cost counters (DESIGN.md §9): total dispatched simulation
-    #: events and recycled Timeout objects.  Dividing events by completed
-    #: IOs gives the events/IO figure the perf harness gates on.
+    #: Kernel cost counter (DESIGN.md §9): total dispatched simulation
+    #: events.  Dividing it by completed IOs gives the events/IO figure
+    #: the perf harness gates on.
     sim_events_processed: int = 0
-    sim_timeouts_recycled: int = 0
     #: Recovery counters (DESIGN.md §14): all zero unless a fault plan
     #: was installed, so no-fault reports are unchanged.
     retries: int = 0
@@ -109,8 +108,7 @@ class SystemReport:
             f"data plane: {self.data_plane_read_bytes / GIB:.2f} GiB read, "
             f"{self.data_plane_write_bytes / GIB:.2f} GiB written | "
             f"staging peak: {self.staged_peak_bytes / GIB:.3f} GiB\n"
-            f"kernel: {self.sim_events_processed} events dispatched, "
-            f"{self.sim_timeouts_recycled} timeouts recycled"
+            f"kernel: {self.sim_events_processed} events dispatched"
         )
         if (self.retries or self.reconnects or self.degraded_reads
                 or self.fault_downtime):
@@ -130,7 +128,6 @@ def snapshot(system) -> SystemReport:
     report = SystemReport(
         now=env.now,
         sim_events_processed=env.events_processed,
-        sim_timeouts_recycled=env.timeouts_recycled,
     )
     for c in reg.of_kind("node"):
         node = c.obj

@@ -18,13 +18,11 @@ Hot-loop design notes (see DESIGN.md §9 for the event-cost budget):
 * :meth:`Environment.run` is the only dispatch loop: one inline
   pop/dispatch body, bounded by a horizon and an optional sentinel event,
   with no Python frame per event.
-* Processed :class:`Timeout` objects that provably have no remaining
-  references (checked with ``sys.getrefcount``) are parked on a bounded
-  free-list and recycled by :meth:`Environment.timeout`, cutting the
-  dominant allocation of the simulation (one Timeout per service
-  reservation).  An event that *anything* still references — a condition,
-  user code — is never recycled, so the optimisation is invisible to
-  correctness.
+* Every heap push draws its tie-break key from one iterator,
+  :attr:`Environment._eids`: the sequence numbers 1, 2, 3, ... (FIFO
+  among same-time, same-priority events), or their seeded permutation
+  under the race sanitizer (:func:`tie_scramble`).  ``next()`` on it
+  costs no Python frame.
 * :meth:`Environment.cancel` withdraws a timer in place: the loop pops
   an entry whose callbacks are gone and skips it, so a timer that would
   run no model code costs no dispatch.
@@ -36,7 +34,7 @@ Hot-loop design notes (see DESIGN.md §9 for the event-cost budget):
   raises, it drops its resume callback (a bound method, so a reference
   back to itself) and the event it last waited on.  Reference counting
   then frees the process, its generator and its frame as soon as the
-  request it served ends, and its last Timeout returns to the free-list.
+  request it served ends, and its last Timeout with them.
   Memory per cell follows the requests in flight, not those completed,
   although :meth:`Environment.run` pauses the cycle collector.
 """
@@ -45,9 +43,9 @@ from __future__ import annotations
 
 from gc import disable as gc_disable, enable as gc_enable, isenabled as gc_isenabled
 from heapq import heappop, heappush
-from sys import getrefcount
+from itertools import count
 from types import GeneratorType
-from typing import Any, Callable, Generator, Iterable, Optional
+from typing import Any, Callable, Generator, Iterable, Iterator, Optional
 
 from repro.sim.registry import Registry
 
@@ -73,10 +71,6 @@ PENDING = object()
 URGENT = 0
 #: Default scheduling priority.
 NORMAL = 1
-
-#: Upper bound on the Timeout free-list (plenty for the deepest pipelines
-#: while keeping a dormant Environment's footprint trivial).
-_FREELIST_MAX = 128
 
 _TIE_MASK = (1 << 64) - 1
 
@@ -171,11 +165,7 @@ class Event:
         # Inlined ``env.schedule(self, 0.0, priority)`` — succeed() is on
         # the wake-up path of every store/resource grant.
         env = self.env
-        env._eid += 1
-        ts = env._tie_scramble
-        heappush(env._queue,
-                 (env._now, priority,
-                  env._eid if ts is None else ts(env._eid), self))
+        heappush(env._queue, (env._now, priority, next(env._eids), self))
         return self
 
     def _succeed_inline(self, value: Any = None) -> "Event":
@@ -230,11 +220,7 @@ class Timeout(Event):
         self._defused = False
         self._ok = True
         self._value = value
-        env._eid += 1
-        ts = env._tie_scramble
-        heappush(env._queue,
-                 (env._now + delay, NORMAL,
-                  env._eid if ts is None else ts(env._eid), self))
+        heappush(env._queue, (env._now + delay, NORMAL, next(env._eids), self))
 
 
 class Initialize(Event):
@@ -249,11 +235,7 @@ class Initialize(Event):
         self._defused = False
         self._ok = True
         self._value = None
-        env._eid += 1
-        ts = env._tie_scramble
-        heappush(env._queue,
-                 (env._now, priority,
-                  env._eid if ts is None else ts(env._eid), self))
+        heappush(env._queue, (env._now, priority, next(env._eids), self))
 
 
 class _InterruptEvent(Event):
@@ -476,27 +458,22 @@ class Environment:
         env.run(until=100.0)
     """
 
-    __slots__ = ("_now", "_queue", "_eid", "_active",
-                 "_events_processed", "_tfree", "_timeouts_recycled",
-                 "_wait_tracer", "_tie_scramble", "_faults", "components")
+    __slots__ = ("_now", "_queue", "_eids", "_active",
+                 "_events_processed", "_wait_tracer", "_faults", "components")
 
     def __init__(self, tie_seed: Optional[int] = None) -> None:
         self._now = 0.0
-        #: Tie-break scrambler (race-sanitizer mode) or None.  When set,
-        #: every heap push keys same-time, same-priority events by a
-        #: seeded permutation of the sequence number instead of FIFO —
-        #: the same zero-cost-when-off idiom as ``_wait_tracer``.
-        self._tie_scramble: Optional[Callable[[int], int]] = (
-            None if tie_seed is None else tie_scramble(tie_seed))
         self._queue: list = []
-        self._eid = 0
+        #: The heap's tie-break keys, one per push: the sequence numbers
+        #: 1, 2, 3, ... (FIFO among same-time, same-priority events), or
+        #: under the race sanitizer (``tie_seed``) their seeded
+        #: permutation.
+        self._eids: Iterator[int] = (
+            count(1) if tie_seed is None
+            else map(tie_scramble(tie_seed), count(1)))
         self._active: Optional[Process] = None
         #: Total events dispatched by this environment.
         self._events_processed = 0
-        #: Free-list of recyclable Timeout objects (bounded).
-        self._tfree: list = []
-        #: How many Timeout allocations the free-list saved (telemetry).
-        self._timeouts_recycled = 0
         #: Wait-cause tracer (:class:`repro.sim.waits.WaitTracer`) or None.
         #: Hot paths pay one ``is not None`` test when no tracer is
         #: installed.
@@ -528,45 +505,17 @@ class Environment:
         """
         return self._events_processed
 
-    @property
-    def timeouts_recycled(self) -> int:
-        """Timeout allocations avoided via the free-list (perf accounting)."""
-        return self._timeouts_recycled
-
     # -- event factories ----------------------------------------------------
     def event(self) -> Event:
         """Create a fresh pending :class:`Event`."""
         return Event(self)
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
-        """Create an event firing after ``delay`` seconds.
-
-        Recycles a processed Timeout from the free-list when one is
-        available — the dominant allocation of a simulated run is one
-        Timeout per service reservation, and the run loop only parks an
-        event here once ``sys.getrefcount`` proves nothing else can
-        observe it.
-        """
+        """Create an event firing after ``delay`` seconds (a sleep the
+        wait tracer books)."""
         wt = self._wait_tracer
         if wt is not None:
             wt.on_timeout(delay)
-        tfree = self._tfree
-        if tfree:
-            if delay < 0:
-                raise ValueError(f"negative delay {delay}")
-            # A recycled Timeout is always a cleanly-fired one (Timeouts
-            # cannot fail and are only parked after a clean dispatch), so
-            # ``_ok``/``_defused`` still hold their required values.
-            t = tfree.pop()
-            t.callbacks = []
-            t._value = value
-            self._eid += 1
-            ts = self._tie_scramble
-            heappush(self._queue,
-                     (self._now + delay, NORMAL,
-                      self._eid if ts is None else ts(self._eid), t))
-            self._timeouts_recycled += 1
-            return t
         return Timeout(self, delay, value)
 
     def timeout_until(self, when: float, value: Any = None) -> Timeout:
@@ -584,23 +533,13 @@ class Environment:
         wt = self._wait_tracer
         if wt is not None:
             wt.on_timeout(when - now)
-        tfree = self._tfree
-        if tfree:
-            t = tfree.pop()
-            t.callbacks = []
-            self._timeouts_recycled += 1
-        else:
-            t = Timeout.__new__(Timeout)
-            t.env = self
-            t.callbacks = []
-            t._defused = False
-            t._ok = True
+        t = Timeout.__new__(Timeout)
+        t.env = self
+        t.callbacks = []
+        t._defused = False
+        t._ok = True
         t._value = value
-        self._eid += 1
-        ts = self._tie_scramble
-        heappush(self._queue,
-                 (when, NORMAL,
-                  self._eid if ts is None else ts(self._eid), t))
+        heappush(self._queue, (when, NORMAL, next(self._eids), t))
         return t
 
     def call_at(self, when: float, callback: Callable[[Event], None]) -> Timeout:
@@ -617,24 +556,14 @@ class Environment:
         now = self._now
         if when < now:
             raise ValueError(f"call_at({when}) lies in the past (now={now})")
-        # The body of ``timeout_until`` minus the tracer hook, inlined
-        # like the kernel's other push sites.
-        tfree = self._tfree
-        if tfree:
-            t = tfree.pop()
-            self._timeouts_recycled += 1
-        else:
-            t = Timeout.__new__(Timeout)
-            t.env = self
-            t._defused = False
-            t._ok = True
+        # The body of ``timeout_until`` minus the tracer hook.
+        t = Timeout.__new__(Timeout)
+        t.env = self
         t.callbacks = [callback]
+        t._defused = False
+        t._ok = True
         t._value = None
-        self._eid += 1
-        ts = self._tie_scramble
-        heappush(self._queue,
-                 (when, NORMAL,
-                  self._eid if ts is None else ts(self._eid), t))
+        heappush(self._queue, (when, NORMAL, next(self._eids), t))
         return t
 
     def cancel(self, timer: Timeout) -> None:
@@ -643,9 +572,7 @@ class Environment:
         The timer keeps its heap entry, and so its sequence number, and no
         other event's key or order changes.  :meth:`run` drops the entry
         when it reaches the top: it runs no callback, is not counted in
-        :attr:`events_processed` and does not move the clock.  The entry
-        holds a reference, so the timer cannot reach the free-list while
-        it is queued.
+        :attr:`events_processed` and does not move the clock.
         """
         timer.callbacks = None
 
@@ -662,11 +589,8 @@ class Environment:
     # -- scheduling ---------------------------------------------------------
     def schedule(self, event: Event, delay: float = 0.0, priority: int = NORMAL) -> None:
         """Insert ``event`` into the event list ``delay`` seconds from now."""
-        self._eid += 1
-        ts = self._tie_scramble
         heappush(self._queue,
-                 (self._now + delay, priority,
-                  self._eid if ts is None else ts(self._eid), event))
+                 (self._now + delay, priority, next(self._eids), event))
 
     def run(self, until: Optional[float | Event] = None) -> Any:
         """Run the simulation.
@@ -680,9 +604,9 @@ class Environment:
 
         Every mode runs the same fused dispatch loop, bounded by a horizon
         (``inf`` unless ``until`` is a number) and stopped early by the
-        sentinel event, if any.  Heap pop, callback fan-out and Timeout
-        recycling happen inline with the loop-invariant lookups (queue,
-        free-list, ``heappop``) hoisted into locals.
+        sentinel event, if any.  Heap pop and callback fan-out happen
+        inline with the loop-invariant lookups (queue, ``heappop``)
+        hoisted into locals.
 
         The cyclic garbage collector is paused for the duration of the
         loop (and restored on exit, including on error): a simulation turn
@@ -715,7 +639,6 @@ class Environment:
                 raise ValueError(
                     f"until={horizon} lies in the past (now={self._now})")
         queue = self._queue
-        tfree = self._tfree
         pop = heappop
         n = 0
         gc_was_enabled = gc_isenabled()
@@ -723,7 +646,7 @@ class Environment:
             gc_disable()
         try:
             while queue and queue[0][0] <= horizon:
-                when, _prio, _eid, event = pop(queue)
+                when, _prio, _key, event = pop(queue)
                 callbacks = event.callbacks
                 if callbacks is None:  # cancelled
                     continue
@@ -741,9 +664,6 @@ class Environment:
                         event._defused = True
                         raise event._value
                     return event._value
-                if (type(event) is Timeout and len(tfree) < _FREELIST_MAX
-                        and getrefcount(event) == 2):
-                    tfree.append(event)
             if sentinel is not None:
                 raise SimulationError(
                     "event list empty but the awaited event never fired")

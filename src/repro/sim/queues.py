@@ -151,20 +151,13 @@ class FifoServer:
             wt.reserve(self.name, start - now, duration, latency)
         # The wake-up Timeout, pushed here as ``timeout_until(when, done)``
         # would push it, with one call less per reservation.
-        tfree = env._tfree
-        if tfree:
-            t = tfree.pop()
-            env._timeouts_recycled += 1
-        else:
-            t = Timeout.__new__(Timeout)
-            t.env = env
-            t._ok = True
-            t._defused = False
+        t = Timeout.__new__(Timeout)
+        t.env = env
         t.callbacks = []
+        t._ok = True
+        t._defused = False
         t._value = done
-        eid = env._eid = env._eid + 1
-        ts = env._tie_scramble
-        heappush(env._queue, (when, NORMAL, eid if ts is None else ts(eid), t))
+        heappush(env._queue, (when, NORMAL, next(env._eids), t))
         return t
 
     def enter(self, x86_cost: float) -> Timeout:
@@ -235,20 +228,13 @@ class PooledServer:
         if wt is not None:
             wt.reserve(self.name, start - now, duration)
         # The wake-up Timeout, pushed as in :meth:`FifoServer.serve`.
-        tfree = env._tfree
-        if tfree:
-            t = tfree.pop()
-            env._timeouts_recycled += 1
-        else:
-            t = Timeout.__new__(Timeout)
-            t.env = env
-            t._ok = True
-            t._defused = False
+        t = Timeout.__new__(Timeout)
+        t.env = env
         t.callbacks = []
+        t._ok = True
+        t._defused = False
         t._value = done
-        eid = env._eid = env._eid + 1
-        ts = env._tie_scramble
-        heappush(env._queue, (when, NORMAL, eid if ts is None else ts(eid), t))
+        heappush(env._queue, (when, NORMAL, next(env._eids), t))
         return t
 
     def utilization(self, elapsed: Optional[float] = None) -> float:

@@ -218,6 +218,9 @@ class TestBadCellFailsFast:
         {"sample_every": 0},
         {"bs": 0},
         {"targets": 0},
+        ["doctor", "--quick", "--runtime", "inf"],
+        ["chaos", "--runtime", "inf"],
+        {"runtime": float("inf")},
     ])
     def test_exits_2(self, no_sim, capsys, tmp_path, argv):
         if isinstance(argv, dict):  # a campaign spec with one bad cell
@@ -264,6 +267,7 @@ class TestFigureAndVerdictKnobsFailFast:
          "client_cores must be 1-48"),
         (["chaos", "--min-goodput", "1.5"], "min_goodput must be in (0, 1]"),
         (["chaos", "--p999-max", "-1"], "p999_max must be > 0"),
+        (["fig5", "--runtime", "inf"], "runtime must be finite"),
     ])
     def test_exits_2(self, capsys, tmp_path, argv, message):
         if isinstance(argv, dict):  # a campaign spec with one bad cell

@@ -5,7 +5,8 @@ import gc
 import pytest
 
 from repro.sim import Environment, Event, Interrupt, SimulationError
-from repro.sim.core import URGENT
+from repro.sim.core import URGENT, Timeout, tie_scramble
+from repro.sim.queues import FifoServer, PooledServer
 from tests.reference import AnyOf
 
 
@@ -145,27 +146,44 @@ def test_cancel_after_the_timer_fired_is_a_noop():
     assert env.events_processed == 2
 
 
-def test_a_queued_cancelled_timer_is_never_handed_out_again():
-    # Only the heap entry holds the cancelled timer; the free-list, which
-    # recycles dispatched Timeouts, must not hand it out while it is queued.
-    env = Environment()
-    timer = env.call_at(5.0, lambda event: None)
-    cancelled = id(timer)
-    env.cancel(timer)
-    del timer
-    handed = []
+def _push_through_every_site(env):
+    """Push one event through each heap-push site; the keys in push order."""
+    def idle(env):
+        yield env.timeout(1)
 
-    def churn(env):
-        for _ in range(200):
-            handed.append(id(env.call_at(env.now + 0.001, lambda event: None)))
-            t = env.timeout(0.01)
-            handed.append(id(t))
-            yield t
+    started = env.process(idle(env))
+    sites = [
+        lambda: env.event().succeed(),
+        lambda: env.event().fail(ValueError("unused")),
+        lambda: env.timeout(1),
+        lambda: env.timeout_until(2),
+        lambda: env.call_at(3, lambda event: None),
+        lambda: env.schedule(env.event(), 4),
+        lambda: env.process(idle(env)),
+        started.interrupt,
+        lambda: FifoServer(env).serve(1),
+        lambda: PooledServer(env, 2).execute(1),
+    ]
+    keys = [entry[2] for entry in env._queue]
+    for push in sites:
+        seen = set(keys)
+        push()
+        new = [entry[2] for entry in env._queue if entry[2] not in seen]
+        assert len(new) == 1, push
+        keys += new
+    return keys
 
-    env.process(churn(env))
-    env.run(until=4.9)
-    assert env.timeouts_recycled > 0
-    assert cancelled not in handed
+
+def test_every_push_site_takes_the_next_key():
+    keys = _push_through_every_site(Environment())
+    assert keys == list(range(1, len(keys) + 1))
+
+
+@pytest.mark.parametrize("seed", [1, 12345])
+def test_every_push_site_takes_the_next_scrambled_key(seed):
+    scramble = tie_scramble(seed)
+    keys = _push_through_every_site(Environment(tie_seed=seed))
+    assert keys == [scramble(k) for k in range(1, len(keys) + 1)]
 
 
 @pytest.mark.parametrize("priority, expected", [(0, "sab"), (1, "abs")])
@@ -549,9 +567,9 @@ def test_process_name_defaults():
 
 
 # -- a finished process frees itself -----------------------------------------
-# Each case starts processes that all finish and returns how many Timeouts
-# they awaited.  With the collector off, nothing they leave may need it,
-# and every one of those Timeouts must be back on the free-list.
+# Each case starts processes that all finish.  With the collector off,
+# nothing they leave may need it, and none of the Timeouts they awaited
+# may outlive the run.
 
 def _returns(env):
     def proc(env):
@@ -562,7 +580,6 @@ def _returns(env):
     env.process(proc(env))
     env.run()
     assert p.value == "done"
-    return 2
 
 
 def _raises_into_a_waiter(env):
@@ -581,7 +598,6 @@ def _raises_into_a_waiter(env):
     env.process(waiter(env))
     env.run()
     assert caught == ["bad"]
-    return 1
 
 
 def _interrupted_then_returns(env):
@@ -600,8 +616,6 @@ def _interrupted_then_returns(env):
     env.process(interrupter(env, victim))
     env.run()
     assert victim.value == 2
-    # The interrupted Timeout fires at 10 with no waiter and is parked too.
-    return 3
 
 
 def _interrupted_then_raises(env):
@@ -632,9 +646,6 @@ def _interrupted_then_raises(env):
     env.process(interrupter(env))
     env.run()
     assert caught == ["interrupted"]
-    # The interrupter's Timeout, and the sleeper's, which fires at 10 with
-    # no waiter.
-    return 2
 
 
 def _nobody_awaits(env):
@@ -644,7 +655,6 @@ def _nobody_awaits(env):
     procs = [env.process(proc(env)) for _ in range(3)]
     env.run()
     assert all(p.processed for p in procs)
-    return 3
 
 
 @pytest.mark.parametrize("case", [
@@ -659,13 +669,12 @@ def test_a_finished_process_leaves_nothing_for_the_collector(case):
         pass
     gc.disable()
     try:
-        timeouts = case(env)
+        case(env)
         assert gc.collect() == 0
     finally:
         gc.enable()
-    for _ in range(timeouts):
-        env.timeout(0)
-    assert env.timeouts_recycled == timeouts
+    assert not [o for o in gc.get_objects()
+                if type(o) is Timeout and o.env is env]
 
 
 def test_yield_on_a_finished_process_gets_its_outcome():

@@ -11,9 +11,8 @@ Pins the perf-critical invariants added by the kernel optimisation pass:
   kernel events on each transfer, and no timer that wakes nobody; and
   under a wait tracer it books every chunk the reference books, on the
   same span, at the same instant.
-* ``Environment.events_processed`` / ``timeouts_recycled`` count what
-  they claim; ``timeout_until`` fires at the exact float requested even
-  when the Timeout object is recycled.
+* ``Environment.events_processed`` counts what it claims;
+  ``timeout_until`` fires at the exact float requested.
 * :class:`Resource` keeps FIFO grant order through swap-remove releases.
 """
 
@@ -587,7 +586,7 @@ def test_scheduler_timer_fires_only_at_finishes_under_heavy_contention(
 
 
 # ---------------------------------------------------------------------------
-# Kernel counters, freelist, timeout_until exactness
+# Kernel counters, timeout_until exactness
 # ---------------------------------------------------------------------------
 
 def test_events_processed_counts_dispatches():
@@ -603,27 +602,12 @@ def test_events_processed_counts_dispatches():
     assert env.events_processed == 11
 
 
-def test_timeout_freelist_recycles_in_hot_loop():
-    env = Environment()
-
-    def ticker(env):
-        for _ in range(100):
-            yield env.timeout(0.5)
-
-    env.process(ticker(env))
-    env.run()
-    # After the first timeout is parked, every later one is recycled.
-    assert env.timeouts_recycled >= 98
-    assert env.events_processed == 101
-
-
-def test_timeout_until_exact_even_when_recycled():
+def test_timeout_until_is_exact():
     env = Environment()
     times = []
 
     def proc(env):
-        # Exercise the freelist: the later timeout_until reuses a parked
-        # Timeout and must still fire at the exact float requested.
+        # The timeout_until must fire at the exact float requested.
         yield env.timeout(0.1)
         when = 0.1 + 1e-7 + 3e-13  # not representable as now+delay rounding
         yield env.timeout_until(when)
