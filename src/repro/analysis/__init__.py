@@ -5,7 +5,9 @@ promises: no wall-clock or entropy leaks into simulated time, no
 hash-order dependence, no unguarded observer hooks, and headline
 metrics that are invariant under equal-time event reordering.
 
-* :mod:`repro.analysis.rules` — the SIM001–SIM006 AST rules;
+* :mod:`repro.analysis.rules` — the SIM001–SIM013 AST rules
+  (determinism, and the structure gates that keep each design decision
+  in its one module);
 * :mod:`repro.analysis.lint` — the engine (file walking, inline
   ``# simlint: disable=...`` comments);
 * :mod:`repro.analysis.baseline` — the committed suppression baseline;

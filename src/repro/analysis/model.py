@@ -35,6 +35,13 @@ RULES: Dict[str, str] = {
               "math.fsum is exact",
     "SIM006": "volatile field read inside content-hash or run-ID "
               "derivation",
+    "SIM007": "station reservation outside sim/queues.py",
+    "SIM008": "a station's private server used outside its owner",
+    "SIM009": "observation selects a slower path",
+    "SIM010": "a station reports to a recorder other than the wait tracer",
+    "SIM011": "a superseded timer told apart by identity, not cancelled",
+    "SIM012": "a heap key built by hand, or a Timeout free-list",
+    "SIM013": "process plumbing under src/repro/analysis",
 }
 
 

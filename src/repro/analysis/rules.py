@@ -21,6 +21,12 @@ Each rule encodes one way this codebase has learned determinism can rot
   ``git_sha``, ``code_fingerprint``, ``run_id``) inside content-hash /
   run-ID derivation code.
 
+``SIM007``–``SIM013`` are structure gates (:data:`_GATES`): each keeps
+one design decision in the one module that owns it, as DESIGN §13's
+table lists.  A scoped rule covers the modules it names under
+``src/repro/``; a file outside the package tree (a fixture snippet) is
+covered by every rule.
+
 The visitors are heuristic by design: precise enough that the clean
 tree carries only justified baseline entries, simple enough to audit.
 """
@@ -29,9 +35,9 @@ from __future__ import annotations
 
 import ast
 import re
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
-from repro.analysis.model import Finding
+from repro.analysis.model import RULES, Finding
 
 __all__ = ["check_source", "HOT_PATH_DIRS", "HOOK_ATTRS"]
 
@@ -96,22 +102,25 @@ def _dotted(node: ast.AST) -> Optional[str]:
     return None
 
 
-def _is_hot_path(relpath: str) -> bool:
-    """Whether SIM004 applies to this file.
-
-    Paths under ``src/repro/<pkg>/`` are hot iff ``<pkg>`` is in
-    :data:`HOT_PATH_DIRS`; paths *outside* the package tree (fixture
-    snippets, scratch files) are treated as hot so the rule is
-    exercised by the test fixtures.
-    """
+def _package_path(relpath: str) -> Optional[str]:
+    """``sim/queues.py`` for a file under ``src/repro/``, else None."""
     norm = relpath.replace("\\", "/")
     marker = "src/repro/"
     idx = norm.find(marker)
-    if idx < 0:
-        return True
-    rest = norm[idx + len(marker):]
-    top = rest.split("/", 1)[0]
-    return top in HOT_PATH_DIRS
+    return None if idx < 0 else norm[idx + len(marker):]
+
+
+def _covers(module: Optional[str], *prefixes: str) -> bool:
+    """Whether a rule scoped to ``prefixes`` covers ``module``; a file
+    outside the package tree is covered, so the fixtures exercise it."""
+    return module is None or module.startswith(prefixes)
+
+
+def _is_hot_path(relpath: str) -> bool:
+    """Whether SIM004 applies to this file: a :data:`HOT_PATH_DIRS`
+    package, or a file outside the package tree."""
+    return _covers(_package_path(relpath),
+                   *(f"{pkg}/" for pkg in HOT_PATH_DIRS))
 
 
 def _is_rng_module(relpath: str) -> bool:
@@ -496,11 +505,156 @@ def _sim006_get_calls(checker: _Checker, tree: ast.AST) -> None:
             checker._sim006_access(node, node.args[0])
 
 
+# -- SIM007-SIM013: structure gates -----------------------------------------
+
+def _leaf(node: ast.AST) -> str:
+    """``b`` for ``x.a.b`` or a bare name ``b``; else ``""``."""
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return node.id if isinstance(node, ast.Name) else ""
+
+
+def _none_test(node: ast.AST) -> Tuple[str, Optional[type]]:
+    """(leaf of ``x``, ``ast.Is``/``ast.IsNot``) for ``x is [not] None``."""
+    if isinstance(node, ast.Compare) and len(node.ops) == 1 \
+            and isinstance(node.ops[0], (ast.Is, ast.IsNot)) \
+            and isinstance(node.comparators[0], ast.Constant) \
+            and node.comparators[0].value is None:
+        return _leaf(node.left), type(node.ops[0])
+    return "", None
+
+
+def _identifiers(node: ast.AST) -> List[str]:
+    """The names a node binds, reads or imports, including a string
+    constant that is an identifier (``__slots__`` entries, ``getattr``
+    names)."""
+    if isinstance(node, ast.Name):
+        return [node.id]
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                         ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.alias):
+        return [*node.name.split("."), node.asname or ""]
+    if isinstance(node, ast.ImportFrom):
+        return (node.module or "").split(".")
+    if isinstance(node, ast.arg):
+        return [node.arg]
+    if isinstance(node, ast.Constant) and isinstance(node.value, str) \
+            and node.value.isidentifier():
+        return [node.value]
+    return []
+
+
+def _station_reservation(node: ast.AST, module: Optional[str]) -> bool:
+    if module == "sim/queues.py":
+        return False
+    if isinstance(node, ast.Attribute):
+        return node.attr == "_free_at"
+    return isinstance(node, ast.Call) and _leaf(node.func) == "record" \
+        and isinstance(node.func, ast.Attribute) \
+        and _leaf(node.func.value) == "_stats"
+
+
+def _private_server(node: ast.AST, module: Optional[str]) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr == "_server" \
+        and module not in ("sim/queues.py", "hw/nvme.py")
+
+
+def _slower_path(node: ast.AST, module: Optional[str]) -> bool:
+    name, op = _none_test(node)
+    if op is ast.Is:
+        return (name.endswith("trace")
+                and _covers(module, "net/", "core/", "daos/", "storage/")) \
+            or (name in ("_wait_tracer", "_stats")
+                and _covers(module, "sim/queues.py"))
+    if not _covers(module, "hw/nvme.py"):
+        return False
+    if isinstance(node, ast.BoolOp) and isinstance(node.op, ast.Or):
+        return any(_none_test(v) == ("_faults", ast.IsNot)
+                   for v in node.values[:-1])
+    return isinstance(node, ast.Call) and (
+        _leaf(node.func) == "all_of"
+        or (_leaf(node.func) == "process"
+            and isinstance(node.func, ast.Attribute)
+            and _leaf(node.func.value) == "env"))
+
+
+def _station_recorder(node: ast.AST, module: Optional[str]) -> bool:
+    names = _identifiers(node)
+    if "attach_stats" in names and not isinstance(node, ast.Constant):
+        return True
+    return _covers(module, "sim/queues.py", "hw/nvme.py", "daos/rpc.py") \
+        and ("_stats" in names or _dotted(node) == "self.stats")
+
+
+def _timer_identity(node: ast.AST, module: Optional[str]) -> bool:
+    if not (isinstance(node, ast.Compare) and len(node.ops) == 1
+            and isinstance(node.ops[0], (ast.Is, ast.IsNot))):
+        return False
+    sides = (node.left, node.comparators[0])
+    return any(_dotted(side) == "self._timer" for side in sides) \
+        and not any(isinstance(side, ast.Constant) and side.value is None
+                    for side in sides)
+
+
+_HAND_KEY = re.compile(
+    r"^_eid$|_tie_scramble|_tfree|getrefcount|timeouts_recycled|_FREELIST")
+
+
+def _hand_built_key(node: ast.AST, module: Optional[str]) -> bool:
+    return any(_HAND_KEY.search(name) for name in _identifiers(node))
+
+
+_PROCESS_NAMES = frozenset({
+    "subprocess", "multiprocessing", "ProcessPoolExecutor"})
+
+
+def _process_plumbing(node: ast.AST, module: Optional[str]) -> bool:
+    return _covers(module, "analysis/") \
+        and not isinstance(node, ast.Constant) \
+        and not _PROCESS_NAMES.isdisjoint(_identifiers(node))
+
+
+_Gate = Callable[[ast.AST, Optional[str]], bool]
+
+#: (rule, matcher, hint) for each structure gate; the message is its
+#: :data:`~repro.analysis.model.RULES` charter.
+_GATES: Tuple[Tuple[str, _Gate, str], ...] = (
+    ("SIM007", _station_reservation,
+     "reserve through FifoServer.serve / PooledServer.execute"),
+    ("SIM008", _private_server,
+     "only the pipe and the SSD hold a FifoServer as _server; call the "
+     "station's public methods"),
+    ("SIM009", _slower_path,
+     "traced, faulted and plain runs take one path; reference paths live "
+     "in tests/reference.py"),
+    ("SIM010", _station_recorder,
+     "book reservations with the wait tracer alone (samplers watch it)"),
+    ("SIM011", _timer_identity,
+     "withdraw the replaced timer with Environment.cancel"),
+    ("SIM012", _hand_built_key,
+     "key every push with next(env._eids); free fired Timeouts"),
+    ("SIM013", _process_plumbing,
+     "run cells on repro.bench.campaign._pool_map"),
+)
+
+
+def _structure_gates(checker: _Checker, tree: ast.AST) -> None:
+    module = _package_path(checker.relpath)
+    for node in ast.walk(tree):
+        for rule, matches, hint in _GATES:
+            if matches(node, module):
+                checker._emit(node, rule, RULES[rule], hint)
+
+
 def check_source(relpath: str, source: str) -> List[Finding]:
     """Run every rule over one file's source; raises SyntaxError."""
     tree = ast.parse(source, filename=relpath)
     checker = _Checker(relpath, source.splitlines())
     findings = checker.run(tree)
     _sim006_get_calls(checker, tree)
+    _structure_gates(checker, tree)
     findings.sort(key=lambda f: (f.line, f.col, f.rule))
     return findings

@@ -94,6 +94,10 @@ PAPER_BANDS: Dict[str, ShapeCheck] = {
     "fig5.dpu.tcp.4k": ShapeCheck(
         "DPU TCP 4 KiB IOPS cap", 0.15e6, 0.26e6,
         "Fig. 5c bottom: tops out near ~0.18-0.23 M IOPS", "IOPS"),
+    "fig5.dpu.tcp.4k.arm_rx_share": ShapeCheck(
+        "DPU TCP 4 KiB latency share blamed on the Arm RX path", 0.81, 0.91,
+        "§4.4: the BF3 Arm RX path takes ~86% of 4 KiB read latency",
+        "share"),
     "fig5.rdma.read.1mib.1ssd": ShapeCheck(
         "RDMA 1 MiB reads, 1 SSD (host == DPU)", 6.0 * GIB, 6.8 * GIB,
         "Fig. 5b: ~6.4 GiB/s for both host and DPU", "B/s"),

@@ -27,8 +27,8 @@ This module turns a sweep into a first-class artefact:
   ``config_hash`` *and* the same :func:`code_fingerprint` (hash of the
   ``src/repro`` tree + package version, stamped on every record) already
   exists.  Incremental invocations therefore only re-simulate cells
-  whose config or code changed; ``cache=False`` / ``force=True``
-  override.
+  whose config or code changed; ``force=True`` re-simulates every cell
+  regardless.
 
 Determinism contract (see DESIGN §12): cell outcomes may depend only on
 the cell config — per-cell RNG is seeded from the spec (or derived from
@@ -606,7 +606,6 @@ def run_campaign(
     spec: dict,
     jobs: int = 1,
     ledger_dir: str = lg.DEFAULT_LEDGER_DIR,
-    cache: bool = True,
     force: bool = False,
     dry_run: bool = False,
     git_sha: Optional[str] = None,
@@ -633,9 +632,8 @@ def run_campaign(
     to_run: List[_WorkItem] = []
     for config in configs:
         key = cell_key(config)
-        cached = None
-        if cache and not force:
-            cached = find_cached(config, fingerprint, ledger_dir)
+        cached = None if force else find_cached(config, fingerprint,
+                                                ledger_dir)
         if cached is not None:
             outcomes[key] = CellOutcome(
                 key=key, config=config, status="cached",

@@ -17,6 +17,7 @@ writing code::
     python -m repro.bench.cli campaign benchmarks/campaigns/fig5_ci.json \
         --jobs 4 --progress                  # parallel sweep, cache-aware
     python -m repro.bench.cli campaign spec.json --dry-run    # what would run?
+    python -m repro.bench.cli verdict benchmarks/ledger       # record verdicts
     python -m repro.bench.cli providers
 
 ``campaign`` expands a declarative sweep spec (``repro-campaign-v1``:
@@ -24,11 +25,14 @@ defaults + cartesian grid axes + explicit cells) and executes the cells
 on a multiprocessing pool, recording each as a ledger record.  Cells are
 **cached** content-addressed — a cell whose config hash and code
 fingerprint (hash of the ``src/repro`` tree) already appear in the
-ledger is skipped; ``--no-cache``/``--force`` override.  Output is
+ledger is skipped; ``--force`` re-simulates anyway.  Output is
 merged sorted by cell key, so ``--jobs N`` is byte-identical to serial;
 ``--check DIR`` turns that into a CI gate against a committed ledger.
 ``doctor --against`` and ``compare-runs`` additionally accept
 ``cell:k=v,...`` references resolved through the same executor.
+``verdict DIR`` runs every record verdict of
+:mod:`repro.bench.verdicts` over the records in ``DIR`` and exits 1 on
+any finding.
 
 Sizes accept ``4k``/``1m`` suffixes.  Output is one line per run in the
 paper's units (GiB/s for >=64 KiB blocks, K IOPS otherwise).
@@ -326,8 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     pca.add_argument("--progress", action="store_true",
                      help="print each cell as it completes (completion "
                           "order; the merged output stays sorted)")
-    pca.add_argument("--no-cache", action="store_true",
-                     help="ignore cached records (still writes results)")
     pca.add_argument("--force", action="store_true",
                      help="re-simulate every cell even when cached")
     pca.add_argument("--json-out", metavar="PATH", default=None,
@@ -353,7 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     pl = sub.add_parser(
         "lint",
-        help="simlint: determinism lint (SIM001-SIM006) over a file set",
+        help="simlint: determinism and structure lint (SIM001-SIM013) "
+             "over a file set",
     )
     pl.add_argument("paths", nargs="*", default=["src/repro"],
                     help="files or directories to lint (default src/repro)")
@@ -380,6 +383,13 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--json-out", default=None,
                     help="write the repro-sanitize-v2 document here")
 
+    pv = sub.add_parser(
+        "verdict",
+        help="run every record verdict (repro.bench.verdicts) over the "
+             "ledger records in DIR; exit 1 on any finding",
+    )
+    pv.add_argument("dir", help="ledger directory of repro-run-v1 records")
+
     sub.add_parser("providers", help="list fabric providers")
     return parser
 
@@ -387,8 +397,13 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_lint(args) -> int:
     from repro.analysis import Baseline, lint_paths
     from repro.analysis.baseline import DEFAULT_BASELINE_PATH
-    from repro.analysis.lint import render_report
+    from repro.analysis.lint import iter_python_files, render_report
 
+    for path in args.paths:
+        if not os.path.exists(path):
+            return _fail(f"{path}: no such file or directory")
+        if not iter_python_files([path]):
+            return _fail(f"{path}: holds no .py file")
     baseline_path = args.baseline or DEFAULT_BASELINE_PATH
     baseline = None
     if not args.no_baseline and not args.write_baseline \
@@ -409,6 +424,29 @@ def _cmd_lint(args) -> int:
             print(f"stale baseline entry (matched nothing): "
                   f"{ent['rule']} {ent['path']}: {ent['line_text']!r}")
     return 0 if report.ok else 1
+
+
+def _run_verdict(args) -> int:
+    from repro.bench import ledger as lg
+    from repro.bench.verdicts import run_verdicts
+
+    if not os.path.isdir(args.dir):
+        return _fail(f"{args.dir}: no such directory")
+    try:
+        records = lg.list_runs(args.dir)
+    except (OSError, ValueError) as exc:
+        return _fail(exc)
+    if not records:
+        return _fail(f"{args.dir}: holds no {lg.FORMAT} record")
+    findings = run_verdicts(records)
+    for name, found in findings:
+        print(f"{name}: {'ok' if not found else f'{len(found)} finding(s)'}")
+        for line in found:
+            print(f"  {line}")
+    total = sum(len(found) for _, found in findings)
+    print(f"verdict: {len(records)} record(s) in {args.dir}, "
+          f"{total} finding(s)")
+    return 1 if total else 0
 
 
 def _cmd_sanitize(args) -> int:
@@ -688,7 +726,7 @@ def _run_campaign(args) -> int:
 
     result = cp.run_campaign(
         spec, jobs=args.jobs, ledger_dir=_ledger_dir(args),
-        cache=not args.no_cache, force=args.force, dry_run=args.dry_run,
+        force=args.force, dry_run=args.dry_run,
         progress=progress, **_stamps(args))
     print(cp.render_campaign(result))
     if args.json_out:
@@ -846,7 +884,7 @@ _COMMANDS = {
     "providers": _run_providers, "lint": _cmd_lint,
     "sanitize": _cmd_sanitize, "campaign": _run_campaign, "runs": _run_runs,
     "compare-runs": _run_compare_runs, "doctor": _run_doctor,
-    "chaos": _run_chaos,
+    "chaos": _run_chaos, "verdict": _run_verdict,
 }
 
 

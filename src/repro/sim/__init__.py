@@ -14,7 +14,6 @@ dependency of this project).  It provides:
   latency recorders).
 * :mod:`repro.sim.spans` — request-scoped distributed tracing (spans,
   latency breakdowns, critical paths).
-* :mod:`repro.sim.hist` — bounded-memory log-bucketed latency histograms.
 * :mod:`repro.sim.timeseries` — the continuous telemetry bus (probes,
   bounded downsampling ring buffers, Little's-law self-check).
 * :mod:`repro.sim.chrometrace` — Chrome trace-event / Perfetto export.
@@ -38,7 +37,6 @@ from repro.sim.core import (
     SimulationError,
     Timeout,
 )
-from repro.sim.hist import LogHistogram
 from repro.sim.monitor import LatencyRecorder, RateMeter
 from repro.sim.queues import BandwidthPipe, FifoServer
 from repro.sim.resources import Resource, Store
@@ -65,7 +63,6 @@ __all__ = [
     "Interrupt",
     "LatencyBreakdown",
     "LatencyRecorder",
-    "LogHistogram",
     "Probe",
     "Process",
     "RateMeter",

@@ -14,12 +14,14 @@ import os
 
 import pytest
 
+from repro.bench import ledger as lg
 from repro.bench.cli import main
 
 DATA = os.path.join(os.path.dirname(__file__), os.pardir, "data")
 LEDGER_DIR = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir,
                           "benchmarks", "ledger")
 TCP_4K = "fig5-tcp-dpu-randread-4096"
+RDMA_4K = "fig5-rdma-dpu-randread-4096"
 
 
 @pytest.fixture(scope="module")
@@ -87,5 +89,7 @@ def test_overlay_carries_both_runs_counter_tracks(diff_artifacts):
             if e.get("ph") == "M" and e.get("name") == "process_name"}
     assert any(p.startswith("A:tcp") for p in pids)
     assert any(p.startswith("B:rdma") for p in pids)
-    # The base's tracks were regenerated from the committed record.
-    assert doc["otherData"]["base_run_id"].startswith(TCP_4K)
+    # The base's tracks were regenerated from the committed record, and
+    # the live run reproduced the committed RDMA record's run ID.
+    for key, ref in (("base_run_id", TCP_4K), ("current_run_id", RDMA_4K)):
+        assert doc["otherData"][key] == lg.load_run(ref, LEDGER_DIR)["run_id"]

@@ -197,10 +197,12 @@ class TestFig5Doctored:
     def test_arm_rx_is_the_bottleneck(self, run):
         """Reproduce the paper's Fig. 5 conclusion: the BF3 Arm RX path
         dominates 4 KiB DPU-TCP read latency (~86% blame share)."""
+        from repro.bench.calibration import PAPER_BANDS
+
         diag = self._diagnose(run)
         assert diag.bottleneck == "dpu.arm_rx"
         share = diag.blame[0]["share"]
-        assert 0.81 <= share <= 0.91
+        assert PAPER_BANDS["fig5.dpu.tcp.4k.arm_rx_share"].holds(share)
         assert diag.blame[1]["resource"].startswith("nvme.ssd")
         assert "bottleneck: dpu.arm_rx" in diag.verdict
 

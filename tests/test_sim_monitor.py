@@ -89,50 +89,6 @@ def test_merge_unspilled_equals_single_recorder():
     assert len(b) == 3  # other side untouched
 
 
-def _recorder(name, threshold):
-    """A recorder that spills to its histogram after ``threshold`` samples."""
-    small = type("SmallRecorder", (LatencyRecorder,),
-                 {"__slots__": (), "SPILL_THRESHOLD": threshold})
-    return small(name)
-
-
-def test_merge_spills_when_crossing_threshold():
-    a = _recorder("a", 8)
-    b = _recorder("b", 8)
-    for i in range(5):
-        a.record(1e-3 * (i + 1))
-        b.record(2e-3 * (i + 1))
-    a.merge(b)
-    assert a.spilled
-    assert a.summary()["count"] == 10
-
-
-def test_merge_spilled_sides_exact_counts():
-    a = _recorder("a", 4)
-    b = _recorder("b", 4)
-    for i in range(10):
-        a.record(1e-4 * (i + 1))
-    for i in range(7):
-        b.record(5e-4 * (i + 1))
-    assert a.spilled and b.spilled
-    a.merge(b)
-    s = a.summary()
-    assert s["count"] == 17
-    assert s["max"] == pytest.approx(3.5e-3)
-
-
-def test_merge_mixed_spilled_and_exact():
-    a = _recorder("a", 4)
-    b = LatencyRecorder("b")  # stays exact
-    for i in range(6):
-        a.record(1e-4 * (i + 1))
-    b.record(9e-3)
-    a.merge(b)
-    s = a.summary()
-    assert s["count"] == 7
-    assert s["max"] == pytest.approx(9e-3)
-
-
 def test_merge_property_vs_single_recorder():
     """Any split of a sample stream merges back to the same distribution."""
     from hypothesis import given, settings
@@ -145,13 +101,12 @@ def test_merge_property_vs_single_recorder():
                       allow_nan=False, allow_infinity=False),
             min_size=1, max_size=60),
         cut=st.integers(min_value=0, max_value=60),
-        threshold=st.sampled_from([4, 16, 100000]),
     )
-    def check(samples, cut, threshold):
+    def check(samples, cut):
         cut = min(cut, len(samples))
-        a = _recorder("a", threshold)
-        b = _recorder("b", threshold)
-        one = _recorder("one", threshold)
+        a = LatencyRecorder("a")
+        b = LatencyRecorder("b")
+        one = LatencyRecorder("one")
         for x in samples[:cut]:
             a.record(x)
             one.record(x)
@@ -160,11 +115,7 @@ def test_merge_property_vs_single_recorder():
             one.record(x)
         a.merge(b)
         sa, so = a.summary(), one.summary()
-        assert sa["count"] == so["count"] == len(samples)
-        # Exact path: identical percentiles.  Spilled path: same bucket
-        # geometry on both sides, so summaries still agree exactly.
-        for key in ("mean", "p50", "p95", "p99", "p999", "max"):
-            assert sa[key] == pytest.approx(so[key], rel=1e-9)
+        assert sa == so and sa["count"] == len(samples)
 
     check()
 
@@ -174,8 +125,8 @@ def test_merge_property_vs_single_recorder():
 # ---------------------------------------------------------------------------
 
 #: Every size up to 300 crosses the 8-way unroll and the 128-element
-#: pairwise block; the rest straddle larger split points, NumPy's
-#: 8,192-element buffer and the recorder's spill threshold.
+#: pairwise block; the rest straddle larger split points and NumPy's
+#: 8,192-element buffer.
 SUMMARY_SIZES = (list(range(1, 301)) +
                  [1023, 1024, 1025, 8191, 8192, 8193, 16000, 16383, 16385,
                   65535, 65536, 70000])
@@ -206,17 +157,52 @@ def test_mean_and_percentile_match_numpy_bit_for_bit(ties):
         assert got == _numpy_summary(samples), n
 
 
-def test_recorder_summary_matches_numpy_below_spill():
+def test_recorder_summary_matches_numpy():
     import random
 
     r = random.Random(3)
-    for n in (1, 9, 129, 8193, LatencyRecorder.SPILL_THRESHOLD - 1):
+    for n in (1, 9, 129, 8193, 65535):
         rec = LatencyRecorder("lat")
         samples = [r.expovariate(1e4) for _ in range(n)]
         for x in samples:
             rec.record(x)
         s = rec.summary()
-        assert not rec.spilled
         assert s["count"] == n and s["max"] == max(samples)
         assert [s[k] for k in ("mean", "p50", "p95", "p99", "p999")] == \
             _numpy_summary(samples)
+
+
+def test_recorder_summary_is_exact_past_65536_samples():
+    # Long runs keep every sample: no bucketed approximation past any
+    # sample count.
+    import random
+
+    from repro.sim.monitor import mean, percentile
+
+    r = random.Random(4)
+    samples = [r.lognormvariate(-9, 1.5) for _ in range(70_000)]
+    rec = LatencyRecorder("lat")
+    for x in samples:
+        rec.record(x)
+    ordered = sorted(samples)
+    assert rec.summary() == {
+        "count": 70_000, "mean": mean(samples),
+        "p50": percentile(ordered, 50), "p95": percentile(ordered, 95),
+        "p99": percentile(ordered, 99), "p999": percentile(ordered, 99.9),
+        "max": ordered[-1]}
+
+
+def test_recorder_keeps_a_sample_in_8_bytes():
+    # 8 MB per million IOs (DESIGN §9); a list of floats costs ~32 B.
+    import tracemalloc
+
+    rec = LatencyRecorder("lat")
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(100_000):
+            rec.record(i * 1e-9)
+        per_sample = (tracemalloc.get_traced_memory()[0] - before) / 100_000
+    finally:
+        tracemalloc.stop()
+    assert per_sample <= 8.5
