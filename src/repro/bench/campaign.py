@@ -59,6 +59,7 @@ __all__ = [
     "cell_key",
     "cell_label",
     "load_spec",
+    "parse_size",
     "run_cell",
     "cell_record",
     "execute_cell",
@@ -66,7 +67,7 @@ __all__ = [
     "run_campaign",
     "check_campaign",
     "parse_cell_ref",
-    "resolve_run_or_cell",
+    "resolve_runs",
     "render_campaign",
 ]
 
@@ -128,13 +129,19 @@ def load_spec(path: str) -> dict:
     return spec
 
 
-def _parse_size(value) -> int:
-    """Accept ``4096`` or ``"4k"``-style sizes in specs."""
-    if isinstance(value, str):
-        from repro.bench.cli import parse_size
-
-        return parse_size(value)
-    return int(value)
+def parse_size(value) -> int:
+    """Parse ``4096``, ``"4k"``, ``"1m"``, ``"2g"`` into bytes."""
+    if not isinstance(value, str):
+        return int(value)
+    text = value.strip().lower()
+    mult = 1
+    if text.endswith(("k", "m", "g")):
+        mult = {"k": 1024, "m": 1024**2, "g": 1024**3}[text[-1]]
+        text = text[:-1]
+    try:
+        return int(float(text) * mult)
+    except ValueError:
+        raise ValueError(f"cannot parse size {value!r}") from None
 
 
 def expand_spec(spec: dict) -> List[dict]:
@@ -180,10 +187,10 @@ def normalize_cell(cell: dict) -> dict:
     """Fill experiment defaults, reject bad knobs (``ValueError``) and
     return the cell's ledger config identity.
 
-    The one place a fig5/chaos config is built: ``doctor --ledger`` and
-    ``chaos --ledger`` normalize their flags through here too, so a
-    campaign cell and a hand-recorded run share one ``config_hash`` (and
-    therefore one cache slot and one run ID).
+    The one place a cell config is built: the ``fig3``, ``fig4``,
+    ``fig5``, ``doctor`` and ``chaos`` subcommands normalize their flags
+    through here too, so a campaign cell and a hand-recorded run share
+    one ``config_hash`` (and therefore one cache slot and one run ID).
     """
     experiment = cell.get("experiment", "fig5")
     if experiment == "fig5" and cell.get("faults") is not None:
@@ -199,7 +206,7 @@ def normalize_cell(cell: dict) -> dict:
         default_runtime,
     )
 
-    bs = _parse_size(cell.get("bs", MIB if experiment == "fig3" else 4096))
+    bs = parse_size(cell.get("bs", MIB if experiment == "fig3" else 4096))
     config: dict
     if experiment in ("fig5", "chaos"):
         quick = bool(cell.get("quick", True))
@@ -351,28 +358,42 @@ def cell_label(config: dict) -> str:
 # ---------------------------------------------------------------------------
 
 def run_cell(config: dict, tie_seed: Optional[int] = None):
-    """Simulate a normalized ``fig5`` or ``chaos`` cell, fully instrumented.
+    """Simulate a normalized cell of any experiment.
 
     The one mapping from a cell config to a runner call, shared by the
-    executor, the race sanitizer and the ``doctor``/``chaos``
-    subcommands.  Returns the :class:`~repro.bench.runner.DoctoredRun`
-    (fig5) or :class:`~repro.bench.runner.ChaosRun` (chaos).
+    executor, the race sanitizer and the ``fig3``, ``fig4``, ``doctor``
+    and ``chaos`` subcommands.  Returns the
+    :class:`~repro.workload.fio.FioResult` (fig3, fig4),
+    :class:`~repro.bench.runner.DoctoredRun` (fig5, fully instrumented)
+    or :class:`~repro.bench.runner.ChaosRun` (chaos).
 
     ``tie_seed`` permutes the kernel's equal-time pop order (see
     :func:`repro.sim.core.tie_scramble`).  It is an argument of the run,
     not a config field: a permuted run claims to be the same experiment,
-    so its config, label and cache slot stay the cell's own.
+    so its config, label and cache slot stay the cell's own.  Only the
+    fig5/chaos runners take it; the sanitizer refuses fig3/fig4 cells.
     """
     from repro.bench import runner
 
+    experiment, seed = config["experiment"], config.get("seed")
+    if experiment == "fig3":
+        return runner.run_fig3_cell(
+            config["rw"], config["bs"], config["numjobs"],
+            n_ssds=config["ssds"], iodepth=config["iodepth"],
+            runtime=config["runtime"], seed=seed)
+    if experiment == "fig4":
+        return runner.run_fig4_cell(
+            config["provider"], config["rw"], config["bs"],
+            config["client_cores"], config["server_cores"],
+            iodepth=config["iodepth"], runtime=config["runtime"], seed=seed)
     cell = (config["transport"], config["client"], config["rw"],
             config["bs"], config["numjobs"])
     knobs = dict(n_ssds=config["ssds"], iodepth=config["iodepth"],
                  runtime=config["runtime"],
                  sample_every=config["sample_every"],
-                 seed=config.get("seed"), n_targets=config.get("targets"),
+                 seed=seed, n_targets=config.get("targets"),
                  tie_seed=tie_seed)
-    if config["experiment"] == "chaos":
+    if experiment == "chaos":
         from repro.faults.plan import FaultPlan
 
         plan = FaultPlan.from_config(config["faults"])
@@ -382,11 +403,18 @@ def run_cell(config: dict, tie_seed: Optional[int] = None):
 
 
 def cell_record(config: dict, run) -> dict:
-    """Reduce a :func:`run_cell` outcome to the cell's *unstamped* record."""
-    label = cell_label(config)
-    if config["experiment"] != "chaos":
-        return lg.make_run_record(run.result, run.collector, run.tracer,
-                                  config=config, label=label, kind="doctor")
+    """Reduce a :func:`run_cell` outcome to the cell's *unstamped* record.
+
+    The one record builder of every experiment: fig3/fig4 records carry
+    the metrics and ``cost``; fig5 and chaos records add the blame and
+    flame sections their tracer observed.
+    """
+    experiment, label = config["experiment"], cell_label(config)
+    if experiment in ("fig3", "fig4"):
+        return lg.make_run_record(run, config, label, experiment)
+    if experiment == "fig5":
+        return lg.make_run_record(run.result, config, label, "doctor",
+                                  run.collector, run.tracer)
     from repro.bench.chaos import (
         DEFAULT_MIN_GOODPUT,
         DEFAULT_P999_MAX,
@@ -399,8 +427,8 @@ def cell_record(config: dict, run) -> dict:
         min_goodput=config.get("min_goodput", DEFAULT_MIN_GOODPUT),
         p999_max=config.get("p999_max", DEFAULT_P999_MAX))
     return lg.make_run_record(
-        doctored.result, doctored.collector, doctored.tracer, config=config,
-        label=label, kind="chaos", extra_sections={"chaos": sections})
+        doctored.result, config, label, "chaos", doctored.collector,
+        doctored.tracer, extra_sections={"chaos": sections})
 
 
 def execute_cell(config: dict, tie_seed: Optional[int] = None) -> dict:
@@ -408,29 +436,9 @@ def execute_cell(config: dict, tie_seed: Optional[int] = None) -> dict:
 
     Volatile fields (``created``/``git_sha``/``code_fingerprint``) are
     left for the parent to stamp once, so records cannot depend on which
-    worker ran them or when they finished.  ``tie_seed`` reaches only
-    the ``fig5``/``chaos`` runners (:func:`run_cell`).
+    worker ran them or when they finished.
     """
-    experiment = config["experiment"]
-    if experiment in ("fig5", "chaos"):
-        return cell_record(config, run_cell(config, tie_seed))
-    if experiment == "fig3":
-        from repro.bench.runner import run_fig3_cell
-
-        result = run_fig3_cell(
-            config["rw"], config["bs"], config["numjobs"],
-            n_ssds=config["ssds"], iodepth=config["iodepth"],
-            runtime=config["runtime"], seed=config.get("seed"))
-    else:
-        from repro.bench.runner import run_fig4_cell
-
-        result = run_fig4_cell(
-            config["provider"], config["rw"], config["bs"],
-            config["client_cores"], config["server_cores"],
-            iodepth=config["iodepth"], runtime=config["runtime"],
-            seed=config.get("seed"))
-    return lg.make_cell_record(result, config=config,
-                               label=cell_label(config), kind=experiment)
+    return cell_record(config, run_cell(config, tie_seed))
 
 
 #: ``(key, config, tie_seed)``; the key comes back first in the result.
@@ -785,32 +793,34 @@ def parse_cell_ref(ref: str) -> dict:
     return cell
 
 
-def resolve_run_or_cell(ref: str, ledger_dir: str = lg.DEFAULT_LEDGER_DIR,
-                        git_sha: Optional[str] = None,
-                        created: Optional[str] = None) -> dict:
-    """Load a ledger run — or execute a ``cell:`` reference through the
-    executor (cache-first) and return its record.
+def resolve_runs(refs: List[str], ledger_dir: str = lg.DEFAULT_LEDGER_DIR,
+                 git_sha: Optional[str] = None,
+                 created: Optional[str] = None) -> List[dict]:
+    """The records ``refs`` name, in order: ledger runs (ID, unique ID
+    prefix or file path) and ``cell:`` references.
 
-    This is how ``doctor --against`` and ``compare-runs`` accept cells
-    that were never recorded: the executor runs the cell exactly as a
-    campaign would (same config identity, same cache), records it into
-    the ledger, and hands back the record.
+    This is how ``compare-runs`` accepts cells that were never recorded:
+    every reference is checked first (``ValueError`` before anything is
+    simulated), then the ``cell:`` references run as one campaign —
+    cache-first, with the same config identity a campaign gives them —
+    and are recorded into the ledger.
     """
-    if not ref.startswith("cell:"):
-        return lg.load_run(ref, ledger_dir)
-    config = normalize_cell(parse_cell_ref(ref))
-    fingerprint = code_fingerprint()
-    cached = find_cached(config, fingerprint, ledger_dir)
-    if cached is not None:
-        return cached
-    spec = {"format": FORMAT, "name": "adhoc-cell", "cells": [config]}
-    result = run_campaign(spec, jobs=1, ledger_dir=ledger_dir,
-                          git_sha=git_sha, created=created,
-                          fingerprint=fingerprint)
+    configs = [normalize_cell(parse_cell_ref(ref))
+               if ref.startswith("cell:") else None for ref in refs]
+    records = [lg.load_run(ref, ledger_dir) if config is None else None
+               for ref, config in zip(refs, configs)]
+    cells = {cell_key(c): c for c in configs if c is not None}
+    result = run_campaign({"format": FORMAT, "name": "adhoc-cells",
+                           "cells": list(cells.values())},
+                          ledger_dir=ledger_dir, git_sha=git_sha,
+                          created=created)
     if result.errors:
         err = result.errors[0]
         raise ValueError(f"cell {err.key} failed: {err.error}")
-    return lg.load_run(result.outcomes[0].run_id, ledger_dir)
+    run_ids = {o.key: o.run_id for o in result.outcomes}
+    return [record if config is None
+            else lg.load_run(run_ids[cell_key(config)], ledger_dir)
+            for record, config in zip(records, configs)]
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,8 @@ writing code::
     python -m repro.bench.cli runs                               # list the ledger
     python -m repro.bench.cli compare-runs fig5-tcp-dpu-randread-4096 \
         fig5-rdma-dpu-randread-4096 --diff-wait-flame diff.txt
-    python -m repro.bench.cli doctor --quick --transport rdma \
-        --against fig5-tcp-dpu-randread-4096 --diff-out diff.json
+    python -m repro.bench.cli compare-runs fig5-tcp-dpu-randread-4096 \
+        cell:transport=rdma --json-out diff.json   # a cell, run on demand
     python -m repro.bench.cli campaign benchmarks/campaigns/fig5_ci.json \
         --jobs 4 --progress                  # parallel sweep, cache-aware
     python -m repro.bench.cli campaign spec.json --dry-run    # what would run?
@@ -28,8 +28,8 @@ fingerprint (hash of the ``src/repro`` tree) already appear in the
 ledger is skipped; ``--force`` re-simulates anyway.  Output is
 merged sorted by cell key, so ``--jobs N`` is byte-identical to serial;
 ``--check DIR`` turns that into a CI gate against a committed ledger.
-``doctor --against`` and ``compare-runs`` additionally accept
-``cell:k=v,...`` references resolved through the same executor.
+``compare-runs`` additionally accepts ``cell:k=v,...`` references
+resolved through the same executor.
 ``verdict DIR`` runs every record verdict of
 :mod:`repro.bench.verdicts` over the records in ``DIR`` and exits 1 on
 any finding.
@@ -51,11 +51,16 @@ spans as duration events, per-resource wait counters and (without
 ``--quick``) every telemetry series as counter tracks — loadable in
 Perfetto / ``chrome://tracing``.
 
+Every subcommand that runs a cell builds its config with
+:func:`~repro.bench.campaign.normalize_cell`; ``fig3``, ``fig4``,
+``doctor`` and ``chaos`` run it with
+:func:`~repro.bench.campaign.run_cell`, the campaign's own runner
+(``fig5`` stays the plain, unobserved Fig. 5 run).
 ``--ledger`` (doctor/chaos) appends the run to the **run ledger**
 (``benchmarks/ledger/``, one ``repro-run-v1`` JSON per run, content-
 derived stable IDs; doctor and chaos runs record under the same cell
 identity a campaign would); ``runs`` lists/inspects it.
-``compare-runs`` and ``doctor --against`` invoke the **differential
+``compare-runs`` invokes the **differential
 doctor**: the end-to-end latency delta between two runs is decomposed
 into per-resource wait and service contributions (``repro-diff-v1``),
 with red/blue differential flamegraphs (``--diff-flame``/
@@ -76,33 +81,13 @@ import os
 import sys
 from typing import Optional
 
-from repro.bench.runner import (
-    _build_fig5,
-    default_runtime,
-    run_fig3_cell,
-    run_fig4_cell,
-    run_ros2_fio,
-)
+from repro.bench.campaign import parse_size
+from repro.bench.runner import _build_fig5, default_runtime, run_ros2_fio
 from repro.hw.specs import MIB
 from repro.net.fabric import _ALIASES, list_providers
 from repro.workload.fio import WORKLOADS, FioResult
 
-__all__ = ["main", "parse_size"]
-
-_DIFF_OUTPUTS = ("diff_flame", "diff_wait_flame", "overlay")
-
-
-def parse_size(text: str) -> int:
-    """Parse ``4096``, ``4k``, ``1m``, ``2g`` into bytes."""
-    text = text.strip().lower()
-    mult = 1
-    if text.endswith(("k", "m", "g")):
-        mult = {"k": 1024, "m": 1024**2, "g": 1024**3}[text[-1]]
-        text = text[:-1]
-    try:
-        return int(float(text) * mult)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"cannot parse size {text!r}") from None
+__all__ = ["main"]
 
 
 def _report(result: FioResult) -> str:
@@ -140,23 +125,6 @@ def _add_cell_args(parser: argparse.ArgumentParser, transport: str,
     if sample is not None:
         parser.add_argument("--sample", type=int, default=sample,
                             help=f"trace 1 in N operations (default {sample})")
-
-
-def _add_diff_args(parser: argparse.ArgumentParser, json_flag: str,
-                   note: str = "") -> None:
-    """The differential artefacts of doctor --against / compare-runs."""
-    parser.add_argument(json_flag, metavar="PATH", default=None,
-                        help="write the repro-diff-v1 JSON verdict" + note)
-    parser.add_argument("--diff-flame", metavar="PATH", default=None,
-                        help="write the red/blue differential folded stacks "
-                             "of span self time" + note)
-    parser.add_argument("--diff-wait-flame", metavar="PATH", default=None,
-                        help="write the red/blue differential folded stacks "
-                             "of wait blame" + note)
-    parser.add_argument("--overlay", metavar="PATH", default=None,
-                        help="write a Chrome trace overlaying both runs' "
-                             "wait counter tracks, re-simulating each "
-                             "ledger run from its config" + note)
 
 
 def _add_ledger_args(parser: argparse.ArgumentParser, record: bool = True,
@@ -224,20 +192,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="experiment", required=True)
 
+    # fig3 / fig4 leave every default to ``normalize_cell``.
     p3 = sub.add_parser("fig3", help="local FIO / io_uring baseline")
-    p3.add_argument("--rw", default="read", choices=WORKLOADS)
-    p3.add_argument("--bs", type=parse_size, default=MIB)
-    p3.add_argument("--jobs", type=int, default=1)
-    p3.add_argument("--ssds", type=int, default=1, choices=[1, 2, 3, 4])
-    p3.add_argument("--runtime", type=float, default=0.03)
+    p3.add_argument("--rw", choices=WORKLOADS)
+    p3.add_argument("--bs", type=parse_size)
+    p3.add_argument("--jobs", type=int)
+    p3.add_argument("--ssds", type=int, choices=[1, 2, 3, 4])
+    p3.add_argument("--runtime", type=float)
 
     p4 = sub.add_parser("fig4", help="remote SPDK NVMe-oF")
-    p4.add_argument("--provider", default="ucx+rc", choices=list(list_providers()))
-    p4.add_argument("--rw", default="randread", choices=WORKLOADS)
-    p4.add_argument("--bs", type=parse_size, default=4096)
-    p4.add_argument("--client-cores", type=int, default=4)
-    p4.add_argument("--server-cores", type=int, default=4)
-    p4.add_argument("--runtime", type=float, default=0.02)
+    p4.add_argument("--provider", choices=list(list_providers()))
+    p4.add_argument("--rw", choices=WORKLOADS)
+    p4.add_argument("--bs", type=parse_size)
+    p4.add_argument("--client-cores", type=int)
+    p4.add_argument("--server-cores", type=int)
+    p4.add_argument("--runtime", type=float)
 
     p5 = sub.add_parser("fig5", help="end-to-end DFS over ROS2")
     _add_cell_args(p5, "rdma", "host", "read", MIB, 8,
@@ -270,13 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="write a Chrome trace with per-resource cumulative "
                          "blamed-wait counter tracks")
     _add_ledger_args(pd)
-    pd.add_argument("--against", metavar="RUN", default=None,
-                    help="differential mode: compare this run against a "
-                         "ledger run (run ID, unique ID prefix, file "
-                         "path, or a 'cell:k=v,...' spec executed "
-                         "through the campaign executor, cache-first) "
-                         "and attribute the delta per resource")
-    _add_diff_args(pd, "--diff-out", note=" (requires --against)")
 
     pch = sub.add_parser(
         "chaos",
@@ -351,7 +313,18 @@ def build_parser() -> argparse.ArgumentParser:
     pcr.add_argument("current", help="current run: ID, unique prefix, path, "
                                      "or 'cell:k=v,...' (executed on demand)")
     _add_ledger_args(pcr, record=False, stamp=False)
-    _add_diff_args(pcr, "--json-out")
+    pcr.add_argument("--json-out", metavar="PATH", default=None,
+                     help="write the repro-diff-v1 JSON verdict")
+    pcr.add_argument("--diff-flame", metavar="PATH", default=None,
+                     help="write the red/blue differential folded stacks "
+                          "of span self time")
+    pcr.add_argument("--diff-wait-flame", metavar="PATH", default=None,
+                     help="write the red/blue differential folded stacks "
+                          "of wait blame")
+    pcr.add_argument("--overlay", metavar="PATH", default=None,
+                     help="write a Chrome trace overlaying both runs' "
+                          "wait counter tracks, re-simulating each "
+                          "ledger run from its config")
 
     pl = sub.add_parser(
         "lint",
@@ -466,31 +439,37 @@ def _cmd_sanitize(args) -> int:
     return 0 if doc["ok"] else 1
 
 
+#: Cell key -> the flag that sets it, in the subcommands that have it.
+_CELL_FLAGS = {"transport": "transport", "client": "client", "rw": "rw",
+               "bs": "bs", "numjobs": "jobs", "runtime": "runtime",
+               "ssds": "ssds", "sample_every": "sample",
+               "provider": "provider", "client_cores": "client_cores",
+               "server_cores": "server_cores"}
+
+
 def _cell_config(args, experiment: str, **extra) -> dict:
-    """The ledger config of a doctor / chaos cell: its flags through
-    :func:`~repro.bench.campaign.normalize_cell`, which rejects a bad
-    knob with ``ValueError`` before anything is simulated."""
+    """The ledger config of a subcommand's cell: its flags through
+    :func:`~repro.bench.campaign.normalize_cell`, which fills every flag
+    left unset and rejects a bad knob with ``ValueError`` before
+    anything is simulated."""
     from repro.bench.campaign import normalize_cell
 
-    return normalize_cell({
-        "experiment": experiment, "transport": args.transport,
-        "client": args.client, "rw": args.rw, "bs": args.bs,
-        "numjobs": args.jobs, "runtime": args.runtime, "ssds": args.ssds,
-        "sample_every": args.sample, **extra})
+    cell = {key: getattr(args, flag, None)
+            for key, flag in _CELL_FLAGS.items()}
+    cell.update(extra)
+    return normalize_cell({"experiment": experiment, **{
+        k: v for k, v in cell.items() if v is not None}})
 
 
-def _record(config: dict, run, args) -> dict:
-    """Stamp a cell's ledger record for a CLI recording, and append it to
-    the ledger when ``--ledger`` asks."""
+def _record(config: dict, run, args) -> None:
+    """Stamp a cell's ledger record and append it to the ledger."""
     from repro.bench import ledger as lg
     from repro.bench.campaign import cell_record, code_fingerprint
 
     record = cell_record(config, run)
     record.update(**_stamps(args), code_fingerprint=code_fingerprint())
-    if args.ledger:
-        path = lg.save_run(record, _ledger_dir(args))
-        print(f"ledger: recorded {record['run_id']} -> {path}")
-    return record
+    path = lg.save_run(record, _ledger_dir(args))
+    print(f"ledger: recorded {record['run_id']} -> {path}")
 
 
 def _overlay_series(records: list) -> list:
@@ -518,40 +497,6 @@ def _overlay_series(records: list) -> list:
     return out
 
 
-def _write_diff_outputs(base: dict, current: dict, dd, args,
-                        json_out: Optional[str],
-                        overlay: Optional[list] = None) -> None:
-    """The differential artefacts shared by doctor --against / compare-runs
-    (``overlay``: both runs' live wait series, for ``--overlay``)."""
-    if json_out:
-        _write_json(json_out, dd.to_dict())
-        print(f"wrote diff verdict {json_out}")
-    if args.diff_flame or args.diff_wait_flame:
-        from repro.sim.diffdoctor import diff_flames
-        from repro.sim.flame import write_diff_collapsed
-
-        flames = diff_flames(base, current)
-        if args.diff_flame:
-            write_diff_collapsed(args.diff_flame, flames["spans"])
-            print(f"wrote differential flamegraph {args.diff_flame} "
-                  f"({len(flames['spans'])} changed stacks)")
-        if args.diff_wait_flame:
-            write_diff_collapsed(args.diff_wait_flame, flames["waits"])
-            print(f"wrote differential wait flamegraph {args.diff_wait_flame} "
-                  f"({len(flames['waits'])} changed stacks)")
-    if args.overlay:
-        from repro.sim.diffdoctor import write_overlay_trace
-
-        doc = write_overlay_trace(
-            args.overlay, *overlay,
-            tracks=(f"A:{base['config']['transport']}",
-                    f"B:{current['config']['transport']}"),
-            run_ids=(base["run_id"], current["run_id"]), label=dd.label)
-        other = doc.get("otherData", {})
-        print(f"wrote overlay trace {args.overlay}: "
-              f"{other.get('n_counter_tracks', 0)} counter tracks")
-
-
 def _run_doctor(args) -> int:
     from repro.bench import campaign as cp
     from repro.sim.doctor import diagnose, parse_slo
@@ -565,29 +510,8 @@ def _run_doctor(args) -> int:
         config = _cell_config(args, "fig5", quick=args.quick)
     except ValueError as exc:
         return _fail(exc)
-    if not args.against:
-        for opt in ("diff_out", *_DIFF_OUTPUTS):
-            if getattr(args, opt):
-                flag = "--" + opt.replace("_", "-")
-                return _fail(f"{flag} requires --against")
-    if not _out_paths_ok(args, "json_out", "flame", "wait_flame", "perfetto",
-                         "diff_out", *_DIFF_OUTPUTS):
+    if not _out_paths_ok(args, "json_out", "flame", "wait_flame", "perfetto"):
         return 2
-
-    # Same fail-fast rule for the differential baseline: resolve the
-    # ledger reference up front.  A ``cell:`` reference goes through the
-    # campaign executor — cache-first, simulated and recorded only when
-    # missing.  ``--overlay`` re-simulates the base here, before any
-    # artefact is written.
-    base_record = overlay = None
-    if args.against:
-        try:
-            base_record = cp.resolve_run_or_cell(
-                args.against, _ledger_dir(args), **_stamps(args))
-            if args.overlay:
-                overlay = _overlay_series([base_record])
-        except (ValueError, OSError) as exc:
-            return _fail(exc)
 
     label = cp.cell_label(config)
     run = cp.run_cell(config)
@@ -633,20 +557,8 @@ def _run_doctor(args) -> int:
     print()
     print(breakdown.table("Latency breakdown (sampled requests)"))
 
-    if args.ledger or base_record is not None:
-        record = _record(config, run, args)
-        if base_record is not None:
-            from repro.sim.diffdoctor import diff_runs
-
-            dd = diff_runs(base_record, record,
-                           label=f"{label} vs {base_record['run_id']}")
-            print()
-            print(dd.render())
-            if overlay is not None:
-                overlay.append(run.tracer.wait_series())
-            _write_diff_outputs(base_record, record, dd, args, args.diff_out,
-                                overlay)
-            return max(diag.exit_code, dd.exit_code)
+    if args.ledger:
+        _record(config, run, args)
     return diag.exit_code
 
 
@@ -811,22 +723,50 @@ def _run_runs(args) -> int:
 
 
 def _run_compare_runs(args) -> int:
-    from repro.bench.campaign import resolve_run_or_cell
+    from repro.bench.campaign import resolve_runs
     from repro.sim.diffdoctor import diff_runs
 
-    if not _out_paths_ok(args, "json_out", *_DIFF_OUTPUTS):
+    if not _out_paths_ok(args, "json_out", "diff_flame", "diff_wait_flame",
+                         "overlay"):
         return 2
-    ldir, stamps = _ledger_dir(args), _stamps(args)
+    # Both references resolve before anything is written; ``--overlay``
+    # re-simulates both runs here too.
     try:
-        base = resolve_run_or_cell(args.base, ldir, **stamps)
-        current = resolve_run_or_cell(args.current, ldir, **stamps)
+        base, current = resolve_runs([args.base, args.current],
+                                     _ledger_dir(args), **_stamps(args))
         overlay = (_overlay_series([base, current]) if args.overlay
                    else None)
     except (ValueError, OSError) as exc:
         return _fail(exc)
     dd = diff_runs(base, current)
     print(dd.render())
-    _write_diff_outputs(base, current, dd, args, args.json_out, overlay)
+    if args.json_out:
+        _write_json(args.json_out, dd.to_dict())
+        print(f"wrote diff verdict {args.json_out}")
+    if args.diff_flame or args.diff_wait_flame:
+        from repro.sim.diffdoctor import diff_flames
+        from repro.sim.flame import write_diff_collapsed
+
+        flames = diff_flames(base, current)
+        if args.diff_flame:
+            write_diff_collapsed(args.diff_flame, flames["spans"])
+            print(f"wrote differential flamegraph {args.diff_flame} "
+                  f"({len(flames['spans'])} changed stacks)")
+        if args.diff_wait_flame:
+            write_diff_collapsed(args.diff_wait_flame, flames["waits"])
+            print(f"wrote differential wait flamegraph {args.diff_wait_flame} "
+                  f"({len(flames['waits'])} changed stacks)")
+    if overlay is not None:
+        from repro.sim.diffdoctor import write_overlay_trace
+
+        doc = write_overlay_trace(
+            args.overlay, *overlay,
+            tracks=(f"A:{base['config']['transport']}",
+                    f"B:{current['config']['transport']}"),
+            run_ids=(base["run_id"], current["run_id"]), label=dd.label)
+        other = doc.get("otherData", {})
+        print(f"wrote overlay trace {args.overlay}: "
+              f"{other.get('n_counter_tracks', 0)} counter tracks")
     return dd.exit_code
 
 
@@ -837,43 +777,30 @@ def _run_providers(args) -> int:
 
 
 def _run_figure(args) -> int:
-    """fig3 / fig4 / fig5: one plain, unobserved cell and its result line."""
-    from repro.bench.campaign import _check_cell
+    """fig3 / fig4 / fig5: one plain, unobserved cell and its result line.
 
-    if args.experiment == "fig4":
-        knobs = {"provider": args.provider, "client_cores": args.client_cores,
-                 "server_cores": args.server_cores}
-    else:
-        knobs = {"numjobs": args.jobs, "ssds": args.ssds}
-        if args.experiment == "fig5":
-            knobs.update(transport=args.transport, client=args.client)
-    if args.runtime is not None:
-        knobs["runtime"] = args.runtime
+    Each builds its config with ``normalize_cell``; fig3 and fig4 run it
+    through ``run_cell``, fig5 through the plain Fig. 5 runner."""
+    from repro.bench import campaign as cp
+
     try:
-        _check_cell({"experiment": args.experiment, "rw": args.rw,
-                     "bs": args.bs, **knobs})
+        # ``quick`` is a fig5 knob: the plain run takes the full window.
+        config = _cell_config(args, args.experiment, quick=False)
     except ValueError as exc:
         return _fail(exc)
-    if args.experiment == "fig3":
-        result = run_fig3_cell(args.rw, args.bs, args.jobs, n_ssds=args.ssds,
-                               runtime=args.runtime)
-        label = f"fig3 {args.rw} bs={args.bs} jobs={args.jobs} ssds={args.ssds}"
-    elif args.experiment == "fig4":
-        result = run_fig4_cell(args.provider, args.rw, args.bs,
-                               args.client_cores, args.server_cores,
-                               runtime=args.runtime)
-        label = (f"fig4 {args.provider} {args.rw} bs={args.bs} "
-                 f"c={args.client_cores} s={args.server_cores}")
-    else:
-        label = (f"fig5 {args.transport}/{args.client} {args.rw} bs={args.bs} "
-                 f"jobs={args.jobs} ssds={args.ssds}")
-        system, spec = _build_fig5(args.transport, args.client, args.rw,
-                                   args.bs, args.jobs, n_ssds=args.ssds,
-                                   runtime=args.runtime)
-        result = run_ros2_fio(system, spec)
-
-    print(f"{label}: {_report(result)}")
-    if args.experiment == "fig5" and args.telemetry:
+    if args.experiment != "fig5":
+        result = cp.run_cell(config)
+        print(f"{cp.cell_label(config)}: {_report(result)}")
+        return 0
+    system, spec = _build_fig5(config["transport"], config["client"],
+                               config["rw"], config["bs"], config["numjobs"],
+                               n_ssds=config["ssds"],
+                               runtime=config["runtime"])
+    result = run_ros2_fio(system, spec)
+    print(f"fig5 {config['transport']}/{config['client']} {config['rw']} "
+          f"bs={config['bs']} jobs={config['numjobs']} "
+          f"ssds={config['ssds']}: {_report(result)}")
+    if args.telemetry:
         from repro.core.telemetry import snapshot
 
         print("\n" + snapshot(system).render())

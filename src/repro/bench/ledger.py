@@ -9,18 +9,23 @@ committed campaign), and the differential doctor
 (:mod:`repro.sim.diffdoctor`) consumes any two records to explain *why*
 B beats A.
 
-A record carries everything delta attribution needs, already reduced:
+Every record, of any experiment, is built by :func:`make_run_record`
+and carries, already reduced:
 
 * the run ``config`` (experiment knobs) and its hash;
 * the full numeric ``metrics`` flatten (:func:`flatten_numeric`: dotted
   paths such as ``result.latency.p99``);
-* per-resource ``wait_aggregates`` (every operation since tracer
-  install) and sampled-span ``blame`` split into wait/service/latency;
-* collapsed flame stacks for both span self-time and wait blame
-  (integer nanoseconds — byte-stable);
 * the simulator's own ``cost``: kernel events dispatched per phase
   (setup with prefill, ramp, measured window, drain) and events per IO
   over the measured window (:func:`cost_section`).
+
+A run observed by a wait tracer (Fig. 5 and chaos cells) adds what
+delta attribution needs:
+
+* per-resource ``wait_aggregates`` (every operation since tracer
+  install) and sampled-span ``blame`` split into wait/service/latency;
+* collapsed flame stacks for both span self-time and wait blame
+  (integer nanoseconds — byte-stable).
 
 A record keeps only what a verdict reads.  A view that the config can
 regenerate is not stored: the ``--overlay`` trace re-simulates each
@@ -54,7 +59,6 @@ __all__ = [
     "strip_volatile",
     "cost_section",
     "make_run_record",
-    "make_cell_record",
     "save_run",
     "load_run",
     "resolve_ref",
@@ -170,31 +174,30 @@ def cost_section(result, events_total: int) -> dict:
 
 def make_run_record(
     result,
-    collector,
-    tracer,
     config: dict,
-    label: str = "",
-    kind: str = "doctor",
+    label: str,
+    kind: str,
+    collector=None,
+    tracer=None,
     extra_sections: Optional[dict] = None,
 ) -> dict:
-    """Reduce an instrumented run into one ``repro-run-v1`` record.
+    """Reduce a run into one ``repro-run-v1`` record (its sections: see
+    the module docstring).
 
     ``result`` is the :class:`~repro.workload.fio.FioResult`;
     ``collector``/``tracer`` are the span collector and wait tracer that
-    observed the run (both required — the ledger exists to feed delta
-    attribution, which needs blame and flame data).  The ``cost`` section
-    reads the dispatch counter of the tracer's environment, so build the
-    record once the run is over.
+    observed the run, if any.  ``cost`` then reads the dispatch counter
+    of the tracer's environment, so build the record once the run is
+    over.  Without a tracer (Fig. 3 / Fig. 4 cells) nothing runs after
+    FIO's window, so ``drain`` is 0.
 
     ``extra_sections`` merges additional top-level sections into the
     record (e.g. the chaos harness's recovery/availability verdicts);
     they are content-hashed like everything else, so the determinism
     gate covers them byte-for-byte.
     """
-    from repro.sim.flame import fold_spans, fold_waits
-
-    roots = collector.roots()
-    total_root = fsum(s.duration for s in roots)
+    events_total = (result.phase_events[2] if tracer is None
+                    else tracer.env.events_processed)
     record = {
         "format": FORMAT,
         "kind": kind,
@@ -205,54 +208,34 @@ def make_run_record(
         "config": dict(config),
         "config_hash": config_hash(config),
         "metrics": flatten_numeric({"result": result.to_dict()}),
-        "cost": cost_section(result, tracer.env.events_processed),
-        "traces": {
-            "count": len(roots),
-            "total_root_time": total_root,
-            "mean_latency": (total_root / len(roots)) if roots else 0.0,
-        },
-        "wait_aggregates": {name: agg.to_dict()
-                            for name, agg in sorted(tracer.aggregates.items())},
-        "blame": dict(sorted(tracer.blame_components().items())),
-        "flame": {
-            "spans": dict(sorted(fold_spans(collector.spans).items())),
-            "waits": dict(sorted(
-                fold_waits(collector.spans, tracer.records).items())),
-        },
+        "cost": cost_section(result, events_total),
     }
-    if extra_sections:
-        for key, value in extra_sections.items():
-            if key in record:
-                raise ValueError(f"extra section {key!r} collides with a "
-                                 f"standard record field")
-            record[key] = value
-    return _finish_record(record)
+    if tracer is not None:
+        from repro.sim.flame import fold_spans, fold_waits
 
-
-def make_cell_record(
-    result,
-    config: dict,
-    label: str = "",
-    kind: str = "fig3",
-) -> dict:
-    """A metrics-only record for cells run without the doctor pipeline.
-
-    Fig. 3 / Fig. 4 campaign cells have no ROS2 wait tracer attached, so
-    their records carry the config identity and the full metric flatten
-    but no blame/flame sections — enough for sweep results, caching, and
-    ``runs``, though not for the differential doctor.
-    """
-    record = {
-        "format": FORMAT,
-        "kind": kind,
-        "label": label,
-        "created": None,
-        "git_sha": None,
-        "code_fingerprint": None,
-        "config": dict(config),
-        "config_hash": config_hash(config),
-        "metrics": flatten_numeric({"result": result.to_dict()}),
-    }
+        roots = collector.roots()
+        total_root = fsum(s.duration for s in roots)
+        record.update({
+            "traces": {
+                "count": len(roots),
+                "total_root_time": total_root,
+                "mean_latency": (total_root / len(roots)) if roots else 0.0,
+            },
+            "wait_aggregates": {
+                name: agg.to_dict()
+                for name, agg in sorted(tracer.aggregates.items())},
+            "blame": dict(sorted(tracer.blame_components().items())),
+            "flame": {
+                "spans": dict(sorted(fold_spans(collector.spans).items())),
+                "waits": dict(sorted(
+                    fold_waits(collector.spans, tracer.records).items())),
+            },
+        })
+    for key, value in (extra_sections or {}).items():
+        if key in record:
+            raise ValueError(f"extra section {key!r} collides with a "
+                             f"standard record field")
+        record[key] = value
     return _finish_record(record)
 
 

@@ -195,11 +195,3 @@ class GrpcChannel:
         response = yield from handler(request, md)
         yield self.env.timeout(self.LOOPBACK_LATENCY)
         return response
-
-    def shutdown_server(self) -> Generator[Event, None, None]:
-        """Stop the server from serving this connection (no-op for loopback)."""
-        if self.local:
-            return
-        yield from self.conn.send(Message(
-            src=self.node.name, dst=self.server_name, kind="grpc.shutdown", nbytes=16
-        ))

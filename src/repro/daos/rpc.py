@@ -321,9 +321,3 @@ class RpcClient:
             heappop(heap)
         if heap:
             self._arm(heap[0][0])
-
-    def shutdown_server(self) -> Generator[Event, None, None]:
-        """Stop the server from handling requests on this channel."""
-        yield from self.channel.send(Message(
-            src=self.node.name, dst=self.server_name, kind="rpc.shutdown", nbytes=16
-        ))

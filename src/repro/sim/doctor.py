@@ -186,10 +186,6 @@ class Diagnosis:
     def exit_code(self) -> int:
         return 0 if self.ok else 1
 
-    @property
-    def bottleneck(self) -> Optional[str]:
-        return self.blame[0]["resource"] if self.blame else None
-
     def to_dict(self) -> dict:
         return {
             "format": "repro-doctor-v1",

@@ -128,18 +128,9 @@ class TimeSeries:
         """``(t_end, dt, value)`` triples in time order."""
         return list(zip(self._t, self._dt, self._v))
 
-    def times(self) -> List[float]:
-        """Window end times."""
-        return list(self._t)
-
     def values(self) -> List[float]:
         """Window mean values."""
         return list(self._v)
-
-    @property
-    def t_first(self) -> float:
-        """Start of the first window (``inf`` when empty)."""
-        return self._t[0] - self._dt[0] if self._t else float("inf")
 
     @property
     def t_last(self) -> float:
@@ -312,11 +303,6 @@ class Sampler:
                        kind=GAUGE, unit="ops", node=node)
 
     # -- life cycle ----------------------------------------------------------
-
-    @property
-    def running(self) -> bool:
-        """True while the sampling process is scheduled."""
-        return self._proc is not None and not self._stopped
 
     def start(self) -> "Sampler":
         """Spawn the sampling process (idempotent)."""

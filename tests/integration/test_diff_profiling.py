@@ -1,12 +1,13 @@
 """Integration: the differential-profiling acceptance path, end to end.
 
-This is the PR's contract, run exactly as CI runs it: a live quick
-``doctor`` run of the RDMA 4 KiB Fig. 5 cell diffed ``--against`` the
-*committed* TCP ledger record must (1) emit a ``repro-diff-v1`` document
-whose attributed deltas sum to the observed end-to-end delta within 1%,
-(2) name ``dpu.arm_rx`` wait reduction as the top contributor — the
-paper's RDMA-vs-TCP claim in delta form — and (3) write byte-stable
-red/blue differential folded stacks matching the committed goldens.
+``compare-runs`` of the *committed* TCP 4 KiB ledger record against a
+live quick run of the RDMA 4 KiB Fig. 5 cell (a ``cell:`` reference,
+recorded into a scratch ledger) must (1) emit a ``repro-diff-v1``
+document whose attributed deltas sum to the observed end-to-end delta
+within 1%, (2) name ``dpu.arm_rx`` wait reduction as the top
+contributor — the paper's RDMA-vs-TCP claim in delta form — (3) write
+byte-stable red/blue differential folded stacks matching the committed
+goldens and (4) overlay both runs' counter tracks.
 """
 
 import json
@@ -27,10 +28,10 @@ RDMA_4K = "fig5-rdma-dpu-randread-4096"
 @pytest.fixture(scope="module")
 def diff_artifacts(tmp_path_factory):
     out = tmp_path_factory.mktemp("diff")
-    argv = ["doctor", "--quick", "--transport", "rdma", "--client", "dpu",
-            "--rw", "randread", "--bs", "4k", "--jobs", "16",
-            "--against", TCP_4K, "--ledger-dir", LEDGER_DIR,
-            "--diff-out", str(out / "diff.json"),
+    argv = ["compare-runs", lg.resolve_ref(TCP_4K, LEDGER_DIR),
+            "cell:transport=rdma,client=dpu,rw=randread,bs=4k,numjobs=16",
+            "--ledger-dir", str(tmp_path_factory.mktemp("ledger")),
+            "--json-out", str(out / "diff.json"),
             "--diff-flame", str(out / "flame.txt"),
             "--diff-wait-flame", str(out / "wait_flame.txt"),
             "--overlay", str(out / "overlay.json")]

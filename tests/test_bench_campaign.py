@@ -373,27 +373,101 @@ class TestCellRefs:
             cp.parse_cell_ref("cell:rdma")
 
     def test_plain_refs_delegate_to_the_ledger(self):
-        record = cp.resolve_run_or_cell("fig5-tcp-dpu-randread-4096",
-                                        LEDGER_DIR)
+        [record] = cp.resolve_runs(["fig5-tcp-dpu-randread-4096"],
+                                   LEDGER_DIR)
         assert record["run_id"].startswith("fig5-tcp-dpu-randread-4096")
 
     def test_cell_ref_runs_once_then_hits_cache(self, serial_run,
                                                 monkeypatch):
         _, ledger = serial_run
         ref = "cell:transport=tcp,numjobs=1,bs=4k,runtime=0.02,quick=true"
-        first = cp.resolve_run_or_cell(ref, ledger, **STAMP)
+        [first] = cp.resolve_runs([ref], ledger, **STAMP)
 
-        def boom(config):
+        def boom(*a, **kw):
             raise AssertionError("cached cell ref re-simulated")
 
         monkeypatch.setattr(cp, "execute_cell", boom)
-        assert cp.resolve_run_or_cell(ref, ledger, **STAMP) == first
+        assert cp.resolve_runs([ref], ledger, **STAMP) == [first]
 
     def test_failing_cell_ref_raises(self, tmp_path, monkeypatch):
         crash_on_tcp(monkeypatch)
         with pytest.raises(ValueError, match="failed"):
-            cp.resolve_run_or_cell("cell:transport=tcp,numjobs=1",
-                                   str(tmp_path), **STAMP)
+            cp.resolve_runs(["cell:transport=tcp,numjobs=1"],
+                            str(tmp_path), **STAMP)
+
+    def test_every_ref_is_checked_before_a_cell_runs(self, tmp_path,
+                                                     monkeypatch):
+        def boom(*a, **kw):
+            raise AssertionError("a cell ran before a bad ref was seen")
+
+        monkeypatch.setattr(cp, "execute_cell", boom)
+        for bad, match in (("no-such-run", "no run matching"),
+                           ("cell:rw=trim", "unknown rw")):
+            with pytest.raises(ValueError, match=match):
+                cp.resolve_runs(["cell:transport=tcp,numjobs=1", bad],
+                                str(tmp_path), **STAMP)
+        assert os.listdir(tmp_path) == []
+
+    def test_a_cache_miss_scans_the_ledger_once(self, tmp_path, monkeypatch):
+        calls = []
+        real = cp.find_cached
+
+        def counted(*a, **kw):
+            calls.append(a)
+            return real(*a, **kw)
+
+        monkeypatch.setattr(cp, "find_cached", counted)
+        ref = "cell:experiment=fig3,runtime=0.005"
+        record, again = cp.resolve_runs([ref, ref], str(tmp_path), **STAMP)
+        assert len(calls) == 1 and again == record
+        assert os.listdir(tmp_path) == [f"{record['run_id']}.json"]
+
+
+class TestFigureCells:
+    """Fig. 3 and Fig. 4 cells run through ``run_cell`` and
+    ``cell_record`` like every other experiment: the ``fig3``/``fig4``
+    subcommands print the same line and a campaign records the same run
+    IDs as before, now with a ``cost`` section."""
+
+    CELLS = [{"experiment": "fig3", "runtime": 0.005},
+             {"experiment": "fig4", "runtime": 0.005}]
+
+    @pytest.mark.parametrize("argv, line", [
+        (["fig3", "--runtime", "0.005"],
+         "fig3 read bs=1048576 jobs=1 ssds=1: 5.66 GiB/s (29 IOs)"),
+        (["fig4", "--runtime", "0.005"],
+         "fig4 ucx+rc randread bs=4096 c=4 s=4: 650.0 K IOPS (3250 IOs)"),
+    ])
+    def test_cli_result_line(self, capsys, argv, line):
+        from repro.bench.cli import main
+
+        assert main(argv) == 0
+        assert capsys.readouterr().out == line + "\n"
+
+    @pytest.fixture(scope="class")
+    def figure_ledger(self, tmp_path_factory):
+        ledger = str(tmp_path_factory.mktemp("figures"))
+        spec = {"format": cp.FORMAT, "cells": self.CELLS}
+        result = cp.run_campaign(spec, ledger_dir=ledger, **STAMP)
+        assert result.exit_code == 0
+        return ledger
+
+    def test_campaign_run_ids(self, figure_ledger):
+        assert sorted(os.listdir(figure_ledger)) == [
+            "fig3-read-1048576-j1-98eebf5415.json",
+            "fig4-randread-4096-34ab576ba6.json"]
+
+    def test_records_carry_cost(self, figure_ledger):
+        phases = {"fig3": (0, 48, 164), "fig4": (0, 13703, 68951)}
+        for record in lg.list_runs(figure_ledger):
+            cost = record["cost"]
+            start, opened, closed = phases[record["kind"]]
+            assert (cost["setup"], cost["ramp"], cost["measured"],
+                    cost["drain"]) == (start, opened - start,
+                                       closed - opened, 0)
+            assert cost["events_per_io"] == (
+                cost["measured"] / record["metrics"]["result.total_ios"])
+            assert "blame" not in record and "flame" not in record
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,17 @@ import os
 
 import pytest
 
-from repro.bench.cli import build_parser, main, parse_size
+from repro.bench import ledger as lg
+from repro.bench.campaign import parse_size
+from repro.bench.cli import build_parser, main
 
 LEDGER_DIR = os.path.join(os.path.dirname(__file__), os.pardir,
                           "benchmarks", "ledger")
 TCP_4K = "fig5-tcp-dpu-randread-4096"
 RDMA_4K = "fig5-rdma-dpu-randread-4096"
+#: The committed TCP 4 KiB record by path: a ``compare-runs`` whose
+#: ``--ledger-dir`` is scratch still finds it.
+TCP_4K_PATH = lg.resolve_ref(TCP_4K, LEDGER_DIR)
 CI_SPEC = os.path.join(os.path.dirname(LEDGER_DIR), "campaigns",
                        "fig5_ci.json")
 
@@ -36,9 +41,7 @@ def test_parse_size_suffixes():
 
 
 def test_parse_size_rejects_garbage():
-    import argparse
-
-    with pytest.raises(argparse.ArgumentTypeError):
+    with pytest.raises(ValueError, match="cannot parse size 'lots'"):
         parse_size("lots")
 
 
@@ -96,16 +99,12 @@ class TestDoctorFailFast:
         assert main(["doctor", "--quick", "--slo", "lots of latency"]) == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_missing_against_ref(self, no_sim, capsys):
-        assert main(["doctor", "--quick", "--against", "no-such-run",
-                     "--ledger-dir", LEDGER_DIR]) == 2
-        err = capsys.readouterr().err
-        assert "no run matching" in err and TCP_4K in err
-
-    def test_diff_flags_require_against(self, no_sim, capsys):
-        assert main(["doctor", "--quick",
-                     "--diff-flame", "/tmp/nope.txt"]) == 2
-        assert "--diff-flame requires --against" in capsys.readouterr().err
+    @pytest.mark.parametrize("flag", ["--against", "--diff-out",
+                                      "--diff-flame", "--diff-wait-flame",
+                                      "--overlay"])
+    def test_diff_flags_are_compare_runs_only(self, no_sim, flag):
+        with pytest.raises(SystemExit):
+            main(["doctor", "--quick", flag, TCP_4K])
 
 
 class TestArtifactPathsFailFast:
@@ -116,16 +115,18 @@ class TestArtifactPathsFailFast:
         ["doctor", "--quick", "--flame"],
         ["doctor", "--quick", "--wait-flame"],
         ["doctor", "--quick", "--perfetto"],
-        ["doctor", "--quick", "--against", TCP_4K, "--ledger-dir",
-         LEDGER_DIR, "--diff-out"],
-        ["doctor", "--quick", "--against", TCP_4K, "--ledger-dir",
-         LEDGER_DIR, "--overlay"],
+        ["compare-runs", TCP_4K, RDMA_4K, "--ledger-dir", LEDGER_DIR,
+         "--json-out"],
+        ["compare-runs", TCP_4K, RDMA_4K, "--ledger-dir", LEDGER_DIR,
+         "--overlay"],
         ["chaos", "--json-out"],
         ["chaos", "--wait-flame"],
         ["compare-runs", TCP_4K, RDMA_4K, "--ledger-dir", LEDGER_DIR,
          "--diff-flame"],
         ["campaign", CI_SPEC, "--dry-run", "--ledger-dir", LEDGER_DIR,
          "--json-out"],
+        ["compare-runs", TCP_4K, RDMA_4K, "--ledger-dir", LEDGER_DIR,
+         "--diff-wait-flame"],
     ])
     def test_missing_directory_exits_2(self, no_sim, capsys, tmp_path, argv):
         bad = str(tmp_path / "no-such-dir" / "out")
@@ -138,8 +139,6 @@ class TestArtifactPathsFailFast:
 def test_doctor_ledger_shares_the_campaign_identity(capsys, tmp_path):
     """``doctor --quick --ledger`` on the TCP 4 KiB cell re-records the
     committed campaign record: same config, label and run ID."""
-    from repro.bench import ledger as lg
-
     assert main(["doctor", "--quick", "--ledger",
                  "--ledger-dir", str(tmp_path)]) == 0
     name = f"{TCP_4K}-j16-92975d1d9f.json"
@@ -206,9 +205,10 @@ class TestBadCellFailsFast:
         ["doctor", "--quick", "--jobs", "0"],
         ["chaos", "--transport", "bogus"],
         ["chaos", "--jobs", "0"],
-        ["doctor", "--quick", "--against", "cell:rw=trim",
-         "--ledger-dir", LEDGER_DIR],
-        ["compare-runs", "cell:ssds=9", TCP_4K, "--ledger-dir", LEDGER_DIR],
+        ["compare-runs", "cell:rw=trim", "{base}",
+         "--ledger-dir", "{tmp}"],
+        ["compare-runs", "cell:ssds=9", "{base}",
+         "--ledger-dir", "{tmp}"],
         {"rw": "trim", "client": "gpu", "ssds": 9},
         {"transport": "bogus"},
         {"client": "gpu"},
@@ -221,6 +221,7 @@ class TestBadCellFailsFast:
         ["doctor", "--quick", "--runtime", "inf"],
         ["chaos", "--runtime", "inf"],
         {"runtime": float("inf")},
+        {"bs": "lots"},
     ])
     def test_exits_2(self, no_sim, capsys, tmp_path, argv):
         if isinstance(argv, dict):  # a campaign spec with one bad cell
@@ -229,6 +230,8 @@ class TestBadCellFailsFast:
                                         "cells": [argv]}))
             argv = ["campaign", str(spec), "--dry-run",
                     "--ledger-dir", str(tmp_path)]
+        else:  # a cell: ref never records into the committed ledger
+            argv = [a.format(base=TCP_4K_PATH, tmp=tmp_path) for a in argv]
         assert main(argv) == 2
         err = capsys.readouterr().err
         # A cell: reference's worker would turn no_sim's raise into exit 2.
@@ -245,7 +248,7 @@ class TestBadCellFailsFast:
 class TestFigureAndVerdictKnobsFailFast:
     """Core counts outside the testbed's hosts, a zero job count and a
     verdict no run can pass exit 2 with one error line, before anything
-    is simulated: every subcommand validates through ``_check_cell``."""
+    is simulated: every subcommand validates through ``normalize_cell``."""
 
     @pytest.fixture(autouse=True)
     def no_figure_sim(self, no_sim, monkeypatch):
@@ -254,8 +257,11 @@ class TestFigureAndVerdictKnobsFailFast:
         def boom(*a, **kw):
             raise AssertionError("simulation ran despite fail-fast error")
 
-        for name in ("run_fig3_cell", "run_fig4_cell", "_build_fig5"):
-            monkeypatch.setattr(cli, name, boom)
+        import repro.bench.runner as runner
+
+        for name in ("run_fig3_cell", "run_fig4_cell"):
+            monkeypatch.setattr(runner, name, boom)
+        monkeypatch.setattr(cli, "_build_fig5", boom)
 
     @pytest.mark.parametrize("argv, message", [
         (["fig3", "--jobs", "0"], "numjobs must be > 0"),
@@ -345,6 +351,14 @@ class TestCompareRunsSubcommand:
                      "--ledger-dir", LEDGER_DIR]) == 2
         assert "no run matching" in capsys.readouterr().err
 
+    def test_bad_ref_fails_before_a_cell_simulates(self, no_sim, capsys,
+                                                   tmp_path):
+        assert main(["compare-runs", "cell:transport=rdma", "no-such-run",
+                     "--ledger-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "no run matching" in err and "simulation ran" not in err
+        assert os.listdir(tmp_path) == []
+
 
 class TestOverlayRefusesWhatItCannotRegenerate:
     """``--overlay`` re-simulates each ledger run from its config.  A run
@@ -356,18 +370,18 @@ class TestOverlayRefusesWhatItCannotRegenerate:
         from repro.bench.campaign import normalize_cell
 
         class _Result:
+            total_ios, phase_events = 0, (0, 0, 0)
+
             def to_dict(self):
                 return {"iops": 1000.0}
 
-        record = lg.make_cell_record(
-            _Result(), config=normalize_cell({"experiment": "fig3"}),
-            kind="fig3")
+        record = lg.make_run_record(
+            _Result(), normalize_cell({"experiment": "fig3"}), "", "fig3")
         return lg.save_run(record, str(tmp_path)), record["run_id"]
 
     @pytest.mark.parametrize("argv", [
         ["compare-runs", "{ref}", TCP_4K, "--ledger-dir", LEDGER_DIR],
-        ["doctor", "--quick", "--against", "{ref}"],
-    ], ids=["compare-runs", "doctor"])
+    ], ids=["compare-runs"])
     def test_record_without_a_wait_tracer(self, no_sim, capsys, tmp_path,
                                           fig3_record, argv):
         path, run_id = fig3_record
@@ -379,8 +393,6 @@ class TestOverlayRefusesWhatItCannotRegenerate:
         assert not overlay.exists()
 
     def test_record_made_by_other_code(self, capsys, tmp_path):
-        from repro.bench import ledger as lg
-
         record = lg.load_run(TCP_4K, LEDGER_DIR)
         record["metrics"]["result.iops"] += 1.0
         record = lg._finish_record(record)
@@ -483,7 +495,8 @@ class TestRunsFormatJson:
 
 
 class TestCellRefsViaCli:
-    def test_malformed_cell_ref_fails_fast(self, no_sim, capsys):
-        assert main(["doctor", "--quick", "--against", "cell:rdma",
-                     "--ledger-dir", LEDGER_DIR]) == 2
+    def test_malformed_cell_ref_fails_fast(self, no_sim, capsys, tmp_path):
+        assert main(["compare-runs", TCP_4K_PATH, "cell:rdma",
+                     "--ledger-dir", str(tmp_path)]) == 2
         assert "key=value" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []

@@ -52,9 +52,9 @@ def tiny_config(tiny_run):
 
 @pytest.fixture(scope="module")
 def tiny_record(tiny_run, tiny_config):
-    record = lg.make_run_record(tiny_run.result, tiny_run.collector,
-                                tiny_run.tracer, config=tiny_config,
-                                label="tiny")
+    record = lg.make_run_record(tiny_run.result, tiny_config, "tiny",
+                                "doctor", tiny_run.collector,
+                                tiny_run.tracer)
     return _stamped(record, git_sha="abc1234",
                     created="2026-08-07T00:00:00Z")
 
@@ -96,11 +96,13 @@ class TestRecordShape:
 
 class TestRunIdStability:
     def test_volatile_fields_do_not_move_the_id(self, tiny_run, tiny_config):
-        a = _stamped(lg.make_run_record(tiny_run.result, tiny_run.collector,
-                                        tiny_run.tracer, config=tiny_config),
+        a = _stamped(lg.make_run_record(tiny_run.result, tiny_config, "",
+                                        "doctor", tiny_run.collector,
+                                        tiny_run.tracer),
                      git_sha="abc1234", created="2026-08-07T00:00:00Z")
-        b = _stamped(lg.make_run_record(tiny_run.result, tiny_run.collector,
-                                        tiny_run.tracer, config=tiny_config),
+        b = _stamped(lg.make_run_record(tiny_run.result, tiny_config, "",
+                                        "doctor", tiny_run.collector,
+                                        tiny_run.tracer),
                      git_sha="fffffff", created="2031-01-01T12:34:56Z")
         assert a["run_id"] == b["run_id"]
         assert lg.content_hash(a) == lg.content_hash(b)
@@ -291,13 +293,13 @@ class TestVolatileFields:
 
     def test_fingerprint_is_volatile_for_the_run_id(self, tiny_run,
                                                     tiny_config):
-        a = _stamped(lg.make_run_record(tiny_run.result, tiny_run.collector,
-                                        tiny_run.tracer, config=tiny_config,
-                                        label="tiny"),
+        a = _stamped(lg.make_run_record(tiny_run.result, tiny_config, "tiny",
+                                        "doctor", tiny_run.collector,
+                                        tiny_run.tracer),
                      code_fingerprint="a" * 16)
-        b = _stamped(lg.make_run_record(tiny_run.result, tiny_run.collector,
-                                        tiny_run.tracer, config=tiny_config,
-                                        label="tiny"),
+        b = _stamped(lg.make_run_record(tiny_run.result, tiny_config, "tiny",
+                                        "doctor", tiny_run.collector,
+                                        tiny_run.tracer),
                      code_fingerprint="b" * 16)
         assert a["code_fingerprint"] != b["code_fingerprint"]
         assert a["run_id"] == b["run_id"]
@@ -305,8 +307,10 @@ class TestVolatileFields:
         assert lg.strip_volatile(a) == lg.strip_volatile(b)
 
 
-class TestMakeCellRecord:
+class TestTracerlessRecord:
     class _Result:
+        total_ios, phase_events = 4, (10, 30, 50)
+
         def to_dict(self):
             return {"iops": 1000.0, "latency": {"mean": 1e-4, "p99": 2e-4}}
 
@@ -314,12 +318,15 @@ class TestMakeCellRecord:
         config = {"experiment": "fig3", "rw": "read", "bs": 1024**2,
                   "numjobs": 1, "iodepth": 8, "runtime": 0.03, "ssds": 1}
         record = _stamped(
-            lg.make_cell_record(self._Result(), config=config,
-                                label="fig3 read", kind="fig3"),
+            lg.make_run_record(self._Result(), config, "fig3 read", "fig3"),
             git_sha="abc", created="2026-01-01", code_fingerprint="f" * 16)
         assert record["format"] == lg.FORMAT
         assert record["kind"] == "fig3"
         assert record["metrics"]["result.iops"] == 1000.0
+        # Nothing runs after FIO's window without a tracer: drain is 0.
+        assert record["cost"] == {"setup": 10, "ramp": 20, "measured": 20,
+                                  "drain": 0, "events_per_io": 5.0}
+        assert not {"traces", "blame", "flame"} & set(record)
         assert record["config_hash"] == lg.config_hash(config)
         assert record["run_id"].endswith(lg.content_hash(record))
         lg.save_run(record, str(tmp_path))

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.control_plane import GrpcChannel, GrpcError, GrpcServer, StatusCode
 from repro.hw import make_paper_testbed
+from repro.net.message import Message
 from repro.sim import Environment
 
 
@@ -164,7 +165,9 @@ def test_shutdown_stops_loop():
     server.add_method("svc", "Ping", ping)
 
     def main(env):
-        yield from channel.shutdown_server()
+        yield from channel.conn.send(Message(
+            src=top.launcher.name, dst=channel.server_name,
+            kind="grpc.shutdown", nbytes=16))
         got.append((yield from channel.unary("svc", "Ping", {})))
 
     env.process(main(env))

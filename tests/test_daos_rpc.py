@@ -157,7 +157,8 @@ def test_shutdown_stops_server():
     server.serve(ch)
 
     def main(env):
-        yield from client.shutdown_server()
+        yield from ch.send(Message(src=top.client.name, dst=client.server_name,
+                                   kind="rpc.shutdown", nbytes=16))
         yield from client.call("noop", {}, deadline=0.01)
 
     p = env.process(main(env))

@@ -28,8 +28,8 @@ def run_for(transport):
     config = {"experiment": "fig5", "transport": transport, "client": "dpu",
               "rw": "randread", "bs": 4096, "numjobs": 16,
               "runtime": 0.02, "sample_every": 20}
-    return run, lg.make_run_record(run.result, run.collector, run.tracer,
-                                   config=config, label=f"tiny {transport}")
+    return run, lg.make_run_record(run.result, config, f"tiny {transport}",
+                                   "doctor", run.collector, run.tracer)
 
 
 @pytest.fixture(scope="module")

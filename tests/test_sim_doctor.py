@@ -112,7 +112,7 @@ class TestDiagnose:
     def test_verdict_names_top_and_next(self):
         env, col, tracer = _traced_pair([("dev.a", 3e-3), ("dev.b", 1e-3)])
         diag = diagnose(_fake_result(env), col, tracer)
-        assert diag.bottleneck == "dev.a"
+        assert diag.blame[0]["resource"] == "dev.a"
         assert diag.verdict.startswith("bottleneck: dev.a, 75% of 4KiB "
                                        "randread p99, next: dev.b at 25%")
         assert diag.exit_code == 0
@@ -200,7 +200,7 @@ class TestFig5Doctored:
         from repro.bench.calibration import PAPER_BANDS
 
         diag = self._diagnose(run)
-        assert diag.bottleneck == "dpu.arm_rx"
+        assert diag.blame[0]["resource"] == "dpu.arm_rx"
         share = diag.blame[0]["share"]
         assert PAPER_BANDS["fig5.dpu.tcp.4k.arm_rx_share"].holds(share)
         assert diag.blame[1]["resource"].startswith("nvme.ssd")

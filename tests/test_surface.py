@@ -1,7 +1,7 @@
-"""Every option, definition and attribute in ``src/repro`` has a use
-outside the tests.
+"""Every option, definition, method and attribute in ``src/repro`` has
+a use outside the tests.
 
-Three AST scans, matching uses by name (so a name two definitions share
+Four AST scans, matching uses by name (so a name two definitions share
 counts a use of either as a use of both):
 
 * a defaulted parameter of a public function or constructor that no call
@@ -10,6 +10,9 @@ counts a use of either as a use of both):
 * a top-level definition in ``src/repro`` that nothing outside ``tests/``
   references is test-only (or dead) code: delete it, with the tests that
   test only it;
+* so is a non-dunder method of a ``src/repro`` class (an AST visitor's
+  ``visit_*`` hooks aside: ``ast.NodeVisitor`` calls them by name) whose
+  name nothing outside ``tests/`` calls or loads;
 * an attribute a ``src/repro`` method sets on ``self``, or a dataclass
   field, that no code in those directories reads is write-only state:
   delete it.  A read is an attribute load, a string constant naming it
@@ -18,11 +21,12 @@ counts a use of either as a use of both):
   ``__all__`` do not count) or, for a dataclass, an ``asdict``/``astuple``
   of itself, which dumps the dataclasses its fields name as well.
 
-:data:`ALLOWED_PARAMETERS`, :data:`ALLOWED_DEFINITIONS` and
-:data:`ALLOWED_ATTRIBUTES` hold the known exceptions, each with its
-reason; an entry the scan no longer reports fails too, so the lists
-shrink with the code.  ``test_scans_flag_a_planted_tree`` runs the three
-scans over a small tree with one known offender each.
+:data:`ALLOWED_PARAMETERS`, :data:`ALLOWED_DEFINITIONS`,
+:data:`ALLOWED_METHODS` and :data:`ALLOWED_ATTRIBUTES` hold the known
+exceptions, each with its reason; an entry the scan no longer reports
+fails too, so the lists shrink with the code.
+``test_scans_flag_a_planted_tree`` runs the four scans over a small tree
+with one known offender each.
 """
 
 import ast
@@ -57,6 +61,19 @@ ALLOWED_PARAMETERS: Dict[str, str] = {
 ALLOWED_DEFINITIONS: Dict[str, str] = {
     "DuplexLink": "the perf harness wraps DuplexLink.transfer by name",
     "Resource": "the perf harness wraps Resource.request by name",
+}
+
+#: ``Class.method`` -> why only tests call it.
+ALLOWED_METHODS: Dict[str, str] = {
+    "Event.processed": _KERNEL,
+    "Process.interrupt": _KERNEL,
+    "CompletionQueue.poll": _VERBS,
+    "Transaction.abort":
+        "the DAOS transaction API: a staged transaction ends in commit "
+        "or abort",
+    "Ros2Session.close_session":
+        "the client end of the CloseSession method the ROS2 service "
+        "registers",
 }
 
 #: ``Class.attribute`` -> why nothing outside the tests reads it.
@@ -238,6 +255,26 @@ def unused_definitions(root: str = ROOT) -> List[str]:
     return found
 
 
+def uncalled_methods(root: str = ROOT) -> List[str]:
+    """``Class.method`` for every non-dunder method nothing outside
+    ``tests/`` uses, ``visit_*`` hooks aside."""
+    uses = _uses(root)
+    found = []
+    for module in _package(root):
+        for cls in ast.walk(module):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for fn in cls.body:
+                name = getattr(fn, "name", "")
+                if (isinstance(fn, ast.FunctionDef)
+                        and not (name.startswith("__")
+                                 and name.endswith("__"))
+                        and not name.startswith("visit_")
+                        and not uses.refs.get(name)):
+                    found.append(f"{cls.name}.{name}")
+    return found
+
+
 def _is_dataclass(cls: ast.ClassDef) -> bool:
     return any(getattr(d, "id", None) == "dataclass"
                or getattr(getattr(d, "func", None), "id", None) == "dataclass"
@@ -361,6 +398,11 @@ def test_no_definition_is_used_only_by_tests():
            "(delete them)")
 
 
+def test_no_method_is_called_only_by_tests():
+    _check(uncalled_methods(), ALLOWED_METHODS,
+           "methods nothing outside tests/ calls (delete them)")
+
+
 def test_every_attribute_is_read_outside_the_tests():
     _check(unread_attributes(), ALLOWED_ATTRIBUTES,
            "attributes and dataclass fields nothing in src/, benchmarks/ "
@@ -369,6 +411,7 @@ def test_every_attribute_is_read_outside_the_tests():
 
 _PLANTED = {
     "src/repro/planted.py": '''
+import ast
 from dataclasses import asdict, dataclass
 from typing import List
 
@@ -392,6 +435,14 @@ class Box:
         self.write_only += 1
         return self.shown
 
+    def only_tested_method(self):
+        return self.shown
+
+
+class Finder(ast.NodeVisitor):
+    def visit_Name(self, node):
+        return node
+
 
 @dataclass
 class Spec:
@@ -413,10 +464,11 @@ class Report:
         return asdict(self)
 ''',
     "benchmarks/drive.py": '''
-from repro.planted import Box, Part, Report, Spec, used
+from repro.planted import Box, Finder, Part, Report, Spec, used
 
 METRICS = ("tabled",)
 box = Box()
+Finder().visit(None)
 print(used(1, b=2), box.bump(), getattr(box, "looked_up"))
 print(Spec("x").name, Report([Part()]).to_dict())
 ''',
@@ -424,6 +476,7 @@ print(Spec("x").name, Report([Part()]).to_dict())
 from repro.planted import Box, Spec, only_tested, used
 
 assert used(1, knob=3) and only_tested() == 0
+assert Box().only_tested_method() == 0
 assert Box().write_only == 0 and Spec("z").unread_field == 0
 ''',
 }
@@ -433,7 +486,8 @@ def test_scans_flag_a_planted_tree(tmp_path):
     """Each scan flags its planted offenders and nothing else: an attribute
     read only through a ``getattr`` string or named only in a table of
     names, and the fields of a dataclass an ``asdict`` dumps (through
-    another one's field), count as read."""
+    another one's field), count as read; an AST visitor's ``visit_*``
+    hook counts as called."""
     for rel, text in _PLANTED.items():
         path = tmp_path / rel
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -441,4 +495,5 @@ def test_scans_flag_a_planted_tree(tmp_path):
     root = str(tmp_path)
     assert unpassed_parameters(root) == ["used(knob)"]
     assert unused_definitions(root) == ["only_tested"]
+    assert uncalled_methods(root) == ["Box.only_tested_method"]
     assert unread_attributes(root) == ["Box.write_only", "Spec.unread_field"]
