@@ -7,9 +7,10 @@
 * :mod:`repro.bench.report` — ASCII tables and heatmaps that
   mirror how the paper presents each figure.
 * :mod:`repro.bench.calibration` — the paper's reported numbers/bands and
-  shape checks (who wins, by what factor, where crossovers sit), used by
-  the benches to print paper-vs-measured and by the test suite to guard
-  against calibration drift.
+  shape checks (who wins, by what factor, where crossovers sit).  The
+  figure benches print and assert paper-vs-measured for all but one of
+  them; tier-1 and ``cli verdict`` check only four (the module
+  docstring lists which).
 """
 
 from repro.bench.calibration import PAPER_BANDS, ShapeCheck

@@ -1,9 +1,18 @@
 """The paper's reported numbers and shape checks.
 
 Every quantitative claim the evaluation section makes is recorded here as
-a band or ratio.  Benches print paper-vs-measured from these; the
-integration tests assert them, so calibration drift fails CI rather than
-silently producing a different paper.
+a band or ratio.  Where each band is checked:
+
+* ``pytest benchmarks/ --benchmark-only`` (the Fig. 3–5 benches)
+  prints paper-vs-measured for every band but the Arm RX share and
+  asserts it; no CI job runs it, so drift in most bands shows only
+  there;
+* tier-1 (``tests/test_bench.py``) simulates one cell each for
+  ``fig3.1ssd.read.1mib``, ``fig5.rdma.read.1mib.1ssd`` and
+  ``fig5.dpu.tcp.read.1mib.1ssd`` and asserts their bands;
+* ``fig5.dpu.tcp.4k.arm_rx_share`` is asserted by tier-1's doctor test
+  (``tests/test_sim_doctor.py``) and by ``cli verdict`` on every ledger
+  record of that cell (:mod:`repro.bench.verdicts`), which CI runs.
 
 Units: bytes/second for bandwidth bands, operations/second for IOPS.
 """

@@ -423,7 +423,7 @@ def cell_record(config: dict, run) -> dict:
 
     doctored = run.run
     sections = chaos_sections(
-        doctored.result, run.stats, run.plan, tracer=doctored.tracer,
+        doctored.result, run.stats, run.plan,
         min_goodput=config.get("min_goodput", DEFAULT_MIN_GOODPUT),
         p999_max=config.get("p999_max", DEFAULT_P999_MAX))
     return lg.make_run_record(

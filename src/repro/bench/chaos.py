@@ -3,22 +3,22 @@
 A chaos run is a doctored Fig. 5 cell with a
 :class:`~repro.faults.plan.FaultPlan` installed and the event heap
 drained to empty afterwards (see
-:func:`~repro.bench.runner.run_fig5_chaos`).  This module reduces one
-such run into a ``repro-chaos-v1`` verdict document asserting the
-properties the paper's availability story rests on:
+:func:`~repro.bench.runner.run_fig5_chaos`).  Its ledger record
+(``kind: "chaos"``) carries one more section, ``chaos``, built here:
+the plan that ran (``faults``), the injector's ``recovery`` counters
+and the ``checks`` the paper's availability story rests on:
 
 * **conservation** — every submitted operation either completed or
   failed with an error; nothing was lost in a retry loop or a flushed
   queue (``submitted == completed + failed`` after drain);
-* **availability** — goodput (the fraction of measured-window
-  operations that succeeded) stays above a threshold despite the
-  injected faults;
-* **bounded tail** — p99.9 latency stays under a bound, i.e. recovery
-  is capped backoff + reconnect, not an unbounded stall.
+* **goodput** — the fraction of measured-window operations that
+  succeeded stays above a threshold despite the injected faults;
+* **p999** — p99.9 latency stays under a bound, i.e. recovery is
+  capped backoff + reconnect, not an unbounded stall.
 
-The same sections are attached to chaos ledger records (``kind:
-"chaos"``) via ``make_run_record(extra_sections=...)``, so the campaign
-determinism gate covers recovery behaviour byte-for-byte.
+The section is content-hashed with the rest of the record, so the
+campaign determinism gate covers recovery behaviour byte-for-byte.
+``chaos --json-out`` writes that same record.
 """
 
 from __future__ import annotations
@@ -26,16 +26,12 @@ from __future__ import annotations
 from typing import List, Optional
 
 __all__ = [
-    "FORMAT",
     "DEFAULT_MIN_GOODPUT",
     "DEFAULT_P999_MAX",
     "chaos_sections",
-    "make_chaos_report",
     "render_chaos",
     "default_qp_break_plan",
 ]
-
-FORMAT = "repro-chaos-v1"
 
 #: Measured-window success-ratio floor (goodput >= this passes).
 DEFAULT_MIN_GOODPUT = 0.95
@@ -64,11 +60,10 @@ def chaos_sections(
     result,
     stats,
     plan,
-    tracer=None,
     min_goodput: float = DEFAULT_MIN_GOODPUT,
     p999_max: Optional[float] = DEFAULT_P999_MAX,
 ) -> dict:
-    """The verdict sections shared by the report and the ledger record.
+    """A chaos record's ``chaos`` section.
 
     ``result`` is the :class:`~repro.workload.fio.FioResult`, ``stats``
     the injector's :class:`~repro.faults.plan.FaultStats` *after* the
@@ -101,72 +96,30 @@ def chaos_sections(
             "detail": (f"p99.9 {p999 * 1e3:.3f} ms "
                        f"(bound {p999_max * 1e3:.3f} ms)"),
         })
-
-    sections = {
+    return {
         "faults": plan.to_config(),
         "recovery": stats.to_dict(),
-        "conservation": {
-            "submitted": stats.submitted,
-            "completed": stats.completed,
-            "failed": stats.failed,
-            "lost": lost,
-        },
-        "availability": {
-            "goodput": goodput,
-            "min_goodput": min_goodput,
-            "window_ops": window_ops,
-            "window_errors": result.errors,
-            **({"p999": p999} if p999 is not None else {}),
-            **({"p999_max": p999_max} if p999_max is not None else {}),
-        },
         "checks": checks,
         "ok": all(c["ok"] for c in checks),
     }
-    if tracer is not None:
-        # Which fault resource the recovery waits were blamed on — the
-        # doctor's ``fault:{resource}`` leaves, pinned for the goldens.
-        fault_blame = {
-            name: agg.to_dict()
-            for name, agg in sorted(tracer.aggregates.items())
-            if name.startswith("fault:")
-        }
-        sections["fault_blame"] = fault_blame
-    return sections
 
 
-def make_chaos_report(chaos_run, config: dict, label: str = "",
-                      min_goodput: float = DEFAULT_MIN_GOODPUT,
-                      p999_max: Optional[float] = DEFAULT_P999_MAX) -> dict:
-    """Reduce a :class:`~repro.bench.runner.ChaosRun` into the verdict doc."""
-    run = chaos_run.run
-    doc = {
-        "format": FORMAT,
-        "label": label,
-        "config": dict(config),
-        "result": run.result.to_dict(),
-        **chaos_sections(run.result, chaos_run.stats, chaos_run.plan,
-                         tracer=run.tracer, min_goodput=min_goodput,
-                         p999_max=p999_max),
-    }
-    return doc
-
-
-def render_chaos(doc: dict) -> str:
-    """One-screen human verdict."""
-    lines = [f"chaos verdict — {doc.get('label') or 'run'}: "
+def render_chaos(record: dict) -> str:
+    """One-screen human verdict of a chaos record."""
+    doc = record["chaos"]
+    lines = [f"chaos verdict — {record['label'] or 'run'}: "
              + ("OK" if doc["ok"] else "FAIL")]
-    events = doc.get("faults", {}).get("events", [])
-    for ev in events:
+    for ev in doc["faults"]["events"]:
         lines.append(f"  fault  {ev['kind']:18s} {ev['target']:24s} "
                      f"at +{ev['at'] * 1e3:.2f} ms "
                      f"for {ev['duration'] * 1e3:.2f} ms")
-    rec = doc.get("recovery", {})
-    lines.append(f"  recovery: {rec.get('retries', 0)} retries, "
-                 f"{rec.get('reconnects', 0)} reconnects, "
-                 f"{rec.get('timeouts', 0)} timeouts, "
-                 f"{rec.get('replies_dropped', 0)} replies dropped, "
-                 f"{rec.get('fault_downtime', 0.0) * 1e3:.2f} ms downtime")
-    for check in doc.get("checks", []):
+    rec = doc["recovery"]
+    lines.append(f"  recovery: {rec['retries']} retries, "
+                 f"{rec['reconnects']} reconnects, "
+                 f"{rec['timeouts']} timeouts, "
+                 f"{rec['replies_dropped']} replies dropped, "
+                 f"{rec['fault_downtime'] * 1e3:.2f} ms downtime")
+    for check in doc["checks"]:
         mark = "ok  " if check["ok"] else "FAIL"
         lines.append(f"  {mark} {check['name']:14s} {check['detail']}")
     return "\n".join(lines)

@@ -243,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     pch = sub.add_parser(
         "chaos",
         help="fault-injected run: deterministic fault plan, retry/recovery "
-             "telemetry, availability verdict (repro-chaos-v1)",
+             "telemetry, availability checks in its repro-run-v1 record",
     )
     _add_cell_args(pch, "rdma", "dpu", "randread", 4096, None, sample=20)
     pch.add_argument("--fault", action="append", default=[], metavar="SPEC",
@@ -260,7 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
     pch.add_argument("--p999-max", type=float, default=None,
                      help="p99.9 latency ceiling in seconds (default 0.05)")
     pch.add_argument("--json-out", metavar="PATH", default=None,
-                     help="write the repro-chaos-v1 verdict document")
+                     help="write the run's repro-run-v1 record (the one "
+                          "--ledger saves)")
     pch.add_argument("--wait-flame", metavar="PATH", default=None,
                      help="write the wait-time flamegraph (fault: leaves "
                           "show recovery backoff blame)")
@@ -461,13 +462,19 @@ def _cell_config(args, experiment: str, **extra) -> dict:
         k: v for k, v in cell.items() if v is not None}})
 
 
-def _record(config: dict, run, args) -> None:
-    """Stamp a cell's ledger record and append it to the ledger."""
-    from repro.bench import ledger as lg
+def _stamped_record(config: dict, run, args) -> dict:
+    """A cell's ledger record, stamped as a recording."""
     from repro.bench.campaign import cell_record, code_fingerprint
 
     record = cell_record(config, run)
     record.update(**_stamps(args), code_fingerprint=code_fingerprint())
+    return record
+
+
+def _save(record: dict, args) -> None:
+    """Append a stamped record to the ledger."""
+    from repro.bench import ledger as lg
+
     path = lg.save_run(record, _ledger_dir(args))
     print(f"ledger: recorded {record['run_id']} -> {path}")
 
@@ -558,7 +565,7 @@ def _run_doctor(args) -> int:
     print(breakdown.table("Latency breakdown (sampled requests)"))
 
     if args.ledger:
-        _record(config, run, args)
+        _save(_stamped_record(config, run, args), args)
     return diag.exit_code
 
 
@@ -591,16 +598,13 @@ def _run_chaos(args) -> int:
         run = cp.run_cell(config)
     except FaultTargetError as exc:
         return _fail(exc)
-    doc = ch.make_chaos_report(
-        run, config, label=label,
-        min_goodput=config.get("min_goodput", ch.DEFAULT_MIN_GOODPUT),
-        p999_max=config.get("p999_max", ch.DEFAULT_P999_MAX))
+    record = _stamped_record(config, run, args)
 
     print(f"{label}: {_report(run.run.result)}")
-    print(ch.render_chaos(doc))
+    print(ch.render_chaos(record))
     if args.json_out:
-        _write_json(args.json_out, doc)
-        print(f"wrote chaos verdict {args.json_out}")
+        _write_json(args.json_out, record)
+        print(f"wrote chaos record {args.json_out}")
     if args.wait_flame:
         from repro.sim.flame import fold_waits, write_collapsed
 
@@ -609,8 +613,8 @@ def _run_chaos(args) -> int:
         print(f"wrote wait flamegraph {args.wait_flame} "
               f"({len(folded)} stacks)")
     if args.ledger:
-        _record(config, run, args)
-    return 0 if doc["ok"] else 1
+        _save(record, args)
+    return 0 if record["chaos"]["ok"] else 1
 
 
 def _run_campaign(args) -> int:

@@ -22,14 +22,18 @@ and carries, already reduced:
 A run observed by a wait tracer (Fig. 5 and chaos cells) adds what
 delta attribution needs:
 
-* per-resource ``wait_aggregates`` (every operation since tracer
-  install) and sampled-span ``blame`` split into wait/service/latency;
+* ``traces``: the sampled requests' ``count`` and ``total_root_time``
+  (their mean is the quotient, derived where it is read);
+* sampled-span ``blame`` split into wait/service/latency;
 * collapsed flame stacks for both span self-time and wait blame
   (integer nanoseconds — byte-stable).
 
-A record keeps only what a verdict reads.  A view that the config can
-regenerate is not stored: the ``--overlay`` trace re-simulates each
-record's cell and reads the live tracer's wait counters.
+A chaos cell adds its ``chaos`` section (:mod:`repro.bench.chaos`).
+
+A record keeps only what a verdict reads, each fact once.  A view that
+the config can regenerate is not stored: the ``--overlay`` trace
+re-simulates each record's cell and reads the live tracer's wait
+counters.
 
 Run IDs are **content-derived**: a human slug from the config plus the
 first hex digits of the record's canonical-JSON hash (volatile fields —
@@ -192,7 +196,7 @@ def make_run_record(
     FIO's window, so ``drain`` is 0.
 
     ``extra_sections`` merges additional top-level sections into the
-    record (e.g. the chaos harness's recovery/availability verdicts);
+    record (e.g. the chaos harness's ``chaos`` section);
     they are content-hashed like everything else, so the determinism
     gate covers them byte-for-byte.
     """
@@ -214,16 +218,9 @@ def make_run_record(
         from repro.sim.flame import fold_spans, fold_waits
 
         roots = collector.roots()
-        total_root = fsum(s.duration for s in roots)
         record.update({
-            "traces": {
-                "count": len(roots),
-                "total_root_time": total_root,
-                "mean_latency": (total_root / len(roots)) if roots else 0.0,
-            },
-            "wait_aggregates": {
-                name: agg.to_dict()
-                for name, agg in sorted(tracer.aggregates.items())},
+            "traces": {"count": len(roots),
+                       "total_root_time": fsum(s.duration for s in roots)},
             "blame": dict(sorted(tracer.blame_components().items())),
             "flame": {
                 "spans": dict(sorted(fold_spans(collector.spans).items())),

@@ -148,22 +148,6 @@ class Span:
         """Aggregation key: ``node.name`` when the node is known."""
         return f"{self.node}.{self.name}" if self.node else self.name
 
-    def to_dict(self) -> dict:
-        d = {
-            "trace_id": self.trace_id,
-            "span_id": self.span_id,
-            "parent_id": self.parent_id,
-            "name": self.name,
-            "node": self.node,
-            "t_start": self.t_start,
-            "t_end": self.t_end,
-            "duration": self.duration,
-            "nbytes": self.nbytes,
-        }
-        if self.attrs:
-            d["attrs"] = dict(self.attrs)
-        return d
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "open" if self.t_end is None else f"{self.duration * 1e6:.2f}us"
         return f"<Span {self.stage} trace={self.trace_id} {state}>"
@@ -231,14 +215,6 @@ class SpanCollector:
 
     def clear(self) -> None:
         self.spans.clear()
-
-    def to_dict(self) -> dict:
-        return {
-            "requests_seen": self.requests_seen,
-            "traces_started": self.traces_started,
-            "sample_every": self.sample_every,
-            "spans": [s.to_dict() for s in self.spans],
-        }
 
 
 # ---------------------------------------------------------------------------

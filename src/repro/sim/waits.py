@@ -106,19 +106,6 @@ class WaitRecord:
     def total(self) -> float:
         return self.wait + self.service + self.latency
 
-    def to_dict(self) -> dict:
-        return {
-            "span_id": self.span.span_id,
-            "trace_id": self.span.trace_id,
-            "stage": self.span.stage,
-            "resource": self.resource,
-            "kind": self.kind,
-            "wait": self.wait,
-            "service": self.service,
-            "latency": self.latency,
-            "t": self.t,
-        }
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<WaitRecord {self.kind} {self.resource} "
                 f"w={self.wait * 1e6:.2f}us s={self.service * 1e6:.2f}us "
@@ -141,15 +128,6 @@ class ResourceWait:
         #: The sampler's station for this name (:meth:`WaitTracer.watch`)
         #: or None.
         self.station = station
-
-    def to_dict(self) -> dict:
-        return {
-            "count": self.count,
-            "wait_sec": self.wait,
-            "service_sec": self.service,
-            "latency_sec": self.latency,
-            "block_sec": self.block,
-        }
 
 
 class WaitTracer:
@@ -445,14 +423,6 @@ class WaitTracer:
             d["total"] += r.total
         return out
 
-    def blocked_on(self) -> Dict[str, float]:
-        """Resource -> seconds sampled spans spent parked on it."""
-        out: Dict[str, float] = {}
-        for r in self.records:
-            if r.kind == BLOCK:
-                out[r.resource] = out.get(r.resource, 0.0) + r.wait
-        return out
-
     def span_waits(self, span_ids: Collection[int]
                    ) -> Dict[int, Dict[str, float]]:
         """span_id -> resource -> attributed seconds (blocks included).
@@ -485,14 +455,3 @@ class WaitTracer:
         """Cumulative blamed-wait counters, one per resource, name-sorted."""
         self._flush()
         return [self._series[k] for k in sorted(self._series)]
-
-    def to_dict(self) -> dict:
-        return {
-            "t_installed": self.t_installed,
-            "records": len(self.records),
-            "records_dropped": self.records_dropped,
-            "aggregates": {k: v.to_dict()
-                           for k, v in sorted(self.aggregates.items())},
-            "blame_sec": dict(sorted(self.blame().items())),
-            "blocked_on_sec": dict(sorted(self.blocked_on().items())),
-        }

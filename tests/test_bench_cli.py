@@ -141,7 +141,7 @@ def test_doctor_ledger_shares_the_campaign_identity(capsys, tmp_path):
     committed campaign record: same config, label and run ID."""
     assert main(["doctor", "--quick", "--ledger",
                  "--ledger-dir", str(tmp_path)]) == 0
-    name = f"{TCP_4K}-j16-92975d1d9f.json"
+    name = f"{TCP_4K}-j16-2b0b859b14.json"
     assert os.listdir(tmp_path) == [name]
     with open(tmp_path / name) as fh:
         produced = json.load(fh)
@@ -152,11 +152,15 @@ def test_doctor_ledger_shares_the_campaign_identity(capsys, tmp_path):
 
 def test_chaos_ledger_keeps_its_run_id(capsys, tmp_path):
     """``chaos --ledger`` records the default QP-break cell under its
-    pinned run ID."""
+    pinned run ID, and ``--json-out`` writes the record it saves."""
+    ledger, out = tmp_path / "ledger", tmp_path / "chaos.json"
     assert main(["chaos", "--ledger", "--runtime", "0.01",
-                 "--ledger-dir", str(tmp_path)]) == 0
-    assert os.listdir(tmp_path) == [
-        "chaos-rdma-dpu-randread-4096-j16-22352998ef.json"]
+                 "--ledger-dir", str(ledger), "--json-out", str(out)]) == 0
+    name = "chaos-rdma-dpu-randread-4096-j16-b3f80db76b.json"
+    assert os.listdir(ledger) == [name]
+    assert json.loads(out.read_text()) == \
+        json.loads((ledger / name).read_text())
+    assert "chaos verdict — chaos rdma/dpu randread" in capsys.readouterr().out
 
 
 def test_doctor_json_breakdown_names_the_arm_rx_stage(capsys, tmp_path):
@@ -345,6 +349,20 @@ class TestCompareRunsSubcommand:
         assert doc["contributors"][0]["resource"] == "dpu.arm_rx"
         lines = flame.read_text().splitlines()
         assert lines and all(len(ln.rsplit(" ", 2)) == 3 for ln in lines)
+
+    def test_cells_without_sampled_spans_name_the_throughput_delta(
+            self, capsys, tmp_path):
+        """Two Fig. 3 cells carry no ``traces``: the verdict says no
+        sampled latency was attributed and names the IOPS/bandwidth move,
+        never "equivalent"."""
+        cell = "cell:experiment=fig3,rw=randread,bs=4k,numjobs={},runtime=0.005"
+        assert main(["compare-runs", cell.format(1), cell.format(16),
+                     "--ledger-dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "verdict: 16 vs 1: no sampled latency attributed (no traces " \
+            "in base or current); iops 86,800 -> 625,000 (+620.0%); " \
+            "bandwidth 0.33 -> 2.38 GiB/s (+620.0%)\n" in out
+        assert "equivalent" not in out
 
     def test_bad_ref_exits_2(self, capsys):
         assert main(["compare-runs", TCP_4K, "bogus",

@@ -65,15 +65,16 @@ class TestRecordShape:
         r = tiny_record
         assert r["format"] == lg.FORMAT == "repro-run-v1"
         for key in ("config", "config_hash", "metrics", "cost", "traces",
-                    "wait_aggregates", "blame", "flame"):
+                    "blame", "flame"):
             assert key in r, key
-        # The wait counter series are regenerated from the config, not
-        # stored; ``traces`` keeps what the diff doctor reads.
-        assert "wait_series" not in r
-        assert set(r["traces"]) == {"count", "total_root_time",
-                                    "mean_latency"}
+        # The wait counter series are regenerated from the config, and
+        # the tracer's own aggregates are read by no verdict: neither is
+        # stored.  ``traces`` keeps what the diff doctor reads; the mean
+        # is their quotient.
+        assert "wait_series" not in r and "wait_aggregates" not in r
+        assert set(r["traces"]) == {"count", "total_root_time"}
         assert r["traces"]["count"] > 0
-        assert r["traces"]["mean_latency"] > 0
+        assert r["traces"]["total_root_time"] > 0
         assert r["metrics"]["result.iops"] > 0
         assert set(r["flame"]) == {"spans", "waits"}
 
@@ -211,13 +212,13 @@ class TestCommittedCampaign:
 #: and moved since only with the record's shape or the chaos cell's
 #: blame, never with ``metrics``: the chaos cell's RPC deadlines used to
 #: be Timeouts the wait tracer booked as ``(sleep)``, and records later
-#: stopped storing the wait counter series and the two ``traces`` fields
-#: no reader used.
+#: stopped storing the wait counter series, the wait aggregates, the
+#: three ``traces`` fields and the three chaos sections no reader used.
 COST_CELLS = {
-    "fig5-tcp-dpu-randread-4096-j2-638babdf8f": {
+    "fig5-tcp-dpu-randread-4096-j2-2a30390836": {
         "transport": "tcp", "numjobs": 2, "runtime": 0.004,
         "sample_every": 4},
-    "chaos-rdma-dpu-randread-4096-j4-f10e79d9ba": {
+    "chaos-rdma-dpu-randread-4096-j4-67772524dc": {
         "transport": "rdma", "numjobs": 4, "runtime": 0.01,
         "faults": {"events": [{"kind": "qp_break", "target": "dpu.qp",
                                "at": 0.005, "duration": 0.001}]}},

@@ -14,7 +14,7 @@ LEDGER_DIR = os.path.join(os.path.dirname(__file__), os.pardir,
                           "benchmarks", "ledger")
 TCP_4K = "fig5-tcp-dpu-randread-4096"
 RDMA_4K = "fig5-rdma-dpu-randread-4096"
-QP_BREAK = "chaos-rdma-dpu-randread-4096-j16-538ec32187"
+QP_BREAK = "chaos-rdma-dpu-randread-4096-j16-064fbcd109"
 RDMA_1M_READ = "fig5-rdma-dpu-read-1048576"
 
 
@@ -57,7 +57,11 @@ def _arm_rx_share_080(record):
 
 
 def _lose_one(record):
-    record["chaos"]["conservation"]["lost"] = 1
+    record["chaos"]["recovery"]["completed"] -= 1
+
+
+def _no_fault_qp_blame(record):
+    del record["blame"]["fault:dpu.qp"]
 
 
 def _no_nvme_blame(record):
@@ -86,10 +90,12 @@ def _arm_rx_above_tcp(record):
     (TCP_4K, _p99_3ms, "tcp_4k_blames_arm_rx"),
     (QP_BREAK, _lose_one, "chaos_recovers"),
     (QP_BREAK, _no_reconnects, "chaos_recovers"),
+    (QP_BREAK, _no_fault_qp_blame, "chaos_recovers"),
     (RDMA_1M_READ, _no_nvme_blame, "fig5_blames_nvme"),
     (RDMA_4K, _arm_rx_above_tcp, "rdma_removes_arm_rx_wait"),
 ], ids=["arm-rx-share-0.80", "p99-3ms", "chaos-lost-1",
-        "qp-break-no-reconnect", "fig5-no-nvme-blame",
+        "qp-break-no-reconnect", "qp-break-no-fault-blame",
+        "fig5-no-nvme-blame",
         "rdma-arm-rx-above-tcp"])
 def test_a_broken_record_is_a_finding_naming_its_run(ref, change, verdict,
                                                      tmp_path, capsys):

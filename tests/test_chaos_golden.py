@@ -34,7 +34,9 @@ def build_golden_doc() -> dict:
                            runtime=0.01, sample_every=10)
     run = chaos.run
     fault_blame = {
-        name: agg.to_dict()
+        name: {"count": agg.count, "wait_sec": agg.wait,
+               "service_sec": agg.service, "latency_sec": agg.latency,
+               "block_sec": agg.block}
         for name, agg in sorted(run.tracer.aggregates.items())
         if name.startswith("fault:")
     }

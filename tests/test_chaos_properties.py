@@ -112,6 +112,5 @@ def test_tie_scramble_stays_in_envelope(events):
         chaos = run_cell(plan, tie_seed=tie_seed)
         stats = chaos.stats
         assert stats.submitted == stats.completed + stats.failed
-        sections = chaos_sections(chaos.run.result, stats, chaos.plan,
-                                  tracer=chaos.run.tracer)
+        sections = chaos_sections(chaos.run.result, stats, chaos.plan)
         assert sections["ok"], (tie_seed, sections["checks"])

@@ -254,11 +254,10 @@ def test_tcp_reset_recovers_with_conservation():
     assert stats.timeouts > 0
     assert stats.retries > 0
     assert stats.submitted == stats.completed + stats.failed
-    sections = chaos_sections(chaos.run.result, stats, chaos.plan,
-                              tracer=chaos.run.tracer)
+    sections = chaos_sections(chaos.run.result, stats, chaos.plan)
     assert sections["ok"], sections["checks"]
     assert any(name.startswith("fault:dpu.tcp")
-               for name in sections["fault_blame"])
+               for name in chaos.run.tracer.aggregates)
 
 
 def test_nvme_media_errors_are_retried_to_success():

@@ -265,8 +265,9 @@ def _run_submitters(ios, n_devices, reference, observe="plain",
     }
     if tracer is not None:
         names = {s.span_id: s.name for s in collector.spans}
-        outcome["aggregates"] = {k: v.to_dict()
-                                 for k, v in tracer.aggregates.items()}
+        outcome["aggregates"] = {
+            k: (v.count, v.wait, v.service, v.latency, v.block)
+            for k, v in tracer.aggregates.items()}
         outcome["records"] = [
             (r.resource, r.kind, r.wait, r.service, r.latency, r.t,
              r.span.name) for r in tracer.records]

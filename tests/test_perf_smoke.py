@@ -226,8 +226,9 @@ def test_sampler_leaves_the_doctors_answer_alone(provider, rw, bs, ssds,
         return {
             "blame": tracer.blame(),
             "components": tracer.blame_components(),
-            "aggregates": {k: v.to_dict()
-                           for k, v in tracer.aggregates.items()},
+            "aggregates": {
+                k: (v.count, v.wait, v.service, v.latency, v.block)
+                for k, v in tracer.aggregates.items()},
             "series": {ts.name: ts.points() for ts in tracer.wait_series()},
             "records": records,
         }

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from repro.bench import ledger as lg
 from repro.bench.runner import run_fig5_doctored
-from repro.sim import diffdoctor
 from repro.sim.diffdoctor import (
     UNATTRIBUTED,
     DiffDiagnosis,
@@ -124,21 +123,14 @@ class TestTcpVsRdma:
 class TestChecksAndNotes:
     def test_tampered_mean_fails_attribution_check(
             self, tcp_record, rdma_record):
-        """The identity check is a real gate: break it, and ok flips."""
+        """The identity check is a real gate: the sum is exact by
+        construction, so only a non-finite total breaks it, and ok
+        flips."""
         broken = copy.deepcopy(rdma_record)
-        broken["traces"]["mean_latency"] *= 3.0
+        broken["traces"]["total_root_time"] = float("nan")
         dd = diff_runs(tcp_record, broken)
         assert not dd.ok and dd.exit_code == 1
         assert dd.verdict.endswith("[attribution check FAILED]")
-
-    def test_tolerance_is_configurable(self, tcp_record, rdma_record,
-                                       monkeypatch):
-        broken = copy.deepcopy(rdma_record)
-        broken["traces"]["mean_latency"] *= 1.5
-        strict = diff_runs(tcp_record, broken)
-        monkeypatch.setattr(diffdoctor, "TOLERANCE", 10.0)
-        lax = diff_runs(tcp_record, broken)
-        assert not strict.ok and lax.ok
 
     def test_sample_rate_mismatch_noted(self, tcp_record, rdma_record):
         other = copy.deepcopy(rdma_record)
@@ -149,7 +141,7 @@ class TestChecksAndNotes:
     def test_blame_free_records_attribute_to_unattributed(self):
         def bare(mean):
             return {"run_id": "x", "config": {},
-                    "traces": {"count": 10, "mean_latency": mean},
+                    "traces": {"count": 10, "total_root_time": 10 * mean},
                     "metrics": {}, "blame": {}}
         dd = diff_runs(bare(2e-3), bare(1e-3))
         assert any("neither run carries blame" in n for n in dd.notes)
@@ -157,6 +149,27 @@ class TestChecksAndNotes:
         assert row["resource"] == UNATTRIBUTED
         assert row["delta"] == pytest.approx(-1e-3)
         assert dd.ok
+
+
+    def test_moved_throughput_is_never_equivalent(self, tcp_record):
+        """Equal sampled latency, but IOPS moved: the verdict names it."""
+        faster = copy.deepcopy(tcp_record)
+        faster["metrics"]["result.iops"] *= 2
+        dd = diff_runs(tcp_record, faster)
+        assert "equivalent" not in dd.verdict
+        assert "mean sampled latency unchanged; iops " in dd.verdict
+        assert dd.verdict.endswith("(+100.0%)")
+
+    def test_untraced_record_attributes_no_latency(self, tcp_record):
+        """A record without ``traces`` (a Fig. 3/4 cell) has no sampled
+        latency to compare: the verdict says so and gives the throughput
+        delta."""
+        bare = {k: v for k, v in tcp_record.items()
+                if k not in ("traces", "blame", "flame")}
+        dd = diff_runs(bare, tcp_record)
+        assert "latency" not in dd.observed
+        assert "no sampled latency attributed (no traces in base); " \
+            "iops and bandwidth unchanged" in dd.verdict
 
 
 class TestDiffFlamesAndOverlay:
@@ -220,7 +233,7 @@ times = st.floats(min_value=0.0, max_value=10.0,
 def _record(tag, n, blame, mean):
     return {
         "run_id": tag, "config": {"transport": tag},
-        "traces": {"count": n, "mean_latency": mean},
+        "traces": {"count": n, "total_root_time": n * mean},
         "metrics": {}, "blame": blame,
     }
 
@@ -282,7 +295,7 @@ def test_zero_delta_with_large_cancelling_blame_stays_ok():
     floor — the error scale has to track the summed magnitudes."""
     def rec(tag, blame):
         return {"run_id": tag, "config": {"transport": tag},
-                "traces": {"count": 1, "mean_latency": 0.0},
+                "traces": {"count": 1, "total_root_time": 0.0},
                 "metrics": {}, "blame": blame}
 
     base = rec("a", {

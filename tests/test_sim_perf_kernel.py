@@ -280,7 +280,8 @@ def _tracer_view(tracer):
     return (
         [(r.resource, r.kind, r.wait, r.service, r.latency, r.t, r.span.name)
          for r in tracer.records],
-        {k: v.to_dict() for k, v in tracer.aggregates.items()},
+        {k: (v.count, v.wait, v.service, v.latency, v.block)
+         for k, v in tracer.aggregates.items()},
         [(ts.name, ts.points()) for ts in tracer.wait_series()],
     )
 

@@ -67,19 +67,17 @@ class TestSpanLifecycle:
         advance(env, 3.0)
         assert tr.root.duration == 0.0
 
-    def test_to_dict_round_trip_fields(self):
+    def test_finished_child_span_fields(self):
         env = Environment()
         col = SpanCollector(env)
         tr = col.trace("op")
         child = tr.root.child("stage", node="n1", nbytes=17)
         advance(env, 0.5)
-        d = child.finish().to_dict()
-        assert d["name"] == "stage"
-        assert d["node"] == "n1"
-        assert d["nbytes"] == 17
-        assert d["duration"] == 0.5
-        assert d["parent_id"] == tr.root.span_id
-        assert tr.finish().to_dict()["node"] is None
+        span = child.finish()
+        assert (span.name, span.node, span.nbytes) == ("stage", "n1", 17)
+        assert span.duration == 0.5
+        assert span.parent_id == tr.root.span_id
+        assert tr.finish().node is None
 
 
 class TestSampling:
@@ -308,13 +306,3 @@ class TestCollectorViews:
         t2 = build_sequential_trace(env, col, [("b", 1.0)])
         assert {s.trace_id for s in col.spans} == {t1.trace_id, t2.trace_id}
         assert [r.trace_id for r in col.roots()] == [t1.trace_id, t2.trace_id]
-
-    def test_collector_to_dict(self):
-        env = Environment()
-        col = SpanCollector(env, sample_every=2)
-        build_sequential_trace(env, col, [("a", 1.0)])
-        col.trace("skipped")
-        d = col.to_dict()
-        assert d["requests_seen"] == 2
-        assert d["traces_started"] == 1
-        assert len(d["spans"]) == 2

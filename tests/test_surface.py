@@ -1,5 +1,6 @@
 """Every option, definition, method and attribute in ``src/repro`` has
-a use outside the tests.
+a use outside the tests, and every field of a committed ledger record a
+reader in ``src/repro``.
 
 Four AST scans, matching uses by name (so a name two definitions share
 counts a use of either as a use of both):
@@ -27,9 +28,19 @@ exceptions, each with its reason; an entry the scan no longer reports
 fails too, so the lists shrink with the code.
 ``test_scans_flag_a_planted_tree`` runs the four scans over a small tree
 with one known offender each.
+
+A fifth scan covers the records in ``benchmarks/ledger/``: each
+top-level, ``traces`` and ``chaos`` key must be read somewhere in
+``src/repro`` — a string constant used as a Load subscript, a ``.get``
+argument, an ``in`` operand, or an element of a literal tuple, list or
+set (``__slots__`` and ``__all__`` aside).  A key nothing reads is a fact
+the record need not store: stop writing it and re-record.
+``test_record_scan_flags_a_planted_ledger`` plants one unread key of
+each kind.
 """
 
 import ast
+import json
 import os
 from collections import defaultdict
 from typing import Dict, Iterator, List, Set, Tuple
@@ -37,6 +48,9 @@ from typing import Dict, Iterator, List, Set, Tuple
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 PACKAGE = os.path.join("src", "repro")
 CALLERS = ("src", "benchmarks", "examples")
+LEDGER = os.path.join("benchmarks", "ledger")
+#: The record sections whose own keys the record-reader scan covers.
+RECORD_SECTIONS = ("traces", "chaos")
 
 _VERBS = "the verbs work-request API the rendezvous ablation and tests drive"
 _KERNEL = "the kernel's event API keeps its scheduling arguments whole"
@@ -83,6 +97,9 @@ ALLOWED_ATTRIBUTES: Dict[str, str] = {
     "MemoryRegion.lkey":
         "a verbs MR's local key, drawn before its rkey from one counter, "
         "so the rkeys the examples print keep their numbers",
+    "WaitRecord.t":
+        "when a wait was booked; the wire, NVMe and scheduler tests pin "
+        "each record's booking time against the reference paths",
 }
 
 
@@ -339,6 +356,19 @@ def _attributes(modules: List[ast.Module]) -> Dict[str, str]:
 _ATTR_FUNCS = ("getattr", "hasattr", "setattr", "delattr")
 
 
+def _declared(tree: ast.Module) -> Set[int]:
+    """Node ids of the values assigned to ``__slots__`` and ``__all__``."""
+    return {id(node.value) for node in ast.walk(tree)
+            if isinstance(node, ast.Assign) and any(
+                getattr(t, "id", None) in ("__slots__", "__all__")
+                for t in node.targets)}
+
+
+def _strings(nodes: List[ast.expr]) -> Set[str]:
+    return {n.value for n in nodes
+            if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+
+
 def _reads(root: str) -> Set[str]:
     """Attribute names the callers read: attribute loads, the name a
     ``getattr``-family call is given, and the strings of a literal tuple,
@@ -347,12 +377,7 @@ def _reads(root: str) -> Set[str]:
     names: Set[str] = set()
     for path in _files(root, *CALLERS):
         tree = _parse(path)
-        declared: Set[int] = set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Assign) and any(
-                    getattr(t, "id", None) in ("__slots__", "__all__")
-                    for t in node.targets):
-                declared.add(id(node.value))
+        declared = _declared(tree)
         for node in ast.walk(tree):
             named: List[ast.expr] = []
             if isinstance(node, ast.Attribute) and isinstance(node.ctx,
@@ -365,9 +390,7 @@ def _reads(root: str) -> Set[str]:
             elif (isinstance(node, (ast.Tuple, ast.List, ast.Set))
                   and id(node) not in declared):
                 named = node.elts
-            names.update(n.value for n in named
-                         if isinstance(n, ast.Constant)
-                         and isinstance(n.value, str))
+            names.update(_strings(named))
     return names
 
 
@@ -377,6 +400,56 @@ def unread_attributes(root: str = ROOT) -> List[str]:
     return sorted(qualname for qualname, attr
                   in _attributes(_package(root)).items()
                   if attr not in reads)
+
+
+def _record_keys(root: str) -> Set[str]:
+    """Every top-level, ``traces.`` and ``chaos.`` key of the committed
+    ledger's records."""
+    keys: Set[str] = set()
+    ledger = os.path.join(root, LEDGER)
+    for name in sorted(os.listdir(ledger)):
+        if name.endswith(".json"):
+            with open(os.path.join(ledger, name), encoding="utf-8") as fh:
+                record = json.load(fh)
+            keys.update(record)
+            for section in RECORD_SECTIONS:
+                keys.update(f"{section}.{key}"
+                            for key in record.get(section, {}))
+    return keys
+
+
+def _key_reads(root: str) -> Set[str]:
+    """Strings ``src/repro`` reads a record by: a Load subscript, a
+    ``.get`` argument, an ``in`` operand, or an element of a literal
+    tuple, list or set outside ``__slots__`` and ``__all__``."""
+    names: Set[str] = set()
+    for path in _files(root, PACKAGE):
+        tree = _parse(path)
+        declared = _declared(tree)
+        for node in ast.walk(tree):
+            named: List[ast.expr] = []
+            if isinstance(node, ast.Subscript) and isinstance(node.ctx,
+                                                              ast.Load):
+                named = [node.slice]
+            elif (isinstance(node, ast.Call)
+                  and getattr(node.func, "attr", None) == "get"
+                  and node.args):
+                named = [node.args[0]]
+            elif (isinstance(node, ast.Compare)
+                  and isinstance(node.ops[0], (ast.In, ast.NotIn))):
+                named = [node.left]
+            elif (isinstance(node, (ast.Tuple, ast.List, ast.Set))
+                  and id(node) not in declared):
+                named = node.elts
+            names.update(_strings(named))
+    return names
+
+
+def unread_record_keys(root: str = ROOT) -> List[str]:
+    """Record keys of the committed ledger nothing in ``src/repro`` reads."""
+    reads = _key_reads(root)
+    return sorted(key for key in _record_keys(root)
+                  if key.rpartition(".")[2] not in reads)
 
 
 def _check(found: List[str], allowed: Dict[str, str], what: str) -> None:
@@ -407,6 +480,12 @@ def test_every_attribute_is_read_outside_the_tests():
     _check(unread_attributes(), ALLOWED_ATTRIBUTES,
            "attributes and dataclass fields nothing in src/, benchmarks/ "
            "or examples/ reads (delete them)")
+
+
+def test_every_record_key_is_read():
+    assert unread_record_keys() == [], (
+        "committed ledger keys nothing in src/repro reads (stop writing "
+        "them and re-record)")
 
 
 _PLANTED = {
@@ -497,3 +576,25 @@ def test_scans_flag_a_planted_tree(tmp_path):
     assert unused_definitions(root) == ["only_tested"]
     assert uncalled_methods(root) == ["Box.only_tested_method"]
     assert unread_attributes(root) == ["Box.write_only", "Spec.unread_field"]
+
+
+def test_record_scan_flags_a_planted_ledger(tmp_path):
+    """A key read by subscript, ``.get``, ``in`` or a table of names
+    counts; one only written (a dict literal's key) does not."""
+    reader = tmp_path / "src" / "repro" / "reader.py"
+    reader.parent.mkdir(parents=True)
+    reader.write_text(
+        'KEYS = ("label",)\n'
+        'def read(r):\n'
+        '    return (r["metrics"], r.get("traces", {}).get("count"),\n'
+        '            "blame" in r, r["chaos"]["ok"], KEYS)\n'
+        'def write():\n'
+        '    return {"unread": 0, "traces": {"unread_trace": 0}}\n')
+    ledger = tmp_path / LEDGER
+    ledger.mkdir(parents=True)
+    (ledger / "run.json").write_text(json.dumps({
+        "metrics": {}, "label": "", "blame": {}, "unread": 0,
+        "traces": {"count": 1, "unread_trace": 0},
+        "chaos": {"ok": True, "unread_chaos": 0}}))
+    assert unread_record_keys(str(tmp_path)) == [
+        "chaos.unread_chaos", "traces.unread_trace", "unread"]
