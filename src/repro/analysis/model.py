@@ -42,6 +42,8 @@ RULES: Dict[str, str] = {
     "SIM011": "a superseded timer told apart by identity, not cancelled",
     "SIM012": "a heap key built by hand, or a Timeout free-list",
     "SIM013": "process plumbing under src/repro/analysis",
+    "SIM014": "a span passed as a trace argument instead of riding on "
+              "its process",
 }
 
 

@@ -21,7 +21,7 @@ Each rule encodes one way this codebase has learned determinism can rot
   ``git_sha``, ``code_fingerprint``, ``run_id``) inside content-hash /
   run-ID derivation code.
 
-``SIM007``–``SIM013`` are structure gates (:data:`_GATES`): each keeps
+``SIM007``–``SIM014`` are structure gates (:data:`_GATES`): each keeps
 one design decision in the one module that owns it, as DESIGN §13's
 table lists.  A scoped rule covers the modules it names under
 ``src/repro/``; a file outside the package tree (a fixture snippet) is
@@ -505,7 +505,7 @@ def _sim006_get_calls(checker: _Checker, tree: ast.AST) -> None:
             checker._sim006_access(node, node.args[0])
 
 
-# -- SIM007-SIM013: structure gates -----------------------------------------
+# -- SIM007-SIM014: structure gates -----------------------------------------
 
 def _leaf(node: ast.AST) -> str:
     """``b`` for ``x.a.b`` or a bare name ``b``; else ``""``."""
@@ -565,7 +565,7 @@ def _private_server(node: ast.AST, module: Optional[str]) -> bool:
 def _slower_path(node: ast.AST, module: Optional[str]) -> bool:
     name, op = _none_test(node)
     if op is ast.Is:
-        return (name.endswith("trace")
+        return ((name.endswith("trace") or name == "span")
                 and _covers(module, "net/", "core/", "daos/", "storage/")) \
             or (name in ("_wait_tracer", "_stats")
                 and _covers(module, "sim/queues.py"))
@@ -617,6 +617,12 @@ def _process_plumbing(node: ast.AST, module: Optional[str]) -> bool:
         and not _PROCESS_NAMES.isdisjoint(_identifiers(node))
 
 
+def _trace_argument(node: ast.AST, module: Optional[str]) -> bool:
+    return isinstance(node, (ast.arg, ast.keyword)) and node.arg == "trace" \
+        and _covers(module, "workload/", "core/", "daos/", "net/", "hw/",
+                    "storage/")
+
+
 _Gate = Callable[[ast.AST, Optional[str]], bool]
 
 #: (rule, matcher, hint) for each structure gate; the message is its
@@ -638,6 +644,8 @@ _GATES: Tuple[Tuple[str, _Gate, str], ...] = (
      "key every push with next(env._eids); free fired Timeouts"),
     ("SIM013", _process_plumbing,
      "run cells on repro.bench.campaign._pool_map"),
+    ("SIM014", _trace_argument,
+     "open a child of env._active.span; hand a forked process its span"),
 )
 
 

@@ -126,9 +126,8 @@ class _MultiQpAdapter:
         self._owner[id(ctx)] = init
         return ctx
 
-    def submit(self, ctx, offset, nbytes, is_write, trace=None):
-        return self._owner[id(ctx)].submit(ctx, offset, nbytes, is_write,
-                                           trace=trace)
+    def submit(self, ctx, offset, nbytes, is_write):
+        return self._owner[id(ctx)].submit(ctx, offset, nbytes, is_write)
 
 
 def run_fig4_cell(
@@ -193,11 +192,11 @@ class _MultiSessionAdapter:
         self._owner[id(ctx)] = (port, fh)
         return ctx
 
-    def submit(self, ctx, offset, nbytes, is_write, trace=None):
+    def submit(self, ctx, offset, nbytes, is_write):
         port, fh = self._owner[id(ctx)]
         if is_write:
-            return port.write(ctx, fh, offset, nbytes=nbytes, trace=trace)
-        return port.read(ctx, fh, offset, nbytes, trace=trace)
+            return port.write(ctx, fh, offset, nbytes=nbytes)
+        return port.read(ctx, fh, offset, nbytes)
 
 
 def run_ros2_fio(

@@ -57,7 +57,7 @@ class DataPlane:
         staged level and watermark."""
         return self._pool
 
-    def stage(self, nbytes: int, trace=None) -> Generator[Event, None, Allocation]:
+    def stage(self, nbytes: int) -> Generator[Event, None, Allocation]:
         """Reserve DPU DRAM for one in-flight payload (``yield from``).
 
         Blocks when the staging budget is exhausted — the back-pressure a
@@ -69,9 +69,9 @@ class DataPlane:
             raise MemoryError(
                 f"payload of {nbytes} bytes exceeds staging budget {self.budget}"
             )
-        span = None
-        if trace is not None:
-            span = trace.child("dp.stage", node=self.node.name, nbytes=nbytes)
+        span = self.env._active.span
+        if span is not None:
+            span = span.child("dp.stage", node=self.node.name, nbytes=nbytes)
         alloc = yield from self._pool.alloc(nbytes)
         if span is not None:
             span.finish()

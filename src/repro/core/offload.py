@@ -241,7 +241,6 @@ class Ros2ClientService:
         offset: int,
         nbytes: Optional[int] = None,
         data: Optional[bytes] = None,
-        trace=None,
     ) -> Generator[Event, None, None]:
         """One data-plane write: admit -> schedule -> stage -> (encrypt) -> DFS."""
         state = self._state_for_io(session_id, fh)
@@ -250,24 +249,27 @@ class Ros2ClientService:
                 raise ValueError("io_write needs data or an explicit nbytes")
             nbytes = len(data)
         node = self.node.name
-        span = trace.child("dp.admit", node=node, nbytes=nbytes) if trace is not None else None
+        span = self.env._active.span
+        if span is not None:
+            child = span.child("dp.admit", node=node, nbytes=nbytes)
         yield from self.tenants.admit(state.tenant, nbytes)
         if span is not None:
-            span.finish()
+            child.finish()
         if self.qos is not None:
-            span = trace.child("dp.qos", node=node, nbytes=nbytes) if trace is not None else None
+            if span is not None:
+                child = span.child("dp.qos", node=node, nbytes=nbytes)
             yield from self.qos.submit(state.tenant.name, nbytes)
             if span is not None:
-                span.finish()
-        alloc = yield from self.data_plane.stage(nbytes, trace=trace)
+                child.finish()
+        alloc = yield from self.data_plane.stage(nbytes)
         try:
             if state.crypto is not None:
-                span = trace.child("dp.crypto", node=node, nbytes=nbytes) if trace is not None else None
+                if span is not None:
+                    child = span.child("dp.crypto", node=node, nbytes=nbytes)
                 data = yield from state.crypto.crypt(ctx, offset, data, nbytes)
                 if span is not None:
-                    span.finish()
-            yield from state.files[fh].write(ctx, offset, nbytes=nbytes, data=data,
-                                             trace=trace)
+                    child.finish()
+            yield from state.files[fh].write(ctx, offset, nbytes=nbytes, data=data)
         finally:
             alloc.free()
         self.data_plane.writes.record(nbytes)
@@ -279,28 +281,31 @@ class Ros2ClientService:
         fh: int,
         offset: int,
         nbytes: int,
-        trace=None,
     ) -> Generator[Event, None, Optional[bytes]]:
         """One data-plane read: admit -> schedule -> stage -> DFS -> (decrypt)."""
         state = self._state_for_io(session_id, fh)
         node = self.node.name
-        span = trace.child("dp.admit", node=node, nbytes=nbytes) if trace is not None else None
+        span = self.env._active.span
+        if span is not None:
+            child = span.child("dp.admit", node=node, nbytes=nbytes)
         yield from self.tenants.admit(state.tenant, nbytes)
         if span is not None:
-            span.finish()
+            child.finish()
         if self.qos is not None:
-            span = trace.child("dp.qos", node=node, nbytes=nbytes) if trace is not None else None
+            if span is not None:
+                child = span.child("dp.qos", node=node, nbytes=nbytes)
             yield from self.qos.submit(state.tenant.name, nbytes)
             if span is not None:
-                span.finish()
-        alloc = yield from self.data_plane.stage(nbytes, trace=trace)
+                child.finish()
+        alloc = yield from self.data_plane.stage(nbytes)
         try:
-            data = yield from state.files[fh].read(ctx, offset, nbytes, trace=trace)
+            data = yield from state.files[fh].read(ctx, offset, nbytes)
             if state.crypto is not None:
-                span = trace.child("dp.crypto", node=node, nbytes=nbytes) if trace is not None else None
+                if span is not None:
+                    child = span.child("dp.crypto", node=node, nbytes=nbytes)
                 data = yield from state.crypto.crypt(ctx, offset, data, nbytes)
                 if span is not None:
-                    span.finish()
+                    child.finish()
         finally:
             alloc.free()
         self.data_plane.reads.record(nbytes)
@@ -329,15 +334,13 @@ class Ros2DataPort:
             factor=node.spec.cycle_factor,
         )
 
-    def write(self, ctx, fh, offset, nbytes=None, data=None, trace=None):
+    def write(self, ctx, fh, offset, nbytes=None, data=None):
         """POSIX pwrite through the offloaded client."""
-        return self.service.io_write(ctx, self.session_id, fh, offset, nbytes, data,
-                                     trace=trace)
+        return self.service.io_write(ctx, self.session_id, fh, offset, nbytes, data)
 
-    def read(self, ctx, fh, offset, nbytes, trace=None):
+    def read(self, ctx, fh, offset, nbytes):
         """POSIX pread through the offloaded client."""
-        return self.service.io_read(ctx, self.session_id, fh, offset, nbytes,
-                                    trace=trace)
+        return self.service.io_read(ctx, self.session_id, fh, offset, nbytes)
 
 
 class Ros2Session:

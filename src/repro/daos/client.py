@@ -79,7 +79,8 @@ class DaosClient:
         """One costed RPC from ``ctx`` (control-plane-ish operations).
 
         The submit CPU, the progress section, the RPC and the complete
-        CPU, as :meth:`ObjectHandle.fetch` pays them, without spans.
+        CPU, as :meth:`ObjectHandle.fetch` pays them, without its
+        ``client_*`` spans.
         """
         costs = self.costs
         yield ctx.enter(costs.submit_cpu_per_op)
@@ -94,7 +95,6 @@ class DaosClient:
         opcode: str,
         args: Dict[str, Any],
         req_nbytes: int = RPC_REQUEST_BYTES,
-        trace: Any = None,
         idempotent: bool = True,
     ) -> Generator[Event, None, Any]:
         """One data-path RPC with recovery semantics (ISSUE 10).
@@ -110,11 +110,10 @@ class DaosClient:
         """
         fx = self.env._faults
         if fx is None:
-            return self.rpc.call(opcode, args, req_nbytes=req_nbytes,
-                                 trace=trace)
-        return self._retrying(fx, opcode, args, req_nbytes, trace, idempotent)
+            return self.rpc.call(opcode, args, req_nbytes=req_nbytes)
+        return self._retrying(fx, opcode, args, req_nbytes, idempotent)
 
-    def _retrying(self, fx, opcode, args, req_nbytes, trace, idempotent):
+    def _retrying(self, fx, opcode, args, req_nbytes, idempotent):
         """:meth:`_call_io`'s attempts under the fault plan ``fx``."""
         env = self.env
         policy = fx.plan.policy
@@ -133,8 +132,7 @@ class DaosClient:
                         else None)
             try:
                 result = yield from self.rpc.call(
-                    opcode, args, req_nbytes=req_nbytes, trace=trace,
-                    deadline=deadline,
+                    opcode, args, req_nbytes=req_nbytes, deadline=deadline,
                 )
                 return result
             except (DaosError, FaultInjectedError, RdmaError,
@@ -257,7 +255,6 @@ class ObjectHandle:
         nbytes: Optional[int] = None,
         data: Optional[bytes] = None,
         epoch: Optional[int] = None,
-        trace=None,
     ) -> Generator[Event, None, int]:
         """Write one extent; returns the commit epoch."""
         if nbytes is None:
@@ -268,17 +265,20 @@ class ObjectHandle:
             raise DaosError(f"bad extent ({offset}, {nbytes}) of {self.oid}")
         client = self.client
         costs = client.costs
+        span = client.env._active.span
         # The submit CPU and the progress section, inline in both data
         # ops: a helper generator would add a frame to each resume.
-        span = trace.child("client_submit", node=client.node.name) if trace is not None else None
+        if span is not None:
+            child = span.child("client_submit", node=client.node.name)
         yield ctx.enter(costs.submit_cpu_per_op)
         if span is not None:
-            span.finish()
+            child.finish()
         if costs.serial_per_op:
-            span = trace.child("client_progress", node=client.node.name) if trace is not None else None
+            if span is not None:
+                child = span.child("client_progress", node=client.node.name)
             yield client._progress.enter(costs.serial_per_op)
             if span is not None:
-                span.finish()
+                child.finish()
 
         cont = self.cont
         args = {"pool": cont.pool, "cont": cont.cont, "oid": self.oid,
@@ -305,11 +305,12 @@ class ObjectHandle:
         # Inline payloads ride the request capsule on the wire.
         req_nbytes = 220 + (nbytes if window is None else 0)
         result = yield from client._call_io("obj_update", args, req_nbytes=req_nbytes,
-                                            trace=trace, idempotent=False)
-        span = trace.child("client_complete", node=client.node.name) if trace is not None else None
+                                            idempotent=False)
+        if span is not None:
+            child = span.child("client_complete", node=client.node.name)
         yield ctx.enter(costs.complete_cpu_per_op)
         if span is not None:
-            span.finish()
+            child.finish()
         if window is not None and client.data_mode:
             client.channel.deregister(window)
         return result["epoch"]
@@ -322,22 +323,24 @@ class ObjectHandle:
         offset: int,
         nbytes: int,
         epoch: Optional[int] = None,
-        trace=None,
     ) -> Generator[Event, None, Optional[bytes]]:
         """Read a range at ``epoch`` (None = latest committed)."""
         if offset < 0 or nbytes <= 0:
             raise DaosError(f"bad read range ({offset}, {nbytes}) of {self.oid}")
         client = self.client
         costs = client.costs
-        span = trace.child("client_submit", node=client.node.name) if trace is not None else None
+        span = client.env._active.span
+        if span is not None:
+            child = span.child("client_submit", node=client.node.name)
         yield ctx.enter(costs.submit_cpu_per_op)
         if span is not None:
-            span.finish()
+            child.finish()
         if costs.serial_per_op:
-            span = trace.child("client_progress", node=client.node.name) if trace is not None else None
+            if span is not None:
+                child = span.child("client_progress", node=client.node.name)
             yield client._progress.enter(costs.serial_per_op)
             if span is not None:
-                span.finish()
+                child.finish()
 
         cont = self.cont
         args = {"pool": cont.pool, "cont": cont.cont, "oid": self.oid,
@@ -356,12 +359,12 @@ class ObjectHandle:
                 window = client._window
             args["region"] = window
 
-        result = yield from client._call_io("obj_fetch", args, trace=trace,
-                                            idempotent=True)
-        span = trace.child("client_complete", node=client.node.name) if trace is not None else None
+        result = yield from client._call_io("obj_fetch", args, idempotent=True)
+        if span is not None:
+            child = span.child("client_complete", node=client.node.name)
         yield ctx.enter(costs.complete_cpu_per_op)
         if span is not None:
-            span.finish()
+            child.finish()
         if window is not None and client.data_mode:
             client.channel.deregister(window)
             return bytes(buf)

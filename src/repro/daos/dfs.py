@@ -79,9 +79,9 @@ class DfsFile:
         offset: int,
         nbytes: Optional[int] = None,
         data: Optional[bytes] = None,
-        trace=None,
     ) -> Generator[Event, None, None]:
-        """POSIX pwrite; chunk pieces proceed in parallel."""
+        """POSIX pwrite; chunk pieces proceed in parallel, each in a process
+        handed the request's span."""
         if nbytes is None:
             if data is None:
                 raise DaosError("write needs data or an explicit nbytes")
@@ -93,17 +93,18 @@ class DfsFile:
             piece = data[:take] if data is not None else None
             yield from self._obj.update(
                 ctx, _chunk_dkey(idx), _DATA_AKEY, in_off, nbytes=take, data=piece,
-                trace=trace,
             )
             return
+        span = env._active.span
         procs = []
         consumed = 0
         for idx, in_off, take in pieces:
             piece = data[consumed:consumed + take] if data is not None else None
-            procs.append(env.process(self._obj.update(
+            proc = env.process(self._obj.update(
                 ctx, _chunk_dkey(idx), _DATA_AKEY, in_off, nbytes=take, data=piece,
-                trace=trace,
-            )))
+            ))
+            proc.span = span
+            procs.append(proc)
             consumed += take
         yield env.all_of(procs)
 
@@ -113,7 +114,6 @@ class DfsFile:
         offset: int,
         nbytes: int,
         epoch: Optional[int] = None,
-        trace=None,
     ) -> Generator[Event, None, Optional[bytes]]:
         """POSIX pread; returns bytes in data mode, None otherwise.
 
@@ -123,20 +123,21 @@ class DfsFile:
         idx, in_off = divmod(offset, self.chunk_size)
         if offset >= 0 and 0 < nbytes <= self.chunk_size - in_off:
             return self._obj.fetch(ctx, _chunk_dkey(idx), _DATA_AKEY, in_off,
-                                   nbytes, epoch=epoch, trace=trace)
-        return self._read_pieces(ctx, offset, nbytes, epoch, trace)
+                                   nbytes, epoch=epoch)
+        return self._read_pieces(ctx, offset, nbytes, epoch)
 
-    def _read_pieces(self, ctx, offset, nbytes, epoch, trace):
-        """A read across chunks: one fetch process per chunk piece."""
+    def _read_pieces(self, ctx, offset, nbytes, epoch):
+        """A read across chunks: one fetch process per chunk piece, each
+        handed the request's span."""
         pieces = self._split(offset, nbytes)
         env = self.ns.client.env
-        procs = [
-            env.process(self._obj.fetch(
-                ctx, _chunk_dkey(idx), _DATA_AKEY, in_off, take, epoch=epoch,
-                trace=trace,
-            ))
-            for idx, in_off, take in pieces
-        ]
+        span = env._active.span
+        procs = []
+        for idx, in_off, take in pieces:
+            proc = env.process(self._obj.fetch(
+                ctx, _chunk_dkey(idx), _DATA_AKEY, in_off, take, epoch=epoch))
+            proc.span = span
+            procs.append(proc)
         results = yield env.all_of(procs)
         parts = [results[p] for p in procs]
         if any(part is None for part in parts):

@@ -409,43 +409,47 @@ class DaosEngine:
         elif epoch <= 0:
             raise DaosError(f"bad epoch {epoch}")
 
-        trace = args.get("_trace")
         if oid.oclass is ObjectClass.EC2P1:
             result = yield from self._ec_update(
                 channel, cid, oid, dkey, akey, epoch, offset, nbytes,
-                region, data, trace=trace,
+                region, data,
             )
             return result
 
         replicas = self.live_replicas(oid, dkey)
-        span = trace.child("engine.xstream", node=self.node.name, nbytes=nbytes) if trace is not None else None
+        span = self.env._active.span
+        if span is not None:
+            child = span.child("engine.xstream", node=self.node.name,
+                               nbytes=nbytes)
         yield replicas[0].xstream.enter(
             ENGINE_CPU_PER_OP + ENGINE_CPU_PER_BYTE * nbytes
         )
         if span is not None:
-            span.finish()
+            child.finish()
         if region is not None and nbytes > INLINE_THRESHOLD:
             # Bulk pull from the client window (one-sided on verbs), once;
             # replicas share the payload server-side.
-            data = yield from channel.rma_read(self.node.name, region, nbytes,
-                                               trace=trace)
+            data = yield from channel.rma_read(self.node.name, region, nbytes)
         eff = MEDIA_OVERLAP[channel.provider.family]
         if len(replicas) == 1:
             yield from replicas[0].vos.update(
                 cid, oid, dkey, akey, epoch, offset, nbytes, data=data,
-                bw_efficiency=eff, trace=trace,
+                bw_efficiency=eff,
             )
         else:
-            # Replicated write: all replicas persist in parallel; the
-            # update completes when the slowest replica is durable.
+            # Replicated write: all replicas persist in parallel, each in a
+            # process handed the request's span; the update completes when
+            # the slowest replica is durable.
             writes = []
             for idx, target in enumerate(replicas):
                 if idx:
                     yield target.xstream.enter(ENGINE_CPU_PER_OP)
-                writes.append(self.env.process(target.vos.update(
+                proc = self.env.process(target.vos.update(
                     cid, oid, dkey, akey, epoch, offset, nbytes, data=data,
-                    bw_efficiency=eff, trace=trace,
-                )))
+                    bw_efficiency=eff,
+                ))
+                proc.span = span
+                writes.append(proc)
             yield self.env.all_of(writes)
         return {"epoch": epoch}
 
@@ -464,11 +468,9 @@ class DaosEngine:
         if epoch is None:
             epoch = cont.epoch
 
-        trace = args.get("_trace")
         if oid.oclass is ObjectClass.EC2P1:
             result = yield from self._ec_fetch(
                 channel, cid, oid, dkey, akey, epoch, offset, nbytes, region,
-                trace=trace,
             )
             return result
 
@@ -482,7 +484,10 @@ class DaosEngine:
                 self.degraded_reads += 1
                 break
         target = live[0]
-        span = trace.child("engine.xstream", node=self.node.name, nbytes=nbytes) if trace is not None else None
+        span = self.env._active.span
+        if span is not None:
+            span = span.child("engine.xstream", node=self.node.name,
+                              nbytes=nbytes)
         yield target.xstream.enter(
             ENGINE_CPU_PER_OP + ENGINE_CPU_PER_BYTE * nbytes
         )
@@ -490,12 +495,12 @@ class DaosEngine:
             span.finish()
         data = yield from target.vos.fetch(
             cid, oid, dkey, akey, epoch, offset, nbytes,
-            bw_efficiency=MEDIA_OVERLAP[channel.provider.family], trace=trace,
+            bw_efficiency=MEDIA_OVERLAP[channel.provider.family],
         )
         if region is not None and nbytes > INLINE_THRESHOLD:
             # Bulk push into the client window.
             yield from channel.rma_write(
-                self.node.name, region, payload=data, nbytes=nbytes, trace=trace
+                self.node.name, region, payload=data, nbytes=nbytes
             )
             return {"epoch": epoch, "nbytes": nbytes}
         # Inline read: the payload rides the reply capsule on the wire.
@@ -503,7 +508,7 @@ class DaosEngine:
 
     # -- erasure-coded data path (EC2P1) -----------------------------------------
     def _ec_update(self, channel, cid, oid, dkey, akey, epoch, offset, nbytes,
-                   region, data, trace=None):
+                   region, data):
         """Stripe-aligned EC write: two data cells + XOR parity, three targets.
 
         Degraded writes (a cell target down) are rejected — real DAOS
@@ -524,8 +529,7 @@ class DaosEngine:
             ENGINE_CPU_PER_OP + ENGINE_CPU_PER_BYTE * nbytes
         )
         if region is not None and nbytes > INLINE_THRESHOLD:
-            data = yield from channel.rma_read(self.node.name, region, nbytes,
-                                               trace=trace)
+            data = yield from channel.rma_read(self.node.name, region, nbytes)
         d0, d1, parity = erasure.encode(data, nbytes)
         half = nbytes // 2
         local_off = (offset // erasure.STRIPE_BYTES) * erasure.CELL_BYTES
@@ -543,7 +547,7 @@ class DaosEngine:
         return {"epoch": epoch}
 
     def _ec_fetch(self, channel, cid, oid, dkey, akey, epoch, offset, nbytes,
-                  region, trace=None):
+                  region):
         """Stripe-aligned EC read, reconstructing through parity when one
         data target is down."""
         from repro.daos import erasure
@@ -590,7 +594,7 @@ class DaosEngine:
 
         if region is not None and nbytes > INLINE_THRESHOLD:
             yield from channel.rma_write(
-                self.node.name, region, payload=data, nbytes=nbytes, trace=trace
+                self.node.name, region, payload=data, nbytes=nbytes
             )
             return {"epoch": epoch, "nbytes": nbytes}
         return {"epoch": epoch, "nbytes": nbytes, "data": data, "_wire": nbytes}

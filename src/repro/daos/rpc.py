@@ -125,15 +125,12 @@ class RpcServer:
                     nbytes=RPC_REPLY_BYTES,
                 ))
                 return
-            # Extract trace context from the capsule (CaRT carries
-            # hlc/trace metadata the same way); hand the handler a
-            # server-side span.
-            trace = msg.meta.get("trace") if msg.meta else None
-            span = None
-            if trace is not None:
-                span = trace.child(f"rpc.handler[{opcode}]", node=self.node.name)
-                args = dict(args)
-                args["_trace"] = span
+            # This process adopted the capsule's span (CaRT carries
+            # hlc/trace metadata the same way): the handler runs in a
+            # server-side child of it, and the reply goes under it.
+            span = self.env._active.span
+            if span is not None:
+                span = span.child(f"rpc.handler[{opcode}]", node=self.node.name)
             try:
                 result = yield from handler(args, msg.src, channel)
             except (DaosError, FaultInjectedError, RdmaError, ConnectionError) as exc:
@@ -228,25 +225,26 @@ class RpcClient:
         opcode: str,
         args: Dict[str, Any],
         req_nbytes: int = RPC_REQUEST_BYTES,
-        trace: Any = None,
         deadline: Optional[float] = None,
     ) -> Generator[Event, None, Any]:
         """Issue one RPC; returns the handler result or raises RpcError.
 
-        ``trace`` (a parent :class:`~repro.sim.spans.Span`) rides in the
-        request capsule's metadata — the analog of CaRT's hlc/trace fields
-        — so the server and both transport legs can attach child spans.
-        ``deadline`` bounds the wait for the reply; on expiry the call
-        raises :class:`RpcTimeout` and a late reply is dropped (its tag
-        is no longer pending).  A reply arriving at the expiry instant
-        itself is late.
+        A sampled call runs in an ``rpc[opcode]`` child of its process's
+        span, which rides in the request capsule's metadata — the analog
+        of CaRT's hlc/trace fields — so the server and both transport legs
+        can attach child spans.  ``deadline`` bounds the wait for the
+        reply; on expiry the call raises :class:`RpcTimeout` and a late
+        reply is dropped (its tag is no longer pending).  A reply arriving
+        at the expiry instant itself is late.
         """
         if not self._started:
             raise RuntimeError("RpcClient not started; call start() first")
         tag = next(RpcClient._tags)
         done = Event(self.env)
         self._pending[tag] = done
-        span = trace.child(f"rpc[{opcode}]", node=self.node.name) if trace is not None else None
+        span = self.env._active.span
+        if span is not None:
+            span = span.child(f"rpc[{opcode}]", node=self.node.name)
         try:
             yield from self.channel.send(Message(
                 src=self.node.name,

@@ -23,6 +23,7 @@ from repro.daos.object import (
     VersionedObject,
 )
 from repro.daos.types import ContainerId, NoSuchObject, ObjectId
+from repro.hw.nvme import MEDIA_SPAN
 from repro.sim.core import Environment, Event
 from repro.storage.block import BlockDevice
 from repro.storage.pmdk import PmemPool
@@ -95,18 +96,20 @@ class VersionedObjectStore:
         nbytes: int,
         data: Optional[bytes] = None,
         bw_efficiency: float = 1.0,
-        trace=None,
     ) -> Generator[Event, None, None]:
         """Write one extent: record it, then persist to the right tier."""
         store = self.object(cont, oid).array(dkey, akey)
         k = store.write(epoch, offset, nbytes, data)
+        span = self.env._active.span
         if nbytes <= SCM_THRESHOLD:
-            span = trace.child("media.scm", nbytes=nbytes) if trace is not None else None
+            if span is not None:
+                span = span.child("media.scm", nbytes=nbytes)
             scm_off = self.scm.reserve(nbytes)
             yield from self.scm.persist(scm_off, nbytes=nbytes, data=data)
             store.bind(k, TIER_SCM, scm_off)
         else:
-            span = trace.child("media.nvme", nbytes=nbytes) if trace is not None else None
+            if span is not None:
+                span = span.child(MEDIA_SPAN, nbytes=nbytes)
             dev_off = self._alloc_nvme(nbytes)
             yield from self.nvme.write(
                 dev_off, nbytes=nbytes, data=data, bw_efficiency=bw_efficiency
@@ -126,7 +129,6 @@ class VersionedObjectStore:
         nbytes: int,
         verify: bool = True,
         bw_efficiency: float = 1.0,
-        trace=None,
     ) -> Generator[Event, None, Optional[bytes]]:
         """Read a range at ``epoch``: media time per covering extent,
         checksum verification, zero-fill for holes."""
@@ -169,10 +171,12 @@ class VersionedObjectStore:
                 out[seg_start - offset:seg_end - offset] = \
                     memoryview(data)[src:src + seg_nbytes]
         if reads:
-            span = None
-            if trace is not None:
-                span = trace.child("media.nvme" if any_nvme else "media.scm",
-                                   nbytes=nbytes)
+            # Several extents are read in processes of their own, which
+            # are handed no span: their waits stay off the request's.
+            span = env._active.span
+            if span is not None:
+                span = span.child(MEDIA_SPAN if any_nvme else "media.scm",
+                                  nbytes=nbytes)
             if len(reads) == 1:
                 # Single covering extent (the common case for aligned I/O):
                 # drive the media generator inline instead of wrapping it in

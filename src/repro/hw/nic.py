@@ -101,19 +101,20 @@ class Switch:
             yield env.timeout(propagation)
         yield from self.cross(src, dst, wire_bytes)
 
-    def wire_span(self, trace: "Span", stage: str, t: float,
+    def wire_span(self, stage: str, t: float,
                   pre_delay: float = 0.0, nbytes: int = 0) -> "Span":
         """Open the span of a traced crossing whose sleep another event took.
 
-        A sampled message opens ``stage`` (a child of ``trace``) around
-        :meth:`transmit` at ``t``.  When its caller merged ``transmit``'s
-        sleep into an earlier event, this opens the span at ``t`` instead
-        and books on it the ``(sleep)`` :meth:`transmit` would have booked
-        there: ``when - t`` for its ``timeout_until(when)``, the
-        propagation for its ``timeout``, nothing without either.  The
-        caller then crosses (:meth:`cross`) and finishes the span.
+        A sampled message opens ``stage`` (a child of its process's span)
+        around :meth:`transmit` at ``t``.  When its caller merged
+        ``transmit``'s sleep into an earlier event, this opens the span at
+        ``t`` instead and books on it the ``(sleep)`` :meth:`transmit`
+        would have booked there: ``when - t`` for its
+        ``timeout_until(when)``, the propagation for its ``timeout``,
+        nothing without either.  The caller then crosses (:meth:`cross`)
+        and finishes the span.
         """
-        span = trace.child(stage, nbytes=nbytes, start=t)
+        span = self.env._active.span.child(stage, nbytes=nbytes, start=t)
         propagation = self.spec.propagation
         if pre_delay:
             span.slept(t, ((t + pre_delay) + propagation) - t)

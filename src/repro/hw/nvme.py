@@ -25,7 +25,13 @@ from repro.sim.core import Environment, Event
 from repro.sim.monitor import RateMeter
 from repro.sim.queues import FifoServer
 
-__all__ = ["NvmeDevice", "NvmeArray"]
+__all__ = ["NvmeDevice", "NvmeArray", "MEDIA_SPAN"]
+
+#: The span a storage engine opens around its own I/O to the NVMe tier
+#: (VOS's).  It times the device stage itself, so a device working under
+#: it opens no ``nvme`` span: the device's records go on it.  Under any
+#: other span a device times its own work in an ``nvme`` child.
+MEDIA_SPAN = "media.nvme"
 
 
 class NvmeDevice:
@@ -86,16 +92,16 @@ class NvmeDevice:
         nbytes: int,
         is_write: bool,
         bw_efficiency: float = 1.0,
-        trace=None,
     ) -> Generator[Event, None, None]:
         """Perform one device I/O; completes after queue + service + latency.
 
         The service time is :meth:`service_time`, with its fault check.
         """
         service = self.service_time(nbytes, is_write, bw_efficiency)
-        span = None
-        if trace is not None:
-            span = trace.child("nvme", node=self.name, nbytes=nbytes)
+        span = self.env._active.span
+        if span is not None:
+            span = (None if span.name == MEDIA_SPAN else
+                    span.child("nvme", node=self.name, nbytes=nbytes))
         # Queue+service, then the parallel NAND access latency: one
         # kernel event at the chained instant, the latency booked to the
         # device.
@@ -161,7 +167,6 @@ class NvmeArray:
         nbytes: int,
         is_write: bool,
         bw_efficiency: float = 1.0,
-        trace=None,
     ) -> Generator[Event, None, None]:
         """One logical I/O; pieces on different devices proceed in parallel.
 
@@ -173,11 +178,12 @@ class NvmeArray:
         process per piece and their join cost ``3n + 1`` (DESIGN.md §9).
         What those processes would have left is made here in closed form:
 
-        * each piece's RESERVE booking, at now: on its ``nvme`` child span
-          of ``trace`` (opened now, closed at the piece's wake instant),
-          or, untraced, on the caller's open span for the piece it waited
-          for (the last to finish, the first of them on a tie) and on the
-          aggregates only for the rest;
+        * each piece's RESERVE booking, at now: on its ``nvme`` child of
+          the process's span (opened now, closed at the piece's wake
+          instant), or, under :data:`MEDIA_SPAN` or no span, on the
+          caller's span for the piece it waited for (the last to finish,
+          the first of them on a tie) and on the aggregates only for the
+          rest;
         * a piece under an ``nvme_media_error`` reserves nothing; the
           other pieces reserve, book and count as above, and then the
           first failing piece's error is raised, with no sleep.
@@ -189,7 +195,7 @@ class NvmeArray:
         if nbytes <= self.STRIPE_BYTES - in_stripe:
             # One piece: :meth:`split`'s one entry, without the list.
             dev = self.devices[stripe % len(self.devices)]
-            yield from dev.submit(nbytes, is_write, bw_efficiency, trace=trace)
+            yield from dev.submit(nbytes, is_write, bw_efficiency)
             return
         pieces = self.split(offset, nbytes)
         env = self.env
@@ -211,18 +217,18 @@ class NvmeArray:
                 wake, last = at, len(booked)
             booked.append((dev, size, start - now, service, latency, at))
         wt = env._wait_tracer
-        waited = None
-        if wt is not None and trace is None and error is None:
-            # The piece the caller waits for keeps its record on the
-            # caller's open span, whose records then sum to its duration.
-            waited = wt.active_span()
+        span = env._active.span
+        timed = span is not None and span.name != MEDIA_SPAN
+        # Untimed, the piece the caller waits for keeps its record on the
+        # caller's span, whose records then sum to its duration.
+        waited = None if timed or error is not None else span
         for i, (dev, size, wait, service, latency, at) in enumerate(booked):
-            span = waited if i == last else None
-            if trace is not None:
-                span = trace.child("nvme", node=dev.name, nbytes=size,
+            piece = waited if i == last else None
+            if timed:
+                piece = span.child("nvme", node=dev.name, nbytes=size,
                                    start=now, end=at)
             if wt is not None:
-                wt.book(dev.name, wait, service, latency, span, now)
+                wt.book(dev.name, wait, service, latency, piece, now)
         if error is None:
             if wt is not None:
                 wt.claim()  # the pieces' bookings cover the sleep

@@ -159,7 +159,6 @@ class FabricChannel:
 
     def rma_read(
         self, initiator: str, region: RemoteRegion, nbytes: int,
-        trace: Any = None,
     ) -> Generator[Event, None, Optional[bytes]]:
         """Pull ``nbytes`` from the start of the peer's window."""
         raise NotImplementedError
@@ -170,7 +169,6 @@ class FabricChannel:
         region: RemoteRegion,
         payload: Any = None,
         nbytes: Optional[int] = None,
-        trace: Any = None,
     ) -> Generator[Event, None, None]:
         """Push bytes to the start of the peer's window."""
         raise NotImplementedError
@@ -235,7 +233,7 @@ class TcpChannel(FabricChannel):
             )
         return entry
 
-    def rma_read(self, initiator, region, nbytes, trace=None):
+    def rma_read(self, initiator, region, nbytes):
         """Emulated read: request message out, data message back.
 
         The target pays full TCP receive+send CPU (its rxm progress
@@ -244,26 +242,21 @@ class TcpChannel(FabricChannel):
         """
         entry = self._lookup(region, nbytes)
         target = self.peer_of(initiator)
-        meta = {"trace": trace} if trace is not None else {}
-        req = Message(src=initiator, dst=target, kind="_rxm_read_req", nbytes=32,
-                      meta=dict(meta))
+        req = Message(src=initiator, dst=target, kind="_rxm_read_req", nbytes=32)
         yield from self._conn.send(req)
         data = Message(src=target, dst=initiator, kind="_rxm_read_data",
-                       nbytes=nbytes, meta=dict(meta))
+                       nbytes=nbytes)
         yield from self._conn.send(data)
         buffer = entry[1]
         if buffer is not None:
             return bytes(memoryview(buffer)[:nbytes])
         return None
 
-    def rma_write(self, initiator, region, payload=None, nbytes=None,
-                  trace=None):
+    def rma_write(self, initiator, region, payload=None, nbytes=None):
         size = nbytes if nbytes is not None else payload_nbytes(payload)
         entry = self._lookup(region, size)
         target = self.peer_of(initiator)
-        meta = {"trace": trace} if trace is not None else {}
-        data = Message(src=initiator, dst=target, kind="_rxm_write", nbytes=size,
-                       meta=dict(meta))
+        data = Message(src=initiator, dst=target, kind="_rxm_write", nbytes=size)
         yield from self._conn.send(data)
         buffer = entry[1]
         if buffer is not None and payload is not None:
@@ -337,9 +330,8 @@ class RdmaChannel(FabricChannel):
         # at the end of it: the transmit's generator, returned as is.
         qp = self.qps[msg.src]
         return qp.transmit(
-            msg.nbytes, msg.meta.get("trace") if msg.meta else None,
-            deliver=partial(self._listeners.deliver,
-                            qp.remote.device.node.name, msg))
+            msg.nbytes, deliver=partial(self._listeners.deliver,
+                                        qp.remote.device.node.name, msg))
 
     def register(self, name, length, buffer=None, valid_until=None):
         if name not in self.nodes:
@@ -358,19 +350,15 @@ class RdmaChannel(FabricChannel):
         if mr is not None:
             mr.pd.deregister_mr(mr)
 
-    def rma_read(self, initiator, region, nbytes, trace=None):
+    def rma_read(self, initiator, region, nbytes):
         qp = self.qps[initiator]
-        comp = yield from qp.rdma_read(region.addr, region.rkey, nbytes,
-                                       trace=trace)
+        comp = yield from qp.rdma_read(region.addr, region.rkey, nbytes)
         return comp.payload
 
-    def rma_write(self, initiator, region, payload=None, nbytes=None,
-                  trace=None):
+    def rma_write(self, initiator, region, payload=None, nbytes=None):
         qp = self.qps[initiator]
-        yield from qp.rdma_write(
-            region.addr, region.rkey, payload=payload, nbytes=nbytes,
-            trace=trace,
-        )
+        yield from qp.rdma_write(region.addr, region.rkey, payload=payload,
+                                 nbytes=nbytes)
 
 
 class FabricEndpoint:

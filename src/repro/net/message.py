@@ -88,7 +88,8 @@ class Message:
         elif nbytes < 0:
             raise ValueError(f"negative message size {nbytes}")
         self.nbytes = nbytes
-        #: Capsule metadata (a sampled request's ``trace``), or None.
+        #: Capsule metadata, or None: a sampled request's span rides in
+        #: it as ``"trace"``, for the server to adopt.
         self.meta = meta
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -101,9 +102,8 @@ class Message:
                  kind: Optional[str] = None) -> "Message":
         """Build a response message addressed back to the sender.
 
-        Metadata (trace context, HLC-style fields) is carried forward into
-        the reply, mirroring how CaRT echoes capsule metadata, so a span
-        collector can attribute the response leg to the originating request.
+        It carries no metadata: the server's process adopted the request's
+        span (:func:`request_listener`), and the reply leg is booked on it.
         """
         return Message(
             src=self.dst,
@@ -112,7 +112,6 @@ class Message:
             tag=self.tag,
             payload=payload,
             nbytes=nbytes,
-            meta=dict(self.meta) if self.meta else None,
         )
 
 
@@ -152,13 +151,17 @@ def request_listener(env: Any, request: str, shutdown: str,
     """A server's delivery function: each ``request`` starts ``handle(msg)``
     as a process, after the events already due at its arrival instant (as a
     request taken from a queue would; on a busy core that order decides who
-    runs).  Other kinds, and all after a ``shutdown``, are dropped."""
+    runs).  The process adopts the span the capsule carries, so its work
+    and its reply are the sampled request's.  Other kinds, and all after a
+    ``shutdown``, are dropped."""
     live = True
 
     def deliver(msg: Message) -> None:
         nonlocal live
         if live and msg.kind == request:
-            Process(env, handle(msg), name, NORMAL)
+            proc = Process(env, handle(msg), name, NORMAL)
+            if msg.meta:
+                proc.span = msg.meta.get("trace")
         elif msg.kind == shutdown:
             live = False
 

@@ -310,7 +310,6 @@ class QueuePair:
         payload: Any = None,
         nbytes: Optional[int] = None,
         wr_id: int = 0,
-        trace: Any = None,
     ) -> Generator[Event, None, Completion]:
         """Two-sided SEND; matches a posted RECV at the peer.
 
@@ -318,8 +317,7 @@ class QueuePair:
         The receiver's completion (with the payload) lands in its ``recv_cq``.
         """
         size = nbytes if nbytes is not None else payload_nbytes(payload)
-        wr_id_recv, mr = yield from self.transmit(size, trace=trace,
-                                                  match_recv=True)
+        wr_id_recv, mr = yield from self.transmit(size, match_recv=True)
         if mr is not None and isinstance(payload, (bytes, bytearray, memoryview)):
             mr.write_bytes(mr.addr, payload)
         self.remote.recv_cq.push(
@@ -329,7 +327,7 @@ class QueuePair:
         return comp
 
     def transmit(
-        self, nbytes: int, trace: Any = None, match_recv: bool = False,
+        self, nbytes: int, match_recv: bool = False,
         deliver: Optional[Callable[[], None]] = None,
     ) -> Generator[Event, None, Any]:
         """One SEND without verbs bookkeeping (fabric channels use it bare).
@@ -351,16 +349,17 @@ class QueuePair:
         dev, rdev = self.device, remote.device
         costs, node = dev.costs, dev.node
         threshold = costs.rendezvous_threshold
+        span = self.env._active.span
         if threshold is None or nbytes <= threshold:
             switch = node.switch
-            span = trace.child("rdma.post", node=node.name, nbytes=nbytes) if trace is not None else None
+            if span is not None:
+                child = span.child("rdma.post", node=node.name, nbytes=nbytes)
             now = self.env._now
             pre = costs.rtt_overhead / 2.0
             done = yield node.cpu.execute(costs.tx_cpu_per_op, pre,
                                           switch.spec.propagation)
             if span is not None:
-                span = self._posted(trace, span, now, done, nbytes,
-                                    "rdma.eager")
+                child = self._posted(child, now, done, nbytes, "rdma.eager")
             # :meth:`RdmaDevice.wire_bytes` and :meth:`Switch.cross
             # <repro.hw.nic.Switch.cross>`, inline.
             wire = int((nbytes + HEADER_BYTES) / costs.goodput_efficiency)
@@ -371,20 +370,21 @@ class QueuePair:
             else:
                 yield from switch.cross(node.name, rdev.node.name, wire)
             if span is not None:
-                span.finish()
+                child.finish()
         else:
-            yield from self._post(remote, nbytes, trace, "rdma.eager")
+            yield from self._post(remote, nbytes, "rdma.eager")
         if self.error is not None or remote.error is not None:
             # The QP broke while the message was on the wire.
             raise RdmaError(
                 f"QP {self.qp_num} failed in flight: "
                 f"{self.error or remote.error}"
             )
-        span = trace.child("rdma.recv", node=rdev.node.name, nbytes=nbytes) if trace is not None else None
+        if span is not None:
+            child = span.child("rdma.recv", node=rdev.node.name, nbytes=nbytes)
         wr = (yield remote._recv_queue.get()) if match_recv else None
         yield rdev.node.cpu.execute(costs.rx_cpu_per_op)
         if span is not None:
-            span.finish()
+            child.finish()
         if deliver is not None:
             deliver()
         return wr
@@ -397,7 +397,6 @@ class QueuePair:
         payload: Any = None,
         nbytes: Optional[int] = None,
         wr_id: int = 0,
-        trace: Any = None,
     ) -> Generator[Event, None, Completion]:
         """One-sided WRITE into the peer's memory.  Zero remote CPU.
 
@@ -407,7 +406,7 @@ class QueuePair:
         remote = self._require_remote()
         size = nbytes if nbytes is not None else payload_nbytes(payload)
         mr = self._validate(remote, remote_addr, size, AccessFlags.REMOTE_WRITE, rkey)
-        yield from self._post(remote, size, trace, "rdma.dma")
+        yield from self._post(remote, size, "rdma.dma")
 
         if payload is not None:
             mr.write_bytes(remote_addr, payload)
@@ -419,7 +418,6 @@ class QueuePair:
         rkey: int,
         nbytes: int,
         wr_id: int = 0,
-        trace: Any = None,
     ) -> Generator[Event, None, Completion]:
         """One-sided READ from the peer's memory.  Zero remote CPU.
 
@@ -439,13 +437,15 @@ class QueuePair:
         costs = dev.costs
         switch = node.switch
         request = dev.wire_bytes(0)
-        span = trace.child("rdma.post", node=node.name, nbytes=0) if trace is not None else None
+        span = self.env._active.span
+        if span is not None:
+            child = span.child("rdma.post", node=node.name, nbytes=0)
         now = self.env.now
         done = yield node.cpu.execute(costs.tx_cpu_per_op,
                                       costs.rtt_overhead / 2.0,
                                       switch.spec.propagation)
         if span is not None:
-            span = self._posted(trace, span, now, done, 0, "rdma.dma")
+            child = self._posted(child, now, done, 0, "rdma.dma")
         yield from switch.port(node.name).tx.transfer(request)
         rswitch = rnode.switch
         rpre = rdev.costs.rtt_overhead / 2.0
@@ -453,12 +453,11 @@ class QueuePair:
         done = yield switch.port(rnode.name).rx.transfer_and_sleep(
             request, rpre, rswitch.spec.propagation)
         if span is not None:
-            span.finish(at=now + (done - now))
-            span = rswitch.wire_span(trace, "rdma.dma", span.t_end, rpre,
-                                     nbytes)
+            child.finish(at=now + (done - now))
+            child = rswitch.wire_span("rdma.dma", child.t_end, rpre, nbytes)
         yield from rswitch.cross(rnode.name, node.name, rdev.wire_bytes(nbytes))
         if span is not None:
-            span.finish()
+            child.finish()
 
         data = mr.read_bytes(remote_addr, nbytes)
         return Completion(wr_id, "read", "ok", nbytes, data)
@@ -497,7 +496,7 @@ class QueuePair:
         return mr
 
     def _post(
-        self, remote: "QueuePair", size: int, trace: Any, stage: str,
+        self, remote: "QueuePair", size: int, stage: str,
     ) -> Generator[Event, None, None]:
         """Post CPU on the initiator, then the wire to ``remote``.
 
@@ -509,7 +508,9 @@ class QueuePair:
         """
         dev = self.device
         node, rnode = dev.node, remote.device.node
-        span = trace.child("rdma.post", node=node.name, nbytes=size) if trace is not None else None
+        span = self.env._active.span
+        if span is not None:
+            span = span.child("rdma.post", node=node.name, nbytes=size)
         costs = dev.costs
         switch = node.switch
         propagation = switch.spec.propagation
@@ -521,13 +522,12 @@ class QueuePair:
         now = self.env.now
         done = yield node.cpu.execute(costs.tx_cpu_per_op, *delays)
         if span is not None:
-            span = self._posted(trace, span, now, done, size, stage,
-                                rendezvous)
+            span = self._posted(span, now, done, size, stage, rendezvous)
         yield from switch.cross(node.name, rnode.name, dev.wire_bytes(size))
         if span is not None:
             span.finish()
 
-    def _posted(self, trace: Any, span: Any, now: float, done: float,
+    def _posted(self, span: Any, now: float, done: float,
                 size: int, stage: str, rendezvous: bool = False) -> Any:
         """Book a sampled switched post after its one merged event.
 
@@ -542,9 +542,9 @@ class QueuePair:
         dev = self.device
         pre = dev.costs.rtt_overhead / 2.0
         if rendezvous:
-            t = dev.rendezvous_spans(trace, t, pre)
+            t = dev.rendezvous_spans(t, pre)
             pre = 0.0
-        return dev.node.switch.wire_span(trace, stage, t, pre, size)
+        return dev.node.switch.wire_span(stage, t, pre, size)
 
 
 class RdmaDevice:
@@ -568,23 +568,20 @@ class RdmaDevice:
         return 2 * (self.node.switch.spec.propagation
                     + self.costs.rtt_overhead / 2.0)
 
-    def rendezvous_spans(self, trace: Any, t: float, pre: float) -> float:
+    def rendezvous_spans(self, t: float, pre: float) -> float:
         """Book a sampled rendezvous whose sleeps another event took.
 
-        The chained path slept the stack latency ``pre`` at ``t`` on
-        whatever span was open, then the round-trip inside an
-        ``rdma.rendezvous`` span.  Books both sleeps and the span at those
-        instants and returns the instant the round-trip ends.
+        The chained path slept the stack latency ``pre`` at ``t`` on its
+        process's span, then the round-trip inside an ``rdma.rendezvous``
+        child of it.  Books both sleeps and the span at those instants and
+        returns the instant the round-trip ends.
         """
-        env = self.env
-        wt = env._wait_tracer
-        active = wt.active_span() if wt is not None else None
-        if active is not None:
-            active.slept(t, pre)
+        span = self.env._active.span
+        span.slept(t, pre)
         t = t + pre
         rtt = self.rendezvous_rtt()
-        trace.child("rdma.rendezvous", node=self.node.name, start=t,
-                    end=t + rtt).slept(t, rtt)
+        span.child("rdma.rendezvous", node=self.node.name, start=t,
+                   end=t + rtt).slept(t, rtt)
         return t + rtt
 
     def wire_bytes(self, size: int) -> int:

@@ -121,15 +121,16 @@ class TcpConnection:
          rx_pool, dst_cpu, dst_lock, src_bf3, dst_bf3) = cap
         env = src.env
         size = msg.nbytes
-        trace = msg.meta.get("trace") if msg.meta else None
+        span = env._active.span
 
         # --- sender ---------------------------------------------------
-        span = trace.child("tcp.tx", node=msg.src, nbytes=size) if trace is not None else None
+        if span is not None:
+            child = span.child("tcp.tx", node=msg.src, nbytes=size)
         yield src_cpu.execute(
             costs.tx_cpu_per_op + costs.tx_cpu_per_byte * size
         )
         if span is not None:
-            span.finish()
+            child.finish()
         serial = costs.stack_serial_per_op
         if serial:
             # The host-wide serialized stack section.  On a BlueField this
@@ -137,13 +138,12 @@ class TcpConnection:
             # path of §4.4 (it is what caps DPU TCP at ~200 K IOPS, Fig. 5c
             # bottom), so the breakdown attributes it to ``arm_rx``
             # regardless of which direction's syscall stalled on it.
-            span = None
-            if trace is not None:
-                span = trace.child("arm_rx" if src_bf3 else "tcp.stack",
+            if span is not None:
+                child = span.child("arm_rx" if src_bf3 else "tcp.stack",
                                    node=msg.src)
             yield src_lock.enter(serial)
             if span is not None:
-                span.finish()
+                child.finish()
         # Single-stream per-connection processing (sequential per direction).
         wire = int((size + HEADER_BYTES) / costs.goodput_efficiency)
         if costs.per_conn_byte_cost and size:
@@ -151,15 +151,15 @@ class TcpConnection:
             # propagation as one event, at the chained sleeps' instant.  A
             # sampled message then books its ``tcp.stream`` and
             # ``net.wire`` spans where the chained sleeps put them.
-            span = trace.child("tcp.stream", node=msg.src, nbytes=size) if trace is not None else None
+            if span is not None:
+                child = span.child("tcp.stream", node=msg.src, nbytes=size)
             now = env._now
             pre = costs.rtt_overhead / 2.0
             done = yield stream.serve(costs.per_conn_byte_cost * size, pre,
                                       switch.spec.propagation)
             if span is not None:
-                span.finish(at=now + (done - now))
-                span = switch.wire_span(trace, "net.wire", span.t_end, pre,
-                                        size)
+                child.finish(at=now + (done - now))
+                child = switch.wire_span("net.wire", child.t_end, pre, size)
             # :meth:`Switch.cross <repro.hw.nic.Switch.cross>`, inline.
             tx, rx = switch.route(msg.src, dst_name)
             if 0 < wire <= tx.chunk_bytes:
@@ -168,42 +168,43 @@ class TcpConnection:
             else:
                 yield from switch.cross(msg.src, dst_name, wire)
             if span is not None:
-                span.finish()
+                child.finish()
         else:
             # --- wire (no stream work to merge the sleep into) ---------
             # Fixed stack latency (rtt/2) is merged into the switch
             # crossing's propagation event — one kernel event,
             # bit-identical fire time.
-            span = trace.child("net.wire", nbytes=size) if trace is not None else None
+            if span is not None:
+                child = span.child("net.wire", nbytes=size)
             yield from switch.transmit(
                 msg.src, dst_name, wire, pre_delay=costs.rtt_overhead / 2.0
             )
             if span is not None:
-                span.finish()
+                child.finish()
 
         # --- receiver ---------------------------------------------------
         if costs.rx_cpu_per_byte and size:
             # Per-byte RX work runs on the restricted RX core set; the
             # pool's own factor already includes the platform RX penalty.
             # On a BlueField this is the Arm RX path of the paper's §4.4.
-            if trace is not None:
-                span = trace.child("arm_rx" if dst_bf3 else "host_rx",
+            if span is not None:
+                child = span.child("arm_rx" if dst_bf3 else "host_rx",
                                    node=dst_name, nbytes=size)
             yield rx_pool.execute(costs.rx_cpu_per_byte * size)
-            if trace is not None:
-                span.finish()
-        span = trace.child("tcp.rx", node=dst_name, nbytes=size) if trace is not None else None
+            if span is not None:
+                child.finish()
+        if span is not None:
+            child = span.child("tcp.rx", node=dst_name, nbytes=size)
         yield dst_cpu.execute(costs.rx_cpu_per_op)
         if span is not None:
-            span.finish()
+            child.finish()
         if serial:
-            span = None
-            if trace is not None:
-                span = trace.child("arm_rx" if dst_bf3 else "tcp.stack",
+            if span is not None:
+                child = span.child("arm_rx" if dst_bf3 else "tcp.stack",
                                    node=dst_name)
             yield dst_lock.enter(serial)
             if span is not None:
-                span.finish()
+                child.finish()
 
         # Provider-internal messages (kinds starting with "_", the RxM
         # emulation) end here: their sender is the one waiting for them.

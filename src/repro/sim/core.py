@@ -279,9 +279,15 @@ class Process(Event):
 
     The value of the process-event is the generator's return value; if the
     generator raises, the process fails with that exception.
+
+    ``span`` is the sampled request span the process is working for, or
+    None: the one place the open span is kept.  A process starts with
+    none; a :class:`~repro.sim.spans.Span` opened in it becomes its span
+    until it finishes, and whoever forks a process for a request, or
+    starts one for a request that arrived, hands it the request's span.
     """
 
-    __slots__ = ("generator", "_target", "name", "_rcb")
+    __slots__ = ("generator", "_target", "name", "_rcb", "span")
 
     def __init__(
         self,
@@ -301,6 +307,7 @@ class Process(Event):
         self.generator = generator
         self.name = name or getattr(generator, "__name__", "process")
         self._target: Optional[Event] = None
+        self.span = None
         #: The bound ``_resume`` method, materialised once: every suspension
         #: appends it to the awaited event's callback list, and building a
         #: fresh bound method per suspension is a measurable allocation in

@@ -248,7 +248,7 @@ class _Transfer(Event):
 
     ``left`` counts the bytes not yet reserved; ``at`` is the instant of
     the next chunk request or, once the last chunk is reserved, of the
-    finish.  ``span`` is the span its owner had open when it called
+    finish.  ``span`` is its owner's span when it called
     :meth:`BandwidthPipe.transfer`, which the wait tracer books its chunks
     on.
     """
@@ -406,7 +406,7 @@ class BandwidthPipe:
             self._sync()
             span = None
             if wt is not None:
-                span = wt.active_span()
+                span = env._active.span
                 wt.defer(self._sync)
             xfer = _Transfer(env, nbytes, env._now, span)
             # Every other request is due after now: this one goes first.

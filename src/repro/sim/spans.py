@@ -1,11 +1,16 @@
 """Request-scoped distributed tracing for the simulator.
 
 Real DAOS carries an HLC timestamp and trace metadata in every CaRT RPC
-capsule; the reproduction does the analog: a :class:`Span` is created at the
-workload layer, threaded (explicitly, or inside ``Message.meta["trace"]``
-across RPC hops) through client → transport → engine → VOS → media, and every
-stage opens a child span around its own work.  Because the simulator is one
-process, the "wire format" is simply the live parent span object.
+capsule; the reproduction does the analog.  A :class:`Span` is created at
+the workload layer for a sampled request, and the request's span rides on
+the process doing its work (:attr:`Process.span
+<repro.sim.core.Process.span>`).  Every stage from client through
+transport, engine and VOS to media opens a child of its process's span
+around its own work; the child is the process's span until it finishes.
+Across an RPC hop the span rides in the capsule (``Message.meta
+["trace"]``) and the server's handler process adopts it.  Because the
+simulator is one process, the "wire format" is simply the live span
+object.
 
 Design rules that keep tracing honest and cheap:
 
@@ -16,13 +21,14 @@ Design rules that keep tracing honest and cheap:
   chained sleeps would have reached (``start=``/``end=``/``finish(at=)``).
   A traced run therefore dispatches the same events as an untraced one
   and produces *bit-identical* simulated results.
-* **Zero cost when off** — every instrumented call site guards with
-  ``if trace is not None``; with no collector attached nothing is allocated.
+* **Zero cost when off** — a stage reads its process's span and opens a
+  child only ``if span is not None``; with no collector attached no
+  process has a span and nothing is allocated.
 * **Sampling** — :meth:`SpanCollector.trace` returns ``None`` for
   ``sample_every - 1`` out of every ``sample_every`` requests, bounding both
   host memory and host CPU for long runs.
 
-On top of the raw spans sit three analyses:
+On top of the raw spans sit two analyses:
 
 * :class:`LatencyBreakdown` — per-stage *self time* (span duration minus its
   children's durations) aggregated across traces; renders the paper-style
@@ -30,7 +36,6 @@ On top of the raw spans sit three analyses:
   time is the Arm RX path").
 * :func:`critical_path` — the chain of spans that determined one request's
   end-to-end latency.
-* ``to_dict`` hooks feeding the CLI's JSON artifacts.
 """
 
 from __future__ import annotations
@@ -60,18 +65,21 @@ class Span:
     """One timed stage of one request.
 
     ``t_end`` is ``None`` until :meth:`finish` is called.  Spans form a tree
-    via ``parent_id``; the root span covers the whole request.  ``start``
-    opens the span at an earlier instant than now; ``end`` also closes it
-    there at once.  Such a closed-form span never enters the wait tracer's
-    per-process stack: nothing waits while it is open.
+    via ``parent_id``; the root span covers the whole request.  An open span
+    is the span of the process that opened it (the wait tracer books that
+    process's waits on it) until it finishes, which puts back the span
+    that was current when it opened.  ``start`` opens the span at an
+    earlier instant than now; ``end`` also closes it there at once.  Such
+    a closed-form span never becomes a process's span: nothing waits
+    while it is open.
     """
 
     __slots__ = ("trace", "span_id", "parent_id", "name", "node",
-                 "t_start", "t_end", "nbytes", "attrs")
+                 "t_start", "t_end", "nbytes", "attrs", "_proc", "_opener")
 
     def __init__(
         self,
-        trace: "Trace",
+        tr: "Trace",
         name: str,
         parent_id: Optional[int],
         node: Optional[str] = None,
@@ -80,24 +88,23 @@ class Span:
         end: Optional[float] = None,
         **attrs: object,
     ) -> None:
-        self.trace = trace
+        self.trace = tr
         self.span_id = next(_span_ids)
         self.parent_id = parent_id
         self.name = name
         self.node = node
-        env = trace.env
+        env = tr.env
         self.t_start = env.now if start is None else start
         self.t_end: Optional[float] = end
         self.nbytes = nbytes
         self.attrs = attrs or None
         if end is not None:
-            trace.collector._record(self)
+            tr.collector._record(self)
             return
-        wt = env._wait_tracer
-        if wt is not None:
-            # Register as the active span of the opening process so wait
-            # events recorded while it is open are attributed to it.
-            wt.push_span(env._active, self)
+        proc = self._proc = env._active
+        if proc is not None:
+            self._opener = proc.span
+            proc.span = self
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -111,11 +118,13 @@ class Span:
     def finish(self, at: Optional[float] = None) -> "Span":
         """Close the span now (or at the earlier instant ``at``) and record it."""
         if self.t_end is None:
-            env = self.trace.env
-            self.t_end = env.now if at is None else at
-            wt = env._wait_tracer
-            if wt is not None:
-                wt.pop_span(env._active, self)
+            self.t_end = self.trace.env.now if at is None else at
+            proc = self._proc
+            if proc is not None:
+                # Back to the opener's span; a child this span left open
+                # (a media read a fault cut short) is dropped with it.
+                proc.span = self._opener
+                self._proc = None
             self.trace.collector._record(self)
         return self
 

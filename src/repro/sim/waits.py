@@ -18,8 +18,9 @@ every primitive that makes a process give up the CPU reports a wait event:
 * **sleep** — a plain ``env.timeout`` not claimed by any primitive (pure
   delays: switch propagation, polling intervals, think time).
 
-Each event is tagged with the *active span* of the process that waited (the
-innermost open span the current process pushed), so every span decomposes as
+Each event is tagged with the *active span* of the process that waited
+(its :attr:`~repro.sim.core.Process.span`: the innermost span still open
+in it, or the request span it was handed), so every span decomposes as
 ``duration = service + Σ wait(resource_i)`` and the latency breakdown gains
 a per-resource blame column.
 
@@ -153,9 +154,6 @@ class WaitTracer:
         self._aggregates: Dict[str, ResourceWait] = {}
         # Stations the sampler watches (see :meth:`watch`), by name.
         self._watched: Dict[str, "StationStats"] = {}
-        # Per-process open-span stacks, keyed by the Process object that
-        # pushed the span (None for module-level pushes).
-        self._stacks: Dict[object, List["Span"]] = {}
         # Set by :meth:`claim` right before a caller that booked its own
         # wait creates the timeout it sleeps through, so
         # Environment.timeout does not book the same passage again as a
@@ -200,47 +198,18 @@ class WaitTracer:
     def __exit__(self, *exc) -> None:
         self.uninstall()
 
-    # -- span stack (called from Span.__init__/finish) ----------------------
-
-    def push_span(self, proc, span: "Span") -> None:
-        self._stacks.setdefault(proc, []).append(span)
-
-    def pop_span(self, proc, span: "Span") -> None:
-        stack = self._stacks.get(proc)
-        if stack and stack[-1] is span:
-            stack.pop()
-            if not stack:
-                del self._stacks[proc]
-            return
-        # Tolerate out-of-order/cross-process finishes: remove the span
-        # wherever it was pushed (linear, but this is the cold path).
-        for key, st in list(self._stacks.items()):
-            try:
-                st.remove(span)
-            except ValueError:
-                continue
-            if not st:
-                del self._stacks[key]
-            return
-
-    # -- hooks (called from kernel/primitives; tracer installed) ------------
-
-    def active_span(self) -> Optional["Span"]:
-        """The innermost open span of the running process, if any."""
-        stack = self._stacks.get(self.env._active)
-        return stack[-1] if stack else None
+    # -- hooks (called from primitives in a process; tracer installed) ------
 
     def reserve(self, name: Optional[str], wait: float, service: float,
                 latency: float = 0.0) -> None:
         """A reservation server computed its analytic wait/service split.
 
-        Books it now, on the active span.  A station pushes its own
-        wake-up, so no timeout follows; a caller that sleeps through
-        ``env.timeout`` after booking calls :meth:`claim` first.
+        Books it now, on the running process's span.  A station pushes
+        its own wake-up, so no timeout follows; a caller that sleeps
+        through ``env.timeout`` after booking calls :meth:`claim` first.
         """
-        stack = self._stacks.get(self.env._active)
-        self.book(name, wait, service, latency,
-                  stack[-1] if stack else None, self.env._now)
+        self.book(name, wait, service, latency, self.env._active.span,
+                  self.env._now)
 
     def claim(self) -> None:
         """Consume the next timeout silently: its caller books it itself."""
@@ -306,11 +275,10 @@ class WaitTracer:
         if self._claimed:
             self._claimed = False
             return
-        stack = self._stacks.get(self.env._active)
-        if not stack:
+        span = self.env._active.span
+        if span is None:
             return
-        self.book(SLEEP_RESOURCE, 0.0, 0.0, delay, stack[-1], self.env._now,
-                  SLEEP)
+        self.book(SLEEP_RESOURCE, 0.0, 0.0, delay, span, self.env._now, SLEEP)
 
     def defer(self, sync: Callable[[], None]) -> None:
         """Run ``sync()`` before every read of the tracer.
@@ -326,10 +294,10 @@ class WaitTracer:
 
     def begin_block(self, event, name: Optional[str]) -> None:
         """A request, get or allocation parked in a waiter queue."""
-        stack = self._stacks.get(self.env._active)
-        if not stack:
+        span = self.env._active.span
+        if span is None:
             return
-        self._blocked[event] = (name or ANON_RESOURCE, self.env._now, stack[-1])
+        self._blocked[event] = (name or ANON_RESOURCE, self.env._now, span)
 
     def end_block(self, event) -> None:
         """A parked event is being granted/woken (same-instant resume)."""

@@ -33,7 +33,7 @@ class BlockDevice:
         )
 
     def read(
-        self, offset: int, nbytes: int, bw_efficiency: float = 1.0, trace=None
+        self, offset: int, nbytes: int, bw_efficiency: float = 1.0
     ) -> Generator[Event, None, Optional[bytes]]:
         """Read; returns bytes in data mode, None otherwise.
 
@@ -41,7 +41,7 @@ class BlockDevice:
         included: its generator is returned for the caller to drive.
         """
         io = self.array.submit(offset, nbytes, is_write=False,
-                               bw_efficiency=bw_efficiency, trace=trace)
+                               bw_efficiency=bw_efficiency)
         if self._store is None:
             return io
         return self._read_stored(io, offset, nbytes)
@@ -56,7 +56,6 @@ class BlockDevice:
         nbytes: Optional[int] = None,
         data: Optional[bytes] = None,
         bw_efficiency: float = 1.0,
-        trace=None,
     ) -> Generator[Event, None, None]:
         """Write ``data`` (or a virtual payload of ``nbytes``); the array's
         I/O alone, as in :meth:`read`, unless bytes go to the store."""
@@ -67,7 +66,7 @@ class BlockDevice:
         if data is not None and len(data) != nbytes:
             raise ValueError(f"data of {len(data)} bytes but nbytes={nbytes}")
         io = self.array.submit(offset, nbytes, is_write=True,
-                               bw_efficiency=bw_efficiency, trace=trace)
+                               bw_efficiency=bw_efficiency)
         if self._store is None or data is None:
             return io
         return self._write_stored(io, offset, data)

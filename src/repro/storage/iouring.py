@@ -58,29 +58,27 @@ class IoUringEngine:
         offset: int,
         nbytes: int,
         is_write: bool,
-        trace=None,
     ) -> Generator[Event, None, Optional[bytes]]:
         """One POSIX read/write; completes when the CQE is reaped."""
         costs = self.costs
-        span = None
-        if trace is not None:
-            span = trace.child("iouring.submit", node=self.node.name, nbytes=nbytes)
+        span = self.env._active.span
+        if span is not None:
+            child = span.child("iouring.submit", node=self.node.name,
+                               nbytes=nbytes)
         yield ctx.enter(costs.submit_cpu_per_op)
         yield self._block_layer.enter(BLOCK_LAYER_SERIAL_PER_OP)
         if span is not None:
-            span.finish()
+            child.finish()
         eff = costs.write_bw_efficiency if is_write else costs.read_bw_efficiency
         if is_write:
             yield from self.device.write(offset, nbytes=nbytes,
-                                         bw_efficiency=eff, trace=trace)
+                                         bw_efficiency=eff)
             result = None
         else:
-            result = yield from self.device.read(offset, nbytes, bw_efficiency=eff,
-                                                 trace=trace)
-        span = None
-        if trace is not None:
-            span = trace.child("iouring.complete", node=self.node.name)
+            result = yield from self.device.read(offset, nbytes, bw_efficiency=eff)
+        if span is not None:
+            child = span.child("iouring.complete", node=self.node.name)
         yield ctx.enter(costs.complete_cpu_per_op)
         if span is not None:
-            span.finish()
+            child.finish()
         return result

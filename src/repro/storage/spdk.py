@@ -68,24 +68,21 @@ class NvmfTarget:
         nbytes = cmd["nbytes"]
         region: RemoteRegion = cmd["region"]
 
-        # The command capsule carries the initiator's span (like the DAOS
+        # This process adopted the command capsule's span (like the DAOS
         # RPC capsule); target-side work hangs off a handler child span.
-        trace = msg.meta.get("trace") if msg.meta else None
-        span = None
-        if trace is not None:
-            span = trace.child("nvmf.target", node=self.node.name, nbytes=nbytes)
+        span = self.env._active.span
+        if span is not None:
+            span = span.child("nvmf.target", node=self.node.name, nbytes=nbytes)
 
         yield self.node.cpu.execute(TARGET_CPU_PER_OP)
 
         if op == "write":
             # Pull the payload from the client window, then hit the media.
-            yield from channel.rma_read(self.node.name, region, nbytes, trace=span)
-            yield from self.device.write(offset, nbytes=nbytes, trace=span)
+            yield from channel.rma_read(self.node.name, region, nbytes)
+            yield from self.device.write(offset, nbytes=nbytes)
         elif op == "read":
-            yield from self.device.read(offset, nbytes, trace=span)
-            yield from channel.rma_write(
-                self.node.name, region, nbytes=nbytes, trace=span
-            )
+            yield from self.device.read(offset, nbytes)
+            yield from channel.rma_write(self.node.name, region, nbytes=nbytes)
         else:
             raise ValueError(f"unknown NVMe-oF op {op!r}")
 
@@ -134,7 +131,6 @@ class NvmfInitiator:
         offset: int,
         nbytes: int,
         is_write: bool,
-        trace=None,
     ) -> Generator[Event, None, None]:
         """One remote NVMe command; completes at the completion capsule."""
         if not self._started:
@@ -143,9 +139,9 @@ class NvmfInitiator:
         env = self.env
         cid = next(NvmfInitiator._cid)
 
-        span = None
-        if trace is not None:
-            span = trace.child("nvmf.cmd", node=self.node.name, nbytes=nbytes)
+        span = env._active.span
+        if span is not None:
+            span = span.child("nvmf.cmd", node=self.node.name, nbytes=nbytes)
 
         yield ctx.enter(costs.submit_cpu_per_op)
 

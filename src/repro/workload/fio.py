@@ -142,8 +142,9 @@ def run_fio(
 
     When ``collector`` (a :class:`~repro.sim.spans.SpanCollector`) is given,
     each measured operation may start a sampled trace whose root span covers
-    submit-to-completion; the adapter and every layer below annotate it with
-    per-stage child spans.  With ``collector=None`` the hot loop issues the
+    submit-to-completion; it is the lane's span while the operation runs,
+    and the adapter and every layer below annotate it with per-stage child
+    spans.  With ``collector=None`` the hot loop issues the
     exact same calls as before tracing existed.
     """
     rng = RngStreams(spec.seed)
@@ -183,22 +184,13 @@ def run_fio(
                 tr = None
             if fx is None:
                 # The exact pre-chaos hot loop: no counters, no try frame.
+                yield from adapter.submit(ctx, offset, spec.bs, is_write)
                 if tr is not None:
-                    yield from adapter.submit(ctx, offset, spec.bs,
-                                              is_write, trace=tr.root)
                     tr.finish()
-                else:
-                    yield from adapter.submit(ctx, offset, spec.bs,
-                                              is_write)
             else:
                 fx.stats.submitted += 1
                 try:
-                    if tr is not None:
-                        yield from adapter.submit(ctx, offset, spec.bs,
-                                                  is_write, trace=tr.root)
-                    else:
-                        yield from adapter.submit(ctx, offset, spec.bs,
-                                                  is_write)
+                    yield from adapter.submit(ctx, offset, spec.bs, is_write)
                 except op_errors:
                     fx.stats.failed += 1
                     if tr is not None:

@@ -66,25 +66,29 @@ class ChunkLoopPipe(BandwidthPipe):
 
 
 def process_per_piece_submit(array, offset, nbytes, is_write,
-                             bw_efficiency=1.0, trace=None):
+                             bw_efficiency=1.0):
     """``NvmeArray.submit`` with a process per piece and their join.
 
     Each piece is :meth:`NvmeDevice.submit
-    <repro.hw.nvme.NvmeDevice.submit>` in a process of its own: its fault
-    check, its ``nvme`` child span of ``trace`` and its RESERVE record,
-    its wake-up and its meter.  The caller waits on an ``AllOf``, which
-    books nothing, and raises the first piece to fail.  (A second failing
-    piece fails a process nobody waits for, which ends the run.)
+    <repro.hw.nvme.NvmeDevice.submit>` in a process of its own, handed the
+    caller's span: its fault check, its ``nvme`` child span and its
+    RESERVE record, its wake-up and its meter.  The caller waits on an
+    ``AllOf``, which books nothing, and raises the first piece to fail.
+    (A second failing piece fails a process nobody waits for, which ends
+    the run.)
     """
     pieces = array.split(offset, nbytes)
     if len(pieces) == 1:
         dev, size = pieces[0]
-        yield from dev.submit(size, is_write, bw_efficiency, trace=trace)
+        yield from dev.submit(size, is_write, bw_efficiency)
         return
     env = array.env
-    procs = [env.process(dev.submit(size, is_write, bw_efficiency,
-                                    trace=trace))
-             for dev, size in pieces]
+    span = env.active_process.span
+    procs = []
+    for dev, size in pieces:
+        proc = env.process(dev.submit(size, is_write, bw_efficiency))
+        proc.span = span
+        procs.append(proc)
     yield env.all_of(procs)
 
 

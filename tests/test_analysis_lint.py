@@ -207,7 +207,7 @@ def test_sim005_ignores_exact_counting():
 
 
 # ---------------------------------------------------------------------------
-# Structure gates SIM007-SIM013: scoped to the modules they name
+# Structure gates SIM007-SIM014: scoped to the modules they name
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("rule, source, spared, covered", [
@@ -226,6 +226,12 @@ def test_sim005_ignores_exact_counting():
             return self.merged(msg)
     """, "src/repro/hw/nvme.py", "src/repro/net/rdma.py"),
     ("SIM009", """
+    def hop(self, msg):
+        span = self.env._active.span
+        if span is None:
+            return self.merged(msg)
+    """, "src/repro/hw/nvme.py", "src/repro/daos/rpc.py"),
+    ("SIM009", """
     def submit(self, env, piece):
         return env.process(self.piece(piece))
     """, "src/repro/workload/fio.py", "src/repro/hw/nvme.py"),
@@ -236,8 +242,12 @@ def test_sim005_ignores_exact_counting():
     ("SIM013", """
     import subprocess
     """, "src/repro/bench/cli.py", "src/repro/analysis/sanitizer.py"),
-], ids=["SIM007", "SIM008", "SIM009-trace", "SIM009-process", "SIM010",
-        "SIM013"])
+    ("SIM014", """
+    def fetch(self, ctx, trace=None):
+        return self.rpc.call("obj_fetch", {}, trace=trace)
+    """, "src/repro/bench/runner.py", "src/repro/workload/fio.py"),
+], ids=["SIM007", "SIM008", "SIM009-trace", "SIM009-span", "SIM009-process",
+        "SIM010", "SIM013", "SIM014"])
 def test_scoped_gate_covers_only_its_modules(rule, source, spared, covered):
     active, _ = _lint_snippet(source, relpath=spared)
     assert rule not in [f.rule for f in active]
@@ -255,8 +265,8 @@ def test_structure_gates_accept_the_idioms_they_protect():
         env._eids = map(scramble, env._eids)
         return next(env._eids)
 
-    def join(self, wt, trace, error):
-        if wt is not None and trace is None and error is None:
+    def join(self, wt, span, error):
+        if wt is not None and span is None and error is None:
             return wt
     """, relpath="src/repro/hw/nvme.py")
     assert not active

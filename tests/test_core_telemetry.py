@@ -182,9 +182,9 @@ def test_one_name_per_resource():
     assert [d.writes.name for d in devices] == [f"{n}.writes" for n in ssds]
     assert [d.name for d in snapshot(run.system).devices] == ssds
     collector = SpanCollector(env)
-    trace = collector.trace("io")
-    env.run(until=env.process(devices[2].submit(4096, False,
-                                                trace=trace.root)))
+    io = env.process(devices[2].submit(4096, False))
+    io.span = collector.trace("io").root
+    env.run(until=io)
     assert [s.node for s in collector.spans] == ["nvme.ssd2"]
     spike = FaultEvent(kind="nvme_latency_spike", target="nvme.ssd3", at=0.0)
     FaultInjector(env, FaultPlan(events=(spike,))).check_targets()

@@ -262,7 +262,7 @@ class AnyOfClient(RpcClient):
     """Reference: each call races its reply against its own Timeout
     through an AnyOf, as the client did before its deadline timer."""
 
-    def call(self, opcode, args, req_nbytes=RPC_REQUEST_BYTES, trace=None,
+    def call(self, opcode, args, req_nbytes=RPC_REQUEST_BYTES,
              deadline=None):
         tag = next(RpcClient._tags)
         done = self.env.event()

@@ -219,8 +219,8 @@ def _run_submitters(ios, n_devices, reference, observe="plain",
 
     ``reference`` submits through the process per piece instead of the
     production join.  ``observe`` is ``"plain"``, ``"tracer"`` (a wait
-    tracer) or ``"spans"`` (a wait tracer, and a root span per I/O passed
-    as ``trace``).  ``faulted`` installs a latency spike on ``nvme.ssd0``
+    tracer) or ``"spans"`` (a wait tracer, and a root span per I/O, the
+    submitter's span while it runs).  ``faulted`` installs a latency spike on ``nvme.ssd0``
     and, overlapping its end, a media-error window on ``nvme.ssd1``.
     Returns every outcome both joins must agree on.
     """
@@ -247,7 +247,7 @@ def _run_submitters(ios, n_devices, reference, observe="plain",
         if observe == "spans":
             span = collector.trace(f"io{i}").root
         try:
-            yield from submit(arr, offset, nbytes, is_write, trace=span)
+            yield from submit(arr, offset, nbytes, is_write)
             woke[i] = (env.now, None)
         except NvmeMediaError as exc:
             woke[i] = (env.now, type(exc), str(exc))
@@ -379,12 +379,13 @@ def test_traced_and_faulted_split_ios_cost_one_event():
                                  1.0, 4.0)] if mode == "spike" else []
             FaultPlan(events).install(env).arm(0.0)
         arr = NvmeArray(env, NVME_SSD, n_devices=2)
-        trace = SpanCollector(env).trace("io").root if mode == "trace" else None
+        collector = SpanCollector(env)
         base = env.events_processed
 
         def io(env):
-            yield from arr.submit(MIB - 4 * KIB, 8 * KIB, is_write=False,
-                                  trace=trace)
+            if mode == "trace":
+                collector.trace("io")
+            yield from arr.submit(MIB - 4 * KIB, 8 * KIB, is_write=False)
 
         env.process(io(env))
         env.run()

@@ -208,15 +208,15 @@ def _one_op(op, observed, propagation=None):
 
     def initiator(env):
         yield env.timeout(1e-3 / 3)
-        trace = collector.trace("io").root if observed else None
+        root = collector.trace("io").root if observed else None
         if kind == "write":
-            yield from qc.rdma_write(mr.addr, mr.rkey, nbytes=nbytes, trace=trace)
+            yield from qc.rdma_write(mr.addr, mr.rkey, nbytes=nbytes)
         elif kind == "read":
-            yield from qc.rdma_read(mr.addr, mr.rkey, nbytes, trace=trace)
+            yield from qc.rdma_read(mr.addr, mr.rkey, nbytes)
         else:
-            yield from qc.transmit(nbytes, trace=trace)
-        if trace is not None:
-            trace.finish()
+            yield from qc.transmit(nbytes)
+        if root is not None:
+            root.finish()
 
     env.process(initiator(env))
     env.run()

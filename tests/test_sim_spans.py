@@ -80,6 +80,148 @@ class TestSpanLifecycle:
         assert tr.finish().node is None
 
 
+class TestProcessSlot:
+    """A sampled span rides on its process: ``Process.span`` is the one
+    place the open span is kept."""
+
+    def test_child_becomes_the_process_span_until_it_finishes(self):
+        env = Environment()
+        col = SpanCollector(env)
+        seen = []
+
+        def op(env):
+            me = env.active_process
+            seen.append(me.span)
+            root = col.trace("op").root
+            seen.append(me.span)
+            child = root.child("stage")
+            seen.append(me.span)
+            yield env.timeout(1.0)
+            child.finish()
+            seen.append(me.span)
+            root.finish()
+            seen.append(me.span)
+            return root, child
+
+        p = env.process(op(env))
+        env.run()
+        root, child = p.value
+        assert seen == [None, root, child, root, None]
+
+    def test_a_span_finished_over_an_open_child_puts_back_its_opener(self):
+        """A handler that ends while a media span it opened is still open
+        (a media error cut the read short) leaves its process at the span
+        it opened under; the open child is dropped, not restored later."""
+        env = Environment()
+        col = SpanCollector(env)
+        seen = []
+
+        def handler(env):
+            me = env.active_process
+            request = me.span
+            h = request.child("rpc.handler[obj_fetch]")
+            h.child("media.nvme")  # never finished
+            yield env.timeout(1.0)
+            h.finish()
+            seen.append(me.span is request)
+            after = request.child("rdma.post")
+            seen.append(after.parent_id == request.span_id)
+            after.finish()
+            seen.append(me.span is request)
+
+        p = env.process(handler(env))
+        p.span = col.trace("op").root
+        env.run()
+        assert seen == [True, True, True]
+        assert [s.name for s in col.spans] == [
+            "rpc.handler[obj_fetch]", "rdma.post"]
+
+    def test_two_processes_spans_never_mix(self):
+        env = Environment()
+        col = SpanCollector(env)
+        seen = {}
+
+        def op(env, name, delay):
+            me = env.active_process
+            root = col.trace(name).root
+            yield env.timeout(delay)
+            child = root.child(f"{name}.stage")
+            yield env.timeout(2.0)
+            seen[name] = (me.span is child, child.parent_id == root.span_id)
+            child.finish()
+            root.finish()
+            seen[name] += (me.span,)
+
+        env.process(op(env, "a", 0.0))
+        env.process(op(env, "b", 1.0))
+        env.run()
+        assert seen == {"a": (True, True, None), "b": (True, True, None)}
+
+    def test_a_process_handed_no_span_books_no_record(self):
+        from repro.sim.queues import FifoServer
+        from repro.sim.waits import WaitTracer
+
+        env = Environment()
+        col = SpanCollector(env)
+        srv = FifoServer(env, name="dev")
+        tracer = WaitTracer(env).install()
+
+        def piece(env):
+            yield srv.serve(1e-3)
+            yield env.timeout(1e-3)
+
+        def op(env):
+            root = col.trace("op").root
+            handed = env.process(piece(env))
+            handed.span = root
+            bare = env.process(piece(env))
+            yield env.all_of([handed, bare])
+            root.finish()
+
+        env.process(op(env))
+        env.run()
+        assert [(r.kind, r.resource) for r in tracer.records] == [
+            ("reserve", "dev"), ("sleep", "(sleep)")]
+        assert tracer.aggregates["dev"].count == 2
+
+    @pytest.mark.parametrize("provider", ["ucx+rc", "ucx+tcp"])
+    def test_rpc_reply_spans_are_children_of_the_clients_rpc_span(
+            self, provider):
+        from repro.daos.rpc import RpcClient, RpcServer
+        from repro.hw import make_paper_testbed
+        from repro.net import Fabric
+
+        env = Environment()
+        top = make_paper_testbed(env)
+        ch = Fabric(env).connect(top.client, top.server, provider)
+        server = RpcServer(top.server)
+        client = RpcClient(top.client, ch).start()
+
+        def echo(args, src, channel):
+            yield env.timeout(1e-6)
+            return {}
+
+        server.register("echo", echo)
+        server.serve(ch)
+        col = SpanCollector(env)
+
+        def main(env):
+            tr = col.trace("op")
+            yield from client.call("echo", {})
+            tr.finish()
+
+        env.process(main(env))
+        env.run()
+        (rpc,) = [s for s in col.spans if s.name == "rpc[echo]"]
+        (handler,) = [s for s in col.spans if s.name == "rpc.handler[echo]"]
+        assert handler.parent_id == rpc.span_id
+        reply = [s for s in col.spans if s.t_start >= handler.t_end
+                 and s is not rpc and s.parent_id is not None]
+        assert reply and all(s.parent_id == rpc.span_id for s in reply)
+        # The reply leaves the server: its first span is the server's.
+        assert min(reply, key=lambda s: s.t_start).node == top.server.name
+
+
 class TestSampling:
     def test_sample_every_n(self):
         env = Environment()

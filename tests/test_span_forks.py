@@ -71,14 +71,14 @@ def _run(env, gen):
 
 
 def _sampled(env, ctx, request):
-    """Run ``request(trace)`` as one sampled request; reduce its spans and
-    wait records."""
+    """Run ``request()`` as one sampled request; reduce its spans and wait
+    records."""
     collector = SpanCollector(env, sample_every=1)
     tracer = WaitTracer(env).install()
 
     def go(env):
         tr = collector.trace("req")
-        yield from request(tr.root)
+        yield from request()
         tr.finish()
 
     _run(env, go(env))
@@ -103,9 +103,8 @@ def _dfs(write):
     f = _run(env, create(env))
     off, n = _CHUNK - 16 * KIB, 32 * KIB
     if write:
-        return _sampled(env, ctx, lambda trace: f.write(
-            ctx, off, nbytes=n, trace=trace))
-    return _sampled(env, ctx, lambda trace: f.read(ctx, off, n, trace=trace))
+        return _sampled(env, ctx, lambda: f.write(ctx, off, nbytes=n))
+    return _sampled(env, ctx, lambda: f.read(ctx, off, n))
 
 
 def _object(oclass, prefill=()):
@@ -123,27 +122,27 @@ def _object(oclass, prefill=()):
 
 def _rp2_update():
     env, ctx, obj = _object(ObjectClass.RP2)
-    return _sampled(env, ctx, lambda trace: obj.update(
-        ctx, b"d", b"a", 0, nbytes=16 * KIB, trace=trace))
+    return _sampled(env, ctx, lambda: obj.update(
+        ctx, b"d", b"a", 0, nbytes=16 * KIB))
 
 
 def _ec_update():
     env, ctx, obj = _object(ObjectClass.EC2P1)
-    return _sampled(env, ctx, lambda trace: obj.update(
-        ctx, b"d", b"a", 0, nbytes=64 * KIB, trace=trace))
+    return _sampled(env, ctx, lambda: obj.update(
+        ctx, b"d", b"a", 0, nbytes=64 * KIB))
 
 
 def _ec_fetch():
     env, ctx, obj = _object(ObjectClass.EC2P1, [(0, 64 * KIB)])
-    return _sampled(env, ctx, lambda trace: obj.fetch(
-        ctx, b"d", b"a", 0, 64 * KIB, trace=trace))
+    return _sampled(env, ctx, lambda: obj.fetch(
+        ctx, b"d", b"a", 0, 64 * KIB))
 
 
 def _vos_two_extents():
     env, ctx, obj = _object(ObjectClass.S1, [(0, 16 * KIB),
                                              (16 * KIB, 16 * KIB)])
-    return _sampled(env, ctx, lambda trace: obj.fetch(
-        ctx, b"d", b"a", 0, 32 * KIB, trace=trace))
+    return _sampled(env, ctx, lambda: obj.fetch(
+        ctx, b"d", b"a", 0, 32 * KIB))
 
 
 def build_golden_doc() -> dict:

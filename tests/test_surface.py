@@ -60,7 +60,6 @@ _CQE = "a verbs completion-queue entry carries it; tests match CQEs on it"
 ALLOWED_PARAMETERS: Dict[str, str] = {
     "QueuePair.post_send(payload)": _VERBS,
     "QueuePair.post_send(wr_id)": _VERBS,
-    "QueuePair.post_send(trace)": _VERBS,
     "QueuePair.post_recv(mr)": _VERBS,
     "QueuePair.rdma_write(wr_id)": _VERBS,
     "QueuePair.rdma_read(wr_id)": _VERBS,
