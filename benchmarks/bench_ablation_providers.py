@@ -11,8 +11,8 @@ story.
 import pytest
 from conftest import CellCache, write_report
 
+from repro.bench.campaign import normalize_cell, run_cell
 from repro.bench.report import Table
-from repro.bench.runner import run_fig5_cell
 from repro.hw.specs import GIB, KIB, MIB
 from repro.net.fabric import list_providers, resolve_provider
 
@@ -23,8 +23,10 @@ PROVIDERS = list(list_providers())
 def cell(provider: str):
     return CACHE.get_or_run(
         (provider,),
-        lambda: run_fig5_cell(provider, "host", "randread", 4 * KIB, 8,
-                              runtime=0.02),
+        lambda: run_cell(normalize_cell({
+            "observe": False, "transport": provider, "client": "host",
+            "rw": "randread", "bs": 4 * KIB, "numjobs": 8,
+            "runtime": 0.02})).result,
     )
 
 

@@ -18,8 +18,8 @@ import pytest
 from conftest import CellCache, cells_payload, write_report
 
 from repro.bench.calibration import PAPER_BANDS, describe_band
+from repro.bench.campaign import normalize_cell, run_cell
 from repro.bench.report import Table
-from repro.bench.runner import run_fig5_cell
 from repro.hw.specs import KIB, MIB
 from repro.workload.fio import WORKLOADS
 
@@ -33,7 +33,9 @@ def cell(provider, client, rw, bs, n_ssds, numjobs=None):
         numjobs = 8 if bs >= MIB else 16
     return CACHE.get_or_run(
         (provider, client, rw, bs, n_ssds, numjobs),
-        lambda: run_fig5_cell(provider, client, rw, bs, numjobs, n_ssds=n_ssds),
+        lambda: run_cell(normalize_cell({
+            "observe": False, "transport": provider, "client": client,
+            "rw": rw, "bs": bs, "numjobs": numjobs, "ssds": n_ssds})).result,
     )
 
 

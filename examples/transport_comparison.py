@@ -9,8 +9,16 @@ RDMA makes SmartNIC offload performance-equivalent; TCP does not.
 Run:  python examples/transport_comparison.py
 """
 
-from repro.bench.runner import run_fig5_cell
+from repro.bench.campaign import normalize_cell, run_cell
 from repro.hw.specs import KIB, MIB
+
+
+def fig5(provider, client, rw, bs, numjobs):
+    """One unobserved Fig. 5 cell, as the ``fig5`` subcommand runs it."""
+    config = normalize_cell({"observe": False, "transport": provider,
+                             "client": client, "rw": rw, "bs": bs,
+                             "numjobs": numjobs})
+    return run_cell(config).result
 
 
 def main() -> None:
@@ -18,7 +26,7 @@ def main() -> None:
     large = {}
     for provider in ["tcp", "rdma"]:
         for client in ["host", "dpu"]:
-            r = run_fig5_cell(provider, client, "read", MIB, 8)
+            r = fig5(provider, client, "read", MIB, 8)
             large[(provider, client)] = r.bandwidth_gib
             print(f"  {provider:4s} / {client:4s}: {r.bandwidth_gib:6.2f} GiB/s")
 
@@ -26,7 +34,7 @@ def main() -> None:
     small = {}
     for provider in ["tcp", "rdma"]:
         for client in ["host", "dpu"]:
-            r = run_fig5_cell(provider, client, "randread", 4 * KIB, 16)
+            r = fig5(provider, client, "randread", 4 * KIB, 16)
             small[(provider, client)] = r.kiops
             print(f"  {provider:4s} / {client:4s}: {r.kiops:7.1f} K IOPS")
 

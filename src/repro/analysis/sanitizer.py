@@ -41,7 +41,7 @@ strength:
   so per-request attribution (flame stacks, sampled spans) legitimately
   tracks the realized schedule, and windowed counters can shift by one
   IO at the measurement boundary (observed ≤ 2.5e-4 relative on the
-  quick cells).  The gate therefore compares the ``metrics`` section
+  20 ms 4 KiB cells).  The gate therefore compares the ``metrics`` section
   under a tight quantization envelope — default 2e-3 relative, 1e-2
   for extreme-value tail statistics (``.max``/``.p99``/``.p999``).
   Real races (unseeded RNG, hash-order grant loops) move metrics by
@@ -72,9 +72,9 @@ __all__ = [
 SANITIZE_FORMAT = "repro-sanitize-v2"
 
 #: Relative tolerance for ordinary metrics (rates, counts, means).
-#: The observed tie-permutation envelope on the quick cells is ≤2.5e-4
-#: (one IO crossing the measurement-window boundary); real races move
-#: metrics by percent-level amounts.
+#: The observed tie-permutation envelope on the 20 ms 4 KiB cells is
+#: ≤2.5e-4 (one IO crossing the measurement-window boundary); real races
+#: move metrics by percent-level amounts.
 DEFAULT_TOLERANCE = 2e-3
 
 #: Relative tolerance for extreme-value tail statistics, which track a
@@ -86,8 +86,9 @@ _TAIL_SUFFIXES = (".max", ".p99", ".p999")
 DEFAULT_SEEDS: Tuple[int, ...] = (1, 2, 3, 4, 5)
 DEFAULT_HASH_SEEDS: Tuple[int, ...] = (0, 12345)
 
-#: Experiments whose runner takes a tie seed and whose records carry
-#: the blame the drift report needs.
+#: Experiments whose runner takes a tie seed.  An observed cell's
+#: record carries the blame the drift report ranks; an unobserved fig5
+#: cell's report names the throughput deltas only.
 _SANITIZABLE = ("fig5", "chaos")
 
 #: ``(cell key, tie seed or None for FIFO, hash seed)`` -> record.
@@ -98,8 +99,7 @@ def spec_cells(spec: dict) -> List[dict]:
     """The normalized cells of a campaign spec, checked before anything runs.
 
     Raises ``ValueError`` on a bad cell, an empty spec, or a ``fig3`` /
-    ``fig4`` cell (their runners take no tie seed and their records
-    carry no blame).
+    ``fig4`` cell (their runners take no tie seed).
     """
     from repro.bench.campaign import cell_key, expand_spec
 

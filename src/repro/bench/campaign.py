@@ -191,6 +191,8 @@ def normalize_cell(cell: dict) -> dict:
     ``fig5``, ``doctor`` and ``chaos`` subcommands normalize their flags
     through here too, so a campaign cell and a hand-recorded run share
     one ``config_hash`` (and therefore one cache slot and one run ID).
+    A key the config does not read (a typo, a stale knob) is rejected.
+    A chaos cell is always observed: its verdict reads the fault blame.
     """
     experiment = cell.get("experiment", "fig5")
     if experiment == "fig5" and cell.get("faults") is not None:
@@ -209,13 +211,12 @@ def normalize_cell(cell: dict) -> dict:
     bs = parse_size(cell.get("bs", MIB if experiment == "fig3" else 4096))
     config: dict
     if experiment in ("fig5", "chaos"):
-        quick = bool(cell.get("quick", True))
         numjobs = cell.get("numjobs")
         if numjobs is None:
             numjobs = default_numjobs(bs)
         runtime = cell.get("runtime")
         if runtime is None:
-            runtime = 0.02 if quick else default_runtime(bs)
+            runtime = default_runtime(bs)
         config = {
             "experiment": experiment,
             "transport": cell.get("transport", "tcp"),
@@ -226,9 +227,11 @@ def normalize_cell(cell: dict) -> dict:
             "iodepth": int(cell.get("iodepth", default_iodepth(bs))),
             "runtime": float(runtime),
             "ssds": int(cell.get("ssds", 1)),
-            "sample_every": int(cell.get("sample_every", 20)),
-            "quick": quick,
         }
+        if experiment == "fig5":
+            config["observe"] = cell.get("observe", True)
+        if config.get("observe", True):
+            config["sample_every"] = int(cell.get("sample_every", 20))
         if cell.get("targets") is not None:
             config["targets"] = int(cell["targets"])
         if experiment == "chaos":
@@ -275,6 +278,11 @@ def normalize_cell(cell: dict) -> dict:
             f"{lg.config_slug(base)}-{lg.config_hash(base)}")
     elif seed is not None:
         config["seed"] = int(seed)
+    unread = sorted(k for k, v in cell.items()
+                    if v is not None and k not in config)
+    if unread:
+        raise ValueError(f"a {experiment} cell does not read "
+                         f"{', '.join(map(repr, unread))}")
     return config
 
 
@@ -319,6 +327,9 @@ def _check_cell(config: dict) -> None:
                          f"got {config['min_goodput']}")
     if "p999_max" in config and not config["p999_max"] > 0:
         raise ValueError(f"p999_max must be > 0, got {config['p999_max']}")
+    if not isinstance(config.get("observe", True), bool):
+        raise ValueError(f"observe must be true or false, "
+                         f"got {config['observe']!r}")
 
 
 def cell_key(config: dict) -> str:
@@ -331,6 +342,12 @@ def cell_key(config: dict) -> str:
     return f"{lg.config_slug(config)}-{lg.config_hash(config)}"
 
 
+def _kind(config: dict) -> str:
+    """The record ``kind``: an observed Fig. 5 cell is a ``doctor`` run,
+    every other cell its experiment."""
+    return "doctor" if config.get("observe") else config["experiment"]
+
+
 def cell_label(config: dict) -> str:
     """The human label recorded on the cell's ledger record.
 
@@ -338,12 +355,8 @@ def cell_label(config: dict) -> str:
     are content-hashed, so a mismatch would fork the run ID.
     """
     experiment = config["experiment"]
-    if experiment == "fig5":
-        return (f"doctor {config['transport']}/{config['client']} "
-                f"{config['rw']} bs={config['bs']} jobs={config['numjobs']} "
-                f"ssds={config['ssds']}")
-    if experiment == "chaos":
-        return (f"chaos {config['transport']}/{config['client']} "
+    if experiment in ("fig5", "chaos"):
+        return (f"{_kind(config)} {config['transport']}/{config['client']} "
                 f"{config['rw']} bs={config['bs']} jobs={config['numjobs']} "
                 f"ssds={config['ssds']}")
     if experiment == "fig3":
@@ -357,21 +370,24 @@ def cell_label(config: dict) -> str:
 # Single-cell execution (runs in workers and in-process alike)
 # ---------------------------------------------------------------------------
 
-def run_cell(config: dict, tie_seed: Optional[int] = None):
+def run_cell(config: dict, tie_seed: Optional[int] = None,
+             observe_sampler: bool = False):
     """Simulate a normalized cell of any experiment.
 
     The one mapping from a cell config to a runner call, shared by the
-    executor, the race sanitizer and the ``fig3``, ``fig4``, ``doctor``
-    and ``chaos`` subcommands.  Returns the
+    executor, the race sanitizer and the ``fig3``, ``fig4``, ``fig5``,
+    ``doctor`` and ``chaos`` subcommands.  Returns the
     :class:`~repro.workload.fio.FioResult` (fig3, fig4),
-    :class:`~repro.bench.runner.DoctoredRun` (fig5, fully instrumented)
-    or :class:`~repro.bench.runner.ChaosRun` (chaos).
+    :class:`~repro.bench.runner.DoctoredRun` (fig5; an unobserved cell's
+    has no collector, tracer or sampler) or
+    :class:`~repro.bench.runner.ChaosRun` (chaos).
 
     ``tie_seed`` permutes the kernel's equal-time pop order (see
-    :func:`repro.sim.core.tie_scramble`).  It is an argument of the run,
-    not a config field: a permuted run claims to be the same experiment,
-    so its config, label and cache slot stay the cell's own.  Only the
-    fig5/chaos runners take it; the sanitizer refuses fig3/fig4 cells.
+    :func:`repro.sim.core.tie_scramble`); ``observe_sampler`` attaches
+    the continuous sampler to an observed Fig. 5 cell, whose ticks are
+    kernel events, so such a run is never recorded.  Both are arguments
+    of the run, not config fields: the run claims to be the same
+    experiment, so its config, label and cache slot stay the cell's own.
     """
     from repro.bench import runner
 
@@ -389,31 +405,36 @@ def run_cell(config: dict, tie_seed: Optional[int] = None):
     cell = (config["transport"], config["client"], config["rw"],
             config["bs"], config["numjobs"])
     knobs = dict(n_ssds=config["ssds"], iodepth=config["iodepth"],
-                 runtime=config["runtime"],
-                 sample_every=config["sample_every"],
-                 seed=seed, n_targets=config.get("targets"),
-                 tie_seed=tie_seed)
+                 runtime=config["runtime"], seed=seed,
+                 n_targets=config.get("targets"), tie_seed=tie_seed)
+    if not config.get("observe", True):
+        system, spec = runner._build_fig5(*cell, **knobs)
+        return runner.DoctoredRun(
+            result=runner.run_ros2_fio(system, spec), collector=None,
+            tracer=None, sampler=None, system=system, spec=spec,
+            stations=runner.doctor_stations(system))
+    knobs["sample_every"] = config["sample_every"]
     if experiment == "chaos":
         from repro.faults.plan import FaultPlan
 
         plan = FaultPlan.from_config(config["faults"])
         return runner.run_fig5_chaos(*cell, plan, **knobs)
-    return runner.run_fig5_doctored(*cell, observe_sampler=not config["quick"],
+    return runner.run_fig5_doctored(*cell, observe_sampler=observe_sampler,
                                     **knobs)
 
 
 def cell_record(config: dict, run) -> dict:
     """Reduce a :func:`run_cell` outcome to the cell's *unstamped* record.
 
-    The one record builder of every experiment: fig3/fig4 records carry
-    the metrics and ``cost``; fig5 and chaos records add the blame and
-    flame sections their tracer observed.
+    The one record builder of every experiment: every record carries the
+    metrics and ``cost``; observed fig5 and chaos records add the blame
+    and flame sections their tracer observed.
     """
     experiment, label = config["experiment"], cell_label(config)
     if experiment in ("fig3", "fig4"):
         return lg.make_run_record(run, config, label, experiment)
     if experiment == "fig5":
-        return lg.make_run_record(run.result, config, label, "doctor",
+        return lg.make_run_record(run.result, config, label, _kind(config),
                                   run.collector, run.tracer)
     from repro.bench.chaos import (
         DEFAULT_MIN_GOODPUT,

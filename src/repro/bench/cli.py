@@ -52,10 +52,9 @@ spans as duration events, per-resource wait counters and (without
 Perfetto / ``chrome://tracing``.
 
 Every subcommand that runs a cell builds its config with
-:func:`~repro.bench.campaign.normalize_cell`; ``fig3``, ``fig4``,
-``doctor`` and ``chaos`` run it with
+:func:`~repro.bench.campaign.normalize_cell` and runs it with
 :func:`~repro.bench.campaign.run_cell`, the campaign's own runner
-(``fig5`` stays the plain, unobserved Fig. 5 run).
+(``fig5`` runs its cell unobserved, ``observe: false``).
 ``--ledger`` (doctor/chaos) appends the run to the **run ledger**
 (``benchmarks/ledger/``, one ``repro-run-v1`` JSON per run, content-
 derived stable IDs; doctor and chaos runs record under the same cell
@@ -82,7 +81,7 @@ import sys
 from typing import Optional
 
 from repro.bench.campaign import parse_size
-from repro.bench.runner import _build_fig5, default_runtime, run_ros2_fio
+from repro.bench.runner import default_runtime
 from repro.hw.specs import MIB
 from repro.net.fabric import _ALIASES, list_providers
 from repro.workload.fio import WORKLOADS, FioResult
@@ -213,6 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
                    transports=[*_ALIASES, *list_providers()])
     p5.add_argument("--telemetry", action="store_true",
                     help="print the system utilization snapshot after the run")
+    p5.set_defaults(observe=False)
 
     pd = sub.add_parser(
         "doctor",
@@ -221,8 +221,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_cell_args(pd, "tcp", "dpu", "randread", 4096, None, sample=20)
     pd.add_argument("--quick", action="store_true",
-                    help="CI subset: short window, no continuous sampler "
-                         "(skips the Little's-law check)")
+                    help="CI subset: 0.02 s default window, no continuous "
+                         "sampler (skips the Little's-law check); needed "
+                         "by --ledger")
     pd.add_argument("--slo", action="append", default=[], metavar="RULE",
                     help="SLO gate, e.g. 'p99<=500us' or 'iops>=100000'; "
                          "repeatable; any violation exits non-zero")
@@ -443,7 +444,7 @@ def _cmd_sanitize(args) -> int:
 #: Cell key -> the flag that sets it, in the subcommands that have it.
 _CELL_FLAGS = {"transport": "transport", "client": "client", "rw": "rw",
                "bs": "bs", "numjobs": "jobs", "runtime": "runtime",
-               "ssds": "ssds", "sample_every": "sample",
+               "ssds": "ssds", "sample_every": "sample", "observe": "observe",
                "provider": "provider", "client_cores": "client_cores",
                "server_cores": "server_cores"}
 
@@ -487,7 +488,7 @@ def _overlay_series(records: list) -> list:
 
     for record in records:
         experiment = record["config"].get("experiment")
-        if experiment not in ("fig5", "chaos"):
+        if "blame" not in record:  # recorded without a wait tracer
             raise ValueError(
                 f"--overlay: run {record['run_id']} is a {experiment} cell "
                 "record with no wait tracer to regenerate")
@@ -511,17 +512,21 @@ def _run_doctor(args) -> int:
 
     # Validate SLO strings and the cell *before* burning a simulation
     # run on them.
+    if args.ledger and not args.quick:
+        return _fail("--ledger needs --quick: the sampler's ticks are kernel "
+                     "events and would count in the record's cost")
     try:
         for slo in args.slo:
             parse_slo(slo)
-        config = _cell_config(args, "fig5", quick=args.quick)
+        runtime = 0.02 if args.quick and args.runtime is None else args.runtime
+        config = _cell_config(args, "fig5", runtime=runtime)
     except ValueError as exc:
         return _fail(exc)
     if not _out_paths_ok(args, "json_out", "flame", "wait_flame", "perfetto"):
         return 2
 
     label = cp.cell_label(config)
-    run = cp.run_cell(config)
+    run = cp.run_cell(config, observe_sampler=not args.quick)
     littles = run.sampler.littles_law() if run.sampler is not None else None
     diag = diagnose(run.result, run.collector, run.tracer,
                     stations=run.stations, littles_rows=littles,
@@ -585,9 +590,7 @@ def _run_chaos(args) -> int:
                              seed_key=args.seed_key)
         else:
             plan = ch.default_qp_break_plan(args.client, runtime)
-        # Not ``quick``: chaos runs the full default window (the identity
-        # ``chaos --ledger`` has always recorded), never with the sampler.
-        config = _cell_config(args, "chaos", runtime=runtime, quick=False,
+        config = _cell_config(args, "chaos", runtime=runtime,
                               faults=plan.to_config(),
                               min_goodput=args.min_goodput,
                               p999_max=args.p999_max)
@@ -781,33 +784,19 @@ def _run_providers(args) -> int:
 
 
 def _run_figure(args) -> int:
-    """fig3 / fig4 / fig5: one plain, unobserved cell and its result line.
-
-    Each builds its config with ``normalize_cell``; fig3 and fig4 run it
-    through ``run_cell``, fig5 through the plain Fig. 5 runner."""
+    """fig3 / fig4 / fig5: one plain, unobserved cell and its result line."""
     from repro.bench import campaign as cp
 
     try:
-        # ``quick`` is a fig5 knob: the plain run takes the full window.
-        config = _cell_config(args, args.experiment, quick=False)
+        config = _cell_config(args, args.experiment)
     except ValueError as exc:
         return _fail(exc)
-    if args.experiment != "fig5":
-        result = cp.run_cell(config)
-        print(f"{cp.cell_label(config)}: {_report(result)}")
-        return 0
-    system, spec = _build_fig5(config["transport"], config["client"],
-                               config["rw"], config["bs"], config["numjobs"],
-                               n_ssds=config["ssds"],
-                               runtime=config["runtime"])
-    result = run_ros2_fio(system, spec)
-    print(f"fig5 {config['transport']}/{config['client']} {config['rw']} "
-          f"bs={config['bs']} jobs={config['numjobs']} "
-          f"ssds={config['ssds']}: {_report(result)}")
-    if args.telemetry:
+    run = cp.run_cell(config)
+    print(f"{cp.cell_label(config)}: {_report(getattr(run, 'result', run))}")
+    if getattr(args, "telemetry", False):
         from repro.core.telemetry import snapshot
 
-        print("\n" + snapshot(system).render())
+        print("\n" + snapshot(run.system).render())
     return 0
 
 

@@ -8,13 +8,15 @@ testbed.
 * :func:`run_fig3_cell` — local FIO / io_uring device baselines (Fig. 3).
 * :func:`run_fig4_cell` — remote SPDK NVMe-oF, TCP vs RDMA, pinned core
   counts on both ends (Fig. 4).
-* :func:`run_fig5_cell` — end-to-end ROS2/DFS, host vs DPU client (Fig. 5).
 * :func:`run_fig5_doctored` — the one instrumented Fig. 5 runner (spans,
   wait tracer, optional sampler); :func:`run_fig5_chaos` is the same run
   under a fault plan, drained to an empty heap.
-* :func:`run_ros2_fio` — the generic ROS2 runner the Fig. 5 cells and the
-  ablation benches share (system bootstrap, file creation, pre-fill for
-  reads, FIO drive).
+* :func:`run_ros2_fio` — the generic ROS2 runner every Fig. 5 cell and
+  the ablation benches share (system bootstrap, file creation, pre-fill
+  for reads, FIO drive); an unobserved Fig. 5 cell is
+  ``run_ros2_fio(*_build_fig5(...))``.
+
+:func:`repro.bench.campaign.run_cell` maps a cell config onto these.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from repro.workload.fio import FioJobSpec, FioResult, run_fio
 __all__ = [
     "run_fig3_cell",
     "run_fig4_cell",
-    "run_fig5_cell",
     "run_fig5_doctored",
     "run_fig5_chaos",
     "doctor_stations",
@@ -299,23 +300,6 @@ def _build_fig5(
     return system, spec
 
 
-def run_fig5_cell(
-    provider: str,
-    client: str,
-    rw: str,
-    bs: int,
-    numjobs: int,
-    n_ssds: int = 1,
-    runtime: Optional[float] = None,
-) -> FioResult:
-    """One point of Fig. 5: FIO/DFS end-to-end on the assembled ROS2 stack,
-    with nothing observing it (:func:`run_fig5_doctored` is the
-    instrumented twin)."""
-    system, spec = _build_fig5(provider, client, rw, bs, numjobs,
-                               n_ssds=n_ssds, runtime=runtime)
-    return run_ros2_fio(system, spec)
-
-
 def doctor_stations(system: Ros2System) -> list:
     """Independently-counted station occupancies for the utilization law.
 
@@ -338,16 +322,18 @@ def doctor_stations(system: Ros2System) -> list:
 
 @dataclass
 class DoctoredRun:
-    """A fully-diagnosed Fig. 5 cell: measurements plus the doctor's inputs.
+    """A Fig. 5 cell's measurements plus the doctor's inputs.
 
-    ``tracer`` holds the wait-cause records (installed at *t = 0*, before
-    prefill, so its per-resource service aggregates cover the exact same
-    window as each station's ``busy_time`` counter); ``stations`` is the
-    :func:`doctor_stations` view taken after the run.
+    An unobserved cell (``observe: false``) has no ``collector``,
+    ``tracer`` or ``sampler``.  ``tracer`` holds the wait-cause records
+    (installed at *t = 0*, before prefill, so its per-resource service
+    aggregates cover the exact same window as each station's
+    ``busy_time`` counter); ``stations`` is the :func:`doctor_stations`
+    view taken after the run.
     """
 
     result: FioResult
-    collector: SpanCollector
+    collector: Optional[SpanCollector]
     tracer: "object"  # WaitTracer (avoid a bench->sim.waits type cycle here)
     sampler: Optional[Sampler]
     stations: list
@@ -372,7 +358,7 @@ def run_fig5_doctored(
     fault_plan=None,
 ) -> DoctoredRun:
     """A Fig. 5 cell with every instrument attached — the run behind
-    ``trace``, ``doctor``, ``chaos`` and every campaign Fig. 5 cell.
+    ``doctor``, ``chaos`` and every observed campaign Fig. 5 cell.
 
     Installs a :class:`~repro.sim.waits.WaitTracer` before anything runs
     (so tracer aggregates and station busy counters see identical
@@ -380,7 +366,8 @@ def run_fig5_doctored(
     per-operation latency for the SLO gates, and optionally attaches the
     standard sampler from *t = 0* so Little's law can be checked and the
     series cover setup/prefill as well as the measured window
-    (``observe_sampler=False`` skips it for quick CI runs).  None of it
+    (``observe_sampler=False`` skips it, as every recorded run does: its
+    ticks are kernel events, counted in a record's ``cost``).  None of it
     changes the simulated outcome.
     """
     import dataclasses

@@ -9,9 +9,10 @@ them all and exits 1 on any finding.
 
 A verdict that reads one named cell reports that cell missing when the
 directory holds records of the cell's experiment but not the cell, so
-removing a cell can never skip its check.  A directory with no records
-of an experiment (e.g. a chaos-only ledger) gives its verdicts nothing
-to read and no finding.
+removing a cell can never skip its check.  A directory with no observed
+records of an experiment (e.g. a chaos-only ledger, or one of
+``observe: false`` Fig. 5 cells) gives its verdicts nothing to read and
+no finding.
 """
 
 from __future__ import annotations
@@ -44,7 +45,9 @@ ATTRIBUTION_REL_ERR = 0.01
 
 
 def _of(records: Sequence[dict], experiment: str) -> List[dict]:
-    return [r for r in records if r["config"].get("experiment") == experiment]
+    """The records of ``experiment`` a wait tracer observed (with blame)."""
+    return [r for r in records
+            if r["config"].get("experiment") == experiment and "blame" in r]
 
 
 def _ranked(record: dict) -> List[Tuple[str, float]]:

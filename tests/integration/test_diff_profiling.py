@@ -1,7 +1,7 @@
 """Integration: the differential-profiling acceptance path, end to end.
 
 ``compare-runs`` of the *committed* TCP 4 KiB ledger record against a
-live quick run of the RDMA 4 KiB Fig. 5 cell (a ``cell:`` reference,
+live run of the RDMA 4 KiB Fig. 5 cell (a ``cell:`` reference,
 recorded into a scratch ledger) must (1) emit a ``repro-diff-v1``
 document whose attributed deltas sum to the observed end-to-end delta
 within 1%, (2) name ``dpu.arm_rx`` wait reduction as the top
@@ -29,7 +29,8 @@ RDMA_4K = "fig5-rdma-dpu-randread-4096"
 def diff_artifacts(tmp_path_factory):
     out = tmp_path_factory.mktemp("diff")
     argv = ["compare-runs", lg.resolve_ref(TCP_4K, LEDGER_DIR),
-            "cell:transport=rdma,client=dpu,rw=randread,bs=4k,numjobs=16",
+            "cell:transport=rdma,client=dpu,rw=randread,bs=4k,numjobs=16,"
+            "runtime=0.02",
             "--ledger-dir", str(tmp_path_factory.mktemp("ledger")),
             "--json-out", str(out / "diff.json"),
             "--diff-flame", str(out / "flame.txt"),

@@ -5,7 +5,8 @@ import pytest
 
 from repro.bench.calibration import PAPER_BANDS, ShapeCheck, describe_band
 from repro.bench.report import Table, format_heatmap, format_rate, render_series
-from repro.bench.runner import default_iodepth, run_fig3_cell, run_fig4_cell, run_fig5_cell
+from repro.bench.campaign import normalize_cell, run_cell
+from repro.bench.runner import default_iodepth, run_fig3_cell, run_fig4_cell
 from repro.hw.specs import KIB, MIB
 
 
@@ -98,11 +99,18 @@ def test_fig4_cell_smoke():
     assert r.bandwidth > 4 * 2**30
 
 
+def _fig5(transport, client, rw, bs, numjobs, runtime):
+    """An unobserved Fig. 5 cell's result, as the Fig. 5 bench runs it."""
+    return run_cell(normalize_cell({
+        "observe": False, "transport": transport, "client": client,
+        "rw": rw, "bs": bs, "numjobs": numjobs, "runtime": runtime})).result
+
+
 def test_fig5_cell_smoke():
-    r = run_fig5_cell("rdma", "host", "read", MIB, 2, runtime=0.05)
+    r = _fig5("rdma", "host", "read", MIB, 2, runtime=0.05)
     assert PAPER_BANDS["fig5.rdma.read.1mib.1ssd"].holds(r.bandwidth)
 
 
 def test_fig5_dpu_tcp_rx_bottleneck_cell():
-    r = run_fig5_cell("tcp", "dpu", "read", MIB, 8, runtime=0.1)
+    r = _fig5("tcp", "dpu", "read", MIB, 8, runtime=0.1)
     assert PAPER_BANDS["fig5.dpu.tcp.read.1mib.1ssd"].holds(r.bandwidth)

@@ -19,7 +19,7 @@ SPEC = {
     "format": cp.FORMAT,
     "name": "test",
     "experiment": "fig5",
-    "defaults": {"bs": "4k", "numjobs": 1, "runtime": 0.02, "quick": True},
+    "defaults": {"bs": "4k", "numjobs": 1, "runtime": 0.02},
     "grid": {"transport": ["tcp", "rdma"]},
 }
 
@@ -70,7 +70,6 @@ class TestExpandSpec:
     def test_dict_axis_values_merge_correlated_knobs(self):
         spec = {
             "format": cp.FORMAT,
-            "defaults": {"quick": True},
             "grid": {
                 "transport": ["tcp", "rdma"],
                 "workload": [
@@ -274,7 +273,7 @@ class TestRunCampaign:
         spec = {
             "format": cp.FORMAT,
             "name": "bad",
-            "defaults": {"bs": "4k", "runtime": 0.02, "quick": True},
+            "defaults": {"bs": "4k", "runtime": 0.02},
             "cells": [{"transport": "tcp", "numjobs": 1},
                       {"transport": "rdma", "numjobs": 1}],
         }
@@ -364,9 +363,9 @@ class TestCheckCampaign:
 class TestCellRefs:
     def test_parse_cell_ref_types(self):
         cell = cp.parse_cell_ref(
-            "cell:transport=rdma,bs=4k,numjobs=16,runtime=0.02,quick=true")
+            "cell:transport=rdma,bs=4k,numjobs=16,runtime=0.02,observe=false")
         assert cell == {"transport": "rdma", "bs": "4k", "numjobs": 16,
-                        "runtime": 0.02, "quick": True}
+                        "runtime": 0.02, "observe": False}
 
     def test_parse_cell_ref_rejects_bare_words(self):
         with pytest.raises(ValueError, match="key=value"):
@@ -380,7 +379,7 @@ class TestCellRefs:
     def test_cell_ref_runs_once_then_hits_cache(self, serial_run,
                                                 monkeypatch):
         _, ledger = serial_run
-        ref = "cell:transport=tcp,numjobs=1,bs=4k,runtime=0.02,quick=true"
+        ref = "cell:transport=tcp,numjobs=1,bs=4k,runtime=0.02"
         [first] = cp.resolve_runs([ref], ledger, **STAMP)
 
         def boom(*a, **kw):
@@ -468,6 +467,89 @@ class TestFigureCells:
             assert cost["events_per_io"] == (
                 cost["measured"] / record["metrics"]["result.total_ios"])
             assert "blame" not in record and "flame" not in record
+
+
+class TestUnobservedFig5Cell:
+    """An ``observe: false`` Fig. 5 cell is the plain run the ``fig5``
+    subcommand and the Fig. 5 bench make: no tracer, no spans, no
+    per-op latency, and a record of metrics and ``cost`` alone."""
+
+    CELL = {"observe": False, "transport": "tcp", "client": "dpu",
+            "rw": "randread", "bs": "4k", "numjobs": 16, "runtime": 0.005}
+    ARGV = ["fig5", "--transport", "tcp", "--client", "dpu", "--rw",
+            "randread", "--bs", "4k", "--jobs", "16", "--runtime", "0.005"]
+    LINE = "fig5 tcp/dpu randread bs=4096 jobs=16 ssds=1: 199.6 K IOPS (998 IOs)"
+
+    @pytest.fixture(scope="class")
+    def cell(self):
+        config = cp.normalize_cell(self.CELL)
+        run = cp.run_cell(config)
+        return config, run, cp.cell_record(config, run)
+
+    def test_config_names_no_sampling(self, cell):
+        config, _, _ = cell
+        assert config["observe"] is False and "sample_every" not in config
+
+    def test_result_is_the_plain_runners(self, cell):
+        from repro.bench.runner import _build_fig5, run_ros2_fio
+
+        _, run, _ = cell
+        plain = run_ros2_fio(*_build_fig5("tcp", "dpu", "randread", 4096, 16,
+                                          runtime=0.005))
+        assert run.result == plain and run.result.total_ios > 0
+        assert run.result.phase_events == plain.phase_events
+        assert run.result.latency == {}
+        assert (run.collector, run.tracer, run.sampler) == (None, None, None)
+
+    def test_record_carries_metrics_and_cost_only(self, cell):
+        _, _, record = cell
+        assert record["kind"] == "fig5"
+        assert record["cost"]["drain"] == 0
+        assert not {"traces", "blame", "flame"} & set(record)
+
+    def test_label_is_the_fig5_subcommands_line(self, cell, capsys):
+        from repro.bench.cli import main
+
+        _, _, record = cell
+        assert main(self.ARGV + ["--telemetry"]) == 0
+        line, blank, snapshot = capsys.readouterr().out.split("\n", 2)
+        assert (line, blank) == (self.LINE, "")
+        assert snapshot.startswith("Nodes @ t=")
+        assert self.LINE.startswith(record["label"] + ": ")
+
+
+class TestUnknownKeys:
+    """A key the cell's config does not read is rejected, naming it, so a
+    misspelt or stale knob (``quick``) never passes unnoticed."""
+
+    QP_BREAK = {"events": [{"kind": "qp_break", "target": "dpu.qp",
+                            "at": 0.01, "duration": 0.002}]}
+
+    @pytest.mark.parametrize("cell, unread", [
+        ({"transport": "rdma", "bogus": 1, "quikc": False},
+         "'bogus', 'quikc'"),
+        ({"experiment": "fig3", "transport": "rdma"}, "'transport'"),
+        ({"experiment": "fig4", "ssds": 2}, "'ssds'"),
+        ({"quick": True}, "'quick'"),
+        ({"observe": False, "sample_every": 20}, "'sample_every'"),
+        ({"faults": QP_BREAK, "observe": True}, "'observe'"),
+    ])
+    def test_rejected_by_name(self, cell, unread):
+        experiment = ("chaos" if "faults" in cell
+                      else cell.get("experiment", "fig5"))
+        with pytest.raises(ValueError) as exc:
+            cp.normalize_cell(cell)
+        assert str(exc.value) == f"a {experiment} cell does not read {unread}"
+
+    def test_observe_must_be_a_bool(self):
+        with pytest.raises(ValueError, match="observe must be true or false"):
+            cp.normalize_cell({"observe": "no"})
+
+    def test_chaos_configs_carry_no_observe(self):
+        config = cp.normalize_cell({"faults": self.QP_BREAK})
+        assert config["experiment"] == "chaos"
+        assert not {"observe", "quick"} & set(config)
+        assert config["sample_every"] == 20
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ def no_sim(monkeypatch):
 
     monkeypatch.setattr(runner, "run_fig5_doctored", boom)
     monkeypatch.setattr(runner, "run_fig5_chaos", boom)
+    monkeypatch.setattr(runner, "_build_fig5", boom)
 
 
 def test_parse_size_suffixes():
@@ -141,7 +142,7 @@ def test_doctor_ledger_shares_the_campaign_identity(capsys, tmp_path):
     committed campaign record: same config, label and run ID."""
     assert main(["doctor", "--quick", "--ledger",
                  "--ledger-dir", str(tmp_path)]) == 0
-    name = f"{TCP_4K}-j16-2b0b859b14.json"
+    name = f"{TCP_4K}-j16-51254102f7.json"
     assert os.listdir(tmp_path) == [name]
     with open(tmp_path / name) as fh:
         produced = json.load(fh)
@@ -156,11 +157,47 @@ def test_chaos_ledger_keeps_its_run_id(capsys, tmp_path):
     ledger, out = tmp_path / "ledger", tmp_path / "chaos.json"
     assert main(["chaos", "--ledger", "--runtime", "0.01",
                  "--ledger-dir", str(ledger), "--json-out", str(out)]) == 0
-    name = "chaos-rdma-dpu-randread-4096-j16-b3f80db76b.json"
+    name = "chaos-rdma-dpu-randread-4096-j16-734f404109.json"
     assert os.listdir(ledger) == [name]
     assert json.loads(out.read_text()) == \
         json.loads((ledger / name).read_text())
     assert "chaos verdict — chaos rdma/dpu randread" in capsys.readouterr().out
+
+
+def test_doctor_ledger_needs_quick(no_sim, capsys, tmp_path):
+    """A run with the sampler on is never recorded: its ticks are kernel
+    events, so its ``cost`` would not be the cell's."""
+    assert main(["doctor", "--ledger", "--ledger-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --ledger needs --quick: the sampler's "
+                          "ticks are kernel events")
+    assert "cost" in err and err.count("\n") == 1
+    assert os.listdir(tmp_path) == []
+
+
+def test_chaos_cli_and_campaign_share_one_identity(monkeypatch):
+    """``chaos`` with the QP-break cell's knobs normalizes to the config
+    ``chaos_ci.json`` records for it, so both record one run ID."""
+    import repro.bench.campaign as cp
+
+    seen = []
+
+    class Stop(Exception):
+        pass
+
+    def capture(config, *a, **kw):
+        seen.append(config)
+        raise Stop
+
+    monkeypatch.setattr(cp, "run_cell", capture)
+    with pytest.raises(Stop):
+        main(["chaos", "--transport", "rdma", "--jobs", "16",
+              "--runtime", "0.02"])
+    spec = cp.load_spec(os.path.join(os.path.dirname(CI_SPEC),
+                                     "chaos_ci.json"))
+    qp_break = cp.expand_spec(spec)[0]
+    assert qp_break["faults"]["events"][0]["kind"] == "qp_break"
+    assert seen == [qp_break]
 
 
 def test_doctor_json_breakdown_names_the_arm_rx_stage(capsys, tmp_path):
@@ -226,6 +263,11 @@ class TestBadCellFailsFast:
         ["chaos", "--runtime", "inf"],
         {"runtime": float("inf")},
         {"bs": "lots"},
+        ["compare-runs", "cell:transport=rdma,quick=true", "{base}",
+         "--ledger-dir", "{tmp}"],
+        {"quick": True},
+        {"transport": "rdma", "bogus": 1, "quikc": False},
+        {"observe": False, "sample_every": 20},
     ])
     def test_exits_2(self, no_sim, capsys, tmp_path, argv):
         if isinstance(argv, dict):  # a campaign spec with one bad cell
@@ -256,8 +298,6 @@ class TestFigureAndVerdictKnobsFailFast:
 
     @pytest.fixture(autouse=True)
     def no_figure_sim(self, no_sim, monkeypatch):
-        import repro.bench.cli as cli
-
         def boom(*a, **kw):
             raise AssertionError("simulation ran despite fail-fast error")
 
@@ -265,7 +305,6 @@ class TestFigureAndVerdictKnobsFailFast:
 
         for name in ("run_fig3_cell", "run_fig4_cell"):
             monkeypatch.setattr(runner, name, boom)
-        monkeypatch.setattr(cli, "_build_fig5", boom)
 
     @pytest.mark.parametrize("argv, message", [
         (["fig3", "--jobs", "0"], "numjobs must be > 0"),

@@ -14,7 +14,7 @@ LEDGER_DIR = os.path.join(os.path.dirname(__file__), os.pardir,
                           "benchmarks", "ledger")
 TCP_4K = "fig5-tcp-dpu-randread-4096"
 RDMA_4K = "fig5-rdma-dpu-randread-4096"
-QP_BREAK = "chaos-rdma-dpu-randread-4096-j16-064fbcd109"
+QP_BREAK = "chaos-rdma-dpu-randread-4096-j16-8b625e7d1c"
 RDMA_1M_READ = "fig5-rdma-dpu-read-1048576"
 
 
@@ -133,6 +133,23 @@ def test_an_experiment_with_no_records_gives_no_finding(tmp_path):
         if name.startswith("chaos-"):
             shutil.copy(os.path.join(LEDGER_DIR, name), ledger)
     assert main(["verdict", str(ledger)]) == 0
+
+
+def test_unobserved_fig5_records_give_no_finding(no_sim, tmp_path, capsys):
+    """An ``observe: false`` record carries no ``blame`` or ``traces``:
+    the verdicts read the observed records beside it and skip it."""
+    ledger = _ledger_copy(tmp_path)
+    for ref in (TCP_4K, RDMA_4K):
+        record = lg.load_run(ref, ledger)
+        config = dict(record["config"], observe=False)
+        del config["sample_every"]
+        for key in ("traces", "blame", "flame"):
+            del record[key]
+        record.update(kind="fig5", config=config,
+                      config_hash=lg.config_hash(config))
+        lg.save_run(lg._finish_record(record), ledger)
+    assert main(["verdict", ledger]) == 0
+    assert "10 record(s)" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("make", ["missing", "empty"])

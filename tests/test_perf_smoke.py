@@ -15,8 +15,8 @@ from types import SimpleNamespace
 import pytest
 
 import repro.sim.spans as spans_mod
-from repro.bench.runner import (
-    _build_fig5, doctor_stations, run_fig5_cell, run_fig5_doctored, run_ros2_fio)
+from repro.bench.campaign import cell_record, normalize_cell, run_cell
+from repro.bench.runner import doctor_stations, run_fig5_doctored
 from repro.hw.nvme import NvmeArray
 from repro.sim import SpanCollector
 from repro.sim.queues import BandwidthPipe
@@ -25,8 +25,17 @@ from tests.reference import chunk_loop_transfer, process_per_piece_submit
 MIB = 1 << 20
 
 
+def _plain(transport, client, rw, bs, numjobs, **knobs):
+    """An unobserved Fig. 5 cell's result, as the ``fig5`` subcommand
+    runs it."""
+    config = normalize_cell(dict(knobs, observe=False, transport=transport,
+                                 client=client, rw=rw, bs=bs,
+                                 numjobs=numjobs))
+    return run_cell(config).result
+
+
 def _cell():
-    return run_fig5_cell("tcp", "dpu", "randread", 4096, 2, runtime=0.004)
+    return _plain("tcp", "dpu", "randread", 4096, 2, runtime=0.004)
 
 
 def _doctored(sample_every):
@@ -156,8 +165,8 @@ def _run_cell(fig, provider, client, rw, ssds, observed, monkeypatch,
                                     sample_every=1)
             result, ticks = run.result, run.sampler.ticks
         else:
-            result = run_fig5_cell(provider, client, rw, bs, jobs,
-                                   n_ssds=ssds, runtime=runtime)
+            result = _plain(provider, client, rw, bs, jobs, ssds=ssds,
+                            runtime=runtime)
     (env,) = envs
     stations = doctor_stations(SimpleNamespace(env=env))
     return (result, samples, stations, env.now), env.events_processed, ticks
@@ -284,21 +293,22 @@ def test_observed_ledger_cell_costs_what_its_plain_twin_costs(config):
     """Observation selects no slower path.
 
     Each committed Fig. 5 ledger cell runs doctored (wait tracer from
-    *t = 0*, 1 request in 20 traced, no sampler) and plain.  The sampled
-    requests' spans and records are booked in closed form and the pipes
-    schedule their chunks under the tracer, so setup (the prefill), ramp
-    and measured window dispatch exactly the plain run's events.
+    *t = 0*, 1 request in 20 traced, no sampler) and as its plain
+    ``observe: false`` twin.  The sampled requests' spans and records are
+    booked in closed form and the pipes schedule their chunks under the
+    tracer, so setup (the prefill), ramp and measured window dispatch
+    exactly the plain run's events: the two records' ``cost`` is equal.
     """
-    from repro.bench.campaign import run_cell
-
-    assert config["quick"]
-    observed = run_cell(config).result
-    plain = run_ros2_fio(*_build_fig5(
-        config["transport"], config["client"], config["rw"], config["bs"],
-        config["numjobs"], n_ssds=config["ssds"], iodepth=config["iodepth"],
-        runtime=config["runtime"]))
-    assert observed.total_ios == plain.total_ios > 0
-    assert observed.phase_events == plain.phase_events
+    assert config["observe"]
+    twin = normalize_cell(dict(
+        {k: v for k, v in config.items() if k != "sample_every"},
+        observe=False))
+    observed, plain = run_cell(config), run_cell(twin)
+    assert observed.result.total_ios == plain.result.total_ios > 0
+    assert observed.result.phase_events == plain.result.phase_events
+    cost = cell_record(config, observed)["cost"]
+    assert cost == cell_record(twin, plain)["cost"]
+    assert cost["drain"] == 0
 
 
 class TestZeroCostWhenOff:

@@ -262,12 +262,12 @@ def test_sampler_never_started_costs_nothing():
 
 def test_sampler_disabled_is_bit_identical():
     """Attaching the full probe set must not change simulated results."""
-    from repro.bench.runner import run_fig5_cell, run_fig5_doctored
+    from repro.bench.campaign import normalize_cell, run_cell
 
-    bare = run_fig5_cell("tcp", "dpu", "randread", 4096, 4,
-                         runtime=0.005).to_dict()
-    observed = run_fig5_doctored("tcp", "dpu", "randread", 4096, 4,
-                                 runtime=0.005)
+    cell = {"transport": "tcp", "client": "dpu", "rw": "randread",
+            "bs": 4096, "numjobs": 4, "runtime": 0.005}
+    bare = run_cell(normalize_cell(dict(cell, observe=False))).result.to_dict()
+    observed = run_cell(normalize_cell(cell), observe_sampler=True)
     doc = observed.result.to_dict()
     # Only the doctored run records per-op latency; everything else agrees.
     assert doc.pop("latency") and not bare.pop("latency")
