@@ -301,23 +301,23 @@ def _build_fig5(
 
 
 def doctor_stations(system: Ros2System) -> list:
-    """Independently-counted station occupancies for the utilization law.
+    """The doctor's station table, from the stations' own counters.
 
-    Every registry station's own ``busy_time``, summed per blame bucket
-    (the BF3 Arm RX pool and ``tcp_stack`` section both book as
-    ``dpu.arm_rx``) as the wait tracer aggregates them, so the
-    cross-check compares like with like.
+    Every registry station's ``busy_time``, capacity and ``ops``, summed
+    per blame bucket (the BF3 Arm RX pool and ``tcp_stack`` section both
+    book as ``dpu.arm_rx``).
     """
     from repro.sim.doctor import Station
     from repro.sim.registry import STATION_KINDS
 
     acc: dict = {}
     for c in system.env.components.of_kind(*STATION_KINDS):
-        rec = acc.setdefault(c.bucket, [0.0, 0])
+        rec = acc.setdefault(c.bucket, [0.0, 0, 0])
         rec[0] += c.obj.busy_time
         rec[1] += c.capacity
-    return [Station(name=n, busy_time=b, capacity=c)
-            for n, (b, c) in sorted(acc.items())]
+        rec[2] += c.obj.ops
+    return [Station(name=n, busy_time=b, capacity=c, ops=o)
+            for n, (b, c, o) in sorted(acc.items())]
 
 
 @dataclass
@@ -325,11 +325,11 @@ class DoctoredRun:
     """A Fig. 5 cell's measurements plus the doctor's inputs.
 
     An unobserved cell (``observe: false``) has no ``collector``,
-    ``tracer`` or ``sampler``.  ``tracer`` holds the wait-cause records
-    (installed at *t = 0*, before prefill, so its per-resource service
-    aggregates cover the exact same window as each station's
-    ``busy_time`` counter); ``stations`` is the :func:`doctor_stations`
-    view taken after the run.
+    ``tracer`` or ``sampler``.  ``tracer`` holds the sampled requests'
+    wait-cause records (installed at *t = 0*, before prefill, the window
+    each station's ``busy_time`` and ``ops`` counters cover);
+    ``stations`` is the :func:`doctor_stations` view taken after the
+    run.
     """
 
     result: FioResult
@@ -361,8 +361,8 @@ def run_fig5_doctored(
     ``doctor``, ``chaos`` and every observed campaign Fig. 5 cell.
 
     Installs a :class:`~repro.sim.waits.WaitTracer` before anything runs
-    (so tracer aggregates and station busy counters see identical
-    windows), samples request spans 1-in-``sample_every``, records
+    (so the doctor's utilizations cover the stations' whole counts),
+    samples request spans 1-in-``sample_every``, records
     per-operation latency for the SLO gates, and optionally attaches the
     standard sampler from *t = 0* so Little's law can be checked and the
     series cover setup/prefill as well as the measured window

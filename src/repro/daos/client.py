@@ -152,7 +152,7 @@ class DaosClient:
                 if budget is not None and delay > budget:
                     delay = budget
                 wt = env._wait_tracer
-                if wt is not None:
+                if wt is not None and env._active.span is not None:
                     # The backoff sleep is downtime caused by the fault,
                     # not an anonymous sleep: blame it on the faulted
                     # resource so the doctor surfaces ``fault:{name}``.

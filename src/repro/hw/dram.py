@@ -79,7 +79,7 @@ class DramPool:
         if nbytes > self._free:
             event = Event(self.env)
             wt = self.env._wait_tracer
-            if wt is not None:
+            if wt is not None and self.env._active.span is not None:
                 wt.begin_block(event, self.name)
             self._waiters.append((nbytes, event))
             yield event
@@ -96,7 +96,7 @@ class DramPool:
             while waiters and waiters[0][0] <= self._free:
                 amount, event = waiters.popleft()
                 self._free -= amount
-                if wt is not None:
+                if wt is not None and event in wt.blocked:
                     wt.end_block(event)
                 event.succeed()
             # Allocations this free serves can leave more bytes in use.

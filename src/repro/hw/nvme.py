@@ -115,6 +115,11 @@ class NvmeDevice:
         """Cumulative seconds of device service."""
         return self._server.busy_time
 
+    @property
+    def ops(self) -> int:
+        """Reservations served so far."""
+        return self._server.ops
+
     def utilization(self, elapsed: Optional[float] = None) -> float:
         """Fraction of time the device was serving."""
         return self._server.utilization(elapsed)
@@ -182,8 +187,8 @@ class NvmeArray:
           the process's span (opened now, closed at the piece's wake
           instant), or, under :data:`MEDIA_SPAN` or no span, on the
           caller's span for the piece it waited for (the last to finish,
-          the first of them on a tie) and on the aggregates only for the
-          rest;
+          the first of them on a tie) and, for the rest, only if a
+          station watches the device;
         * a piece under an ``nvme_media_error`` reserves nothing; the
           other pieces reserve, book and count as above, and then the
           first failing piece's error is raised, with no sleep.
@@ -227,10 +232,11 @@ class NvmeArray:
             if timed:
                 piece = span.child("nvme", node=dev.name, nbytes=size,
                                    start=now, end=at)
-            if wt is not None:
+            if wt is not None and (piece is not None
+                                   or dev.name in wt.watched):
                 wt.book(dev.name, wait, service, latency, piece, now)
         if error is None:
-            if wt is not None:
+            if wt is not None and span is not None:
                 wt.claim()  # the pieces' bookings cover the sleep
             yield env.timeout_until(wake)
         for dev, size, *_ in booked:

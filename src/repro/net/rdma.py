@@ -281,7 +281,7 @@ class QueuePair:
         wt = self.env._wait_tracer
         for getter in list(rq._getters):
             if not getter.triggered:
-                if wt is not None:
+                if wt is not None and getter in wt.blocked:
                     wt.end_block(getter)
                 getter.fail(exc)
         rq._getters.clear()

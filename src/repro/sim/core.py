@@ -521,7 +521,7 @@ class Environment:
         """Create an event firing after ``delay`` seconds (a sleep the
         wait tracer books)."""
         wt = self._wait_tracer
-        if wt is not None:
+        if wt is not None and (self._active.span is not None or wt.claimed):
             wt.on_timeout(delay)
         return Timeout(self, delay, value)
 
@@ -538,7 +538,7 @@ class Environment:
         if when < now:
             raise ValueError(f"timeout_until({when}) lies in the past (now={now})")
         wt = self._wait_tracer
-        if wt is not None:
+        if wt is not None and (self._active.span is not None or wt.claimed):
             wt.on_timeout(when - now)
         t = Timeout.__new__(Timeout)
         t.env = self

@@ -7,13 +7,9 @@ machine-generated answer a human used to read off the tables:
 * **Blame ranking** — resources ordered by their share of sampled
   request time (:meth:`~repro.sim.waits.WaitTracer.blame`), ties broken
   by name so reports are byte-stable across runs.
-* **Utilization-law cross-check** — for every registered station,
-  measured utilization ``busy_time / (elapsed * capacity)`` must equal
-  the law's ``X · D`` computed from the tracer's independently-recorded
-  per-operation service demand (U = throughput x service time; see
-  DESIGN.md §10).  A violation means instrumentation drift, not a slow
-  run — it gates the *observability* stack, so CI catches a hook that
-  stops reporting.
+* **Station table** — every registered station's utilization
+  ``busy_time / (elapsed * capacity)`` and operation count, read from
+  the stations' own counters.
 * **Little's-law check** — queue growth vs ``L = λW`` from the sampler's
   station series (when a sampler was attached).
 * **p99 critical path** — the chain of spans that determined the p99
@@ -53,10 +49,6 @@ __all__ = [
 
 #: Metrics an SLO rule may target.  Latency metrics read from
 #: ``result.latency`` (seconds); throughput metrics from the result itself.
-#: Largest relative gap between a station's measured utilization and
-#: X·D (the utilization law) that still passes the law check.
-UTILIZATION_TOLERANCE = 0.01
-
 _LATENCY_METRICS = ("p50", "p95", "p99", "p999", "mean", "max")
 _THROUGHPUT_METRICS = ("iops", "kiops", "bandwidth", "bandwidth_gib")
 
@@ -107,21 +99,20 @@ def parse_slo(text: str) -> SloRule:
 
 
 # ---------------------------------------------------------------------------
-# Stations (for the utilization-law check)
+# Stations
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, slots=True)
 class Station:
-    """One service station's independently-measured occupancy.
+    """One service station's own counters.
 
-    ``busy_time`` comes from the server's own accounting; ``capacity``
-    is its number of parallel servers.  The doctor compares
-    ``busy_time/(elapsed*capacity)`` against the utilization law's
-    ``X·D`` built from the wait tracer's per-operation records.
+    ``busy_time`` and ``ops`` come from the server's own accounting;
+    ``capacity`` is its number of parallel servers.
     """
 
     name: str
     busy_time: float
+    ops: int
     capacity: int = 1
 
 
@@ -171,6 +162,7 @@ class Diagnosis:
     latency: dict
     blame: List[dict]
     p99: dict
+    stations: List[dict]
     checks: dict
     slo: dict
     wait_records: dict
@@ -197,6 +189,7 @@ class Diagnosis:
             "latency": self.latency,
             "blame": self.blame,
             "p99": self.p99,
+            "stations": self.stations,
             "checks": self.checks,
             "slo": self.slo,
             "wait_records": self.wait_records,
@@ -217,9 +210,6 @@ class Diagnosis:
         if self.p99.get("critical_path"):
             hops = " -> ".join(self.p99["critical_path"])
             out.append(f"p99 critical path ({self.p99['latency'] * 1e6:.1f} us): {hops}")
-        cu = self.checks.get("utilization_law", [])
-        n_bad = sum(1 for c in cu if not c["ok"])
-        out.append(f"utilization law: {len(cu) - n_bad}/{len(cu)} stations consistent")
         cl = self.checks.get("littles_law", [])
         if cl:
             n_bad_l = sum(1 for c in cl if c.get("checked") and not c["ok"])
@@ -244,11 +234,11 @@ def diagnose(
     """Cross-check a finished run and rank its bottlenecks.
 
     ``result`` is a :class:`~repro.workload.fio.FioResult`; ``stations``
-    carry each server's own ``busy_time``; ``littles_rows`` is the output
-    of :meth:`~repro.sim.timeseries.Sampler.littles_law` when a sampler
-    observed the run.  The utilization law covers the simulated time
-    since the tracer was installed, which both the tracer aggregates and
-    the station busy counters span.
+    carry each server's own ``busy_time`` and ``ops``; ``littles_rows`` is
+    the output of :meth:`~repro.sim.timeseries.Sampler.littles_law` when a
+    sampler observed the run.  A station's utilization covers the
+    simulated time since the tracer was installed, which the station
+    counters span (the tracer is installed before anything runs).
     """
     spec = result.spec
     roots = collector.roots()
@@ -282,27 +272,18 @@ def diagnose(
             ],
         }
 
-    # -- utilization law ----------------------------------------------------
+    # -- stations -----------------------------------------------------------
     elapsed = tracer.env.now - (tracer.t_installed or 0.0)
-    util_rows: List[dict] = []
+    station_rows: List[dict] = []
     for st in stations:
-        agg = tracer.aggregates.get(st.name)
-        service = agg.service if agg is not None else 0.0
         denom = elapsed * max(1, st.capacity)
-        u_measured = st.busy_time / denom if denom > 0 else 0.0
-        u_law = service / denom if denom > 0 else 0.0
-        scale = max(u_measured, u_law, 1e-12)
-        rel_err = abs(u_measured - u_law) / scale
-        util_rows.append({
+        station_rows.append({
             "station": st.name,
             "capacity": st.capacity,
-            "utilization": u_measured,
-            "x_times_d": u_law,
-            "ops": agg.count if agg is not None else 0,
-            "rel_err": rel_err,
-            "ok": rel_err <= UTILIZATION_TOLERANCE,
+            "utilization": st.busy_time / denom if denom > 0 else 0.0,
+            "ops": st.ops,
         })
-    util_rows.sort(key=lambda r: (-r["utilization"], r["station"]))
+    station_rows.sort(key=lambda r: (-r["utilization"], r["station"]))
 
     little_rows: List[dict] = []
     if littles_rows:
@@ -312,10 +293,8 @@ def diagnose(
             little_rows.append(row)
 
     checks = {
-        "utilization_law": util_rows,
         "littles_law": little_rows,
-        "ok": (all(r["ok"] for r in util_rows)
-               and all(r["ok"] for r in little_rows if r.get("checked"))),
+        "ok": all(r["ok"] for r in little_rows if r.get("checked")),
     }
 
     # -- SLO gates ----------------------------------------------------------
@@ -370,6 +349,7 @@ def diagnose(
         latency=dict(result.latency),
         blame=blame,
         p99=p99,
+        stations=station_rows,
         checks=checks,
         slo=slo,
         wait_records={

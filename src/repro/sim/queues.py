@@ -147,7 +147,8 @@ class FifoServer:
         for d in delays:
             when += d
         wt = env._wait_tracer
-        if wt is not None:
+        if wt is not None and (env._active.span is not None
+                               or self.name in wt.watched):
             wt.reserve(self.name, start - now, duration, latency)
         # The wake-up Timeout, pushed here as ``timeout_until(when, done)``
         # would push it, with one call less per reservation.
@@ -225,7 +226,8 @@ class PooledServer:
         for d in delays:
             when += d
         wt = env._wait_tracer
-        if wt is not None:
+        if wt is not None and (env._active.span is not None
+                               or self.name in wt.watched):
             wt.reserve(self.name, start - now, duration)
         # The wake-up Timeout, pushed as in :meth:`FifoServer.serve`.
         t = Timeout.__new__(Timeout)
@@ -391,6 +393,9 @@ class BandwidthPipe:
         self.bytes_moved += nbytes
         env = self.env
         wt = env._wait_tracer
+        if wt is not None and env._active.span is None \
+                and self._server.name not in wt.watched:
+            wt = None  # the tracer would keep nothing of this transfer
         if self.latency:
             if wt is not None:
                 # Pure propagation, blamed on the pipe (not a generic
@@ -509,7 +514,8 @@ class BandwidthPipe:
             ops += n
             xfer.left = left
             xfer.at = r
-            if wt is not None:
+            if wt is not None and (xfer.span is not None
+                                   or srv.name in wt.watched):
                 self._book(r0, xfer, left0, free0, n)
             if left:
                 push(xfer)

@@ -126,7 +126,7 @@ class Resource:
             request._succeed_inline()
         else:
             wt = self.env._wait_tracer
-            if wt is not None:
+            if wt is not None and self.env._active.span is not None:
                 wt.begin_block(request, self.name)
             self.queue.append(request)
 
@@ -138,7 +138,7 @@ class Resource:
             pass  # releasing twice is a no-op by design
         else:
             wt = self.env._wait_tracer
-            if wt is not None:
+            if wt is not None and request in wt.blocked:
                 wt.cancel_block(request)
 
     def _grant_next(self) -> None:
@@ -146,7 +146,7 @@ class Resource:
         while self.queue and len(self.users) < self._capacity:
             nxt = self.queue.popleft()
             self.users.append(nxt)
-            if wt is not None:
+            if wt is not None and nxt in wt.blocked:
                 wt.end_block(nxt)
             nxt.succeed()
 
@@ -191,7 +191,7 @@ class Store:
         if self._getters:
             getter = self._getters.popleft()
             wt = self.env._wait_tracer
-            if wt is not None:
+            if wt is not None and getter in wt.blocked:
                 wt.end_block(getter)
             getter.succeed(item)
         else:
@@ -207,6 +207,6 @@ class Store:
             event._succeed_inline(self.items.popleft())
         else:
             wt = self.env._wait_tracer
-            if wt is not None:
+            if wt is not None and self.env._active.span is not None:
                 wt.begin_block(event, self.name)
             self._getters.append(event)

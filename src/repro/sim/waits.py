@@ -26,9 +26,13 @@ a per-resource blame column.
 
 Design rules (shared with spans and station stats):
 
-* **Zero cost when off** — every hook site guards with one
-  ``env._wait_tracer is not None`` attribute test; nothing is allocated
-  and no branch beyond the test is taken when no tracer is installed.
+* **Cost only for what it keeps** — every hook site guards with one
+  ``env._wait_tracer is not None`` attribute test, and then calls the
+  tracer only for a process with a span open (a sampled request) or
+  for a station the sampler watches (:attr:`WaitTracer.watched`).  An
+  unsampled request never reaches the tracer.  The kernel also reports a
+  timeout while a claim (:meth:`WaitTracer.claim`) is pending, so a claim
+  is always consumed by the sleep that follows it.
 * **Pure observation** — the tracer never schedules events or perturbs
   wake-up order; a traced run dispatches the events an untraced one does
   and is bit-identical to it.  Where a model spends one event on what
@@ -38,25 +42,20 @@ Design rules (shared with spans and station stats):
   :class:`~repro.sim.queues.BandwidthPipe` each chunk slot once it can
   no longer be undone (see DESIGN.md §9/§10).
 * **Bounded memory** — the flat record list stops growing at
-  :attr:`WaitTracer.MAX_RECORDS` (the drop count is reported), per-resource aggregate
-  scalars are O(#resources), and the per-resource cumulative-wait
-  counters are bounded :class:`~repro.sim.timeseries.TimeSeries` rings.
+  :attr:`WaitTracer.MAX_RECORDS` (the drop count is reported).
 
-Two accounting streams come out:
-
-* :attr:`WaitTracer.aggregates` — per-resource scalar totals over *all*
-  operations since install (prefill included).  These pair with each
-  station's own ``busy_time`` for the doctor's utilization-law check.
-  A station the sampler watches (:meth:`WaitTracer.watch`) is fed from
-  the same bookings: the tracer is the one thing a station reports to.
-* :attr:`WaitTracer.records` — span-attributed events (only recorded when
-  the waiting process has an open span, i.e. for sampled requests).
-  These feed the blame ranking, the per-span decomposition and the
-  wait-weighted flamegraphs.
+The tracer keeps :attr:`WaitTracer.records`, the span-attributed events
+of sampled requests.  They feed the blame ranking, the per-span
+decomposition, the wait-weighted flamegraphs and the cumulative wait
+tracks (:meth:`WaitTracer.wait_series`).  Counts over *all* operations
+are each station's own (``busy_time``, ``ops``).  A station the sampler
+watches (:meth:`WaitTracer.watch`) is fed every booking of its name:
+the tracer is the one thing a station reports to.
 """
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Collection, Dict, List, Optional, Tuple
 
 from repro.sim.timeseries import GAUGE, TimeSeries
@@ -66,7 +65,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.spans import Span
     from repro.sim.timeseries import StationStats
 
-__all__ = ["WaitTracer", "WaitRecord", "ResourceWait",
+__all__ = ["WaitTracer", "WaitRecord",
            "RESERVE", "BLOCK", "SLEEP", "SLEEP_RESOURCE", "ANON_RESOURCE"]
 
 #: Record kinds.
@@ -113,24 +112,6 @@ class WaitRecord:
                 f"l={self.latency * 1e6:.2f}us>")
 
 
-class ResourceWait:
-    """Per-resource scalar aggregates over every operation since install."""
-
-    __slots__ = ("name", "count", "wait", "service", "latency", "block",
-                 "station")
-
-    def __init__(self, name: str, station=None) -> None:
-        self.name = name
-        self.count = 0
-        self.wait = 0.0
-        self.service = 0.0
-        self.latency = 0.0
-        self.block = 0.0
-        #: The sampler's station for this name (:meth:`WaitTracer.watch`)
-        #: or None.
-        self.station = station
-
-
 class WaitTracer:
     """Records wait causes for one environment while installed.
 
@@ -151,21 +132,21 @@ class WaitTracer:
         self._records: List[WaitRecord] = []
         #: Events not recorded because :attr:`MAX_RECORDS` was reached.
         self.records_dropped = 0
-        self._aggregates: Dict[str, ResourceWait] = {}
-        # Stations the sampler watches (see :meth:`watch`), by name.
-        self._watched: Dict[str, "StationStats"] = {}
-        # Set by :meth:`claim` right before a caller that booked its own
-        # wait creates the timeout it sleeps through, so
-        # Environment.timeout does not book the same passage again as a
-        # sleep.
-        self._claimed = False
-        # Parked requests, gets and allocations -> (resource, park time, span).
-        # Keyed by the event object itself (strong ref, removed at grant
-        # or withdrawal) so id() reuse cannot mix up two waits.
-        self._blocked: Dict[object, Tuple[str, float, "Span"]] = {}
-        # Per-resource cumulative wait counters (Chrome-trace tracks).
-        self._series: Dict[str, TimeSeries] = {}
-        self._series_last_t: Dict[str, float] = {}
+        #: Stations the sampler watches (see :meth:`watch`), by name.  A
+        #: reservation with no span open reaches the tracer only for these.
+        self.watched: Dict[str, "StationStats"] = {}
+        #: Set by :meth:`claim` right before a caller that booked its own
+        #: wait creates the timeout it sleeps through, so
+        #: Environment.timeout does not book the same passage again as a
+        #: sleep.  The kernel calls :meth:`on_timeout` only while this is
+        #: set or the sleeping process has a span open.
+        self.claimed = False
+        #: Sampled parked requests, gets and allocations -> (resource,
+        #: park time, span).  Keyed by the event object itself (strong ref,
+        #: removed at grant or withdrawal) so id() reuse cannot mix up two
+        #: waits.  A grant or withdrawal site calls the tracer only for an
+        #: event in it.
+        self.blocked: Dict[object, Tuple[str, float, "Span"]] = {}
         # Models that book lazily (a pipe's chunk slots), each with the
         # callable that books what is due by now.  Every read runs them.
         self._deferred: Dict[Callable[[], None], None] = {}
@@ -213,26 +194,17 @@ class WaitTracer:
 
     def claim(self) -> None:
         """Consume the next timeout silently: its caller books it itself."""
-        self._claimed = True
+        self.claimed = True
 
     def watch(self, name: str, station: "StationStats") -> None:
         """Feed every later booking of ``name`` to ``station``.
 
         Each one arrives at its instant ``t`` and leaves at ``t + wait +
-        service``: the sampler's in-flight gauge and Little's-law counters
-        see exactly the reservations the aggregates count.
+        service``.  From now on a station of that name calls the tracer
+        for unsampled requests too, so the sampler's in-flight gauge and
+        Little's-law counters see every reservation the station makes.
         """
-        self._watched[name] = station
-        agg = self._aggregates.get(name)
-        if agg is not None:
-            agg.station = station
-
-    def _aggregate(self, name: str) -> ResourceWait:
-        agg = self._aggregates.get(name)
-        if agg is None:
-            agg = self._aggregates[name] = ResourceWait(
-                name, self._watched.get(name))
-        return agg
+        self.watched[name] = station
 
     def book(self, name: Optional[str], wait: float, service: float,
              latency: float, span: Optional["Span"], t: float,
@@ -243,21 +215,12 @@ class WaitTracer:
         the reference spent several books each of the reference's events
         here, with the span that was open and the instant it was made at.
         Unlike :meth:`reserve` it claims no timeout, because none follows
-        it.  ``span=None`` books the aggregates only.  A ``SLEEP`` goes to
-        the ``(sleep)`` pseudo-resource; callers book one only on a span.
+        it.  ``span=None`` only feeds a watched station.  A ``SLEEP`` goes
+        to the ``(sleep)`` pseudo-resource; callers book one only on a span.
         """
         if name is None:
             name = ANON_RESOURCE
-        agg = self._aggregates.get(name)
-        if agg is None:
-            agg = self._aggregate(name)
-        agg.count += 1
-        agg.wait += wait
-        agg.service += service
-        agg.latency += latency
-        if wait > 0.0:
-            self._bump_series(name, t, agg.wait + agg.block)
-        station = agg.station
+        station = self.watched.get(name)
         if station is not None:
             station.record(t, t + wait + service)
         if span is not None:
@@ -269,16 +232,14 @@ class WaitTracer:
 
         Consumed silently when its caller just claimed it; otherwise
         this is a pure delay, attributed to the ``(sleep)`` pseudo-resource
-        of the active span (unattributed sleeps — samplers, idle loops —
-        are not recorded at all).
+        of the active span.  The kernel does not call it for an unclaimed
+        sleep with no span open (samplers, idle loops, unsampled work).
         """
-        if self._claimed:
-            self._claimed = False
+        if self.claimed:
+            self.claimed = False
             return
-        span = self.env._active.span
-        if span is None:
-            return
-        self.book(SLEEP_RESOURCE, 0.0, 0.0, delay, span, self.env._now, SLEEP)
+        self.book(SLEEP_RESOURCE, 0.0, 0.0, delay, self.env._active.span,
+                  self.env._now, SLEEP)
 
     def defer(self, sync: Callable[[], None]) -> None:
         """Run ``sync()`` before every read of the tracer.
@@ -293,47 +254,25 @@ class WaitTracer:
             sync()
 
     def begin_block(self, event, name: Optional[str]) -> None:
-        """A request, get or allocation parked in a waiter queue."""
-        span = self.env._active.span
-        if span is None:
-            return
-        self._blocked[event] = (name or ANON_RESOURCE, self.env._now, span)
+        """A sampled request, get or allocation parked in a waiter queue."""
+        self.blocked[event] = (name or ANON_RESOURCE, self.env._now,
+                               self.env._active.span)
 
     def end_block(self, event) -> None:
         """A parked event is being granted/woken (same-instant resume)."""
-        info = self._blocked.pop(event, None)
-        if info is None:
-            return
-        name, t0, span = info
+        name, t0, span = self.blocked.pop(event)
         now = self.env._now
-        dur = now - t0
-        agg = self._aggregate(name)
-        agg.count += 1
-        agg.block += dur
-        if dur > 0.0:
-            self._bump_series(name, now, agg.wait + agg.block)
-        self._append(WaitRecord(span, name, BLOCK, dur, 0.0, 0.0, now))
+        self._append(WaitRecord(span, name, BLOCK, now - t0, 0.0, 0.0, now))
 
     def cancel_block(self, event) -> None:
         """A parked event was withdrawn before being granted."""
-        self._blocked.pop(event, None)
+        del self.blocked[event]
 
     def _append(self, record: WaitRecord) -> None:
         if len(self._records) >= self.MAX_RECORDS:
             self.records_dropped += 1
             return
         self._records.append(record)
-
-    def _bump_series(self, name: str, now: float, cum_wait: float) -> None:
-        ts = self._series.get(name)
-        if ts is None:
-            ts = self._series[name] = TimeSeries(
-                f"wait.{name}", unit="s", kind=GAUGE)
-            self._series_last_t[name] = self.t_installed or 0.0
-        last = self._series_last_t[name]
-        ts.append(now, now - last, cum_wait)
-        if now > last:
-            self._series_last_t[name] = now
 
     # -- analyses -----------------------------------------------------------
 
@@ -342,18 +281,6 @@ class WaitTracer:
         """Span-attributed wait events (sampled requests only)."""
         self._flush()
         return self._records
-
-    @property
-    def aggregates(self) -> Dict[str, ResourceWait]:
-        """Per-resource totals since install.
-
-        Every reservation counts.  A block counts only if the parked
-        process had a span open (:meth:`begin_block`), and so does a
-        ``(sleep)`` (:meth:`on_timeout`), so those totals cover sampled
-        requests alone.
-        """
-        self._flush()
-        return self._aggregates
 
     def blame(self) -> Dict[str, float]:
         """Resource -> attributed seconds over all sampled spans.
@@ -420,6 +347,31 @@ class WaitTracer:
         return out
 
     def wait_series(self) -> List[TimeSeries]:
-        """Cumulative blamed-wait counters, one per resource, name-sorted."""
-        self._flush()
-        return [self._series[k] for k in sorted(self._series)]
+        """Cumulative queue wait per resource, name-sorted.
+
+        Folded from the RESERVE and BLOCK records in instant order (record
+        order within an instant): one point per instant at which a record
+        waited, valued the resource's wait summed up to and including that
+        instant, and covering the time since the previous point (or since
+        install).
+        """
+        sums: Dict[str, List[list]] = {}
+        for r in sorted(self.records, key=attrgetter("t")):
+            if r.kind == SLEEP or r.wait <= 0.0:
+                continue
+            pts = sums.get(r.resource)
+            if pts is None:
+                sums[r.resource] = [[r.t, r.wait]]
+            elif pts[-1][0] == r.t:
+                pts[-1][1] += r.wait
+            else:
+                pts.append([r.t, pts[-1][1] + r.wait])
+        out = []
+        for name in sorted(sums):
+            ts = TimeSeries(f"wait.{name}", unit="s", kind=GAUGE)
+            last = self.t_installed or 0.0
+            for t, cum in sums[name]:
+                ts.append(t, t - last, cum)
+                last = t
+            out.append(ts)
+        return out

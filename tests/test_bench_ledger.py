@@ -68,8 +68,7 @@ class TestRecordShape:
                     "blame", "flame"):
             assert key in r, key
         # The wait counter series are regenerated from the config, and
-        # the tracer's own aggregates are read by no verdict: neither is
-        # stored.  ``traces`` keeps what the diff doctor reads; the mean
+        # the tracer keeps no per-resource aggregates: neither is stored.  ``traces`` keeps what the diff doctor reads; the mean
         # is their quotient.
         assert "wait_series" not in r and "wait_aggregates" not in r
         assert set(r["traces"]) == {"count", "total_root_time"}

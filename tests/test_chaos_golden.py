@@ -2,8 +2,8 @@
 
 One small chaos cell — RDMA/DPU 4 KiB randread with a mid-window
 ``qp_break`` on ``dpu.qp`` — reduced to its recovery counters, the
-``fault:{resource}`` wait aggregates, and the wait-blame flamegraph
-folds, compared byte-for-byte against a committed golden.  Any change
+sampled requests' ``fault:{resource}`` blame components, and the
+wait-blame flamegraph folds, compared byte-for-byte against a committed golden.  Any change
 to retry/backoff timing, reconnect behaviour, CQ flush semantics, or
 blame attribution moves integer-nanosecond fold values and fails here
 with a reviewable diff.
@@ -34,10 +34,8 @@ def build_golden_doc() -> dict:
                            runtime=0.01, sample_every=10)
     run = chaos.run
     fault_blame = {
-        name: {"count": agg.count, "wait_sec": agg.wait,
-               "service_sec": agg.service, "latency_sec": agg.latency,
-               "block_sec": agg.block}
-        for name, agg in sorted(run.tracer.aggregates.items())
+        name: parts
+        for name, parts in sorted(run.tracer.blame_components().items())
         if name.startswith("fault:")
     }
     return {

@@ -257,7 +257,7 @@ def test_tcp_reset_recovers_with_conservation():
     sections = chaos_sections(chaos.run.result, stats, chaos.plan)
     assert sections["ok"], sections["checks"]
     assert any(name.startswith("fault:dpu.tcp")
-               for name in chaos.run.tracer.aggregates)
+               for name in chaos.run.tracer.blame())
 
 
 def test_nvme_media_errors_are_retried_to_success():

@@ -219,14 +219,15 @@ def _run_submitters(ios, n_devices, reference, observe="plain",
 
     ``reference`` submits through the process per piece instead of the
     production join.  ``observe`` is ``"plain"``, ``"tracer"`` (a wait
-    tracer) or ``"spans"`` (a wait tracer, and a root span per I/O, the
-    submitter's span while it runs).  ``faulted`` installs a latency spike on ``nvme.ssd0``
+    tracer, and a station watching each device) or ``"spans"`` (a wait
+    tracer, and a root span per I/O, the submitter's span while it runs).  ``faulted`` installs a latency spike on ``nvme.ssd0``
     and, overlapping its end, a media-error window on ``nvme.ssd1``.
     Returns every outcome both joins must agree on.
     """
     from repro.faults.errors import NvmeMediaError
     from repro.faults.plan import FaultEvent, FaultPlan
     from repro.sim.spans import SpanCollector
+    from repro.sim.timeseries import StationStats
     from repro.sim.waits import WaitTracer
 
     env = Environment()
@@ -237,6 +238,9 @@ def _run_submitters(ios, n_devices, reference, observe="plain",
             FaultEvent("nvme_media_error", "nvme.ssd1", 3e-4, 1e-3),
         ]).install(env).arm(0.0)
     tracer = WaitTracer(env).install() if observe != "plain" else None
+    if observe == "tracer":
+        for dev in arr.devices:
+            tracer.watch(dev.name, StationStats())
     collector = SpanCollector(env)
     submit = process_per_piece_submit if reference else NvmeArray.submit
     woke = {}
@@ -265,9 +269,9 @@ def _run_submitters(ios, n_devices, reference, observe="plain",
     }
     if tracer is not None:
         names = {s.span_id: s.name for s in collector.spans}
-        outcome["aggregates"] = {
-            k: (v.count, v.wait, v.service, v.latency, v.block)
-            for k, v in tracer.aggregates.items()}
+        outcome["stations"] = {
+            k: (st.arrivals, st.sojourn_sum, sorted(st._done))
+            for k, st in tracer.watched.items()}
         outcome["records"] = [
             (r.resource, r.kind, r.wait, r.service, r.latency, r.t,
              r.span.name) for r in tracer.records]
@@ -292,8 +296,8 @@ _io = st.tuples(
        faulted=st.booleans())
 def test_inline_join_matches_a_process_per_piece(ios, n_devices, observe,
                                                  faulted):
-    """Wake or raise instants, exceptions, device state, meters, tracer
-    aggregates, records and ``nvme`` spans are bit-identical to the
+    """Wake or raise instants, exceptions, device state, meters, what
+    watched stations saw, records and ``nvme`` spans are bit-identical to the
     reference join, for one I/O per submitter at equal and distinct
     instants (later I/Os would start at a join's wake instant, whose
     same-instant order the inline join does not keep), traced or not,
@@ -362,8 +366,7 @@ def test_split_io_span_gets_the_record_of_the_piece_it_waited_for(second):
     (rec,) = [r for r in tracer.records if r.span is span]
     assert rec.resource == ("nvme.ssd0" if second == 4 * KIB else "nvme.ssd1")
     assert rec.total == pytest.approx(span.duration, rel=1e-12)
-    assert tracer.aggregates["nvme.ssd0"].count == 1
-    assert tracer.aggregates["nvme.ssd1"].count == 1
+    assert [d.ops for d in arr.devices] == [1, 1]
 
 
 def test_traced_and_faulted_split_ios_cost_one_event():
@@ -434,3 +437,12 @@ def test_station_recorder_keeps_the_inline_join():
     (rec,) = [r for r in tracer.records if r.span is spans[0]]
     assert rec.resource == "nvme.ssd0"
     assert [st.arrivals for st in stats] == [1, 1]
+
+    def unsampled(env):
+        yield from arr.submit(MIB - 4 * KIB, 8 * KIB, is_write=False)
+
+    env.process(unsampled(env))
+    env.run()
+    # An I/O with no span open books no record, and still reaches both.
+    assert len(tracer.records) == 1
+    assert [st.arrivals for st in stats] == [2, 2]

@@ -148,6 +148,40 @@ def test_send_blocks_until_recv_posted():
     assert done[0] >= 1.0
 
 
+def test_a_flushed_rnr_wait_books_its_block():
+    """A sampled sender parked for a RECV that a QP error flushes books
+    the park as a BLOCK record up to the flush, and leaves nothing parked
+    in the wait tracer."""
+    from repro.sim import SpanCollector, WaitTracer
+    from repro.sim.waits import BLOCK
+
+    env, top, dev_c, dev_s = make_pair()
+    qc, qs = connect_qps(dev_c, dev_s)
+    tracer = WaitTracer(env).install()
+    col = SpanCollector(env)
+    failed = []
+
+    def sender(env):
+        tr = col.trace("send")
+        try:
+            yield from qc.post_send(nbytes=64)
+        except RdmaError:
+            failed.append(env.now)
+        tr.finish()
+
+    def flusher(env):
+        yield env.timeout(1.0)
+        qs.transition_to_error("reset")
+
+    env.process(sender(env))
+    env.process(flusher(env))
+    env.run()
+    assert failed == [1.0]
+    blocks = [r for r in tracer.records if r.kind == BLOCK]
+    assert len(blocks) == 1 and blocks[0].wait == pytest.approx(1.0, rel=1e-3)
+    assert tracer.blocked == {}
+
+
 def test_send_completion_lands_in_send_cq():
     env, top, dev_c, dev_s = make_pair()
     qc, qs = connect_qps(dev_c, dev_s)

@@ -221,7 +221,7 @@ def test_sampler_leaves_the_doctors_answer_alone(provider, rw, bs, ssds,
     The doctored cell runs with no sampler, and again with its sampler on
     and the chunk-per-event loop patched into every bandwidth pipe.  The
     scheduler's closed-form
-    booking must give the chunk loop's blame, aggregates, wait series and,
+    booking must give the chunk loop's blame, wait series and,
     per resource, the same records in the same order.  A doctored 1 MiB
     I/O over 4 SSDs usually splits on the NVMe array; its ``media.nvme``
     span keeps the record of the piece it waited for either way.
@@ -235,9 +235,6 @@ def test_sampler_leaves_the_doctors_answer_alone(provider, rw, bs, ssds,
         return {
             "blame": tracer.blame(),
             "components": tracer.blame_components(),
-            "aggregates": {
-                k: (v.count, v.wait, v.service, v.latency, v.block)
-                for k, v in tracer.aggregates.items()},
             "series": {ts.name: ts.points() for ts in tracer.wait_series()},
             "records": records,
         }

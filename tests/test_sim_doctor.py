@@ -117,7 +117,7 @@ class TestDiagnose:
                                        "randread p99, next: dev.b at 25%")
         assert diag.exit_code == 0
 
-    def test_utilization_law_consistent_station(self):
+    def test_station_rows_read_the_stations_own_counters(self):
         env = Environment()
         col = SpanCollector(env)
         tracer = WaitTracer(env).install()
@@ -129,20 +129,24 @@ class TestDiagnose:
             tr.finish()
 
         env.process(op(env))
+        env.process(op(env))
         env.run()
-        stations = [Station("dev", busy_time=srv.busy_time, capacity=1)]
+        stations = [Station("idle", busy_time=0.0, ops=0, capacity=2),
+                    Station("dev", busy_time=srv.busy_time, capacity=1,
+                            ops=srv.ops)]
         diag = diagnose(_fake_result(env), col, tracer, stations=stations)
-        (row,) = diag.checks["utilization_law"]
-        assert row["ok"]
-        assert row["utilization"] == pytest.approx(row["x_times_d"])
-        assert diag.checks["ok"]
+        assert diag.stations == [
+            {"station": "dev", "capacity": 1, "utilization": 1.0, "ops": 2},
+            {"station": "idle", "capacity": 2, "utilization": 0.0, "ops": 0},
+        ]
+        assert diag.checks == {"littles_law": [], "ok": True}
 
-    def test_utilization_law_flags_drift(self):
+    def test_a_failed_littles_law_row_flags_the_verdict(self):
         env, col, tracer = _traced_pair([("dev", 2e-3)])
-        # A station claiming twice the busy time the tracer saw.
-        stations = [Station("dev", busy_time=4e-3, capacity=1)]
-        diag = diagnose(_fake_result(env), col, tracer, stations=stations)
-        assert not diag.checks["utilization_law"][0]["ok"]
+        rows = {"dev": {"checked": True, "ok": False, "rel_err": 0.5}}
+        diag = diagnose(_fake_result(env), col, tracer, littles_rows=rows)
+        assert diag.checks["littles_law"] == [
+            {"checked": True, "ok": False, "rel_err": 0.5, "station": "dev"}]
         assert not diag.checks["ok"]
         assert "[law-check FAILED]" in diag.verdict
         # Law-check failures flag the verdict but do not flip the exit code.
@@ -165,12 +169,13 @@ class TestDiagnose:
     def test_to_dict_is_doctor_v1_and_json_safe(self):
         env, col, tracer = _traced_pair([("dev", 1e-3)])
         diag = diagnose(_fake_result(env), col, tracer,
-                        stations=[Station("dev", 1e-3)], slos=["p99<=1s"],
-                        label="unit")
+                        stations=[Station("dev", 1e-3, ops=1)],
+                        slos=["p99<=1s"], label="unit")
         doc = diag.to_dict()
         assert doc["format"] == "repro-doctor-v1"
         for key in ("verdict", "ok", "workload", "throughput", "latency",
-                    "blame", "p99", "checks", "slo", "wait_records", "notes"):
+                    "blame", "p99", "stations", "checks", "slo",
+                    "wait_records", "notes"):
             assert key in doc
         json.dumps(doc)  # round-trippable
 
@@ -208,10 +213,16 @@ class TestFig5Doctored:
 
     def test_laws_hold_on_real_cell(self, run):
         diag = self._diagnose(run)
-        util = diag.checks["utilization_law"]
-        assert util and all(row["ok"] for row in util)
         little = [r for r in diag.checks["littles_law"] if r["checked"]]
         assert little and all(r["ok"] for r in little)
+        assert diag.checks["ok"]
+
+    def test_station_table_covers_every_bucket(self, run):
+        diag = self._diagnose(run)
+        rows = {r["station"]: r for r in diag.stations}
+        assert set(rows) == {st.name for st in run.stations}
+        assert rows["dpu.arm_rx"]["ops"] > 0
+        assert all(0.0 <= r["utilization"] <= 1.0 for r in diag.stations)
 
     def test_span_decomposition_identity(self, run):
         """Every sampled leaf span reconstructs as Σ wait-record totals."""

@@ -37,10 +37,6 @@ class TestReserve:
         assert recs[0].service == pytest.approx(1e-3)
         assert recs[1].wait == pytest.approx(1e-3)
         assert recs[1].service == pytest.approx(1e-3)
-        agg = tracer.aggregates["dev"]
-        assert agg.count == 2
-        assert agg.wait == pytest.approx(1e-3)
-        assert agg.service == pytest.approx(2e-3)
 
     def test_serve_records_access_latency(self):
         env = Environment()
@@ -75,7 +71,7 @@ class TestReserve:
         env.process(op(env, 1))
         env.run()
         assert [r.wait for r in tracer.records] == [0.0, pytest.approx(1e-3)]
-        assert tracer.aggregates["cores"].service == pytest.approx(2e-3)
+        assert [r.service for r in tracer.records] == [pytest.approx(1e-3)] * 2
 
     def test_bandwidth_pipe_blames_queueing_and_latency(self):
         env = Environment()
@@ -91,10 +87,10 @@ class TestReserve:
         env.process(xfer(env, 0))
         env.process(xfer(env, 1))
         env.run()
-        agg = tracer.aggregates["wire"]
-        assert agg.service == pytest.approx(2e-3)
-        assert agg.wait == pytest.approx(1e-3)  # second transfer queued
-        assert agg.latency == pytest.approx(2e-4)
+        wire = tracer.blame_components()["wire"]
+        assert wire["service"] == pytest.approx(2e-3)
+        assert wire["wait"] == pytest.approx(1e-3)  # second transfer queued
+        assert wire["latency"] == pytest.approx(2e-4)
         blame = tracer.blame()
         assert blame["wire"] == pytest.approx(3e-3 + 2e-4)
         assert SLEEP_RESOURCE not in blame  # propagation claimed, not a sleep
@@ -137,6 +133,40 @@ class TestSleep:
         assert rec.resource == SLEEP_RESOURCE
         assert rec.latency == pytest.approx(2e-3)
 
+    def test_timeout_until_in_span_is_a_sleep(self):
+        env = Environment()
+        col = SpanCollector(env)
+        tracer = WaitTracer(env).install()
+
+        def op(env):
+            tr = col.trace("op")
+            yield env.timeout_until(env.now + 2e-3)
+            tr.finish()
+
+        env.process(op(env))
+        env.run()
+        (rec,) = tracer.records
+        assert (rec.kind, rec.resource) == (SLEEP, SLEEP_RESOURCE)
+        assert rec.latency == pytest.approx(2e-3)
+
+    def test_a_claim_is_consumed_by_the_sleep_that_follows_it(self):
+        """A caller that booked its own wait claims the ``timeout_until``
+        it sleeps through; the next sleep is booked as usual."""
+        env = Environment()
+        col = SpanCollector(env)
+        tracer = WaitTracer(env).install()
+
+        def op(env):
+            tr = col.trace("op")
+            tracer.claim()
+            yield env.timeout_until(env.now + 1e-3)
+            yield env.timeout(2e-3)
+            tr.finish()
+
+        env.process(op(env))
+        env.run()
+        assert [r.latency for r in tracer.records] == [pytest.approx(2e-3)]
+
     def test_timeout_outside_any_span_not_recorded(self):
         env = Environment()
         tracer = WaitTracer(env).install()
@@ -147,7 +177,6 @@ class TestSleep:
         env.process(idle(env))
         env.run()
         assert tracer.records == []
-        assert SLEEP_RESOURCE not in tracer.aggregates
 
     def test_serve_does_not_double_count_as_sleep(self):
         env = Environment()
@@ -187,7 +216,7 @@ class TestSleep:
         env.process(op(env))
         env.run()
         assert [r.latency for r in tracer.records] == [pytest.approx(1e-3)]
-        assert tracer.aggregates[SLEEP_RESOURCE].count == 1
+        assert [r.kind for r in tracer.records] == [SLEEP]
         assert len(fired) == 1 and env.now == pytest.approx(5e-3)
 
 
@@ -316,7 +345,7 @@ class TestBlock:
         env.process(quitter(env))
         env.run()
         assert [r for r in tracer.records if r.kind == BLOCK] == []
-        assert tracer._blocked == {}
+        assert tracer.blocked == {}
 
 
 # ---------------------------------------------------------------------------
@@ -396,38 +425,72 @@ class TestLifecycle:
         assert len(tracer.records) == 3
         assert tracer.records_dropped == 7
 
-    def test_aggregates_match_server_busy_time(self):
-        env = Environment()
-        srv = FifoServer(env, name="dev")
-        tracer = WaitTracer(env).install()
-
-        def op(env, dur):
-            yield srv.serve(dur)
-
-        for dur in (1e-3, 2e-3, 5e-4):
-            env.process(op(env, dur))
-        env.run()
-        # Same additions in the same order: exactly equal, not just approx.
-        assert tracer.aggregates["dev"].service == srv.busy_time
-
     def test_wait_series_tracks_cumulative_wait(self):
         env = Environment()
+        col = SpanCollector(env)
         srv = FifoServer(env, name="dev")
         tracer = WaitTracer(env).install()
 
         def first(env):
+            tr = col.trace("first")
             yield srv.serve(1e-3)
+            tr.finish()
 
         def second(env):
             yield env.timeout(5e-4)
+            tr = col.trace("second")
             yield srv.serve(1e-3)  # queued 0.5 ms behind the first
+            yield srv.serve(1e-3)  # queued 1 ms behind the third
+            tr.finish()
+
+        def third(env):
+            yield env.timeout(7e-4)
+            tr = col.trace("third")
+            yield srv.serve(1e-3)  # queued 1.3 ms behind the second
+            tr.finish()
 
         env.process(first(env))
         env.process(second(env))
+        env.process(third(env))
         env.run()
         (series,) = tracer.wait_series()
         assert series.name == "wait.dev"
-        assert series.values()[-1] == pytest.approx(5e-4)
+        # One point per instant a record waited, valued the sum so far.
+        assert series.points() == [
+            (pytest.approx(5e-4), pytest.approx(5e-4), pytest.approx(5e-4)),
+            (pytest.approx(7e-4), pytest.approx(2e-4), pytest.approx(1.8e-3)),
+            (pytest.approx(2e-3), pytest.approx(1.3e-3), pytest.approx(2.8e-3)),
+        ]
+
+    def test_unsampled_work_never_reaches_the_tracer(self, monkeypatch):
+        """No span open and no station watched: no station, pipe, parked
+        request or sleep calls the tracer."""
+        env = Environment()
+        srv = FifoServer(env, name="dev")
+        pool = PooledServer(env, 1, name="cores")
+        pipe = BandwidthPipe(env, bandwidth=1e6, latency=1e-4,
+                             chunk_bytes=500, name="wire")
+        res = Resource(env, capacity=1)
+        res.name = "lock"
+        tracer = WaitTracer(env).install()
+        calls = []
+        for name in ("reserve", "claim", "book", "on_timeout", "defer",
+                     "begin_block", "end_block", "cancel_block"):
+            monkeypatch.setattr(tracer, name,
+                                lambda *a, name=name: calls.append(name))
+
+        def op(env):
+            with res.request() as req:
+                yield req
+                yield srv.serve(1e-3)
+                yield pool.execute(1e-3)
+                yield from pipe.transfer(1000)
+                yield env.timeout(1e-3)
+
+        env.process(op(env))
+        env.process(op(env))
+        env.run()
+        assert env.now > 0.0 and calls == []
 
     def test_serve_books_one_reserve(self):
         env = Environment()
@@ -444,7 +507,7 @@ class TestLifecycle:
         env.run()
         [rec] = tracer.records
         assert (rec.kind, rec.resource) == (RESERVE, "dev")
-        assert tracer.aggregates["dev"].service == pytest.approx(1e-3)
+        assert rec.service == pytest.approx(1e-3)
         assert tracer.blame()["dev"] == pytest.approx(1e-3)
 
 
@@ -555,3 +618,72 @@ class TestCellSleeps:
         sleeps = [r for r in run.tracer.records if r.kind == SLEEP]
         assert sleeps
         assert sleeps_longer_than_their_span(run.tracer) == []
+
+
+class TestCellWaitTracks:
+    @pytest.mark.parametrize("provider", ["tcp", "rdma"])
+    def test_wait_tracks_tile_time_and_end_on_the_sampled_wait(self,
+                                                               provider):
+        """Each track's windows follow one another from install, and its
+        last point is the wait of that resource's sampled RESERVE and
+        BLOCK records, which blame counts."""
+        from repro.bench.runner import run_fig5_doctored
+
+        run = run_fig5_doctored(provider, "dpu", "randread", 4096, 4,
+                                runtime=0.01, observe_sampler=False)
+        tracer = run.tracer
+        want = {}
+        for r in sorted(tracer.records, key=lambda r: r.t):
+            if r.kind != SLEEP and r.wait > 0.0:
+                want[r.resource] = want.get(r.resource, 0.0) + r.wait
+        tracks = tracer.wait_series()
+        assert [ts.name for ts in tracks] == [f"wait.{k}" for k in sorted(want)]
+        for ts in tracks:
+            assert ts.merges == 0, f"{ts.name}: downsampled, shorten the cell"
+            start = tracer.t_installed
+            for t, dt, _value in ts.points():
+                assert dt > 0.0 and t - dt == pytest.approx(start, abs=1e-15)
+                start = t
+            assert ts.values()[-1] == want[ts.name[len("wait."):]]
+
+
+class TestUnsampledCells:
+    @pytest.mark.parametrize("provider", ["tcp", "rdma"])
+    def test_an_unsampled_request_never_reaches_the_tracer(self, provider,
+                                                           monkeypatch):
+        """From setup through the drain, no tracer method runs while the
+        running process (if any) has no span open: a 1-in-20 sampled
+        cell with no sampler pays for its sampled requests alone."""
+        from repro.bench.runner import run_fig5_doctored
+
+        unsampled = []
+        running = [False]
+
+        def counted(name, fn):
+            def call(self, *args, **kwargs):
+                proc = self.env._active
+                if running[0] and (proc is None or proc.span is None):
+                    unsampled.append(name)
+                return fn(self, *args, **kwargs)
+            return call
+
+        for name, fn in list(vars(WaitTracer).items()):
+            if callable(fn) and not name.startswith("__"):
+                monkeypatch.setattr(WaitTracer, name, counted(name, fn))
+        run = Environment.run
+
+        def running_run(env, until=None):
+            running[0] = True
+            try:
+                return run(env, until)
+            finally:
+                running[0] = False
+
+        monkeypatch.setattr(Environment, "run", running_run)
+        doctored = run_fig5_doctored(provider, "dpu", "randread", 4096, 2,
+                                     runtime=0.004, seed=7,
+                                     observe_sampler=False)
+        doctored.system.env.run()  # the drain
+        assert doctored.tracer.records  # sampled requests were booked
+        assert unsampled == []
+

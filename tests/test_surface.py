@@ -96,9 +96,6 @@ ALLOWED_ATTRIBUTES: Dict[str, str] = {
     "MemoryRegion.lkey":
         "a verbs MR's local key, drawn before its rkey from one counter, "
         "so the rkeys the examples print keep their numbers",
-    "WaitRecord.t":
-        "when a wait was booked; the wire, NVMe and scheduler tests pin "
-        "each record's booking time against the reference paths",
 }
 
 
