@@ -45,13 +45,14 @@ from repro.sim.spans import (
     LatencyBreakdown,
     Span,
     SpanCollector,
+    SpanRow,
     Trace,
     critical_path,
 )
 from repro.sim.doctor import Diagnosis, SloRule, diagnose, parse_slo
 from repro.sim.flame import fold_spans, fold_waits, render_collapsed
 from repro.sim.timeseries import Probe, Sampler, StationStats, TimeSeries
-from repro.sim.waits import WaitRecord, WaitTracer
+from repro.sim.waits import WaitRow, WaitTracer
 
 __all__ = [
     "AllOf",
@@ -74,12 +75,13 @@ __all__ = [
     "SloRule",
     "Span",
     "SpanCollector",
+    "SpanRow",
     "StationStats",
     "Store",
     "TimeSeries",
     "Timeout",
     "Trace",
-    "WaitRecord",
+    "WaitRow",
     "WaitTracer",
     "critical_path",
     "diagnose",

@@ -4,9 +4,10 @@ Turns PR 1's request spans and this PR's time series into one JSON
 document in the Trace Event Format, the lingua franca of ``chrome://
 tracing`` and https://ui.perfetto.dev:
 
-* every :class:`~repro.sim.spans.Span` becomes a complete (``"ph": "X"``)
-  duration event on a per-node process track, one thread track per
-  sampled request (children nest inside parents visually);
+* every finished span (:class:`~repro.sim.spans.SpanRow`) becomes a
+  complete (``"ph": "X"``) duration event on a per-node process track,
+  one thread track per sampled request (children nest inside parents
+  visually);
 * every :class:`~repro.sim.timeseries.TimeSeries` becomes a counter
   (``"ph": "C"``) track on its owning node's process, so CPU-busy, NVMe
   queue depth, NIC occupancy, Arm-core load and in-flight RPC curves sit
@@ -24,7 +25,7 @@ from __future__ import annotations
 import json
 from typing import IO, Dict, Iterable, List, Optional, Union
 
-from repro.sim.spans import Span
+from repro.sim.spans import SpanRow
 from repro.sim.timeseries import Sampler, TimeSeries
 
 __all__ = [
@@ -59,7 +60,7 @@ def _process_metadata(pids: Dict[str, int]) -> List[dict]:
     ]
 
 
-def span_events(spans: Iterable[Span],
+def span_events(spans: Iterable[SpanRow],
                 pids: Optional[Dict[str, int]] = None) -> List[dict]:
     """Complete (``X``) events for finished spans, plus thread metadata.
 
@@ -141,7 +142,7 @@ def counter_events(series: Iterable[TimeSeries],
 
 
 def build_chrome_trace(
-    spans: Iterable[Span] = (),
+    spans: Iterable[SpanRow] = (),
     sampler: Optional[Sampler] = None,
     label: str = "repro",
     extra_series: Iterable[TimeSeries] = (),
@@ -180,7 +181,7 @@ def build_chrome_trace(
 
 def write_chrome_trace(
     path_or_file: Union[str, IO[str]],
-    spans: Iterable[Span] = (),
+    spans: Iterable[SpanRow] = (),
     sampler: Optional[Sampler] = None,
     label: str = "repro",
     extra_series: Iterable[TimeSeries] = (),

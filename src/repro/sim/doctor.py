@@ -30,7 +30,7 @@ from math import fsum
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence
 
-from repro.sim.spans import SpanCollector, critical_path
+from repro.sim.spans import SpanCollector, SpanRow, critical_path
 from repro.sim.waits import WaitTracer
 
 __all__ = [
@@ -143,9 +143,9 @@ def _human_bs(bs: int) -> str:
     return f"{bs}B"
 
 
-def _p99_root(collector: SpanCollector):
+def _p99_root(roots: List[SpanRow]) -> Optional[SpanRow]:
     """The root span at the p99 boundary of the sampled latency order."""
-    roots = sorted(collector.roots(), key=lambda s: s.duration)
+    roots = sorted(roots, key=lambda s: s.duration)
     if not roots:
         return None
     idx = min(len(roots) - 1, max(0, int(0.99 * len(roots) + 0.5) - 1))
@@ -250,7 +250,7 @@ def diagnose(
     nxt = blame[1] if len(blame) > 1 else None
 
     # -- p99 critical path --------------------------------------------------
-    p99_root = _p99_root(collector)
+    p99_root = _p99_root(roots)
     p99: dict = {}
     if p99_root is not None:
         trace_spans = [s for s in collector.spans

@@ -31,8 +31,8 @@ from __future__ import annotations
 
 from typing import IO, Dict, Iterable, Optional, Tuple, Union
 
-from repro.sim.spans import Span
-from repro.sim.waits import WaitRecord
+from repro.sim.spans import SpanRow
+from repro.sim.waits import WaitRow
 
 __all__ = ["fold_spans", "fold_waits", "render_collapsed", "write_collapsed",
            "diff_folded", "render_diff_collapsed", "write_diff_collapsed"]
@@ -41,7 +41,7 @@ __all__ = ["fold_spans", "fold_waits", "render_collapsed", "write_collapsed",
 NS = 1e9
 
 
-def _stack_paths(spans: Iterable[Span]) -> Dict[int, str]:
+def _stack_paths(spans: Iterable[SpanRow]) -> Dict[int, str]:
     """span_id -> ``;``-joined stage path from its root down to it.
 
     Orphan spans (parent not captured, e.g. trace truncated by sampling
@@ -51,7 +51,7 @@ def _stack_paths(spans: Iterable[Span]) -> Dict[int, str]:
     by_id = {s.span_id: s for s in spans}
     paths: Dict[int, str] = {}
 
-    def path(s: Span) -> str:
+    def path(s: SpanRow) -> str:
         got = paths.get(s.span_id)
         if got is not None:
             return got
@@ -65,7 +65,7 @@ def _stack_paths(spans: Iterable[Span]) -> Dict[int, str]:
     return paths
 
 
-def fold_spans(spans: Iterable[Span]) -> Dict[str, int]:
+def fold_spans(spans: Iterable[SpanRow]) -> Dict[str, int]:
     """Fold finished spans into ``{stack: self_time_ns}``.
 
     Each span contributes its self time (duration minus direct children,
@@ -91,13 +91,14 @@ def fold_spans(spans: Iterable[Span]) -> Dict[str, int]:
     return folded
 
 
-def fold_waits(spans: Iterable[Span],
-               records: Iterable[WaitRecord]) -> Dict[str, int]:
+def fold_waits(spans: Iterable[SpanRow],
+               records: Iterable[WaitRow]) -> Dict[str, int]:
     """Fold wait events into ``{stack;wait:resource: wait_ns}``.
 
     Every record's queueing wait (``wait`` for reserves and blocks —
     service/latency are occupancy, not queueing) lands under the stack of
-    the span it was attributed to, with a ``wait:<resource>`` leaf frame.
+    the span it was attributed to, with a ``wait:<resource>`` leaf frame;
+    a record on a span that never finished folds under its own stage.
     Spans with no queueing drop out entirely, so the flame is exactly the
     "time lost to contention, by resource" picture.
     """
@@ -107,7 +108,7 @@ def fold_waits(spans: Iterable[Span],
         ns = round(r.wait * NS)
         if ns <= 0:
             continue
-        base = paths.get(r.span.span_id, r.span.stage)
+        base = paths.get(r.span_id, r.stage)
         key = f"{base};wait:{r.resource}"
         folded[key] = folded.get(key, 0) + ns
     return folded

@@ -28,6 +28,14 @@ Design rules that keep tracing honest and cheap:
   ``sample_every - 1`` out of every ``sample_every`` requests, bounding both
   host memory and host CPU for long runs.
 
+* **A row per finished span** — a :class:`Span` object lives only while
+  it is open (as its process's span, in a capsule, a parked request or a
+  pipe transfer).  Finishing it appends one row to the collector's
+  ``array`` columns (~58 B with the columns' slack, against ~176 B for
+  the object, its boxed numbers and its list slot), and nothing keeps
+  the object.  Readers see each row through a :class:`SpanRow`, a named
+  tuple with the span's attribute names, built when read.
+
 On top of the raw spans sit two analyses:
 
 * :class:`LatencyBreakdown` — per-stage *self time* (span duration minus its
@@ -41,9 +49,13 @@ On top of the raw spans sit two analyses:
 from __future__ import annotations
 
 import itertools
+from array import array
+from itertools import islice
 from math import fsum
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
+from typing import (TYPE_CHECKING, Collection, Dict, Iterable, Iterator,
+                    List, NamedTuple, Optional, Tuple)
 
+from repro.sim.rows import Rows
 from repro.sim.waits import SLEEP, SLEEP_RESOURCE
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -51,6 +63,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = [
     "Span",
+    "SpanRow",
     "Trace",
     "SpanCollector",
     "LatencyBreakdown",
@@ -59,6 +72,11 @@ __all__ = [
 
 _span_ids = itertools.count(1)
 _trace_ids = itertools.count(1)
+
+
+def _stage(name: str, node: Optional[str]) -> str:
+    """A span's aggregation key: ``node.name`` when the node is known."""
+    return f"{node}.{name}" if node else name
 
 
 class Span:
@@ -71,15 +89,18 @@ class Span:
     that was current when it opened.  ``start`` opens the span at an
     earlier instant than now; ``end`` also closes it there at once.  Such
     a closed-form span never becomes a process's span: nothing waits
-    while it is open.
+    while it is open.  A span refers to its collector, never to its
+    :class:`Trace`, so a finished root is freed with no cycle to collect.
     """
 
-    __slots__ = ("trace", "span_id", "parent_id", "name", "node",
-                 "t_start", "t_end", "nbytes", "attrs", "_proc", "_opener")
+    __slots__ = ("collector", "trace_id", "span_id", "parent_id", "name",
+                 "node", "t_start", "t_end", "nbytes", "attrs", "_proc",
+                 "_opener")
 
     def __init__(
         self,
-        tr: "Trace",
+        collector: "SpanCollector",
+        trace_id: int,
         name: str,
         parent_id: Optional[int],
         node: Optional[str] = None,
@@ -88,18 +109,19 @@ class Span:
         end: Optional[float] = None,
         **attrs: object,
     ) -> None:
-        self.trace = tr
+        self.collector = collector
+        self.trace_id = trace_id
         self.span_id = next(_span_ids)
         self.parent_id = parent_id
         self.name = name
         self.node = node
-        env = tr.env
+        env = collector.env
         self.t_start = env.now if start is None else start
         self.t_end: Optional[float] = end
         self.nbytes = nbytes
         self.attrs = attrs or None
         if end is not None:
-            tr.collector._record(self)
+            collector._record(self)
             return
         proc = self._proc = env._active
         if proc is not None:
@@ -112,26 +134,26 @@ class Span:
               nbytes: int = 0, start: Optional[float] = None,
               end: Optional[float] = None, **attrs: object) -> "Span":
         """Open a child span starting now (or at ``start``, up to ``end``)."""
-        return Span(self.trace, name, self.span_id, node=node,
-                    nbytes=nbytes, start=start, end=end, **attrs)
+        return Span(self.collector, self.trace_id, name, self.span_id,
+                    node=node, nbytes=nbytes, start=start, end=end, **attrs)
 
     def finish(self, at: Optional[float] = None) -> "Span":
         """Close the span now (or at the earlier instant ``at``) and record it."""
         if self.t_end is None:
-            self.t_end = self.trace.env.now if at is None else at
+            self.t_end = self.collector.env.now if at is None else at
             proc = self._proc
             if proc is not None:
                 # Back to the opener's span; a child this span left open
                 # (a media read a fault cut short) is dropped with it.
                 proc.span = self._opener
                 self._proc = None
-            self.trace.collector._record(self)
+            self.collector._record(self)
         return self
 
     def slept(self, t: float, delay: float) -> None:
         """Book the ``(sleep)`` a ``timeout(delay)`` made at ``t`` would have
         booked on this span, for a sleep merged into another event."""
-        wt = self.trace.env._wait_tracer
+        wt = self.collector.env._wait_tracer
         if wt is not None:
             wt.book(SLEEP_RESOURCE, 0.0, 0.0, delay, self, t, SLEEP)
 
@@ -144,43 +166,75 @@ class Span:
     # -- queries -----------------------------------------------------------
 
     @property
-    def trace_id(self) -> int:
-        return self.trace.trace_id
-
-    @property
     def duration(self) -> float:
         """Elapsed simulated seconds (0.0 while still open)."""
         return 0.0 if self.t_end is None else self.t_end - self.t_start
 
     @property
     def stage(self) -> str:
-        """Aggregation key: ``node.name`` when the node is known."""
-        return f"{self.node}.{self.name}" if self.node else self.name
+        return _stage(self.name, self.node)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "open" if self.t_end is None else f"{self.duration * 1e6:.2f}us"
         return f"<Span {self.stage} trace={self.trace_id} {state}>"
 
 
+class SpanRow(NamedTuple):
+    """A finished span, read back from its collector row.
+
+    It has the attributes of the :class:`Span` it was, so a reader takes
+    either; ``parent_id`` is ``None`` for a root.
+    """
+
+    span_id: int
+    parent_id: Optional[int]
+    trace_id: int
+    name: str
+    node: Optional[str]
+    t_start: float
+    t_end: float
+    nbytes: int
+    attrs: Optional[dict]
+
+    @property
+    def duration(self) -> float:
+        return self.t_end - self.t_start
+
+    @property
+    def stage(self) -> str:
+        return _stage(self.name, self.node)
+
+
 class Trace:
     """One sampled request: a trace id plus the root span."""
 
-    __slots__ = ("trace_id", "env", "collector", "root")
+    __slots__ = ("trace_id", "root")
 
     def __init__(self, collector: "SpanCollector", name: str,
                  nbytes: int = 0) -> None:
         self.trace_id = next(_trace_ids)
-        self.env = collector.env
-        self.collector = collector
-        self.root = Span(self, name, None, nbytes=nbytes)
+        self.root = Span(collector, self.trace_id, name, None, nbytes=nbytes)
 
     def finish(self) -> Span:
         """Close the root span."""
         return self.root.finish()
 
 
+_new = tuple.__new__
+
+#: Ints per span row: span, parent and trace ids, ``nbytes``, stage code.
+SPAN_INTS = 5
+
+
 class SpanCollector:
-    """Collects finished spans for one environment.
+    """Collects finished spans for one environment, one row each.
+
+    Span ``i`` is ``t_start``, ``t_end`` at ``_times[2 * i:2 * i + 2]``
+    and ``span_id``, ``parent_id`` (0 for a root), ``trace_id``,
+    ``nbytes`` and its stage code (an index into the interned ``(name,
+    node)`` pairs) at ``_ints[SPAN_INTS * i:SPAN_INTS * (i + 1)]``, plus
+    its ``attrs`` in a side table when it has any: 56 B of columns per
+    span.
 
     Parameters
     ----------
@@ -189,7 +243,9 @@ class SpanCollector:
     """
 
     #: Stop sampling new traces past this many (spans of already-started
-    #: traces are still recorded so no trace is left half-captured).
+    #: traces are still recorded so no trace is left half-captured).  A
+    #: doctored TCP 4 KiB request finishes ~24 spans, ~1.4 KB of rows:
+    #: 100 k traces is ~140 MB, against ~420 MB as span objects.
     MAX_TRACES = 100_000
 
     def __init__(self, env: "Environment", sample_every: int = 1) -> None:
@@ -197,9 +253,13 @@ class SpanCollector:
             raise ValueError(f"sample_every must be >= 1, got {sample_every}")
         self.env = env
         self.sample_every = int(sample_every)
-        self.spans: List[Span] = []
         self.requests_seen = 0
         self.traces_started = 0
+        self._times = array("d")
+        self._ints = array("q")
+        self._attrs: Dict[int, dict] = {}
+        #: Interned ``(name, node)`` stages -> code, in first-seen order.
+        self._stages: Dict[Tuple[str, Optional[str]], int] = {}
 
     # -- sampling ----------------------------------------------------------
 
@@ -214,16 +274,39 @@ class SpanCollector:
         return Trace(self, name, nbytes=nbytes)
 
     def _record(self, span: Span) -> None:
-        self.spans.append(span)
+        stages = self._stages
+        code = stages.setdefault((span.name, span.node), len(stages))
+        if span.attrs:
+            self._attrs[len(self._times) >> 1] = span.attrs
+        self._times.extend((span.t_start, span.t_end))
+        self._ints.extend((span.span_id, span.parent_id or 0,
+                           span.trace_id, span.nbytes, code))
+
+    def _rows(self, lo: int, hi: int) -> Iterator[SpanRow]:
+        ints = zip(*[islice(self._ints, SPAN_INTS * lo, SPAN_INTS * hi)]
+                   * SPAN_INTS)
+        times = zip(*[islice(self._times, 2 * lo, 2 * hi)] * 2)
+        stages, attrs = list(self._stages), self._attrs
+        for i, (span_id, parent_id, trace_id, nbytes, stage), (t0, t1) \
+                in zip(range(lo, hi), ints, times):
+            name, node = stages[stage]
+            yield _new(SpanRow, (span_id, parent_id or None, trace_id, name,
+                                 node, t0, t1, nbytes, attrs.get(i)))
 
     # -- views -------------------------------------------------------------
 
-    def roots(self) -> List[Span]:
+    @property
+    def spans(self) -> Rows:
+        """Every finished span so far, in completion order."""
+        return Rows(self._rows, len(self._times) >> 1)
+
+    def roots(self) -> List[SpanRow]:
         """All finished root spans, in completion order."""
         return [s for s in self.spans if s.parent_id is None]
 
     def clear(self) -> None:
-        self.spans.clear()
+        del self._times[:], self._ints[:]
+        self._attrs.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -243,10 +326,9 @@ class LatencyBreakdown:
     resource that accounts for the most attributed wait time.
     """
 
-    def __init__(self, spans: Iterable[Span],
+    def __init__(self, spans: Collection[SpanRow],
                  stage_waits: Optional[Dict[str, Dict[str, float]]] = None) -> None:
         self.stage_waits = stage_waits
-        spans = list(spans)
         child_time: Dict[int, float] = {}
         for s in spans:
             if s.parent_id is not None:
@@ -354,7 +436,7 @@ class LatencyBreakdown:
         }
 
 
-def critical_path(spans: Iterable[Span]) -> List[Span]:
+def critical_path(spans: Iterable[SpanRow]) -> List[SpanRow]:
     """The chain of spans that determined one request's completion time.
 
     At each level the children that gate the parent's completion are
@@ -374,7 +456,7 @@ def critical_path(spans: Iterable[Span]) -> List[Span]:
     tids = {s.trace_id for s in spans}
     if len(tids) > 1:
         raise ValueError(f"spans from {len(tids)} traces; pass exactly one")
-    children: Dict[int, List[Span]] = {}
+    children: Dict[int, List[SpanRow]] = {}
     root = None
     for s in spans:
         if s.parent_id is None:
@@ -385,7 +467,7 @@ def critical_path(spans: Iterable[Span]) -> List[Span]:
         # No root captured (e.g. trace truncated); start from earliest span.
         root = min(spans, key=lambda s: s.t_start)
 
-    def expand(parent: Span) -> List[Span]:
+    def expand(parent: SpanRow) -> List[SpanRow]:
         kids = [k for k in children.get(parent.span_id, ())
                 if k.t_end is not None]
         out = [parent]

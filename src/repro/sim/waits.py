@@ -41,23 +41,35 @@ Design rules (shared with spans and station stats):
   reference would have reached: a merged hop after it wakes, a
   :class:`~repro.sim.queues.BandwidthPipe` each chunk slot once it can
   no longer be undone (see DESIGN.md §9/§10).
-* **Bounded memory** — the flat record list stops growing at
-  :attr:`WaitTracer.MAX_RECORDS` (the drop count is reported).
+* **Bounded memory** — a record is a row, not an object: the span id
+  and an interned ``(resource, kind, stage)`` code in an ``array('q')``,
+  ``wait``, ``service``, ``latency`` and ``t`` in an ``array('d')``.
+  That is 48 B of columns (~51 B with their slack) where a
+  ``WaitRecord`` object cost ~146 B, and it keeps no span alive.  The
+  rows stop growing at :attr:`WaitTracer.MAX_RECORDS` (the drop count
+  is reported).
 
 The tracer keeps :attr:`WaitTracer.records`, the span-attributed events
-of sampled requests.  They feed the blame ranking, the per-span
-decomposition, the wait-weighted flamegraphs and the cumulative wait
-tracks (:meth:`WaitTracer.wait_series`).  Counts over *all* operations
-are each station's own (``busy_time``, ``ops``).  A station the sampler
-watches (:meth:`WaitTracer.watch`) is fed every booking of its name:
-the tracer is the one thing a station reports to.
+of sampled requests, each read back as a :class:`WaitRow`.  A record
+carries the stage of the span it was booked on, so a span that never
+finishes (a ``media.nvme`` read a media error cut short) still folds
+its records under its own stage.  They feed the blame ranking, the
+per-span decomposition, the wait-weighted flamegraphs and the
+cumulative wait tracks (:meth:`WaitTracer.wait_series`).  Counts over
+*all* operations are each station's own (``busy_time``, ``ops``).  A
+station the sampler watches (:meth:`WaitTracer.watch`) is fed every
+booking of its name: the tracer is the one thing a station reports to.
 """
 
 from __future__ import annotations
 
+from array import array
+from itertools import islice
 from operator import attrgetter
-from typing import TYPE_CHECKING, Callable, Collection, Dict, List, Optional, Tuple
+from typing import (TYPE_CHECKING, Callable, Collection, Dict, Iterator,
+                    List, NamedTuple, Optional, Tuple)
 
+from repro.sim.rows import Rows
 from repro.sim.timeseries import GAUGE, TimeSeries
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -65,8 +77,10 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.spans import Span
     from repro.sim.timeseries import StationStats
 
-__all__ = ["WaitTracer", "WaitRecord",
+__all__ = ["WaitTracer", "WaitRow",
            "RESERVE", "BLOCK", "SLEEP", "SLEEP_RESOURCE", "ANON_RESOURCE"]
+
+_new = tuple.__new__
 
 #: Record kinds.
 RESERVE = "reserve"
@@ -79,37 +93,30 @@ SLEEP_RESOURCE = "(sleep)"
 ANON_RESOURCE = "(anon)"
 
 
-class WaitRecord:
-    """One span-attributed wait event.
+class WaitRow(NamedTuple):
+    """One span-attributed wait event, read back from its tracer row.
 
     ``wait`` is time spent queued (or parked, for blocks), ``service`` is
     time occupying the resource, ``latency`` is a post-service fixed delay
     (device access latency, pipe propagation, pure sleeps).  ``total``
     is the simulated time the waiting process gave up for this event.
+    ``t`` is the instant it was recorded (reserve: at reservation;
+    block: at grant); ``span_id`` and ``stage`` name the span it was
+    booked on.
     """
 
-    __slots__ = ("span", "resource", "kind", "wait", "service", "latency", "t")
-
-    def __init__(self, span: "Span", resource: str, kind: str,
-                 wait: float, service: float, latency: float, t: float) -> None:
-        self.span = span
-        self.resource = resource
-        self.kind = kind
-        self.wait = wait
-        self.service = service
-        self.latency = latency
-        #: Simulated time the event was recorded (reserve: at reservation;
-        #: block: at grant).
-        self.t = t
+    span_id: int
+    resource: str
+    kind: str
+    wait: float
+    service: float
+    latency: float
+    t: float
+    stage: str
 
     @property
     def total(self) -> float:
         return self.wait + self.service + self.latency
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<WaitRecord {self.kind} {self.resource} "
-                f"w={self.wait * 1e6:.2f}us s={self.service * 1e6:.2f}us "
-                f"l={self.latency * 1e6:.2f}us>")
 
 
 class WaitTracer:
@@ -124,12 +131,19 @@ class WaitTracer:
         blame = tracer.blame()
     """
 
-    #: The flat record list stops growing at this many records.
+    #: The record rows stop growing at this many records: ~51 MB of
+    #: rows (~146 MB as ``WaitRecord`` objects).
     MAX_RECORDS = 1_000_000
 
     def __init__(self, env: "Environment") -> None:
         self.env = env
-        self._records: List[WaitRecord] = []
+        # Record i: span id and cause code at _ints[2 * i:2 * i + 2],
+        # wait, service, latency, t at _times[4 * i:4 * i + 4].
+        self._ints = array("q")
+        self._times = array("d")
+        #: Interned ``(resource, kind, stage)`` causes, by code.
+        self._causes: List[Tuple[str, str, str]] = []
+        self._cause_codes: Dict[tuple, int] = {}
         #: Events not recorded because :attr:`MAX_RECORDS` was reached.
         self.records_dropped = 0
         #: Stations the sampler watches (see :meth:`watch`), by name.  A
@@ -224,8 +238,7 @@ class WaitTracer:
         if station is not None:
             station.record(t, t + wait + service)
         if span is not None:
-            self._append(WaitRecord(span, name, kind,
-                                    wait, service, latency, t))
+            self._append(span, name, kind, wait, service, latency, t)
 
     def on_timeout(self, delay: float) -> None:
         """``env.timeout``/``timeout_until`` was called.
@@ -262,25 +275,41 @@ class WaitTracer:
         """A parked event is being granted/woken (same-instant resume)."""
         name, t0, span = self.blocked.pop(event)
         now = self.env._now
-        self._append(WaitRecord(span, name, BLOCK, now - t0, 0.0, 0.0, now))
+        self._append(span, name, BLOCK, now - t0, 0.0, 0.0, now)
 
     def cancel_block(self, event) -> None:
         """A parked event was withdrawn before being granted."""
         del self.blocked[event]
 
-    def _append(self, record: WaitRecord) -> None:
-        if len(self._records) >= self.MAX_RECORDS:
+    def _append(self, span: "Span", name: str, kind: str, wait: float,
+                service: float, latency: float, t: float) -> None:
+        if len(self._ints) >= 2 * self.MAX_RECORDS:
             self.records_dropped += 1
             return
-        self._records.append(record)
+        key = (name, kind, span.name, span.node)
+        cause = self._cause_codes.get(key)
+        if cause is None:
+            cause = self._cause_codes[key] = len(self._causes)
+            self._causes.append((name, kind, span.stage))
+        self._ints.extend((span.span_id, cause))
+        self._times.extend((wait, service, latency, t))
+
+    def _rows(self, lo: int, hi: int) -> Iterator[WaitRow]:
+        ints = zip(*[islice(self._ints, 2 * lo, 2 * hi)] * 2)
+        times = zip(*[islice(self._times, 4 * lo, 4 * hi)] * 4)
+        causes = self._causes
+        for (span_id, cause), (wait, service, latency, t) in zip(ints, times):
+            resource, kind, stage = causes[cause]
+            yield _new(WaitRow, (span_id, resource, kind, wait, service,
+                                 latency, t, stage))
 
     # -- analyses -----------------------------------------------------------
 
     @property
-    def records(self) -> List[WaitRecord]:
+    def records(self) -> Rows:
         """Span-attributed wait events (sampled requests only)."""
         self._flush()
-        return self._records
+        return Rows(self._rows, len(self._ints) >> 1)
 
     def blame(self) -> Dict[str, float]:
         """Resource -> attributed seconds over all sampled spans.
@@ -328,7 +357,7 @@ class WaitTracer:
         """
         out: Dict[int, Dict[str, float]] = {}
         for r in self.records:
-            sid = r.span.span_id
+            sid = r.span_id
             if sid in span_ids:
                 d = out.setdefault(sid, {})
                 d[r.resource] = d.get(r.resource, 0.0) + r.total
@@ -342,7 +371,7 @@ class WaitTracer:
         """
         out: Dict[str, Dict[str, float]] = {}
         for r in self.records:
-            d = out.setdefault(r.span.stage, {})
+            d = out.setdefault(r.stage, {})
             d[r.resource] = d.get(r.resource, 0.0) + r.total
         return out
 

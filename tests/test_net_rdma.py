@@ -281,11 +281,11 @@ def _assert_chained_bookings(op, link, dev, collector, tracer):
 
     def sleeps(span):
         return [(r.t, r.latency) for r in tracer.records
-                if r.span is span and r.kind == SLEEP]
+                if r.span_id == span.span_id and r.kind == SLEEP]
 
     def reserves(span):
         return [r for r in tracer.records
-                if r.span is span and r.kind == RESERVE]
+                if r.span_id == span.span_id and r.kind == RESERVE]
 
     def closed(span):
         """Where a span around one idle reservation closes."""

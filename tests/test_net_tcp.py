@@ -248,14 +248,14 @@ def test_untraced_message_merges_stream_and_wire_latency(propagation):
     wires = [s for s in collector.spans if s.name == "net.wire"]
     assert len(streams) == len(wires) == 2
     for stream, wire in zip(streams, wires):
-        (rec,) = [r for r in tracer.records if r.span is stream]
+        (rec,) = [r for r in tracer.records if r.span_id == stream.span_id]
         assert (rec.kind, rec.wait, rec.t) == (RESERVE, 0.0, stream.t_start)
         t0 = stream.t_start
         t1 = t0 + ((t0 + rec.service) - t0)
         when = (t1 + pre) + link.propagation
         assert stream.t_end == t1
         assert wire.t_start == t1
-        sleep, *crossing = [r for r in tracer.records if r.span is wire]
+        sleep, *crossing = [r for r in tracer.records if r.span_id == wire.span_id]
         assert (sleep.kind, sleep.t, sleep.latency) == (SLEEP, t1, when - t1)
         tx = [r for r in crossing if r.resource == f"net.{top.client.name}.tx"]
         assert tx[0].t == when

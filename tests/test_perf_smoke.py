@@ -231,7 +231,7 @@ def test_sampler_leaves_the_doctors_answer_alone(provider, rw, bs, ssds,
         records = {}
         for r in tracer.records:
             records.setdefault(r.resource, []).append(
-                (r.kind, r.wait, r.service, r.latency, r.t, r.span.stage))
+                (r.kind, r.wait, r.service, r.latency, r.t, r.stage))
         return {
             "blame": tracer.blame(),
             "components": tracer.blame_components(),

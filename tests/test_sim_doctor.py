@@ -231,9 +231,12 @@ class TestFig5Doctored:
         leaves = [s for s in col.spans
                   if s.span_id not in parents and s.duration > 0]
         assert leaves
+        by_span: dict = {}
+        for r in tracer.records:
+            by_span.setdefault(r.span_id, []).append(r)
         checked = 0
         for span in leaves:
-            recs = [r for r in tracer.records if r.span is span]
+            recs = by_span.get(span.span_id)
             if not recs:
                 continue
             total = sum(r.total for r in recs)
@@ -250,9 +253,9 @@ class TestFig5Doctored:
 
         everything: dict = {}
         for r in run.tracer.records:
-            d = everything.setdefault(r.span.span_id, {})
+            d = everything.setdefault(r.span_id, {})
             d[r.resource] = d.get(r.resource, 0.0) + r.total
-        root = _p99_root(run.collector)
+        root = _p99_root(run.collector.roots())
         path = critical_path([s for s in run.collector.spans
                               if s.trace_id == root.trace_id])
         hop: dict = {}

@@ -69,7 +69,7 @@ class TestFoldSpans:
         child = tr.root.child("open")
         advance(env, 1e-3)
         tr.finish()  # root closes; child never does
-        folded = fold_spans(col.spans + [child])
+        folded = fold_spans(list(col.spans) + [child])
         assert all("open" not in k for k in folded)
 
     def test_orphan_span_roots_its_own_stack(self):

@@ -284,7 +284,7 @@ def _tracer_view(tracer):
     """What a wait tracer booked: records, wait series and what each
     watched station saw."""
     return (
-        [(r.resource, r.kind, r.wait, r.service, r.latency, r.t, r.span.name)
+        [(r.resource, r.kind, r.wait, r.service, r.latency, r.t, r.stage)
          for r in tracer.records],
         [(ts.name, ts.points()) for ts in tracer.wait_series()],
         {k: (st.arrivals, st.sojourn_sum, sorted(st._done))

@@ -176,7 +176,7 @@ class TestSleep:
 
         env.process(idle(env))
         env.run()
-        assert tracer.records == []
+        assert list(tracer.records) == []
 
     def test_serve_does_not_double_count_as_sleep(self):
         env = Environment()
@@ -532,7 +532,7 @@ class TestSpanAttribution:
 
         env.process(op(env))
         env.run()
-        stages = [r.span.stage for r in tracer.records]
+        stages = [r.stage for r in tracer.records]
         assert stages == ["stage", "op"]
         sw = tracer.stage_waits()
         assert sw["stage"]["dev"] == pytest.approx(1e-3)
@@ -557,7 +557,8 @@ class TestSpanAttribution:
             env.process(op(env, i))
         env.run()
         for span in col.spans:
-            total = sum(r.total for r in tracer.records if r.span is span)
+            total = sum(r.total for r in tracer.records
+                        if r.span_id == span.span_id)
             assert total == pytest.approx(span.duration, abs=1e-15)
 
     def test_concurrent_processes_attribute_to_own_spans(self):
@@ -574,24 +575,75 @@ class TestSpanAttribution:
         env.process(op(env, 0))
         env.process(op(env, 1))
         env.run()
-        owners = {r.span.stage for r in tracer.records}
+        owners = {r.stage for r in tracer.records}
         assert owners == {"op0", "op1"}
+
+
+class TestSpanThatNeverFinishes:
+    def test_media_error_leaves_records_under_media_nvme(self):
+        """A sampled fetch reads from ``nvme.ssd0`` under its
+        ``media.nvme`` span (as VOS opens it), queued behind an unsampled
+        read, then its next read raises a media error.  The error leaves
+        the ``media.nvme`` span open for good; the record of the first
+        read still folds under ``media.nvme`` in both the wait flame and
+        the per-stage waits."""
+        from repro.faults.errors import NvmeMediaError
+        from repro.faults.plan import FaultEvent, FaultPlan
+        from repro.hw.nvme import MEDIA_SPAN, NvmeArray
+        from repro.hw.specs import KIB, NVME_SSD
+        from repro.sim.flame import NS, fold_waits
+
+        env = Environment()
+        FaultPlan([FaultEvent("nvme_media_error", "nvme.ssd0", 1e-3, 1e-3)]
+                  ).install(env).arm(0.0)
+        arr = NvmeArray(env, NVME_SSD, n_devices=1)
+        col = SpanCollector(env)
+        tracer = WaitTracer(env).install()
+        errors = []
+
+        def unsampled(env):
+            yield from arr.submit(0, 4 * KIB, is_write=False)
+
+        def fetch(env):
+            tr = col.trace("fetch")
+            tr.root.child(MEDIA_SPAN)
+            yield from arr.submit(4 * KIB, 4 * KIB, is_write=False)
+            yield env.timeout_until(1e-3)
+            try:
+                yield from arr.submit(8 * KIB, 4 * KIB, is_write=False)
+            except NvmeMediaError as exc:
+                errors.append(exc)
+            tr.finish()  # drops the media span, which never finishes
+
+        env.process(unsampled(env))
+        env.process(fetch(env))
+        env.run()
+        assert len(errors) == 1
+        assert [s.name for s in col.spans] == ["fetch"]
+        nvme = tracer.blame_components()["nvme.ssd0"]
+        assert nvme["wait"] > 0.0  # queued behind the unsampled read
+        assert tracer.stage_waits()[MEDIA_SPAN] == {
+            "nvme.ssd0": nvme["total"], SLEEP_RESOURCE: pytest.approx(
+                1e-3 - nvme["total"], rel=1e-9)}
+        assert fold_waits(col.spans, tracer.records) == {
+            f"{MEDIA_SPAN};wait:nvme.ssd0": round(nvme["wait"] * NS)}
 
 
 # ---------------------------------------------------------------------------
 # Sleep records on whole cells
 # ---------------------------------------------------------------------------
 
-def sleeps_longer_than_their_span(tracer):
+def sleeps_longer_than_their_span(tracer, collector):
     """SLEEP records on finished spans that outlast the span itself.
 
     A process sleeps inside the span it booked the sleep on, so a longer
     one is a timer the process never waited for.  A span still open when
-    the run ends has no duration yet and is exempt.
+    the run ends has no duration yet (and no row) and is exempt.
     """
+    durations = {s.span_id: s.duration for s in collector.spans}
     return [r for r in tracer.records
-            if r.kind == SLEEP and r.span.t_end is not None
-            and r.latency > r.span.duration]
+            if r.kind == SLEEP and r.span_id in durations
+            and r.latency > durations[r.span_id]]
 
 
 class TestCellSleeps:
@@ -606,7 +658,7 @@ class TestCellSleeps:
         assert run.stats.timeouts > 0  # deadlines did fire
         tracer = run.run.tracer
         assert any(r.kind == SLEEP for r in tracer.records)
-        assert sleeps_longer_than_their_span(tracer) == []
+        assert sleeps_longer_than_their_span(tracer, run.run.collector) == []
         total = sum(s.duration for s in run.run.collector.roots())
         assert blame_ranking(tracer, total)[0]["resource"] != SLEEP_RESOURCE
 
@@ -617,7 +669,7 @@ class TestCellSleeps:
                                 runtime=0.01, observe_sampler=False)
         sleeps = [r for r in run.tracer.records if r.kind == SLEEP]
         assert sleeps
-        assert sleeps_longer_than_their_span(run.tracer) == []
+        assert sleeps_longer_than_their_span(run.tracer, run.collector) == []
 
 
 class TestCellWaitTracks:

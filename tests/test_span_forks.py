@@ -87,7 +87,7 @@ def _sampled(env, ctx, request):
     return {
         "spans": [[s.name, s.node, names.get(s.parent_id), s.t_start,
                    s.t_end] for s in collector.spans],
-        "waits": [[r.span.name, r.resource, r.kind, r.wait, r.service,
+        "waits": [[names[r.span_id], r.resource, r.kind, r.wait, r.service,
                    r.latency, r.t] for r in tracer.records],
     }
 

@@ -129,7 +129,7 @@ def test_split_nvme_ios_are_attributed_to_their_media_span():
                             observe_sampler=False)
     booked = {}
     for rec in run.tracer.records:
-        booked[rec.span.span_id] = booked.get(rec.span.span_id, 0.0) + rec.total
+        booked[rec.span_id] = booked.get(rec.span_id, 0.0) + rec.total
     spans = [s for s in run.collector.spans if s.name == "media.nvme"]
     assert len(spans) >= 10
     for s in spans:
