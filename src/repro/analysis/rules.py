@@ -637,7 +637,7 @@ _GATES: Tuple[Tuple[str, _Gate, str], ...] = (
      "traced, faulted and plain runs take one path; reference paths live "
      "in tests/reference.py"),
     ("SIM010", _station_recorder,
-     "book reservations with the wait tracer alone (samplers watch it)"),
+     "book reservations with the wait tracer alone"),
     ("SIM011", _timer_identity,
      "withdraw the replaced timer with Environment.cancel"),
     ("SIM012", _hand_built_key,

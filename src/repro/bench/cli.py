@@ -38,8 +38,8 @@ Sizes accept ``4k``/``1m`` suffixes.  Output is one line per run in the
 paper's units (GiB/s for >=64 KiB blocks, K IOPS otherwise).
 ``--telemetry`` (fig5) appends the system utilization snapshot.
 
-``doctor`` runs a cell with wait-cause attribution attached, cross-checks
-the utilization and Little's laws, ranks resources by their share of
+``doctor`` runs a cell with wait-cause attribution attached, reads each
+station's utilization, ranks resources by their share of
 sampled request time, prints a one-line bottleneck verdict and the
 per-stage latency breakdown with each stage's wait causes; ``--slo
 'p99<=500us'`` gates exit status for CI, ``--flame``/``--wait-flame``
@@ -217,13 +217,12 @@ def build_parser() -> argparse.ArgumentParser:
     pd = sub.add_parser(
         "doctor",
         help="wait-cause diagnosis: blame ranking, per-stage latency "
-             "breakdown, law cross-checks, bottleneck verdict, SLO gates",
+             "breakdown, bottleneck verdict, SLO gates",
     )
     _add_cell_args(pd, "tcp", "dpu", "randread", 4096, None, sample=20)
     pd.add_argument("--quick", action="store_true",
                     help="CI subset: 0.02 s default window, no continuous "
-                         "sampler (skips the Little's-law check); needed "
-                         "by --ledger")
+                         "sampler; needed by --ledger")
     pd.add_argument("--slo", action="append", default=[], metavar="RULE",
                     help="SLO gate, e.g. 'p99<=500us' or 'iops>=100000'; "
                          "repeatable; any violation exits non-zero")
@@ -527,10 +526,8 @@ def _run_doctor(args) -> int:
 
     label = cp.cell_label(config)
     run = cp.run_cell(config, observe_sampler=not args.quick)
-    littles = run.sampler.littles_law() if run.sampler is not None else None
     diag = diagnose(run.result, run.collector, run.tracer,
-                    stations=run.stations, littles_rows=littles,
-                    slos=args.slo, label=label)
+                    stations=run.stations, slos=args.slo, label=label)
     breakdown = LatencyBreakdown(run.collector.spans,
                                  stage_waits=run.tracer.stage_waits())
 

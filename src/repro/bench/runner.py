@@ -364,11 +364,12 @@ def run_fig5_doctored(
     (so the doctor's utilizations cover the stations' whole counts),
     samples request spans 1-in-``sample_every``, records
     per-operation latency for the SLO gates, and optionally attaches the
-    standard sampler from *t = 0* so Little's law can be checked and the
-    series cover setup/prefill as well as the measured window
+    standard sampler from *t = 0*, so its ``.busy`` and ``.bytes`` series
+    cover setup/prefill as well as the measured window
     (``observe_sampler=False`` skips it, as every recorded run does: its
-    ticks are kernel events, counted in a record's ``cost``).  None of it
-    changes the simulated outcome.
+    ticks are kernel events, counted in a record's ``cost``).  The
+    sampler only reads counters; the tracer hears the sampled requests
+    alone.  None of it changes the simulated outcome.
     """
     import dataclasses
 

@@ -17,8 +17,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Dict, List
 
 from repro.bench.report import Table
-from repro.sim.timeseries import GAUGE, RATE, UTILIZATION, Sampler, StationStats
-from repro.sim.waits import WaitTracer
+from repro.sim.timeseries import GAUGE, RATE, UTILIZATION, Sampler
 
 __all__ = [
     "SystemReport",
@@ -182,26 +181,11 @@ def install_probes(system, sampler: Sampler) -> Sampler:
     Every registry component, also one that joins later (a TCP stack
     section is built with its first connection), gets probes named
     after it: ``<name>.busy`` for CPU pools, sections, port pipes and
-    NVMe devices; ``<name>.bytes`` for pipes; an in-flight station (the
-    Little's-law check) per NVMe device.  The engine adds
-    ``engine.xstreams.busy`` and the ``engine.rpc`` station; the client
-    node its data-plane probes and ``<node>.cpu`` station.
-
-    The NVMe and client-CPU stations are fed by the environment's wait
-    tracer, which is installed here if none is.  The RPC station reads
-    the server's own counters.
+    NVMe devices; ``<name>.bytes`` for pipes.  The engine adds
+    ``engine.xstreams.busy``, the client node its data-plane probes.
+    Every probe reads a component's own counters; nothing here installs
+    a wait tracer.
     """
-    env = system.env
-    tracer = env._wait_tracer
-    if tracer is None:
-        tracer = WaitTracer(env).install()
-
-    def watched(name: str, node) -> None:
-        stats = StationStats()
-        tracer.watch(name, stats)
-        sampler.add_station(name, stats, lambda: stats.in_flight(env.now),
-                            node=node)
-
     def probe(c) -> None:
         obj, cap, node = c.obj, c.capacity, c.node
         if c.kind in ("cpu", "section", "pipe", "nvme"):
@@ -211,19 +195,14 @@ def install_probes(system, sampler: Sampler) -> Sampler:
             sampler.add_probe(f"{c.name}.bytes",
                               lambda: float(obj.bytes_moved),
                               kind=RATE, unit="B/s", node=node)
-        elif c.kind == "nvme":
-            watched(c.name, node)
         elif c.kind == "engine":
             sampler.add_probe(
                 "engine.xstreams.busy",
                 lambda: fsum(t.xstream.busy_time for t in obj.targets) / obj.n_targets,
                 kind=UTILIZATION, node=node,
             )
-            rpc = obj.rpc
-            sampler.add_station("engine.rpc", rpc, lambda: rpc.in_flight,
-                                node=node)
 
-    env.components.subscribe(probe)
+    system.env.components.subscribe(probe)
     dp = system.service.data_plane
     cname = system.client_node.name
     sampler.add_probe(f"{cname}.dp.staged", lambda d=dp: d.staged.used_bytes,
@@ -234,7 +213,6 @@ def install_probes(system, sampler: Sampler) -> Sampler:
     sampler.add_probe(f"{cname}.dp.write.bytes",
                       lambda d=dp: float(d.writes.bytes),
                       kind=RATE, unit="B/s", node=cname)
-    watched(system.client_node.cpu.name, cname)
     return sampler
 
 
@@ -244,6 +222,8 @@ def observe(system, interval: float = 1e-4) -> Sampler:
     ``interval`` is the sampling period in simulated seconds; every series
     keeps the sampler's default capacity (older windows merge pairwise
     past it).  Returns the started :class:`~repro.sim.timeseries.Sampler`.
+    The probes only read counters, so an observed run installs no wait
+    tracer and keeps its simulated outcome.
     """
     sampler = Sampler(system.env, interval=interval)
     install_probes(system, sampler)

@@ -84,11 +84,6 @@ class RpcServer:
         self.node = node
         self.env: Environment = node.env
         self._handlers: Dict[str, Callable] = {}
-        # The RPC station's counters (dispatch to reply sent), which the
-        # sampler reads for its in-flight track and Little's-law check.
-        self.arrivals = 0
-        self.in_flight = 0
-        self.sojourn_sum = 0.0
 
     def register(self, opcode: str, handler: Callable) -> None:
         """Register ``handler(args, src, channel) -> generator`` for ``opcode``."""
@@ -106,62 +101,52 @@ class RpcServer:
             partial(self._dispatch, channel), "rpc-handler"))
 
     def _dispatch(self, channel: FabricChannel, msg: Message):
-        # One generator frame per request: the accounting wrapper and the
-        # handler body used to be separate generators, which added a
-        # delegation frame to every resumption of every handler.
-        self.arrivals += 1
-        self.in_flight += 1
-        t0 = self.env._now
-        try:
-            payload = msg.payload
-            opcode = payload.get("op")
-            args = payload["args"] if "args" in payload else {}
-            handler = self._handlers.get(opcode)
-            if handler is None:
-                yield from self._send_reply(channel, msg.reply_to(
-                    kind="rpc.rep",
-                    payload={"status": "error",
-                             "error": f"unknown opcode {opcode!r}"},
-                    nbytes=RPC_REPLY_BYTES,
-                ))
-                return
-            # This process adopted the capsule's span (CaRT carries
-            # hlc/trace metadata the same way): the handler runs in a
-            # server-side child of it, and the reply goes under it.
-            span = self.env._active.span
-            if span is not None:
-                span = span.child(f"rpc.handler[{opcode}]", node=self.node.name)
-            try:
-                result = yield from handler(args, msg.src, channel)
-            except (DaosError, FaultInjectedError, RdmaError, ConnectionError) as exc:
-                # DaosError is the normal application-error path; the
-                # other three surface mid-handler when a fault window
-                # breaks the transport or the device under it — the
-                # handler must not die, or the engine stops serving.
-                if span is not None:
-                    span.finish()
-                yield from self._send_reply(channel, msg.reply_to(
-                    kind="rpc.rep",
-                    payload={"status": "error",
-                             "error": f"{type(exc).__name__}: {exc}"},
-                    nbytes=RPC_REPLY_BYTES,
-                ))
-                return
-            if span is not None:
-                span.finish()
-            # Handlers that piggyback payload bytes onto the reply (inline
-            # fetches) declare the extra wire size via the "_wire" key.
-            wire_extra = 0
-            if isinstance(result, dict):
-                wire_extra = int(result.pop("_wire", 0))
+        payload = msg.payload
+        opcode = payload.get("op")
+        args = payload["args"] if "args" in payload else {}
+        handler = self._handlers.get(opcode)
+        if handler is None:
             yield from self._send_reply(channel, msg.reply_to(
                 kind="rpc.rep",
-                payload={"status": "ok", "result": result},
-                nbytes=RPC_REPLY_BYTES + wire_extra,
+                payload={"status": "error",
+                         "error": f"unknown opcode {opcode!r}"},
+                nbytes=RPC_REPLY_BYTES,
             ))
-        finally:
-            self.in_flight -= 1
-            self.sojourn_sum += self.env._now - t0
+            return
+        # This process adopted the capsule's span (CaRT carries
+        # hlc/trace metadata the same way): the handler runs in a
+        # server-side child of it, and the reply goes under it.
+        span = self.env._active.span
+        if span is not None:
+            span = span.child(f"rpc.handler[{opcode}]", node=self.node.name)
+        try:
+            result = yield from handler(args, msg.src, channel)
+        except (DaosError, FaultInjectedError, RdmaError, ConnectionError) as exc:
+            # DaosError is the normal application-error path; the
+            # other three surface mid-handler when a fault window
+            # breaks the transport or the device under it — the
+            # handler must not die, or the engine stops serving.
+            if span is not None:
+                span.finish()
+            yield from self._send_reply(channel, msg.reply_to(
+                kind="rpc.rep",
+                payload={"status": "error",
+                         "error": f"{type(exc).__name__}: {exc}"},
+                nbytes=RPC_REPLY_BYTES,
+            ))
+            return
+        if span is not None:
+            span.finish()
+        # Handlers that piggyback payload bytes onto the reply (inline
+        # fetches) declare the extra wire size via the "_wire" key.
+        wire_extra = 0
+        if isinstance(result, dict):
+            wire_extra = int(result.pop("_wire", 0))
+        yield from self._send_reply(channel, msg.reply_to(
+            kind="rpc.rep",
+            payload={"status": "ok", "result": result},
+            nbytes=RPC_REPLY_BYTES + wire_extra,
+        ))
 
     def _send_reply(self, channel: FabricChannel, reply: Message):
         """Send a reply; under fault injection a dead transport drops it.

@@ -232,8 +232,7 @@ class NvmeArray:
             if timed:
                 piece = span.child("nvme", node=dev.name, nbytes=size,
                                    start=now, end=at)
-            if wt is not None and (piece is not None
-                                   or dev.name in wt.watched):
+            if wt is not None and piece is not None:
                 wt.book(dev.name, wait, service, latency, piece, now)
         if error is None:
             if wt is not None and span is not None:

@@ -15,14 +15,14 @@ dependency of this project).  It provides:
 * :mod:`repro.sim.spans` — request-scoped distributed tracing (spans,
   latency breakdowns, critical paths).
 * :mod:`repro.sim.timeseries` — the continuous telemetry bus (probes,
-  bounded downsampling ring buffers, Little's-law self-check).
+  bounded downsampling ring buffers).
 * :mod:`repro.sim.chrometrace` — Chrome trace-event / Perfetto export.
 * :mod:`repro.sim.waits` — wait-cause attribution: why each process was
   blocked, per-resource, tagged with the active span.
 * :mod:`repro.sim.flame` — sim-time and wait-time collapsed-stack
   flamegraphs (speedscope / flamegraph.pl).
 * :mod:`repro.sim.doctor` — the automated bottleneck doctor: blame
-  ranking, utilization/Little's-law cross-checks, SLO gates.
+  ranking, station utilizations, SLO gates.
 
 Time is a ``float`` in **seconds**.  All hardware models in
 :mod:`repro.hw` build directly on these primitives.
@@ -51,7 +51,7 @@ from repro.sim.spans import (
 )
 from repro.sim.doctor import Diagnosis, SloRule, diagnose, parse_slo
 from repro.sim.flame import fold_spans, fold_waits, render_collapsed
-from repro.sim.timeseries import Probe, Sampler, StationStats, TimeSeries
+from repro.sim.timeseries import Probe, Sampler, TimeSeries
 from repro.sim.waits import WaitRow, WaitTracer
 
 __all__ = [
@@ -76,7 +76,6 @@ __all__ = [
     "Span",
     "SpanCollector",
     "SpanRow",
-    "StationStats",
     "Store",
     "TimeSeries",
     "Timeout",

@@ -10,8 +10,6 @@ machine-generated answer a human used to read off the tables:
 * **Station table** — every registered station's utilization
   ``busy_time / (elapsed * capacity)`` and operation count, read from
   the stations' own counters.
-* **Little's-law check** — queue growth vs ``L = λW`` from the sampler's
-  station series (when a sampler was attached).
 * **p99 critical path** — the chain of spans that determined the p99
   request's latency, with each hop's blamed resources.
 * **SLO gates** — ``p99<=500us``-style rules evaluated against the run's
@@ -163,7 +161,6 @@ class Diagnosis:
     blame: List[dict]
     p99: dict
     stations: List[dict]
-    checks: dict
     slo: dict
     wait_records: dict
     verdict: str = ""
@@ -171,7 +168,7 @@ class Diagnosis:
 
     @property
     def ok(self) -> bool:
-        """SLO verdict only (law-check failures are reported, not fatal)."""
+        """The SLO verdict."""
         return bool(self.slo.get("ok", True))
 
     @property
@@ -190,7 +187,6 @@ class Diagnosis:
             "blame": self.blame,
             "p99": self.p99,
             "stations": self.stations,
-            "checks": self.checks,
             "slo": self.slo,
             "wait_records": self.wait_records,
             "notes": list(self.notes),
@@ -210,10 +206,6 @@ class Diagnosis:
         if self.p99.get("critical_path"):
             hops = " -> ".join(self.p99["critical_path"])
             out.append(f"p99 critical path ({self.p99['latency'] * 1e6:.1f} us): {hops}")
-        cl = self.checks.get("littles_law", [])
-        if cl:
-            n_bad_l = sum(1 for c in cl if c.get("checked") and not c["ok"])
-            out.append(f"little's law: {len(cl) - n_bad_l}/{len(cl)} stations consistent")
         for rule in self.slo.get("rules", []):
             status = "PASS" if rule["ok"] else "FAIL"
             out.append(f"slo {status}: {rule['raw']} (measured {rule['measured']:.6g})")
@@ -227,18 +219,16 @@ def diagnose(
     collector: SpanCollector,
     tracer: WaitTracer,
     stations: Sequence[Station] = (),
-    littles_rows: Optional[Dict[str, dict]] = None,
     slos: Iterable[str] = (),
     label: str = "",
 ) -> Diagnosis:
-    """Cross-check a finished run and rank its bottlenecks.
+    """Rank a finished run's bottlenecks and read its stations and SLOs.
 
     ``result`` is a :class:`~repro.workload.fio.FioResult`; ``stations``
-    carry each server's own ``busy_time`` and ``ops``; ``littles_rows`` is
-    the output of :meth:`~repro.sim.timeseries.Sampler.littles_law` when a
-    sampler observed the run.  A station's utilization covers the
-    simulated time since the tracer was installed, which the station
-    counters span (the tracer is installed before anything runs).
+    carry each server's own ``busy_time`` and ``ops``.  A station's
+    utilization covers the simulated time since the tracer was
+    installed, which the station counters span (the tracer is installed
+    before anything runs).
     """
     spec = result.spec
     roots = collector.roots()
@@ -285,18 +275,6 @@ def diagnose(
         })
     station_rows.sort(key=lambda r: (-r["utilization"], r["station"]))
 
-    little_rows: List[dict] = []
-    if littles_rows:
-        for name in sorted(littles_rows):
-            row = dict(littles_rows[name])
-            row["station"] = name
-            little_rows.append(row)
-
-    checks = {
-        "littles_law": little_rows,
-        "ok": all(r["ok"] for r in little_rows if r.get("checked")),
-    }
-
     # -- SLO gates ----------------------------------------------------------
     rules = [parse_slo(s) if isinstance(s, str) else s for s in slos]
     slo_rows: List[dict] = []
@@ -330,8 +308,6 @@ def diagnose(
             verdict += f", next: {nxt['resource']} at {nxt['share'] * 100:.0f}%"
     else:
         verdict = "no sampled wait records; nothing to blame"
-    if not checks["ok"]:
-        verdict += " [law-check FAILED]"
 
     if tracer.records_dropped:
         notes.append(f"{tracer.records_dropped} wait records dropped "
@@ -350,7 +326,6 @@ def diagnose(
         blame=blame,
         p99=p99,
         stations=station_rows,
-        checks=checks,
         slo=slo,
         wait_records={
             "count": len(tracer.records),

@@ -147,8 +147,7 @@ class FifoServer:
         for d in delays:
             when += d
         wt = env._wait_tracer
-        if wt is not None and (env._active.span is not None
-                               or self.name in wt.watched):
+        if wt is not None and env._active.span is not None:
             wt.reserve(self.name, start - now, duration, latency)
         # The wake-up Timeout, pushed here as ``timeout_until(when, done)``
         # would push it, with one call less per reservation.
@@ -226,8 +225,7 @@ class PooledServer:
         for d in delays:
             when += d
         wt = env._wait_tracer
-        if wt is not None and (env._active.span is not None
-                               or self.name in wt.watched):
+        if wt is not None and env._active.span is not None:
             wt.reserve(self.name, start - now, duration)
         # The wake-up Timeout, pushed as in :meth:`FifoServer.serve`.
         t = Timeout.__new__(Timeout)
@@ -393,8 +391,7 @@ class BandwidthPipe:
         self.bytes_moved += nbytes
         env = self.env
         wt = env._wait_tracer
-        if wt is not None and env._active.span is None \
-                and self._server.name not in wt.watched:
+        if wt is not None and env._active.span is None:
             wt = None  # the tracer would keep nothing of this transfer
         if self.latency:
             if wt is not None:
@@ -463,8 +460,8 @@ class BandwidthPipe:
         ``start = max(free_at, r)``, ``done = start + take/bw``, and the
         next request at ``r + (done - r)``, the instant the chunk's
         timeout would fire.  A transfer alone in the queue takes its slots
-        in one run.  Under a wait tracer each run is booked as it is
-        reserved.
+        in one run.  Under a wait tracer each run of a sampled transfer
+        is booked as it is reserved.
         """
         requests = self._requests
         now = self.env._now
@@ -514,8 +511,7 @@ class BandwidthPipe:
             ops += n
             xfer.left = left
             xfer.at = r
-            if wt is not None and (xfer.span is not None
-                                   or srv.name in wt.watched):
+            if wt is not None and xfer.span is not None:
                 self._book(r0, xfer, left0, free0, n)
             if left:
                 push(xfer)

@@ -7,7 +7,7 @@ diagnose offload wins and losses (the Arm TCP/RX bottleneck of Fig. 5
 emerges only at high ``numjobs`` and is invisible in point-in-time
 snapshots).
 
-Three pieces:
+Two pieces:
 
 * :class:`TimeSeries` — a bounded buffer of *time-weighted* samples.
   Each point covers a window ``(t_end - dt, t_end]`` with the window's
@@ -23,17 +23,10 @@ Three pieces:
   reads state — it never occupies a resource — so an instrumented run
   produces bit-identical simulated results to a bare one, and when it is
   never started the kernel schedules nothing at all (zero cost when off).
-* :meth:`Sampler.add_station` + :meth:`Sampler.littles_law` — per-station
-  arrival/sojourn counters (a :class:`StationStats` the wait tracer
-  feeds, or the RPC server's own) and the ``L = λW`` self-check that
-  keeps the whole observability pipeline honest: the *sampled* mean
-  in-flight count must match arrival-rate × mean-sojourn computed from
-  exact counters.
 """
 
 from __future__ import annotations
 
-import heapq
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -42,7 +35,6 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "TimeSeries",
     "Probe",
-    "StationStats",
     "Sampler",
 ]
 
@@ -50,13 +42,6 @@ __all__ = [
 GAUGE = "gauge"          # fn() is an instantaneous level
 RATE = "rate"            # fn() is a cumulative total; store delta / dt
 UTILIZATION = "utilization"  # like RATE but the total is busy-seconds
-
-#: Largest relative gap ``|L - λW| / λW`` a checked station may show.
-LITTLES_LAW_TOLERANCE = 0.05
-
-#: Fewest arrivals at which a station's Little's law is checked (the law
-#: is asymptotic).
-LITTLES_LAW_MIN_ARRIVALS = 50
 
 
 class TimeSeries:
@@ -145,20 +130,6 @@ class TimeSeries:
         """Smallest window mean (0.0 when empty)."""
         return min(self._v) if self._v else 0.0
 
-    def time_weighted_mean(self) -> float:
-        """Duration-weighted mean over the whole series (0.0 when empty).
-
-        Each window weighs the span its bounds give, ``t_end - (t_end -
-        dt)``, which can differ from ``dt`` in the last bit.
-        """
-        area = 0.0
-        span = 0.0
-        for t_end, dt, v in zip(self._t, self._dt, self._v):
-            w = t_end - (t_end - dt)
-            area += v * w
-            span += w
-        return area / span if span > 0.0 else 0.0
-
     def to_dict(self) -> dict:
         return {
             "name": self.name,
@@ -201,40 +172,6 @@ class Probe:
         self._prev: Optional[float] = None
 
 
-class StationStats:
-    """Arrival/sojourn accounting for one reservation station.
-
-    The wait tracer feeds it every booking of the station's name
-    (:meth:`~repro.sim.waits.WaitTracer.watch`); a reservation's
-    completion is known when it is booked.  ``arrivals`` and
-    ``sojourn_sum`` are the exact side of the Little's-law check, and the
-    in-flight gauge (queued + in service) is reconstructed lazily from a
-    min-heap of outstanding completion times.
-    """
-
-    __slots__ = ("arrivals", "sojourn_sum", "_done")
-
-    def __init__(self) -> None:
-        #: Operations that entered the station.
-        self.arrivals = 0
-        #: Summed time-in-system (queue wait + service) in seconds.
-        self.sojourn_sum = 0.0
-        self._done: List[float] = []  # outstanding completion times (heap)
-
-    def record(self, t_arrive: float, t_done: float) -> None:
-        """Account one operation arriving at ``t_arrive``, done at ``t_done``."""
-        self.arrivals += 1
-        self.sojourn_sum += t_done - t_arrive
-        heapq.heappush(self._done, t_done)
-
-    def in_flight(self, now: float) -> int:
-        """Number in system at ``now`` (pops expired reservations)."""
-        done = self._done
-        while done and done[0] <= now:
-            heapq.heappop(done)
-        return len(done)
-
-
 class Sampler:
     """The system-wide telemetry bus: polls probes into bounded series.
 
@@ -259,11 +196,6 @@ class Sampler:
         self.env = env
         self.interval = float(interval)
         self.series: Dict[str, TimeSeries] = {}
-        #: Registered stations: name -> an object counting ``arrivals``
-        #: and ``sojourn_sum``.
-        self.stations: Dict[str, object] = {}
-        # Each station's counters when it was registered.
-        self._base: Dict[str, Tuple[int, float]] = {}
         self._probes: List[Probe] = []
         self._proc = None
         self._stopped = False
@@ -286,21 +218,6 @@ class Sampler:
         unit = unit or ({UTILIZATION: "busy", RATE: "/s"}.get(kind, ""))
         self.series[name] = TimeSeries(name, unit=unit, kind=kind, node=node)
         return probe
-
-    def add_station(self, name: str, station, in_flight: Callable[[], int],
-                    node: Optional[str] = None) -> None:
-        """Register a queueing station: in-flight gauge + Little's-law check.
-
-        ``station`` counts ``arrivals`` and ``sojourn_sum``; the check
-        uses what they add from now on.  ``in_flight()`` reads its number
-        in system (queued + in service).
-        """
-        if name in self.stations:
-            raise ValueError(f"duplicate station name {name!r}")
-        self.stations[name] = station
-        self._base[name] = (station.arrivals, station.sojourn_sum)
-        self.add_probe(f"{name}.in_flight", lambda: float(in_flight()),
-                       kind=GAUGE, unit="ops", node=node)
 
     # -- life cycle ----------------------------------------------------------
 
@@ -344,71 +261,10 @@ class Sampler:
             yield env.timeout(interval)
             self.sample_now()
 
-    # -- analyses ------------------------------------------------------------
-
-    def elapsed(self) -> float:
-        """Seconds covered by sampling so far."""
-        if self.t_start != self.t_start:  # NaN: never started
-            return 0.0
-        return self.env.now - self.t_start
-
-    def littles_law(self) -> Dict[str, dict]:
-        """The ``L = λW`` self-check for every registered station.
-
-        ``L`` is the *sampled* time-weighted mean of the in-flight series,
-        ``λ`` and ``W`` come from the station's exact counters (what they
-        added since :meth:`add_station`); a healthy
-        telemetry pipeline keeps ``|L - λW| / λW`` within
-        :data:`LITTLES_LAW_TOLERANCE`.
-        Stations with fewer than :data:`LITTLES_LAW_MIN_ARRIVALS` are
-        reported but marked ``checked=False``.
-        """
-        out: Dict[str, dict] = {}
-        elapsed = self.elapsed()
-        for name in sorted(self.stations):
-            arrivals, sojourn = self._counters(name)
-            series = self.series[f"{name}.in_flight"]
-            lam = arrivals / elapsed if elapsed > 0.0 else 0.0
-            w = sojourn / arrivals if arrivals else 0.0
-            rhs = lam * w
-            sampled_l = series.time_weighted_mean()
-            if rhs > 0.0:
-                rel_err = abs(sampled_l - rhs) / rhs
-            else:
-                rel_err = abs(sampled_l)
-            checked = arrivals >= LITTLES_LAW_MIN_ARRIVALS
-            out[name] = {
-                "L_sampled": sampled_l,
-                "lambda": lam,
-                "W": w,
-                "lambda_W": rhs,
-                "rel_err": rel_err,
-                "arrivals": arrivals,
-                "checked": checked,
-                "ok": (rel_err <= LITTLES_LAW_TOLERANCE) if checked else True,
-            }
-        return out
-
-    def _counters(self, name: str) -> Tuple[int, float]:
-        """``(arrivals, sojourn_sum)`` a station added since registration."""
-        st = self.stations[name]
-        arrivals0, sojourn0 = self._base[name]
-        return st.arrivals - arrivals0, st.sojourn_sum - sojourn0
-
     def to_dict(self) -> dict:
-        stations = {}
-        for name in sorted(self.stations):
-            arrivals, sojourn = self._counters(name)
-            stations[name] = {
-                "name": name,
-                "arrivals": arrivals,
-                "sojourn_sum": sojourn,
-                "mean_sojourn": sojourn / arrivals if arrivals else 0.0,
-            }
         return {
             "interval": self.interval,
             "t_start": self.t_start,
             "ticks": self.ticks,
             "series": {k: v.to_dict() for k, v in sorted(self.series.items())},
-            "stations": stations,
         }

@@ -24,12 +24,11 @@ in it, or the request span it was handed), so every span decomposes as
 ``duration = service + Σ wait(resource_i)`` and the latency breakdown gains
 a per-resource blame column.
 
-Design rules (shared with spans and station stats):
+Design rules (shared with spans):
 
 * **Cost only for what it keeps** — every hook site guards with one
   ``env._wait_tracer is not None`` attribute test, and then calls the
-  tracer only for a process with a span open (a sampled request) or
-  for a station the sampler watches (:attr:`WaitTracer.watched`).  An
+  tracer only for a process with a span open (a sampled request).  An
   unsampled request never reaches the tracer.  The kernel also reports a
   timeout while a claim (:meth:`WaitTracer.claim`) is pending, so a claim
   is always consumed by the sleep that follows it.
@@ -56,9 +55,7 @@ finishes (a ``media.nvme`` read a media error cut short) still folds
 its records under its own stage.  They feed the blame ranking, the
 per-span decomposition, the wait-weighted flamegraphs and the
 cumulative wait tracks (:meth:`WaitTracer.wait_series`).  Counts over
-*all* operations are each station's own (``busy_time``, ``ops``).  A
-station the sampler watches (:meth:`WaitTracer.watch`) is fed every
-booking of its name: the tracer is the one thing a station reports to.
+*all* operations are each station's own (``busy_time``, ``ops``).
 """
 
 from __future__ import annotations
@@ -75,7 +72,6 @@ from repro.sim.timeseries import GAUGE, TimeSeries
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.core import Environment
     from repro.sim.spans import Span
-    from repro.sim.timeseries import StationStats
 
 __all__ = ["WaitTracer", "WaitRow",
            "RESERVE", "BLOCK", "SLEEP", "SLEEP_RESOURCE", "ANON_RESOURCE"]
@@ -146,9 +142,6 @@ class WaitTracer:
         self._cause_codes: Dict[tuple, int] = {}
         #: Events not recorded because :attr:`MAX_RECORDS` was reached.
         self.records_dropped = 0
-        #: Stations the sampler watches (see :meth:`watch`), by name.  A
-        #: reservation with no span open reaches the tracer only for these.
-        self.watched: Dict[str, "StationStats"] = {}
         #: Set by :meth:`claim` right before a caller that booked its own
         #: wait creates the timeout it sleeps through, so
         #: Environment.timeout does not book the same passage again as a
@@ -210,18 +203,8 @@ class WaitTracer:
         """Consume the next timeout silently: its caller books it itself."""
         self.claimed = True
 
-    def watch(self, name: str, station: "StationStats") -> None:
-        """Feed every later booking of ``name`` to ``station``.
-
-        Each one arrives at its instant ``t`` and leaves at ``t + wait +
-        service``.  From now on a station of that name calls the tracer
-        for unsampled requests too, so the sampler's in-flight gauge and
-        Little's-law counters see every reservation the station makes.
-        """
-        self.watched[name] = station
-
     def book(self, name: Optional[str], wait: float, service: float,
-             latency: float, span: Optional["Span"], t: float,
+             latency: float, span: "Span", t: float,
              kind: str = RESERVE) -> None:
         """Book one wait event on an explicit span at instant ``t``.
 
@@ -229,16 +212,10 @@ class WaitTracer:
         the reference spent several books each of the reference's events
         here, with the span that was open and the instant it was made at.
         Unlike :meth:`reserve` it claims no timeout, because none follows
-        it.  ``span=None`` only feeds a watched station.  A ``SLEEP`` goes
-        to the ``(sleep)`` pseudo-resource; callers book one only on a span.
+        it.  A ``SLEEP`` goes to the ``(sleep)`` pseudo-resource.
         """
-        if name is None:
-            name = ANON_RESOURCE
-        station = self.watched.get(name)
-        if station is not None:
-            station.record(t, t + wait + service)
-        if span is not None:
-            self._append(span, name, kind, wait, service, latency, t)
+        self._append(span, ANON_RESOURCE if name is None else name, kind,
+                     wait, service, latency, t)
 
     def on_timeout(self, delay: float) -> None:
         """``env.timeout``/``timeout_until`` was called.

@@ -14,9 +14,8 @@ takes in closed form, kept here so that exactly one path lives in
 * :class:`AnyOf` — the first-of wait an RPC call once raced against its
   deadline, which the RPC client's deadline timer reproduces;
 * :func:`window_mean` — a time series' duration-weighted mean over a
-  sub-window, which only tests ask for
-  (:meth:`~repro.sim.timeseries.TimeSeries.time_weighted_mean` averages
-  the whole series).
+  window (``-inf`` to ``inf`` for the whole series), which only tests
+  ask for.
 
 A test patches a reference in (``monkeypatch.setattr(BandwidthPipe,
 "transfer", chunk_loop_transfer)``) or builds it directly.
@@ -44,7 +43,7 @@ def chunk_loop_transfer(pipe, nbytes):
     srv = pipe._server
     if pipe.latency:
         wt = env._wait_tracer
-        if wt is not None:
+        if wt is not None and env._active.span is not None:
             wt.reserve(srv.name, 0.0, 0.0, pipe.latency)
             wt.claim()
         yield env.timeout(pipe.latency)

@@ -213,6 +213,25 @@ def test_doctor_json_breakdown_names_the_arm_rx_stage(capsys, tmp_path):
     assert {"dpu", "storage"} <= {n["name"] for n in doc["telemetry"]["nodes"]}
 
 
+def test_doctor_with_the_sampler_writes_busy_tracks_and_no_checks(
+        capsys, tmp_path):
+    """``doctor`` without ``--quick`` runs the continuous sampler: its
+    Perfetto trace carries the stations' ``.busy`` tracks and no queue
+    gauges, and its JSON document has no law-check section."""
+    from repro.sim.chrometrace import validate_chrome_trace
+
+    out, trace = tmp_path / "doctor.json", tmp_path / "trace.json"
+    assert main(["doctor", "--runtime", "0.004", "--json-out", str(out),
+                 "--perfetto", str(trace)]) == 0
+    doc = json.loads(out.read_text())
+    assert "checks" not in doc and doc["stations"]
+    chrome = json.loads(trace.read_text())
+    assert validate_chrome_trace(chrome) == []
+    tracks = {e["name"] for e in chrome["traceEvents"] if e["ph"] == "C"}
+    assert {"dpu.arm_rx.busy", "nvme.ssd0.busy"} <= tracks
+    assert not [n for n in tracks if n.endswith(".in_flight")]
+
+
 def test_trace_subcommand_is_gone():
     with pytest.raises(SystemExit):
         main(["trace"])

@@ -29,7 +29,10 @@ def setup(provider="ucx+rc"):
 def test_call_roundtrip():
     env, top, ch, server, client = setup()
 
+    ran = []
+
     def echo(args, src, channel):
+        ran.append(env.now)
         yield env.timeout(0)
         return {"echo": args["x"] * 2}
 
@@ -44,33 +47,7 @@ def test_call_roundtrip():
     p = env.process(main(env))
     env.run(until=p)
     assert got == [{"echo": 42}]
-    assert server.arrivals == 1
-
-
-def test_rpc_server_counts_its_station():
-    """``arrivals``/``in_flight``/``sojourn_sum`` run from dispatch to
-    reply sent: the RPC station the sampler's Little's-law check reads."""
-    env, top, ch, server, client = setup()
-    seen = []
-
-    def slow(args, src, channel):
-        seen.append(server.in_flight)
-        yield env.timeout(args["d"])
-        return {}
-
-    server.register("slow", slow)
-    server.serve(ch)
-
-    def main(env):
-        yield from client.call("slow", {"d": 1e-3})
-        yield from client.call("slow", {"d": 3e-3})
-
-    p = env.process(main(env))
-    env.run(until=p)
-    assert seen == [1, 1]
-    assert server.arrivals == 2 and server.in_flight == 0
-    # Each sojourn is the handler's sleep plus the reply's send.
-    assert 4e-3 < server.sojourn_sum < 5e-3
+    assert len(ran) == 1
 
 
 def test_unknown_opcode_raises_client_side():
@@ -164,13 +141,16 @@ def test_shutdown_stops_server():
     p = env.process(main(env))
     with pytest.raises(RpcTimeout):
         env.run(until=p)
-    assert ran == [] and server.arrivals == 0
+    assert ran == []
 
 
 def test_reply_after_deadline_dropped():
     env, top, ch, server, client = setup()
 
+    ran = []
+
     def slow(args, src, channel):
+        ran.append(env.now)
         yield env.timeout(args["delay"])
         return args["delay"]
 
@@ -189,7 +169,7 @@ def test_reply_after_deadline_dropped():
     p = env.process(main(env))
     env.run(until=p)
     assert got == ["timeout", 0.0]
-    assert server.arrivals == 2
+    assert len(ran) == 2
     assert client._pending == {}
 
 
@@ -204,15 +184,22 @@ def test_second_listener_rejected():
 
 def test_stray_message_ignored():
     env, top, ch, server, client = setup()
+    ran = []
+
+    def noop(args, src, channel):
+        ran.append(env.now)
+        yield env.timeout(0)
+
+    server.register("noop", noop)
     server.serve(ch)
-    from repro.net.message import Message
 
     def main(env):
-        yield from ch.send(Message(src="host", dst="storage", kind="garbage", nbytes=8))
+        yield from ch.send(Message(src="host", dst="storage", kind="garbage",
+                                   nbytes=8, payload={"op": "noop"}))
 
     env.process(main(env))
     env.run(until=1.0)  # must not crash
-    assert server.arrivals == 0
+    assert ran == []
 
 
 # ---------------------------------------------------------------------------

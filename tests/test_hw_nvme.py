@@ -219,15 +219,15 @@ def _run_submitters(ios, n_devices, reference, observe="plain",
 
     ``reference`` submits through the process per piece instead of the
     production join.  ``observe`` is ``"plain"``, ``"tracer"`` (a wait
-    tracer, and a station watching each device) or ``"spans"`` (a wait
-    tracer, and a root span per I/O, the submitter's span while it runs).  ``faulted`` installs a latency spike on ``nvme.ssd0``
+    tracer and no span, so nothing reaches it) or ``"spans"`` (a wait
+    tracer, and a root span per I/O, the submitter's span while it
+    runs).  ``faulted`` installs a latency spike on ``nvme.ssd0``
     and, overlapping its end, a media-error window on ``nvme.ssd1``.
     Returns every outcome both joins must agree on.
     """
     from repro.faults.errors import NvmeMediaError
     from repro.faults.plan import FaultEvent, FaultPlan
     from repro.sim.spans import SpanCollector
-    from repro.sim.timeseries import StationStats
     from repro.sim.waits import WaitTracer
 
     env = Environment()
@@ -238,9 +238,6 @@ def _run_submitters(ios, n_devices, reference, observe="plain",
             FaultEvent("nvme_media_error", "nvme.ssd1", 3e-4, 1e-3),
         ]).install(env).arm(0.0)
     tracer = WaitTracer(env).install() if observe != "plain" else None
-    if observe == "tracer":
-        for dev in arr.devices:
-            tracer.watch(dev.name, StationStats())
     collector = SpanCollector(env)
     submit = process_per_piece_submit if reference else NvmeArray.submit
     woke = {}
@@ -269,9 +266,6 @@ def _run_submitters(ios, n_devices, reference, observe="plain",
     }
     if tracer is not None:
         names = {s.span_id: s.name for s in collector.spans}
-        outcome["stations"] = {
-            k: (st.arrivals, st.sojourn_sum, sorted(st._done))
-            for k, st in tracer.watched.items()}
         outcome["records"] = [
             (r.resource, r.kind, r.wait, r.service, r.latency, r.t,
              r.stage) for r in tracer.records]
@@ -296,8 +290,8 @@ _io = st.tuples(
        faulted=st.booleans())
 def test_inline_join_matches_a_process_per_piece(ios, n_devices, observe,
                                                  faulted):
-    """Wake or raise instants, exceptions, device state, meters, what
-    watched stations saw, records and ``nvme`` spans are bit-identical to the
+    """Wake or raise instants, exceptions, each device's own counters and
+    meters, records and ``nvme`` spans are bit-identical to the
     reference join, for one I/O per submitter at equal and distinct
     instants (later I/Os would start at a join's wake instant, whose
     same-instant order the inline join does not keep), traced or not,
@@ -406,23 +400,25 @@ def test_array_rejects_empty_or_negative_io_before_reserving():
 
 
 def test_station_recorder_keeps_the_inline_join():
-    """A station watched through the tracer sees every piece of a split
-    I/O, and the join, its event and its booking stay.
+    """Each device counts its piece of a split I/O in its own ``ops``,
+    ``busy_time`` and read meter, sampled or not, and the join, its
+    event and its booking stay.
 
     The caller's open span keeps the RESERVE record of the piece it waited
-    for, so a doctored run with its sampler on blames the same devices.
+    for; an unsampled I/O books nothing.
     """
     from repro.sim.spans import SpanCollector
-    from repro.sim.timeseries import StationStats
     from repro.sim.waits import WaitTracer
 
     env = Environment()
     arr = NvmeArray(env, NVME_SSD, n_devices=2)
     tracer = WaitTracer(env).install()
-    stats = [StationStats() for _ in arr.devices]
-    for dev, st in zip(arr.devices, stats):
-        tracer.watch(dev.name, st)
     col = SpanCollector(env)
+
+    def counters():
+        return [(d.ops, d.busy_time, d.reads.ops, d.reads.bytes)
+                for d in arr.devices]
+
     spans = []
 
     def io(env):
@@ -436,13 +432,18 @@ def test_station_recorder_keeps_the_inline_join():
     assert env.events_processed == 2
     (rec,) = [r for r in tracer.records if r.span_id == spans[0].span_id]
     assert rec.resource == "nvme.ssd0"
-    assert [st.arrivals for st in stats] == [1, 1]
+    once = counters()
+    assert [(ops, n, nbytes) for ops, _busy, n, nbytes in once] \
+        == [(1, 1, 4 * KIB), (1, 1, 4 * KIB)]
+    assert all(busy > 0.0 for _ops, busy, _n, _nbytes in once)
 
     def unsampled(env):
         yield from arr.submit(MIB - 4 * KIB, 8 * KIB, is_write=False)
 
     env.process(unsampled(env))
     env.run()
-    # An I/O with no span open books no record, and still reaches both.
+    # An I/O with no span open books no record, and still reaches both:
+    # each device counts it exactly as it counted the sampled one.
     assert len(tracer.records) == 1
-    assert [st.arrivals for st in stats] == [2, 2]
+    assert counters() == [(2 * ops, 2 * busy, 2 * n, 2 * nbytes)
+                          for ops, busy, n, nbytes in once]

@@ -18,8 +18,8 @@ reservation also called the tracer's ``on_timeout``; it cost 179.7 and
 249.2 with that call gone, and 178.7 and 248.2 before a sampled span
 rode on its process.  With the span on the process (no ``trace``
 argument, no span stacks in the wait tracer) it cost 177.1 and 245.8.
-Now a station calls the tracer only for a sampled request or a watched
-station, and the tracer keeps no all-request aggregates: it costs 147.8
+Now a station calls the tracer only for a sampled request, and the
+tracer keeps no all-request aggregates: it costs 147.8
 and 199.2, within 7 % of the plain cell, which stays at 139.0 and
 186.6.  The plain 1 MiB RDMA write cell (4 SSDs, 8 jobs, a 50 ms window: 570 IOs) cost 256.2 calls
 per IO while each written extent was an ``Extent`` object, and 255.4 as

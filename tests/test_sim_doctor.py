@@ -139,18 +139,6 @@ class TestDiagnose:
             {"station": "dev", "capacity": 1, "utilization": 1.0, "ops": 2},
             {"station": "idle", "capacity": 2, "utilization": 0.0, "ops": 0},
         ]
-        assert diag.checks == {"littles_law": [], "ok": True}
-
-    def test_a_failed_littles_law_row_flags_the_verdict(self):
-        env, col, tracer = _traced_pair([("dev", 2e-3)])
-        rows = {"dev": {"checked": True, "ok": False, "rel_err": 0.5}}
-        diag = diagnose(_fake_result(env), col, tracer, littles_rows=rows)
-        assert diag.checks["littles_law"] == [
-            {"checked": True, "ok": False, "rel_err": 0.5, "station": "dev"}]
-        assert not diag.checks["ok"]
-        assert "[law-check FAILED]" in diag.verdict
-        # Law-check failures flag the verdict but do not flip the exit code.
-        assert diag.exit_code == 0
 
     def test_slo_violation_sets_exit_code(self):
         env, col, tracer = _traced_pair([("dev", 1e-3)])
@@ -174,9 +162,10 @@ class TestDiagnose:
         doc = diag.to_dict()
         assert doc["format"] == "repro-doctor-v1"
         for key in ("verdict", "ok", "workload", "throughput", "latency",
-                    "blame", "p99", "stations", "checks", "slo",
+                    "blame", "p99", "stations", "slo",
                     "wait_records", "notes"):
             assert key in doc
+        assert "checks" not in doc
         json.dumps(doc)  # round-trippable
 
     def test_render_mentions_blame_and_slo(self):
@@ -210,12 +199,6 @@ class TestFig5Doctored:
         assert PAPER_BANDS["fig5.dpu.tcp.4k.arm_rx_share"].holds(share)
         assert diag.blame[1]["resource"].startswith("nvme.ssd")
         assert "bottleneck: dpu.arm_rx" in diag.verdict
-
-    def test_laws_hold_on_real_cell(self, run):
-        diag = self._diagnose(run)
-        little = [r for r in diag.checks["littles_law"] if r["checked"]]
-        assert little and all(r["ok"] for r in little)
-        assert diag.checks["ok"]
 
     def test_station_table_covers_every_bucket(self, run):
         diag = self._diagnose(run)
@@ -268,10 +251,8 @@ class TestFig5Doctored:
         assert self._diagnose(run).p99["blame"] == want
 
     def _diagnose(self, run):
-        littles = run.sampler.littles_law() if run.sampler else None
         return diagnose(run.result, run.collector, run.tracer,
-                        stations=run.stations, littles_rows=littles,
-                        slos=(), label="fig5-ci")
+                        stations=run.stations, slos=(), label="fig5-ci")
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro.sim import Environment, Probe, Sampler, StationStats, TimeSeries
-from repro.sim import timeseries
+from repro.sim import Environment, Probe, Sampler, TimeSeries
 from repro.sim.timeseries import GAUGE, RATE, UTILIZATION
 from tests.reference import window_mean
+
+INF = float("inf")
 
 
 # ---------------------------------------------------------------------------
@@ -39,7 +40,7 @@ def test_timeseries_zero_width_windows_dropped():
     ts.append(1.0, 0.0, 99.0)
     ts.append(1.0, -1.0, 99.0)
     assert len(ts) == 0
-    assert ts.time_weighted_mean() == 0.0
+    assert window_mean(ts, -INF, INF) == 0.0
 
 
 def test_timeseries_stays_bounded_forever():
@@ -67,7 +68,7 @@ def test_downsampling_preserves_time_weighted_mean_exactly():
         raw_area += v * 0.5
     assert ts.merges >= 8  # heavily downsampled
     assert len(ts) < 16
-    assert ts.time_weighted_mean() == pytest.approx(raw_area / (n * 0.5),
+    assert window_mean(ts, -INF, INF) == pytest.approx(raw_area / (n * 0.5),
                                                     rel=1e-12)
 
 
@@ -79,7 +80,7 @@ def test_downsampling_preserves_windowed_means_within_resolution():
     for i in range(n):
         ts.append(float(i + 1), 1.0, 0.0 if i < n // 2 else 1.0)
     assert ts.merges > 0
-    assert ts.time_weighted_mean() == pytest.approx(0.5, rel=1e-12)
+    assert window_mean(ts, -INF, INF) == pytest.approx(0.5, rel=1e-12)
     # Each half, queried as a window, is still ~pure (one merged window
     # may straddle the step).
     dt_max = max(dt for _, dt, _ in ts.points())
@@ -93,7 +94,7 @@ def test_time_weighted_mean_pro_rata_clipping():
     ts = TimeSeries("x", capacity=8)
     ts.append(1.0, 1.0, 0.0)
     ts.append(3.0, 2.0, 10.0)
-    assert ts.time_weighted_mean() == pytest.approx(20.0 / 3.0)
+    assert window_mean(ts, -INF, INF) == pytest.approx(20.0 / 3.0)
     # Window [0.5, 1.5] takes half of the first sample, a quarter of the
     # second's span.
     assert window_mean(ts, 0.5, 1.5) == pytest.approx(5.0)
@@ -112,54 +113,6 @@ def test_probe_rejects_unknown_kind():
 
 
 # ---------------------------------------------------------------------------
-# StationStats
-# ---------------------------------------------------------------------------
-
-def test_station_stats_reservation_style():
-    st = StationStats()
-    st.record(0.0, 2.0)
-    st.record(0.5, 1.0)
-    assert st.arrivals == 2
-    assert st.sojourn_sum == pytest.approx(2.5)
-    assert st.in_flight(0.6) == 2
-    assert st.in_flight(1.0) == 1   # second op done at t=1
-    assert st.in_flight(2.0) == 0
-
-
-def test_station_stats_idle_queries():
-    st = StationStats()
-    assert st.arrivals == 0 and st.sojourn_sum == 0.0
-    assert st.in_flight(1.0) == 0
-
-
-def test_a_watched_name_feeds_its_station_every_booking():
-    """The wait tracer is the station's one recorder: every booking of
-    the watched name reaches it, a reservation's and a closed-form
-    ``book`` alike, and no other name does."""
-    from repro.sim import FifoServer
-    from repro.sim.waits import WaitTracer
-
-    env = Environment()
-    tracer = WaitTracer(env).install()
-    server = FifoServer(env, name="srv")
-    st = StationStats()
-    tracer.watch("srv", st)
-
-    def client(env):
-        server.serve(2.0)
-        yield server.serve(1.0)  # queued 2 s behind the first
-        tracer.book("srv", 0.5, 0.25, 9.0, None, env.now)  # a split piece
-        tracer.book("other", 0.0, 1.0, 0.0, None, env.now)
-
-    env.process(client(env))
-    env.run()
-    assert st.arrivals == 3
-    # Sojourns: 2, 2 + 1, and the piece's wait + service, not its latency.
-    assert st.sojourn_sum == pytest.approx(5.75)
-    assert st.in_flight(3.0) == 1 and st.in_flight(3.75) == 0
-
-
-# ---------------------------------------------------------------------------
 # Sampler
 # ---------------------------------------------------------------------------
 
@@ -171,30 +124,6 @@ def test_sampler_rejects_bad_interval_and_duplicates():
     s.add_probe("a", lambda: 0.0)
     with pytest.raises(ValueError):
         s.add_probe("a", lambda: 0.0)
-    st = StationStats()
-    s.add_station("st", st, lambda: st.in_flight(env.now))
-    with pytest.raises(ValueError):
-        s.add_station("st", st, lambda: st.in_flight(env.now))
-
-
-def test_station_counts_from_its_registration(monkeypatch):
-    """A station's own counters may predate the sampler (the RPC server
-    counts from its construction): Little's law uses what they add after
-    it joins."""
-    from types import SimpleNamespace
-
-    env = Environment()
-    rpc = SimpleNamespace(arrivals=7, sojourn_sum=3.0, in_flight=0)
-    s = Sampler(env, interval=1.0)
-    s.add_station("rpc", rpc, lambda: rpc.in_flight)
-    rpc.arrivals += 2
-    rpc.sojourn_sum += 0.5
-    s.start()
-    env.run(until=2.0)
-    monkeypatch.setattr(timeseries, "LITTLES_LAW_MIN_ARRIVALS", 1)
-    row = s.littles_law()["rpc"]
-    assert row["arrivals"] == 2 and row["W"] == 0.25
-    assert s.to_dict()["stations"]["rpc"]["sojourn_sum"] == 0.5
 
 
 def test_sampler_gauge_and_cumulative_kinds():
@@ -273,34 +202,6 @@ def test_sampler_disabled_is_bit_identical():
     assert doc.pop("latency") and not bare.pop("latency")
     assert doc == bare
     assert observed.sampler.ticks > 0  # the telemetry genuinely ran
-
-
-def test_sampler_littles_law_on_deterministic_queue():
-    """Closed-form check: fixed-rate arrivals to a deterministic server."""
-    from repro.sim import FifoServer
-    from repro.sim.waits import WaitTracer
-
-    env = Environment()
-    tracer = WaitTracer(env).install()
-    server = FifoServer(env, name="srv")
-    st = StationStats()
-    tracer.watch("srv", st)
-    s = Sampler(env, interval=5e-4)
-    s.add_station("srv", st, lambda: st.in_flight(env.now))
-    s.start()
-
-    def client(env):
-        for _ in range(200):
-            yield server.serve(1.0 / 1000.0)  # 1 ms per unit of work
-
-    env.process(client(env))
-    env.run(until=0.25)
-    s.stop()
-    law = s.littles_law()["srv"]
-    assert law["checked"]
-    assert law["arrivals"] == 200
-    # Serial closed loop: one op in flight while active -> L ~ lambda * W.
-    assert law["ok"], law
 
 
 def test_sampler_stop_parks_the_process():

@@ -700,12 +700,16 @@ class TestCellWaitTracks:
 
 
 class TestUnsampledCells:
-    @pytest.mark.parametrize("provider", ["tcp", "rdma"])
+    @pytest.mark.parametrize("provider,sampler", [
+        ("tcp", False), ("rdma", False), ("tcp", True), ("rdma", True)],
+        ids=["tcp", "rdma", "tcp-sampler", "rdma-sampler"])
     def test_an_unsampled_request_never_reaches_the_tracer(self, provider,
+                                                           sampler,
                                                            monkeypatch):
         """From setup through the drain, no tracer method runs while the
         running process (if any) has no span open: a 1-in-20 sampled
-        cell with no sampler pays for its sampled requests alone."""
+        cell pays for its sampled requests alone, with or without the
+        continuous sampler (whose probes read counters only)."""
         from repro.bench.runner import run_fig5_doctored
 
         unsampled = []
@@ -734,8 +738,9 @@ class TestUnsampledCells:
         monkeypatch.setattr(Environment, "run", running_run)
         doctored = run_fig5_doctored(provider, "dpu", "randread", 4096, 2,
                                      runtime=0.004, seed=7,
-                                     observe_sampler=False)
+                                     observe_sampler=sampler)
         doctored.system.env.run()  # the drain
         assert doctored.tracer.records  # sampled requests were booked
+        assert (doctored.sampler is not None) == sampler
         assert unsampled == []
 
